@@ -14,12 +14,11 @@ from .witt import (
     ghost_inverse,
     ghost_map,
     restrict,
-    structure_polys,
+    structure_poly_map,
     teichmuller,
     to_series,
     verschiebung,
     w2_pullback_check,
-    witt_arith,
 )
 
 __all__ = [
@@ -41,11 +40,10 @@ __all__ = [
     "poly_arith",
     "restrict",
     "series_ops",
-    "structure_polys",
+    "structure_poly_map",
     "substitute",
     "teichmuller",
     "to_series",
     "verschiebung",
     "w2_pullback_check",
-    "witt_arith",
 ]

@@ -54,7 +54,6 @@ from .witt import (
     to_series,
     verschiebung,
     w2_pullback_check,
-    witt_arith,
 )
 
 
@@ -195,13 +194,14 @@ def _get_trunc(args) -> TruncationSet:
     raise UsageError("give --trunc big:N|p:P,K or --p P --len K")
 
 
-def _vec(args, trunc: TruncationSet) -> WittVec:
-    if not getattr(args, "input", None):
-        raise UsageError("--input is required")
-    comps = parse_vector(args.input, ZZ)
+def _vec(text, trunc: TruncationSet, flag: str = "--input") -> WittVec:
+    """The Witt vector given by ``flag``, with one component per element of ``trunc``."""
+    if not text:
+        raise UsageError(f"{flag} is required")
+    comps = parse_vector(text, ZZ)
     if len(comps) != len(trunc):
         raise UsageError(
-            f"--input has {len(comps)} components, the truncation set has {len(trunc)}"
+            f"{flag} has {len(comps)} components, the truncation set has {len(trunc)}"
         )
     return WittVec.from_list(trunc, ZZ, comps)
 
@@ -227,13 +227,13 @@ def _run_witt(args):
     if sc == "comonad":
         if args.op == "counit":
             trunc = _get_trunc(args)
-            return {"counit": str(counit(_vec(args, trunc)))}
+            return {"counit": str(counit(_vec(args.input, trunc)))}
         if not args.outer or not args.inner:
             raise UsageError("comult needs --outer and --inner truncations")
         S = parse_trunc(args.outer)
         T = parse_trunc(args.inner)
         U = S.product(T)
-        vec = _vec(args, U)
+        vec = _vec(args.input, U)
         result = comult(vec, S, T)
         return {
             "outer": S.to_json(),
@@ -244,7 +244,7 @@ def _run_witt(args):
         }
     trunc = _get_trunc(args)
     if sc == "ghost":
-        g = ghost_map(_vec(args, trunc))
+        g = ghost_map(_vec(args.input, trunc))
         return {"ghost": _poly_list(g.as_list()), "ghost_json": g.to_json()}
     if sc == "ghost-inv":
         if not args.input:
@@ -258,27 +258,26 @@ def _run_witt(args):
         vec = ghost_inverse(g)
         return {"witt": _poly_list(vec.as_list()), "witt_json": vec.to_json()}
     if sc in ("add", "mul"):
-        a = WittVec.from_list(trunc, ZZ, parse_vector(args.a, ZZ))
-        b = WittVec.from_list(trunc, ZZ, parse_vector(args.b, ZZ))
-        vec = witt_arith(sc, a, b)
+        a = _vec(args.a, trunc, "--a")
+        b = _vec(args.b, trunc, "--b")
+        vec = a + b if sc == "add" else a * b
         return {sc: _poly_list(vec.as_list()), "witt_json": vec.to_json()}
     if sc == "frobenius":
-        result = frobenius(args.n, _vec(args, trunc))
+        result = frobenius(args.n, _vec(args.input, trunc))
         return {
             "trunc": result.trunc.to_json(),
             "frobenius": _poly_list(result.as_list()),
             "witt_json": result.to_json(),
         }
     if sc == "verschiebung":
-        source = trunc.divide(args.n)
-        vec = WittVec.from_list(source, ZZ, parse_vector(args.input, ZZ))
+        vec = _vec(args.input, trunc.divide(args.n))
         return {"verschiebung": _poly_list(verschiebung(args.n, vec, trunc).as_list())}
     if sc == "restrict":
         target = parse_trunc(args.to)
-        return {"restrict": _poly_list(restrict(_vec(args, trunc), target).as_list())}
+        return {"restrict": _poly_list(restrict(_vec(args.input, trunc), target).as_list())}
     if sc == "series":
         if args.dir == "to":
-            return {"series": str(to_series(_vec(args, trunc)))}
+            return {"series": str(to_series(_vec(args.input, trunc)))}
         if not args.coeffs:
             raise UsageError("--dir from needs --coeffs '[1, c1, ...]'")
         coeffs = parse_vector(args.coeffs, ZZ)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .errors import DepthExceeded, NotAFrobeniusLift, NotARingMap, NotDivisible, UsageError
 from .poly import MultiPoly, poly_sum
-from .rings import ZZ
-from .witt import TruncationSet, WittVec, witt_arith
+from .rings import ZZ, _is_prime
+from .witt import TruncationSet, WittVec
 
 
 def _binomial(n: int, k: int) -> int:
@@ -29,7 +29,7 @@ class DeltaPresentation:
     __slots__ = ("p", "gens", "delta_on_gens")
 
     def __init__(self, p: int, gens, delta_on_gens: dict):
-        if p < 2:
+        if not _is_prime(p):
             raise UsageError("delta-rings need a prime p")
         self.p = p
         self.gens = tuple(gens)
@@ -216,8 +216,8 @@ class Witt2Section:
 
     def check_ring_map(self, a: MultiPoly, b: MultiPoly) -> dict:
         """Compare s(a op b) against Witt arithmetic on s(a), s(b)."""
-        add_ok = self(a + b) == witt_arith("add", self(a), self(b))
-        mul_ok = self(a * b) == witt_arith("mul", self(a), self(b))
+        add_ok = self(a + b) == self(a) + self(b)
+        mul_ok = self(a * b) == self(a) * self(b)
         return {"add": add_ok, "mul": mul_ok}
 
 

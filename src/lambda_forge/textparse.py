@@ -151,7 +151,10 @@ def parse_trunc(spec: str) -> TruncationSet:
     """Grammar: big:N | p:P,K."""
     spec = spec.strip()
     if spec.startswith("big:"):
-        n = int(spec[4:])
+        try:
+            n = int(spec[4:])
+        except ValueError:
+            raise UsageError("big truncations are written big:N") from None
         if n < 0:
             raise UsageError("big:N needs N >= 0")
         return TruncationSet.big(n)

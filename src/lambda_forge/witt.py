@@ -2,26 +2,40 @@
 
 Everything is indexed by a finite division-stable truncation set S; the
 p-typical theory is the special case S = {1, p, ..., p^(k-1)} and shares
-one code path with big Witt vectors.  Ring structure comes from universal
-integer polynomials obtained by triangular inversion of the ghost map
-w_n = sum_{d | n} d * a_d^(n/d); their integrality is a theorem, so a
-division failure during generation is a bug and raises
-``IntegralityViolation`` rather than being swallowed.
+one code path with big Witt vectors.
 
-The universal polynomial memo is the single shared cache in the system:
-concurrent reads are free, inserts hold a lock, duplicate computation of
-the same entry is harmless.  Setting LAMBDA_FORGE_CACHE_DIR persists the
-memo as JSON files keyed by (operation, truncation).
+Arithmetic (add, mul, neg, Frobenius, comultiplication) runs through the
+ghost map w_n = sum_{d | n} d * a_d^(n/d): take the ghost components,
+combine them, invert triangularly by exact division.  The ghost map is
+injective over the torsion-free rings Z, Q and Z_(p); over Z/m the work
+is done on lifts to Z and reduced at the end, which is sound because the
+universal polynomials have integer coefficients.  Component values are
+ring scalars when every component is constant, polynomials otherwise.
+
+The universal polynomials are the same arithmetic on generic vectors
+(components a_n, b_n).  Their integrality is a theorem, so a failed
+division is a bug and raises ``IntegralityViolation``.  They are
+generated for ``*_poly_map`` callers and for components that are Witt
+vectors themselves (W_S(W_T(A))), and the memo of them is the single
+shared cache in the system: concurrent reads are free, inserts hold a
+lock, duplicate computation of the same entry is harmless.  Setting
+LAMBDA_FORGE_CACHE_DIR persists the memo as JSON files keyed by
+(operation, truncation); a file that disagrees with the ghost route at a
+fixed integer point is regenerated.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
+import tempfile
 import threading
 
 from .errors import (
+    ForgeError,
     IntegralityViolation,
+    MixedCoefficientRings,
     NonUnitConstantTerm,
     NotASubset,
     NotDivisible,
@@ -60,6 +74,8 @@ class TruncationSet:
 
     @staticmethod
     def p_typical(p: int, k: int) -> "TruncationSet":
+        if p < 2:
+            raise UsageError(f"p-typical truncation sets need a prime p, got {p}")
         return TruncationSet(p ** i for i in range(k))
 
     def __iter__(self):
@@ -162,18 +178,22 @@ def _poly_map_from_json(obj: dict, tuple_keys: bool) -> dict:
     return out
 
 
-def _memoized_polys(key, compute, tuple_keys=False) -> dict:
+def _load_cached(path: str, tuple_keys: bool, check) -> dict | None:
+    """The polynomials in a cache file, or None if it is unreadable or fails ``check``."""
+    try:
+        with open(path) as fh:
+            polys = _poly_map_from_json(json.load(fh)["polys"], tuple_keys)
+        return polys if check(polys) else None
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ForgeError):
+        return None
+
+
+def _memoized_polys(key, compute, check, tuple_keys=False) -> dict:
     with _LOCK:
         if key in _MEMO:
             return _MEMO[key]
     path = _cache_path(key)
-    polys = None
-    if path and os.path.exists(path):
-        try:
-            with open(path) as fh:
-                polys = _poly_map_from_json(json.load(fh)["polys"], tuple_keys)
-        except (OSError, ValueError, KeyError):
-            polys = None
+    polys = _load_cached(path, tuple_keys, check) if path and os.path.exists(path) else None
     fresh = polys is None
     if fresh:
         polys = compute()
@@ -181,8 +201,9 @@ def _memoized_polys(key, compute, tuple_keys=False) -> dict:
         polys = _MEMO.setdefault(key, polys)
     if fresh and path:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        os.chmod(tmp, 0o644)  # mkstemp makes the file private; the cache is meant to be shared
+        with os.fdopen(fd, "w") as fh:
             json.dump({"polys": _poly_map_to_json(polys)}, fh, sort_keys=True)
         os.replace(tmp, path)
     return polys
@@ -198,101 +219,154 @@ def _sym_vec(prefix: str, S: TruncationSet) -> "WittVec":
     return WittVec(S, ZZ, comps)
 
 
-def _sym_ghost(prefix: str, S: TruncationSet) -> dict:
-    """Symbolic ghost components w_n = sum_{d|n} d * prefix_d^(n/d)."""
-    out = {}
-    for n in S:
-        parts = [
-            MultiPoly.var(ZZ, f"{prefix}{d}") ** (n // d) * d
-            for d in _divisors(n)
-        ]
-        out[n] = poly_sum(ZZ, parts)
-    return out
+def _generated(key, inputs, apply, flatten, tuple_keys=False) -> dict:
+    """Universal polynomials of ``apply``, memoized and disk-cached.
+
+    ``inputs`` lists (variable prefix, truncation set) per argument and
+    ``flatten`` maps the resulting Witt vector to the stored polynomials.
+    A cache file must give what ``apply`` gives on a fixed integer point.
+    """
+
+    def compute():
+        return flatten(apply(*(_sym_vec(prefix, S) for prefix, S in inputs)))
+
+    def check(polys):
+        # nonzero values, so a wrong coefficient of any term changes the value
+        point = {f"{prefix}{n}": n + 1 if prefix == "a" else 2 - 3 * n for prefix, S in inputs for n in S}
+        want = flatten(apply(*(WittVec(S, ZZ, {n: point[f"{prefix}{n}"] for n in S}) for prefix, S in inputs)))
+        return polys.keys() == want.keys() and all(
+            p.ring == ZZ and p.evaluate(point) == want[k].constant_value() for k, p in polys.items()
+        )
+
+    return _memoized_polys(key, compute, check, tuple_keys)
 
 
-def _triangular_solve(S: TruncationSet, targets: dict) -> dict:
-    """Solve w_n(x) = targets[n] for integer polynomials x_n, bottom up."""
-    solved: dict = {}
-    for n in S:
-        acc = targets[n]
-        for d in _divisors(n):
-            if d != n and d in solved:
-                acc = acc - solved[d] ** (n // d) * d
-        try:
-            solved[n] = acc.div_int(n)
-        except NotDivisible as exc:
-            raise IntegralityViolation(n, f"index {n}: {exc}") from exc
-    return solved
+_comps = operator.attrgetter("comps")
 
 
 def structure_poly_map(op: str, S: TruncationSet) -> dict:
     """Universal polynomials for add, mul or neg over S, memoized."""
     if op not in ("add", "mul", "neg"):
         raise UsageError(f"no structure polynomials for op {op!r}")
-
-    def compute():
-        ga = _sym_ghost("a", S)
-        if op == "neg":
-            targets = {n: -ga[n] for n in S}
-        else:
-            gb = _sym_ghost("b", S)
-            if op == "add":
-                targets = {n: ga[n] + gb[n] for n in S}
-            else:
-                targets = {n: ga[n] * gb[n] for n in S}
-        return _triangular_solve(S, targets)
-
-    return _memoized_polys(("structure", op, S.label()), compute)
-
-
-class StructurePolys:
-    """Certified structure polynomials for one op over one truncation set."""
-
-    __slots__ = ("op", "trunc", "polys")
-
-    def __init__(self, op: str, trunc: TruncationSet, polys: dict):
-        self.op = op
-        self.trunc = trunc
-        self.polys = polys
-
-
-def structure_polys(op: str, S: TruncationSet) -> StructurePolys:
-    return StructurePolys(op, S, structure_poly_map(op, S))
+    inputs = [("a", S)] if op == "neg" else [("a", S), ("b", S)]
+    return _generated(("structure", op, S.label()), inputs, getattr(operator, op), _comps)
 
 
 def frobenius_poly_map(n: int, S: TruncationSet) -> dict:
     """Universal polynomials for F_n: W_S -> W_{S/n}, memoized."""
-    target = S.divide(n)
-
-    def compute():
-        ga = _sym_ghost("a", S)
-        return _triangular_solve(target, {d: ga[n * d] for d in target})
-
-    return _memoized_polys(("frobenius", n, S.label()), compute)
+    return _generated(("frobenius", n, S.label()), [("a", S)], lambda a: frobenius(n, a), _comps)
 
 
 def comult_poly_map(S: TruncationSet, T: TruncationSet) -> dict:
-    """Universal comultiplication polynomials, keyed by (s, t).
+    """Universal comultiplication polynomials, keyed by (s, t)."""
 
-    The comultiplication W_{S*T} -> W_S(W_T) is pinned down by the ghost
-    characterization w_s(comult(a)) = F_s(a) restricted to T.  Writing
-    b(t) for the image of comult(a) under the inner ghost w_t, the vector
-    b(t) has S-ghost (w_{s*t}(a))_s; a second triangular inversion over T
-    then recovers the components themselves.
+    def flatten(d):
+        return {(s, t): d.comps[s].comps[t] for s in S for t in T}
+
+    key = ("comult", S.label(), T.label())
+    return _generated(key, [("a", S.product(T))], lambda a: comult(a, S, T), flatten, tuple_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the ghost route
+
+
+def _ghost_comp(x: dict, n: int):
+    """The ghost formula w_n = sum_{d | n} d * x_d^(n/d) on component values."""
+    parts = [x[d] ** (n // d) * d for d in _divisors(n)]
+    if isinstance(parts[0], MultiPoly):
+        return poly_sum(parts[0].ring, parts)
+    return sum(parts)
+
+
+def _ghost(x: dict, S: TruncationSet) -> dict:
+    return {n: _ghost_comp(x, n) for n in S}
+
+
+def _unghost(w: dict, S: TruncationSet, zero, div) -> dict:
+    """Triangular inverse of the ghost map, bottom up: with x_n = 0 the
+    ghost formula gives w_n minus n * x_n, so x_n = (w_n - that) / n.
+
+    Raises ``NotDivisible(n)`` when ``div`` fails at index n.
     """
-    U = S.product(T)
+    x = {}
+    for n in S:
+        x[n] = zero
+        try:
+            x[n] = div(w[n] - _ghost_comp(x, n), n)
+        except NotDivisible as exc:
+            raise NotDivisible(n, f"component a_{n} is not in the coefficient ring: {exc}") from None
+    return x
 
-    def compute():
-        ga = _sym_ghost("a", U)
-        inner = {t: _triangular_solve(S, {s: ga[s * t] for s in S}) for t in T}
-        out = {}
-        for s in S:
-            col = _triangular_solve(T, {t: inner[t][s] for t in T})
-            for t in T:
-                out[(s, t)] = col[t]
-        return out
 
-    return _memoized_polys(("comult", S.label(), T.label()), compute, tuple_keys=True)
+def _scalar_div(ring: CoeffRing):
+    """Exact division of scalars, failing with the certificate a constant
+    polynomial gives."""
+
+    def div(c, n):
+        c = ring.normalize(c)
+        if ring.is_zero(c):
+            return c
+        try:
+            return ring.div_int(c, n)
+        except NotDivisible:
+            raise NotDivisible(ring.coeff_str(c)) from None
+
+    return div
+
+
+def _values(vecs, ring: CoeffRing):
+    """Component values of ``vecs`` over ``ring``, the zero value and exact
+    division: scalars when every component is constant, else polynomials."""
+    if all(c.is_constant() for v in vecs for c in v.comps.values()):
+        values = [{n: c.constant_value() for n, c in v.comps.items()} for v in vecs]
+        return values, ring.from_int(0), _scalar_div(ring)
+    values = [{n: c.convert_ring(ring) for n, c in v.comps.items()} for v in vecs]
+    return values, MultiPoly.zero(ring), MultiPoly.div_int
+
+
+def _polys(x: dict, ring: CoeffRing) -> dict:
+    """Component values as polynomials over ``ring`` (reducing lifts mod m)."""
+    return {
+        n: v.convert_ring(ring) if isinstance(v, MultiPoly) else MultiPoly.const(ring, v)
+        for n, v in x.items()
+    }
+
+
+def _ghosts(vecs):
+    """Ghost components of ``vecs`` and the triangular solver, both over Z
+    when the ring is Z/m and over the ring itself otherwise."""
+    ring = vecs[0].ring
+    values, zero, div = _values(vecs, ZZ if ring.kind == MODULAR else ring)
+
+    def solve(w, S):
+        try:
+            return _unghost(w, S, zero, div)
+        except NotDivisible as exc:
+            raise IntegralityViolation(exc.witness, f"index {exc.witness}: {exc}") from exc
+
+    return [_ghost(x, v.trunc) for x, v in zip(values, vecs)], solve
+
+
+def _ghost_route(vecs, out_trunc: TruncationSet, combine) -> "WittVec":
+    """The vector whose ghost components ``combine`` makes from those of ``vecs``."""
+    ghosts, solve = _ghosts(vecs)
+    ring = vecs[0].ring
+    return WittVec(out_trunc, ring, _polys(solve(combine(*ghosts), out_trunc), ring))
+
+
+def _apply_polys(polys: dict, vecs, out_trunc: TruncationSet) -> "WittVec":
+    """Evaluate universal polynomials at Witt-vector-valued components,
+    the W_S(W_T(A)) case: variables a_n, b_n name the components of ``vecs``."""
+    env = {f"{prefix}{n}": c for prefix, v in zip("ab", vecs) for n, c in v.comps.items()}
+    ring = vecs[0].ring
+    inner = next(iter(vecs[0].comps.values())).trunc
+    zero, one = WittVec.zero(inner, ring), teichmuller(MultiPoly.one(ring), inner, ring)
+    return WittVec(out_trunc, ring, {n: evaluate_generic(p, env, zero, one) for n, p in polys.items()})
+
+
+def _nested(vecs) -> bool:
+    return not all(v._all_poly() for v in vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +438,8 @@ class WittVec:
         inside = ", ".join(f"{n}: {self.comps[n]}" for n in self.trunc)
         return f"WittVec({inside})"
 
-    # -- helpers for nested components ---------------------------------------
-
-    def _zero_comp(self):
-        for c in self.comps.values():
-            if isinstance(c, WittVec):
-                return WittVec.zero(c.trunc, self.ring)
-            break
-        return MultiPoly.zero(self.ring)
-
-    def _one_comp(self):
-        for c in self.comps.values():
-            if isinstance(c, WittVec):
-                return teichmuller(MultiPoly.one(self.ring), c.trunc, self.ring)
-            break
-        return MultiPoly.one(self.ring)
-
     def _all_poly(self) -> bool:
         return all(isinstance(c, MultiPoly) for c in self.comps.values())
-
-    def _all_const(self) -> bool:
-        return all(isinstance(c, MultiPoly) and c.is_constant() for c in self.comps.values())
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -394,30 +449,11 @@ class WittVec:
         if self.trunc != other.trunc:
             raise TruncationMismatch(f"{self.trunc} vs {other.trunc}")
         if self.ring != other.ring:
-            from .errors import MixedCoefficientRings
-
             raise MixedCoefficientRings(f"{self.ring} vs {other.ring}")
-        polys = structure_poly_map(op, self.trunc)
-        env = {f"a{n}": self.comps[n] for n in self.trunc}
-        env.update({f"b{n}": other.comps[n] for n in self.trunc})
-        return self._apply_polys(polys, env, self.trunc)
-
-    def _apply_polys(self, polys: dict, env: dict, out_trunc: TruncationSet) -> "WittVec":
-        if all(isinstance(v, MultiPoly) for v in env.values()):
-            if all(v.is_constant() for v in env.values()):
-                scalars = {k: v.constant_value() for k, v in env.items()}
-                comps = {
-                    n: MultiPoly.const(self.ring, _converted(p, self.ring).evaluate(scalars))
-                    for n, p in polys.items()
-                }
-            else:
-                comps = {
-                    n: _converted(p, self.ring).substitute(env) for n, p in polys.items()
-                }
-        else:
-            zero, one = self._zero_comp(), self._one_comp()
-            comps = {n: evaluate_generic(p, env, zero, one) for n, p in polys.items()}
-        return WittVec(out_trunc, self.ring, comps)
+        if _nested([self, other]):
+            return _apply_polys(structure_poly_map(op, self.trunc), [self, other], self.trunc)
+        combine = getattr(operator, op)
+        return _ghost_route([self, other], self.trunc, lambda ga, gb: {n: combine(ga[n], gb[n]) for n in ga})
 
     def __add__(self, other):
         return self._binary("add", other)
@@ -426,9 +462,9 @@ class WittVec:
         return self._binary("mul", other)
 
     def __neg__(self):
-        polys = structure_poly_map("neg", self.trunc)
-        env = {f"a{n}": self.comps[n] for n in self.trunc}
-        return self._apply_polys(polys, env, self.trunc)
+        if _nested([self]):
+            return _apply_polys(structure_poly_map("neg", self.trunc), [self], self.trunc)
+        return _ghost_route([self], self.trunc, lambda ga: {n: -w for n, w in ga.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -462,26 +498,9 @@ class WittVec:
         comps = {int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
         rings = {c.ring for c in comps.values()}
         if len(rings) > 1:
-            from .errors import MixedCoefficientRings
-
             raise MixedCoefficientRings("components carry different rings")
         ring = rings.pop() if rings else ZZ
         return WittVec(trunc, ring, comps)
-
-
-_CONVERTED: dict = {}
-
-
-def _converted(poly: MultiPoly, ring: CoeffRing) -> MultiPoly:
-    # keyed by identity; holding the source in the value keeps ids stable
-    if ring == poly.ring:
-        return poly
-    key = (id(poly), ring)
-    hit = _CONVERTED.get(key)
-    if hit is None or hit[0] is not poly:
-        hit = (poly, poly.convert_ring(ring))
-        _CONVERTED[key] = hit
-    return hit[1]
 
 
 class GhostVec:
@@ -533,11 +552,10 @@ class GhostVec:
 
 def ghost_map(a: WittVec) -> GhostVec:
     """w_n = sum over divisors d of n of d * a_d^(n/d)."""
-    comps = {}
-    for n in a.trunc:
-        parts = [a.comps[d] ** (n // d) * d for d in _divisors(n)]
-        comps[n] = poly_sum(a.ring, parts)
-    return GhostVec(a.trunc, a.ring, comps)
+    if _nested([a]):
+        raise UsageError("the ghost map takes polynomial components")
+    (x,), _, _ = _values([a], a.ring)
+    return GhostVec(a.trunc, a.ring, _polys(_ghost(x, a.trunc), a.ring))
 
 
 def ghost_inverse(g: GhostVec) -> WittVec:
@@ -546,29 +564,8 @@ def ghost_inverse(g: GhostVec) -> WittVec:
     Raises ``NotDivisible(n)`` when component n fails to exist in the
     coefficient ring: the certificate that g is not in the ghost image.
     """
-    solved = {}
-    for n in g.trunc:
-        acc = g.comps[n]
-        for d in _divisors(n):
-            if d != n:
-                acc = acc - solved[d] ** (n // d) * d
-        try:
-            solved[n] = acc.div_int(n)
-        except NotDivisible as exc:
-            raise NotDivisible(n, f"component a_{n} is not in the coefficient ring: {exc}") from None
-    return WittVec(g.trunc, g.ring, solved)
-
-
-def witt_arith(op: str, a: WittVec, b: WittVec | None = None) -> WittVec:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "sub":
-        return a - b
-    raise UsageError(f"unknown Witt operation {op!r}")
+    (w,), zero, div = _values([g], g.ring)
+    return WittVec(g.trunc, g.ring, _polys(_unghost(w, g.trunc, zero, div), g.ring))
 
 
 def teichmuller(r, S: TruncationSet, ring: CoeffRing | None = None) -> WittVec:
@@ -589,9 +586,9 @@ def frobenius(n: int, a: WittVec) -> WittVec:
     if n < 1:
         raise UsageError("Frobenius index must be positive")
     target = a.trunc.divide(n)
-    polys = frobenius_poly_map(n, a.trunc)
-    env = {f"a{m}": a.comps[m] for m in a.trunc}
-    return a._apply_polys(polys, env, target)
+    if _nested([a]):
+        return _apply_polys(frobenius_poly_map(n, a.trunc), [a], target)
+    return _ghost_route([a], target, lambda ga: {d: ga[n * d] for d in target})
 
 
 def verschiebung(n: int, a: WittVec, S: TruncationSet) -> WittVec:
@@ -663,12 +660,17 @@ def comult(a: WittVec, S: TruncationSet, T: TruncationSet) -> WittVec:
         raise TruncationMismatch(
             f"comultiplication needs the product truncation {U}, got {a.trunc}"
         )
-    polys = comult_poly_map(S, T)
-    env = {f"a{u}": a.comps[u] for u in a.trunc}
+    if _nested([a]):
+        polys = comult_poly_map(S, T)
+        rows = {s: _apply_polys({t: polys[(s, t)] for t in T}, [a], T) for s in S}
+        return WittVec(S, a.ring, rows)
+    # b(t) = (w_t of the components of comult(a)) has S-ghost (w_{s*t}(a))_s;
+    # a second inversion over T recovers the components themselves
+    (ga,), solve = _ghosts([a])
+    inner = {t: solve({s: ga[s * t] for s in S}, S) for t in T}
     rows = {}
     for s in S:
-        col_polys = {t: polys[(s, t)] for t in T}
-        rows[s] = a._apply_polys(col_polys, env, T)
+        rows[s] = WittVec(T, a.ring, _polys(solve({t: inner[t][s] for t in T}, T), a.ring))
     return WittVec(S, a.ring, rows)
 
 

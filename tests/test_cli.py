@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from lambda_forge.cli import main
 
 
@@ -218,3 +220,71 @@ def test_remaining_subcommands(capsys):
 
     code, out, _ = run(capsys, "delta", "free", "--p", "3", "--depth", "2", "--show", "delta")
     assert code == 0 and "delta.x0: x1" in out
+
+
+class TestMalformedArgv:
+    def test_parse_trunc_rejects_non_integer_big(self):
+        from lambda_forge.errors import UsageError
+        from lambda_forge.textparse import parse_trunc
+
+        with pytest.raises(UsageError):
+            parse_trunc("big:x")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witt", "add", "--p", "2", "--len", "2", "--a", "[1]", "--b", "[1,0]"],
+            ["witt", "mul", "--p", "2", "--len", "2", "--a", "[1,0]", "--b", "[1,0,0]"],
+            ["witt", "verschiebung", "--n", "2", "--trunc", "p:2,3"],
+            ["witt", "verschiebung", "--n", "2", "--trunc", "p:2,3", "--input", "[a]"],
+            ["witt", "ghost", "--trunc", "big:x", "--input", "[a]"],
+            ["witt", "restrict", "--trunc", "big:3", "--to", "big:x", "--input", "[a,b,c]"],
+            ["witt", "structure", "--op", "add", "--p", "1", "--len", "3"],
+            ["delta", "extend", "--p", "4", "--depth", "2", "--expr", "x0"],
+        ],
+    )
+    def test_usage_error_without_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err and out == ""
+
+
+def _structure_big2_add(capsys):
+    return run(capsys, "witt", "structure", "--op", "add", "--trunc", "big:2")
+
+
+def test_disk_cache_tampered_file_is_regenerated(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LAMBDA_FORGE_CACHE_DIR", str(tmp_path))
+    from lambda_forge.witt import clear_memo
+
+    clear_memo()
+    code, first, _ = _structure_big2_add(capsys)
+    assert code == 0 and "-a1*b1 + a2 + b2" in first
+    path = tmp_path / "structure_add_big2.json"
+    text = path.read_text()
+    assert '"coef": "-1"' in text
+    path.write_text(text.replace('"coef": "-1"', '"coef": "-5"'))
+    clear_memo()
+    code, again, _ = _structure_big2_add(capsys)
+    assert code == 0 and again == first
+    assert path.read_text() == text
+    assert path.stat().st_mode & 0o777 == 0o644
+    assert [f.name for f in tmp_path.iterdir()] == ["structure_add_big2.json"]
+    clear_memo()
+
+
+def test_disk_cache_unreadable_file_is_regenerated(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LAMBDA_FORGE_CACHE_DIR", str(tmp_path))
+    from lambda_forge.witt import clear_memo
+
+    clear_memo()
+    code, first, _ = _structure_big2_add(capsys)
+    path = tmp_path / "structure_add_big2.json"
+    text = path.read_text()
+    for junk in ("{not json", '{"polys": []}', text.replace('"coef": "-1"', '"coef": "1/2"')):
+        path.write_text(junk)
+        clear_memo()
+        assert _structure_big2_add(capsys) == (0, first, "")
+        assert path.read_text() == text
+    clear_memo()

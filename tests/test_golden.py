@@ -1,0 +1,44 @@
+"""Golden outputs: the CLI must reproduce each recorded answer byte for byte.
+
+``tests/golden/manifest.json`` lists one command per entry: its argv, its
+exit code and the file holding its exact standard output.  The files were
+recorded from the CLI before the Witt arithmetic moved to the ghost-map
+route, so any change to a printed answer fails here.  They cover
+``verify all --seed 7``, the universal structure polynomials on p:2,3 and
+big:4, a numeric length-6 addition and every command of the README tour.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lambda_forge.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
+def test_cli_output_matches_golden(entry, capsys):
+    code = main(list(entry["argv"]))
+    out = capsys.readouterr().out
+    assert code == entry["exit"]
+    assert out.encode() == (GOLDEN / entry["file"]).read_bytes()
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_verify_all_golden_across_hash_seeds(hashseed):
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "lambda_forge.cli", "verify", "all", "--seed", "7", "--format", "json"],
+        capture_output=True,
+        env=env,
+    )
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "verify_all_seed7.json").read_bytes()

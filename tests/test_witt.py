@@ -1,9 +1,14 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lambda_forge import witt
 from lambda_forge.errors import (
+    IntegralityViolation,
     NotASubset,
     NotDivisible,
     TorsionDetected,
@@ -11,7 +16,7 @@ from lambda_forge.errors import (
     UsageError,
 )
 from lambda_forge.poly import MultiPoly, random_poly
-from lambda_forge.rings import ZZ, CoeffRing
+from lambda_forge.rings import QQ, ZZ, CoeffRing
 from lambda_forge.series import TruncSeries, series_ops
 from lambda_forge.witt import (
     GhostVec,
@@ -19,14 +24,15 @@ from lambda_forge.witt import (
     WittVec,
     clear_memo,
     comult,
+    comult_poly_map,
     counit,
     frobenius,
+    frobenius_poly_map,
     from_series,
     ghost_inverse,
     ghost_map,
     restrict,
     structure_poly_map,
-    structure_polys,
     teichmuller,
     to_series,
     verschiebung,
@@ -57,6 +63,11 @@ class TestTruncationSet:
         with pytest.raises(UsageError):
             TruncationSet((1, 4))
 
+    @pytest.mark.parametrize("p", [-2, 0, 1])
+    def test_p_typical_needs_p_at_least_two(self, p):
+        with pytest.raises(UsageError):
+            TruncationSet.p_typical(p, 3)
+
     def test_divide(self):
         assert TruncationSet.big(6).divide(2).elems == (1, 2, 3)
         assert TruncationSet.big(2).divide(3).elems == ()
@@ -75,17 +86,17 @@ class TestTruncationSet:
 
 class TestStructurePolys:
     def test_addition_length_two(self):
-        polys = structure_polys("add", P22).polys
+        polys = structure_poly_map("add", P22)
         assert str(polys[1]) == "a1 + b1"
         assert polys[2] == var("a2") + var("b2") - var("a1") * var("b1")
 
     def test_multiplication_length_two(self):
-        polys = structure_polys("mul", P22).polys
+        polys = structure_poly_map("mul", P22)
         assert polys[1] == var("a1") * var("b1")
         assert polys[2] == var("a1") ** 2 * var("b2") + var("b1") ** 2 * var("a2") + var("a2") * var("b2") * 2
 
     def test_addition_p_three(self):
-        polys = structure_polys("add", TruncationSet.p_typical(3, 2)).polys
+        polys = structure_poly_map("add", TruncationSet.p_typical(3, 2))
         expected = var("a3") + var("b3") - var("a1") ** 2 * var("b1") - var("a1") * var("b1") ** 2
         assert polys[3] == expected
 
@@ -366,6 +377,18 @@ class TestComonad:
         route2 = WittVec(S, ZZ, {s: comult(mid.comps[s], T, V) for s in S})
         assert route1 == route2
 
+    def test_comult_is_ring_map(self):
+        # nested components: W_S(W_T) arithmetic evaluates the universal polynomials
+        S = T = BIG2
+        a, b = sym(S.product(T), "a"), sym(S.product(T), "b")
+        da, db = comult(a, S, T), comult(b, S, T)
+        assert comult(a + b, S, T) == da + db
+        assert comult(a * b, S, T) == da * db
+        assert comult(-a, S, T) == -da
+        assert frobenius(2, da).comps[1] == restrict(frobenius(2, a), T)
+        with pytest.raises(UsageError):
+            ghost_map(da)
+
     def test_requires_product_truncation(self):
         with pytest.raises(TruncationMismatch):
             comult(sym(TruncationSet.big(3)), BIG2, BIG2)
@@ -486,3 +509,85 @@ def test_structure_polys_scale_smoke():
     assert max(len(p.terms) for p in polys.values()) > 300
     polys = structure_poly_map("mul", TruncationSet.big(12))
     assert len(polys) == 12
+
+
+# ---------------------------------------------------------------------------
+# the ghost route against the universal polynomials it replaced
+
+RINGS = [ZZ, CoeffRing.modular(4), CoeffRing.modular(9), QQ, CoeffRing.localized(3)]
+DIFF_TRUNCS = [
+    TruncationSet.p_typical(2, 3),
+    TruncationSet.p_typical(3, 3),
+    TruncationSet.big(6),
+    TruncationSet((1, 2, 3, 6)),
+]
+DIFF_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _scalars(ring):
+    if ring.kind in ("Q", "Z_("):
+        # denominators stay units in Z_(3)
+        return st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 4, 5)))
+    return st.integers(-6, 6)
+
+
+@st.composite
+def witt_inputs(draw, truncs, count):
+    """(ring, S, vectors): components all constant, or all linear in s."""
+    ring = draw(st.sampled_from(RINGS))
+    S = draw(st.sampled_from(truncs))
+    linear = draw(st.booleans())
+    s = MultiPoly.var(ring, "s")
+
+    def comp():
+        c = MultiPoly.const(ring, draw(_scalars(ring)))
+        return c + s * draw(_scalars(ring)) if linear else c
+
+    return ring, S, [WittVec(S, ring, {n: comp() for n in S}) for _ in range(count)]
+
+
+def _substituted(polys, ring, vecs):
+    """The oracle: universal polynomials over Z, reduced into ``ring`` and
+    evaluated at the components (a_n from the first vector, b_n from the second)."""
+    env = {f"{prefix}{n}": c for prefix, v in zip("ab", vecs) for n, c in v.comps.items()}
+    return {k: p.convert_ring(ring).substitute(env) for k, p in polys.items()}
+
+
+@DIFF_SETTINGS
+@given(witt_inputs(DIFF_TRUNCS, 2), st.sampled_from(["add", "mul", "neg"]))
+def test_ring_ops_match_universal_polynomials(inputs, op):
+    ring, S, (a, b) = inputs
+    got = {"add": lambda: a + b, "mul": lambda: a * b, "neg": lambda: -a}[op]()
+    assert got.comps == _substituted(structure_poly_map(op, S), ring, [a, b])
+
+
+@DIFF_SETTINGS
+@given(witt_inputs(DIFF_TRUNCS, 1), st.sampled_from([2, 3]))
+def test_frobenius_matches_universal_polynomials(inputs, n):
+    ring, S, (a,) = inputs
+    assert frobenius(n, a).comps == _substituted(frobenius_poly_map(n, S), ring, [a])
+
+
+@DIFF_SETTINGS
+@given(witt_inputs([BIG2.product(BIG2)], 1))
+def test_comult_matches_universal_polynomials(inputs):
+    ring, _, (a,) = inputs
+    d = comult(a, BIG2, BIG2)
+    got = {(s, t): d.comps[s].comps[t] for s in BIG2 for t in BIG2}
+    assert got == _substituted(comult_poly_map(BIG2, BIG2), ring, [a])
+
+
+def test_numeric_arithmetic_generates_no_polynomials():
+    ring = CoeffRing.modular(8)
+    S = TruncationSet.p_typical(2, 5)
+    a = WittVec.from_list(S, ring, [1, 2, 3, 4, 5])
+    b = WittVec.from_list(S, ring, [7, 6, 5, 4, 3])
+    clear_memo()
+    a + b
+    assert witt._MEMO == {}
+
+
+def test_failed_division_in_arithmetic_is_integrality_violation():
+    (ga,), solve = witt._ghosts([sym(P22)])
+    with pytest.raises(IntegralityViolation):
+        solve({1: ga[1], 2: ga[2] + var("a1")}, P22)
