@@ -1,7 +1,7 @@
 """Exact computer algebra for Witt vectors, delta-rings and lambda-rings."""
 
 from .rings import CoeffRing, QQ, ZZ
-from .poly import MultiPoly, exact_div_int, poly_arith, substitute
+from .poly import MultiPoly
 from .series import TruncSeries, series_ops
 from .witt import (
     GhostVec,
@@ -32,16 +32,13 @@ __all__ = [
     "ZZ",
     "comult",
     "counit",
-    "exact_div_int",
     "frobenius",
     "from_series",
     "ghost_inverse",
     "ghost_map",
-    "poly_arith",
     "restrict",
     "series_ops",
     "structure_poly_map",
-    "substitute",
     "teichmuller",
     "to_series",
     "verschiebung",

@@ -177,7 +177,7 @@ class FreeLambdaBasis:
     unit coefficient 1/prod(sigma), which is verified at construction.
     """
 
-    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "leading", "span")
+    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "leading", "span", "rows")
 
     def __init__(self, P, depth: int, N: int | None = None):
         P = tuple(sorted(set(P)))
@@ -196,6 +196,8 @@ class FreeLambdaBasis:
         self.embed = {}
         self.leading = {}
         self.span = {}
+        # rows[n]: x_n solved from embed(X_sigma), with n = prod(sigma)
+        self.rows = {}
         for sigma in self.sigmas:
             if not sigma:
                 value = self.model.x
@@ -203,9 +205,12 @@ class FreeLambdaBasis:
                 value = self.model.delta(sigma[0], self.embed[sigma[1:]])
             n = prod(sigma)
             self._check_triangular(sigma, value, n)
+            c = Fraction(1, n)
             self.embed[sigma] = value
-            self.leading[sigma] = (n, Fraction(1, n))
+            self.leading[sigma] = (n, c)
             self.span[n] = sigma
+            rest = value - MultiPoly.var(QQ, _xname(n)) * c
+            self.rows[n] = (self.x_var(sigma) - rest) * Fraction(1, c)
 
     def _check_triangular(self, sigma, value, n):
         lead = value.coefficient_of({_xname(n): 1})
@@ -240,12 +245,9 @@ class FreeLambdaBasis:
             if not indices:
                 break
             top = max(indices)
-            sigma = self.span.get(top)
-            if sigma is None:
+            solved = self.rows.get(top)
+            if solved is None:
                 raise NotInSpan(top)
-            n, c = self.leading[sigma]
-            rest = self.embed[sigma] - MultiPoly.var(QQ, _xname(n)) * c
-            solved = (self.x_var(sigma) - rest) * Fraction(1, c)
             work = work.substitute({_xname(top): solved})
         integral = all(
             not isinstance(c, Fraction) or c.denominator == 1

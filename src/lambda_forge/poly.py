@@ -6,14 +6,21 @@ nonzero coefficients.  Every operation canonicalizes its result, so
 polynomial identity is plain structural equality.  Term order is graded
 lexicographic, largest first; "the first offending term" in error
 certificates refers to this order.
+
+Products, powers and substitutions accumulate raw term maps
+(``_mul_terms``) over one fixed variable space and canonicalize only the
+result; the terms of intermediate products are never normalized, pruned or
+sorted.  Over Z/m the raw coefficients are reduced after each product so
+that they stay bounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import NotDivisible, UsageError
-from .rings import CoeffRing
+from .rings import MODULAR, CoeffRing
 
 
 def _grlex_key(exps):
@@ -56,12 +63,8 @@ class MultiPoly:
     def constant_value(self):
         if self.vars:
             raise UsageError(f"{self} is not constant")
-        return self.terms.get((), self.ring.from_int(0))
-
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        c = self.terms.get(())
+        return self.ring.from_int(0) if c is None else c
 
     def leading_term(self):
         """(exponent vector, coefficient) of the graded-lex largest term."""
@@ -121,28 +124,16 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         vars, left, right = _merge(self, other)
-        terms: dict = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return MultiPoly(self.ring, vars, terms)
+        return MultiPoly(self.ring, vars, _mul_terms(left, right))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise UsageError("polynomial powers take nonnegative integer exponents")
-        result = MultiPoly.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        if n == 0:
+            return MultiPoly.one(self.ring)
+        return MultiPoly(self.ring, self.vars, _pow_terms(self.ring, self.terms, n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -177,28 +168,47 @@ class MultiPoly:
 
     def substitute(self, assignment: dict) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables map to themselves."""
+        ring = self.ring
         values = []
         for v in self.vars:
             val = assignment.get(v)
-            if val is None:
-                val = MultiPoly.var(self.ring, v)
-            elif isinstance(val, (int, Fraction)):
-                val = MultiPoly.const(self.ring, val)
-            else:
-                self.ring.require_same(val.ring)
+            if isinstance(val, (int, Fraction)):
+                val = ring.normalize(val)
+            elif val is not None:
+                ring.require_same(val.ring)
             values.append(val)
-        powers = [{0: MultiPoly.one(self.ring)} for _ in self.vars]
-        parts = []
+        free = {v for v, val in zip(self.vars, values) if val is None}
+        vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
+        index = {v: i for i, v in enumerate(vars)}
+        zero_exps = (0,) * len(vars)
+        one = ring.from_int(1)
+        # each value as a term map over ``vars``; cache[i][e] is values[i]**e
+        cache = []
+        for v, val in zip(self.vars, values):
+            if val is None:
+                key = list(zero_exps)
+                key[index[v]] = 1
+                terms = {tuple(key): one}
+            elif isinstance(val, MultiPoly):
+                terms = _remap(val, index, len(vars))
+            else:
+                terms = {zero_exps: val}
+            cache.append({1: terms})
+        total: dict = {}
         for exps, c in self.terms.items():
-            part = MultiPoly.const(self.ring, c)
+            part = {zero_exps: c}
             for i, e in enumerate(exps):
                 if e:
-                    cache = powers[i]
-                    if e not in cache:
-                        cache[e] = values[i] ** e
-                    part = part * cache[e]
-            parts.append(part)
-        return poly_sum(self.ring, parts)
+                    powers = cache[i]
+                    if e not in powers:
+                        powers[e] = _pow_terms(ring, powers[1], e)
+                    part = _reduce(ring, _mul_terms(part, powers[e]))
+            for key, coef in part.items():
+                if key in total:
+                    total[key] += coef
+                else:
+                    total[key] = coef
+        return MultiPoly(ring, vars, total)
 
     def evaluate(self, env: dict):
         """Evaluate at coefficient values; returns a ring coefficient."""
@@ -309,24 +319,64 @@ def _canonical(ring, vars, terms):
     return new_vars, ordered
 
 
+def _remap(p: MultiPoly, index: dict, width: int) -> dict:
+    """The terms of ``p`` over a wider variable space given by ``index``."""
+    pos = [index[v] for v in p.vars]
+    out = {}
+    for exps, c in p.terms.items():
+        key = [0] * width
+        for i, e in zip(pos, exps):
+            key[i] = e
+        out[tuple(key)] = c
+    return out
+
+
 def _merge(a: MultiPoly, b: MultiPoly):
     """Common variable space for two canonical polynomials."""
     if a.vars == b.vars:
         return a.vars, a.terms, b.terms
     vars = tuple(sorted(set(a.vars) | set(b.vars)))
     index = {v: i for i, v in enumerate(vars)}
+    return vars, _remap(a, index, len(vars)), _remap(b, index, len(vars))
 
-    def remap(p):
-        pos = [index[v] for v in p.vars]
-        out = {}
-        for exps, c in p.terms.items():
-            key = [0] * len(vars)
-            for i, e in zip(pos, exps):
-                key[i] = e
-            out[tuple(key)] = c
-        return out
 
-    return vars, remap(a), remap(b)
+def _mul_terms(left: dict, right: dict) -> dict:
+    """Raw product of two term maps over the same variable space.
+
+    Nothing is normalized, pruned or sorted: the result is only ever an
+    intermediate value or the input of one ``MultiPoly`` constructor.
+    """
+    out: dict = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(map(add, e1, e2))
+            # no ``out.get(key, 0) +``: int + Fraction is a slow reflected add
+            if key in out:
+                out[key] += c1 * c2
+            else:
+                out[key] = c1 * c2
+    return out
+
+
+def _reduce(ring: CoeffRing, terms: dict) -> dict:
+    """Reduce raw Z/m coefficients so that products of products stay small."""
+    if ring.kind != MODULAR:
+        return terms
+    m = ring.modulus
+    return {e: r for e, c in terms.items() if (r := c % m)}
+
+
+def _pow_terms(ring: CoeffRing, terms: dict, n: int) -> dict:
+    """Raw ``terms ** n`` for n >= 1, by square-and-multiply."""
+    result = None
+    base = terms
+    while True:
+        if n & 1:
+            result = base if result is None else _reduce(ring, _mul_terms(result, base))
+        n >>= 1
+        if not n:
+            return result
+        base = _reduce(ring, _mul_terms(base, base))
 
 
 def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
@@ -347,30 +397,6 @@ def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
             key = tuple(key)
             terms[key] = terms.get(key, 0) + c
     return MultiPoly(ring, vars, terms)
-
-
-def poly_arith(op: str, a: MultiPoly, b=None) -> MultiPoly:
-    """Functional entry point: op in {add, sub, mul, neg, pow}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "pow":
-        return a ** b
-    raise UsageError(f"unknown polynomial operation {op!r}")
-
-
-def exact_div_int(a: MultiPoly, d: int) -> MultiPoly:
-    """Spec surface for exact division by an integer (see ``div_int``)."""
-    return a.div_int(d)
-
-
-def substitute(target: MultiPoly, assignment: dict) -> MultiPoly:
-    return target.substitute(assignment)
 
 
 def evaluate_generic(poly: MultiPoly, env: dict, zero, one):

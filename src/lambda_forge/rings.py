@@ -120,15 +120,6 @@ class CoeffRing:
     def is_zero(self, c) -> bool:
         return c == 0
 
-    def add(self, a, b):
-        return self.normalize(a + b)
-
-    def mul(self, a, b):
-        return self.normalize(a * b)
-
-    def neg(self, a):
-        return self.normalize(-a)
-
     def from_int(self, n: int):
         return self.normalize(n)
 

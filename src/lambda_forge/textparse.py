@@ -155,8 +155,6 @@ def parse_trunc(spec: str) -> TruncationSet:
             n = int(spec[4:])
         except ValueError:
             raise UsageError("big truncations are written big:N") from None
-        if n < 0:
-            raise UsageError("big:N needs N >= 0")
         return TruncationSet.big(n)
     if spec.startswith("p:"):
         body = spec[2:]

@@ -70,12 +70,16 @@ class TruncationSet:
 
     @staticmethod
     def big(n: int) -> "TruncationSet":
+        if n < 0:
+            raise UsageError(f"big truncation sets need n >= 0, got {n}")
         return TruncationSet(range(1, n + 1))
 
     @staticmethod
     def p_typical(p: int, k: int) -> "TruncationSet":
         if p < 2:
             raise UsageError(f"p-typical truncation sets need a prime p, got {p}")
+        if k < 0:
+            raise UsageError(f"p-typical truncation sets need a length >= 0, got {k}")
         return TruncationSet(p ** i for i in range(k))
 
     def __iter__(self):

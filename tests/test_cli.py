@@ -241,6 +241,8 @@ class TestMalformedArgv:
             ["witt", "restrict", "--trunc", "big:3", "--to", "big:x", "--input", "[a,b,c]"],
             ["witt", "structure", "--op", "add", "--p", "1", "--len", "3"],
             ["delta", "extend", "--p", "4", "--depth", "2", "--expr", "x0"],
+            ["witt", "ghost", "--trunc", "p:2,-1", "--input", "[]"],
+            ["witt", "ghost", "--trunc", "big:-1", "--input", "[]"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):

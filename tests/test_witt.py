@@ -68,6 +68,13 @@ class TestTruncationSet:
         with pytest.raises(UsageError):
             TruncationSet.p_typical(p, 3)
 
+    def test_negative_length_rejected(self):
+        assert TruncationSet.big(0).elems == TruncationSet.p_typical(2, 0).elems == ()
+        with pytest.raises(UsageError):
+            TruncationSet.big(-1)
+        with pytest.raises(UsageError):
+            TruncationSet.p_typical(2, -1)
+
     def test_divide(self):
         assert TruncationSet.big(6).divide(2).elems == (1, 2, 3)
         assert TruncationSet.big(2).divide(3).elems == ()
