@@ -2,7 +2,7 @@
 
 from .rings import CoeffRing, QQ, ZZ
 from .poly import MultiPoly
-from .series import TruncSeries, series_ops
+from .series import TruncSeries
 from .witt import (
     GhostVec,
     TruncationSet,
@@ -37,7 +37,6 @@ __all__ = [
     "ghost_inverse",
     "ghost_map",
     "restrict",
-    "series_ops",
     "structure_poly_map",
     "teichmuller",
     "to_series",

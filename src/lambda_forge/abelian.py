@@ -13,10 +13,11 @@ carrying the free part.
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from itertools import count, product as iter_product
 from math import gcd, prod
 
 from .errors import NotFinitelyGenerated, UsageError
+from .rings import _factorize, _is_prime
 
 
 def smith_invariant_factors(rows: list) -> list:
@@ -112,17 +113,8 @@ class FgAbGroup:
                 continue
             if d < 0:
                 d = -d
-            if d == 1:
-                continue
-            p = 2
-            while d > 1:
-                if d % p == 0:
-                    e = 0
-                    while d % p == 0:
-                        e += 1
-                        d //= p
-                    primary.setdefault(p, []).append(e)
-                p += 1
+            for p, e in _factorize(d).items():
+                primary.setdefault(p, []).append(e)
         depth = max((len(v) for v in primary.values()), default=0)
         factors = []
         for i in range(depth):
@@ -160,31 +152,11 @@ class FgAbGroup:
         return prod(self.factors) if self.factors else 1
 
     def torsion_support(self):
-        primes = set()
-        for d in self.factors:
-            p = 2
-            while d > 1:
-                if d % p == 0:
-                    primes.add(p)
-                    while d % p == 0:
-                        d //= p
-                p += 1
-        return sorted(primes)
+        return sorted({p for d in self.factors for p in _factorize(d)})
 
     def localize(self, p: int) -> "FgAbGroup":
         """A_(p): the free part survives, torsion keeps only its p-part."""
-        parts = []
-        for d in self.factors:
-            e = 0
-            while d % p == 0:
-                e += 1
-                d //= p
-            if e:
-                parts.append(p ** e)
-        return FgAbGroup(self.rank, parts)
-
-    def rationalize_rank(self) -> int:
-        return self.rank
+        return FgAbGroup(self.rank, [p ** _factorize(d).get(p, 0) for d in self.factors])
 
     def torsion_elements(self):
         """All torsion elements as tuples, one coordinate per factor."""
@@ -220,11 +192,7 @@ def fracture_check(A: FgAbGroup, torsion_cap: int = 200000) -> dict:
     if not isinstance(A, FgAbGroup):
         raise NotFinitelyGenerated(f"{A!r} is not a finitely generated group")
     support = A.torsion_support()
-    witness_prime = 2
-    while witness_prime in support:
-        witness_prime += 1
-        while any(witness_prime % q == 0 for q in range(2, witness_prime)):
-            witness_prime += 1
+    witness_prime = next(q for q in count(2) if _is_prime(q) and q not in support)
     explicit = support + [witness_prime]
     locals_ = {p: A.localize(p) for p in explicit}
     report = {
@@ -233,7 +201,7 @@ def fracture_check(A: FgAbGroup, torsion_cap: int = 200000) -> dict:
         "explicit_primes": explicit,
         "witness_prime": witness_prime,
         "localizations": {str(p): repr(locals_[p]) for p in explicit},
-        "rational_rank": A.rationalize_rank(),
+        "rational_rank": A.rank,
     }
     witnesses = []
 
@@ -242,18 +210,13 @@ def fracture_check(A: FgAbGroup, torsion_cap: int = 200000) -> dict:
     if local_order != A.torsion_order:
         witnesses.append({"kind": "torsion_order", "witness": [A.torsion_order, local_order]})
     if A.torsion_order <= torsion_cap:
+        # the p-part of each invariant factor; 1 where p does not divide it
+        p_parts = {p: [p ** _factorize(d).get(p, 0) for d in A.factors] for p in explicit}
         images = set()
         for elem in A.torsion_elements():
             image = []
             for p in explicit:
-                loc = locals_[p]
-                image.append(
-                    tuple(
-                        x % (d // _coprime_part(d, p))
-                        for x, d in zip(elem, A.factors)
-                        if d % p == 0
-                    )
-                )
+                image.append(tuple(x % m for x, m in zip(elem, p_parts[p]) if m > 1))
             images.add(tuple(image))
         if len(images) != A.torsion_order:
             witnesses.append({"kind": "torsion_injectivity", "witness": len(images)})
@@ -281,9 +244,3 @@ def fracture_check(A: FgAbGroup, torsion_cap: int = 200000) -> dict:
     report["status"] = "pass" if not witnesses else "fail"
     report["witnesses"] = witnesses
     return report
-
-
-def _coprime_part(d: int, p: int) -> int:
-    while d % p == 0:
-        d //= p
-    return d

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .abelian import parse_group
+from .abelian import fracture_check, parse_group
 from .delta import (
     Witt2Section,
     delta_extend,
@@ -23,8 +23,8 @@ from .delta import (
 from .errors import DomainError, UsageError
 from .lambdaring import (
     AdamsModel,
+    FreeLambdaBasis,
     coaction,
-    free_lambda_ring,
     newton_psi_to_lambda,
     wilkerson_lambda,
 )
@@ -38,7 +38,7 @@ from .textparse import (
     parse_trunc,
     parse_vector,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, corrupted_joyal_rezk, joyal_rezk_suite, run_suite
 from .witt import (
     TruncationSet,
     WittVec,
@@ -313,7 +313,8 @@ def _run_delta(args):
             return {"phi": {g: str(v) for g, v in sorted(pres.phi_on_gens().items())}}
         return {"delta": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
     if sc == "section":
-        parse_ring_spec(args.ring)
+        if args.ring != "Z":
+            raise UsageError("section --ring currently supports 'Z'")
         if args.expr is not None:
             # expression in the free delta-ring generators x0..x<depth>
             section = Witt2Section(free_delta_ring(args.p, args.depth))
@@ -331,7 +332,7 @@ def _run_delta(args):
 def _run_lambda(args):
     sc = args.subcommand
     if sc == "free":
-        basis = free_lambda_ring(parse_primes(args.primes), args.depth)
+        basis = FreeLambdaBasis(parse_primes(args.primes), args.depth)
         if args.show:
             e = parse_poly(args.show, QQ)
             if not (len(e.vars) == 1 and len(e.terms) == 1):
@@ -376,13 +377,14 @@ def _run_lambda(args):
             return {"lambda": [str(v.constant_value()) for v in values]}
         return {"lambda_on_gens": {g: _poly_list(v) for g, v in ops.lambda_on_gens.items()}}
     if sc == "to-x-basis":
-        basis = free_lambda_ring(parse_primes(args.primes), args.depth)
+        basis = FreeLambdaBasis(parse_primes(args.primes), args.depth)
         xp, integral = basis.to_x_basis(parse_poly(args.expr, QQ))
         return {"x_basis": str(xp), "integral": integral}
     if sc == "coaction":
         if args.psi != "id":
             raise UsageError("coaction --psi currently supports 'id'")
-        ring, gens = parse_ring_spec(args.ring)
+        if args.ring != "Z":
+            raise UsageError("coaction --ring currently supports 'Z'")
         trunc = parse_trunc(args.trunc)
         e = MultiPoly.const(ZZ, args.eval_at)
         vec = coaction(lambda n, x: x, e, trunc, ZZ)
@@ -393,22 +395,19 @@ def _run_lambda(args):
 def _run_verify(args):
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    if args.suite == "joyal-rezk" and args.corrupt:
-        from .lambdaring import verify_joyal_rezk
-        from .poly import MultiPoly as _P
-
-        basis = free_lambda_ring((2, 3), 1, N=30)
-        corrupted = {
-            3: {f"x{n}": _P.var(QQ, f"x{3 * n}") + _P.var(QQ, f"x{n}") for n in range(1, 11)}
-        }
-        reports = [verify_joyal_rezk(basis, 1, psi_overrides=corrupted)]
-    elif args.suite == "joyal-rezk" and args.primes:
-        from .verify import joyal_rezk_suite
-
-        reports = [joyal_rezk_suite(args.seed, parse_primes(args.primes), args.depth or 2)]
-    elif args.suite == "fracture" and args.group:
-        from .abelian import fracture_check
-
+    custom = args.primes is not None or args.depth is not None
+    if (args.corrupt or custom) and args.suite != "joyal-rezk":
+        raise UsageError("--corrupt, --primes and --depth apply to joyal-rezk only")
+    if args.group is not None and args.suite != "fracture":
+        raise UsageError("--group applies to fracture only")
+    if args.corrupt and custom:
+        raise UsageError("--corrupt runs a fixed family and takes no --primes or --depth")
+    if args.corrupt:
+        reports = [corrupted_joyal_rezk()]
+    elif custom:
+        primes = parse_primes(args.primes) if args.primes is not None else (2, 3, 5)
+        reports = [joyal_rezk_suite(args.seed, primes, 2 if args.depth is None else args.depth)]
+    elif args.group is not None:
         reports = [fracture_check(parse_group(args.group))]
     else:
         reports = run_suite(args.suite, args.seed)

@@ -10,17 +10,12 @@ independent second route and the two are cross-checked in the tests.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import DepthExceeded, NotAFrobeniusLift, NotARingMap, NotDivisible, UsageError
 from .poly import MultiPoly, poly_sum
 from .rings import ZZ, _is_prime
 from .witt import TruncationSet, WittVec
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 class DeltaPresentation:
@@ -97,11 +92,6 @@ class DeltaPresentation:
             raise NotDivisible(exc.witness, f"internal consistency failure: {exc}") from None
 
 
-def phi_from_delta(pres: DeltaPresentation) -> dict:
-    """The derived Frobenius lift as a substitution map on generators."""
-    return pres.phi_on_gens()
-
-
 def delta_extend(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
     return pres.delta(e)
 
@@ -141,7 +131,7 @@ def delta_extend_recursive(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
         cross = poly_sum(
             ZZ,
             [
-                a ** i * b ** (p - i) * (_binomial(p, i) // p)
+                a ** i * b ** (p - i) * (comb(p, i) // p)
                 for i in range(1, p)
             ],
         )
@@ -162,7 +152,7 @@ def delta_extend_recursive(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
 
 
 def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
-    """Recover delta from a Frobenius lift; the inverse of ``phi_from_delta``.
+    """Recover delta from a Frobenius lift; the inverse of ``phi_on_gens``.
 
     Raises ``NotAFrobeniusLift`` with the first witness term when some
     phi(g) - g^p is not divisible by p.
@@ -219,15 +209,6 @@ class Witt2Section:
         add_ok = self(a + b) == self(a) + self(b)
         mul_ok = self(a * b) == self(a) * self(b)
         return {"add": add_ok, "mul": mul_ok}
-
-
-def witt2_section(pres: DeltaPresentation) -> Witt2Section:
-    return Witt2Section(pres)
-
-
-def section_to_delta(p: int, gens, second_components: dict) -> DeltaPresentation:
-    """Read delta back off the second Witt coordinate of a section."""
-    return DeltaPresentation(p, gens, second_components)
 
 
 def verify_integer_section(p: int, second, lo: int, hi: int):

@@ -24,8 +24,8 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, poly_sum
-from .rings import QQ, ZZ, CoeffRing, _is_prime
-from .witt import GhostVec, TruncationSet, WittVec, comult, ghost_inverse, ghost_map
+from .rings import QQ, ZZ, CoeffRing, _factorize, _is_prime
+from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map
 
 
 def _xname(n: int) -> str:
@@ -82,10 +82,6 @@ class AdamsModel:
         return self.psi(p, e) - e ** p
 
 
-def build_adams_model(N: int) -> AdamsModel:
-    return AdamsModel(N)
-
-
 # ---------------------------------------------------------------------------
 # Newton's identities
 
@@ -129,14 +125,6 @@ def newton_lambda_to_psi(lams, ring=ZZ):
             acc = acc + full[k] * psis[n - k] * (-1) ** (k - 1)
         psis.append(acc)
     return psis[1:]
-
-
-def newton_convert(direction: str, data, ring=ZZ):
-    if direction == "psi_to_lambda":
-        return newton_psi_to_lambda(data, ring)
-    if direction == "lambda_to_psi":
-        return newton_lambda_to_psi(data, ring)
-    raise UsageError(f"unknown Newton direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +251,6 @@ class FreeLambdaBasis:
         return self.to_x_basis(self.model.psi(p, self.embed[tuple(sigma)]))
 
 
-def free_lambda_ring(P, depth: int, N: int | None = None) -> FreeLambdaBasis:
-    return FreeLambdaBasis(P, depth, N)
-
-
-def to_x_basis(e: MultiPoly, basis: FreeLambdaBasis):
-    return basis.to_x_basis(e)
-
-
 # ---------------------------------------------------------------------------
 # Joyal-Rezk commutation
 
@@ -355,19 +335,6 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi_over
 # Wilkerson: commuting Frobenius lifts on a torsion-free ring
 
 
-def _factorize(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 class LambdaOps:
     """Adams data on a polynomial ring assembled into lambda-operations."""
 
@@ -444,12 +411,8 @@ def _coprime_part_data(basis: FreeLambdaBasis, p: int, bound: int):
     for index, sigma in sorted(basis.span.items()):
         if len(sigma) > bound:
             continue
-        n = 0
-        m = index
-        while m % p == 0:
-            n += 1
-            m //= p
-        out.append((n, m, index, sigma))
+        n = _factorize(index).get(p, 0)
+        out.append((n, index // p ** n, index, sigma))
     return out
 
 
@@ -632,7 +595,7 @@ def coalgebra_check(psi, elements, S: TruncationSet, T: TruncationSet, ring: Coe
         vec = sigma(e, S)
         if ghost_map(vec) != GhostVec(S, ring, {n: psi(n, e) for n in S}):
             witnesses.append({"kind": "ghost", "element": label})
-        if counit_of(vec) != e:
+        if counit(vec) != e:
             witnesses.append({"kind": "counit", "element": label})
         if check_integral is not None:
             for n in S:
@@ -655,9 +618,3 @@ def coalgebra_check(psi, elements, S: TruncationSet, T: TruncationSet, ring: Coe
         "elements": [label for label, _ in elements],
         "witnesses": witnesses,
     }
-
-
-def counit_of(vec: WittVec):
-    from .witt import counit
-
-    return counit(vec)

@@ -399,40 +399,6 @@ def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
     return MultiPoly(ring, vars, terms)
 
 
-def evaluate_generic(poly: MultiPoly, env: dict, zero, one):
-    """Evaluate an integer polynomial in an arbitrary commutative ring.
-
-    ``env`` maps variable names to ring elements supporting ``+``, ``*``
-    and ``** int``; integer coefficients act by repeated addition, so the
-    target ring needs no scalar interface.  Used to evaluate universal
-    Witt polynomials inside rings of Witt vectors.
-    """
-    total = zero
-    for exps, c in poly.terms.items():
-        acc = one
-        for v, e in zip(poly.vars, exps):
-            if e:
-                acc = acc * (env[v] ** e)
-        total = total + _int_times(int(c), acc, zero)
-    return total
-
-
-def _int_times(c: int, value, zero):
-    if c == 0:
-        return zero
-    negate = c < 0
-    c = abs(c)
-    acc = None
-    base = value
-    while c:
-        if c & 1:
-            acc = base if acc is None else acc + base
-        c >>= 1
-        if c:
-            base = base + base
-    return -acc if negate else acc
-
-
 def random_poly(rng, ring: CoeffRing, vars, max_terms=4, max_exp=3, coeff_bound=9) -> MultiPoly:
     """Small random polynomial, deterministic under a seeded ``rng``."""
     terms = {}

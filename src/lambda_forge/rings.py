@@ -20,19 +20,22 @@ MODULAR = "Z/"
 LOCALIZED = "Z_("
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def _factorize(n: int) -> dict:
+    """{prime: exponent} for n >= 1 by trial division; empty for n < 2."""
+    out = {}
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return _factorize(n) == {n: 1}
 
 
 class CoeffRing:

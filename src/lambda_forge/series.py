@@ -138,19 +138,6 @@ class TruncSeries:
         return TruncSeries(self.ring, minus_t_fprime) * self.reciprocal()
 
 
-def series_ops(op: str, f: TruncSeries, g: TruncSeries | None = None) -> TruncSeries:
-    """Functional entry point: op in {mul, reciprocal, log_derivative}."""
-    if op == "mul":
-        if g is None:
-            raise UsageError("series mul needs two operands")
-        return f * g
-    if op == "reciprocal":
-        return f.reciprocal()
-    if op == "log_derivative":
-        return f.log_derivative()
-    raise UsageError(f"unknown series operation {op!r}")
-
-
 def geometric(ring: CoeffRing, a: MultiPoly, n: int, precision: int) -> TruncSeries:
     """1 / (1 - a t^n) as a truncated series."""
     zero = MultiPoly.zero(ring)

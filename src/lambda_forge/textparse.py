@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 
 from .errors import UsageError
+from .lambdaring import _sigma_name
 from .poly import MultiPoly
 from .rings import CoeffRing, ZZ
 from .witt import TruncationSet
@@ -30,13 +31,6 @@ def _tokenize(text: str):
         out.append("^" if tok == "**" else tok)
         pos = m.end()
     return out
-
-
-def sigma_var_name(parts) -> str:
-    parts = tuple(int(p) for p in parts)
-    if not parts:
-        return "X0"
-    return "X" + "_".join(str(p) for p in parts)
 
 
 class _Parser:
@@ -113,7 +107,7 @@ class _Parser:
                     if self.peek() == ",":
                         self.take()
                 self.take(")")
-                return MultiPoly.var(self.ring, sigma_var_name(parts))
+                return MultiPoly.var(self.ring, _sigma_name(parts))
             return MultiPoly.var(self.ring, tok)
         raise UsageError(f"unexpected token {tok!r}")
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import random
 from itertools import product as iter_product
-from math import comb, prod
+from math import comb
 
 from .abelian import FgAbGroup, fracture_check
-from .delta import free_delta_ring
 from .errors import NotAFrobeniusLift
 from .lambdaring import (
+    FreeLambdaBasis,
     coalgebra_check,
-    free_lambda_ring,
     verify_joyal_rezk,
     wilkerson_lambda,
 )
@@ -126,18 +125,10 @@ def ghost_compat_suite(seed: int = 0) -> dict:
 
 def joyal_rezk_suite(seed: int = 0, primes=(2, 3, 5), depth: int = 2) -> dict:
     """Exact commutation identities plus detection of a corrupted family."""
-    maxn = max(prod(s) for s in _all_sigmas(primes, depth))
-    top = sorted(primes)[-1]
-    basis = free_lambda_ring(primes, depth, N=maxn * top * top)
+    # the largest basis index is max(primes)^depth; two more Adams steps fit
+    basis = FreeLambdaBasis(primes, depth, N=max(primes) ** (depth + 2))
     report = verify_joyal_rezk(basis, depth)
-    small = free_lambda_ring((2, 3), 1, N=30)
-    corrupted = {
-        3: {
-            f"x{n}": MultiPoly.var(QQ, f"x{3 * n}") + MultiPoly.var(QQ, f"x{n}")
-            for n in range(1, 11)
-        }
-    }
-    detection = verify_joyal_rezk(small, 1, psi_overrides=corrupted)
+    detection = corrupted_joyal_rezk()
     ok = report["status"] == "pass" and detection["status"] == "fail"
     return {
         "check": "joyal-rezk",
@@ -149,15 +140,15 @@ def joyal_rezk_suite(seed: int = 0, primes=(2, 3, 5), depth: int = 2) -> dict:
     }
 
 
-def _all_sigmas(primes, depth):
-    out = [()]
-    frontier = [()]
-    for _ in range(depth):
-        frontier = [
-            (p,) + s for s in frontier for p in primes if not s or p <= s[0]
-        ]
-        out.extend(frontier)
-    return out
+def corrupted_joyal_rezk() -> dict:
+    """The Joyal-Rezk check fed phi^3(x_n) = x_{3n} + x_n, which must fail."""
+    corrupted = {
+        3: {
+            f"x{n}": MultiPoly.var(QQ, f"x{3 * n}") + MultiPoly.var(QQ, f"x{n}")
+            for n in range(1, 11)
+        }
+    }
+    return verify_joyal_rezk(FreeLambdaBasis((2, 3), 1, N=30), 1, psi_overrides=corrupted)
 
 
 def wilkerson_suite(seed: int = 0) -> dict:
@@ -228,7 +219,7 @@ def coalgebra_suite(seed: int = 0) -> dict:
     if integers["status"] != "pass":
         witnesses.extend(integers["witnesses"])
 
-    basis = free_lambda_ring((2, 3), 2, N=40)
+    basis = FreeLambdaBasis((2, 3), 2, N=40)
     model = basis.model
 
     def check_integral(comp):
@@ -272,30 +263,6 @@ def fracture_suite(seed: int = 0) -> dict:
         results.append({"group": repr(g), "status": rep["status"]})
         ok = ok and rep["status"] == "pass"
     return {"check": "fracture", "status": "pass" if ok else "fail", "groups": results}
-
-
-def free_delta_routes_agree(p: int, depth: int = 3, max_degree: int = 3) -> dict:
-    """Both delta-extension routes agree on small monomials (two generators)."""
-    from .delta import delta_extend, delta_extend_recursive
-
-    pres = free_delta_ring(p, depth)
-    x0 = MultiPoly.var(ZZ, "x0")
-    x1 = MultiPoly.var(ZZ, "x1")
-    witnesses = []
-    cases = 0
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1 - i):
-            for c in (1, 2, -3):
-                e = x0 ** i * x1 ** j * c
-                cases += 1
-                if delta_extend(pres, e) != delta_extend_recursive(pres, e):
-                    witnesses.append({"element": str(e)})
-    return {
-        "check": f"delta-routes-p{p}",
-        "status": "pass" if not witnesses else "fail",
-        "cases": cases,
-        "witnesses": witnesses,
-    }
 
 
 _DISPATCH = {

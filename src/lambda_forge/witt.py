@@ -11,17 +11,20 @@ injective over the torsion-free rings Z, Q and Z_(p); over Z/m the work
 is done on lifts to Z and reduced at the end, which is sound because the
 universal polynomials have integer coefficients.  Component values are
 ring scalars when every component is constant, polynomials otherwise.
+A vector in W_S(W_T(A)) has ghost coordinates keyed by (s, t): w_s of
+its components' ghost coordinates at t.  Frobenius and comultiplication
+are index maps on these keys, and the inverse runs one level at a time,
+so every nesting depth shares the one route.
 
 The universal polynomials are the same arithmetic on generic vectors
 (components a_n, b_n).  Their integrality is a theorem, so a failed
 division is a bug and raises ``IntegralityViolation``.  They are
-generated for ``*_poly_map`` callers and for components that are Witt
-vectors themselves (W_S(W_T(A))), and the memo of them is the single
-shared cache in the system: concurrent reads are free, inserts hold a
-lock, duplicate computation of the same entry is harmless.  Setting
-LAMBDA_FORGE_CACHE_DIR persists the memo as JSON files keyed by
-(operation, truncation); a file that disagrees with the ghost route at a
-fixed integer point is regenerated.
+generated only for ``*_poly_map`` callers; arithmetic never reads them.
+Their memo is the single shared cache in the system: concurrent reads
+are free, inserts hold a lock, duplicate computation of the same entry
+is harmless.  Setting LAMBDA_FORGE_CACHE_DIR persists the memo as JSON
+files keyed by (operation, truncation); a file that disagrees with the
+ghost route at a fixed integer point is regenerated.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (
     TruncationMismatch,
     UsageError,
 )
-from .poly import MultiPoly, evaluate_generic, poly_sum
+from .poly import MultiPoly, poly_sum
 from .rings import MODULAR, CoeffRing, ZZ
 from .series import TruncSeries, geometric
 
@@ -319,14 +322,12 @@ def _scalar_div(ring: CoeffRing):
     return div
 
 
-def _values(vecs, ring: CoeffRing):
-    """Component values of ``vecs`` over ``ring``, the zero value and exact
+def _values(comps, ring: CoeffRing):
+    """How components become values over ``ring``, the zero value and exact
     division: scalars when every component is constant, else polynomials."""
-    if all(c.is_constant() for v in vecs for c in v.comps.values()):
-        values = [{n: c.constant_value() for n, c in v.comps.items()} for v in vecs]
-        return values, ring.from_int(0), _scalar_div(ring)
-    values = [{n: c.convert_ring(ring) for n, c in v.comps.items()} for v in vecs]
-    return values, MultiPoly.zero(ring), MultiPoly.div_int
+    if all(c.is_constant() for c in comps):
+        return operator.methodcaller("constant_value"), ring.from_int(0), _scalar_div(ring)
+    return operator.methodcaller("convert_ring", ring), MultiPoly.zero(ring), MultiPoly.div_int
 
 
 def _polys(x: dict, ring: CoeffRing) -> dict:
@@ -337,40 +338,61 @@ def _polys(x: dict, ring: CoeffRing) -> dict:
     }
 
 
-def _ghosts(vecs):
-    """Ghost components of ``vecs`` and the triangular solver, both over Z
-    when the ring is Z/m and over the ring itself otherwise."""
+def _keys(shape: tuple) -> list:
+    """Ghost coordinate keys for ``shape``: n for W_S(A), (s, k) one level up."""
+    if len(shape) == 1:
+        return list(shape[0])
+    return [(s, k) for s in shape[0] for k in _keys(shape[1:])]
+
+
+def _scaled(k, n: int):
+    """Key ``k`` with its outermost index multiplied by n."""
+    return k * n if isinstance(k, int) else (k[0] * n, k[1])
+
+
+def _leaves(vecs):
+    """The polynomial components of ``vecs`` at their innermost level."""
+    for v in vecs:
+        yield from _leaves(v.comps.values()) if len(v.shape) > 1 else v.comps.values()
+
+
+def _ghost_coords(v: "WittVec", value) -> dict:
+    """Ghost coordinates of ``v``: w_n of its component values, or, for
+    W_S(W_T(...)), (s, k) -> w_s of the components' coordinates at k.  That
+    is ghost_S after W_S(ghost_T), a ring map, injective over torsion-free
+    rings, so nested vectors need no other arithmetic."""
+    if len(v.shape) == 1:
+        return _ghost({n: value(c) for n, c in v.comps.items()}, v.trunc)
+    inner = {s: _ghost_coords(c, value) for s, c in v.comps.items()}
+    out = {}
+    for k in next(iter(inner.values())):
+        for s, w in _ghost({d: g[k] for d, g in inner.items()}, v.trunc).items():
+            out[(s, k)] = w
+    return out
+
+
+def _solve(w: dict, shape: tuple, ring: CoeffRing, zero, div) -> "WittVec":
+    """The vector of ``shape`` with ghost coordinates ``w``, inverted one
+    level at a time from the outside in."""
+    S, rest = shape[0], shape[1:]
+    if not rest:
+        return WittVec(S, ring, _polys(_unghost(w, S, zero, div), ring))
+    keys = _keys(rest)
+    cols = {k: _unghost({s: w[(s, k)] for s in S}, S, zero, div) for k in keys}
+    comps = {s: _solve({k: cols[k][s] for k in keys}, rest, ring, zero, div) for s in S}
+    return WittVec(S, ring, comps)
+
+
+def _ghost_route(vecs, shape: tuple, combine) -> "WittVec":
+    """The vector of ``shape`` whose ghost coordinates ``combine`` makes from
+    those of ``vecs``: over Z on lifts when the ring is Z/m, else over the ring."""
     ring = vecs[0].ring
-    values, zero, div = _values(vecs, ZZ if ring.kind == MODULAR else ring)
-
-    def solve(w, S):
-        try:
-            return _unghost(w, S, zero, div)
-        except NotDivisible as exc:
-            raise IntegralityViolation(exc.witness, f"index {exc.witness}: {exc}") from exc
-
-    return [_ghost(x, v.trunc) for x, v in zip(values, vecs)], solve
-
-
-def _ghost_route(vecs, out_trunc: TruncationSet, combine) -> "WittVec":
-    """The vector whose ghost components ``combine`` makes from those of ``vecs``."""
-    ghosts, solve = _ghosts(vecs)
-    ring = vecs[0].ring
-    return WittVec(out_trunc, ring, _polys(solve(combine(*ghosts), out_trunc), ring))
-
-
-def _apply_polys(polys: dict, vecs, out_trunc: TruncationSet) -> "WittVec":
-    """Evaluate universal polynomials at Witt-vector-valued components,
-    the W_S(W_T(A)) case: variables a_n, b_n name the components of ``vecs``."""
-    env = {f"{prefix}{n}": c for prefix, v in zip("ab", vecs) for n, c in v.comps.items()}
-    ring = vecs[0].ring
-    inner = next(iter(vecs[0].comps.values())).trunc
-    zero, one = WittVec.zero(inner, ring), teichmuller(MultiPoly.one(ring), inner, ring)
-    return WittVec(out_trunc, ring, {n: evaluate_generic(p, env, zero, one) for n, p in polys.items()})
-
-
-def _nested(vecs) -> bool:
-    return not all(v._all_poly() for v in vecs)
+    value, zero, div = _values(_leaves(vecs), ZZ if ring.kind == MODULAR else ring)
+    w = combine(*(_ghost_coords(v, value) for v in vecs))
+    try:
+        return _solve(w, shape, ring, zero, div)
+    except NotDivisible as exc:
+        raise IntegralityViolation(exc.witness, f"index {exc.witness}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +403,11 @@ class WittVec:
     """Witt vector over a truncation set; components indexed by S.
 
     Components are polynomials over a shared coefficient ring, or (for
-    the comonad) Witt vectors themselves.
+    the comonad) Witt vectors themselves, all of one ``shape``: the
+    truncation sets from the outside in, (S, T) for W_S(W_T(A)).
     """
 
-    __slots__ = ("trunc", "ring", "comps")
+    __slots__ = ("trunc", "ring", "comps", "shape")
 
     def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: dict):
         if set(comps) != set(trunc.elems):
@@ -397,16 +420,18 @@ class WittVec:
             c = comps[n]
             if not isinstance(c, (MultiPoly, WittVec)):
                 c = MultiPoly.const(ring, c)
-            if isinstance(c, MultiPoly):
-                ring.require_same(c.ring)
-            else:
-                nested += 1
+            ring.require_same(c.ring)
+            nested += isinstance(c, WittVec)
             fixed[n] = c
         if nested and nested != len(fixed):
             raise UsageError("components must be all polynomials or all Witt vectors")
+        inner = {c.shape for c in fixed.values()} if nested else {()}
+        if len(inner) > 1:
+            raise TruncationMismatch("components are Witt vectors over different truncations")
         self.trunc = trunc
         self.ring = ring
         self.comps = fixed
+        self.shape = (trunc,) + inner.pop()
 
     # -- constructors -----------------------------------------------------
 
@@ -442,22 +467,17 @@ class WittVec:
         inside = ", ".join(f"{n}: {self.comps[n]}" for n in self.trunc)
         return f"WittVec({inside})"
 
-    def _all_poly(self) -> bool:
-        return all(isinstance(c, MultiPoly) for c in self.comps.values())
-
     # -- arithmetic -----------------------------------------------------------
 
     def _binary(self, op: str, other: "WittVec") -> "WittVec":
         if not isinstance(other, WittVec):
             raise UsageError("Witt arithmetic needs two Witt vectors")
-        if self.trunc != other.trunc:
-            raise TruncationMismatch(f"{self.trunc} vs {other.trunc}")
+        if self.shape != other.shape:
+            raise TruncationMismatch(f"{self.shape} vs {other.shape}")
         if self.ring != other.ring:
             raise MixedCoefficientRings(f"{self.ring} vs {other.ring}")
-        if _nested([self, other]):
-            return _apply_polys(structure_poly_map(op, self.trunc), [self, other], self.trunc)
         combine = getattr(operator, op)
-        return _ghost_route([self, other], self.trunc, lambda ga, gb: {n: combine(ga[n], gb[n]) for n in ga})
+        return _ghost_route([self, other], self.shape, lambda ga, gb: {k: combine(ga[k], gb[k]) for k in ga})
 
     def __add__(self, other):
         return self._binary("add", other)
@@ -466,9 +486,7 @@ class WittVec:
         return self._binary("mul", other)
 
     def __neg__(self):
-        if _nested([self]):
-            return _apply_polys(structure_poly_map("neg", self.trunc), [self], self.trunc)
-        return _ghost_route([self], self.trunc, lambda ga: {n: -w for n, w in ga.items()})
+        return _ghost_route([self], self.shape, lambda ga: {k: -w for k, w in ga.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -489,7 +507,7 @@ class WittVec:
     # -- JSON -------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        if not self._all_poly():
+        if len(self.shape) > 1:
             raise UsageError("nested Witt vectors have no JSON form")
         return {
             "trunc": self.trunc.to_json(),
@@ -556,10 +574,10 @@ class GhostVec:
 
 def ghost_map(a: WittVec) -> GhostVec:
     """w_n = sum over divisors d of n of d * a_d^(n/d)."""
-    if _nested([a]):
+    if len(a.shape) > 1:
         raise UsageError("the ghost map takes polynomial components")
-    (x,), _, _ = _values([a], a.ring)
-    return GhostVec(a.trunc, a.ring, _polys(_ghost(x, a.trunc), a.ring))
+    value, _, _ = _values(a.comps.values(), a.ring)
+    return GhostVec(a.trunc, a.ring, _polys(_ghost_coords(a, value), a.ring))
 
 
 def ghost_inverse(g: GhostVec) -> WittVec:
@@ -568,8 +586,8 @@ def ghost_inverse(g: GhostVec) -> WittVec:
     Raises ``NotDivisible(n)`` when component n fails to exist in the
     coefficient ring: the certificate that g is not in the ghost image.
     """
-    (w,), zero, div = _values([g], g.ring)
-    return WittVec(g.trunc, g.ring, _polys(_unghost(w, g.trunc, zero, div), g.ring))
+    value, zero, div = _values(g.comps.values(), g.ring)
+    return _solve({n: value(c) for n, c in g.comps.items()}, (g.trunc,), g.ring, zero, div)
 
 
 def teichmuller(r, S: TruncationSet, ring: CoeffRing | None = None) -> WittVec:
@@ -589,10 +607,8 @@ def frobenius(n: int, a: WittVec) -> WittVec:
     """F_n: W_S -> W_{S/n}, characterized by w_d(F_n a) = w_{nd}(a)."""
     if n < 1:
         raise UsageError("Frobenius index must be positive")
-    target = a.trunc.divide(n)
-    if _nested([a]):
-        return _apply_polys(frobenius_poly_map(n, a.trunc), [a], target)
-    return _ghost_route([a], target, lambda ga: {d: ga[n * d] for d in target})
+    shape = (a.trunc.divide(n),) + a.shape[1:]
+    return _ghost_route([a], shape, lambda ga: {k: ga[_scaled(k, n)] for k in _keys(shape)})
 
 
 def verschiebung(n: int, a: WittVec, S: TruncationSet) -> WittVec:
@@ -664,18 +680,10 @@ def comult(a: WittVec, S: TruncationSet, T: TruncationSet) -> WittVec:
         raise TruncationMismatch(
             f"comultiplication needs the product truncation {U}, got {a.trunc}"
         )
-    if _nested([a]):
-        polys = comult_poly_map(S, T)
-        rows = {s: _apply_polys({t: polys[(s, t)] for t in T}, [a], T) for s in S}
-        return WittVec(S, a.ring, rows)
-    # b(t) = (w_t of the components of comult(a)) has S-ghost (w_{s*t}(a))_s;
-    # a second inversion over T recovers the components themselves
-    (ga,), solve = _ghosts([a])
-    inner = {t: solve({s: ga[s * t] for s in S}, S) for t in T}
-    rows = {}
-    for s in S:
-        rows[s] = WittVec(T, a.ring, _polys(solve({t: inner[t][s] for t in T}, T), a.ring))
-    return WittVec(S, a.ring, rows)
+    # ghost coordinate (s, k) of comult(a) is a's coordinate at k with its
+    # outermost index t replaced by s*t
+    shape = (S, T) + a.shape[1:]
+    return _ghost_route([a], shape, lambda ga: {(s, k): ga[_scaled(k, s)] for s, k in _keys(shape)})
 
 
 def witt_int(c: int, S: TruncationSet, ring: CoeffRing) -> WittVec:

@@ -13,7 +13,7 @@ import time
 
 from lambda_forge.cli import main as cli_main
 from lambda_forge.delta import delta_extend, delta_extend_recursive, free_delta_ring
-from lambda_forge.lambdaring import free_lambda_ring, integrality_report, plocal_basis_check
+from lambda_forge.lambdaring import FreeLambdaBasis, integrality_report, plocal_basis_check
 from lambda_forge.poly import MultiPoly
 from lambda_forge.rings import ZZ
 from lambda_forge.verify import (
@@ -117,7 +117,7 @@ def test_criterion_7_free_lambda_integrality():
     def body():
         report = integrality_report((2, 3), 2)
         assert report["status"] == "pass", report
-        span = plocal_basis_check(2, free_lambda_ring((2, 3), 2), 2)
+        span = plocal_basis_check(2, FreeLambdaBasis((2, 3), 2), 2)
         assert span["status"] == "pass", span
         assert span["span_generated"]
         leads = {row["index"]: row["theta_leading"] for row in span["rows"]}

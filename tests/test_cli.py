@@ -243,6 +243,15 @@ class TestMalformedArgv:
             ["delta", "extend", "--p", "4", "--depth", "2", "--expr", "x0"],
             ["witt", "ghost", "--trunc", "p:2,-1", "--input", "[]"],
             ["witt", "ghost", "--trunc", "big:-1", "--input", "[]"],
+            ["verify", "witt-axioms", "--corrupt"],
+            ["verify", "wilkerson", "--group", "Z/4"],
+            ["verify", "fracture", "--primes", "2,3"],
+            ["verify", "all", "--depth", "1"],
+            ["verify", "joyal-rezk", "--group", "Z/4"],
+            ["verify", "joyal-rezk", "--corrupt", "--primes", "2,3"],
+            ["verify", "joyal-rezk", "--corrupt", "--depth", "1"],
+            ["lambda", "coaction", "--ring", "Z[u]", "--psi", "id", "--trunc", "big:2", "--eval", "2"],
+            ["delta", "section", "--p", "2", "--ring", "Z[u]", "--eval", "3"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):
@@ -250,6 +259,14 @@ class TestMalformedArgv:
         assert code == 1
         assert err.startswith("usage error:")
         assert "Traceback" not in err and out == ""
+
+    def test_joyal_rezk_depth_alone_is_honoured(self, capsys):
+        # primes default to 2,3,5; depth 1 has 4 integrality and 6 * 4 commutation cases
+        code, out, _ = run(capsys, "verify", "joyal-rezk", "--depth", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["cases"] == 28
+        code, out, _ = run(capsys, "verify", "joyal-rezk", "--format", "json")
+        assert code == 0 and json.loads(out)["reports"][0]["cases"] != 28
 
 
 def _structure_big2_add(capsys):

@@ -4,14 +4,13 @@ import pytest
 
 from lambda_forge.delta import (
     DeltaPresentation,
+    Witt2Section,
     delta_extend,
     delta_extend_recursive,
     delta_from_phi,
     delta_on_integers,
     free_delta_ring,
-    phi_from_delta,
     verify_integer_section,
-    witt2_section,
 )
 from lambda_forge.errors import DepthExceeded, NotAFrobeniusLift, NotARingMap, UsageError
 from lambda_forge.poly import MultiPoly, random_poly
@@ -56,7 +55,7 @@ class TestDeltaExtend:
 class TestPhiFromDelta:
     def test_free_ring_images(self):
         pres = free_delta_ring(2, 3)
-        phi = phi_from_delta(pres)
+        phi = pres.phi_on_gens()
         assert phi["x0"] == v("x0") ** 2 + v("x1") * 2
         assert phi["x2"] == v("x2") ** 2 + v("x3") * 2
 
@@ -111,11 +110,11 @@ class TestDeltaFromPhi:
             p = rng.choice([2, 3, 5])
             delta = {g: random_poly(rng, ZZ, gens, 3, 2, 5) for g in gens}
             pres = DeltaPresentation(p, gens, delta)
-            back = delta_from_phi(p, gens, phi_from_delta(pres))
+            back = delta_from_phi(p, gens, pres.phi_on_gens())
             assert back.delta_on_gens == pres.delta_on_gens
             # and the other composition order
-            again = phi_from_delta(back)
-            assert again == phi_from_delta(pres)
+            again = back.phi_on_gens()
+            assert again == pres.phi_on_gens()
 
 
 class TestFreeDeltaRing:
@@ -142,17 +141,17 @@ class TestFreeDeltaRing:
 
 class TestWitt2Section:
     def test_integer_example(self):
-        section = witt2_section(DeltaPresentation(2, (), {}))
+        section = Witt2Section(DeltaPresentation(2, (), {}))
         vec = section(MultiPoly.const(ZZ, 3))
         assert vec.as_list() == [MultiPoly.const(ZZ, 3), MultiPoly.const(ZZ, -3)]
 
     def test_unit(self):
-        section = witt2_section(free_delta_ring(2, 2))
+        section = Witt2Section(free_delta_ring(2, 2))
         assert section(MultiPoly.one(ZZ)).as_list() == [MultiPoly.one(ZZ), MultiPoly.zero(ZZ)]
 
     def test_ring_map_symbolically(self):
         for p in (2, 3):
-            section = witt2_section(free_delta_ring(p, 2))
+            section = Witt2Section(free_delta_ring(p, 2))
             a = v("x0")
             b = v("x1")
             report = section.check_ring_map(a, b)
@@ -160,16 +159,14 @@ class TestWitt2Section:
             assert section(a + b) == section(a) + section(b)
 
     def test_w0_after_section_is_identity(self):
-        section = witt2_section(free_delta_ring(2, 2))
+        section = Witt2Section(free_delta_ring(2, 2))
         e = v("x0") ** 2 + v("x1")
         assert section(e).comps[1] == e
 
     def test_section_to_delta_roundtrip(self):
         pres = free_delta_ring(2, 2)
-        section = witt2_section(pres)
-        from lambda_forge.delta import section_to_delta
-
-        rebuilt = section_to_delta(
+        section = Witt2Section(pres)
+        rebuilt = DeltaPresentation(
             2, pres.gens, {g: section(v(g)).comps[2] for g in ("x0", "x1")}
         )
         assert rebuilt.delta_on_gens == pres.delta_on_gens

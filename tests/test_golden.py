@@ -10,6 +10,7 @@ big:4, a numeric length-6 addition and every command of the README tour.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from lambda_forge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
@@ -42,3 +44,16 @@ def test_verify_all_golden_across_hash_seeds(hashseed):
     )
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "verify_all_seed7.json").read_bytes()
+
+
+def test_readme_tour_is_under_the_golden_gate():
+    # a tour command without a recorded golden would escape the byte-for-byte check
+    tour = README.read_text().split("## CLI tour", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    argvs = [
+        shlex.split(line, comments=True)[1:]
+        for line in tour.splitlines()
+        if line.startswith("lambda-forge ")
+    ]
+    assert len(argvs) >= 24
+    recorded = [entry["argv"] for entry in MANIFEST]
+    assert [argv for argv in argvs if argv not in recorded] == []

@@ -12,12 +12,11 @@ from lambda_forge.errors import (
     NotInSpan,
 )
 from lambda_forge.lambdaring import (
-    build_adams_model,
+    AdamsModel,
+    FreeLambdaBasis,
     coaction,
     coalgebra_check,
-    free_lambda_ring,
     integrality_report,
-    newton_convert,
     newton_lambda_to_psi,
     newton_psi_to_lambda,
     plocal_basis_check,
@@ -39,16 +38,16 @@ def z(name):
 
 class TestAdamsModel:
     def test_index_doubling(self):
-        m = build_adams_model(6)
+        m = AdamsModel(6)
         assert m.psi(2, m.gen(3)) == m.gen(6)
 
     def test_psi_one_is_identity(self):
-        m = build_adams_model(6)
+        m = AdamsModel(6)
         e = m.gen(2) ** 3 - m.gen(1)
         assert m.psi(1, e) == e
 
     def test_monoid_law_up_to_twelve(self):
-        m = build_adams_model(12)
+        m = AdamsModel(12)
         x = m.gen(1)
         for a in range(1, 13):
             for b in range(1, 13):
@@ -61,12 +60,12 @@ class TestAdamsModel:
                     assert m.psi(a, m.psi(b, e)) == m.psi(a * b, e)
 
     def test_out_of_range(self):
-        m = build_adams_model(5)
+        m = AdamsModel(5)
         with pytest.raises(IndexOutOfRange):
             m.psi(2, m.gen(3))
 
     def test_psi_is_ring_map(self):
-        m = build_adams_model(12)
+        m = AdamsModel(12)
         a = m.gen(1) ** 2 + m.gen(2)
         b = m.gen(3) - 1
         assert m.psi(2, a * b) == m.psi(2, a) * m.psi(2, b)
@@ -89,8 +88,8 @@ class TestNewton:
 
     def test_k_equals_one(self):
         a = z("a")
-        assert newton_convert("lambda_to_psi", [a]) == [a]
-        assert newton_convert("psi_to_lambda", [a]) == [a]
+        assert newton_lambda_to_psi([a]) == [a]
+        assert newton_psi_to_lambda([a]) == [a]
 
     def test_roundtrip_fifty_integral_sequences(self):
         rng = random.Random(1234)
@@ -111,25 +110,25 @@ class TestNewton:
 
 class TestFreeLambdaRing:
     def test_first_basis_elements(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         assert basis.embed[(2,)] == (q("x2") - q("x1") ** 2) * Fraction(1, 2)
         assert basis.embed[(3,)] == (q("x3") - q("x1") ** 3) * Fraction(1, 3)
 
     def test_phi_on_generator(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         xp, integral = basis.phi_in_x_basis(2, ())
         assert integral
         assert xp == q("X0") ** 2 + q("X2") * 2
 
     def test_to_x_basis_examples(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         xp, integral = basis.to_x_basis(q("x2"))
         assert integral and xp == q("X0") ** 2 + q("X2") * 2
         xp1, _ = basis.to_x_basis(q("x1"))
         assert xp1 == q("X0")
 
     def test_product_reexpression_is_integral(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         value = basis.embed[(2,)] * basis.embed[(2,)]
         xp, integral = basis.to_x_basis(value)
         assert integral
@@ -138,18 +137,18 @@ class TestFreeLambdaRing:
         assert basis.from_x_basis(xp) == value
 
     def test_out_of_span(self):
-        basis = free_lambda_ring((2, 3), 1)
+        basis = FreeLambdaBasis((2, 3), 1)
         with pytest.raises(NotInSpan):
             basis.to_x_basis(q("x4"))
 
     def test_triangular_leading_data(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         for sigma in basis.sigmas:
             n, c = basis.leading[sigma]
             assert c == Fraction(1, n)
 
     def test_roundtrip_through_embedding(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         e = q("x6") + q("x2") * q("x3") - 5
         xp, _ = basis.to_x_basis(e)
         assert basis.from_x_basis(xp) == e
@@ -157,20 +156,20 @@ class TestFreeLambdaRing:
 
 class TestJoyalRezk:
     def test_exact_commutation_identities(self):
-        basis = free_lambda_ring((2, 3, 5), 2, N=625)
+        basis = FreeLambdaBasis((2, 3, 5), 2, N=625)
         report = verify_joyal_rezk(basis, 2)
         assert report["status"] == "pass"
         assert report["witnesses"] == []
 
     def test_example_identity_value(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         m = basis.model
         lhs = m.psi(2, m.delta(3, m.x))
         rhs = m.delta(3, m.psi(2, m.x))
         assert lhs == rhs == (q("x6") - q("x2") ** 3) * Fraction(1, 3)
 
     def test_corrupted_family_detected(self):
-        basis = free_lambda_ring((2, 3), 1, N=30)
+        basis = FreeLambdaBasis((2, 3), 1, N=30)
         corrupted = {
             3: {f"x{n}": q(f"x{3 * n}") + q(f"x{n}") for n in range(1, 11)}
         }
@@ -181,7 +180,7 @@ class TestJoyalRezk:
     def test_delta_commutes_with_its_own_frobenius(self):
         # p = q is excluded from the pairwise checks because it is trivial:
         # both maps derive from one endomorphism
-        basis = free_lambda_ring((2, 3), 1, N=30)
+        basis = FreeLambdaBasis((2, 3), 1, N=30)
         m = basis.model
         for p in (2, 3):
             e = basis.embed[(p,)]
@@ -227,7 +226,7 @@ class TestWilkerson:
 
 class TestPLocalBasis:
     def test_leading_pattern_and_span(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         report = plocal_basis_check(2, basis, 2)
         assert report["status"] == "pass"
         by_index = {row["index"]: row for row in report["rows"]}
@@ -239,7 +238,7 @@ class TestPLocalBasis:
         assert by_index[3]["delta_leading"] == "3"
 
     def test_x0_row_is_trivial(self):
-        basis = free_lambda_ring((2, 3), 2)
+        basis = FreeLambdaBasis((2, 3), 2)
         report = plocal_basis_check(2, basis, 2)
         first = report["rows"][0]
         assert first == {
@@ -263,8 +262,8 @@ class TestIntegrality:
         assert report["witnesses"] == []
 
     def test_frobenius_congruence_held_in_x_basis(self):
-        basis = free_lambda_ring((2, 3), 2)
-        wide = free_lambda_ring((2, 3), 3)
+        basis = FreeLambdaBasis((2, 3), 2)
+        wide = FreeLambdaBasis((2, 3), 3)
         e = basis.embed[(2,)]
         difference = wide.model.psi(2, e) - e ** 2
         xp, integral = wide.to_x_basis(difference)
@@ -296,14 +295,14 @@ class TestCoalgebra:
         assert report["status"] == "pass"
 
     def test_ghost_law_symbolic_big4(self):
-        basis = free_lambda_ring((2, 3), 2, N=16)
+        basis = FreeLambdaBasis((2, 3), 2, N=16)
         S = TruncationSet.big(4)
         vec = coaction(basis.model.psi, basis.model.x, S, QQ)
         ghosts = ghost_map(vec)
         assert ghosts == GhostVec(S, QQ, {n: basis.model.psi(n, basis.model.x) for n in S})
 
     def test_free_ring_components_are_integral(self):
-        basis = free_lambda_ring((2, 3), 2, N=16)
+        basis = FreeLambdaBasis((2, 3), 2, N=16)
         S = TruncationSet.big(4)
         vec = coaction(basis.model.psi, basis.model.x, S, QQ)
         for n in S:

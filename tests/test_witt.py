@@ -17,7 +17,7 @@ from lambda_forge.errors import (
 )
 from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import QQ, ZZ, CoeffRing
-from lambda_forge.series import TruncSeries, series_ops
+from lambda_forge.series import TruncSeries
 from lambda_forge.witt import (
     GhostVec,
     TruncationSet,
@@ -343,7 +343,7 @@ class TestSeriesModel:
         S = TruncationSet.big(4)
         a = sym(S)
         g = ghost_map(a)
-        logd = series_ops("log_derivative", to_series(a))
+        logd = to_series(a).log_derivative()
         expected = TruncSeries(ZZ, [MultiPoly.zero(ZZ)] + [g.comps[n] for n in S])
         assert logd == expected
 
@@ -385,7 +385,7 @@ class TestComonad:
         assert route1 == route2
 
     def test_comult_is_ring_map(self):
-        # nested components: W_S(W_T) arithmetic evaluates the universal polynomials
+        # nested components: W_S(W_T) arithmetic runs in nested ghost coordinates
         S = T = BIG2
         a, b = sym(S.product(T), "a"), sym(S.product(T), "b")
         da, db = comult(a, S, T), comult(b, S, T)
@@ -595,6 +595,109 @@ def test_numeric_arithmetic_generates_no_polynomials():
 
 
 def test_failed_division_in_arithmetic_is_integrality_violation():
-    (ga,), solve = witt._ghosts([sym(P22)])
     with pytest.raises(IntegralityViolation):
-        solve({1: ga[1], 2: ga[2] + var("a1")}, P22)
+        witt._ghost_route([sym(P22)], (P22,), lambda ga: {1: ga[1], 2: ga[2] + var("a1")})
+
+
+# ---------------------------------------------------------------------------
+# nested vectors W_S(W_T(A)) against the universal polynomials evaluated in W_T(A)
+
+NESTED_RINGS = [ZZ, CoeffRing.modular(4), QQ]
+NESTED_TRUNCS = [BIG2, P22, TruncationSet.big(3)]
+NESTED_SETTINGS = settings(max_examples=30, deadline=None)
+
+
+def _int_times(c, value, zero):
+    """c * value by doubling and addition: the target ring needs no scalars."""
+    acc, base, k = zero, value, abs(c)
+    while k:
+        if k & 1:
+            acc = acc + base
+        k >>= 1
+        if k:
+            base = base + base
+    return -acc if c < 0 else acc
+
+
+def _evaluated(polys, vecs):
+    """The oracle: integer universal polynomials evaluated at Witt-vector-valued
+    components (a_n from the first vector, b_n from the second), with +, * and
+    powers of W_T(A) as the only operations."""
+    env = {f"{prefix}{n}": c for prefix, v in zip("ab", vecs) for n, c in v.comps.items()}
+    ring = vecs[0].ring
+    inner = next(iter(vecs[0].comps.values())).trunc
+    zero, one = WittVec.zero(inner, ring), teichmuller(MultiPoly.one(ring), inner, ring)
+    out = {}
+    for k, p in polys.items():
+        total = zero
+        for exps, c in p.terms.items():
+            acc = one
+            for v, e in zip(p.vars, exps):
+                if e:
+                    acc = acc * env[v] ** e
+            total = total + _int_times(int(c), acc, zero)
+        out[k] = total
+    return out
+
+
+@st.composite
+def nested_inputs(draw, outer, count):
+    """(ring, S, vectors in W_S(W_T(ring))): leaves all constant or all linear in s."""
+    ring = draw(st.sampled_from(NESTED_RINGS))
+    S = draw(st.sampled_from(outer))
+    T = draw(st.sampled_from(NESTED_TRUNCS))
+    linear = draw(st.booleans())
+    s = MultiPoly.var(ring, "s")
+
+    def comp():
+        c = MultiPoly.const(ring, draw(_scalars(ring)))
+        return c + s * draw(_scalars(ring)) if linear else c
+
+    return ring, S, [WittVec(S, ring, {n: WittVec(T, ring, {t: comp() for t in T}) for n in S}) for _ in range(count)]
+
+
+@NESTED_SETTINGS
+@given(nested_inputs(NESTED_TRUNCS, 2), st.sampled_from(["add", "mul", "neg"]))
+def test_nested_ring_ops_match_universal_polynomials(inputs, op):
+    _, S, (a, b) = inputs
+    got = {"add": lambda: a + b, "mul": lambda: a * b, "neg": lambda: -a}[op]()
+    assert got.comps == _evaluated(structure_poly_map(op, S), [a, b])
+
+
+@NESTED_SETTINGS
+@given(nested_inputs(NESTED_TRUNCS, 1), st.sampled_from([2, 3]))
+def test_nested_frobenius_matches_universal_polynomials(inputs, n):
+    _, S, (a,) = inputs
+    assert frobenius(n, a).comps == _evaluated(frobenius_poly_map(n, S), [a])
+
+
+@NESTED_SETTINGS
+@given(st.sampled_from([(BIG2, BIG2), (BIG2, P22), (P22, P22)]), st.data())
+def test_nested_comult_matches_universal_polynomials(outer, data):
+    S, T = outer
+    _, _, (a,) = data.draw(nested_inputs([S.product(T)], 1))
+    d = comult(a, S, T)
+    got = {(s, t): d.comps[s].comps[t] for s in S for t in T}
+    assert got == _evaluated(comult_poly_map(S, T), [a])
+
+
+def test_nested_arithmetic_generates_no_polynomials():
+    ring = CoeffRing.modular(4)
+    U = BIG2.product(BIG2)
+    a = comult(WittVec.from_list(U, ring, [1, 2, 3]), BIG2, BIG2)
+    b = comult(WittVec.from_list(U, ring, [3, 0, 1]), BIG2, BIG2)
+    c = WittVec(U, ring, {n: WittVec.from_list(BIG2, ring, [n, 1]) for n in U})
+    clear_memo()
+    a + b, a * b, -a, frobenius(2, a), comult(c, BIG2, BIG2)
+    assert witt._MEMO == {}
+
+
+def test_nested_inner_truncations_must_match():
+    a = WittVec(BIG2, ZZ, {n: sym(BIG2) for n in BIG2})
+    b = WittVec(BIG2, ZZ, {n: sym(TruncationSet.big(3)) for n in BIG2})
+    with pytest.raises(TruncationMismatch):
+        a + b
+    with pytest.raises(TruncationMismatch):
+        a * sym(BIG2)
+    with pytest.raises(TruncationMismatch):
+        WittVec(BIG2, ZZ, {1: sym(BIG2), 2: sym(TruncationSet.big(3))})
