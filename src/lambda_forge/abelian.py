@@ -19,6 +19,9 @@ from math import gcd, prod
 from .errors import NotFinitelyGenerated, UsageError
 from .rings import _factorize, _is_prime
 
+# largest torsion order whose elements the fracture check enumerates
+TORSION_CAP = 200000
+
 
 def smith_invariant_factors(rows: list) -> list:
     """Diagonal of the Smith normal form of an integer matrix.
@@ -181,7 +184,7 @@ def parse_group(spec: str) -> FgAbGroup:
     return FgAbGroup.from_summands(rank, torsion)
 
 
-def fracture_check(A: FgAbGroup, torsion_cap: int = 200000) -> dict:
+def fracture_check(A: FgAbGroup) -> dict:
     """Verify the fracture pullback for a finitely generated group.
 
     Torsion is compared elementwise against the product of its
@@ -209,7 +212,7 @@ def fracture_check(A: FgAbGroup, torsion_cap: int = 200000) -> dict:
     local_order = prod(locals_[p].torsion_order for p in explicit)
     if local_order != A.torsion_order:
         witnesses.append({"kind": "torsion_order", "witness": [A.torsion_order, local_order]})
-    if A.torsion_order <= torsion_cap:
+    if A.torsion_order <= TORSION_CAP:
         # the p-part of each invariant factor; 1 where p does not divide it
         p_parts = {p: [p ** _factorize(d).get(p, 0) for d in A.factors] for p in explicit}
         images = set()

@@ -10,16 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .abelian import fracture_check, parse_group
-from .delta import (
-    Witt2Section,
-    delta_extend,
-    delta_from_phi,
-    delta_on_integers,
-    free_delta_ring,
-)
+from .delta import Witt2Section, delta_from_phi, delta_on_integers, free_delta_ring
 from .errors import DomainError, UsageError
 from .lambdaring import (
     AdamsModel,
@@ -297,7 +292,7 @@ def _run_delta(args):
         pres = free_delta_ring(args.p, args.depth)
         e = parse_poly(args.expr, ZZ)
         if sc == "extend":
-            return {"delta": str(delta_extend(pres, e))}
+            return {"delta": str(pres.delta(e))}
         return {"phi": str(pres.phi(e))}
     if sc == "from-phi":
         ring, gens = parse_ring_spec(args.ring)
@@ -446,6 +441,7 @@ def main(argv=None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     parser = _build_parser()
     fmt = "text"
+    code = 0
     try:
         args = parser.parse_args(argv)
         fmt = args.format or "text"
@@ -457,18 +453,22 @@ def main(argv=None) -> int:
             payload = _run_lambda(args)
         elif args.command == "verify":
             payload, ok = _run_verify(args)
-            print(_render(payload, fmt))
-            return 0 if ok else 3
+            code = 0 if ok else 3
         else:
             raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
-        print(_render(exc.payload(), fmt))
-        return 2
-    print(_render(payload, fmt))
-    return 0
+        payload, code = exc.payload(), 2
+    try:
+        print(_render(payload, fmt))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -4,16 +4,14 @@ A presentation fixes a prime p, named generators and a delta-value for
 each generator; the Frobenius lift phi(g) = g^p + p*delta(g) extends to
 the whole ring by substitution, and delta extends to arbitrary elements
 as (phi(e) - e^p)/p, which is exact because the ambient ring is
-torsion-free.  The closed-form sum/product recursion is implemented as an
-independent second route and the two are cross-checked in the tests.
+torsion-free.  The closed-form sum/product recursion is an independent
+oracle for this route and lives in the tests.
 """
 
 from __future__ import annotations
 
-from math import comb
-
-from .errors import DepthExceeded, NotAFrobeniusLift, NotARingMap, NotDivisible, UsageError
-from .poly import MultiPoly, poly_sum
+from .errors import DepthExceeded, NotAFrobeniusLift, NotDivisible, UsageError
+from .poly import MultiPoly
 from .rings import ZZ, _is_prime
 from .witt import TruncationSet, WittVec
 
@@ -92,65 +90,6 @@ class DeltaPresentation:
             raise NotDivisible(exc.witness, f"internal consistency failure: {exc}") from None
 
 
-def delta_extend(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
-    return pres.delta(e)
-
-
-def delta_extend_recursive(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
-    """Independent route: extend delta by the sum and product rules.
-
-    delta(a + b) = delta(a) + delta(b) - (1/p) * sum_{0<i<p} C(p,i) a^i b^(p-i)
-    delta(a * b) = a^p delta(b) + b^p delta(a) + p delta(a) delta(b)
-    delta(c)     = (c - c^p) / p  for integer constants
-    delta(g)     = the assigned value on a generator
-    """
-    if not isinstance(e, MultiPoly):
-        e = MultiPoly.const(ZZ, e)
-    pres._check_in_domain(e)
-    p = pres.p
-
-    def of_const(c: int) -> MultiPoly:
-        return MultiPoly.const(ZZ, (c - c ** p) // p)
-
-    def of_product(a, da, b, db):
-        return a ** p * db + b ** p * da + da * db * p
-
-    def of_monomial(coeff: int, mono: dict):
-        # peel one generator power at a time via the product rule
-        value = MultiPoly.const(ZZ, coeff)
-        dvalue = of_const(coeff)
-        for g in sorted(mono):
-            dg = pres.delta_on_gens[g]
-            gp = MultiPoly.var(ZZ, g)
-            for _ in range(mono[g]):
-                dvalue = of_product(value, dvalue, gp, dg)
-                value = value * gp
-        return value, dvalue
-
-    def of_sum(a, da, b, db):
-        cross = poly_sum(
-            ZZ,
-            [
-                a ** i * b ** (p - i) * (comb(p, i) // p)
-                for i in range(1, p)
-            ],
-        )
-        return da + db - cross
-
-    total = None
-    dtotal = None
-    for mono, coeff in e.monomials():
-        value, dvalue = of_monomial(int(coeff), mono)
-        if total is None:
-            total, dtotal = value, dvalue
-        else:
-            dtotal = of_sum(total, dtotal, value, dvalue)
-            total = total + value
-    if total is None:
-        return MultiPoly.zero(ZZ)
-    return dtotal
-
-
 def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
     """Recover delta from a Frobenius lift; the inverse of ``phi_on_gens``.
 
@@ -203,30 +142,3 @@ class Witt2Section:
         if not isinstance(e, MultiPoly):
             e = MultiPoly.const(ZZ, e)
         return WittVec(self.trunc, ZZ, {1: e, self.pres.p: self.pres.delta(e)})
-
-    def check_ring_map(self, a: MultiPoly, b: MultiPoly) -> dict:
-        """Compare s(a op b) against Witt arithmetic on s(a), s(b)."""
-        add_ok = self(a + b) == self(a) + self(b)
-        mul_ok = self(a * b) == self(a) * self(b)
-        return {"add": add_ok, "mul": mul_ok}
-
-
-def verify_integer_section(p: int, second, lo: int, hi: int):
-    """Check a candidate n -> (n, second(n)) is a ring map into W_2(Z).
-
-    On Z the only section is n -> (n, (n - n^p)/p); any other candidate
-    fails additivity or multiplicativity and raises ``NotARingMap`` with
-    the witness pair.
-    """
-    S = TruncationSet.p_typical(p, 2)
-
-    def lift(n: int) -> WittVec:
-        return WittVec(S, ZZ, {1: n, p: second(n)})
-
-    for a in range(lo, hi + 1):
-        for b in range(lo, hi + 1):
-            if lift(a + b) != lift(a) + lift(b):
-                raise NotARingMap((a, b), f"s({a}+{b}) != s({a}) + s({b})")
-            if lift(a * b) != lift(a) * lift(b):
-                raise NotARingMap((a, b), f"s({a}*{b}) != s({a}) * s({b})")
-    return True

@@ -4,8 +4,8 @@ The free lambda-ring computations happen inside the rational model
 Q[x_1, ..., x_N] where the multiplicative monoid acts by x_n -> x_{mn};
 the integral basis {X_sigma}, indexed by non-decreasing prime sequences,
 embeds triangularly and integrality becomes a checked assertion instead
-of an input.  Newton's identities translate between Adams operations and
-lambda-operations, with exact division failures doubling as "no integral
+of an input.  Newton's identities solve for the lambda-operations from the
+Adams operations, with exact division failures doubling as "no integral
 lambda-structure" certificates.
 """
 
@@ -75,7 +75,7 @@ class AdamsModel:
         """delta_p(e) = (psi^p(e) - e^p) / p in the rational model."""
         if not _is_prime(p):
             raise UsageError(f"{p} is not prime")
-        return (self.psi(p, e) - e ** p).div_int(p)
+        return self.frobenius_deviation(p, e).div_int(p)
 
     def frobenius_deviation(self, p: int, e: MultiPoly) -> MultiPoly:
         """psi^p(e) - e^p, i.e. p * delta_p(e)."""
@@ -86,10 +86,6 @@ class AdamsModel:
 # Newton's identities
 
 
-def _as_poly(v, ring):
-    return v if isinstance(v, MultiPoly) else MultiPoly.const(ring, v)
-
-
 def newton_psi_to_lambda(psis, ring=ZZ):
     """Solve the Newton chain for lambda^1..lambda^K given psi^1..psi^K.
 
@@ -97,7 +93,7 @@ def newton_psi_to_lambda(psis, ring=ZZ):
           + (-1)^n n lambda^n = 0.
     Raises ``NotDivisible(n)`` when stage n has no solution in the ring.
     """
-    psis = [_as_poly(v, ring) for v in psis]
+    psis = [v if isinstance(v, MultiPoly) else MultiPoly.const(ring, v) for v in psis]
     lams = [MultiPoly.one(ring if not psis else psis[0].ring)]
     for n in range(1, len(psis) + 1):
         acc = poly_sum(
@@ -109,22 +105,6 @@ def newton_psi_to_lambda(psis, ring=ZZ):
         except NotDivisible as exc:
             raise NotDivisible(n, f"no integral lambda^{n}: {exc}") from None
     return lams[1:]
-
-
-def newton_lambda_to_psi(lams, ring=ZZ):
-    """The inverse direction of the Newton chain; needs no division."""
-    lams = [_as_poly(v, ring) for v in lams]
-    if not lams:
-        return []
-    one = MultiPoly.one(lams[0].ring)
-    full = [one] + lams
-    psis = [None]
-    for n in range(1, len(lams) + 1):
-        acc = full[n] * ((-1) ** (n - 1) * n)
-        for k in range(1, n):
-            acc = acc + full[k] * psis[n - k] * (-1) ** (k - 1)
-        psis.append(acc)
-    return psis[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +223,6 @@ class FreeLambdaBasis:
         )
         return work, integral
 
-    def delta_in_x_basis(self, p: int, sigma):
-        return self.to_x_basis(self.model.delta(p, self.embed[tuple(sigma)]))
-
-    def phi_in_x_basis(self, p: int, sigma):
-        """phi^p(X_sigma) = X_sigma^p + p * delta_p(X_sigma), in X coordinates."""
-        return self.to_x_basis(self.model.psi(p, self.embed[tuple(sigma)]))
-
 
 # ---------------------------------------------------------------------------
 # Joyal-Rezk commutation
@@ -289,7 +262,7 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi_over
             cases += 1
             value = delta(p, basis.embed[sigma])
             try:
-                _, integral = basis.to_x_basis(value)
+                xp, integral = basis.to_x_basis(value)
             except NotInSpan:
                 continue
             if not integral:
@@ -298,7 +271,7 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi_over
                         "kind": "delta_not_integral",
                         "p": p,
                         "element": _sigma_display(sigma),
-                        "witness": str(basis.to_x_basis(value)[0]),
+                        "witness": str(xp),
                     }
                 )
     for p in basis.P:
@@ -307,11 +280,8 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi_over
                 continue
             for sigma in elements:
                 cases += 1
-                try:
-                    lhs = psi(q, delta(p, basis.embed[sigma]))
-                    rhs = delta(p, psi(q, basis.embed[sigma]))
-                except IndexOutOfRange:
-                    raise
+                lhs = psi(q, delta(p, basis.embed[sigma]))
+                rhs = delta(p, psi(q, basis.embed[sigma]))
                 diff = lhs - rhs
                 if not diff.is_zero():
                     witnesses.append(
@@ -359,10 +329,9 @@ class LambdaOps:
                 e = e.substitute(subst)
         return e
 
-    def lambda_values(self, e, K: int | None = None):
+    def lambda_values(self, e):
         """lambda^1(e)..lambda^K(e) via the Newton chain, exactly."""
-        K = K or self.K
-        psis = [self.psi(n, e) for n in range(1, K + 1)]
+        psis = [self.psi(n, e) for n in range(1, self.K + 1)]
         return newton_psi_to_lambda(psis)
 
     @property
@@ -492,18 +461,18 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
 def integrality_report(P, depth: int) -> dict:
     """Products, delta-iterates and the Frobenius congruence, all integral.
 
-    Re-expression happens over a basis one level deeper so that every
-    delta_p(X_sigma) with |sigma| <= depth stays inside the span.
+    The elements are the X_sigma with |sigma| <= depth; re-expression
+    happens over the basis one level deeper, so that every delta_p(X_sigma)
+    stays inside the span.
     """
-    basis = FreeLambdaBasis(P, depth)
     wide = FreeLambdaBasis(P, depth + 1)
     witnesses = []
     products = 0
-    sigmas = basis.sigmas
+    sigmas = [s for s in wide.sigmas if len(s) <= depth]
     for i, s in enumerate(sigmas):
         for t in sigmas[i:]:
             products += 1
-            value = basis.embed[s] * basis.embed[t]
+            value = wide.embed[s] * wide.embed[t]
             xp, integral = wide.to_x_basis(value)
             if not integral:
                 witnesses.append(
@@ -511,20 +480,20 @@ def integrality_report(P, depth: int) -> dict:
                 )
     deltas = 0
     for s in sigmas:
-        for p in basis.P:
+        for p in wide.P:
             deltas += 1
-            value = wide.model.delta(p, basis.embed[s])
+            value = wide.model.delta(p, wide.embed[s])
             xp, integral = wide.to_x_basis(value)
             if not integral:
                 witnesses.append(
                     {"kind": "delta", "p": p, "element": _sigma_display(s), "witness": str(xp)}
                 )
     congruences = 0
-    monomials = _x_monomials(basis, max_degree=2)
-    for p in basis.P:
+    monomials = _x_monomials(wide, sigmas)
+    for p in wide.P:
         for label, e in monomials:
             congruences += 1
-            value = wide.model.psi(p, e) - e ** p
+            value = wide.model.frobenius_deviation(p, e)
             xp, integral = wide.to_x_basis(value)
             divisible = integral and all(
                 Fraction(c).denominator == 1 and Fraction(c).numerator % p == 0
@@ -535,7 +504,7 @@ def integrality_report(P, depth: int) -> dict:
                     {"kind": "frobenius_congruence", "p": p, "element": label, "witness": str(xp)}
                 )
     leading_ok = all(
-        basis.leading[s] == (prod(s), Fraction(1, prod(s))) for s in sigmas
+        wide.leading[s] == (prod(s), Fraction(1, prod(s))) for s in sigmas
     )
     if not leading_ok:
         witnesses.append({"kind": "leading", "witness": "leading data mismatch"})
@@ -549,19 +518,17 @@ def integrality_report(P, depth: int) -> dict:
     }
 
 
-def _x_monomials(basis: FreeLambdaBasis, max_degree: int):
-    """Embedded X-monomials of small degree, labeled for reports."""
+def _x_monomials(basis: FreeLambdaBasis, sigmas):
+    """Embedded X-monomials of degree <= 2 over ``sigmas``, labeled for reports."""
     out = []
-    sigmas = basis.sigmas
     for s in sigmas:
         out.append((_sigma_display(s), basis.embed[s]))
-    if max_degree >= 2:
-        for i, s in enumerate(sigmas):
-            for t in sigmas[i:]:
-                if s or t:
-                    out.append(
-                        (f"{_sigma_display(s)}*{_sigma_display(t)}", basis.embed[s] * basis.embed[t])
-                    )
+    for i, s in enumerate(sigmas):
+        for t in sigmas[i:]:
+            if s or t:
+                out.append(
+                    (f"{_sigma_display(s)}*{_sigma_display(t)}", basis.embed[s] * basis.embed[t])
+                )
     return out
 
 

@@ -66,11 +66,6 @@ class MultiPoly:
         c = self.terms.get(())
         return self.ring.from_int(0) if c is None else c
 
-    def leading_term(self):
-        """(exponent vector, coefficient) of the graded-lex largest term."""
-        exps = next(iter(self.terms))
-        return exps, self.terms[exps]
-
     def coefficient_of(self, monomial: dict):
         """Coefficient of the monomial given as {var: exponent}."""
         want = {v: e for v, e in monomial.items() if e}

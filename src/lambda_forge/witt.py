@@ -4,17 +4,18 @@ Everything is indexed by a finite division-stable truncation set S; the
 p-typical theory is the special case S = {1, p, ..., p^(k-1)} and shares
 one code path with big Witt vectors.
 
-Arithmetic (add, mul, neg, Frobenius, comultiplication) runs through the
-ghost map w_n = sum_{d | n} d * a_d^(n/d): take the ghost components,
-combine them, invert triangularly by exact division.  The ghost map is
-injective over the torsion-free rings Z, Q and Z_(p); over Z/m the work
-is done on lifts to Z and reduced at the end, which is sound because the
-universal polynomials have integer coefficients.  Component values are
-ring scalars when every component is constant, polynomials otherwise.
-A vector in W_S(W_T(A)) has ghost coordinates keyed by (s, t): w_s of
-its components' ghost coordinates at t.  Frobenius and comultiplication
-are index maps on these keys, and the inverse runs one level at a time,
-so every nesting depth shares the one route.
+Arithmetic (add, mul, neg, powers, Frobenius, comultiplication) runs
+through the ghost map w_n = sum_{d | n} d * a_d^(n/d): take the ghost
+components, combine them, invert triangularly by exact division.  The
+ghost map is injective over the torsion-free rings Z, Q and Z_(p); over
+Z/m the work is done on lifts to Z and reduced at the end, which is
+sound because the universal polynomials have integer coefficients.
+Component values are ring scalars when every component is constant,
+polynomials otherwise.  A vector in W_S(W_T(A)) has ghost coordinates
+keyed by (s, t): w_s of its components' ghost coordinates at t.
+Frobenius and comultiplication are index maps on these keys, and the
+inverse runs one level at a time, so every nesting depth shares the one
+route.
 
 The universal polynomials are the same arithmetic on generic vectors
 (components a_n, b_n).  Their integrality is a theorem, so a failed
@@ -34,6 +35,7 @@ import operator
 import os
 import tempfile
 import threading
+from math import lcm, prod
 
 from .errors import (
     ForgeError,
@@ -52,8 +54,7 @@ from .series import TruncSeries, geometric
 
 
 def _divisors(n: int):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TruncationSet:
@@ -494,15 +495,14 @@ class WittVec:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise UsageError("Witt powers take nonnegative integer exponents")
-        result = teichmuller(MultiPoly.one(self.ring), self.trunc, self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        # Over Z/m the route works on integer lifts.  Ghost coordinates known
+        # modulo M = m * (lcm of the indices of each level) fix every component
+        # mod m: x_s is then known mod M/s, so each term d * x_d^(s/d) is known
+        # mod M.  Scalar lifts are raised modulo M, so they never grow.
+        M = self.ring.modulus * prod(lcm(*S) for S in self.shape) if self.ring.kind == MODULAR else None
+        return _ghost_route(
+            [self], self.shape, lambda ga: {k: pow(w, n, M if isinstance(w, int) else None) for k, w in ga.items()}
+        )
 
     # -- JSON -------------------------------------------------------------------
 
@@ -590,11 +590,9 @@ def ghost_inverse(g: GhostVec) -> WittVec:
     return _solve({n: value(c) for n, c in g.comps.items()}, (g.trunc,), g.ring, zero, div)
 
 
-def teichmuller(r, S: TruncationSet, ring: CoeffRing | None = None) -> WittVec:
+def teichmuller(r, S: TruncationSet, ring: CoeffRing = ZZ) -> WittVec:
     """Multiplicative lift r -> (r, 0, 0, ...)."""
     if not isinstance(r, MultiPoly):
-        if ring is None:
-            ring = ZZ
         r = MultiPoly.const(ring, r)
     ring = r.ring
     comps = {n: MultiPoly.zero(ring) for n in S}
@@ -684,22 +682,6 @@ def comult(a: WittVec, S: TruncationSet, T: TruncationSet) -> WittVec:
     # outermost index t replaced by s*t
     shape = (S, T) + a.shape[1:]
     return _ghost_route([a], shape, lambda ga: {(s, k): ga[_scaled(k, s)] for s, k in _keys(shape)})
-
-
-def witt_int(c: int, S: TruncationSet, ring: CoeffRing) -> WittVec:
-    """The image of the integer c in W_S (c-fold sum of the unit)."""
-    unit = teichmuller(MultiPoly.one(ring), S, ring)
-    acc = WittVec.zero(S, ring)
-    negate = c < 0
-    c = abs(c)
-    base = unit
-    while c:
-        if c & 1:
-            acc = acc + base
-        c >>= 1
-        if c:
-            base = base + base
-    return -acc if negate else acc
 
 
 # ---------------------------------------------------------------------------

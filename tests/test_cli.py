@@ -96,6 +96,26 @@ class TestExitCodeContract:
         code, _, _ = run(capsys, "verify", "wilkerson")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witt", "ghost", "--trunc", "big:4", "--input", "[a,0,0,0]"],
+            ["witt", "structure", "--op", "add", "--p", "2", "--len", "5"],
+        ],
+    )
+    def test_closed_stdout_is_a_quiet_exit_one(self, argv):
+        # the read end is closed before the child starts, so every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "lambda_forge.cli", *argv], stdout=write_end, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == b""  # no traceback, no "Exception ignored" at exit
+
 
 class TestDeterminism:
     def test_verify_all_byte_identical_across_processes(self):

@@ -1,39 +1,121 @@
 import random
+from math import comb
 
 import pytest
 
 from lambda_forge.delta import (
     DeltaPresentation,
     Witt2Section,
-    delta_extend,
-    delta_extend_recursive,
     delta_from_phi,
     delta_on_integers,
     free_delta_ring,
-    verify_integer_section,
 )
 from lambda_forge.errors import DepthExceeded, NotAFrobeniusLift, NotARingMap, UsageError
-from lambda_forge.poly import MultiPoly, random_poly
+from lambda_forge.poly import MultiPoly, poly_sum, random_poly
 from lambda_forge.rings import ZZ, CoeffRing
+from lambda_forge.witt import TruncationSet, WittVec
 
 
 def v(name):
     return MultiPoly.var(ZZ, name)
 
 
+def delta_extend_recursive(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
+    """Independent route: extend delta by the sum and product rules.
+
+    delta(a + b) = delta(a) + delta(b) - (1/p) * sum_{0<i<p} C(p,i) a^i b^(p-i)
+    delta(a * b) = a^p delta(b) + b^p delta(a) + p delta(a) delta(b)
+    delta(c)     = (c - c^p) / p  for integer constants
+    delta(g)     = the assigned value on a generator
+    """
+    if not isinstance(e, MultiPoly):
+        e = MultiPoly.const(ZZ, e)
+    pres._check_in_domain(e)
+    p = pres.p
+
+    def of_const(c: int) -> MultiPoly:
+        return MultiPoly.const(ZZ, (c - c ** p) // p)
+
+    def of_product(a, da, b, db):
+        return a ** p * db + b ** p * da + da * db * p
+
+    def of_monomial(coeff: int, mono: dict):
+        # peel one generator power at a time via the product rule
+        value = MultiPoly.const(ZZ, coeff)
+        dvalue = of_const(coeff)
+        for g in sorted(mono):
+            dg = pres.delta_on_gens[g]
+            gp = MultiPoly.var(ZZ, g)
+            for _ in range(mono[g]):
+                dvalue = of_product(value, dvalue, gp, dg)
+                value = value * gp
+        return value, dvalue
+
+    def of_sum(a, da, b, db):
+        cross = poly_sum(
+            ZZ,
+            [
+                a ** i * b ** (p - i) * (comb(p, i) // p)
+                for i in range(1, p)
+            ],
+        )
+        return da + db - cross
+
+    total = None
+    dtotal = None
+    for mono, coeff in e.monomials():
+        value, dvalue = of_monomial(int(coeff), mono)
+        if total is None:
+            total, dtotal = value, dvalue
+        else:
+            dtotal = of_sum(total, dtotal, value, dvalue)
+            total = total + value
+    if total is None:
+        return MultiPoly.zero(ZZ)
+    return dtotal
+
+
+def check_ring_map(section: Witt2Section, a: MultiPoly, b: MultiPoly) -> dict:
+    """Compare s(a op b) against Witt arithmetic on s(a), s(b)."""
+    add_ok = section(a + b) == section(a) + section(b)
+    mul_ok = section(a * b) == section(a) * section(b)
+    return {"add": add_ok, "mul": mul_ok}
+
+
+def verify_integer_section(p: int, second, lo: int, hi: int):
+    """Check a candidate n -> (n, second(n)) is a ring map into W_2(Z).
+
+    On Z the only section is n -> (n, (n - n^p)/p); any other candidate
+    fails additivity or multiplicativity and raises ``NotARingMap`` with
+    the witness pair.
+    """
+    S = TruncationSet.p_typical(p, 2)
+
+    def lift(n: int) -> WittVec:
+        return WittVec(S, ZZ, {1: n, p: second(n)})
+
+    for a in range(lo, hi + 1):
+        for b in range(lo, hi + 1):
+            if lift(a + b) != lift(a) + lift(b):
+                raise NotARingMap((a, b), f"s({a}+{b}) != s({a}) + s({b})")
+            if lift(a * b) != lift(a) * lift(b):
+                raise NotARingMap((a, b), f"s({a}*{b}) != s({a}) * s({b})")
+    return True
+
+
 class TestDeltaExtend:
     def test_two_x0_example(self):
         pres = free_delta_ring(2, 2)
-        assert delta_extend(pres, v("x0") * 2) == v("x1") * 2 - v("x0") ** 2
+        assert pres.delta(v("x0") * 2) == v("x1") * 2 - v("x0") ** 2
 
     def test_delta_of_one_is_zero(self):
         pres = free_delta_ring(3, 2)
-        assert delta_extend(pres, MultiPoly.one(ZZ)) == MultiPoly.zero(ZZ)
+        assert pres.delta(MultiPoly.one(ZZ)) == MultiPoly.zero(ZZ)
 
     def test_sum_rule_p2(self):
         # delta(x+y) = delta(x) + delta(y) - x*y with symbolic deltas
         pres = DeltaPresentation(2, ("x", "y", "u", "w"), {"x": v("u"), "y": v("w")})
-        assert delta_extend(pres, v("x") + v("y")) == v("u") + v("w") - v("x") * v("y")
+        assert pres.delta(v("x") + v("y")) == v("u") + v("w") - v("x") * v("y")
 
     @pytest.mark.parametrize("p", [0, 1, 4, 9])
     def test_presentation_needs_a_prime(self, p):
@@ -42,12 +124,12 @@ class TestDeltaExtend:
 
     def test_square_within_free_ring(self):
         pres = free_delta_ring(2, 2)
-        got = delta_extend(pres, v("x0") ** 2)
+        got = pres.delta(v("x0") ** 2)
         assert got == v("x0") ** 2 * v("x1") * 2 + v("x1") ** 2 * 2
 
     def test_constant_via_phi_fixes_constants(self):
         pres = free_delta_ring(3, 1)
-        assert delta_extend(pres, MultiPoly.const(ZZ, 4)) == MultiPoly.const(
+        assert pres.delta(MultiPoly.const(ZZ, 4)) == MultiPoly.const(
             ZZ, delta_on_integers(3, 4)
         )
 
@@ -126,7 +208,7 @@ class TestFreeDeltaRing:
     def test_depth_exceeded(self):
         pres = free_delta_ring(2, 2)
         with pytest.raises(DepthExceeded):
-            delta_extend(pres, v("x2"))
+            pres.delta(v("x2"))
 
     def test_routes_agree_on_small_monomials(self):
         for p in (2, 3, 5):
@@ -134,9 +216,9 @@ class TestFreeDeltaRing:
             for i in range(4):
                 for j in range(4 - i):
                     e = v("x0") ** i * v("x1") ** j
-                    assert delta_extend(pres, e) == delta_extend_recursive(pres, e)
+                    assert pres.delta(e) == delta_extend_recursive(pres, e)
                     e2 = e * -2
-                    assert delta_extend(pres, e2) == delta_extend_recursive(pres, e2)
+                    assert pres.delta(e2) == delta_extend_recursive(pres, e2)
 
 
 class TestWitt2Section:
@@ -154,7 +236,7 @@ class TestWitt2Section:
             section = Witt2Section(free_delta_ring(p, 2))
             a = v("x0")
             b = v("x1")
-            report = section.check_ring_map(a, b)
+            report = check_ring_map(section, a, b)
             assert report == {"add": True, "mul": True}
             assert section(a + b) == section(a) + section(b)
 

@@ -17,7 +17,6 @@ from lambda_forge.lambdaring import (
     coaction,
     coalgebra_check,
     integrality_report,
-    newton_lambda_to_psi,
     newton_psi_to_lambda,
     plocal_basis_check,
     verify_joyal_rezk,
@@ -34,6 +33,27 @@ def q(name):
 
 def z(name):
     return MultiPoly.var(ZZ, name)
+
+
+def newton_lambda_to_psi(lams, ring=ZZ):
+    """The inverse direction of the Newton chain; needs no division."""
+    lams = [v if isinstance(v, MultiPoly) else MultiPoly.const(ring, v) for v in lams]
+    if not lams:
+        return []
+    one = MultiPoly.one(lams[0].ring)
+    full = [one] + lams
+    psis = [None]
+    for n in range(1, len(lams) + 1):
+        acc = full[n] * ((-1) ** (n - 1) * n)
+        for k in range(1, n):
+            acc = acc + full[k] * psis[n - k] * (-1) ** (k - 1)
+        psis.append(acc)
+    return psis[1:]
+
+
+def phi_in_x_basis(basis, p, sigma):
+    """phi^p(X_sigma) = X_sigma^p + p * delta_p(X_sigma), in X coordinates."""
+    return basis.to_x_basis(basis.model.psi(p, basis.embed[tuple(sigma)]))
 
 
 class TestAdamsModel:
@@ -116,7 +136,7 @@ class TestFreeLambdaRing:
 
     def test_phi_on_generator(self):
         basis = FreeLambdaBasis((2, 3), 2)
-        xp, integral = basis.phi_in_x_basis(2, ())
+        xp, integral = phi_in_x_basis(basis, 2, ())
         assert integral
         assert xp == q("X0") ** 2 + q("X2") * 2
 

@@ -1,0 +1,44 @@
+"""Every function and method in the package is used somewhere.
+
+A name defined in ``src/lambda_forge`` must appear as a word somewhere
+other than its own ``def`` line: in the package, the tests, the benchmark
+or the README.  A definition nothing mentions is dead code.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lambda_forge"
+WORD = re.compile(r"\w+")
+
+
+def _definitions():
+    """(name, file, line) of each top-level function and non-dunder method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in members:
+                if isinstance(fn, ast.FunctionDef) and not (fn.name.startswith("__") and fn.name.endswith("__")):
+                    yield fn.name, path, fn.lineno
+
+
+def _files():
+    files = sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/*.py"))
+    return files + sorted(ROOT.glob("bench/*.py")) + [ROOT / "README.md"]
+
+
+def test_every_function_is_referenced():
+    words = Counter()
+    lines = {}
+    for path in _files():
+        lines[path] = path.read_text().splitlines()
+        for line in lines[path]:
+            words.update(WORD.findall(line))
+    unreferenced = []
+    for name, path, lineno in _definitions():
+        if words[name] == WORD.findall(lines[path][lineno - 1]).count(name):
+            unreferenced.append(f"{path.name}:{lineno} {name}")
+    assert unreferenced == []

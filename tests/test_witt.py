@@ -38,7 +38,6 @@ from lambda_forge.witt import (
     verschiebung,
     w2_congruence_witness,
     w2_pullback_check,
-    witt_int,
 )
 
 
@@ -48,6 +47,11 @@ def var(name):
 
 def sym(trunc, prefix="a"):
     return WittVec(trunc, ZZ, {n: var(f"{prefix}{n}") for n in trunc})
+
+
+def witt_int(c, S, ring):
+    """The image of the integer c in W_S: ghost coordinates (c, ..., c)."""
+    return ghost_inverse(GhostVec(S, ring, {n: MultiPoly.const(ring, c) for n in S}))
 
 
 BIG2 = TruncationSet.big(2)
@@ -594,6 +598,31 @@ def test_numeric_arithmetic_generates_no_polynomials():
     assert witt._MEMO == {}
 
 
+def _repeated_product(a, n):
+    """The oracle for a ** n: n - 1 Witt multiplications, the unit for n = 0."""
+    if n == 0:
+        return teichmuller(MultiPoly.one(a.ring), a.trunc, a.ring)
+    out = a
+    for _ in range(n - 1):
+        out = out * a
+    return out
+
+
+@DIFF_SETTINGS
+@given(witt_inputs(DIFF_TRUNCS[:3], 1), st.integers(0, 5))
+def test_power_matches_repeated_product(inputs, n):
+    _, _, (a,) = inputs
+    assert a ** n == _repeated_product(a, n)
+
+
+@pytest.mark.parametrize(
+    "ring, S", [(CoeffRing.modular(8), TruncationSet.p_typical(2, 5)), (CoeffRing.modular(9), TruncationSet.big(6))]
+)
+def test_large_power_over_z_mod_m(ring, S):
+    a = WittVec.from_list(S, ring, range(3, 3 + len(S)))
+    assert a ** 300 == _repeated_product(a, 300)
+
+
 def test_failed_division_in_arithmetic_is_integrality_violation():
     with pytest.raises(IntegralityViolation):
         witt._ghost_route([sym(P22)], (P22,), lambda ga: {1: ga[1], 2: ga[2] + var("a1")})
@@ -690,6 +719,17 @@ def test_nested_arithmetic_generates_no_polynomials():
     clear_memo()
     a + b, a * b, -a, frobenius(2, a), comult(c, BIG2, BIG2)
     assert witt._MEMO == {}
+
+
+@pytest.mark.parametrize("ring", [ZZ, CoeffRing.modular(4)])
+def test_nested_powers(ring):
+    a = comult(WittVec.from_list(BIG2.product(BIG2), ring, [1, 2, 3]), BIG2, BIG2)
+    one = WittVec(BIG2, ring, {1: teichmuller(MultiPoly.one(ring), BIG2, ring), 2: WittVec.zero(BIG2, ring)})
+    assert a ** 0 == one
+    assert one * a == a
+    assert a ** 2 == a * a
+    assert a ** 3 == a * a * a
+    assert a ** 40 == _repeated_product(a, 40)
 
 
 def test_nested_inner_truncations_must_match():
