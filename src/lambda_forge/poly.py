@@ -1,30 +1,33 @@
 """Sparse multivariate polynomials over an exact coefficient ring.
 
 Representation: an ordered tuple of variable names (sorted, and pruned to
-the variables that actually occur) plus a map from exponent vectors to
-nonzero coefficients.  Every operation canonicalizes its result, so
-polynomial identity is plain structural equality.  Term order is graded
-lexicographic, largest first; "the first offending term" in error
-certificates refers to this order.
+the variables that actually occur) plus a map from exponent vectors, as
+plain tuples of ints, to nonzero coefficients.  Every operation
+canonicalizes its result, so polynomial identity is plain structural
+equality.  Term order is graded lexicographic, largest first; "the first
+offending term" in error certificates refers to this order.  The canonical
+form gets it from two stable sorts: the keys in descending lexicographic
+order, then by descending total degree.
 
 Products, powers and substitutions accumulate raw term maps
 (``_mul_terms``) over one fixed variable space and canonicalize only the
 result; the terms of intermediate products are never normalized, pruned or
-sorted.  Over Z/m the raw coefficients are reduced after each product so
-that they stay bounded.
+sorted.  Inside these kernels, and only there, an exponent vector is packed
+into one int with a fixed-width field per variable, so a monomial product
+is one int addition.  The field width comes from a bound on every exponent
+of the result, so no field carries into the next; keys are packed once on
+entry and unpacked once on exit.  Over Z/m the raw coefficients are reduced
+after each product so that they stay bounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import mul
+from struct import Struct
 
 from .errors import NotDivisible, UsageError
 from .rings import MODULAR, CoeffRing
-
-
-def _grlex_key(exps):
-    return (sum(exps), exps)
 
 
 class MultiPoly:
@@ -115,11 +118,16 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = self.ring.normalize(other)
+            return MultiPoly(self.ring, self.vars, {e: a * c for e, a in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         vars, left, right = _merge(self, other)
-        return MultiPoly(self.ring, vars, _mul_terms(left, right))
+        n = len(vars)
+        w = _field(_max_exp(left, n) + _max_exp(right, n))
+        return MultiPoly(self.ring, vars, _unpack(_mul_terms(_pack(left, n, w), _pack(right, n, w)), n, w))
 
     __rmul__ = __mul__
 
@@ -128,7 +136,10 @@ class MultiPoly:
             raise UsageError("polynomial powers take nonnegative integer exponents")
         if n == 0:
             return MultiPoly.one(self.ring)
-        return MultiPoly(self.ring, self.vars, _pow_terms(self.ring, self.terms, n))
+        width = len(self.vars)
+        w = _field(_max_exp(self.terms, width) * n)
+        terms = _pow_terms(self.ring, _pack(self.terms, width, w), n)
+        return MultiPoly(self.ring, self.vars, _unpack(terms, width, w))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -175,23 +186,28 @@ class MultiPoly:
         free = {v for v, val in zip(self.vars, values) if val is None}
         vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
         index = {v: i for i, v in enumerate(vars)}
-        zero_exps = (0,) * len(vars)
+        n = len(vars)
+        zero_exps = (0,) * n
         one = ring.from_int(1)
-        # each value as a term map over ``vars``; cache[i][e] is values[i]**e
-        cache = []
+        # each value as a term map over ``vars``
+        images = []
         for v, val in zip(self.vars, values):
             if val is None:
                 key = list(zero_exps)
                 key[index[v]] = 1
-                terms = {tuple(key): one}
+                images.append({tuple(key): one})
             elif isinstance(val, MultiPoly):
-                terms = _remap(val, index, len(vars))
+                images.append(_remap(val, index, n))
             else:
-                terms = {zero_exps: val}
-            cache.append({1: terms})
+                images.append({zero_exps: val})
+        # every exponent of the result is at most its total degree
+        degrees = [max(map(sum, terms), default=0) for terms in images]
+        w = _field(max((sum(map(mul, exps, degrees)) for exps in self.terms), default=0))
+        # cache[i][e] is values[i]**e, packed
+        cache = [{1: _pack(terms, n, w)} for terms in images]
         total: dict = {}
         for exps, c in self.terms.items():
-            part = {zero_exps: c}
+            part = {0: c}
             for i, e in enumerate(exps):
                 if e:
                     powers = cache[i]
@@ -203,7 +219,7 @@ class MultiPoly:
                     total[key] += coef
                 else:
                     total[key] = coef
-        return MultiPoly(ring, vars, total)
+        return MultiPoly(ring, vars, _unpack(total, n, w))
 
     def evaluate(self, env: dict):
         """Evaluate at coefficient values; returns a ring coefficient."""
@@ -289,41 +305,47 @@ class MultiPoly:
             exps = tuple(int(e) for e in t["exps"])
             if len(exps) != len(vars):
                 raise UsageError("exponent vector length does not match vars")
+            if min(exps, default=0) < 0:
+                raise UsageError("exponents must be nonnegative")
             terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(t["coef"])
         return MultiPoly(ring, vars, terms)
 
 
 def _canonical(ring, vars, terms):
+    normalize, is_zero = ring.normalize, ring.is_zero
+    width = len(vars)
     clean = {}
     for exps, c in terms.items():
-        c = ring.normalize(c)
-        if not ring.is_zero(c):
-            if len(exps) != len(vars):
+        c = normalize(c)
+        if not is_zero(c):
+            if len(exps) != width:
                 raise UsageError("exponent vector length does not match vars")
             clean[tuple(exps)] = c
     if not clean:
         return (), {}
-    used = [i for i in range(len(vars)) if any(e[i] for e in clean)]
-    order = sorted(range(len(used)), key=lambda j: vars[used[j]])
-    keep = [used[j] for j in order]
-    new_vars = tuple(vars[i] for i in keep)
-    remapped = {tuple(e[i] for i in keep): c for e, c in clean.items()}
-    ordered = {}
-    for exps in sorted(remapped, key=_grlex_key, reverse=True):
-        ordered[exps] = remapped[exps]
-    return new_vars, ordered
+    columns = list(zip(*clean))
+    keep = sorted((i for i in range(width) if any(columns[i])), key=vars.__getitem__)
+    if keep == list(range(width)):
+        keys = list(clean)
+    elif keep:
+        vars = tuple(vars[i] for i in keep)
+        keys = list(zip(*(columns[i] for i in keep)))
+        clean = dict(zip(keys, clean.values()))
+    else:
+        return (), {(): clean[(0,) * width]}
+    keys.sort(reverse=True)
+    keys.sort(key=sum, reverse=True)
+    return vars, {e: clean[e] for e in keys}
 
 
 def _remap(p: MultiPoly, index: dict, width: int) -> dict:
     """The terms of ``p`` over a wider variable space given by ``index``."""
-    pos = [index[v] for v in p.vars]
-    out = {}
-    for exps, c in p.terms.items():
-        key = [0] * width
-        for i, e in zip(pos, exps):
-            key[i] = e
-        out[tuple(key)] = c
-    return out
+    if not width:
+        return dict(p.terms)
+    columns = [(0,) * len(p.terms)] * width
+    for v, column in zip(p.vars, zip(*p.terms)):
+        columns[index[v]] = column
+    return dict(zip(zip(*columns), p.terms.values()))
 
 
 def _merge(a: MultiPoly, b: MultiPoly):
@@ -335,8 +357,50 @@ def _merge(a: MultiPoly, b: MultiPoly):
     return vars, _remap(a, index, len(vars)), _remap(b, index, len(vars))
 
 
+def _max_exp(terms: dict, width: int) -> int:
+    """The largest exponent in a term map over ``width`` variables."""
+    return max(map(max, terms), default=0) if width else 0
+
+
+# struct codes by field size, standard sizes under "<"; any other size takes
+# the byte-string route, which is also the only one for exponents >= 2**64
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field(bound: int) -> int:
+    """Field size in bytes that holds every exponent up to ``bound``."""
+    for size in _CODES:
+        if bound >> (8 * size) == 0:
+            return size
+    return (bound.bit_length() + 7) // 8
+
+
+def _pack(terms: dict, n: int, w: int) -> dict:
+    """A term map over ``n`` variables with each exponent vector packed into
+    one int, ``w`` bytes a field."""
+    code = _CODES.get(w)
+    if code:
+        pack = Struct(f"<{n}{code}").pack
+        return {int.from_bytes(pack(*e), "little"): c for e, c in terms.items()}
+    return {int.from_bytes(b"".join(x.to_bytes(w, "little") for x in e), "little"): c for e, c in terms.items()}
+
+
+def _unpack(terms: dict, n: int, w: int) -> dict:
+    """Inverse of ``_pack``."""
+    size = n * w
+    code = _CODES.get(w)
+    if code:
+        unpack = Struct(f"<{n}{code}").unpack
+        return {unpack(k.to_bytes(size, "little")): c for k, c in terms.items()}
+    out = {}
+    for k, c in terms.items():
+        b = k.to_bytes(size, "little")
+        out[tuple(int.from_bytes(b[i : i + w], "little") for i in range(0, size, w))] = c
+    return out
+
+
 def _mul_terms(left: dict, right: dict) -> dict:
-    """Raw product of two term maps over the same variable space.
+    """Raw product of two packed term maps with the same field layout.
 
     Nothing is normalized, pruned or sorted: the result is only ever an
     intermediate value or the input of one ``MultiPoly`` constructor.
@@ -344,8 +408,31 @@ def _mul_terms(left: dict, right: dict) -> dict:
     out: dict = {}
     for e1, c1 in left.items():
         for e2, c2 in right.items():
-            key = tuple(map(add, e1, e2))
+            key = e1 + e2
             # no ``out.get(key, 0) +``: int + Fraction is a slow reflected add
+            if key in out:
+                out[key] += c1 * c2
+            else:
+                out[key] = c1 * c2
+    return out
+
+
+def _square_terms(terms: dict) -> dict:
+    """Raw ``terms * terms``, forming each cross product once and doubling it."""
+    items = list(terms.items())
+    out: dict = {}
+    for i, (e1, c1) in enumerate(items):
+        key = e1 + e1
+        if key in out:
+            out[key] += c1 * c1
+        else:
+            out[key] = c1 * c1
+        rest = items[i + 1 :]
+        if not rest:
+            break
+        c1 += c1
+        for e2, c2 in rest:
+            key = e1 + e2
             if key in out:
                 out[key] += c1 * c2
             else:
@@ -371,7 +458,7 @@ def _pow_terms(ring: CoeffRing, terms: dict, n: int) -> dict:
         n >>= 1
         if not n:
             return result
-        base = _reduce(ring, _mul_terms(base, base))
+        base = _reduce(ring, _square_terms(base))
 
 
 def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
@@ -384,12 +471,7 @@ def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
     terms: dict = {}
     for p in parts:
         ring.require_same(p.ring)
-        pos = [index[v] for v in p.vars]
-        for exps, c in p.terms.items():
-            key = [0] * len(vars)
-            for i, e in zip(pos, exps):
-                key[i] = e
-            key = tuple(key)
+        for key, c in (p.terms if p.vars == vars else _remap(p, index, len(vars))).items():
             terms[key] = terms.get(key, 0) + c
     return MultiPoly(ring, vars, terms)
 

@@ -34,8 +34,36 @@ def _factorize(n: int) -> dict:
     return out
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly for
+# every n below this bound (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    return _factorize(n) == {n: 1}
+    """Deterministic primality test for n below ``_MR_LIMIT``."""
+    if n >= _MR_LIMIT:
+        raise UsageError(f"primality of {n} is not decided above {_MR_LIMIT - 1}")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class CoeffRing:
@@ -103,6 +131,8 @@ class CoeffRing:
     def normalize(self, c):
         """Coerce ``c`` into canonical coefficient form for this ring."""
         if self.kind == INTEGER:
+            if type(c) is int:
+                return c
             if isinstance(c, Fraction):
                 if c.denominator != 1:
                     raise NotDivisible(c, f"{c} is not an integer")

@@ -6,6 +6,9 @@ recorded from the CLI before the Witt arithmetic moved to the ghost-map
 route, so any change to a printed answer fails here.  They cover
 ``verify all --seed 7``, the universal structure polynomials on p:2,3 and
 big:4, a numeric length-6 addition and every command of the README tour.
+The later entries were recorded before the polynomial kernels moved to
+packed exponent keys: products on big:8 and p:3,3, exponents on both sides
+of the 1-byte field boundary and beyond 2**64, and a substitution over Q.
 """
 
 import json

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -396,3 +397,209 @@ def test_substitution_canonicalizes_per_variable_not_per_term(monkeypatch):
     monkeypatch.undo()
     assert got == want
     assert power == oracle_pow(base, 13)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests for the packed kernel.  The oracle is the tuple-key
+# route the packed one replaced: exponent vectors stay tuples, a monomial
+# product is an element-wise sum, and the canonical order is one sort keyed
+# by (total degree, exponents).  Exponents are drawn on both sides of each
+# packed field size (1, 2, 4 and 8 bytes) and beyond 2**64.
+
+Z8 = CoeffRing.modular(8)
+PACK_RINGS = [ZZ, QQ, Z8, Z3]
+PACK_DENOMINATORS = {ZZ: [1], QQ: [1, 2, 3], Z8: [1, 3, 5], Z3: [1, 2, 4]}
+EXPS = [0, 1, 2, 3, 254, 255, 256, 65534, 65535, 65536, 2**32, 2**64 - 1, 2**64, 2**64 + 1]
+
+
+def oracle_canonical(ring, vars, terms):
+    """(vars, [(exponents, coefficient), ...]) in graded-lex order, largest first."""
+    clean = {}
+    for exps, c in terms.items():
+        c = ring.normalize(c)
+        if c != 0:
+            clean[exps] = c
+    keep = sorted((i for i in range(len(vars)) if any(e[i] for e in clean)), key=lambda i: vars[i])
+    remapped = {tuple(e[i] for i in keep): c for e, c in clean.items()}
+    order = sorted(remapped, key=lambda e: (sum(e), e), reverse=True)
+    return tuple(vars[i] for i in keep), [(e, remapped[e]) for e in order]
+
+
+def tuple_terms(p, vars):
+    """The terms of ``p`` with tuple keys over the variables ``vars``."""
+    pos = [vars.index(name) for name in p.vars]
+    out = {}
+    for exps, c in p.terms.items():
+        key = [0] * len(vars)
+        for i, e in zip(pos, exps):
+            key[i] = e
+        out[tuple(key)] = c
+    return out
+
+
+def tuple_mul_terms(ring, left, right):
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = ring.normalize(out.get(key, 0) + c1 * c2)
+    return out
+
+
+def tuple_pow_terms(ring, terms, n, width):
+    result = {(0,) * width: ring.from_int(1)}
+    while n:
+        if n & 1:
+            result = tuple_mul_terms(ring, result, terms)
+        n >>= 1
+        if n:
+            terms = tuple_mul_terms(ring, terms, terms)
+    return result
+
+
+def oracle_product(a, b):
+    vars = tuple(sorted(set(a.vars) | set(b.vars)))
+    return oracle_canonical(a.ring, vars, tuple_mul_terms(a.ring, tuple_terms(a, vars), tuple_terms(b, vars)))
+
+
+def oracle_power(a, n):
+    return oracle_canonical(a.ring, a.vars, tuple_pow_terms(a.ring, a.terms, n, len(a.vars)))
+
+
+def oracle_subst(p, env):
+    ring = p.ring
+    values = [env.get(name) for name in p.vars]
+    free = {name for name, val in zip(p.vars, values) if val is None}
+    vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
+    images = []
+    for name, val in zip(p.vars, values):
+        if not isinstance(val, MultiPoly):
+            val = MultiPoly.var(ring, name) if val is None else MultiPoly.const(ring, val)
+        images.append(tuple_terms(val, vars))
+    total = {}
+    for exps, c in p.terms.items():
+        part = {(0,) * len(vars): c}
+        for image, e in zip(images, exps):
+            part = tuple_mul_terms(ring, part, tuple_pow_terms(ring, image, e, len(vars)))
+        for key, x in part.items():
+            total[key] = total.get(key, 0) + x
+    return oracle_canonical(ring, vars, total)
+
+
+def canonical_items(p):
+    assert all(type(e) is tuple and all(type(x) is int for x in e) for e in p.terms)
+    return p.vars, list(p.terms.items())
+
+
+@st.composite
+def wide_polys(draw, ring, exps=EXPS, min_terms=0, max_terms=4, units=False):
+    # a polynomial that must have terms also gets a variable, so that it is not constant
+    names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES), min_size=min_terms))))
+    terms = {}
+    for _ in range(draw(st.integers(min_terms, max_terms))):
+        key = tuple(draw(st.sampled_from(exps)) for _ in names)
+        if units:
+            c = draw(st.sampled_from([-1, 1]))
+        else:
+            c = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(PACK_DENOMINATORS[ring])))
+        terms[key] = terms.get(key, 0) + c
+    return MultiPoly(ring, names, terms)
+
+
+@st.composite
+def wide_substitutions(draw):
+    """Large exponents meet only monomial values with unit coefficients, or
+    constants whose powers stay small, so that every answer stays small."""
+    ring = draw(st.sampled_from(PACK_RINGS))
+    wide = draw(st.booleans())
+    p = draw(wide_polys(ring, min_terms=1) if wide else wide_polys(ring, exps=[0, 1, 2, 3]))
+    env = {}
+    for name in draw(st.sets(st.sampled_from(NAMES), min_size=1)):
+        kind = draw(st.sampled_from(["poly", "int"]))
+        if kind == "int":
+            env[name] = draw(st.sampled_from([-1, 0, 1] if wide and ring != Z8 else range(-5, 6)))
+        elif wide:
+            env[name] = draw(wide_polys(ring, min_terms=1, max_terms=1, units=True))
+        else:
+            env[name] = draw(wide_polys(ring, exps=[0, 1, 2], max_terms=3))
+    return ring, p, env
+
+
+class TestPackedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.sampled_from(PACK_RINGS).flatmap(lambda r: st.tuples(wide_polys(r), wide_polys(r))))
+    def test_product(self, data):
+        a, b = data
+        assert canonical_items(a * b) == oracle_product(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.sampled_from(PACK_RINGS).flatmap(lambda r: wide_polys(r, max_terms=3)), n=st.integers(0, 4))
+    def test_power(self, a, n):
+        assert canonical_items(a ** n) == oracle_power(a, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=wide_substitutions())
+    def test_substitute(self, data):
+        _, p, env = data
+        assert canonical_items(p.substitute(env)) == oracle_subst(p, env)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from(PACK_RINGS).flatmap(wide_polys), d=st.sampled_from([1, 2, 3, -4, 5]))
+    def test_div_int(self, p, d):
+        ring = p.ring
+        vars, items = oracle_canonical(ring, p.vars, p.terms)
+        assert canonical_items(p) == (vars, items)
+        want = {}
+        for exps, c in items:
+            try:
+                want[exps] = ring.div_int(c, d)
+            except NotDivisible:
+                with pytest.raises(NotDivisible) as exc:
+                    p.div_int(d)
+                assert exc.value.witness == p._term_str(exps, c)
+                return
+        assert canonical_items(p.div_int(d)) == oracle_canonical(ring, vars, want)
+
+    @pytest.mark.parametrize("top", [255, 65535, 2**32 - 1, 2**64 - 1])
+    def test_results_that_outgrow_their_inputs_field(self, top):
+        for ring in PACK_RINGS:
+            x, y = MultiPoly.var(ring, "x"), MultiPoly.var(ring, "y")
+            a, b = x**top + y * 2, x + y**top - 1
+            assert canonical_items(a * b) == oracle_product(a, b)
+            assert canonical_items(b**2) == oracle_power(b, 2)
+            p, env = x**2 * y + y, {"x": x**top, "y": x * y}
+            assert canonical_items(p.substitute(env)) == oracle_subst(p, env)
+
+    def test_scalar_product_is_the_constant_product(self):
+        for ring in PACK_RINGS:
+            p = MultiPoly(ring, NAMES, {(3, 0, 1): 2, (0, 256, 0): Fraction(1, 1), (0, 0, 0): 5})
+            for c in (0, 1, -3, 4, Fraction(6, 2)):
+                by_poly = canonical_items(p * MultiPoly.const(ring, c))
+                assert canonical_items(p * c) == canonical_items(c * p) == by_poly
+        with pytest.raises(NotDivisible):
+            v("x") * Fraction(1, 2)
+        with pytest.raises(NotDivisible):
+            v("x", Z3) * Fraction(1, 3)
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
+    def test_pack_round_trip(self, w):
+        rng = random.Random(w)
+        top = 256**w - 1
+        assert poly._field(top) == w and poly._field(top + 1) > w
+        for n in (0, 1, 3, 5):
+            terms = {}
+            for _ in range(20):
+                terms[tuple(rng.choice([0, 1, top // 2, top]) for _ in range(n))] = rng.randint(-9, 9)
+            packed = poly._pack(terms, n, w)
+            assert len(packed) == len(terms) and all(type(k) is int for k in packed)
+            assert poly._unpack(packed, n, w) == terms
+            # a monomial product is one int addition while no field overflows
+            half = [tuple(e // 2 for e in exps) for exps in terms]
+            for e1, e2 in zip(half, reversed(half)):
+                (k1,), (k2,) = poly._pack({e1: 1}, n, w), poly._pack({e2: 1}, n, w)
+                assert poly._unpack({k1 + k2: 1}, n, w) == {tuple(map(add, e1, e2)): 1}
+
+    def test_negative_exponents_rejected_from_json(self):
+        obj = {"vars": ["x"], "ring": {"kind": "Z"}, "terms": [{"coef": "1", "exps": [-1]}]}
+        with pytest.raises(UsageError):
+            MultiPoly.from_json(obj)

@@ -1,0 +1,74 @@
+"""Primality: the deterministic Miller-Rabin test against trial division."""
+
+import time
+
+import pytest
+
+from lambda_forge.cli import main
+from lambda_forge.errors import UsageError
+from lambda_forge.rings import _MR_LIMIT, CoeffRing, _is_prime
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_agrees_with_trial_division_below_twenty_thousand():
+    assert [n for n in range(20000) if _is_prime(n) != trial_division_is_prime(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2047,  # strong pseudoprime to base 2
+        1373653,  # to bases 2, 3
+        25326001,  # to bases 2, 3, 5
+        3215031751,  # to bases 2, 3, 5, 7
+        2152302898747,  # to bases 2, 3, 5, 7, 11
+        3474749660383,  # to bases 2 .. 13
+        341550071728321,  # to bases 2 .. 17
+        3825123056546413051,  # to bases 2 .. 23
+        318665857834031151167461,  # to bases 2 .. 37
+        1000000000000000001,  # 101 * 9901 * 999999000001
+    ],
+)
+def test_strong_pseudoprimes_are_composite(n):
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("n", [1000000000000000003, 2**61 - 1, 999999000001, 9901])
+def test_large_primes(n):
+    assert _is_prime(n)
+
+
+def test_refuses_numbers_past_the_exact_bound():
+    assert not _is_prime(_MR_LIMIT - 1)  # 3317044064679887385961980 is even
+    with pytest.raises(UsageError):
+        _is_prime(_MR_LIMIT)
+    with pytest.raises(UsageError):
+        _is_prime(2**89 - 1)  # a Mersenne prime, but past the bound
+    with pytest.raises(UsageError):
+        CoeffRing.localized(2**127 - 1)
+
+
+def test_free_lambda_ring_on_a_large_prime(capsys):
+    start = time.perf_counter()
+    code = main(["lambda", "free", "--primes", "1000000000000000003", "--depth", "1"])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "basis.X1000000000000000003:" in capsys.readouterr().out
+
+
+def test_large_composite_prime_argument_is_a_usage_error(capsys):
+    start = time.perf_counter()
+    code = main(["lambda", "free", "--primes", "1000000000000000001", "--depth", "1"])
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert code == 1 and "not prime" in err and "Traceback" not in err
