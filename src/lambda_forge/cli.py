@@ -189,8 +189,8 @@ def _get_trunc(args) -> TruncationSet:
     raise UsageError("give --trunc big:N|p:P,K or --p P --len K")
 
 
-def _vec(text, trunc: TruncationSet, flag: str = "--input") -> WittVec:
-    """The Witt vector given by ``flag``, with one component per element of ``trunc``."""
+def _components(text, trunc: TruncationSet, flag: str = "--input") -> dict:
+    """The vector given by ``flag``, as {n: value}, one component per element of ``trunc``."""
     if not text:
         raise UsageError(f"{flag} is required")
     comps = parse_vector(text, ZZ)
@@ -198,7 +198,12 @@ def _vec(text, trunc: TruncationSet, flag: str = "--input") -> WittVec:
         raise UsageError(
             f"{flag} has {len(comps)} components, the truncation set has {len(trunc)}"
         )
-    return WittVec.from_list(trunc, ZZ, comps)
+    return dict(zip(trunc.elems, comps))
+
+
+def _vec(text, trunc: TruncationSet, flag: str = "--input") -> WittVec:
+    """The Witt vector given by ``flag``."""
+    return WittVec(trunc, ZZ, _components(text, trunc, flag))
 
 
 def _poly_list(values) -> list:
@@ -242,15 +247,7 @@ def _run_witt(args):
         g = ghost_map(_vec(args.input, trunc))
         return {"ghost": _poly_list(g.as_list()), "ghost_json": g.to_json()}
     if sc == "ghost-inv":
-        if not args.input:
-            raise UsageError("--input is required")
-        values = parse_vector(args.input, ZZ)
-        if len(values) != len(trunc):
-            raise UsageError(
-                f"{len(values)} ghost components for a truncation set of size {len(trunc)}"
-            )
-        g = GhostVec(trunc, ZZ, dict(zip(trunc.elems, values)))
-        vec = ghost_inverse(g)
+        vec = ghost_inverse(GhostVec(trunc, ZZ, _components(args.input, trunc)))
         return {"witt": _poly_list(vec.as_list()), "witt_json": vec.to_json()}
     if sc in ("add", "mul"):
         a = _vec(args.a, trunc, "--a")
@@ -359,11 +356,7 @@ def _run_lambda(args):
                 raise UsageError("--phi clauses look like '2:u->u^2'")
             p, body = clause.split(":", 1)
             family[int(p)] = parse_phi_spec(body, gens)
-        ops = (
-            wilkerson_lambda(gens, "identity", args.K)
-            if not family
-            else wilkerson_lambda(gens, family, args.K)
-        )
+        ops = wilkerson_lambda(gens, family or "identity", args.K)
         if args.eval_gen:
             values = ops.lambda_values(MultiPoly.var(ZZ, args.eval_gen))
             return {"lambda": _poly_list(values)}

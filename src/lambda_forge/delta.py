@@ -37,11 +37,6 @@ class DeltaPresentation:
             fixed[g] = val
         self.delta_on_gens = fixed
 
-    def var(self, name: str) -> MultiPoly:
-        if name not in self.gens:
-            raise UsageError(f"unknown generator {name}")
-        return MultiPoly.var(ZZ, name)
-
     def __repr__(self):
         inner = ", ".join(f"{g}: {v}" for g, v in sorted(self.delta_on_gens.items()))
         return f"DeltaPresentation(p={self.p}, Z[{', '.join(self.gens)}], delta={{{inner}}})"

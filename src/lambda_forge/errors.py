@@ -93,14 +93,6 @@ class NonCommutingLifts(DomainError):
         super().__init__(f"lifts for {p} and {q} do not commute, witness: {witness}")
 
 
-class NotARingMap(DomainError):
-    """A candidate section or coaction fails additivity or multiplicativity."""
-
-    def __init__(self, witness, message=None):
-        self.witness = witness
-        super().__init__(message or f"not a ring map, witness: {witness}")
-
-
 class DepthExceeded(DomainError):
     """A free delta-ring computation needs delta of the last generator."""
 

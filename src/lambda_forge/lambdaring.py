@@ -145,7 +145,7 @@ class FreeLambdaBasis:
     unit coefficient 1/prod(sigma), which is verified at construction.
     """
 
-    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "leading", "span", "rows")
+    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "rows")
 
     def __init__(self, P, depth: int, N: int | None = None):
         P = tuple(sorted(set(P)))
@@ -162,7 +162,6 @@ class FreeLambdaBasis:
         self.model = AdamsModel(N)
         self.names = {s: _sigma_name(s) for s in self.sigmas}
         self.embed = {}
-        self.leading = {}
         self.span = {}
         # rows[n]: x_n solved from embed(X_sigma), with n = prod(sigma)
         self.rows = {}
@@ -173,12 +172,10 @@ class FreeLambdaBasis:
                 value = self.model.delta(sigma[0], self.embed[sigma[1:]])
             n = prod(sigma)
             self._check_triangular(sigma, value, n)
-            c = Fraction(1, n)
             self.embed[sigma] = value
-            self.leading[sigma] = (n, c)
             self.span[n] = sigma
-            rest = value - MultiPoly.var(QQ, _xname(n)) * c
-            self.rows[n] = (self.x_var(sigma) - rest) * Fraction(1, c)
+            rest = value - MultiPoly.var(QQ, _xname(n)) * Fraction(1, n)
+            self.rows[n] = (MultiPoly.var(QQ, self.names[sigma]) - rest) * n
 
     def _check_triangular(self, sigma, value, n):
         lead = value.coefficient_of({_xname(n): 1})
@@ -192,9 +189,6 @@ class FreeLambdaBasis:
                 raise UsageError(f"triangularity broken for {sigma}: term {mono}")
 
     # -- basis <-> model ---------------------------------------------------
-
-    def x_var(self, sigma) -> MultiPoly:
-        return MultiPoly.var(QQ, self.names[tuple(sigma)])
 
     def from_x_basis(self, xpoly: MultiPoly) -> MultiPoly:
         """Substitute every X variable by its Adams-model image."""
@@ -228,23 +222,16 @@ class FreeLambdaBasis:
 # Joyal-Rezk commutation
 
 
-def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi_overrides=None) -> dict:
+def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None) -> dict:
     """Check phi^q delta_p = delta_p phi^q plus delta-integrality.
 
-    ``psi_overrides`` maps a prime to a substitution (variable name to
-    polynomial) replacing the honest Adams operation, which is how a
-    corrupted family is fed in; every failure is reported with a witness
-    polynomial.
+    ``psi(m, e)`` is the Frobenius family under test, in the form
+    ``coaction`` takes; it defaults to the Adams operations of
+    ``basis.model``, and a corrupted family is fed in the same way.  The
+    elements are the X_sigma with |sigma| <= ``bound`` (default: the basis
+    depth), and every failure is reported with a witness polynomial.
     """
-    model = basis.model
-    overrides = psi_overrides or {}
-
-    def psi(m, e):
-        if m in overrides:
-            return e.substitute(
-                {v: overrides[m].get(v, MultiPoly.var(QQ, v)) for v in e.vars}
-            )
-        return model.psi(m, e)
+    psi = psi or basis.model.psi
 
     def delta(p, e):
         return (psi(p, e) - e ** p).div_int(p)
@@ -374,17 +361,6 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
 # p-localization of the free lambda-ring
 
 
-def _coprime_part_data(basis: FreeLambdaBasis, p: int, bound: int):
-    """(n, m) with p^n * m in the span, m coprime to p, |sigma| <= bound."""
-    out = []
-    for index, sigma in sorted(basis.span.items()):
-        if len(sigma) > bound:
-            continue
-        n = _factorize(index).get(p, 0)
-        out.append((n, index // p ** n, index, sigma))
-    return out
-
-
 def _require_p_integral(xpoly: MultiPoly, p: int, context: str):
     for _, c in xpoly.monomials():
         if isinstance(c, Fraction) and c.denominator % p == 0:
@@ -405,8 +381,14 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
     if p not in basis.P:
         raise UsageError(f"{p} is not in the basis prime set {basis.P}")
     model = basis.model
+    by_name = {nm: s for s, nm in basis.names.items()}
     rows = []
-    for n, m, index, sigma in _coprime_part_data(basis, p, bound):
+    for index, sigma in sorted(basis.span.items()):
+        if len(sigma) > bound:
+            continue
+        # index = p^n * m with m coprime to p
+        n = _factorize(index).get(p, 0)
+        m = index // p ** n
         delta_iter = model.x
         for _ in range(n):
             delta_iter = model.delta(p, delta_iter)
@@ -422,7 +404,6 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
         _require_p_integral(tx, p, f"psi^{m} theta_{p}^{n}(x)")
 
         target = basis.names[sigma]
-        by_name = {nm: s for s, nm in basis.names.items()}
         d_lead = dx.coefficient_of({target: 1})
         t_lead = tx.coefficient_of({target: 1})
         lower_ok = True
@@ -503,11 +484,6 @@ def integrality_report(P, depth: int) -> dict:
                 witnesses.append(
                     {"kind": "frobenius_congruence", "p": p, "element": label, "witness": str(xp)}
                 )
-    leading_ok = all(
-        wide.leading[s] == (prod(s), Fraction(1, prod(s))) for s in sigmas
-    )
-    if not leading_ok:
-        witnesses.append({"kind": "leading", "witness": "leading data mismatch"})
     return {
         "check": "free_lambda_integrality",
         "status": "pass" if not witnesses else "fail",

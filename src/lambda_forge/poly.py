@@ -23,7 +23,7 @@ after each product so that they stay bounded.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from struct import Struct
 
 from .errors import NotDivisible, UsageError
@@ -67,7 +67,7 @@ class MultiPoly:
         if self.vars:
             raise UsageError(f"{self} is not constant")
         c = self.terms.get(())
-        return self.ring.from_int(0) if c is None else c
+        return self.ring.normalize(0) if c is None else c
 
     def coefficient_of(self, monomial: dict):
         """Coefficient of the monomial given as {var: exponent}."""
@@ -76,7 +76,7 @@ class MultiPoly:
             found = {v: e for v, e in zip(self.vars, exps) if e}
             if found == want:
                 return c
-        return self.ring.from_int(0)
+        return self.ring.normalize(0)
 
     def monomials(self):
         """Iterate (as {var: exp} dicts, coefficient) in canonical order."""
@@ -93,15 +93,19 @@ class MultiPoly:
             return MultiPoly.const(self.ring, other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """``op`` (add or sub) on the two term maps, merged in one pass."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         vars, left, right = _merge(self, other)
         terms = dict(left)
         for e, c in right.items():
-            terms[e] = terms.get(e, 0) + c
+            terms[e] = op(terms.get(e, 0), c)
         return MultiPoly(self.ring, vars, terms)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -109,10 +113,7 @@ class MultiPoly:
         return MultiPoly(self.ring, self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -188,7 +189,7 @@ class MultiPoly:
         index = {v: i for i, v in enumerate(vars)}
         n = len(vars)
         zero_exps = (0,) * n
-        one = ring.from_int(1)
+        one = ring.normalize(1)
         # each value as a term map over ``vars``
         images = []
         for v, val in zip(self.vars, values):
@@ -229,7 +230,7 @@ class MultiPoly:
             if v not in env:
                 raise UsageError(f"no value for variable {v}")
             values.append(ring.normalize(env[v]))
-        total = ring.from_int(0)
+        total = ring.normalize(0)
         powers = [{} for _ in self.vars]
         for exps, c in self.terms.items():
             acc = c
@@ -312,12 +313,12 @@ class MultiPoly:
 
 
 def _canonical(ring, vars, terms):
-    normalize, is_zero = ring.normalize, ring.is_zero
+    normalize = ring.normalize
     width = len(vars)
     clean = {}
     for exps, c in terms.items():
         c = normalize(c)
-        if not is_zero(c):
+        if c != 0:
             if len(exps) != width:
                 raise UsageError("exponent vector length does not match vars")
             clean[tuple(exps)] = c

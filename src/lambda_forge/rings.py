@@ -150,12 +150,6 @@ class CoeffRing:
             raise NotDivisible(c, f"{c} has denominator divisible by {self.prime}")
         return c
 
-    def is_zero(self, c) -> bool:
-        return c == 0
-
-    def from_int(self, n: int):
-        return self.normalize(n)
-
     def _mod_div(self, a: int, n: int) -> int:
         # only division by units is well-defined in Z/m
         m = self.modulus

@@ -34,9 +34,6 @@ class TruncSeries:
         coeffs = [MultiPoly.one(ring)] + [MultiPoly.zero(ring)] * precision
         return TruncSeries(ring, coeffs)
 
-    def __getitem__(self, n: int) -> MultiPoly:
-        return self.coeffs[n]
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncSeries)
@@ -81,24 +78,12 @@ class TruncSeries:
             return self
         return TruncSeries(self.ring, self.coeffs[: precision + 1])
 
-    def _common(self, other: "TruncSeries"):
+    def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             raise UsageError("expected a TruncSeries")
         if self.ring != other.ring:
             raise MixedCoefficientRings(f"{self.ring} vs {other.ring}")
         n = min(self.precision, other.precision)
-        return n
-
-    def __add__(self, other):
-        n = self._common(other)
-        return TruncSeries(self.ring, [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other):
-        n = self._common(other)
-        return TruncSeries(self.ring, [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __mul__(self, other):
-        n = self._common(other)
         zero = MultiPoly.zero(self.ring)
         out = [zero] * (n + 1)
         for i in range(n + 1):

@@ -21,11 +21,12 @@ The universal polynomials are the same arithmetic on generic vectors
 (components a_n, b_n).  Their integrality is a theorem, so a failed
 division is a bug and raises ``IntegralityViolation``.  They are
 generated only for ``*_poly_map`` callers; arithmetic never reads them.
-Their memo is the single shared cache in the system: concurrent reads
-are free, inserts hold a lock, duplicate computation of the same entry
-is harmless.  Setting LAMBDA_FORGE_CACHE_DIR persists the memo as JSON
-files keyed by (operation, truncation); a file that disagrees with the
-ghost route at a fixed integer point is regenerated.
+Their memo, filled by ``_generated``, is the single shared cache in the
+system: lookups and inserts hold a lock, generation does not, and
+duplicate computation of the same entry is harmless.  Setting
+LAMBDA_FORGE_CACHE_DIR persists the memo as JSON files keyed by
+(operation, truncation); a file that disagrees with the ghost route at a
+fixed integer point is regenerated.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, poly_sum
-from .rings import MODULAR, CoeffRing, ZZ
+from .rings import MODULAR, CoeffRing, ZZ, _factorize
 from .series import TruncSeries, geometric
 
 
@@ -63,13 +64,15 @@ class TruncationSet:
     __slots__ = ("elems",)
 
     def __init__(self, elems):
-        elems = tuple(sorted(set(int(n) for n in elems)))
+        members = set(int(n) for n in elems)
+        elems = tuple(sorted(members))
+        if elems and elems[0] < 1:
+            raise UsageError("truncation sets contain positive integers")
+        # every divisor of n is reached from n by dividing out one prime at a time
         for n in elems:
-            if n < 1:
-                raise UsageError("truncation sets contain positive integers")
-            for d in _divisors(n):
-                if d not in elems:
-                    raise UsageError(f"not division-stable: {n} in set but divisor {d} missing")
+            for q in _factorize(n):
+                if n // q not in members:
+                    raise UsageError(f"not division-stable: {n} in set but divisor {n // q} missing")
         self.elems = elems
 
     @staticmethod
@@ -109,7 +112,9 @@ class TruncationSet:
 
     def divide(self, n: int) -> "TruncationSet":
         """S/n = {d : n*d in S}."""
-        return TruncationSet(d for d in range(1, max(self.elems, default=0) + 1) if n * d in self.elems)
+        if n < 1:
+            raise UsageError(f"truncation sets are divided by positive integers, got {n}")
+        return TruncationSet(s // n for s in self.elems if s % n == 0)
 
     def product(self, other: "TruncationSet") -> "TruncationSet":
         return TruncationSet(s * t for s in self.elems for t in other.elems)
@@ -178,43 +183,23 @@ def _poly_map_to_json(polys: dict) -> dict:
     return {",".join(str(i) for i in (k if isinstance(k, tuple) else (k,))): p.to_json() for k, p in polys.items()}
 
 
-def _poly_map_from_json(obj: dict, tuple_keys: bool) -> dict:
+def _poly_map_from_json(obj: dict) -> dict:
+    """Inverse of ``_poly_map_to_json``: a key with a comma is an index tuple."""
     out = {}
     for k, v in obj.items():
         parts = tuple(int(x) for x in k.split(","))
-        out[parts if tuple_keys else parts[0]] = MultiPoly.from_json(v)
+        out[parts if len(parts) > 1 else parts[0]] = MultiPoly.from_json(v)
     return out
 
 
-def _load_cached(path: str, tuple_keys: bool, check) -> dict | None:
+def _load_cached(path: str, check) -> dict | None:
     """The polynomials in a cache file, or None if it is unreadable or fails ``check``."""
     try:
         with open(path) as fh:
-            polys = _poly_map_from_json(json.load(fh)["polys"], tuple_keys)
+            polys = _poly_map_from_json(json.load(fh)["polys"])
         return polys if check(polys) else None
     except (OSError, ValueError, LookupError, TypeError, AttributeError, ForgeError):
         return None
-
-
-def _memoized_polys(key, compute, check, tuple_keys=False) -> dict:
-    with _LOCK:
-        if key in _MEMO:
-            return _MEMO[key]
-    path = _cache_path(key)
-    polys = _load_cached(path, tuple_keys, check) if path and os.path.exists(path) else None
-    fresh = polys is None
-    if fresh:
-        polys = compute()
-    with _LOCK:
-        polys = _MEMO.setdefault(key, polys)
-    if fresh and path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        os.chmod(tmp, 0o644)  # mkstemp makes the file private; the cache is meant to be shared
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"polys": _poly_map_to_json(polys)}, fh, sort_keys=True)
-        os.replace(tmp, path)
-    return polys
 
 
 def clear_memo():
@@ -227,16 +212,19 @@ def _sym_vec(prefix: str, S: TruncationSet) -> "WittVec":
     return WittVec(S, ZZ, comps)
 
 
-def _generated(key, inputs, apply, flatten, tuple_keys=False) -> dict:
+def _generated(key, inputs, apply, flatten) -> dict:
     """Universal polynomials of ``apply``, memoized and disk-cached.
 
     ``inputs`` lists (variable prefix, truncation set) per argument and
     ``flatten`` maps the resulting Witt vector to the stored polynomials.
-    A cache file must give what ``apply`` gives on a fixed integer point.
+    The memo is looked up and filled under ``_LOCK``; generation runs
+    outside it, and the first entry stored for a key wins.  A cache file
+    is used only if it gives what ``apply`` gives on a fixed integer point;
+    a new one is written to a unique temporary file and renamed into place.
     """
-
-    def compute():
-        return flatten(apply(*(_sym_vec(prefix, S) for prefix, S in inputs)))
+    with _LOCK:
+        if key in _MEMO:
+            return _MEMO[key]
 
     def check(polys):
         # nonzero values, so a wrong coefficient of any term changes the value
@@ -246,7 +234,21 @@ def _generated(key, inputs, apply, flatten, tuple_keys=False) -> dict:
             p.ring == ZZ and p.evaluate(point) == want[k].constant_value() for k, p in polys.items()
         )
 
-    return _memoized_polys(key, compute, check, tuple_keys)
+    path = _cache_path(key)
+    polys = _load_cached(path, check) if path and os.path.exists(path) else None
+    fresh = polys is None
+    if fresh:
+        polys = flatten(apply(*(_sym_vec(prefix, S) for prefix, S in inputs)))
+    with _LOCK:
+        polys = _MEMO.setdefault(key, polys)
+    if fresh and path:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+        os.chmod(tmp, 0o644)  # mkstemp makes the file private; the cache is meant to be shared
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"polys": _poly_map_to_json(polys)}, fh, sort_keys=True)
+        os.replace(tmp, path)
+    return polys
 
 
 _comps = operator.attrgetter("comps")
@@ -272,7 +274,7 @@ def comult_poly_map(S: TruncationSet, T: TruncationSet) -> dict:
         return {(s, t): d.comps[s].comps[t] for s in S for t in T}
 
     key = ("comult", S.label(), T.label())
-    return _generated(key, [("a", S.product(T))], lambda a: comult(a, S, T), flatten, tuple_keys=True)
+    return _generated(key, [("a", S.product(T))], lambda a: comult(a, S, T), flatten)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +315,7 @@ def _scalar_div(ring: CoeffRing):
 
     def div(c, n):
         c = ring.normalize(c)
-        if ring.is_zero(c):
+        if c == 0:
             return c
         try:
             return ring.div_int(c, n)
@@ -327,7 +329,7 @@ def _values(comps, ring: CoeffRing):
     """How components become values over ``ring``, the zero value and exact
     division: scalars when every component is constant, else polynomials."""
     if all(c.is_constant() for c in comps):
-        return operator.methodcaller("constant_value"), ring.from_int(0), _scalar_div(ring)
+        return operator.methodcaller("constant_value"), ring.normalize(0), _scalar_div(ring)
     return operator.methodcaller("convert_ring", ring), MultiPoly.zero(ring), MultiPoly.div_int
 
 
@@ -490,7 +492,7 @@ class WittVec:
         return _ghost_route([self], self.shape, lambda ga: {k: -w for k, w in ga.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._binary("sub", other)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from lambda_forge.cli import main
+from lambda_forge.errors import UsageError
+from lambda_forge.witt import TruncationSet
 
 
 def run(capsys, *argv):
@@ -287,6 +290,25 @@ class TestMalformedArgv:
         assert json.loads(out)["reports"][0]["cases"] == 28
         code, out, _ = run(capsys, "verify", "joyal-rezk", "--format", "json")
         assert code == 0 and json.loads(out)["reports"][0]["cases"] != 28
+
+
+class TestRefusedWork:
+    def test_wrong_component_count_on_a_large_truncation_exits_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "witt", "ghost", "--trunc", "big:100000", "--input", "[1]")
+        assert time.perf_counter() - start < 2
+        assert code == 1 and err.startswith("usage error:") and out == ""
+
+    def test_large_big_truncation_builds_quickly(self):
+        start = time.perf_counter()
+        S = TruncationSet.big(16000)
+        assert time.perf_counter() - start < 0.5
+        assert len(S) == 16000
+
+    @pytest.mark.parametrize("elems", [(1, 2, 3, 12), (1, 4), (2,)])
+    def test_set_that_is_not_division_stable_is_refused(self, elems):
+        with pytest.raises(UsageError, match="not division-stable"):
+            TruncationSet(elems)
 
 
 def _structure_big2_add(capsys):

@@ -10,7 +10,7 @@ from lambda_forge.delta import (
     delta_on_integers,
     free_delta_ring,
 )
-from lambda_forge.errors import DepthExceeded, NotAFrobeniusLift, NotARingMap, UsageError
+from lambda_forge.errors import DepthExceeded, DomainError, NotAFrobeniusLift, UsageError
 from lambda_forge.poly import MultiPoly, poly_sum, random_poly
 from lambda_forge.rings import ZZ, CoeffRing
 from lambda_forge.witt import TruncationSet, WittVec
@@ -80,6 +80,10 @@ def check_ring_map(section: Witt2Section, a: MultiPoly, b: MultiPoly) -> dict:
     add_ok = section(a + b) == section(a) + section(b)
     mul_ok = section(a * b) == section(a) * section(b)
     return {"add": add_ok, "mul": mul_ok}
+
+
+class NotARingMap(DomainError):
+    """A candidate section fails additivity or multiplicativity."""
 
 
 def verify_integer_section(p: int, second, lo: int, hi: int):

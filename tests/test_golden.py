@@ -9,6 +9,11 @@ big:4, a numeric length-6 addition and every command of the README tour.
 The later entries were recorded before the polynomial kernels moved to
 packed exponent keys: products on big:8 and p:3,3, exponents on both sides
 of the 1-byte field boundary and beyond 2**64, and a substitution over Q.
+The last eight were recorded before subtraction became one pass and the
+CLI's vector parsing one helper: ``witt ghost-inv`` (an answer, a wrong
+component count and a ``NotDivisible``), ``delta section --expr``,
+``lambda wilkerson`` with ``--eval`` and with no evaluation, the plain
+``DomainError`` payload of ``lambda adams`` and ``witt series --dir from``.
 """
 
 import json

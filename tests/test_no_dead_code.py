@@ -2,7 +2,10 @@
 
 A name defined in ``src/lambda_forge`` must appear as a word somewhere
 other than its own ``def`` line: in the package, the tests, the benchmark
-or the README.  A definition nothing mentions is dead code.
+or the README.  A definition nothing mentions is dead code.  Likewise an
+exception class in ``errors.py`` that no other class there derives from
+must be raised somewhere in the package: one only the tests raise is no
+part of the program.
 """
 
 import ast
@@ -42,3 +45,14 @@ def test_every_function_is_referenced():
         if words[name] == WORD.findall(lines[path][lineno - 1]).count(name):
             unreferenced.append(f"{path.name}:{lineno} {name}")
     assert unreferenced == []
+
+
+def test_every_exception_is_raised_by_the_package():
+    classes = [node for node in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    assert [node.name for node in classes if node.name not in bases | raised] == []

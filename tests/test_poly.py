@@ -195,7 +195,7 @@ class TestConstantValue:
     @pytest.mark.parametrize("ring", [ZZ, QQ, CoeffRing.modular(4)], ids=repr)
     def test_zero_polynomial_gives_the_ring_zero(self, ring):
         zero = MultiPoly.zero(ring).constant_value()
-        assert zero == ring.from_int(0) and type(zero) is type(ring.from_int(0))
+        assert zero == ring.normalize(0) and type(zero) is type(ring.normalize(0))
 
     def test_constant_and_non_constant(self):
         assert MultiPoly.const(QQ, Fraction(3, 2)).constant_value() == Fraction(3, 2)
@@ -447,7 +447,7 @@ def tuple_mul_terms(ring, left, right):
 
 
 def tuple_pow_terms(ring, terms, n, width):
-    result = {(0,) * width: ring.from_int(1)}
+    result = {(0,) * width: ring.normalize(1)}
     while n:
         if n & 1:
             result = tuple_mul_terms(ring, result, terms)
@@ -603,3 +603,58 @@ class TestPackedKernel:
         obj = {"vars": ["x"], "ring": {"kind": "Z"}, "terms": [{"coef": "1", "exps": [-1]}]}
         with pytest.raises(UsageError):
             MultiPoly.from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: subtraction merges the two term maps in one pass.  The
+# oracle is the route it replaced, a full negation followed by an addition.
+
+SUB_NAMES = ("u", "v", "w")
+
+
+def oracle_sub(a, b):
+    return a + (-b)
+
+
+@st.composite
+def sub_operands(draw):
+    """(ring, a, b, scalar): the variable sets of a and b are drawn apart, so
+    they are disjoint, overlapping or equal; the scalar is an int or a Fraction."""
+    ring = draw(st.sampled_from(DIFF_RINGS))
+    polys = []
+    for _ in range(2):
+        names = tuple(sorted(draw(st.sets(st.sampled_from(SUB_NAMES)))))
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            key = tuple(draw(st.integers(0, 3)) for _ in names)
+            c = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(DENOMINATORS[ring])))
+            terms[key] = terms.get(key, 0) + c
+        polys.append(MultiPoly(ring, names, terms))
+    scalar = draw(st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.sampled_from(DENOMINATORS[ring])))
+    return (ring, *polys, scalar)
+
+
+class TestOnePassSubtraction:
+    @settings(max_examples=150, deadline=None)
+    @given(data=sub_operands())
+    def test_difference_matches_negate_then_add(self, data):
+        ring, a, b, c = data
+        const = MultiPoly.const(ring, c)
+        assert canonical_items(a - b) == canonical_items(oracle_sub(a, b))
+        assert canonical_items(b - a) == canonical_items(oracle_sub(b, a))
+        assert canonical_items(a - c) == canonical_items(oracle_sub(a, const))
+        assert canonical_items(c - a) == canonical_items(oracle_sub(const, a))
+        assert canonical_items(a - a) == canonical_items(oracle_sub(a, a)) == ((), [])
+
+    @pytest.mark.parametrize("ring", DIFF_RINGS, ids=repr)
+    def test_disjoint_and_overlapping_variables(self, ring):
+        x, y, z = (MultiPoly.var(ring, name) for name in NAMES)
+        for a, b in ((x ** 2 + 1, y * 3), (x * y - z, y ** 2 + x * y), (x + 2, x + 2 - y)):
+            assert canonical_items(a - b) == canonical_items(oracle_sub(a, b))
+            assert canonical_items(2 - a) == canonical_items(oracle_sub(MultiPoly.const(ring, 2), a))
+
+    def test_scalar_outside_the_ring_is_refused(self):
+        with pytest.raises(NotDivisible):
+            v("x") - Fraction(1, 2)
+        with pytest.raises(NotDivisible):
+            Fraction(1, 3) - v("x", Z3)

@@ -82,6 +82,24 @@ class TestTruncationSet:
     def test_divide(self):
         assert TruncationSet.big(6).divide(2).elems == (1, 2, 3)
         assert TruncationSet.big(2).divide(3).elems == ()
+        with pytest.raises(UsageError):
+            TruncationSet.big(6).divide(0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 8))
+    def test_division_stability_and_divide_against_every_divisor(self, data, n):
+        # divisor closures of a few numbers, with at most one element dropped
+        tops = data.draw(st.sets(st.integers(1, 40), max_size=4))
+        elems = {d for m in tops for d in range(1, m + 1) if m % d == 0}
+        elems -= {data.draw(st.sampled_from(sorted(elems)) | st.none())} if elems else set()
+        # the oracle: every divisor of every element, and S/n by multiplication
+        stable = all(d in elems for m in elems for d in range(1, m + 1) if m % d == 0)
+        if not stable:
+            with pytest.raises(UsageError):
+                TruncationSet(elems)
+            return
+        S = TruncationSet(elems)
+        assert S.divide(n).elems == tuple(d for d in range(1, 41) if n * d in elems)
 
     def test_product(self):
         assert BIG2.product(BIG2).elems == (1, 2, 4)
@@ -741,3 +759,52 @@ def test_nested_inner_truncations_must_match():
         a * sym(BIG2)
     with pytest.raises(TruncationMismatch):
         WittVec(BIG2, ZZ, {1: sym(BIG2), 2: sym(TruncationSet.big(3))})
+
+
+# ---------------------------------------------------------------------------
+# subtraction is one ghost-route pass; the oracle is the route it replaced,
+# a negation followed by an addition
+
+SUB_RINGS = [ZZ, CoeffRing.modular(8), QQ]
+SUB_TRUNCS = [TruncationSet.p_typical(2, 3), TruncationSet.big(4)]
+
+
+def _layout(vec):
+    """Each component's variables and ordered terms, nested as the vector is."""
+    if len(vec.shape) > 1:
+        return [_layout(c) for c in vec.as_list()]
+    return [(c.vars, list(c.terms.items())) for c in vec.as_list()]
+
+
+@st.composite
+def sub_inputs(draw):
+    """(ring, a, b): components constant, or polynomials in s and t."""
+    ring = draw(st.sampled_from(SUB_RINGS))
+    S = draw(st.sampled_from(SUB_TRUNCS))
+    names = draw(st.sampled_from([(), ("s",), ("s", "t")]))
+
+    def comp():
+        out = MultiPoly.const(ring, draw(_scalars(ring)))
+        for name in names:
+            out = out + MultiPoly.var(ring, name) ** draw(st.integers(1, 2)) * draw(_scalars(ring))
+        return out
+
+    return ring, WittVec(S, ring, {n: comp() for n in S}), WittVec(S, ring, {n: comp() for n in S})
+
+
+@DIFF_SETTINGS
+@given(sub_inputs())
+def test_subtraction_matches_negate_then_add(inputs):
+    ring, a, b = inputs
+    assert _layout(a - b) == _layout(a + (-b))
+    assert _layout(b - a) == _layout(b + (-a))
+    assert _layout(a - a) == _layout(a + (-a)) == _layout(WittVec.zero(a.trunc, ring))
+
+
+def test_nested_subtraction_matches_negate_then_add():
+    def nested(prefix):
+        return WittVec(BIG2, ZZ, {n: WittVec(BIG2, ZZ, {t: var(f"{prefix}{n}{t}") + t for t in BIG2}) for n in BIG2})
+
+    a, b = nested("a"), nested("b")
+    assert _layout(a - b) == _layout(a + (-b))
+    assert _layout(a - a) == _layout(WittVec(BIG2, ZZ, {n: WittVec.zero(BIG2, ZZ) for n in BIG2}))
