@@ -107,27 +107,17 @@ class FgAbGroup:
 
     @staticmethod
     def from_summands(rank: int, torsion) -> "FgAbGroup":
-        """Build from arbitrary cyclic summands, e.g. Z/4 + Z/6 -> (2, 12)."""
-        primary: dict = {}
-        for d in torsion:
-            d = int(d)
-            if d == 0:
-                rank += 1
-                continue
-            if d < 0:
-                d = -d
-            for p, e in _factorize(d).items():
-                primary.setdefault(p, []).append(e)
-        depth = max((len(v) for v in primary.values()), default=0)
-        factors = []
-        for i in range(depth):
-            f = 1
-            for p, exps in primary.items():
-                exps = sorted(exps, reverse=True)
-                if i < len(exps):
-                    f *= p ** exps[i]
-            factors.append(f)
-        return FgAbGroup(rank, sorted(factors))
+        """Build from arbitrary cyclic summands, e.g. Z/4 + Z/6 -> (2, 12).
+
+        The summands Z/d_i are the cokernel of the diagonal relation matrix
+        diag(d_i) next to ``rank`` free generators; a summand Z/0 is free.
+        """
+        torsion = [int(d) for d in torsion]
+        relations = [
+            [0] * rank + [d if j == i else 0 for j in range(len(torsion))]
+            for i, d in enumerate(torsion)
+        ]
+        return FgAbGroup.from_presentation(rank + len(torsion), relations)
 
     @staticmethod
     def from_presentation(n_gens: int, relations: list) -> "FgAbGroup":

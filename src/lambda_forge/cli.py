@@ -25,6 +25,7 @@ from .lambdaring import (
 )
 from .poly import MultiPoly
 from .rings import QQ, ZZ
+from .series import TruncSeries
 from .textparse import (
     parse_phi_spec,
     parse_poly,
@@ -273,8 +274,6 @@ def _run_witt(args):
         if not args.coeffs:
             raise UsageError("--dir from needs --coeffs '[1, c1, ...]'")
         coeffs = parse_vector(args.coeffs, ZZ)
-        from .series import TruncSeries
-
         n = trunc._big_n()
         if n is None:
             raise UsageError("the series model needs a big truncation")

@@ -11,7 +11,9 @@ lambda-structure" certificates.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import prod
 
 from .delta import delta_from_phi
@@ -122,19 +124,9 @@ def _sigma_display(sigma: tuple) -> str:
 
 
 def _sigmas_upto(P, depth):
-    """Non-decreasing prime sequences over P of length <= depth."""
-    out = [()]
-    frontier = [()]
-    for _ in range(depth):
-        nxt = []
-        for sigma in frontier:
-            lo = sigma[0] if sigma else None
-            for p in P:
-                if lo is None or p <= lo:
-                    nxt.append((p,) + sigma)
-        out.extend(nxt)
-        frontier = nxt
-    return sorted(out, key=lambda s: (prod(s), s))
+    """Non-decreasing prime sequences over the sorted P of length <= depth."""
+    sigmas = [s for k in range(depth + 1) for s in combinations_with_replacement(P, k)]
+    return sorted(sigmas, key=lambda s: (prod(s), s))
 
 
 class FreeLambdaBasis:
@@ -293,30 +285,16 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
 
 
 class LambdaOps:
-    """Adams data on a polynomial ring assembled into lambda-operations."""
+    """A Frobenius family ``psi(n, e)`` on a polynomial ring, assembled into lambda-operations."""
 
-    __slots__ = ("gens", "K", "phi_on_gens", "identity")
+    __slots__ = ("gens", "psi", "K")
 
-    def __init__(self, gens, phi_on_gens: dict, K: int, identity: bool = False):
+    def __init__(self, gens, psi, K: int):
         self.gens = tuple(gens)
+        self.psi = psi
         self.K = K
-        self.phi_on_gens = phi_on_gens
-        self.identity = identity
 
-    def psi(self, n: int, e: MultiPoly) -> MultiPoly:
-        if not isinstance(e, MultiPoly):
-            e = MultiPoly.const(ZZ, e)
-        if self.identity or n == 1:
-            return e
-        for p, mult in sorted(_factorize(n).items()):
-            subst = self.phi_on_gens.get(p)
-            if subst is None:
-                raise UsageError(f"no Frobenius lift given for prime {p}")
-            for _ in range(mult):
-                e = e.substitute(subst)
-        return e
-
-    def lambda_values(self, e):
+    def lambda_values(self, e: MultiPoly):
         """lambda^1(e)..lambda^K(e) via the Newton chain, exactly."""
         psis = [self.psi(n, e) for n in range(1, self.K + 1)]
         return newton_psi_to_lambda(psis)
@@ -331,40 +309,45 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
 
     Every lift is certified through ``delta_from_phi`` (raising
     ``NotAFrobeniusLift`` with the witness term) and pairwise commutation
-    is checked on the generators.  ``phi_family`` may be the string
-    "identity" for the unique structure with all lifts trivial.
+    is checked on the generators; psi^n composes the lifts of the prime
+    factors of n.  ``phi_family`` may be the string "identity" for the
+    unique structure with all lifts trivial.
     """
     gens = tuple(gens)
     if phi_family == "identity":
-        return LambdaOps(gens, {}, K, identity=True)
-    normalized = {}
+        return LambdaOps(gens, lambda n, e: e, K)
+    lifts = {}
     for p, subst in sorted(phi_family.items()):
         if not _is_prime(p):
             raise UsageError(f"{p} is not prime")
         delta_from_phi(p, gens, subst)  # lift certificate
-        normalized[p] = {
+        lifts[p] = {
             g: (v if isinstance(v, MultiPoly) else MultiPoly.const(ZZ, v))
             for g, v in subst.items()
         }
-    primes = sorted(normalized)
+    primes = sorted(lifts)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
             for g in gens:
-                pq = normalized[p][g].substitute(normalized[q])
-                qp = normalized[q][g].substitute(normalized[p])
+                pq = lifts[p][g].substitute(lifts[q])
+                qp = lifts[q][g].substitute(lifts[p])
                 if pq != qp:
                     raise NonCommutingLifts(p, q, f"{g}: {pq} vs {qp}")
-    return LambdaOps(gens, normalized, K)
+
+    def psi(n, e):
+        for p, mult in sorted(_factorize(n).items()):
+            subst = lifts.get(p)
+            if subst is None:
+                raise UsageError(f"no Frobenius lift given for prime {p}")
+            for _ in range(mult):
+                e = e.substitute(subst)
+        return e
+
+    return LambdaOps(gens, psi, K)
 
 
 # ---------------------------------------------------------------------------
 # p-localization of the free lambda-ring
-
-
-def _require_p_integral(xpoly: MultiPoly, p: int, context: str):
-    for _, c in xpoly.monomials():
-        if isinstance(c, Fraction) and c.denominator % p == 0:
-            raise NotPIntegral(f"{context}: coefficient {c}")
 
 
 def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
@@ -381,7 +364,7 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
     if p not in basis.P:
         raise UsageError(f"{p} is not in the basis prime set {basis.P}")
     model = basis.model
-    by_name = {nm: s for s, nm in basis.names.items()}
+    index_of = {name: prod(s) for s, name in basis.names.items()}
     rows = []
     for index, sigma in sorted(basis.span.items()):
         if len(sigma) > bound:
@@ -389,29 +372,21 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
         # index = p^n * m with m coprime to p
         n = _factorize(index).get(p, 0)
         m = index // p ** n
-        delta_iter = model.x
-        for _ in range(n):
-            delta_iter = model.delta(p, delta_iter)
-        delta_fam = model.psi(m, delta_iter)
-        theta_iter = model.x
-        for _ in range(n):
-            theta_iter = model.frobenius_deviation(p, theta_iter)
-        theta_fam = model.psi(m, theta_iter)
+        expansions = {}
+        for family, step in (("delta", model.delta), ("theta", model.frobenius_deviation)):
+            e = model.x
+            for _ in range(n):
+                e = step(p, e)
+            xp, _ = basis.to_x_basis(model.psi(m, e))
+            try:
+                xp.convert_ring(CoeffRing.localized(p))
+            except NotDivisible as exc:
+                raise NotPIntegral(f"psi^{m} {family}_{p}^{n}(x): coefficient {exc.witness}") from None
+            expansions[family] = xp
 
-        dx, _ = basis.to_x_basis(delta_fam)
-        tx, _ = basis.to_x_basis(theta_fam)
-        _require_p_integral(dx, p, f"psi^{m} delta_{p}^{n}(x)")
-        _require_p_integral(tx, p, f"psi^{m} theta_{p}^{n}(x)")
-
-        target = basis.names[sigma]
-        d_lead = dx.coefficient_of({target: 1})
-        t_lead = tx.coefficient_of({target: 1})
-        lower_ok = True
-        for mono, _ in dx.monomials():
-            for v in mono:
-                tau = by_name.get(v)
-                if tau is not None and prod(tau) >= index and mono != {target: 1}:
-                    lower_ok = False
+        target = {basis.names[sigma]: 1}
+        d_lead = expansions["delta"].coefficient_of(target)
+        t_lead = expansions["theta"].coefficient_of(target)
         row = {
             "n": n,
             "m": m,
@@ -421,7 +396,12 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
             "theta_leading": str(t_lead),
             "delta_leading_is_unit": d_lead == m,
             "theta_leading_matches": t_lead == p ** n * m,
-            "remainder_lower": lower_ok,
+            "remainder_lower": all(
+                index_of[v] < index
+                for mono, _ in expansions["delta"].monomials()
+                if mono != target
+                for v in mono
+            ),
         }
         rows.append(row)
     ok = all(r["delta_leading_is_unit"] and r["theta_leading_matches"] and r["remainder_lower"] for r in rows)
@@ -444,68 +424,40 @@ def integrality_report(P, depth: int) -> dict:
 
     The elements are the X_sigma with |sigma| <= depth; re-expression
     happens over the basis one level deeper, so that every delta_p(X_sigma)
-    stays inside the span.
+    stays inside the span.  Each case is (report head, model element,
+    divisor d): the element must have X coordinates divisible by d, which is
+    1 for products and delta-iterates and p for the congruence
+    psi^p(e) = e^p mod p on the X-monomials e of degree <= 2.
     """
     wide = FreeLambdaBasis(P, depth + 1)
+    model = wide.model
+    elements = [(_sigma_display(s), wide.embed[s]) for s in wide.sigmas if len(s) <= depth]
+    products = [(a, b, ea * eb) for i, (a, ea) in enumerate(elements) for b, eb in elements[i:]]
+    # the X-monomials of degree <= 2; elements start at X0, so products[0] is X0*X0
+    monomials = elements + [(f"{a}*{b}", e) for a, b, e in products[1:]]
+    cases = (
+        [({"kind": "product", "left": a, "right": b}, e, 1) for a, b, e in products]
+        + [({"kind": "delta", "p": p, "element": a}, model.delta(p, e), 1) for a, e in elements for p in wide.P]
+        + [
+            ({"kind": "frobenius_congruence", "p": p, "element": a}, model.frobenius_deviation(p, e), p)
+            for p in wide.P
+            for a, e in monomials
+        ]
+    )
     witnesses = []
-    products = 0
-    sigmas = [s for s in wide.sigmas if len(s) <= depth]
-    for i, s in enumerate(sigmas):
-        for t in sigmas[i:]:
-            products += 1
-            value = wide.embed[s] * wide.embed[t]
-            xp, integral = wide.to_x_basis(value)
-            if not integral:
-                witnesses.append(
-                    {"kind": "product", "left": _sigma_display(s), "right": _sigma_display(t), "witness": str(xp)}
-                )
-    deltas = 0
-    for s in sigmas:
-        for p in wide.P:
-            deltas += 1
-            value = wide.model.delta(p, wide.embed[s])
-            xp, integral = wide.to_x_basis(value)
-            if not integral:
-                witnesses.append(
-                    {"kind": "delta", "p": p, "element": _sigma_display(s), "witness": str(xp)}
-                )
-    congruences = 0
-    monomials = _x_monomials(wide, sigmas)
-    for p in wide.P:
-        for label, e in monomials:
-            congruences += 1
-            value = wide.model.frobenius_deviation(p, e)
-            xp, integral = wide.to_x_basis(value)
-            divisible = integral and all(
-                Fraction(c).denominator == 1 and Fraction(c).numerator % p == 0
-                for c in xp.terms.values()
-            )
-            if not divisible:
-                witnesses.append(
-                    {"kind": "frobenius_congruence", "p": p, "element": label, "witness": str(xp)}
-                )
+    for head, value, d in cases:
+        xp, _ = wide.to_x_basis(value)
+        if any(c % d for c in xp.terms.values()):
+            witnesses.append({**head, "witness": str(xp)})
+    counts = Counter(head["kind"] for head, _, _ in cases)
     return {
         "check": "free_lambda_integrality",
         "status": "pass" if not witnesses else "fail",
-        "products": products,
-        "delta_iterates": deltas,
-        "congruences": congruences,
+        "products": counts["product"],
+        "delta_iterates": counts["delta"],
+        "congruences": counts["frobenius_congruence"],
         "witnesses": witnesses,
     }
-
-
-def _x_monomials(basis: FreeLambdaBasis, sigmas):
-    """Embedded X-monomials of degree <= 2 over ``sigmas``, labeled for reports."""
-    out = []
-    for s in sigmas:
-        out.append((_sigma_display(s), basis.embed[s]))
-    for i, s in enumerate(sigmas):
-        for t in sigmas[i:]:
-            if s or t:
-                out.append(
-                    (f"{_sigma_display(s)}*{_sigma_display(t)}", basis.embed[s] * basis.embed[t])
-                )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,15 @@ from itertools import product as iter_product
 from math import comb
 
 from .abelian import FgAbGroup, fracture_check
-from .errors import NotAFrobeniusLift
+from .errors import NotAFrobeniusLift, UsageError
 from .lambdaring import (
     FreeLambdaBasis,
+    coaction,
     coalgebra_check,
     verify_joyal_rezk,
     wilkerson_lambda,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, random_poly
 from .rings import QQ, ZZ, CoeffRing
 from .witt import (
     GhostVec,
@@ -27,6 +28,7 @@ from .witt import (
     WittVec,
     _sym_vec,
     ghost_map,
+    w2_congruence_witness,
     w2_pullback_check,
 )
 
@@ -172,8 +174,6 @@ def wilkerson_suite(seed: int = 0) -> dict:
 
 def w2_pullback_suite(seed: int = 0) -> dict:
     """Symbolic congruence w_1 = w_0^p mod p and exhaustive integer boxes."""
-    from .witt import w2_congruence_witness
-
     reports = {}
     ok = True
     for p in (2, 3, 5):
@@ -219,8 +219,6 @@ def coalgebra_suite(seed: int = 0) -> dict:
 
     # ghost law on Big(4), fully symbolic
     S4 = TruncationSet.big(4)
-    from .lambdaring import coaction
-
     vec = coaction(model.psi, model.x, S4, QQ)
     ghost_ok = ghost_map(vec) == GhostVec(S4, QQ, {n: model.psi(n, model.x) for n in S4})
     if not ghost_ok:
@@ -268,8 +266,6 @@ def run_suite(name: str, seed: int = 0):
     if name == "all":
         return [_DISPATCH[s](seed) for s in SUITES]
     if name not in _DISPATCH:
-        from .errors import UsageError
-
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
     return [_DISPATCH[name](seed)]
 
@@ -277,8 +273,6 @@ def run_suite(name: str, seed: int = 0):
 def naturality_spotcheck(seed: int) -> dict:
     """ghost_map commutes with base change along random substitutions."""
     rng = random.Random(seed)
-    from .poly import random_poly
-
     S = TruncationSet.big(4)
     witnesses = []
     for case in range(10):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambda_forge.abelian import (
     FgAbGroup,
@@ -7,6 +8,36 @@ from lambda_forge.abelian import (
     smith_invariant_factors,
 )
 from lambda_forge.errors import NotFinitelyGenerated, UsageError
+from lambda_forge.rings import _factorize
+
+
+def primary_decomposition_group(rank, torsion):
+    """Invariant factors through primary decomposition: the oracle for Smith normal form.
+
+    Each summand Z/d splits into prime powers; the i-th invariant factor
+    from the top multiplies the i-th largest power of every prime.
+    """
+    primary = {}
+    for d in torsion:
+        d = abs(int(d))
+        if d == 0:
+            rank += 1
+            continue
+        for p, e in _factorize(d).items():
+            primary.setdefault(p, []).append(e)
+    depth = max((len(v) for v in primary.values()), default=0)
+    factors = []
+    for i in range(depth):
+        f = 1
+        for p, exps in primary.items():
+            exps = sorted(exps, reverse=True)
+            if i < len(exps):
+                f *= p ** exps[i]
+        factors.append(f)
+    return FgAbGroup(rank, sorted(factors))
+
+
+PRIME_POWERS = [p ** k for p in (2, 3, 5, 7) for k in (1, 2, 3)]
 
 
 class TestSmithNormalForm:
@@ -32,6 +63,22 @@ class TestSmithNormalForm:
 class TestFgAbGroup:
     def test_invariant_factor_normalization(self):
         assert FgAbGroup.from_summands(0, [4, 6]) == FgAbGroup(0, (2, 12))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, -1]),
+                st.sampled_from(PRIME_POWERS),
+                st.sampled_from(PRIME_POWERS).map(lambda q: -q),
+                st.integers(-200, 200),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_summands_agree_with_primary_decomposition(self, rank, torsion):
+        assert FgAbGroup.from_summands(rank, torsion) == primary_decomposition_group(rank, torsion)
 
     def test_divisibility_enforced(self):
         with pytest.raises(UsageError):

@@ -14,6 +14,14 @@ CLI's vector parsing one helper: ``witt ghost-inv`` (an answer, a wrong
 component count and a ``NotDivisible``), ``delta section --expr``,
 ``lambda wilkerson`` with ``--eval`` and with no evaluation, the plain
 ``DomainError`` payload of ``lambda adams`` and ``witt series --dir from``.
+
+``library.txt`` holds library output that no CLI command prints, recorded
+before the free lambda-ring checks became case tables and Wilkerson's
+family a function: ``integrality_report`` and ``plocal_basis_check``
+reports, clean and with ``AdamsModel.frobenius_deviation`` shifted by x/2
+or x/3 (which forces the witness and ``NotPIntegral`` paths), and the
+lambda-operations of four Wilkerson families.  Each entry is a label line
+and one output line, compared as ``json.dumps`` text, key order included.
 """
 
 import json
@@ -21,11 +29,16 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lambda_forge.cli import main
+from lambda_forge.errors import ForgeError
+from lambda_forge.lambdaring import AdamsModel, FreeLambdaBasis, integrality_report, plocal_basis_check, wilkerson_lambda
+from lambda_forge.poly import MultiPoly
+from lambda_forge.rings import ZZ
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -65,3 +78,65 @@ def test_readme_tour_is_under_the_golden_gate():
     assert len(argvs) >= 24
     recorded = [entry["argv"] for entry in MANIFEST]
     assert [argv for argv in argvs if argv not in recorded] == []
+
+
+U, V = MultiPoly.var(ZZ, "u"), MultiPoly.var(ZZ, "v")
+
+
+def _wilkerson(gens, family, K, elements):
+    ops = wilkerson_lambda(gens, family, K)
+    return {
+        "lambda_on_gens": {g: [str(v) for v in values] for g, values in ops.lambda_on_gens.items()},
+        "lambda_values": {str(e): [str(v) for v in ops.lambda_values(e)] for e in elements},
+    }
+
+
+LAMBDA_CHECKS = {
+    "integrality_report((2,), 2)": lambda: integrality_report((2,), 2),
+    "integrality_report((2, 3), 1)": lambda: integrality_report((2, 3), 1),
+    "integrality_report((2, 3), 2)": lambda: integrality_report((2, 3), 2),
+    "plocal_basis_check(2, FreeLambdaBasis((2, 3), 2), 2)": lambda: plocal_basis_check(2, FreeLambdaBasis((2, 3), 2), 2),
+    "plocal_basis_check(3, FreeLambdaBasis((2, 3), 2), 2)": lambda: plocal_basis_check(3, FreeLambdaBasis((2, 3), 2), 2),
+    "plocal_basis_check(2, FreeLambdaBasis((2,), 3), 3)": lambda: plocal_basis_check(2, FreeLambdaBasis((2,), 3), 3),
+}
+WILKERSON_FAMILIES = {
+    "wilkerson identity on Z, K = 4": lambda: _wilkerson((), "identity", 4, [MultiPoly.const(ZZ, 7), MultiPoly.const(ZZ, -3)]),
+    "wilkerson 2: u -> u^2, K = 2": lambda: _wilkerson(("u",), {2: {"u": U ** 2}}, 2, [U ** 3 + U]),
+    "wilkerson 2: u -> u^2 + 2u, K = 2": lambda: _wilkerson(("u",), {2: {"u": U ** 2 + U * 2}}, 2, [U ** 2 - 3]),
+    "wilkerson 2: x -> x^2, 3: x -> x^3 on u, v, K = 4": lambda: _wilkerson(
+        ("u", "v"), {2: {"u": U ** 2, "v": V ** 2}, 3: {"u": U ** 3, "v": V ** 3}}, 4, [U + V, U * V]
+    ),
+}
+LIBRARY_CALLS = {**LAMBDA_CHECKS, **WILKERSON_FAMILIES}
+# (label, call, k): k shifts frobenius_deviation by x/k, None leaves it alone
+LIBRARY_CASES = [
+    (call if k is None else f"{call} with frobenius_deviation + x/{k}", call, k)
+    for k in (None, 2, 3)
+    for call in LAMBDA_CHECKS
+] + [(call, call, None) for call in WILKERSON_FAMILIES]
+
+
+def render_library_case(call, k):
+    """One output line: the call's ``json.dumps`` text, or its error."""
+    deviation = AdamsModel.frobenius_deviation
+    if k is not None:
+        AdamsModel.frobenius_deviation = lambda self, p, e: deviation(self, p, e) + self.x * Fraction(1, k)
+    try:
+        return json.dumps(LIBRARY_CALLS[call]())
+    except ForgeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    finally:
+        AdamsModel.frobenius_deviation = deviation
+
+
+_LINES = (GOLDEN / "library.txt").read_text().splitlines()
+LIBRARY = dict(zip(_LINES[0::2], _LINES[1::2]))
+
+
+def test_library_golden_lists_every_case():
+    assert list(LIBRARY) == [label for label, _, _ in LIBRARY_CASES]
+
+
+@pytest.mark.parametrize("label, call, k", LIBRARY_CASES, ids=[label for label, _, _ in LIBRARY_CASES])
+def test_library_output_matches_golden(label, call, k):
+    assert render_library_case(call, k) == LIBRARY[label]

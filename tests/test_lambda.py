@@ -10,6 +10,7 @@ from lambda_forge.errors import (
     NotAFrobeniusLift,
     NotDivisible,
     NotInSpan,
+    UsageError,
 )
 from lambda_forge.lambdaring import (
     AdamsModel,
@@ -235,8 +236,40 @@ class TestWilkerson:
             2: {"u": z("u") ** 2},
             3: {"u": z("u") ** 3 + 3},
         }
-        with pytest.raises(NonCommutingLifts):
+        with pytest.raises(NonCommutingLifts) as exc:
             wilkerson_lambda(("u",), family, 6)
+        assert (exc.value.p, exc.value.q) == (2, 3)
+        assert exc.value.witness == "u: u^6 + 6*u^3 + 9 vs u^6 + 3"
+
+    def test_noncommuting_witness_names_the_first_generator_that_fails(self):
+        u, v = z("u"), z("v")
+        family = {2: {"u": u ** 2, "v": v ** 2}, 3: {"u": u ** 3, "v": v ** 3 + u * 3}}
+        with pytest.raises(NonCommutingLifts) as exc:
+            wilkerson_lambda(("u", "v"), family, 6)
+        assert str(exc.value) == (
+            "lifts for 2 and 3 do not commute, witness: v: v^6 + 6*u*v^3 + 9*u^2 vs v^6 + 3*u^2"
+        )
+
+    @pytest.mark.parametrize(
+        "family",
+        ["identity", {2: {"u": z("u") ** 2}}, {2: {"u": z("u") ** 2 + z("u") * 2}}, {3: {"u": z("u") ** 3}}],
+    )
+    def test_psi_one_is_the_identity(self, family):
+        ops = wilkerson_lambda(("u",), family, 2)
+        for e in (z("u"), z("u") ** 3 - z("u") * 4 + 7, MultiPoly.const(ZZ, -2)):
+            assert ops.psi(1, e) == e
+
+    def test_identity_family_fixes_every_adams_operation(self):
+        ops = wilkerson_lambda(("u", "v"), "identity", 12)
+        e = z("u") ** 2 * z("v") - z("v") * 3 + 1
+        assert all(ops.psi(n, e) == e for n in range(1, 13))
+
+    def test_missing_prime_is_a_usage_error(self):
+        ops = wilkerson_lambda(("u",), {2: {"u": z("u") ** 2}}, 3)
+        assert ops.psi(4, z("u")) == z("u") ** 4
+        with pytest.raises(UsageError) as exc:
+            ops.lambda_values(z("u"))
+        assert str(exc.value) == "no Frobenius lift given for prime 3"
 
     def test_composite_adams_assembled_multiplicatively(self):
         ops = wilkerson_lambda(("u",), {2: {"u": z("u") ** 2}, 3: {"u": z("u") ** 3}}, 6)
