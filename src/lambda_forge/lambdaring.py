@@ -4,9 +4,11 @@ The free lambda-ring computations happen inside the rational model
 Q[x_1, ..., x_N] where the multiplicative monoid acts by x_n -> x_{mn};
 the integral basis {X_sigma}, indexed by non-decreasing prime sequences,
 embeds triangularly and integrality becomes a checked assertion instead
-of an input.  Newton's identities solve for the lambda-operations from the
-Adams operations, with exact division failures doubling as "no integral
-lambda-structure" certificates.
+of an input.  Inverting the triangle once gives each x_n as an integer
+polynomial in the X_sigma (its ghost row), so re-expressing an element
+over the X basis is a single substitution over Z.  Newton's identities
+solve for the lambda-operations from the Adams operations, with exact
+division failures doubling as "no integral lambda-structure" certificates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 
 from .delta import delta_from_phi
 from .errors import (
@@ -35,8 +37,11 @@ def _xname(n: int) -> str:
 
 
 def _xindex(name: str) -> int | None:
-    if name.startswith("x") and name[1:].isdigit():
-        return int(name[1:])
+    """n for the canonical name x<n>; None for any other name, x01 included."""
+    if name.startswith("x") and name[1:].isdecimal():
+        n = int(name[1:])
+        if name == _xname(n):
+            return n
     return None
 
 
@@ -129,15 +134,27 @@ def _sigmas_upto(P, depth):
     return sorted(sigmas, key=lambda s: (prod(s), s))
 
 
+def _cleared(e: MultiPoly):
+    """(e * d over Z, d) for the least d >= 1 that clears the denominators of e over Q."""
+    d = lcm(*(c.denominator for c in e.terms.values()))
+    return MultiPoly(ZZ, e.vars, {k: c.numerator * (d // c.denominator) for k, c in e.terms.items()}), d
+
+
 class FreeLambdaBasis:
     """The X_sigma basis of the free lambda-ring over a finite prime set.
 
     X_() is the generator x itself and X_(p, rest) = delta_p(X_rest); each
     embed(X_sigma) is triangular with leading term x_{prod(sigma)} and
     unit coefficient 1/prod(sigma), which is verified at construction.
+    Inverting the triangle gives the ghost rows: ghost["x<n>"] is x_n in
+    the X variables alone, over Z, so re-expression over the X basis is one
+    integer substitution.  In the Adams model every row is an integer
+    polynomial (Joyal) and ``scale`` is empty.  A corrupted model can give
+    a row with denominators; the row is then kept times the lcm D of its
+    denominators, and ``scale`` maps x_n to x_n / D ahead of the rows.
     """
 
-    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "rows")
+    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "scale")
 
     def __init__(self, P, depth: int, N: int | None = None):
         P = tuple(sorted(set(P)))
@@ -155,8 +172,8 @@ class FreeLambdaBasis:
         self.names = {s: _sigma_name(s) for s in self.sigmas}
         self.embed = {}
         self.span = {}
-        # rows[n]: x_n solved from embed(X_sigma), with n = prod(sigma)
-        self.rows = {}
+        self.ghost = {}
+        self.scale = {}
         for sigma in self.sigmas:
             if not sigma:
                 value = self.model.x
@@ -166,8 +183,12 @@ class FreeLambdaBasis:
             self._check_triangular(sigma, value, n)
             self.embed[sigma] = value
             self.span[n] = sigma
-            rest = value - MultiPoly.var(QQ, _xname(n)) * Fraction(1, n)
-            self.rows[n] = (MultiPoly.var(QQ, self.names[sigma]) - rest) * n
+            name = _xname(n)
+            # x_n / n = X_sigma - rest, and rest only touches lower indices
+            rest, _ = self.to_x_basis(value - MultiPoly.var(QQ, name) * Fraction(1, n))
+            self.ghost[name], D = _cleared((MultiPoly.var(QQ, self.names[sigma]) - rest) * n)
+            if D != 1:
+                self.scale[name] = MultiPoly.var(QQ, name) * Fraction(1, D)
 
     def _check_triangular(self, sigma, value, n):
         lead = value.coefficient_of({_xname(n): 1})
@@ -188,26 +209,24 @@ class FreeLambdaBasis:
         return xpoly.substitute(env)
 
     def to_x_basis(self, e: MultiPoly):
-        """Rewrite a model element over the X basis, highest index first.
+        """Rewrite a model element over the X basis through the ghost rows.
 
-        Returns (polynomial in the X variables, integrality flag).
-        Raises ``NotInSpan`` when e touches an x-index with no basis row.
+        Returns (polynomial in the X variables, integrality flag).  Raises
+        ``NotInSpan`` with the largest x-index of e that has no ghost row.
+        The element is cleared of denominators d, so that the substitution
+        runs over Z, and the answer is scaled back; it is integral when d
+        divides every coefficient of the integer image.
         """
+        missing = [n for n in map(_xindex, e.vars) if n is not None and n not in self.span]
+        if missing:
+            raise NotInSpan(max(missing))
         work = e.convert_ring(QQ)
-        while True:
-            indices = [i for i in (_xindex(v) for v in work.vars) if i is not None]
-            if not indices:
-                break
-            top = max(indices)
-            solved = self.rows.get(top)
-            if solved is None:
-                raise NotInSpan(top)
-            work = work.substitute({_xname(top): solved})
-        integral = all(
-            not isinstance(c, Fraction) or c.denominator == 1
-            for c in work.terms.values()
-        )
-        return work, integral
+        if self.scale:
+            work = work.substitute(self.scale)
+        scaled, d = _cleared(work)
+        image = scaled.substitute(self.ghost)
+        xp = MultiPoly(QQ, image.vars, {k: Fraction(c, d) for k, c in image.terms.items()})
+        return xp, all(c % d == 0 for c in image.terms.values())
 
 
 # ---------------------------------------------------------------------------

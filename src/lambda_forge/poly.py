@@ -18,6 +18,11 @@ is one int addition.  The field width comes from a bound on every exponent
 of the result, so no field carries into the next; keys are packed once on
 entry and unpacked once on exit.  Over Z/m the raw coefficients are reduced
 after each product so that they stay bounded.
+
+Substitution is Horner over the assigned variables: terms are grouped by
+the exponent of the variable with the largest image, outermost, so that
+each power of an image multiplies the summed image of its group once
+rather than once per term.
 """
 
 from __future__ import annotations
@@ -128,7 +133,7 @@ class MultiPoly:
         vars, left, right = _merge(self, other)
         n = len(vars)
         w = _field(_max_exp(left, n) + _max_exp(right, n))
-        return MultiPoly(self.ring, vars, _unpack(_mul_terms(_pack(left, n, w), _pack(right, n, w)), n, w))
+        return MultiPoly(self.ring, vars, _unpack(_mul_terms(_pack(left, n, w), _pack(right, n, w), {}), n, w))
 
     __rmul__ = __mul__
 
@@ -174,7 +179,14 @@ class MultiPoly:
         return MultiPoly(self.ring, self.vars, terms)
 
     def substitute(self, assignment: dict) -> "MultiPoly":
-        """Simultaneous substitution; unassigned variables map to themselves."""
+        """Simultaneous substitution; unassigned variables map to themselves.
+
+        Horner over the assigned variables, the one with the largest image
+        outermost: the source terms are grouped by that variable's exponent,
+        and each power of its image multiplies the summed image of its group
+        once.  Unassigned variables never get a level: their exponents ride
+        along in the low bits of each packed key.
+        """
         ring = self.ring
         values = []
         for v in self.vars:
@@ -188,38 +200,32 @@ class MultiPoly:
         vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
         index = {v: i for i, v in enumerate(vars)}
         n = len(vars)
-        zero_exps = (0,) * n
-        one = ring.normalize(1)
-        # each value as a term map over ``vars``
-        images = []
-        for v, val in zip(self.vars, values):
-            if val is None:
-                key = list(zero_exps)
-                key[index[v]] = 1
-                images.append({tuple(key): one})
-            elif isinstance(val, MultiPoly):
-                images.append(_remap(val, index, n))
-            else:
-                images.append({zero_exps: val})
+        # the total degree of each value: 1 for an unassigned variable, 0 for a scalar
+        degrees = [
+            max(map(sum, val.terms), default=0) if isinstance(val, MultiPoly) else int(val is None)
+            for val in values
+        ]
         # every exponent of the result is at most its total degree
-        degrees = [max(map(sum, terms), default=0) for terms in images]
         w = _field(max((sum(map(mul, exps, degrees)) for exps in self.terms), default=0))
-        # cache[i][e] is values[i]**e, packed
-        cache = [{1: _pack(terms, n, w)} for terms in images]
-        total: dict = {}
-        for exps, c in self.terms.items():
-            part = {0: c}
-            for i, e in enumerate(exps):
-                if e:
-                    powers = cache[i]
-                    if e not in powers:
-                        powers[e] = _pow_terms(ring, powers[1], e)
-                    part = _reduce(ring, _mul_terms(part, powers[e]))
-            for key, coef in part.items():
-                if key in total:
-                    total[key] += coef
-                else:
-                    total[key] = coef
+        # each assigned value, packed straight into the result's layout
+        images = {}
+        for i, val in enumerate(values):
+            if isinstance(val, MultiPoly):
+                shifts = [8 * w * index[u] for u in val.vars]
+                images[i] = {sum([e << s for e, s in zip(exps, shifts)]): c for exps, c in val.terms.items()}
+            elif val is not None:
+                images[i] = {0: val}
+        order = sorted(images, key=lambda i: len(images[i]))
+        bits = 8 * _field(max((exps[i] for exps in self.terms for i in order), default=0))
+        # a source key holds the free variables' exponents in the result's
+        # layout, and above them the assigned exponents, innermost lowest
+        base = 8 * w * n
+        at = [(i, base + bits * level) for level, i in enumerate(order)]
+        at += [(i, 8 * w * index[v]) for i, v in enumerate(self.vars) if i not in images]
+        items = {sum([exps[i] << shift for i, shift in at]): c for exps, c in self.terms.items()}
+        powers = [{1: images[i]} for i in order]
+        # with nothing assigned, the keys are already those of the result
+        total = _horner(ring, items, len(order) - 1, base, bits, powers) if order else items
         return MultiPoly(ring, vars, _unpack(total, n, w))
 
     def evaluate(self, env: dict):
@@ -400,13 +406,13 @@ def _unpack(terms: dict, n: int, w: int) -> dict:
     return out
 
 
-def _mul_terms(left: dict, right: dict) -> dict:
-    """Raw product of two packed term maps with the same field layout.
+def _mul_terms(left: dict, right: dict, out: dict) -> dict:
+    """Add the raw product of two packed term maps with the same field
+    layout into ``out``, and return it.
 
     Nothing is normalized, pruned or sorted: the result is only ever an
     intermediate value or the input of one ``MultiPoly`` constructor.
     """
-    out: dict = {}
     for e1, c1 in left.items():
         for e2, c2 in right.items():
             key = e1 + e2
@@ -455,11 +461,55 @@ def _pow_terms(ring: CoeffRing, terms: dict, n: int) -> dict:
     base = terms
     while True:
         if n & 1:
-            result = base if result is None else _reduce(ring, _mul_terms(result, base))
+            result = base if result is None else _reduce(ring, _mul_terms(result, base, {}))
         n >>= 1
         if not n:
             return result
         base = _reduce(ring, _square_terms(base))
+
+
+def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powers: list) -> dict:
+    """Raw image of packed source terms under a substitution, by Horner.
+
+    A key of ``items`` holds the free variables' exponents in its lowest
+    ``base`` bits, already in the result's layout, and above them one
+    ``bits``-wide field for each assigned variable of levels 0..``level``;
+    ``powers[j]`` caches the packed powers of the image at level j.  A
+    module-level function, so that no closure keeps a call's power caches
+    alive.
+    """
+    shift = base + bits * level
+    mask = (1 << shift) - 1
+    groups: dict = {}
+    for key, c in items.items():
+        e = key >> shift
+        group = groups.get(e)
+        if group is None:
+            groups[e] = group = {}
+        group[key & mask] = c
+    if level:
+        # each exponent of this level's image with the summed image of its group
+        parts = ((e, _horner(ring, group, level - 1, base, bits, powers)) for e, group in groups.items())
+    else:
+        parts = groups.items()
+    cache = powers[level]
+    total: dict = {}
+    for e, part in parts:
+        if e:
+            power = cache.get(e)
+            if power is None:
+                cache[e] = power = _pow_terms(ring, cache[1], e)
+            _mul_terms(part, power, total)
+        elif not total:
+            # a fresh map that nothing else reads
+            total = part
+        else:
+            for key, c in part.items():
+                if key in total:
+                    total[key] += c
+                else:
+                    total[key] = c
+    return _reduce(ring, total)
 
 
 def poly_sum(ring: CoeffRing, parts) -> MultiPoly:

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -292,6 +293,21 @@ class TestMalformedArgv:
         assert code == 0 and json.loads(out)["reports"][0]["cases"] != 28
 
 
+def run_within(seconds, capsys, *argv):
+    """``run``, failed by an alarm when it takes longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{' '.join(argv)} took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestRefusedWork:
     def test_wrong_component_count_on_a_large_truncation_exits_quickly(self, capsys):
         start = time.perf_counter()
@@ -304,6 +320,16 @@ class TestRefusedWork:
         S = TruncationSet.big(16000)
         assert time.perf_counter() - start < 0.5
         assert len(S) == 16000
+
+    def test_non_canonical_x_name_is_a_free_variable_of_the_x_basis(self, capsys):
+        # x01 is not x1: re-expression leaves it in place, as it does y
+        code, out, err = run_within(2, capsys, "lambda", "to-x-basis", "--primes", "2,3", "--depth", "2", "--expr", "x01")
+        assert (code, out, err) == (0, "x_basis: x01\nintegral: True\n", "")
+
+    def test_non_canonical_x_name_is_refused_by_adams(self, capsys):
+        code, out, err = run_within(2, capsys, "lambda", "adams", "--m", "2", "--N", "4", "--expr", "x01 + x1")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "x01 is not an Adams model variable" in err
 
     @pytest.mark.parametrize("elems", [(1, 2, 3, 12), (1, 4), (2,)])
     def test_set_that_is_not_division_stable_is_refused(self, elems):

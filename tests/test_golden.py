@@ -9,11 +9,14 @@ big:4, a numeric length-6 addition and every command of the README tour.
 The later entries were recorded before the polynomial kernels moved to
 packed exponent keys: products on big:8 and p:3,3, exponents on both sides
 of the 1-byte field boundary and beyond 2**64, and a substitution over Q.
-The last eight were recorded before subtraction became one pass and the
+The next eight were recorded before subtraction became one pass and the
 CLI's vector parsing one helper: ``witt ghost-inv`` (an answer, a wrong
 component count and a ``NotDivisible``), ``delta section --expr``,
 ``lambda wilkerson`` with ``--eval`` and with no evaluation, the plain
 ``DomainError`` payload of ``lambda adams`` and ``witt series --dir from``.
+The last two were recorded before X-basis re-expression became one
+substitution through ghost rows: ``lambda to-x-basis`` on a product of
+x-indices with a free variable ``y`` left in place, and a ``NotInSpan``.
 
 ``library.txt`` holds library output that no CLI command prints, recorded
 before the free lambda-ring checks became case tables and Wilkerson's

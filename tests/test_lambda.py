@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_forge.errors import (
     IndexOutOfRange,
@@ -79,6 +81,12 @@ class TestAdamsModel:
             for b in range(1, 7):
                 if a * b <= 6:
                     assert m.psi(a, m.psi(b, e)) == m.psi(a * b, e)
+
+    @pytest.mark.parametrize("name", ["x01", "x00", "x\u00b2", "x\u0663", "x", "y1"])
+    def test_only_canonical_x_names_are_model_variables(self, name):
+        m = AdamsModel(6)
+        with pytest.raises(UsageError, match="is not an Adams model variable"):
+            m.psi(2, q(name) + m.gen(1))
 
     def test_out_of_range(self):
         m = AdamsModel(5)
@@ -174,6 +182,114 @@ class TestFreeLambdaRing:
         e = q("x6") + q("x2") * q("x3") - 5
         xp, _ = basis.to_x_basis(e)
         assert basis.from_x_basis(xp) == e
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: X-basis re-expression is one substitution through the
+# ghost rows.  The oracle is the elimination route it replaced: solve each
+# basis row for its top x-index, in X and lower x variables, and substitute
+# the top x-index of the element, one index a pass, until none is left.
+
+
+def _oracle_xindex(name):
+    if name.startswith("x") and name[1:].isdecimal() and name == f"x{int(name[1:])}":
+        return int(name[1:])
+    return None
+
+
+def eliminating_to_x_basis(basis, e):
+    rows = {}
+    for sigma in basis.sigmas:
+        n = prod(sigma)
+        rest = basis.embed[sigma] - q(f"x{n}") * Fraction(1, n)
+        rows[n] = (q(basis.names[sigma]) - rest) * n
+    work = e.convert_ring(QQ)
+    while True:
+        indices = [i for i in map(_oracle_xindex, work.vars) if i is not None]
+        if not indices:
+            break
+        top = max(indices)
+        if top not in rows:
+            raise NotInSpan(top)
+        work = work.substitute({f"x{top}": rows[top]})
+    return work, all(c.denominator == 1 for c in work.terms.values())
+
+
+ORACLE_BASES = {(P, depth): FreeLambdaBasis(P, depth) for P in ((2,), (2, 3), (3, 5)) for depth in (1, 2)}
+
+
+@st.composite
+def model_combinations(draw):
+    """A basis and a Q-combination of monomials in its model's x_n: mostly
+    indices in the span, sometimes one outside it or a free variable y."""
+    basis = ORACLE_BASES[draw(st.sampled_from(sorted(ORACLE_BASES)))]
+    inside = sorted(basis.span)
+    outside = [n for n in range(1, basis.model.N + 1) if n not in basis.span]
+    element = MultiPoly.zero(QQ)
+    for _ in range(draw(st.integers(1, 3))):
+        c = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
+        mono = MultiPoly.const(QQ, c)
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(["inside"] * 6 + ["outside", "y"]))
+            if kind == "inside":
+                mono = mono * basis.model.gen(draw(st.sampled_from(inside)))
+            elif kind == "outside":
+                mono = mono * basis.model.gen(draw(st.sampled_from(outside)))
+            else:
+                mono = mono * q("y")
+        element = element + mono
+    return basis, element
+
+
+class TestGhostRows:
+    @settings(max_examples=60, deadline=None)
+    @given(data=model_combinations())
+    def test_matches_the_elimination_route(self, data):
+        basis, e = data
+        try:
+            want = eliminating_to_x_basis(basis, e)
+        except NotInSpan as exc:
+            with pytest.raises(NotInSpan) as got:
+                basis.to_x_basis(e)
+            assert got.value.index == exc.index
+            return
+        xp, integral = basis.to_x_basis(e)
+        assert (xp.ring, xp.vars, list(xp.terms.items()), integral) == (
+            QQ, want[0].vars, list(want[0].terms.items()), want[1]
+        )
+
+    @pytest.mark.parametrize("key", sorted(ORACLE_BASES), ids=str)
+    def test_rows_are_integral_and_embed_back(self, key):
+        basis = ORACLE_BASES[key]
+        assert sorted(basis.ghost) == sorted(f"x{n}" for n in basis.span)
+        assert basis.scale == {}
+        for n in basis.span:
+            row = basis.ghost[f"x{n}"]
+            assert row.ring == ZZ
+            assert basis.from_x_basis(row.convert_ring(QQ)) == basis.model.gen(n)
+        for p in basis.P:
+            assert basis.ghost[f"x{p}"] == z("X0") ** p + z(f"X{p}") * p
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rows_with_denominators_match_the_elimination_route(self, monkeypatch, k):
+        # frobenius_deviation shifted by x/k: a corrupted model whose rows leave Z
+        deviation = AdamsModel.frobenius_deviation
+        monkeypatch.setattr(
+            AdamsModel, "frobenius_deviation", lambda self, p, e: deviation(self, p, e) + self.x * Fraction(1, k)
+        )
+        basis = FreeLambdaBasis((2, 3), 2)
+        assert basis.scale and all(row.ring == ZZ for row in basis.ghost.values())
+        rng = random.Random(k)
+        for _ in range(12):
+            e = MultiPoly.zero(QQ)
+            for _ in range(rng.randint(1, 3)):
+                mono = MultiPoly.const(QQ, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+                for _ in range(rng.randint(0, 2)):
+                    mono = mono * basis.model.gen(rng.choice(sorted(basis.span)))
+                e = e + mono
+            xp, integral = basis.to_x_basis(e)
+            want, want_integral = eliminating_to_x_basis(basis, e)
+            assert (xp.vars, list(xp.terms.items()), integral) == (want.vars, list(want.terms.items()), want_integral)
 
 
 class TestJoyalRezk:

@@ -5,7 +5,8 @@ other than its own ``def`` line: in the package, the tests, the benchmark
 or the README.  A definition nothing mentions is dead code.  Likewise an
 exception class in ``errors.py`` that no other class there derives from
 must be raised somewhere in the package: one only the tests raise is no
-part of the program.
+part of the program.  And every ``__slots__`` name of a package class must
+be read as an attribute somewhere: a field nothing reads is dead state.
 """
 
 import ast
@@ -56,3 +57,24 @@ def test_every_exception_is_raised_by_the_package():
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
                 raised.add(node.exc.func.id)
     assert [node.name for node in classes if node.name not in bases | raised] == []
+
+
+def test_every_slot_is_read():
+    slots = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    names = ast.literal_eval(stmt.value)
+                    slots += [(path.name, node.name, name) for name in ((names,) if isinstance(names, str) else names)]
+    read = set()
+    for path in (p for p in _files() if p.suffix == ".py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert slots
+    assert [f"{f}: {cls}.{name}" for f, cls, name in slots if name not in read] == []

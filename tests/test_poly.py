@@ -658,3 +658,113 @@ class TestOnePassSubtraction:
             v("x") - Fraction(1, 2)
         with pytest.raises(NotDivisible):
             Fraction(1, 3) - v("x", Z3)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: substitution runs Horner over the source variables.
+# The oracle is the per-term route it replaced: every term multiplies the
+# cached powers of its variables' images into one raw product, on the same
+# packed keys, and the products are summed.
+
+def per_term_substitute(p, assignment):
+    ring = p.ring
+    values = []
+    for name in p.vars:
+        val = assignment.get(name)
+        if isinstance(val, (int, Fraction)):
+            val = ring.normalize(val)
+        elif val is not None:
+            ring.require_same(val.ring)
+        values.append(val)
+    free = {name for name, val in zip(p.vars, values) if val is None}
+    vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
+    index = {name: i for i, name in enumerate(vars)}
+    n = len(vars)
+    zero_exps = (0,) * n
+    images = []
+    for name, val in zip(p.vars, values):
+        if val is None:
+            key = list(zero_exps)
+            key[index[name]] = 1
+            images.append({tuple(key): ring.normalize(1)})
+        elif isinstance(val, MultiPoly):
+            images.append(poly._remap(val, index, n))
+        else:
+            images.append({zero_exps: val})
+    degrees = [max(map(sum, terms), default=0) for terms in images]
+    w = poly._field(max((sum(map(lambda e, d: e * d, exps, degrees)) for exps in p.terms), default=0))
+    cache = [{1: poly._pack(terms, n, w)} for terms in images]
+    total = {}
+    for exps, c in p.terms.items():
+        part = {0: c}
+        for i, e in enumerate(exps):
+            if e:
+                powers = cache[i]
+                if e not in powers:
+                    powers[e] = poly._pow_terms(ring, powers[1], e)
+                part = poly._reduce(ring, poly._mul_terms(part, powers[e], {}))
+        for key, coef in part.items():
+            total[key] = total[key] + coef if key in total else coef
+    return MultiPoly(ring, vars, poly._unpack(total, n, w))
+
+
+HORNER_NAMES = ("s", "t", "u", "v")
+
+
+@st.composite
+def horner_substitutions(draw):
+    """A source polynomial and an assignment that mixes polynomial, scalar
+    and missing values; the values draw on the source's own variables and on
+    fresh ones.  The source may be zero or constant, and may carry one
+    exponent of 2**64, which its variable then maps to a unit monomial or to
+    a scalar in {-1, 0, 1} so that the answer stays small."""
+    ring = draw(st.sampled_from(PACK_RINGS))
+    names = tuple(sorted(draw(st.sets(st.sampled_from(HORNER_NAMES[:3])))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = tuple(draw(st.integers(0, 4)) for _ in names)
+        c = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(PACK_DENOMINATORS[ring])))
+        terms[key] = terms.get(key, 0) + c
+    wide = names and draw(st.booleans())
+    if wide:
+        key = (2**64,) + (0,) * (len(names) - 1)
+        terms[key] = terms.get(key, 0) + draw(st.sampled_from([-1, 1, 2]))
+    p = MultiPoly(ring, names, terms)
+    env = {}
+    for name in HORNER_NAMES[:3]:
+        kind = draw(st.sampled_from(["poly", "int", "fraction", "missing"]))
+        if wide and name == names[0]:
+            if kind == "poly":
+                env[name] = MultiPoly.var(ring, draw(st.sampled_from(HORNER_NAMES))) * draw(st.sampled_from([-1, 1]))
+            elif kind != "missing":
+                env[name] = draw(st.sampled_from([-1, 0, 1]))
+        elif kind == "poly":
+            value = {}
+            for _ in range(draw(st.integers(0, 3))):
+                exps = tuple(draw(st.integers(0, 2)) for _ in HORNER_NAMES)
+                c = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from(PACK_DENOMINATORS[ring])))
+                value[exps] = value.get(exps, 0) + c
+            env[name] = MultiPoly(ring, HORNER_NAMES, value)
+        elif kind == "int":
+            env[name] = draw(st.integers(-5, 5))
+        elif kind == "fraction":
+            env[name] = Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from(PACK_DENOMINATORS[ring])))
+    return p, env
+
+
+class TestHornerSubstitution:
+    @settings(max_examples=200, deadline=None)
+    @given(data=horner_substitutions())
+    def test_matches_the_per_term_route(self, data):
+        p, env = data
+        assert canonical_items(p.substitute(env)) == canonical_items(per_term_substitute(p, env))
+
+    @pytest.mark.parametrize("ring", PACK_RINGS, ids=repr)
+    def test_zero_constant_and_wide_sources(self, ring):
+        s, t, u = (MultiPoly.var(ring, name) for name in HORNER_NAMES[:3])
+        env = {"s": t + u * 2, "t": s * t - 1, "u": 3}
+        for p in (MultiPoly.zero(ring), MultiPoly.const(ring, 5), s ** 3 * t - t ** 2 * u + s * u + 4):
+            assert canonical_items(p.substitute(env)) == canonical_items(per_term_substitute(p, env))
+        wide = s ** (2**64) * t + u ** 2
+        for value in ({"s": -t}, {"s": 1, "t": s}, {"t": s + u}):
+            assert canonical_items(wide.substitute(value)) == canonical_items(per_term_substitute(wide, value))
