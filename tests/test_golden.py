@@ -17,6 +17,10 @@ component count and a ``NotDivisible``), ``delta section --expr``,
 The last two were recorded before X-basis re-expression became one
 substitution through ghost rows: ``lambda to-x-basis`` on a product of
 x-indices with a free variable ``y`` left in place, and a ``NotInSpan``.
+The last four were recorded before the ghost route moved to packed term
+maps: ``witt ghost-inv`` on polynomial ghost components, one inverse and
+one ``NotDivisible`` with its polynomial certificate, a p-typical addition
+of polynomial vectors, and a comultiplication for S = big:3, T = big:2.
 
 ``library.txt`` holds library output that no CLI command prints, recorded
 before the free lambda-ring checks became case tables and Wilkerson's
