@@ -12,12 +12,12 @@ order, then by descending total degree.
 Products, powers and substitutions accumulate raw term maps
 (``_mul_terms``) over one fixed variable space and canonicalize only the
 result; the terms of intermediate products are never normalized, pruned or
-sorted.  Inside these kernels, and only there, an exponent vector is packed
-into one int with a fixed-width field per variable, so a monomial product
-is one int addition.  The field width comes from a bound on every exponent
-of the result, so no field carries into the next; keys are packed once on
-entry and unpacked once on exit.  Over Z/m the raw coefficients are reduced
-after each product so that they stay bounded.
+sorted.  A raw map packs each exponent vector into one int, a fixed-width
+field per variable sized from a bound on every exponent of the result, so a
+monomial product is one int addition.  A ``MultiPoly`` operation packs once
+on entry and unpacks once on exit; ``_Packed`` keeps a whole computation,
+such as the Witt ghost route, in one layout.  Over Z/m the raw coefficients
+are reduced after each product so that they stay bounded.
 
 Substitution is Horner over the assigned variables: terms are grouped by
 the exponent of the variable with the largest image, outermost, so that
@@ -130,10 +130,8 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vars, left, right = _merge(self, other)
-        n = len(vars)
-        w = _field(_max_exp(left, n) + _max_exp(right, n))
-        return MultiPoly(self.ring, vars, _unpack(_mul_terms(_pack(left, n, w), _pack(right, n, w), {}), n, w))
+        _, pack = _packer(self.ring, (self, other), 2)
+        return (pack(self) * pack(other)).poly(self.ring)
 
     __rmul__ = __mul__
 
@@ -142,10 +140,8 @@ class MultiPoly:
             raise UsageError("polynomial powers take nonnegative integer exponents")
         if n == 0:
             return MultiPoly.one(self.ring)
-        width = len(self.vars)
-        w = _field(_max_exp(self.terms, width) * n)
-        terms = _pow_terms(self.ring, _pack(self.terms, width, w), n)
-        return MultiPoly(self.ring, self.vars, _unpack(terms, width, w))
+        w = _field(_max_exp(self.terms, len(self.vars)) * n)
+        return (_Packed(self.ring, self.vars, w, _pack(self.terms, len(self.vars), w)) ** n).poly(self.ring)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -510,6 +506,59 @@ def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powe
                 else:
                     total[key] = c
     return _reduce(ring, total)
+
+
+class _Packed:
+    """A raw term map in one layout, ``vars`` at ``w`` bytes a field as ``_pack``
+    makes it, under +, - (also unary), * (by a ``_Packed`` or an int), ** and
+    exact division; its owner keeps every exponent in a field.  ``poly`` canonicalizes."""
+
+    __slots__ = ("ring", "vars", "w", "terms")
+
+    def __init__(self, ring: CoeffRing, vars: tuple, w: int, terms: dict):
+        self.ring, self.vars, self.w, self.terms = ring, vars, w, _reduce(ring, terms)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms[k] + c if k in terms else c
+        return _Packed(self.ring, self.vars, self.w, terms)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return _Packed(self.ring, self.vars, self.w, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Packed(self.ring, self.vars, self.w, {k: c * other for k, c in self.terms.items()})
+        return _Packed(self.ring, self.vars, self.w, _mul_terms(self.terms, other.terms, {}))
+
+    def __pow__(self, n: int):
+        return _Packed(self.ring, self.vars, self.w, _pow_terms(self.ring, self.terms, n) if n else {0: 1})
+
+    def div_int(self, d: int) -> "_Packed":
+        """Exact division, dropping cancelled terms; fails with the certificate
+        of ``MultiPoly.div_int``, the first offending term in grlex order."""
+        div = self.ring.div_int
+        try:
+            return _Packed(self.ring, self.vars, self.w, {k: div(c, d) for k, c in self.terms.items() if c})
+        except NotDivisible:
+            self.poly(self.ring).div_int(d)
+            raise
+
+    def poly(self, ring: CoeffRing) -> MultiPoly:
+        return MultiPoly(ring, self.vars, _unpack(self.terms, len(self.vars), self.w))
+
+
+def _packer(ring: CoeffRing, polys: list, scale: int):
+    """Zero and packer of one layout for ``polys``, fields for ``scale`` times their top exponent."""
+    vars = tuple(sorted(set().union(*(p.vars for p in polys))))
+    n = len(vars)
+    w = _field(scale * max(_max_exp(p.terms, len(p.vars)) for p in polys))
+    index = {v: i for i, v in enumerate(vars)}
+    return _Packed(ring, vars, w, {}), lambda p: _Packed(ring, vars, w, _pack(_remap(p, index, n), n, w))
 
 
 def poly_sum(ring: CoeffRing, parts) -> MultiPoly:

@@ -10,12 +10,12 @@ components, combine them, invert triangularly by exact division.  The
 ghost map is injective over the torsion-free rings Z, Q and Z_(p); over
 Z/m the work is done on lifts to Z and reduced at the end, which is
 sound because the universal polynomials have integer coefficients.
-Component values are ring scalars when every component is constant,
-polynomials otherwise.  A vector in W_S(W_T(A)) has ghost coordinates
-keyed by (s, t): w_s of its components' ghost coordinates at t.
-Frobenius and comultiplication are index maps on these keys, and the
-inverse runs one level at a time, so every nesting depth shares the one
-route.
+Component values are ring scalars when every component is constant, else
+raw term maps in one packed layout, and only the answers are canonicalized.
+A vector in W_S(W_T(A)) has ghost coordinates keyed by (s, t): w_s of its
+components' ghost coordinates at t.  Frobenius and comultiplication are
+index maps on these keys, and the inverse runs one level at a time, so
+every nesting depth shares the one route.
 
 The universal polynomials are the same arithmetic on generic vectors
 (components a_n, b_n).  Their integrality is a theorem, so a failed
@@ -49,13 +49,9 @@ from .errors import (
     TruncationMismatch,
     UsageError,
 )
-from .poly import MultiPoly, poly_sum
+from .poly import MultiPoly, _Packed, _packer
 from .rings import MODULAR, CoeffRing, ZZ, _factorize
 from .series import TruncSeries, geometric
-
-
-def _divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TruncationSet:
@@ -281,29 +277,37 @@ def comult_poly_map(S: TruncationSet, T: TruncationSet) -> dict:
 # the ghost route
 
 
-def _ghost_comp(x: dict, n: int):
-    """The ghost formula w_n = sum_{d | n} d * x_d^(n/d) on component values."""
-    parts = [x[d] ** (n // d) * d for d in _divisors(n)]
-    if isinstance(parts[0], MultiPoly):
-        return poly_sum(parts[0].ring, parts)
-    return sum(parts)
+def _divisor_table(S: TruncationSet) -> dict:
+    """n -> its divisors in S, increasing, from the pairs d * q <= max(S)."""
+    table = {n: [] for n in S}
+    for d in S:
+        top = S.elems[-1] // d
+        for q in S:
+            if q > top:
+                break
+            if d * q in table:
+                table[d * q].append(d)
+    return table
 
 
-def _ghost(x: dict, S: TruncationSet) -> dict:
-    return {n: _ghost_comp(x, n) for n in S}
+def _ghost_comp(x: dict, divs: list):
+    """w_n = sum_{d | n} d * x_d^(n/d) on component values; n = divs[-1]."""
+    n = divs[-1]
+    parts = [x[d] ** (n // d) * d for d in divs]
+    return sum(parts[1:], parts[0])
 
 
-def _unghost(w: dict, S: TruncationSet, zero, div) -> dict:
+def _unghost(w: dict, table: dict, zero, div) -> dict:
     """Triangular inverse of the ghost map, bottom up: with x_n = 0 the
     ghost formula gives w_n minus n * x_n, so x_n = (w_n - that) / n.
 
-    Raises ``NotDivisible(n)`` when ``div`` fails at index n.
+    Raises ``NotDivisible(n)`` when ``div`` fails at index n.  Consumes ``w``, so each w_n can be freed.
     """
     x = {}
-    for n in S:
+    for n, divs in table.items():
         x[n] = zero
         try:
-            x[n] = div(w[n] - _ghost_comp(x, n), n)
+            x[n] = div(w.pop(n) - _ghost_comp(x, divs), n)
         except NotDivisible as exc:
             raise NotDivisible(n, f"component a_{n} is not in the coefficient ring: {exc}") from None
     return x
@@ -325,20 +329,25 @@ def _scalar_div(ring: CoeffRing):
     return div
 
 
-def _values(comps, ring: CoeffRing):
+def _values(comps, ring: CoeffRing, degree: int, shape: tuple):
     """How components become values over ``ring``, the zero value and exact
-    division: scalars when every component is constant, else polynomials."""
+    division: scalars when every component is constant, else ``_Packed`` maps
+    in one layout with fields for B = c * the product of the largest index of
+    each level of the input ``shape``, c = max(degree, 1) * E, ``degree`` the
+    combine's (2 for mul, n for ** n) and E the largest component exponent.
+    At output index m (s * t nested) every exponent is at most c * m <= B:
+    the ghost map gives E * m, a combine multiplies by its degree, F_n reads
+    w_{nm} at m (c = n * E, n * m an input index), and by induction on m each
+    d * x_d^(m/d) and x_m of the inverse, level by level, stays within it."""
     if all(c.is_constant() for c in comps):
         return operator.methodcaller("constant_value"), ring.normalize(0), _scalar_div(ring)
-    return operator.methodcaller("convert_ring", ring), MultiPoly.zero(ring), MultiPoly.div_int
+    zero, pack = _packer(ring, comps, max(degree, 1) * prod(S.elems[-1] for S in shape))
+    return pack, zero, _Packed.div_int
 
 
 def _polys(x: dict, ring: CoeffRing) -> dict:
     """Component values as polynomials over ``ring`` (reducing lifts mod m)."""
-    return {
-        n: v.convert_ring(ring) if isinstance(v, MultiPoly) else MultiPoly.const(ring, v)
-        for n, v in x.items()
-    }
+    return {n: v.poly(ring) if isinstance(v, _Packed) else MultiPoly.const(ring, v) for n, v in x.items()}
 
 
 def _keys(shape: tuple) -> list:
@@ -355,8 +364,7 @@ def _scaled(k, n: int):
 
 def _leaves(vecs):
     """The polynomial components of ``vecs`` at their innermost level."""
-    for v in vecs:
-        yield from _leaves(v.comps.values()) if len(v.shape) > 1 else v.comps.values()
+    return [c for v in vecs for c in (_leaves(v.comps.values()) if len(v.shape) > 1 else v.comps.values())]
 
 
 def _ghost_coords(v: "WittVec", value) -> dict:
@@ -364,33 +372,33 @@ def _ghost_coords(v: "WittVec", value) -> dict:
     W_S(W_T(...)), (s, k) -> w_s of the components' coordinates at k.  That
     is ghost_S after W_S(ghost_T), a ring map, injective over torsion-free
     rings, so nested vectors need no other arithmetic."""
+    table = _divisor_table(v.trunc)
     if len(v.shape) == 1:
-        return _ghost({n: value(c) for n, c in v.comps.items()}, v.trunc)
+        x = {n: value(c) for n, c in v.comps.items()}
+        return {n: _ghost_comp(x, divs) for n, divs in table.items()}
     inner = {s: _ghost_coords(c, value) for s, c in v.comps.items()}
-    out = {}
-    for k in next(iter(inner.values())):
-        for s, w in _ghost({d: g[k] for d, g in inner.items()}, v.trunc).items():
-            out[(s, k)] = w
-    return out
+    cols = {k: {d: g[k] for d, g in inner.items()} for k in next(iter(inner.values()))}
+    return {(s, k): _ghost_comp(x, divs) for k, x in cols.items() for s, divs in table.items()}
 
 
 def _solve(w: dict, shape: tuple, ring: CoeffRing, zero, div) -> "WittVec":
     """The vector of ``shape`` with ghost coordinates ``w``, inverted one
     level at a time from the outside in."""
     S, rest = shape[0], shape[1:]
+    table = _divisor_table(S)
     if not rest:
-        return WittVec(S, ring, _polys(_unghost(w, S, zero, div), ring))
+        return WittVec(S, ring, _polys(_unghost(w, table, zero, div), ring))
     keys = _keys(rest)
-    cols = {k: _unghost({s: w[(s, k)] for s in S}, S, zero, div) for k in keys}
+    cols = {k: _unghost({s: w.pop((s, k)) for s in S}, table, zero, div) for k in keys}
     comps = {s: _solve({k: cols[k][s] for k in keys}, rest, ring, zero, div) for s in S}
     return WittVec(S, ring, comps)
 
 
-def _ghost_route(vecs, shape: tuple, combine) -> "WittVec":
-    """The vector of ``shape`` whose ghost coordinates ``combine`` makes from
-    those of ``vecs``: over Z on lifts when the ring is Z/m, else over the ring."""
+def _ghost_route(vecs, shape: tuple, combine, degree: int = 1) -> "WittVec":
+    """The vector of ``shape`` with the ghost coordinates ``combine``, of degree
+    ``degree``, makes from those of ``vecs``, over Z on lifts if the ring is Z/m."""
     ring = vecs[0].ring
-    value, zero, div = _values(_leaves(vecs), ZZ if ring.kind == MODULAR else ring)
+    value, zero, div = _values(_leaves(vecs), ZZ if ring.kind == MODULAR else ring, degree, vecs[0].shape)
     w = combine(*(_ghost_coords(v, value) for v in vecs))
     try:
         return _solve(w, shape, ring, zero, div)
@@ -480,7 +488,8 @@ class WittVec:
         if self.ring != other.ring:
             raise MixedCoefficientRings(f"{self.ring} vs {other.ring}")
         combine = getattr(operator, op)
-        return _ghost_route([self, other], self.shape, lambda ga, gb: {k: combine(ga[k], gb[k]) for k in ga})
+        degree = 2 if op == "mul" else 1
+        return _ghost_route([self, other], self.shape, lambda ga, gb: {k: combine(ga[k], gb[k]) for k in ga}, degree)
 
     def __add__(self, other):
         return self._binary("add", other)
@@ -503,7 +512,7 @@ class WittVec:
         # mod M.  Scalar lifts are raised modulo M, so they never grow.
         M = self.ring.modulus * prod(lcm(*S) for S in self.shape) if self.ring.kind == MODULAR else None
         return _ghost_route(
-            [self], self.shape, lambda ga: {k: pow(w, n, M if isinstance(w, int) else None) for k, w in ga.items()}
+            [self], self.shape, lambda ga: {k: pow(w, n, M if isinstance(w, int) else None) for k, w in ga.items()}, n
         )
 
     # -- JSON -------------------------------------------------------------------
@@ -578,7 +587,7 @@ def ghost_map(a: WittVec) -> GhostVec:
     """w_n = sum over divisors d of n of d * a_d^(n/d)."""
     if len(a.shape) > 1:
         raise UsageError("the ghost map takes polynomial components")
-    value, _, _ = _values(a.comps.values(), a.ring)
+    value, _, _ = _values(a.comps.values(), a.ring, 1, a.shape)
     return GhostVec(a.trunc, a.ring, _polys(_ghost_coords(a, value), a.ring))
 
 
@@ -588,7 +597,7 @@ def ghost_inverse(g: GhostVec) -> WittVec:
     Raises ``NotDivisible(n)`` when component n fails to exist in the
     coefficient ring: the certificate that g is not in the ghost image.
     """
-    value, zero, div = _values(g.comps.values(), g.ring)
+    value, zero, div = _values(g.comps.values(), g.ring, 1, (g.trunc,))
     return _solve({n: value(c) for n, c in g.comps.items()}, (g.trunc,), g.ring, zero, div)
 
 
