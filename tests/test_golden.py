@@ -21,13 +21,22 @@ The last four were recorded before the ghost route moved to packed term
 maps: ``witt ghost-inv`` on polynomial ghost components, one inverse and
 one ``NotDivisible`` with its polynomial certificate, a p-typical addition
 of polynomial vectors, and a comultiplication for S = big:3, T = big:2.
+The last one, ``verify joyal-rezk --primes 2,3,5 --depth 3 --format json``,
+was recorded before the same change; it has no witness, and its 120
+commutation cases took about 33 s of the 35 s the command ran.
 
 ``library.txt`` holds library output that no CLI command prints, recorded
 before the free lambda-ring checks became case tables and Wilkerson's
 family a function: ``integrality_report`` and ``plocal_basis_check``
 reports, clean and with ``AdamsModel.frobenius_deviation`` shifted by x/2
 or x/3 (which forces the witness and ``NotPIntegral`` paths), and the
-lambda-operations of four Wilkerson families.  Each entry is a label line
+lambda-operations of four Wilkerson families.  The last two were recorded
+before each Joyal-Rezk commutation case became psi^q psi^p - psi^p psi^q
+over p: ``verify_joyal_rezk`` over the primes {2, 3} at depth 1 (N = 30)
+and depth 2 (N = 243), fed a family whose psi^3 sends x_n to x_3n + x_1
+and whose other operations are Adams operations; psi^3 does not commute
+with psi^2, so the reports carry 6 and 12 commutation witnesses (and 1 and
+3 delta witnesses).  Each entry is a label line
 and one output line, compared as ``json.dumps`` text, key order included.
 """
 
@@ -43,9 +52,16 @@ import pytest
 
 from lambda_forge.cli import main
 from lambda_forge.errors import ForgeError
-from lambda_forge.lambdaring import AdamsModel, FreeLambdaBasis, integrality_report, plocal_basis_check, wilkerson_lambda
+from lambda_forge.lambdaring import (
+    AdamsModel,
+    FreeLambdaBasis,
+    integrality_report,
+    plocal_basis_check,
+    verify_joyal_rezk,
+    wilkerson_lambda,
+)
 from lambda_forge.poly import MultiPoly
-from lambda_forge.rings import ZZ
+from lambda_forge.rings import QQ, ZZ
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -114,13 +130,28 @@ WILKERSON_FAMILIES = {
         ("u", "v"), {2: {"u": U ** 2, "v": V ** 2}, 3: {"u": U ** 3, "v": V ** 3}}, 4, [U + V, U * V]
     ),
 }
-LIBRARY_CALLS = {**LAMBDA_CHECKS, **WILKERSON_FAMILIES}
+
+
+def _non_commuting_joyal_rezk(depth, N):
+    # psi^3: x_n -> x_{3n} + x_1 is a ring map that does not commute with psi^2
+    basis = FreeLambdaBasis((2, 3), depth, N=N)
+    lift = {f"x{n}": MultiPoly.var(QQ, f"x{3 * n}") + MultiPoly.var(QQ, "x1") for n in range(1, N // 3 + 1)}
+    return verify_joyal_rezk(basis, depth, lambda m, e: e.substitute(lift) if m == 3 else basis.model.psi(m, e))
+
+
+JOYAL_REZK_FAMILIES = {
+    f"verify_joyal_rezk(FreeLambdaBasis((2, 3), {depth}, N={N}), {depth}) with psi^3: x_n -> x_3n + x_1": (
+        lambda depth=depth, N=N: _non_commuting_joyal_rezk(depth, N)
+    )
+    for depth, N in ((1, 30), (2, 243))
+}
+LIBRARY_CALLS = {**LAMBDA_CHECKS, **WILKERSON_FAMILIES, **JOYAL_REZK_FAMILIES}
 # (label, call, k): k shifts frobenius_deviation by x/k, None leaves it alone
 LIBRARY_CASES = [
     (call if k is None else f"{call} with frobenius_deviation + x/{k}", call, k)
     for k in (None, 2, 3)
     for call in LAMBDA_CHECKS
-] + [(call, call, None) for call in WILKERSON_FAMILIES]
+] + [(call, call, None) for call in (*WILKERSON_FAMILIES, *JOYAL_REZK_FAMILIES)]
 
 
 def render_library_case(call, k):
