@@ -234,19 +234,20 @@ class FreeLambdaBasis:
 
 
 def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None) -> dict:
-    """Check phi^q delta_p = delta_p phi^q plus delta-integrality.
+    """Check psi^q psi^p = psi^p psi^q plus delta-integrality.
 
     ``psi(m, e)`` is the Frobenius family under test, in the form
     ``coaction`` takes; it defaults to the Adams operations of
-    ``basis.model``, and a corrupted family is fed in the same way.  The
-    elements are the X_sigma with |sigma| <= ``bound`` (default: the basis
-    depth), and every failure is reported with a witness polynomial.
+    ``basis.model``, and a corrupted family is fed in the same way.  Each
+    ``psi(m, .)`` must be a ring map, as in ``coaction``: then
+    psi^q(delta_p e) - delta_p(psi^q e) is (psi^q psi^p e - psi^p psi^q e) / p,
+    with no p-th power.  The elements are the X_sigma with |sigma| <=
+    ``bound`` (default: the basis depth), and every failure is reported with
+    a witness polynomial.  ``cases`` also counts the delta cases whose value
+    leaves the basis span and so is never re-expressed (7 of 19 in ``verify
+    all``, 18 of 48 at depth 3 over {2, 3, 5}).
     """
     psi = psi or basis.model.psi
-
-    def delta(p, e):
-        return (psi(p, e) - e ** p).div_int(p)
-
     if bound is None:
         bound = basis.depth
     elements = [s for s in basis.sigmas if len(s) <= bound]
@@ -258,9 +259,9 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
             if prod(sigma) * p > max(basis.span):
                 continue
             cases += 1
-            value = delta(p, basis.embed[sigma])
+            e = basis.embed[sigma]
             try:
-                xp, integral = basis.to_x_basis(value)
+                xp, integral = basis.to_x_basis((psi(p, e) - e ** p).div_int(p))
             except NotInSpan:
                 continue
             if not integral:
@@ -278,9 +279,8 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
                 continue
             for sigma in elements:
                 cases += 1
-                lhs = psi(q, delta(p, basis.embed[sigma]))
-                rhs = delta(p, psi(q, basis.embed[sigma]))
-                diff = lhs - rhs
+                e = basis.embed[sigma]
+                diff = (psi(q, psi(p, e)) - psi(p, psi(q, e))).div_int(p)
                 if not diff.is_zero():
                     witnesses.append(
                         {

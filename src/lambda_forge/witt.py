@@ -527,13 +527,7 @@ class WittVec:
 
     @staticmethod
     def from_json(obj: dict) -> "WittVec":
-        trunc = TruncationSet.from_json(obj["trunc"])
-        comps = {int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
-        rings = {c.ring for c in comps.values()}
-        if len(rings) > 1:
-            raise MixedCoefficientRings("components carry different rings")
-        ring = rings.pop() if rings else ZZ
-        return WittVec(trunc, ring, comps)
+        return WittVec(*_vec_from_json(obj))
 
 
 class GhostVec:
@@ -572,11 +566,17 @@ class GhostVec:
 
     @staticmethod
     def from_json(obj: dict) -> "GhostVec":
-        trunc = TruncationSet.from_json(obj["trunc"])
-        comps = {int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
-        rings = {c.ring for c in comps.values()}
-        ring = rings.pop() if rings else ZZ
-        return GhostVec(trunc, ring, comps)
+        return GhostVec(*_vec_from_json(obj))
+
+
+def _vec_from_json(obj: dict):
+    """(truncation, ring, components) of a Witt or ghost vector payload; the components share one ring."""
+    trunc = TruncationSet.from_json(obj["trunc"])
+    comps = {int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
+    rings = {c.ring for c in comps.values()}
+    if len(rings) > 1:
+        raise MixedCoefficientRings("components carry different rings")
+    return trunc, rings.pop() if rings else ZZ, comps
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +307,15 @@ def run_within(seconds, capsys, *argv):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_depth_three_joyal_rezk_runs_within_budget(capsys):
+    # 120 commutation cases over {2, 3, 5}, each psi^q psi^p - psi^p psi^q with no p-th power
+    argv = ("verify", "joyal-rezk", "--primes", "2,3,5", "--depth", "3", "--format", "json")
+    code, out, err = run_within(3, capsys, *argv)
+    golden = Path(__file__).parent / "golden" / "verify_joyal_rezk_depth3.json"
+    assert (code, err) == (0, "")
+    assert out.encode() == golden.read_bytes()
 
 
 class TestRefusedWork:

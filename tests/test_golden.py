@@ -17,13 +17,13 @@ component count and a ``NotDivisible``), ``delta section --expr``,
 The last two were recorded before X-basis re-expression became one
 substitution through ghost rows: ``lambda to-x-basis`` on a product of
 x-indices with a free variable ``y`` left in place, and a ``NotInSpan``.
-The last four were recorded before the ghost route moved to packed term
+The next four were recorded before the ghost route moved to packed term
 maps: ``witt ghost-inv`` on polynomial ghost components, one inverse and
 one ``NotDivisible`` with its polynomial certificate, a p-typical addition
 of polynomial vectors, and a comultiplication for S = big:3, T = big:2.
 The last one, ``verify joyal-rezk --primes 2,3,5 --depth 3 --format json``,
-was recorded before the same change; it has no witness, and its 120
-commutation cases took about 33 s of the 35 s the command ran.
+was recorded before each Joyal-Rezk commutation case became
+(psi^q psi^p e - psi^p psi^q e) / p; it has 168 cases and no witness.
 
 ``library.txt`` holds library output that no CLI command prints, recorded
 before the free lambda-ring checks became case tables and Wilkerson's
@@ -31,13 +31,13 @@ family a function: ``integrality_report`` and ``plocal_basis_check``
 reports, clean and with ``AdamsModel.frobenius_deviation`` shifted by x/2
 or x/3 (which forces the witness and ``NotPIntegral`` paths), and the
 lambda-operations of four Wilkerson families.  The last two were recorded
-before each Joyal-Rezk commutation case became psi^q psi^p - psi^p psi^q
-over p: ``verify_joyal_rezk`` over the primes {2, 3} at depth 1 (N = 30)
-and depth 2 (N = 243), fed a family whose psi^3 sends x_n to x_3n + x_1
-and whose other operations are Adams operations; psi^3 does not commute
-with psi^2, so the reports carry 6 and 12 commutation witnesses (and 1 and
-3 delta witnesses).  Each entry is a label line
-and one output line, compared as ``json.dumps`` text, key order included.
+before the same change as the depth-3 CLI entry: ``verify_joyal_rezk``
+over the primes {2, 3} at depth 1 (N = 30) and depth 2 (N = 243), fed a
+family whose psi^3 sends x_n to x_3n + x_1 and whose other operations are
+Adams operations; psi^3 does not commute with psi^2, so the reports carry
+6 and 12 commutation witnesses (and 1 and 3 delta witnesses).  Each entry
+is a label line and one output line, compared as ``json.dumps`` text, key
+order included.
 """
 
 import json
@@ -46,6 +46,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -140,8 +141,8 @@ def _non_commuting_joyal_rezk(depth, N):
 
 
 JOYAL_REZK_FAMILIES = {
-    f"verify_joyal_rezk(FreeLambdaBasis((2, 3), {depth}, N={N}), {depth}) with psi^3: x_n -> x_3n + x_1": (
-        lambda depth=depth, N=N: _non_commuting_joyal_rezk(depth, N)
+    f"verify_joyal_rezk(FreeLambdaBasis((2, 3), {depth}, N={N}), {depth}) with psi^3: x_n -> x_3n + x_1": partial(
+        _non_commuting_joyal_rezk, depth, N
     )
     for depth, N in ((1, 30), (2, 243))
 }

@@ -292,7 +292,80 @@ class TestGhostRows:
             assert (xp.vars, list(xp.terms.items()), integral) == (want.vars, list(want.terms.items()), want_integral)
 
 
+def two_sided_joyal_rezk(basis, bound, psi):
+    """``verify_joyal_rezk`` computing each commutation case as
+    psi^q(delta_p e) - delta_p(psi^q e), both p-th powers expanded."""
+
+    def delta(p, e):
+        return (psi(p, e) - e ** p).div_int(p)
+
+    def display(sigma):
+        return "X(" + ",".join(map(str, sigma)) + ")" if sigma else "X0"
+
+    elements = [s for s in basis.sigmas if len(s) <= bound]
+    witnesses = []
+    cases = 0
+    for p in basis.P:
+        for sigma in elements:
+            if prod(sigma) * p > max(basis.span):
+                continue
+            cases += 1
+            try:
+                xp, integral = basis.to_x_basis(delta(p, basis.embed[sigma]))
+            except NotInSpan:
+                continue
+            if not integral:
+                witnesses.append({"kind": "delta_not_integral", "p": p, "element": display(sigma), "witness": str(xp)})
+    for p in basis.P:
+        for q in basis.P:
+            if p == q:
+                continue
+            for sigma in elements:
+                cases += 1
+                e = basis.embed[sigma]
+                diff = psi(q, delta(p, e)) - delta(p, psi(q, e))
+                if not diff.is_zero():
+                    witnesses.append(
+                        {"kind": "commutation", "p": p, "q": q, "element": display(sigma), "witness": str(diff)}
+                    )
+    status = "pass" if not witnesses else "fail"
+    return {"check": "joyal_rezk", "status": status, "cases": cases, "witnesses": witnesses}
+
+
+ORACLE_JR_BASIS = FreeLambdaBasis((2, 3), 1, N=30)
+
+
+@st.composite
+def substitution_families(draw):
+    """psi(m, .) for m = 2, 3: the Adams operation, or the substitution
+    x_n -> x_{mn} + (a small Q-monomial in x_1..x_3) for n <= 10, which
+    in general does not commute with the other prime's map."""
+    images = {}
+    for m in (2, 3):
+        if draw(st.booleans()):
+            continue
+        image = {}
+        for n in range(1, 11):
+            value = q(f"x{m * n}")
+            if draw(st.integers(0, 2)):
+                c = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+                value = value + q(f"x{draw(st.integers(1, 3))}") ** draw(st.integers(0, 2)) * c
+            image[f"x{n}"] = value
+        images[m] = image
+
+    def psi(m, e):
+        return e.substitute(images[m]) if m in images else ORACLE_JR_BASIS.model.psi(m, e)
+
+    return psi
+
+
 class TestJoyalRezk:
+    @settings(max_examples=40, deadline=None)
+    @given(psi=substitution_families())
+    def test_matches_the_two_sided_route(self, psi):
+        basis = ORACLE_JR_BASIS
+        assert verify_joyal_rezk(basis, 1, psi) == two_sided_joyal_rezk(basis, 1, psi)
+
     def test_exact_commutation_identities(self):
         basis = FreeLambdaBasis((2, 3, 5), 2, N=625)
         report = verify_joyal_rezk(basis, 2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lambda_forge import witt
 from lambda_forge.errors import (
     IntegralityViolation,
+    MixedCoefficientRings,
     NotASubset,
     NotDivisible,
     TorsionDetected,
@@ -527,6 +528,15 @@ def test_memo_concurrent_reads_single_insert(monkeypatch):
 def test_ghostvec_json_roundtrip():
     g = ghost_map(sym(TruncationSet.big(3)))
     assert GhostVec.from_json(json.loads(json.dumps(g.to_json()))) == g
+
+
+@pytest.mark.parametrize("cls", [WittVec, GhostVec])
+def test_vector_json_with_mixed_component_rings_is_refused(cls):
+    # component 1 over Z, component 2 over Z/4: no one ring holds both
+    comps = {"1": MultiPoly.const(ZZ, 1).to_json(), "2": MultiPoly.const(CoeffRing.modular(4), 3).to_json()}
+    payload = {"trunc": TruncationSet.big(2).to_json(), "comps": comps}
+    with pytest.raises(MixedCoefficientRings):
+        cls.from_json(json.loads(json.dumps(payload)))
 
 
 def test_ghost_is_ring_map_on_random_integer_vectors():
