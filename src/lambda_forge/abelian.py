@@ -165,12 +165,17 @@ def parse_group(spec: str) -> FgAbGroup:
             continue
         if raw == "Z":
             rank += 1
-        elif raw.startswith("Z^"):
-            rank += int(raw[2:])
-        elif raw.startswith("Z/"):
-            torsion.append(int(raw[2:]))
-        else:
+            continue
+        try:
+            count = int(raw[2:])
+        except ValueError:
+            count = None
+        if count is None or raw[:2] not in ("Z^", "Z/"):
             raise UsageError(f"cannot parse group summand {raw!r}")
+        if raw[1] == "^":
+            rank += count
+        else:
+            torsion.append(count)
     return FgAbGroup.from_summands(rank, torsion)
 
 

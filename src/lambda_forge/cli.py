@@ -14,13 +14,12 @@ import os
 import sys
 
 from .abelian import fracture_check, parse_group
-from .delta import Witt2Section, delta_from_phi, delta_on_integers, free_delta_ring
+from .delta import DeltaPresentation, delta_from_phi, free_delta_ring
 from .errors import DomainError, UsageError
 from .lambdaring import (
     AdamsModel,
     FreeLambdaBasis,
     coaction,
-    newton_psi_to_lambda,
     wilkerson_lambda,
 )
 from .poly import MultiPoly
@@ -133,7 +132,7 @@ def _build_parser() -> _Parser:
     d_free.add_argument("--show", choices=("phi", "delta"), default="phi")
     d_sec = add(dsub, "section")
     d_sec.add_argument("--p", type=int, required=True)
-    d_sec.add_argument("--ring", default="Z")
+    d_sec.add_argument("--ring", choices=("Z",), default="Z")
     d_sec.add_argument("--eval", dest="eval_at", type=int)
     d_sec.add_argument("--expr")
     d_sec.add_argument("--depth", type=int, default=3)
@@ -149,7 +148,7 @@ def _build_parser() -> _Parser:
     l_adams.add_argument("--m", type=int, required=True)
     l_adams.add_argument("--expr", required=True)
     l_newton = add(lsub, "newton")
-    l_newton.add_argument("--psi", default="id")
+    l_newton.add_argument("--psi", choices=("id",), default="id")
     l_newton.add_argument("--K", type=int, required=True)
     l_newton.add_argument("--eval", dest="eval_at", type=int, required=True)
     l_wilk = add(lsub, "wilkerson")
@@ -163,8 +162,8 @@ def _build_parser() -> _Parser:
     l_tox.add_argument("--depth", type=int, required=True)
     l_tox.add_argument("--expr", required=True)
     l_coa = add(lsub, "coaction")
-    l_coa.add_argument("--ring", default="Z")
-    l_coa.add_argument("--psi", default="id")
+    l_coa.add_argument("--ring", choices=("Z",), default="Z")
+    l_coa.add_argument("--psi", choices=("id",), default="id")
     l_coa.add_argument("--trunc", required=True)
     l_coa.add_argument("--eval", dest="eval_at", type=int, required=True)
 
@@ -296,7 +295,7 @@ def _run_delta(args):
         pres = delta_from_phi(args.p, gens, phi)
         out = {"delta_on_gens": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
         if args.eval_at is not None:
-            out["value"] = str(delta_on_integers(args.p, args.eval_at))
+            out["value"] = str(pres.delta(args.eval_at))
         return out
     if sc == "free":
         pres = free_delta_ring(args.p, args.depth)
@@ -304,16 +303,12 @@ def _run_delta(args):
             return {"phi": {g: str(v) for g, v in sorted(pres.phi_on_gens().items())}}
         return {"delta": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
     if sc == "section":
-        if args.ring != "Z":
-            raise UsageError("section --ring currently supports 'Z'")
         if args.expr is not None:
             # expression in the free delta-ring generators x0..x<depth>
-            section = Witt2Section(free_delta_ring(args.p, args.depth))
-            vec = section(parse_poly(args.expr, ZZ))
+            vec = free_delta_ring(args.p, args.depth).section(parse_poly(args.expr, ZZ))
         elif args.eval_at is not None:
-            n = args.eval_at
-            trunc = TruncationSet.p_typical(args.p, 2)
-            vec = WittVec.from_list(trunc, ZZ, [n, delta_on_integers(args.p, n)])
+            # Z has one delta-structure: its Frobenius lift is the identity
+            vec = DeltaPresentation(args.p, (), {}).section(args.eval_at)
         else:
             raise UsageError("section needs --eval N (over Z) or --expr (free delta-ring)")
         return {"section": _poly_list(vec.as_list())}
@@ -342,18 +337,16 @@ def _run_lambda(args):
         model = AdamsModel(args.N)
         return {"result": str(model.psi(args.m, parse_poly(args.expr, QQ)))}
     if sc == "newton":
-        if args.psi != "id":
-            raise UsageError("newton --psi currently supports 'id'")
-        psis = [MultiPoly.const(ZZ, args.eval_at)] * args.K
-        lams = newton_psi_to_lambda(psis)
-        return {"lambda": [str(v.constant_value()) for v in lams]}
+        # the Wilkerson family of Z: every Frobenius lift is the identity
+        values = wilkerson_lambda((), "identity", args.K).lambda_values(MultiPoly.const(ZZ, args.eval_at))
+        return {"lambda": [str(v.constant_value()) for v in values]}
     if sc == "wilkerson":
         ring, gens = parse_ring_spec(args.ring)
         family = {}
         for clause in args.phi:
-            if ":" not in clause:
+            p, colon, body = clause.partition(":")
+            if not (colon and p.strip().isdecimal()):
                 raise UsageError("--phi clauses look like '2:u->u^2'")
-            p, body = clause.split(":", 1)
             family[int(p)] = parse_phi_spec(body, gens)
         ops = wilkerson_lambda(gens, family or "identity", args.K)
         if args.eval_gen:
@@ -368,13 +361,7 @@ def _run_lambda(args):
         xp, integral = basis.to_x_basis(parse_poly(args.expr, QQ))
         return {"x_basis": str(xp), "integral": integral}
     if sc == "coaction":
-        if args.psi != "id":
-            raise UsageError("coaction --psi currently supports 'id'")
-        if args.ring != "Z":
-            raise UsageError("coaction --ring currently supports 'Z'")
-        trunc = parse_trunc(args.trunc)
-        e = MultiPoly.const(ZZ, args.eval_at)
-        vec = coaction(lambda n, x: x, e, trunc, ZZ)
+        vec = coaction(lambda n, x: x, MultiPoly.const(ZZ, args.eval_at), parse_trunc(args.trunc), ZZ)
         return {"coaction": _poly_list(vec.as_list()), "witt_json": vec.to_json()}
     raise UsageError(f"unknown lambda subcommand {sc!r}")
 

@@ -84,6 +84,10 @@ class DeltaPresentation:
             # impossible for torsion-free presentations; surfaced as a bug
             raise NotDivisible(exc.witness, f"internal consistency failure: {exc}") from None
 
+    def section(self, e: MultiPoly) -> WittVec:
+        """The ring section s(e) = (e, delta(e)) of w_0: W_2(A) -> A."""
+        return WittVec(TruncationSet.p_typical(self.p, 2), ZZ, {1: e, self.p: self.delta(e)})
+
 
 def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
     """Recover delta from a Frobenius lift; the inverse of ``phi_on_gens``.
@@ -106,11 +110,6 @@ def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
     return DeltaPresentation(p, gens, delta)
 
 
-def delta_on_integers(p: int, n: int) -> int:
-    """The unique delta-structure on Z: delta(n) = (n - n^p) / p."""
-    return (n - n ** p) // p
-
-
 def free_delta_ring(p: int, depth: int) -> DeltaPresentation:
     """Z[x_0..x_depth] with delta(x_n) = x_(n+1); phi(x_n) = x_n^p + p x_(n+1).
 
@@ -123,17 +122,3 @@ def free_delta_ring(p: int, depth: int) -> DeltaPresentation:
     delta = {f"x{i}": MultiPoly.var(ZZ, f"x{i + 1}") for i in range(depth)}
     return DeltaPresentation(p, gens, delta)
 
-
-class Witt2Section:
-    """The section s(e) = (e, delta(e)) of w_0: W_2(A) -> A."""
-
-    __slots__ = ("pres", "trunc")
-
-    def __init__(self, pres: DeltaPresentation):
-        self.pres = pres
-        self.trunc = TruncationSet.p_typical(pres.p, 2)
-
-    def __call__(self, e: MultiPoly) -> WittVec:
-        if not isinstance(e, MultiPoly):
-            e = MultiPoly.const(ZZ, e)
-        return WittVec(self.trunc, ZZ, {1: e, self.pres.p: self.pres.delta(e)})

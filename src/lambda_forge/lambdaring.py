@@ -93,15 +93,14 @@ class AdamsModel:
 # Newton's identities
 
 
-def newton_psi_to_lambda(psis, ring=ZZ):
+def newton_psi_to_lambda(psis):
     """Solve the Newton chain for lambda^1..lambda^K given psi^1..psi^K.
 
     psi^n - lambda^1 psi^(n-1) + ... + (-1)^(n-1) lambda^(n-1) psi^1
           + (-1)^n n lambda^n = 0.
     Raises ``NotDivisible(n)`` when stage n has no solution in the ring.
     """
-    psis = [v if isinstance(v, MultiPoly) else MultiPoly.const(ring, v) for v in psis]
-    lams = [MultiPoly.one(ring if not psis else psis[0].ring)]
+    lams = [MultiPoly.one(psis[0].ring)] if psis else []
     for n in range(1, len(psis) + 1):
         acc = poly_sum(
             lams[0].ring,

@@ -50,7 +50,7 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, _Packed, _packer
-from .rings import MODULAR, CoeffRing, ZZ, _factorize
+from .rings import MODULAR, CoeffRing, ZZ, _is_prime
 from .series import TruncSeries, geometric
 
 
@@ -64,9 +64,27 @@ class TruncationSet:
         elems = tuple(sorted(members))
         if elems and elems[0] < 1:
             raise UsageError("truncation sets contain positive integers")
-        # every divisor of n is reached from n by dividing out one prime at a time
+        # every divisor of n is reached from n by dividing out one prime at a
+        # time, and every prime factor of n is itself in a division-stable
+        # set: so n is factored over the primes of the set met so far; once
+        # the smaller elements pass, a leftover factor above 1 is prime
+        primes = []
         for n in elems:
-            for q in _factorize(n):
+            r, factors = n, []
+            for q in primes:
+                if q * q > r:
+                    break
+                if r % q == 0:
+                    factors.append(q)
+                    while r % q == 0:
+                        r //= q
+            if r == n > 1:
+                if not _is_prime(n):
+                    raise UsageError(f"not division-stable: {n} in set but none of its prime factors")
+                primes.append(n)
+            if r > 1:
+                factors.append(r)
+            for q in factors:
                 if n // q not in members:
                     raise UsageError(f"not division-stable: {n} in set but divisor {n // q} missing")
         self.elems = elems

@@ -3,13 +3,7 @@ from math import comb
 
 import pytest
 
-from lambda_forge.delta import (
-    DeltaPresentation,
-    Witt2Section,
-    delta_from_phi,
-    delta_on_integers,
-    free_delta_ring,
-)
+from lambda_forge.delta import DeltaPresentation, delta_from_phi, free_delta_ring
 from lambda_forge.errors import DepthExceeded, DomainError, NotAFrobeniusLift, UsageError
 from lambda_forge.poly import MultiPoly, poly_sum, random_poly
 from lambda_forge.rings import ZZ, CoeffRing
@@ -18,6 +12,11 @@ from lambda_forge.witt import TruncationSet, WittVec
 
 def v(name):
     return MultiPoly.var(ZZ, name)
+
+
+def delta_on_integers(p: int, n: int) -> int:
+    """The unique delta-structure on Z in closed form: delta(n) = (n - n^p) / p."""
+    return (n - n ** p) // p
 
 
 def delta_extend_recursive(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
@@ -75,7 +74,7 @@ def delta_extend_recursive(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
     return dtotal
 
 
-def check_ring_map(section: Witt2Section, a: MultiPoly, b: MultiPoly) -> dict:
+def check_ring_map(section, a: MultiPoly, b: MultiPoly) -> dict:
     """Compare s(a op b) against Witt arithmetic on s(a), s(b)."""
     add_ok = section(a + b) == section(a) + section(b)
     mul_ok = section(a * b) == section(a) * section(b)
@@ -179,6 +178,13 @@ class TestDeltaFromPhi:
     def test_identity_on_integers(self):
         assert delta_on_integers(3, 2) == -2
 
+    def test_every_lift_fixes_the_integers(self):
+        # delta on a constant is the closed form, whatever the lift does to u
+        for p in (2, 3, 5):
+            pres = delta_from_phi(p, ("u",), {"u": v("u") ** p + (v("u") - 1) * p})
+            for n in range(-6, 7):
+                assert pres.delta(n) == MultiPoly.const(ZZ, delta_on_integers(p, n))
+
     def test_square_lift_has_zero_delta(self):
         pres = delta_from_phi(2, ("u",), {"u": v("u") ** 2})
         assert pres.delta_on_gens["u"] == MultiPoly.zero(ZZ)
@@ -227,17 +233,23 @@ class TestFreeDeltaRing:
 
 class TestWitt2Section:
     def test_integer_example(self):
-        section = Witt2Section(DeltaPresentation(2, (), {}))
+        section = DeltaPresentation(2, (), {}).section
         vec = section(MultiPoly.const(ZZ, 3))
         assert vec.as_list() == [MultiPoly.const(ZZ, 3), MultiPoly.const(ZZ, -3)]
 
+    def test_integer_section_is_the_closed_form(self):
+        for p in (2, 3, 5):
+            for n in range(-6, 7):
+                vec = DeltaPresentation(p, (), {}).section(n)
+                assert vec.as_list() == [MultiPoly.const(ZZ, n), MultiPoly.const(ZZ, delta_on_integers(p, n))]
+
     def test_unit(self):
-        section = Witt2Section(free_delta_ring(2, 2))
+        section = free_delta_ring(2, 2).section
         assert section(MultiPoly.one(ZZ)).as_list() == [MultiPoly.one(ZZ), MultiPoly.zero(ZZ)]
 
     def test_ring_map_symbolically(self):
         for p in (2, 3):
-            section = Witt2Section(free_delta_ring(p, 2))
+            section = free_delta_ring(p, 2).section
             a = v("x0")
             b = v("x1")
             report = check_ring_map(section, a, b)
@@ -245,13 +257,13 @@ class TestWitt2Section:
             assert section(a + b) == section(a) + section(b)
 
     def test_w0_after_section_is_identity(self):
-        section = Witt2Section(free_delta_ring(2, 2))
+        section = free_delta_ring(2, 2).section
         e = v("x0") ** 2 + v("x1")
         assert section(e).comps[1] == e
 
     def test_section_to_delta_roundtrip(self):
         pres = free_delta_ring(2, 2)
-        section = Witt2Section(pres)
+        section = pres.section
         rebuilt = DeltaPresentation(
             2, pres.gens, {g: section(v(g)).comps[2] for g in ("x0", "x1")}
         )

@@ -112,7 +112,7 @@ class TestNewton:
 
     def test_lambda_cubed_formula(self):
         m = q("m")
-        lams = newton_psi_to_lambda([m] * 3, QQ)
+        lams = newton_psi_to_lambda([m] * 3)
         assert lams[2] == m * (m - 1) * (m - 2) * Fraction(1, 6)
 
     def test_k_equals_one(self):

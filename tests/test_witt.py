@@ -18,7 +18,7 @@ from lambda_forge.errors import (
     UsageError,
 )
 from lambda_forge.poly import MultiPoly, poly_sum, random_poly
-from lambda_forge.rings import QQ, ZZ, CoeffRing
+from lambda_forge.rings import QQ, ZZ, CoeffRing, _factorize
 from lambda_forge.series import TruncSeries
 from lambda_forge.witt import (
     GhostVec,
@@ -58,6 +58,14 @@ def witt_int(c, S, ring):
 
 BIG2 = TruncationSet.big(2)
 P22 = TruncationSet.p_typical(2, 2)
+
+
+BIG_P = 1000000000039
+
+
+def _stable_by_trial_division(elems) -> bool:
+    """The trial-division check: n // q is in the set for each prime factor q of each n."""
+    return all(n // q in elems for n in elems for q in _factorize(n))
 
 
 class TestTruncationSet:
@@ -112,6 +120,41 @@ class TestTruncationSet:
             table = witt._divisor_table(S)
             assert list(table) == list(S)
             assert table == {n: [d for d in range(1, n + 1) if n % d == 0] for n in S}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_division_stability_against_trial_division(self, data):
+        # divisor closures with a few elements dropped (1 among them) and strays added
+        tops = data.draw(st.sets(st.integers(1, 200), max_size=4))
+        elems = {d for m in tops for d in range(1, m + 1) if m % d == 0}
+        if elems:
+            elems -= data.draw(st.sets(st.sampled_from(sorted(elems)), max_size=2))
+        elems |= data.draw(st.sets(st.integers(1, 200), max_size=2))
+        if data.draw(st.booleans()):
+            elems.discard(1)
+        if _stable_by_trial_division(elems):
+            assert TruncationSet(elems).elems == tuple(sorted(elems))
+        else:
+            with pytest.raises(UsageError, match="not division-stable"):
+                TruncationSet(elems)
+
+    @pytest.mark.parametrize(
+        "elems, stable",
+        [
+            ((1, BIG_P, BIG_P ** 2), True),
+            ((1, 2, BIG_P, 2 * BIG_P), True),
+            ((BIG_P, BIG_P ** 2), False),
+            ((1, BIG_P ** 2), False),
+            ((1, 2, 2 * BIG_P), False),
+            ((1, BIG_P, 3 * BIG_P), False),
+        ],
+    )
+    def test_large_prime_factors_need_no_trial_division(self, elems, stable):
+        if stable:
+            assert TruncationSet(elems).elems == elems
+        else:
+            with pytest.raises(UsageError, match="not division-stable"):
+                TruncationSet(elems)
 
     def test_product(self):
         assert BIG2.product(BIG2).elems == (1, 2, 4)
