@@ -136,7 +136,7 @@ def _sigmas_upto(P, depth):
 def _cleared(e: MultiPoly):
     """(e * d over Z, d) for the least d >= 1 that clears the denominators of e over Q."""
     d = lcm(*(c.denominator for c in e.terms.values()))
-    return MultiPoly(ZZ, e.vars, {k: c.numerator * (d // c.denominator) for k, c in e.terms.items()}), d
+    return MultiPoly._trusted(ZZ, e.vars, {k: c.numerator * (d // c.denominator) for k, c in e.terms.items()}), d
 
 
 class FreeLambdaBasis:
@@ -224,7 +224,7 @@ class FreeLambdaBasis:
             work = work.substitute(self.scale)
         scaled, d = _cleared(work)
         image = scaled.substitute(self.ghost)
-        xp = MultiPoly(QQ, image.vars, {k: Fraction(c, d) for k, c in image.terms.items()})
+        xp = MultiPoly._trusted(QQ, image.vars, {k: Fraction(c, d) for k, c in image.terms.items()})
         return xp, all(c % d == 0 for c in image.terms.values())
 
 
@@ -331,6 +331,8 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     factors of n.  ``phi_family`` may be the string "identity" for the
     unique structure with all lifts trivial.
     """
+    if K < 0:
+        raise UsageError(f"lambda-operations need K >= 0, got {K}")
     gens = tuple(gens)
     if phi_family == "identity":
         return LambdaOps(gens, lambda n, e: e, K)

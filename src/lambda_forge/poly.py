@@ -5,19 +5,19 @@ the variables that actually occur) plus a map from exponent vectors, as
 plain tuples of ints, to nonzero coefficients.  Every operation
 canonicalizes its result, so polynomial identity is plain structural
 equality.  Term order is graded lexicographic, largest first; "the first
-offending term" in error certificates refers to this order.  The canonical
-form gets it from two stable sorts: the keys in descending lexicographic
-order, then by descending total degree.
+offending term" in error certificates refers to this order.
 
 Products, powers and substitutions accumulate raw term maps
 (``_mul_terms``) over one fixed variable space and canonicalize only the
 result; the terms of intermediate products are never normalized, pruned or
-sorted.  A raw map packs each exponent vector into one int, a fixed-width
-field per variable sized from a bound on every exponent of the result, so a
-monomial product is one int addition.  A ``MultiPoly`` operation packs once
-on entry and unpacks once on exit; ``_Packed`` keeps a whole computation,
-such as the Witt ghost route, in one layout.  Over Z/m the raw coefficients
-are reduced after each product so that they stay bounded.
+sorted.  A raw map packs each exponent vector into one int: a total-degree
+field on top, then one field per variable, the first variable highest, all
+as wide as a bound on the result's total degree needs.  So a monomial
+product is one int addition, and int order on keys is grlex order: a result
+is canonical after one int sort (``_unpacked``).  A ``MultiPoly`` operation
+packs once on entry and unpacks once on exit; ``_Packed`` keeps a whole
+computation, such as the Witt ghost route, in one layout.  Over Z/m the raw
+coefficients are reduced after each product so that they stay bounded.
 
 Substitution is Horner over the assigned variables: terms are grouped by
 the exponent of the variable with the largest image, outermost, so that
@@ -28,11 +28,13 @@ rather than once per term.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, sub
+from functools import reduce
+from itertools import repeat
+from operator import add, mul, or_, sub
 from struct import Struct
 
 from .errors import NotDivisible, UsageError
-from .rings import MODULAR, CoeffRing
+from .rings import MODULAR, ZZ, CoeffRing
 
 
 class MultiPoly:
@@ -41,6 +43,13 @@ class MultiPoly:
     def __init__(self, ring: CoeffRing, vars: tuple, terms: dict):
         self.ring = ring
         self.vars, self.terms = _canonical(ring, tuple(vars), terms)
+
+    @staticmethod
+    def _trusted(ring: CoeffRing, vars: tuple, terms: dict) -> "MultiPoly":
+        """A polynomial from parts already in canonical form, taken as they are."""
+        p = object.__new__(MultiPoly)
+        p.ring, p.vars, p.terms = ring, vars, terms
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -58,7 +67,7 @@ class MultiPoly:
 
     @staticmethod
     def var(ring: CoeffRing, name: str) -> "MultiPoly":
-        return MultiPoly(ring, (name,), {(1,): 1})
+        return MultiPoly._trusted(ring, (name,), {(1,): ring.normalize(1)})
 
     # -- predicates and accessors ----------------------------------------
 
@@ -140,7 +149,7 @@ class MultiPoly:
             raise UsageError("polynomial powers take nonnegative integer exponents")
         if n == 0:
             return MultiPoly.one(self.ring)
-        w = _field(_max_exp(self.terms, len(self.vars)) * n)
+        w = _field(_degree(self.terms) * n)
         return (_Packed(self.ring, self.vars, w, _pack(self.terms, len(self.vars), w)) ** n).poly(self.ring)
 
     def __eq__(self, other):
@@ -180,8 +189,9 @@ class MultiPoly:
         Horner over the assigned variables, the one with the largest image
         outermost: the source terms are grouped by that variable's exponent,
         and each power of its image multiplies the summed image of its group
-        once.  Unassigned variables never get a level: their exponents ride
-        along in the low bits of each packed key.
+        once.  Unassigned variables never get a level: their exponents, and
+        their share of the degree field, ride along in the low bits of each
+        packed key.
         """
         ring = self.ring
         values = []
@@ -194,35 +204,34 @@ class MultiPoly:
             values.append(val)
         free = {v for v, val in zip(self.vars, values) if val is None}
         vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
-        index = {v: i for i, v in enumerate(vars)}
         n = len(vars)
         # the total degree of each value: 1 for an unassigned variable, 0 for a scalar
-        degrees = [
-            max(map(sum, val.terms), default=0) if isinstance(val, MultiPoly) else int(val is None)
-            for val in values
-        ]
-        # every exponent of the result is at most its total degree
+        degrees = [_degree(val.terms) if isinstance(val, MultiPoly) else int(val is None) for val in values]
         w = _field(max((sum(map(mul, exps, degrees)) for exps in self.terms), default=0))
+        # an exponent of the result's variable v packs as e * weight[v]: e in
+        # v's field and e in the degree field
+        top = 1 << 8 * w * n
+        weight = {v: top | 1 << 8 * w * (n - 1 - i) for i, v in enumerate(vars)}
         # each assigned value, packed straight into the result's layout
         images = {}
         for i, val in enumerate(values):
             if isinstance(val, MultiPoly):
-                shifts = [8 * w * index[u] for u in val.vars]
-                images[i] = {sum([e << s for e, s in zip(exps, shifts)]): c for exps, c in val.terms.items()}
+                weights = [weight[u] for u in val.vars]
+                images[i] = {sum(map(mul, exps, weights)): c for exps, c in val.terms.items()}
             elif val is not None:
                 images[i] = {0: val}
         order = sorted(images, key=lambda i: len(images[i]))
         bits = 8 * _field(max((exps[i] for exps in self.terms for i in order), default=0))
         # a source key holds the free variables' exponents in the result's
-        # layout, and above them the assigned exponents, innermost lowest
-        base = 8 * w * n
-        at = [(i, base + bits * level) for level, i in enumerate(order)]
-        at += [(i, 8 * w * index[v]) for i, v in enumerate(self.vars) if i not in images]
-        items = {sum([exps[i] << shift for i, shift in at]): c for exps, c in self.terms.items()}
+        # layout, and above it the assigned exponents, innermost lowest
+        base = 8 * w * (n + 1)
+        at = {i: 1 << base + bits * level for level, i in enumerate(order)}
+        weights = [at[i] if i in at else weight[v] for i, v in enumerate(self.vars)]
+        items = {sum(map(mul, exps, weights)): c for exps, c in self.terms.items()}
         powers = [{1: images[i]} for i in order]
         # with nothing assigned, the keys are already those of the result
         total = _horner(ring, items, len(order) - 1, base, bits, powers) if order else items
-        return MultiPoly(ring, vars, _unpack(total, n, w))
+        return _unpacked(ring, ring, vars, w, total)
 
     def evaluate(self, env: dict):
         """Evaluate at coefficient values; returns a ring coefficient."""
@@ -360,18 +369,18 @@ def _merge(a: MultiPoly, b: MultiPoly):
     return vars, _remap(a, index, len(vars)), _remap(b, index, len(vars))
 
 
-def _max_exp(terms: dict, width: int) -> int:
-    """The largest exponent in a term map over ``width`` variables."""
-    return max(map(max, terms), default=0) if width else 0
+def _degree(terms: dict) -> int:
+    """The largest total degree in a term map."""
+    return max(map(sum, terms), default=0)
 
 
-# struct codes by field size, standard sizes under "<"; any other size takes
-# the byte-string route, which is also the only one for exponents >= 2**64
+# struct codes by field size, standard sizes under ">"; any other size takes
+# the byte-string route, which is also the only one for total degrees >= 2**64
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _field(bound: int) -> int:
-    """Field size in bytes that holds every exponent up to ``bound``."""
+    """Field size in bytes that holds every value up to ``bound``."""
     for size in _CODES:
         if bound >> (8 * size) == 0:
             return size
@@ -380,26 +389,45 @@ def _field(bound: int) -> int:
 
 def _pack(terms: dict, n: int, w: int) -> dict:
     """A term map over ``n`` variables with each exponent vector packed into
-    one int, ``w`` bytes a field."""
+    one int, ``w`` bytes a field: the total degree on top, then the
+    exponents, the first variable most significant."""
     code = _CODES.get(w)
     if code:
-        pack = Struct(f"<{n}{code}").pack
-        return {int.from_bytes(pack(*e), "little"): c for e, c in terms.items()}
-    return {int.from_bytes(b"".join(x.to_bytes(w, "little") for x in e), "little"): c for e, c in terms.items()}
+        pack = Struct(f">{n + 1}{code}").pack
+        return {int.from_bytes(pack(sum(e), *e), "big"): c for e, c in terms.items()}
+    return {int.from_bytes(b"".join(x.to_bytes(w, "big") for x in (sum(e), *e)), "big"): c for e, c in terms.items()}
 
 
-def _unpack(terms: dict, n: int, w: int) -> dict:
-    """Inverse of ``_pack``."""
-    size = n * w
+def _unpacked(ring: CoeffRing, kernel: CoeffRing, vars: tuple, w: int, terms: dict) -> MultiPoly:
+    """The polynomial over ``ring`` of raw ``terms`` computed over ``kernel``
+    in the layout of ``_pack`` for ``vars``: zeros dropped (normalizing unless
+    Z goes to Z), one sort of the int keys, and each key unpacked once,
+    skipping the degree field and the variables that no key uses."""
+    if ring == kernel == ZZ:
+        clean = {k: c for k, c in terms.items() if c}
+    else:
+        normalize = ring.normalize
+        clean = {k: c for k, c in zip(terms, map(normalize, terms.values())) if c}
+    if not clean:
+        return MultiPoly._trusted(ring, (), {})
+    used = reduce(or_, clean)
+    n = len(vars)
+    mask = (1 << 8 * w) - 1
+    keep = [i for i in range(n) if used >> 8 * w * (n - 1 - i) & mask]
+    size = (n + 1) * w
     code = _CODES.get(w)
     if code:
-        unpack = Struct(f"<{n}{code}").unpack
-        return {unpack(k.to_bytes(size, "little")): c for k, c in terms.items()}
-    out = {}
-    for k, c in terms.items():
-        b = k.to_bytes(size, "little")
-        out[tuple(int.from_bytes(b[i : i + w], "little") for i in range(0, size, w))] = c
-    return out
+        skip = f"{w}x"
+        unpack = Struct(">" + skip + "".join(code if i in keep else skip for i in range(n))).unpack
+    else:
+        offsets = [w * (i + 1) for i in keep]
+
+        def unpack(b):
+            return tuple(int.from_bytes(b[o : o + w], "big") for o in offsets)
+
+    keys = sorted(clean, reverse=True)
+    exps = map(unpack, map(int.to_bytes, keys, repeat(size), repeat("big")))
+    return MultiPoly._trusted(ring, tuple(vars[i] for i in keep), dict(zip(exps, map(clean.__getitem__, keys))))
 
 
 def _mul_terms(left: dict, right: dict, out: dict) -> dict:
@@ -511,7 +539,7 @@ def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powe
 class _Packed:
     """A raw term map in one layout, ``vars`` at ``w`` bytes a field as ``_pack``
     makes it, under +, - (also unary), * (by a ``_Packed`` or an int), ** and
-    exact division; its owner keeps every exponent in a field.  ``poly`` canonicalizes."""
+    exact division; its owner keeps every total degree in a field.  ``poly`` exits."""
 
     __slots__ = ("ring", "vars", "w", "terms")
 
@@ -549,14 +577,14 @@ class _Packed:
             raise
 
     def poly(self, ring: CoeffRing) -> MultiPoly:
-        return MultiPoly(ring, self.vars, _unpack(self.terms, len(self.vars), self.w))
+        return _unpacked(ring, self.ring, self.vars, self.w, self.terms)
 
 
 def _packer(ring: CoeffRing, polys: list, scale: int):
-    """Zero and packer of one layout for ``polys``, fields for ``scale`` times their top exponent."""
+    """Zero and packer of one layout for ``polys``, fields for ``scale`` times their top total degree."""
     vars = tuple(sorted(set().union(*(p.vars for p in polys))))
     n = len(vars)
-    w = _field(scale * max(_max_exp(p.terms, len(p.vars)) for p in polys))
+    w = _field(scale * max(_degree(p.terms) for p in polys))
     index = {v: i for i, v in enumerate(vars)}
     return _Packed(ring, vars, w, {}), lambda p: _Packed(ring, vars, w, _pack(_remap(p, index, n), n, w))
 

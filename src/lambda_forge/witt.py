@@ -36,7 +36,7 @@ import operator
 import os
 import tempfile
 import threading
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 from .errors import (
     ForgeError,
@@ -67,7 +67,9 @@ class TruncationSet:
         # every divisor of n is reached from n by dividing out one prime at a
         # time, and every prime factor of n is itself in a division-stable
         # set: so n is factored over the primes of the set met so far; once
-        # the smaller elements pass, a leftover factor above 1 is prime
+        # the smaller elements pass, a leftover factor above 1 is prime.  With
+        # 1..run in the set, n with no such factor and isqrt(n) <= run is prime
+        run = next((i for i, n in enumerate(elems) if n != i + 1), len(elems))
         primes = []
         for n in elems:
             r, factors = n, []
@@ -79,7 +81,7 @@ class TruncationSet:
                     while r % q == 0:
                         r //= q
             if r == n > 1:
-                if not _is_prime(n):
+                if isqrt(n) > run and not _is_prime(n):
                     raise UsageError(f"not division-stable: {n} in set but none of its prime factors")
                 primes.append(n)
             if r > 1:
@@ -352,11 +354,12 @@ def _values(comps, ring: CoeffRing, degree: int, shape: tuple):
     division: scalars when every component is constant, else ``_Packed`` maps
     in one layout with fields for B = c * the product of the largest index of
     each level of the input ``shape``, c = max(degree, 1) * E, ``degree`` the
-    combine's (2 for mul, n for ** n) and E the largest component exponent.
-    At output index m (s * t nested) every exponent is at most c * m <= B:
-    the ghost map gives E * m, a combine multiplies by its degree, F_n reads
-    w_{nm} at m (c = n * E, n * m an input index), and by induction on m each
-    d * x_d^(m/d) and x_m of the inverse, level by level, stays within it."""
+    combine's (2 for mul, n for ** n) and E the largest total degree of a
+    component.  At output index m (s * t nested) every total degree, and so
+    every exponent, is at most c * m <= B: the ghost map gives E * m, a
+    combine multiplies by its degree, F_n reads w_{nm} at m (c = n * E, n * m
+    an input index), and by induction on m each d * x_d^(m/d) and x_m of the
+    inverse, level by level, stays within it."""
     if all(c.is_constant() for c in comps):
         return operator.methodcaller("constant_value"), ring.normalize(0), _scalar_div(ring)
     zero, pack = _packer(ring, comps, max(degree, 1) * prod(S.elems[-1] for S in shape))

@@ -58,6 +58,12 @@ class TestSpecExamples:
         assert code == 0
         assert out.strip() == "lambda: [5, 10, 10, 5]"
 
+    def test_newton_with_no_operations(self, capsys):
+        # K = 0 asks for no lambda-operations; a negative K is a usage error
+        code, out, _ = run(capsys, "lambda", "newton", "--K", "0", "--eval", "5")
+        assert code == 0
+        assert out.strip() == "lambda: []"
+
     def test_lambda_free_show(self, capsys):
         code, out, _ = run(capsys, "lambda", "free", "--primes", "2,3", "--depth", "2", "--show", "X(2)")
         assert code == 0
@@ -294,6 +300,8 @@ class TestMalformedArgv:
             ["verify", "fracture", "--group", "Z^x"],
             ["verify", "fracture", "--group", "Z^+2"],
             ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "x:u->u^2", "--K", "2"],
+            ["lambda", "newton", "--K", "-1", "--eval", "5"],
+            ["lambda", "wilkerson", "--ring", "Z", "--K", "-2", "--eval", "3"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):

@@ -399,6 +399,32 @@ def test_substitution_canonicalizes_per_variable_not_per_term(monkeypatch):
     assert power == oracle_pow(base, 13)
 
 
+def test_packed_routes_never_canonicalize(monkeypatch):
+    """Universal Witt polynomials and X-basis re-expression build every
+    polynomial through the packed exit or from parts already canonical."""
+    from lambda_forge import witt
+    from lambda_forge.lambdaring import FreeLambdaBasis
+
+    basis = FreeLambdaBasis((2, 3), 2)
+    element = basis.model.psi(2, basis.embed[(3,)]) * basis.embed[(2,)]
+    monkeypatch.delenv("LAMBDA_FORGE_CACHE_DIR", raising=False)
+    witt.clear_memo()
+    calls = []
+    original = poly._canonical
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(poly, "_canonical", counting)
+    product = witt.structure_poly_map("mul", witt.TruncationSet.big(8))
+    xp, _ = basis.to_x_basis(element)
+    monkeypatch.undo()
+    assert calls == []
+    assert str(product[2]) == "a1^2*b2 + a2*b1^2 + 2*a2*b2"
+    assert basis.from_x_basis(xp) == element
+
+
 # ---------------------------------------------------------------------------
 # Differential tests for the packed kernel.  The oracle is the tuple-key
 # route the packed one replaced: exponent vectors stay tuples, a monomial
@@ -410,6 +436,34 @@ Z8 = CoeffRing.modular(8)
 PACK_RINGS = [ZZ, QQ, Z8, Z3]
 PACK_DENOMINATORS = {ZZ: [1], QQ: [1, 2, 3], Z8: [1, 3, 5], Z3: [1, 2, 4]}
 EXPS = [0, 1, 2, 3, 254, 255, 256, 65534, 65535, 65536, 2**32, 2**64 - 1, 2**64, 2**64 + 1]
+
+
+def unpack(terms, n, w):
+    """The layout oracle: exponent vectors of the packed keys of ``_pack``,
+    read field by field with shifts and masks.  A key holds a total-degree
+    field on top, then one ``w``-byte field per variable, the first variable
+    most significant; its degree field must equal the sum of its exponents."""
+    bits, mask = 8 * w, (1 << 8 * w) - 1
+    out = {}
+    for k, c in terms.items():
+        exps = tuple(k >> bits * (n - 1 - i) & mask for i in range(n))
+        assert k >> bits * n == sum(exps)
+        out[exps] = c
+    return out
+
+
+def packed_exps(key, n, w):
+    """The exponent vector of one packed key."""
+    (exps,) = unpack({key: 1}, n, w)
+    return exps
+
+
+def split(rng, total, n):
+    """A random vector of ``n`` exponents summing to ``total`` (for n >= 1)."""
+    if not n:
+        return ()
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
 
 
 def oracle_canonical(ring, vars, terms):
@@ -583,26 +637,99 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 16])
     def test_pack_round_trip(self, w):
+        # fields are sized from a bound on total degree: every exponent vector
+        # sums to at most ``top``, one of them to exactly ``top``, and
+        # ``top + 1`` takes the next width
         rng = random.Random(w)
         top = 256**w - 1
         assert poly._field(top) == w and poly._field(top + 1) > w
         for n in (0, 1, 3, 5):
-            terms = {}
+            terms = {split(rng, top, n): 1}
             for _ in range(20):
-                terms[tuple(rng.choice([0, 1, top // 2, top]) for _ in range(n))] = rng.randint(-9, 9)
+                terms[split(rng, rng.choice([0, 1, top // 2, top]), n)] = rng.randint(-9, 9)
             packed = poly._pack(terms, n, w)
             assert len(packed) == len(terms) and all(type(k) is int for k in packed)
-            assert poly._unpack(packed, n, w) == terms
+            assert unpack(packed, n, w) == terms
+            # integer order on keys is grlex order
+            order = sorted(terms, key=lambda e: (sum(e), e), reverse=True)
+            assert [packed_exps(k, n, w) for k in sorted(packed, reverse=True)] == order
             # a monomial product is one int addition while no field overflows
             half = [tuple(e // 2 for e in exps) for exps in terms]
             for e1, e2 in zip(half, reversed(half)):
                 (k1,), (k2,) = poly._pack({e1: 1}, n, w), poly._pack({e2: 1}, n, w)
-                assert poly._unpack({k1 + k2: 1}, n, w) == {tuple(map(add, e1, e2)): 1}
+                assert unpack({k1 + k2: 1}, n, w) == {tuple(map(add, e1, e2)): 1}
 
     def test_negative_exponents_rejected_from_json(self):
         obj = {"vars": ["x"], "ring": {"kind": "Z"}, "terms": [{"coef": "1", "exps": [-1]}]}
         with pytest.raises(UsageError):
             MultiPoly.from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests for the one exit from the packed world, ``_unpacked``:
+# it drops zeros, prunes unused variables and orders the terms by one sort of
+# the int keys.  The oracle is the tuple route on the unpacked map.  Fields of
+# every struct width and of the byte-string route (w = 9) are filled up to a
+# total degree of exactly 256**w - 1.
+
+# (ring the kernel computes in, ring of the answer): Z lifts go to Z/m too
+EXIT_RINGS = [(ZZ, ZZ), (QQ, QQ), (Z8, Z8), (ZZ, Z8), (ZZ, Z3)]
+
+
+@st.composite
+def raw_maps(draw):
+    """(kernel ring, answer ring, vars, w, raw tuple-keyed terms): some
+    variables unused by every term, some keys of total degree exactly
+    256**w - 1, and coefficients that vanish in the answer ring."""
+    kernel, ring = draw(st.sampled_from(EXIT_RINGS))
+    w = draw(st.sampled_from([1, 2, 4, 8, 9]))
+    top = 256**w - 1
+    vars = tuple(sorted(draw(st.sets(st.sampled_from(NAMES)))))
+    live = sorted(draw(st.sets(st.sampled_from(range(len(vars))))) if vars else [])
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps, left = [0] * len(vars), top
+        for i in live:
+            exps[i] = min(left, draw(st.sampled_from([0, 1, 2, 255, 256, top // 2, top])))
+            left -= exps[i]
+        if live and draw(st.booleans()):
+            exps[live[0]] += left
+        if kernel == QQ:
+            c = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3])))
+        else:
+            c = draw(st.sampled_from([0, 1, -1, 2, 3, 8, -16, 2**70]))
+        terms[tuple(exps)] = c
+    return kernel, ring, vars, w, terms
+
+
+class TestPackedExit:
+    @settings(max_examples=200, deadline=None)
+    @given(data=raw_maps())
+    def test_packed_poly(self, data):
+        kernel, ring, vars, w, terms = data
+        packed = poly._Packed(kernel, vars, w, poly._pack(terms, len(vars), w))
+        got = packed.poly(ring)
+        assert got.ring == ring
+        assert canonical_items(got) == oracle_canonical(ring, vars, unpack(packed.terms, len(vars), w))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=raw_maps(), values=st.dictionaries(st.sampled_from(NAMES), st.sampled_from([0, 1, -1, *NAMES])))
+    def test_substitute(self, data, values):
+        # renaming keeps the total degree, so answers reach 256**w - 1;
+        # 0 and -1 prune variables, cancel terms and leave constants
+        _, ring, vars, _, terms = data
+        p = MultiPoly(ring, vars, terms)
+        env = {name: MultiPoly.var(ring, val) if isinstance(val, str) else val for name, val in values.items()}
+        got = p.substitute(env)
+        assert got.ring == ring
+        assert canonical_items(got) == oracle_subst(p, env)
+
+    def test_empty_and_constant_answers(self):
+        for kernel, ring in EXIT_RINGS:
+            zero = poly._Packed(kernel, NAMES, 1, {})
+            assert canonical_items(zero.poly(ring)) == ((), [])
+            const = poly._Packed(kernel, NAMES, 2, poly._pack({(0, 0, 0): 5, (1, 0, 2): 0}, 3, 2))
+            assert canonical_items(const.poly(ring)) == ((), [((), ring.normalize(5))])
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +832,7 @@ def per_term_substitute(p, assignment):
                 part = poly._reduce(ring, poly._mul_terms(part, powers[e], {}))
         for key, coef in part.items():
             total[key] = total[key] + coef if key in total else coef
-    return MultiPoly(ring, vars, poly._unpack(total, n, w))
+    return MultiPoly(ring, vars, unpack(total, n, w))
 
 
 HORNER_NAMES = ("s", "t", "u", "v")

@@ -124,9 +124,12 @@ class TestTruncationSet:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_division_stability_against_trial_division(self, data):
-        # divisor closures with a few elements dropped (1 among them) and strays added
+        # divisor closures and a run 1..r, with a few elements dropped (1
+        # among them) and strays added; past the run, trial division by the
+        # set's primes decides primality up to (r + 1)**2 - 1
         tops = data.draw(st.sets(st.integers(1, 200), max_size=4))
         elems = {d for m in tops for d in range(1, m + 1) if m % d == 0}
+        elems |= set(range(1, data.draw(st.integers(0, 20)) + 1))
         if elems:
             elems -= data.draw(st.sets(st.sampled_from(sorted(elems)), max_size=2))
         elems |= data.draw(st.sets(st.integers(1, 200), max_size=2))
