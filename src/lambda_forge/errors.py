@@ -123,3 +123,8 @@ class TorsionDetected(DomainError):
 
 class NotFinitelyGenerated(DomainError):
     """Fracture check input is not a finitely generated group."""
+
+
+class CostLimitExceeded(DomainError):
+    """A request whose estimated work is over a fixed limit, refused before
+    any of it runs; the message states the estimate and the limit."""

@@ -20,6 +20,7 @@ from math import lcm, prod
 
 from .delta import delta_from_phi
 from .errors import (
+    CostLimitExceeded,
     IndexOutOfRange,
     NonCommutingLifts,
     NotDivisible,
@@ -333,6 +334,10 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     """
     if K < 0:
         raise UsageError(f"lambda-operations need K >= 0, got {K}")
+    if K > 100:
+        raise CostLimitExceeded(
+            f"K = {K} takes {K * (K + 1) // 2} Newton products an element, over the limit of 5050 (K <= 100)"
+        )
     gens = tuple(gens)
     if phi_family == "identity":
         return LambdaOps(gens, lambda n, e: e, K)

@@ -7,16 +7,17 @@ canonicalizes its result, so polynomial identity is plain structural
 equality.  Term order is graded lexicographic, largest first; "the first
 offending term" in error certificates refers to this order.
 
-Products, powers and substitutions accumulate raw term maps
-(``_mul_terms``) over one fixed variable space and canonicalize only the
-result; the terms of intermediate products are never normalized, pruned or
-sorted.  A raw map packs each exponent vector into one int: a total-degree
-field on top, then one field per variable, the first variable highest, all
-as wide as a bound on the result's total degree needs.  So a monomial
-product is one int addition, and int order on keys is grlex order: a result
-is canonical after one int sort (``_unpacked``).  A ``MultiPoly`` operation
-packs once on entry and unpacks once on exit; ``_Packed`` keeps a whole
-computation, such as the Witt ghost route, in one layout.  Over Z/m the raw
+Every operation runs on one packed layout and leaves it through one exit.
+A packed key holds an exponent vector in one int: a total-degree field on
+top, then one field per variable in sorted-name order, the first variable
+highest, all as wide as a bound on the result's total degree needs.  An
+exponent e of a variable packs as e times that variable's weight
+(``_weights``), so a monomial product is one int addition, and int order on
+keys is grlex order.  The constructor, +, -, negation, scalar and
+polynomial products, powers, exact division, ``poly_sum`` and substitution
+pack their operands into one layout, run on raw term maps (``_Packed``) and
+leave through ``_unpacked``: zeros dropped, one int sort, one unpack a key.
+Intermediate terms are never normalized, pruned or sorted; over Z/m the raw
 coefficients are reduced after each product so that they stay bounded.
 
 Substitution is Horner over the assigned variables: terms are grouped by
@@ -34,15 +35,27 @@ from operator import add, mul, or_, sub
 from struct import Struct
 
 from .errors import NotDivisible, UsageError
-from .rings import MODULAR, ZZ, CoeffRing
+from .rings import INTEGER, MODULAR, CoeffRing
 
 
 class MultiPoly:
     __slots__ = ("ring", "vars", "terms")
 
     def __init__(self, ring: CoeffRing, vars: tuple, terms: dict):
-        self.ring = ring
-        self.vars, self.terms = _canonical(ring, tuple(vars), terms)
+        """A polynomial from outside input: distinct variable names in any
+        order, and coefficients that are not yet normalized."""
+        vars = tuple(vars)
+        n = len(vars)
+        if len(set(vars)) != n:
+            raise UsageError(f"repeated variable name: {next(v for v in vars if vars.count(v) > 1)}")
+        if not {n}.issuperset(map(len, terms)):
+            raise UsageError("exponent vector length does not match vars")
+        if n and terms and min(map(min, terms)) < 0:
+            raise UsageError("exponents must be nonnegative")
+        names = tuple(sorted(vars))
+        w = _field(_degree(terms))
+        p = _unpacked(ring, None, names, w, _keyed(vars, terms, _weights(names, w)))
+        self.ring, self.vars, self.terms = ring, p.vars, p.terms
 
     @staticmethod
     def _trusted(ring: CoeffRing, vars: tuple, terms: dict) -> "MultiPoly":
@@ -55,11 +68,12 @@ class MultiPoly:
 
     @staticmethod
     def const(ring: CoeffRing, c) -> "MultiPoly":
-        return MultiPoly(ring, (), {(): c})
+        c = ring.normalize(c)
+        return MultiPoly._trusted(ring, (), {(): c} if c else {})
 
     @staticmethod
     def zero(ring: CoeffRing) -> "MultiPoly":
-        return MultiPoly(ring, (), {})
+        return MultiPoly._trusted(ring, (), {})
 
     @staticmethod
     def one(ring: CoeffRing) -> "MultiPoly":
@@ -107,40 +121,37 @@ class MultiPoly:
             return MultiPoly.const(self.ring, other)
         return NotImplemented
 
-    def _combine(self, other, op):
-        """``op`` (add or sub) on the two term maps, merged in one pass."""
+    def _alone(self, scale: int = 1) -> "_Packed":
+        """``self`` in a layout of its own, fields for ``scale`` times its top total degree."""
+        w = _field(scale * _degree(self.terms))
+        return _Packed(self.ring, self.vars, w, _keyed(self.vars, self.terms, _weights(self.vars, w)))
+
+    def _packed(self, other, op, scale: int = 1):
+        """``op`` on ``self`` and ``other`` packed into one layout."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vars, left, right = _merge(self, other)
-        terms = dict(left)
-        for e, c in right.items():
-            terms[e] = op(terms.get(e, 0), c)
-        return MultiPoly(self.ring, vars, terms)
+        pack = _packer(self.ring, (self, other), scale)[1]
+        return op(pack(self), pack(other)).poly(self.ring)
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._packed(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, self.vars, {e: -c for e, c in self.terms.items()})
+        return (-self._alone()).poly(self.ring)
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        return self._packed(other, sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._packed(other, lambda a, b: b - a)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = self.ring.normalize(other)
-            return MultiPoly(self.ring, self.vars, {e: a * c for e, a in self.terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        _, pack = _packer(self.ring, (self, other), 2)
-        return (pack(self) * pack(other)).poly(self.ring)
+            return (self._alone() * self.ring.normalize(other)).poly(self.ring)
+        return self._packed(other, mul, 2)
 
     __rmul__ = __mul__
 
@@ -149,8 +160,7 @@ class MultiPoly:
             raise UsageError("polynomial powers take nonnegative integer exponents")
         if n == 0:
             return MultiPoly.one(self.ring)
-        w = _field(_degree(self.terms) * n)
-        return (_Packed(self.ring, self.vars, w, _pack(self.terms, len(self.vars), w)) ** n).poly(self.ring)
+        return (self._alone(n) ** n).poly(self.ring)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -175,13 +185,7 @@ class MultiPoly:
         Raises ``NotDivisible`` with the first offending term: this is the
         failure certificate behind every "is phi a Frobenius lift" check.
         """
-        terms = {}
-        for exps, c in self.terms.items():
-            try:
-                terms[exps] = self.ring.div_int(c, d)
-            except NotDivisible:
-                raise NotDivisible(self._term_str(exps, c)) from None
-        return MultiPoly(self.ring, self.vars, terms)
+        return self._alone().div_int(d).poly(self.ring)
 
     def substitute(self, assignment: dict) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables map to themselves.
@@ -204,27 +208,22 @@ class MultiPoly:
             values.append(val)
         free = {v for v, val in zip(self.vars, values) if val is None}
         vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
-        n = len(vars)
         # the total degree of each value: 1 for an unassigned variable, 0 for a scalar
         degrees = [_degree(val.terms) if isinstance(val, MultiPoly) else int(val is None) for val in values]
         w = _field(max((sum(map(mul, exps, degrees)) for exps in self.terms), default=0))
-        # an exponent of the result's variable v packs as e * weight[v]: e in
-        # v's field and e in the degree field
-        top = 1 << 8 * w * n
-        weight = {v: top | 1 << 8 * w * (n - 1 - i) for i, v in enumerate(vars)}
+        weight = _weights(vars, w)
         # each assigned value, packed straight into the result's layout
         images = {}
         for i, val in enumerate(values):
             if isinstance(val, MultiPoly):
-                weights = [weight[u] for u in val.vars]
-                images[i] = {sum(map(mul, exps, weights)): c for exps, c in val.terms.items()}
+                images[i] = _keyed(val.vars, val.terms, weight)
             elif val is not None:
                 images[i] = {0: val}
         order = sorted(images, key=lambda i: len(images[i]))
         bits = 8 * _field(max((exps[i] for exps in self.terms for i in order), default=0))
         # a source key holds the free variables' exponents in the result's
         # layout, and above it the assigned exponents, innermost lowest
-        base = 8 * w * (n + 1)
+        base = 8 * w * (len(vars) + 1)
         at = {i: 1 << base + bits * level for level, i in enumerate(order)}
         weights = [at[i] if i in at else weight[v] for i, v in enumerate(self.vars)]
         items = {sum(map(mul, exps, weights)): c for exps, c in self.terms.items()}
@@ -258,13 +257,13 @@ class MultiPoly:
         """Push coefficients through ``ring.normalize`` (e.g. Z -> Z/m)."""
         if ring == self.ring:
             return self
-        return MultiPoly(ring, self.vars, dict(self.terms))
+        return MultiPoly(ring, self.vars, self.terms)
 
     def rename_vars(self, mapping: dict) -> "MultiPoly":
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
         if len(set(new_vars)) != len(new_vars):
             return self.substitute({v: MultiPoly.var(self.ring, mapping[v]) for v in self.vars if v in mapping})
-        return MultiPoly(self.ring, new_vars, dict(self.terms))
+        return MultiPoly(self.ring, new_vars, self.terms)
 
     # -- formatting ---------------------------------------------------------
 
@@ -315,58 +314,8 @@ class MultiPoly:
         terms = {}
         for t in obj["terms"]:
             exps = tuple(int(e) for e in t["exps"])
-            if len(exps) != len(vars):
-                raise UsageError("exponent vector length does not match vars")
-            if min(exps, default=0) < 0:
-                raise UsageError("exponents must be nonnegative")
             terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(t["coef"])
         return MultiPoly(ring, vars, terms)
-
-
-def _canonical(ring, vars, terms):
-    normalize = ring.normalize
-    width = len(vars)
-    clean = {}
-    for exps, c in terms.items():
-        c = normalize(c)
-        if c != 0:
-            if len(exps) != width:
-                raise UsageError("exponent vector length does not match vars")
-            clean[tuple(exps)] = c
-    if not clean:
-        return (), {}
-    columns = list(zip(*clean))
-    keep = sorted((i for i in range(width) if any(columns[i])), key=vars.__getitem__)
-    if keep == list(range(width)):
-        keys = list(clean)
-    elif keep:
-        vars = tuple(vars[i] for i in keep)
-        keys = list(zip(*(columns[i] for i in keep)))
-        clean = dict(zip(keys, clean.values()))
-    else:
-        return (), {(): clean[(0,) * width]}
-    keys.sort(reverse=True)
-    keys.sort(key=sum, reverse=True)
-    return vars, {e: clean[e] for e in keys}
-
-
-def _remap(p: MultiPoly, index: dict, width: int) -> dict:
-    """The terms of ``p`` over a wider variable space given by ``index``."""
-    if not width:
-        return dict(p.terms)
-    columns = [(0,) * len(p.terms)] * width
-    for v, column in zip(p.vars, zip(*p.terms)):
-        columns[index[v]] = column
-    return dict(zip(zip(*columns), p.terms.values()))
-
-
-def _merge(a: MultiPoly, b: MultiPoly):
-    """Common variable space for two canonical polynomials."""
-    if a.vars == b.vars:
-        return a.vars, a.terms, b.terms
-    vars = tuple(sorted(set(a.vars) | set(b.vars)))
-    index = {v: i for i, v in enumerate(vars)}
-    return vars, _remap(a, index, len(vars)), _remap(b, index, len(vars))
 
 
 def _degree(terms: dict) -> int:
@@ -374,8 +323,8 @@ def _degree(terms: dict) -> int:
     return max(map(sum, terms), default=0)
 
 
-# struct codes by field size, standard sizes under ">"; any other size takes
-# the byte-string route, which is also the only one for total degrees >= 2**64
+# struct codes by field size, standard sizes under ">"; any other size is
+# read as byte slices, which is also the only route for total degrees >= 2**64
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -387,23 +336,30 @@ def _field(bound: int) -> int:
     return (bound.bit_length() + 7) // 8
 
 
-def _pack(terms: dict, n: int, w: int) -> dict:
-    """A term map over ``n`` variables with each exponent vector packed into
-    one int, ``w`` bytes a field: the total degree on top, then the
-    exponents, the first variable most significant."""
-    code = _CODES.get(w)
-    if code:
-        pack = Struct(f">{n + 1}{code}").pack
-        return {int.from_bytes(pack(sum(e), *e), "big"): c for e, c in terms.items()}
-    return {int.from_bytes(b"".join(x.to_bytes(w, "big") for x in (sum(e), *e)), "big"): c for e, c in terms.items()}
+def _weights(vars: tuple, w: int) -> dict:
+    """The weight of each of the sorted ``vars`` in the layout at ``w`` bytes a
+    field: an exponent e of v packs as e * weight[v], e in v's field and e in
+    the total-degree field on top, the first variable most significant."""
+    n = len(vars)
+    top = 1 << 8 * w * n
+    return {v: top | 1 << 8 * w * (n - 1 - i) for i, v in enumerate(vars)}
 
 
-def _unpacked(ring: CoeffRing, kernel: CoeffRing, vars: tuple, w: int, terms: dict) -> MultiPoly:
+def _keyed(vars: tuple, terms: dict, weight: dict) -> dict:
+    """``terms`` over ``vars`` with each exponent vector packed by ``weight``."""
+    if not vars:
+        return {0: c for c in terms.values()}
+    weights = [weight[v] for v in vars]
+    return {sum(map(mul, exps, weights)): c for exps, c in terms.items()}
+
+
+def _unpacked(ring: CoeffRing, kernel: CoeffRing | None, vars: tuple, w: int, terms: dict) -> MultiPoly:
     """The polynomial over ``ring`` of raw ``terms`` computed over ``kernel``
-    in the layout of ``_pack`` for ``vars``: zeros dropped (normalizing unless
-    Z goes to Z), one sort of the int keys, and each key unpacked once,
-    skipping the degree field and the variables that no key uses."""
-    if ring == kernel == ZZ:
+    (None for outside input) in the layout of ``_weights`` for ``vars``: zeros
+    dropped (normalizing unless Z goes to Z), one sort of the int keys, and
+    each key unpacked once, skipping the degree field and the variables that
+    no key uses."""
+    if kernel is not None and ring.kind == kernel.kind == INTEGER:
         clean = {k: c for k, c in terms.items() if c}
     else:
         normalize = ring.normalize
@@ -411,6 +367,8 @@ def _unpacked(ring: CoeffRing, kernel: CoeffRing, vars: tuple, w: int, terms: di
     if not clean:
         return MultiPoly._trusted(ring, (), {})
     used = reduce(or_, clean)
+    if not used:
+        return MultiPoly._trusted(ring, (), {(): clean[0]})
     n = len(vars)
     mask = (1 << 8 * w) - 1
     keep = [i for i in range(n) if used >> 8 * w * (n - 1 - i) & mask]
@@ -471,6 +429,16 @@ def _square_terms(terms: dict) -> dict:
     return out
 
 
+def _add_into(out: dict, terms: dict) -> dict:
+    """Add the raw term map ``terms`` into ``out``, and return it."""
+    for key, c in terms.items():
+        if key in out:
+            out[key] += c
+        else:
+            out[key] = c
+    return out
+
+
 def _reduce(ring: CoeffRing, terms: dict) -> dict:
     """Reduce raw Z/m coefficients so that products of products stay small."""
     if ring.kind != MODULAR:
@@ -528,18 +496,15 @@ def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powe
             # a fresh map that nothing else reads
             total = part
         else:
-            for key, c in part.items():
-                if key in total:
-                    total[key] += c
-                else:
-                    total[key] = c
+            _add_into(total, part)
     return _reduce(ring, total)
 
 
 class _Packed:
-    """A raw term map in one layout, ``vars`` at ``w`` bytes a field as ``_pack``
-    makes it, under +, - (also unary), * (by a ``_Packed`` or an int), ** and
-    exact division; its owner keeps every total degree in a field.  ``poly`` exits."""
+    """A raw term map in one layout, the sorted ``vars`` at ``w`` bytes a field
+    as ``_weights`` gives it, under +, - (also unary), * (by a ``_Packed`` or a
+    coefficient), ** and exact division; its owner keeps every total degree in
+    a field.  ``poly`` exits."""
 
     __slots__ = ("ring", "vars", "w", "terms")
 
@@ -547,33 +512,38 @@ class _Packed:
         self.ring, self.vars, self.w, self.terms = ring, vars, w, _reduce(ring, terms)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms[k] + c if k in terms else c
-        return _Packed(self.ring, self.vars, self.w, terms)
+        return _Packed(self.ring, self.vars, self.w, _add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        return self + -other
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms[k] - c if k in terms else -c
+        return _Packed(self.ring, self.vars, self.w, terms)
 
     def __neg__(self):
         return _Packed(self.ring, self.vars, self.w, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _Packed(self.ring, self.vars, self.w, {k: c * other for k, c in self.terms.items()})
-        return _Packed(self.ring, self.vars, self.w, _mul_terms(self.terms, other.terms, {}))
+        if isinstance(other, _Packed):
+            return _Packed(self.ring, self.vars, self.w, _mul_terms(self.terms, other.terms, {}))
+        return _Packed(self.ring, self.vars, self.w, {k: c * other for k, c in self.terms.items()})
 
     def __pow__(self, n: int):
         return _Packed(self.ring, self.vars, self.w, _pow_terms(self.ring, self.terms, n) if n else {0: 1})
 
     def div_int(self, d: int) -> "_Packed":
-        """Exact division, dropping cancelled terms; fails with the certificate
-        of ``MultiPoly.div_int``, the first offending term in grlex order."""
+        """Exact division, dropping cancelled terms; fails with the first
+        offending term of the canonical form, in grlex order."""
         div = self.ring.div_int
         try:
             return _Packed(self.ring, self.vars, self.w, {k: div(c, d) for k, c in self.terms.items() if c})
         except NotDivisible:
-            self.poly(self.ring).div_int(d)
+            p = self.poly(self.ring)
+            for exps, c in p.terms.items():
+                try:
+                    div(c, d)
+                except NotDivisible:
+                    raise NotDivisible(p._term_str(exps, c)) from None
             raise
 
     def poly(self, ring: CoeffRing) -> MultiPoly:
@@ -582,26 +552,25 @@ class _Packed:
 
 def _packer(ring: CoeffRing, polys: list, scale: int):
     """Zero and packer of one layout for ``polys``, fields for ``scale`` times their top total degree."""
-    vars = tuple(sorted(set().union(*(p.vars for p in polys))))
-    n = len(vars)
+    names = {p.vars for p in polys}
+    vars = names.pop() if len(names) == 1 else tuple(sorted(set().union(*names)))
     w = _field(scale * max(_degree(p.terms) for p in polys))
-    index = {v: i for i, v in enumerate(vars)}
-    return _Packed(ring, vars, w, {}), lambda p: _Packed(ring, vars, w, _pack(_remap(p, index, n), n, w))
+    weight = _weights(vars, w)
+    return _Packed(ring, vars, w, {}), lambda p: _Packed(ring, vars, w, _keyed(p.vars, p.terms, weight))
 
 
 def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
-    """Sum a list of polynomials with a single merge pass."""
+    """Sum a list of polynomials in one layout, in one pass."""
     parts = [p for p in parts if not p.is_zero()]
     if not parts:
         return MultiPoly.zero(ring)
-    vars = tuple(sorted(set().union(*(p.vars for p in parts))))
-    index = {v: i for i, v in enumerate(vars)}
-    terms: dict = {}
     for p in parts:
         ring.require_same(p.ring)
-        for key, c in (p.terms if p.vars == vars else _remap(p, index, len(vars))).items():
-            terms[key] = terms.get(key, 0) + c
-    return MultiPoly(ring, vars, terms)
+    zero, pack = _packer(ring, parts, 1)
+    terms: dict = {}
+    for p in parts:
+        _add_into(terms, pack(p).terms)
+    return _unpacked(ring, ring, zero.vars, zero.w, terms)
 
 
 def random_poly(rng, ring: CoeffRing, vars, max_terms=4, max_exp=3, coeff_bound=9) -> MultiPoly:

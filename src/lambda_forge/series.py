@@ -8,7 +8,7 @@ precision min(N1, N2).
 
 from __future__ import annotations
 
-from .errors import MixedCoefficientRings, NonUnitConstantTerm, UsageError
+from .errors import MixedCoefficientRings, UsageError
 from .poly import MultiPoly
 from .rings import CoeffRing
 
@@ -95,32 +95,6 @@ class TruncSeries:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return TruncSeries(self.ring, out)
-
-    def _require_unit(self):
-        if self.coeffs[0] != MultiPoly.one(self.ring):
-            raise NonUnitConstantTerm(f"constant term is {self.coeffs[0]}, expected 1")
-
-    def reciprocal(self) -> "TruncSeries":
-        """Inverse of a series with constant term 1, up to the precision."""
-        self._require_unit()
-        zero = MultiPoly.zero(self.ring)
-        inv = [MultiPoly.one(self.ring)] + [zero] * self.precision
-        for n in range(1, self.precision + 1):
-            acc = zero
-            for k in range(1, n + 1):
-                if not self.coeffs[k].is_zero():
-                    acc = acc + self.coeffs[k] * inv[n - k]
-            inv[n] = -acc
-        return TruncSeries(self.ring, inv)
-
-    def log_derivative(self) -> "TruncSeries":
-        """-t f'(t) / f(t); for f = prod (1 - a_n t^n) this reads off ghosts."""
-        self._require_unit()
-        zero = MultiPoly.zero(self.ring)
-        minus_t_fprime = [zero] + [
-            -(self.coeffs[n] * n) for n in range(1, self.precision + 1)
-        ]
-        return TruncSeries(self.ring, minus_t_fprime) * self.reciprocal()
 
 
 def geometric(ring: CoeffRing, a: MultiPoly, n: int, precision: int) -> TruncSeries:

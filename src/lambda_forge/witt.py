@@ -39,6 +39,7 @@ import threading
 from math import isqrt, lcm, prod
 
 from .errors import (
+    CostLimitExceeded,
     ForgeError,
     IntegralityViolation,
     MixedCoefficientRings,
@@ -759,6 +760,10 @@ def w2_pullback_check(ring: CoeffRing, p: int, bound: int, gens=()) -> dict:
         report["symbolic_roundtrip"] = g.comps[1] == u and g.comps[p] == v
         report["status"] = "pass" if report["symbolic_roundtrip"] else "fail"
         return report
+    if bound > 100:
+        raise CostLimitExceeded(
+            f"a box of bound {bound} has {(2 * bound + 1) ** 2} points, over the limit of {201 ** 2} (bound <= 100)"
+        )
     accepted = 0
     rejected = 0
     seen = {}

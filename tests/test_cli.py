@@ -401,6 +401,30 @@ class TestRefusedWork:
         argv = ("witt", "ghost", "--trunc", "p:1000000000039,3", "--input", "[1,0,0]")
         assert run_within(2, capsys, *argv) == (0, "ghost: [1, 1, 1]\n", "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("witt", "w2-check", "--p", "2", "--bound", "100000"),
+            ("lambda", "newton", "--psi", "id", "--K", "100000", "--eval", "5"),
+            ("lambda", "wilkerson", "--ring", "Z", "--K", "100000", "--eval", "3"),
+        ],
+    )
+    def test_work_over_a_cost_limit_is_refused(self, capsys, argv):
+        code, out, err = run_within(2, capsys, *argv)
+        assert (code, err) == (2, "")
+        error, message = out.splitlines()
+        assert error == "error: CostLimitExceeded"
+        assert message.startswith("message: ") and "100000" in message
+        assert message.endswith(("(bound <= 100)", "(K <= 100)"))
+
+    def test_work_at_the_cost_limits_runs(self, capsys):
+        code, out, _ = run_within(5, capsys, "witt", "w2-check", "--p", "2", "--bound", "100")
+        assert code == 0 and "status: pass" in out and "points_in_fibered_product: 20201" in out
+        code, out, _ = run_within(5, capsys, "lambda", "newton", "--psi", "id", "--K", "100", "--eval", "5")
+        assert code == 0 and out.startswith("lambda: [5, 10, 10, 5, 1, 0, ") and out.count(",") == 99
+        code, out, _ = run_within(5, capsys, "lambda", "wilkerson", "--ring", "Z", "--K", "100", "--eval", "3")
+        assert code == 0 and out.startswith("lambda: [3, 3, 1, 0, ") and out.count(",") == 99
+
     @pytest.mark.parametrize("elems", [(1, 2, 3, 12), (1, 4), (2,)])
     def test_set_that_is_not_division_stable_is_refused(self, elems):
         with pytest.raises(UsageError, match="not division-stable"):
@@ -439,7 +463,14 @@ def test_disk_cache_unreadable_file_is_regenerated(tmp_path, capsys, monkeypatch
     code, first, _ = _structure_big2_add(capsys)
     path = tmp_path / "structure_add_big2.json"
     text = path.read_text()
-    for junk in ("{not json", '{"polys": []}', text.replace('"coef": "-1"', '"coef": "1/2"')):
+    # a1 + b1 as 2*a1 - a1 + b1 over a repeated a1: the same value at every point
+    repeated = text.replace(
+        '[{"coef": "1", "exps": [1, 0]}, {"coef": "1", "exps": [0, 1]}], "vars": ["a1", "b1"]',
+        '[{"coef": "2", "exps": [1, 0, 0]}, {"coef": "-1", "exps": [0, 1, 0]}, {"coef": "1", "exps": [0, 0, 1]}], '
+        '"vars": ["a1", "a1", "b1"]',
+    )
+    assert repeated != text
+    for junk in ("{not json", '{"polys": []}', text.replace('"coef": "-1"', '"coef": "1/2"'), repeated):
         path.write_text(junk)
         clear_memo()
         assert _structure_big2_add(capsys) == (0, first, "")

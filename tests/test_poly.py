@@ -91,6 +91,16 @@ class TestCanonicalForm:
         with pytest.raises(MixedCoefficientRings):
             v("x") + v("x", QQ)
 
+    def test_repeated_names_and_negative_exponents_refused(self):
+        # a + a over a repeated name would be a non-canonical form of 2*a
+        with pytest.raises(UsageError, match="repeated variable name: a"):
+            MultiPoly(ZZ, ("a", "a"), {(1, 0): 1, (0, 1): 1})
+        obj = {"vars": ["a", "a"], "ring": {"kind": "Z"}, "terms": [{"coef": "1", "exps": [1, 0]}]}
+        with pytest.raises(UsageError, match="repeated variable name"):
+            MultiPoly.from_json(obj)
+        with pytest.raises(UsageError, match="nonnegative"):
+            MultiPoly(ZZ, ("a", "b"), {(2, -1): 1})
+
     def test_localized_denominator_guard(self):
         ring = CoeffRing.localized(3)
         MultiPoly.const(ring, Fraction(1, 2))  # fine: 2 is a unit in Z_(3)
@@ -374,7 +384,7 @@ class TestDifferentialKernel:
 
 
 def test_substitution_canonicalizes_per_variable_not_per_term(monkeypatch):
-    """Intermediate products stay raw term maps: one canonical form a result."""
+    """Intermediate products stay raw term maps: one packed exit a result."""
     x, y, z = v("x"), v("y"), v("z")
     p = poly_sum(ZZ, [x ** i * y ** (i % 3) * z ** (i % 4) * (i + 1) for i in range(20)])
     env = {"x": y + z * 2 + 1, "y": x - z, "z": x * y + 3}
@@ -382,13 +392,13 @@ def test_substitution_canonicalizes_per_variable_not_per_term(monkeypatch):
     assert len(p.terms) == 20
     want = oracle_substitute(p, env)
     calls = []
-    original = poly._canonical
+    original = poly._unpacked
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(poly, "_canonical", counting)
+    monkeypatch.setattr(poly, "_unpacked", counting)
     got = p.substitute(env)
     substitute_calls = len(calls)
     power = base ** 13
@@ -400,8 +410,8 @@ def test_substitution_canonicalizes_per_variable_not_per_term(monkeypatch):
 
 
 def test_packed_routes_never_canonicalize(monkeypatch):
-    """Universal Witt polynomials and X-basis re-expression build every
-    polynomial through the packed exit or from parts already canonical."""
+    """Universal Witt polynomials and X-basis re-expression leave the packed
+    world once a result: one exit a polynomial, none for intermediate values."""
     from lambda_forge import witt
     from lambda_forge.lambdaring import FreeLambdaBasis
 
@@ -410,17 +420,19 @@ def test_packed_routes_never_canonicalize(monkeypatch):
     monkeypatch.delenv("LAMBDA_FORGE_CACHE_DIR", raising=False)
     witt.clear_memo()
     calls = []
-    original = poly._canonical
+    original = poly._unpacked
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(poly, "_canonical", counting)
+    monkeypatch.setattr(poly, "_unpacked", counting)
     product = witt.structure_poly_map("mul", witt.TruncationSet.big(8))
+    product_calls = len(calls)
     xp, _ = basis.to_x_basis(element)
     monkeypatch.undo()
-    assert calls == []
+    assert product_calls == len(product) == 8
+    assert len(calls) - product_calls == 1
     assert str(product[2]) == "a1^2*b2 + a2*b1^2 + 2*a2*b2"
     assert basis.from_x_basis(xp) == element
 
@@ -438,8 +450,15 @@ PACK_DENOMINATORS = {ZZ: [1], QQ: [1, 2, 3], Z8: [1, 3, 5], Z3: [1, 2, 4]}
 EXPS = [0, 1, 2, 3, 254, 255, 256, 65534, 65535, 65536, 2**32, 2**64 - 1, 2**64, 2**64 + 1]
 
 
+def pack(terms, n, w):
+    """Tuple-keyed ``terms`` over ``n`` variables packed by ``_weights``, at
+    ``w`` bytes a field; the variables are named in sorted order."""
+    names = tuple(f"v{i}" for i in range(n))
+    return poly._keyed(names, terms, poly._weights(names, w))
+
+
 def unpack(terms, n, w):
-    """The layout oracle: exponent vectors of the packed keys of ``_pack``,
+    """The layout oracle: exponent vectors of the packed keys of ``_weights``,
     read field by field with shifts and masks.  A key holds a total-degree
     field on top, then one ``w``-byte field per variable, the first variable
     most significant; its degree field must equal the sum of its exponents."""
@@ -488,6 +507,14 @@ def tuple_terms(p, vars):
         for i, e in zip(pos, exps):
             key[i] = e
         out[tuple(key)] = c
+    return out
+
+
+def tuple_add_terms(left, right, sign):
+    """``left + sign * right`` on tuple-keyed term maps, nothing normalized."""
+    out = dict(left)
+    for e, c in right.items():
+        out[e] = out.get(e, 0) + sign * c
     return out
 
 
@@ -560,6 +587,11 @@ def wide_polys(draw, ring, exps=EXPS, min_terms=0, max_terms=4, units=False):
     return MultiPoly(ring, names, terms)
 
 
+def scalars(ring):
+    """Ints and Fractions whose denominators are units in ``ring``."""
+    return st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.sampled_from(PACK_DENOMINATORS[ring]))
+
+
 @st.composite
 def wide_substitutions(draw):
     """Large exponents meet only monomial values with unit coefficients, or
@@ -585,6 +617,54 @@ class TestPackedKernel:
     def test_product(self, data):
         a, b = data
         assert canonical_items(a * b) == oracle_product(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.sampled_from(PACK_RINGS).flatmap(lambda r: st.tuples(wide_polys(r), wide_polys(r))))
+    def test_sum_difference_and_negation(self, data):
+        a, b = data
+        ring = a.ring
+        vars = tuple(sorted(set(a.vars) | set(b.vars)))
+        left, right = tuple_terms(a, vars), tuple_terms(b, vars)
+        assert canonical_items(a + b) == oracle_canonical(ring, vars, tuple_add_terms(left, right, 1))
+        assert canonical_items(a - b) == oracle_canonical(ring, vars, tuple_add_terms(left, right, -1))
+        assert canonical_items(-a) == oracle_canonical(ring, a.vars, {e: -c for e, c in a.terms.items()})
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.sampled_from(PACK_RINGS).flatmap(lambda r: st.tuples(wide_polys(r), scalars(r))))
+    def test_scalar_product(self, data):
+        a, c = data
+        s = a.ring.normalize(c)
+        want = oracle_canonical(a.ring, a.vars, {e: x * s for e, x in a.terms.items()})
+        assert canonical_items(a * c) == canonical_items(c * a) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.sampled_from(PACK_RINGS).flatmap(lambda r: st.tuples(st.just(r), st.lists(wide_polys(r), max_size=4))))
+    def test_poly_sum(self, data):
+        ring, parts = data
+        vars = tuple(sorted(set().union(*(p.vars for p in parts))))
+        total = {}
+        for p in parts:
+            total = tuple_add_terms(total, tuple_terms(p, vars), 1)
+        assert canonical_items(poly_sum(ring, parts)) == oracle_canonical(ring, vars, total)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.sampled_from(PACK_RINGS).flatmap(
+            lambda r: st.tuples(
+                st.just(r),
+                st.lists(st.sampled_from(NAMES), unique=True),
+                st.lists(st.tuples(st.lists(st.sampled_from(EXPS), min_size=3, max_size=3), scalars(r)), max_size=4),
+            )
+        )
+    )
+    def test_construction_from_any_variable_order(self, data):
+        # raw coefficients, zeros among them, over the variables in a drawn order
+        ring, order, items = data
+        terms = {}
+        for exps, c in items:
+            key = tuple(exps[: len(order)])
+            terms[key] = terms.get(key, 0) + c
+        assert canonical_items(MultiPoly(ring, order, terms)) == oracle_canonical(ring, tuple(order), terms)
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.sampled_from(PACK_RINGS).flatmap(lambda r: wide_polys(r, max_terms=3)), n=st.integers(0, 4))
@@ -647,7 +727,7 @@ class TestPackedKernel:
             terms = {split(rng, top, n): 1}
             for _ in range(20):
                 terms[split(rng, rng.choice([0, 1, top // 2, top]), n)] = rng.randint(-9, 9)
-            packed = poly._pack(terms, n, w)
+            packed = pack(terms, n, w)
             assert len(packed) == len(terms) and all(type(k) is int for k in packed)
             assert unpack(packed, n, w) == terms
             # integer order on keys is grlex order
@@ -656,7 +736,7 @@ class TestPackedKernel:
             # a monomial product is one int addition while no field overflows
             half = [tuple(e // 2 for e in exps) for exps in terms]
             for e1, e2 in zip(half, reversed(half)):
-                (k1,), (k2,) = poly._pack({e1: 1}, n, w), poly._pack({e2: 1}, n, w)
+                (k1,), (k2,) = pack({e1: 1}, n, w), pack({e2: 1}, n, w)
                 assert unpack({k1 + k2: 1}, n, w) == {tuple(map(add, e1, e2)): 1}
 
     def test_negative_exponents_rejected_from_json(self):
@@ -707,7 +787,7 @@ class TestPackedExit:
     @given(data=raw_maps())
     def test_packed_poly(self, data):
         kernel, ring, vars, w, terms = data
-        packed = poly._Packed(kernel, vars, w, poly._pack(terms, len(vars), w))
+        packed = poly._Packed(kernel, vars, w, poly._keyed(vars, terms, poly._weights(vars, w)))
         got = packed.poly(ring)
         assert got.ring == ring
         assert canonical_items(got) == oracle_canonical(ring, vars, unpack(packed.terms, len(vars), w))
@@ -728,7 +808,7 @@ class TestPackedExit:
         for kernel, ring in EXIT_RINGS:
             zero = poly._Packed(kernel, NAMES, 1, {})
             assert canonical_items(zero.poly(ring)) == ((), [])
-            const = poly._Packed(kernel, NAMES, 2, poly._pack({(0, 0, 0): 5, (1, 0, 2): 0}, 3, 2))
+            const = poly._Packed(kernel, NAMES, 2, pack({(0, 0, 0): 5, (1, 0, 2): 0}, 3, 2))
             assert canonical_items(const.poly(ring)) == ((), [((), ring.normalize(5))])
 
 
@@ -805,22 +885,19 @@ def per_term_substitute(p, assignment):
         values.append(val)
     free = {name for name, val in zip(p.vars, values) if val is None}
     vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
-    index = {name: i for i, name in enumerate(vars)}
-    n = len(vars)
-    zero_exps = (0,) * n
-    images = []
+    # the total degree of each image: 1 for an unassigned variable, 0 for a scalar
+    degrees = [max(map(sum, val.terms), default=0) if isinstance(val, MultiPoly) else int(val is None) for val in values]
+    w = poly._field(max((sum(map(lambda e, d: e * d, exps, degrees)) for exps in p.terms), default=0))
+    weight = poly._weights(vars, w)
+    cache = []
     for name, val in zip(p.vars, values):
         if val is None:
-            key = list(zero_exps)
-            key[index[name]] = 1
-            images.append({tuple(key): ring.normalize(1)})
+            image = {weight[name]: ring.normalize(1)}
         elif isinstance(val, MultiPoly):
-            images.append(poly._remap(val, index, n))
+            image = poly._keyed(val.vars, val.terms, weight)
         else:
-            images.append({zero_exps: val})
-    degrees = [max(map(sum, terms), default=0) for terms in images]
-    w = poly._field(max((sum(map(lambda e, d: e * d, exps, degrees)) for exps in p.terms), default=0))
-    cache = [{1: poly._pack(terms, n, w)} for terms in images]
+            image = {0: val}
+        cache.append({1: image})
     total = {}
     for exps, c in p.terms.items():
         part = {0: c}
@@ -832,7 +909,7 @@ def per_term_substitute(p, assignment):
                 part = poly._reduce(ring, poly._mul_terms(part, powers[e], {}))
         for key, coef in part.items():
             total[key] = total[key] + coef if key in total else coef
-    return MultiPoly(ring, vars, unpack(total, n, w))
+    return MultiPoly(ring, vars, unpack(total, len(vars), w))
 
 
 HORNER_NAMES = ("s", "t", "u", "v")
