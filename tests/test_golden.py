@@ -38,6 +38,13 @@ Adams operations; psi^3 does not commute with psi^2, so the reports carry
 6 and 12 commutation witnesses (and 1 and 3 delta witnesses).  Each entry
 is a label line and one output line, compared as ``json.dumps`` text, key
 order included.
+
+``parser.json`` pins what ``manifest.json`` cannot, since that records
+stdout only: the ``--help`` text of the top-level parser and of each of
+the four command families (on stdout, exit 0) and one argparse usage
+error per family (on stderr, exit 1), recorded before the CLI imported
+each family's modules only when its command runs.  Help is formatted at
+``COLUMNS=80``.
 """
 
 import json
@@ -66,6 +73,7 @@ from lambda_forge.rings import QQ, ZZ
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
+PARSER = json.loads((GOLDEN / "parser.json").read_text())
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -75,6 +83,20 @@ def test_cli_output_matches_golden(entry, capsys):
     out = capsys.readouterr().out
     assert code == entry["exit"]
     assert out.encode() == (GOLDEN / entry["file"]).read_bytes()
+
+
+@pytest.mark.parametrize("entry", PARSER, ids=[e["file"] for e in PARSER])
+def test_parser_output_matches_golden(entry, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(entry["argv"]))
+    except SystemExit as exc:  # --help exits through argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    streams = {"out": captured.out, "err": captured.err}
+    assert code == entry["exit"]
+    assert streams.pop(entry["stream"]).encode() == (GOLDEN / entry["file"]).read_bytes()
+    assert list(streams.values()) == [""]
 
 
 @pytest.mark.parametrize("hashseed", ["0", "1"])
