@@ -30,6 +30,7 @@ from .errors import (
 )
 from .poly import MultiPoly, poly_sum
 from .rings import QQ, ZZ, CoeffRing, _factorize, _is_prime
+from .textparse import _sigma_name
 from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map
 
 
@@ -116,12 +117,6 @@ def newton_psi_to_lambda(psis):
 
 # ---------------------------------------------------------------------------
 # the free lambda-ring: integral basis inside the Adams model
-
-
-def _sigma_name(sigma: tuple) -> str:
-    if not sigma:
-        return "X0"
-    return "X" + "_".join(str(p) for p in sigma)
 
 
 def _sigma_display(sigma: tuple) -> str:

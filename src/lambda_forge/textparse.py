@@ -1,6 +1,7 @@
 """Textual input grammar for the CLI.
 
-Polynomials: integer coefficients, `^` powers, `*` products, parentheses,
+Polynomials: integer coefficients, `^` powers, `*` products, `/` by a
+positive integer literal (exact over the coefficient ring), parentheses,
 variable names matching [A-Za-z][A-Za-z0-9_]*, and `X(2,3)` sugar for
 lambda-basis generators (the empty sequence is `X()` or `X0`).  Witt
 vectors are bracketed, comma-separated component lists.  Truncation sets
@@ -11,13 +12,19 @@ from __future__ import annotations
 
 import re
 
-from .errors import UsageError
-from .lambdaring import _sigma_name
+from .errors import NotDivisible, UsageError
 from .poly import MultiPoly
 from .rings import CoeffRing, ZZ
 from .witt import TruncationSet
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9_]*|\*\*|[-+*^(),])")
+def _sigma_name(sigma) -> str:
+    """The variable that X(sigma) names: X2_3 for X(2,3), X0 for X()."""
+    if not sigma:
+        return "X0"
+    return "X" + "_".join(str(p) for p in sigma)
+
+
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9_]*|\*\*|[-+*/^(),])")
 
 
 def _tokenize(text: str):
@@ -67,9 +74,17 @@ class _Parser:
 
     def term(self) -> MultiPoly:
         value = self.factor()
-        while self.peek() == "*":
-            self.take()
-            value = value * self.factor()
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
+                value = value * self.factor()
+                continue
+            d = self.take()
+            if not d.isdigit() or int(d) == 0:
+                raise UsageError(f"divisors must be positive integers, found {d!r}")
+            try:
+                value = value.div_int(int(d))
+            except NotDivisible:
+                raise UsageError(f"cannot divide by {d} over {self.ring!r}") from None
         return value
 
     def factor(self) -> MultiPoly:

@@ -37,6 +37,7 @@ import os
 import tempfile
 import threading
 from math import isqrt, lcm, prod
+from types import MappingProxyType
 
 from .errors import (
     CostLimitExceeded,
@@ -58,7 +59,7 @@ from .series import TruncSeries, geometric
 class TruncationSet:
     """Finite division-stable set of positive integers."""
 
-    __slots__ = ("elems",)
+    __slots__ = ("elems", "_divisors")
 
     def __init__(self, elems):
         members = set(int(n) for n in elems)
@@ -91,6 +92,7 @@ class TruncationSet:
                 if n // q not in members:
                     raise UsageError(f"not division-stable: {n} in set but divisor {n // q} missing")
         self.elems = elems
+        self._divisors = None
 
     @staticmethod
     def big(n: int) -> "TruncationSet":
@@ -123,6 +125,21 @@ class TruncationSet:
 
     def __repr__(self):
         return f"TruncationSet{self.elems}"
+
+    def divisors(self):
+        """n -> its divisors in S, increasing, from the pairs d * q <= max(S);
+        built on first use and shared, read-only, by every later call."""
+        if self._divisors is None:
+            table = {n: [] for n in self.elems}
+            for d in self.elems:
+                top = self.elems[-1] // d
+                for q in self.elems:
+                    if q > top:
+                        break
+                    if d * q in table:
+                        table[d * q].append(d)
+            self._divisors = MappingProxyType({n: tuple(divs) for n, divs in table.items()})
+        return self._divisors
 
     def issubset(self, other: "TruncationSet") -> bool:
         return set(self.elems) <= set(other.elems)
@@ -298,19 +315,6 @@ def comult_poly_map(S: TruncationSet, T: TruncationSet) -> dict:
 # the ghost route
 
 
-def _divisor_table(S: TruncationSet) -> dict:
-    """n -> its divisors in S, increasing, from the pairs d * q <= max(S)."""
-    table = {n: [] for n in S}
-    for d in S:
-        top = S.elems[-1] // d
-        for q in S:
-            if q > top:
-                break
-            if d * q in table:
-                table[d * q].append(d)
-    return table
-
-
 def _ghost_comp(x: dict, divs: list):
     """w_n = sum_{d | n} d * x_d^(n/d) on component values; n = divs[-1]."""
     n = divs[-1]
@@ -394,7 +398,7 @@ def _ghost_coords(v: "WittVec", value) -> dict:
     W_S(W_T(...)), (s, k) -> w_s of the components' coordinates at k.  That
     is ghost_S after W_S(ghost_T), a ring map, injective over torsion-free
     rings, so nested vectors need no other arithmetic."""
-    table = _divisor_table(v.trunc)
+    table = v.trunc.divisors()
     if len(v.shape) == 1:
         x = {n: value(c) for n, c in v.comps.items()}
         return {n: _ghost_comp(x, divs) for n, divs in table.items()}
@@ -407,7 +411,7 @@ def _solve(w: dict, shape: tuple, ring: CoeffRing, zero, div) -> "WittVec":
     """The vector of ``shape`` with ghost coordinates ``w``, inverted one
     level at a time from the outside in."""
     S, rest = shape[0], shape[1:]
-    table = _divisor_table(S)
+    table = S.divisors()
     if not rest:
         return WittVec(S, ring, _polys(_unghost(w, table, zero, div), ring))
     keys = _keys(rest)
@@ -744,6 +748,8 @@ def w2_pullback_check(ring: CoeffRing, p: int, bound: int, gens=()) -> dict:
     (u, v) -> (u, (v - u^p) / p).  Integer boxes are checked exhaustively;
     a polynomial ring is checked on symbolic generators.
     """
+    if bound < 0:
+        raise UsageError(f"the box check needs bound >= 0, got {bound}")
     if ring.kind == MODULAR and ring.modulus % p == 0:
         raise TorsionDetected(f"Z/{ring.modulus} has {p}-torsion")
     if ring.kind not in ("Z",) and not gens:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_forge import textparse
+from lambda_forge import cli, textparse
 from lambda_forge.abelian import parse_group
 from lambda_forge.cli import main
 from lambda_forge.errors import ForgeError, UsageError
+from lambda_forge.rings import QQ, ZZ
 from lambda_forge.witt import TruncationSet
 
 
@@ -302,6 +304,9 @@ class TestMalformedArgv:
             ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "x:u->u^2", "--K", "2"],
             ["lambda", "newton", "--K", "-1", "--eval", "5"],
             ["lambda", "wilkerson", "--ring", "Z", "--K", "-2", "--eval", "3"],
+            ["witt", "w2-check", "--p", "2", "--bound", "-3"],
+            ["delta", "extend", "--p", "2", "--expr", "x0/2"],
+            ["lambda", "adams", "--m", "2", "--expr", "x3/0"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):
@@ -348,6 +353,83 @@ def test_grammar_fuzz_gives_a_value_or_a_forge_error(target, text):
         GRAMMAR_TARGETS[target](text)
     except ForgeError:
         pass
+
+
+class TestDivision:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from("u v 2 3 -1 u^2 (u+v)".split()), min_size=1, max_size=4), st.integers(1, 12))
+    def test_division_undoes_a_product(self, factors, d):
+        e = "*".join(factors)
+        assert textparse.parse_poly(f"({e})*{d}/{d}") == textparse.parse_poly(e)
+        assert textparse.parse_poly(f"{e}/{d}", QQ) == textparse.parse_poly(e, QQ) * Fraction(1, d)
+
+    def test_division_binds_like_a_product(self):
+        parse = partial(textparse.parse_poly, ring=QQ)
+        assert parse("x6^2/3") == parse("(x6^2)/3")
+        assert parse("2*x/4*y") == parse("((2*x)/4)*y") == parse("x*y/2")
+        assert parse("-x/2 + 1") == parse("(-x)/2 + 1")
+        assert textparse.parse_poly("(6*u + 4)/2") == textparse.parse_poly("3*u + 2")
+
+    @pytest.mark.parametrize(
+        "text, ring, message",
+        [
+            ("u/0", QQ, "divisors must be positive integers, found '0'"),
+            ("0/0", ZZ, "divisors must be positive integers, found '0'"),
+            ("u/v", QQ, "divisors must be positive integers, found 'v'"),
+            ("u/(2)", QQ, "divisors must be positive integers, found '('"),
+            ("u/", QQ, "unexpected end of expression"),
+            ("u/3", ZZ, "cannot divide by 3 over Z"),
+            ("(2*u + 3)/2", ZZ, "cannot divide by 2 over Z"),
+            ("u/3*3", ZZ, "cannot divide by 3 over Z"),
+        ],
+    )
+    def test_division_outside_the_ring_is_a_usage_error(self, text, ring, message):
+        with pytest.raises(UsageError) as exc:
+            textparse.parse_poly(text, ring)
+        assert str(exc.value) == message
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from lambda_forge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lambda_forge."))]))
+"""
+WITT_MODULES = {"cli", "errors", "poly", "rings", "series", "textparse", "witt"}
+SRC = Path(__file__).resolve().parent.parent / "src"
+EVERY_MODULE = {path.stem for path in (SRC / "lambda_forge").glob("*.py")} - {"__init__"}
+
+
+class TestImportContract:
+    """A process imports only the modules its command family runs."""
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["witt", "ghost", "--trunc", "big:2", "--input", "[1,1]"], WITT_MODULES),
+            (["delta", "free", "--p", "2", "--depth", "1"], WITT_MODULES | {"delta"}),
+            (["lambda", "newton", "--K", "2", "--eval", "3"], WITT_MODULES | {"delta", "lambdaring"}),
+            (["verify", "wilkerson"], EVERY_MODULE),
+        ],
+        ids=["witt", "delta", "lambda", "verify"],
+    )
+    def test_family_loads_its_modules(self, argv, modules):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr
+        code, loaded = json.loads(result.stdout)
+        assert code == 0
+        assert loaded == sorted(f"lambda_forge.{m}" for m in modules)
+
+    def test_verify_choices_are_the_suites(self):
+        from lambda_forge import verify
+
+        top = cli._build_parser()
+        families = next(a for a in top._actions if a.dest == "command")
+        suite = next(a for a in families.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == verify.SUITES + ("all",)
 
 
 def run_within(seconds, capsys, *argv):

@@ -24,6 +24,10 @@ of polynomial vectors, and a comultiplication for S = big:3, T = big:2.
 The last one, ``verify joyal-rezk --primes 2,3,5 --depth 3 --format json``,
 was recorded before each Joyal-Rezk commutation case became
 (psi^q psi^p e - psi^p psi^q e) / p; it has 168 cases and no witness.
+Then ``lambda to-x-basis`` on ``x4*x9 - x6^2/3 + y``, the one entry that
+prints ``integral: False``, recorded when the input grammar gained
+division by an integer literal; ``tests/test_lambda.py`` checks the same
+answer in process against the elimination route.
 
 ``library.txt`` holds library output that no CLI command prints, recorded
 before the free lambda-ring checks became case tables and Wilkerson's

@@ -27,6 +27,7 @@ from lambda_forge.lambdaring import (
 )
 from lambda_forge.poly import MultiPoly
 from lambda_forge.rings import QQ, ZZ
+from lambda_forge.textparse import parse_poly
 from lambda_forge.witt import GhostVec, TruncationSet, WittVec, ghost_map
 
 
@@ -182,6 +183,16 @@ class TestFreeLambdaRing:
         e = q("x6") + q("x2") * q("x3") - 5
         xp, _ = basis.to_x_basis(e)
         assert basis.from_x_basis(xp) == e
+
+    def test_rational_element_is_not_integral(self):
+        # the expression of the golden to_x_basis_rational.txt, through the CLI grammar
+        basis = FreeLambdaBasis((2, 3), 2)
+        e = parse_poly("x4*x9 - x6^2/3 + y", QQ)
+        assert e == q("x4") * q("x9") - q("x6") ** 2 * Fraction(1, 3) + q("y")
+        xp, integral = basis.to_x_basis(e)
+        assert not integral
+        assert basis.from_x_basis(xp) == e
+        assert (xp, integral) == eliminating_to_x_basis(basis, e)
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,24 @@ class TestTruncationSet:
         closures = TruncationSet({d for m in tops for d in range(1, m + 1) if m % d == 0})
         named = [TruncationSet.big(30), TruncationSet.p_typical(2, 6), TruncationSet.p_typical(5, 4), BIG2.product(P22)]
         for S in [closures] + named:
-            table = witt._divisor_table(S)
+            table = S.divisors()
             assert list(table) == list(S)
-            assert table == {n: [d for d in range(1, n + 1) if n % d == 0] for n in S}
+            assert table == {n: tuple(d for d in range(1, n + 1) if n % d == 0) for n in S}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(1, 300), max_size=5), st.integers(1, 6))
+    def test_divisor_table_is_built_once_and_read_only(self, tops, n):
+        # division-stable sets: divisor closures, their quotients S/n and the products (S/n) * big:n
+        closure = TruncationSet({d for m in tops for d in range(1, m + 1) if m % d == 0})
+        for S in (closure, closure.divide(n), closure.divide(n).product(TruncationSet.big(n))):
+            table = S.divisors()
+            # the oracle: trial division of each element by every smaller integer
+            assert table == {m: tuple(d for d in range(1, m + 1) if m % d == 0) for m in S}
+            vec = WittVec.from_list(S, ZZ, [1 - i % 3 for i in range(len(S))])
+            assert ghost_inverse(ghost_map(vec)) == vec  # both read the shared table
+            assert S.divisors() is table
+            with pytest.raises(TypeError):
+                table[1] = ()
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -509,6 +524,12 @@ class TestW2Pullback:
     def test_symbolic_ring_mode(self):
         report = w2_pullback_check(ZZ, 3, 0, gens=("u",))
         assert report["status"] == "pass"
+
+    @pytest.mark.parametrize("gens", [(), ("u",)])
+    def test_negative_bound_refused(self, gens):
+        # range(-bound, bound + 1) would be an empty box that passes
+        with pytest.raises(UsageError, match="bound >= 0"):
+            w2_pullback_check(ZZ, 2, -3, gens)
 
 
 def test_naturality_under_substitution():
