@@ -44,9 +44,10 @@ from .witt import (
 
 # Every command loads the modules above.  The delta, lambda and verify
 # families import their own modules when they run, so a witt command never
-# compiles them.  The names of verify.SUITES, kept here so that building
-# the parser does not import verify (a test pins the two lists).
+# compiles them.  These are the names of verify.SUITES, kept here so that
+# building the parser imports no suite (a test pins the two lists).
 SUITES = ("witt-axioms", "ghost-compat", "joyal-rezk", "wilkerson", "w2-pullback", "coalgebra", "fracture")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):

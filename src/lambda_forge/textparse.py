@@ -17,6 +17,7 @@ from .poly import MultiPoly
 from .rings import CoeffRing, ZZ
 from .witt import TruncationSet
 
+
 def _sigma_name(sigma) -> str:
     """The variable that X(sigma) names: X2_3 for X(2,3), X0 for X()."""
     if not sigma:

@@ -128,7 +128,8 @@ class TruncationSet:
 
     def divisors(self):
         """n -> its divisors in S, increasing, from the pairs d * q <= max(S);
-        built on first use and shared, read-only, by every later call."""
+        built on first use and shared, read-only, by every later call (threads
+        that race to build it build equal tables, so either may stay)."""
         if self._divisors is None:
             table = {n: [] for n in self.elems}
             for d in self.elems:
@@ -315,7 +316,7 @@ def comult_poly_map(S: TruncationSet, T: TruncationSet) -> dict:
 # the ghost route
 
 
-def _ghost_comp(x: dict, divs: list):
+def _ghost_comp(x: dict, divs: tuple):
     """w_n = sum_{d | n} d * x_d^(n/d) on component values; n = divs[-1]."""
     n = divs[-1]
     parts = [x[d] ** (n // d) * d for d in divs]
