@@ -178,8 +178,16 @@ def _build_parser() -> _Parser:
     return top
 
 
+def _unused(mode: str, **flags):
+    """Refuse each flag (name -> parsed value) that is set, since ``mode`` ignores it."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise UsageError(f"--{flag} does not apply to {mode}")
+
+
 def _get_trunc(args) -> TruncationSet:
     if args.trunc:
+        _unused("a truncation given by --trunc", p=args.p, len=args.length)
         return parse_trunc(args.trunc)
     if args.p is not None and args.length is not None:
         return TruncationSet.p_typical(args.p, args.length)
@@ -210,8 +218,7 @@ def _poly_list(values) -> list:
 def _run_witt(args):
     sc = args.subcommand
     if sc == "w2-check":
-        ring, gens = parse_ring_spec(args.ring)
-        return w2_pullback_check(ring, args.p, args.bound, gens)
+        return w2_pullback_check(args.p, args.bound, parse_ring_spec(args.ring))
     if sc == "structure":
         trunc = _get_trunc(args)
         polys = structure_poly_map(args.op, trunc)
@@ -223,10 +230,12 @@ def _run_witt(args):
         }
     if sc == "comonad":
         if args.op == "counit":
+            _unused("counit", outer=args.outer, inner=args.inner)
             trunc = _get_trunc(args)
             return {"counit": str(counit(_vec(args.input, trunc)))}
         if not args.outer or not args.inner:
             raise UsageError("comult needs --outer and --inner truncations")
+        _unused("comult", trunc=args.trunc, p=args.p, len=args.length)
         S = parse_trunc(args.outer)
         T = parse_trunc(args.inner)
         U = S.product(T)
@@ -266,7 +275,9 @@ def _run_witt(args):
         return {"restrict": _poly_list(restrict(_vec(args.input, trunc), target).as_list())}
     if sc == "series":
         if args.dir == "to":
+            _unused("--dir to", coeffs=args.coeffs)
             return {"series": str(to_series(_vec(args.input, trunc)))}
+        _unused("--dir from", input=args.input)
         if not args.coeffs:
             raise UsageError("--dir from needs --coeffs '[1, c1, ...]'")
         coeffs = parse_vector(args.coeffs, ZZ)
@@ -289,7 +300,7 @@ def _run_delta(args):
             return {"delta": str(pres.delta(e))}
         return {"phi": str(pres.phi(e))}
     if sc == "from-phi":
-        ring, gens = parse_ring_spec(args.ring)
+        gens = parse_ring_spec(args.ring)
         phi = parse_phi_spec(args.phi, gens)
         pres = delta_from_phi(args.p, gens, phi)
         out = {"delta_on_gens": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
@@ -303,6 +314,7 @@ def _run_delta(args):
         return {"delta": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
     if sc == "section":
         if args.expr is not None:
+            _unused("--expr", eval=args.eval_at)
             # expression in the free delta-ring generators x0..x<depth>
             vec = free_delta_ring(args.p, args.depth).section(parse_poly(args.expr, ZZ))
         elif args.eval_at is not None:
@@ -342,7 +354,7 @@ def _run_lambda(args):
         values = wilkerson_lambda((), "identity", args.K).lambda_values(MultiPoly.const(ZZ, args.eval_at))
         return {"lambda": [str(v.constant_value()) for v in values]}
     if sc == "wilkerson":
-        ring, gens = parse_ring_spec(args.ring)
+        gens = parse_ring_spec(args.ring)
         family = {}
         for clause in args.phi:
             p, colon, body = clause.partition(":")
@@ -351,6 +363,7 @@ def _run_lambda(args):
             family[int(p)] = parse_phi_spec(body, gens)
         ops = wilkerson_lambda(gens, family or "identity", args.K)
         if args.eval_gen:
+            _unused("--eval-gen", eval=args.eval_at)
             values = ops.lambda_values(MultiPoly.var(ZZ, args.eval_gen))
             return {"lambda": _poly_list(values)}
         if args.eval_at is not None:

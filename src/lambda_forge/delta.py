@@ -95,6 +95,9 @@ def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
     Raises ``NotAFrobeniusLift`` with the first witness term when some
     phi(g) - g^p is not divisible by p.
     """
+    for g in phi_on_gens:
+        if g not in gens:
+            raise UsageError(f"phi assigned to unknown generator {g}")
     delta = {}
     for g in gens:
         image = phi_on_gens.get(g)

@@ -117,10 +117,6 @@ class NotPIntegral(DomainError):
         super().__init__(f"not p-integral, witness: {witness}")
 
 
-class TorsionDetected(DomainError):
-    """The base ring has p-torsion; the discrete pullback is not claimed."""
-
-
 class NotFinitelyGenerated(DomainError):
     """Fracture check input is not a finitely generated group."""
 

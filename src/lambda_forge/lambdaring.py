@@ -322,9 +322,9 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     """Build lambda-operations from pairwise commuting Frobenius lifts.
 
     Every lift is certified through ``delta_from_phi`` (raising
-    ``NotAFrobeniusLift`` with the witness term) and pairwise commutation
-    is checked on the generators; psi^n composes the lifts of the prime
-    factors of n.  ``phi_family`` may be the string "identity" for the
+    ``NotAFrobeniusLift`` with the witness term), which gives the
+    substitution kept for it, and pairwise commutation is checked on the
+    generators; psi^n composes the lifts of the prime factors of n.  ``phi_family`` may be the string "identity" for the
     unique structure with all lifts trivial.
     """
     if K < 0:
@@ -340,11 +340,7 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     for p, subst in sorted(phi_family.items()):
         if not _is_prime(p):
             raise UsageError(f"{p} is not prime")
-        delta_from_phi(p, gens, subst)  # lift certificate
-        lifts[p] = {
-            g: (v if isinstance(v, MultiPoly) else MultiPoly.const(ZZ, v))
-            for g, v in subst.items()
-        }
+        lifts[p] = delta_from_phi(p, gens, subst).phi_on_gens()
     primes = sorted(lifts)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:

@@ -180,7 +180,7 @@ class MultiPoly:
     # -- the operations everything else is built on ------------------------
 
     def div_int(self, d: int) -> "MultiPoly":
-        """Exact division by a nonzero integer.
+        """Exact division by a nonzero integer; dividing by zero is a ``UsageError``.
 
         Raises ``NotDivisible`` with the first offending term: this is the
         failure certificate behind every "is phi a Frobenius lift" check.
@@ -533,7 +533,10 @@ class _Packed:
 
     def div_int(self, d: int) -> "_Packed":
         """Exact division, dropping cancelled terms; fails with the first
-        offending term of the canonical form, in grlex order."""
+        offending term of the canonical form, in grlex order.  A zero divisor
+        is refused whatever the dividend."""
+        if d == 0:
+            raise UsageError("division by zero")
         div = self.ring.div_int
         try:
             return _Packed(self.ring, self.vars, self.w, {k: div(c, d) for k, c in self.terms.items() if c})

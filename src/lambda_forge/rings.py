@@ -160,7 +160,7 @@ class CoeffRing:
     def div_int(self, c, n: int):
         """Exact division of a coefficient by a nonzero integer."""
         if n == 0:
-            raise ZeroDivisionError("division by zero")
+            raise UsageError("division by zero")
         if self.kind == INTEGER:
             q, r = divmod(c, n)
             if r:

@@ -176,15 +176,15 @@ def parse_trunc(spec: str) -> TruncationSet:
     raise UsageError(f"cannot parse truncation {spec!r} (use big:N or p:P,K)")
 
 
-def parse_ring_spec(spec: str):
-    """'Z' or 'Z[u,v]' -> (CoeffRing, generator names)."""
+def parse_ring_spec(spec: str) -> tuple:
+    """'Z' or 'Z[u,v]' -> the generator names of a polynomial ring over Z."""
     spec = spec.replace(" ", "")
     if spec == "Z":
-        return ZZ, ()
+        return ()
     m = re.fullmatch(r"Z\[([A-Za-z][A-Za-z0-9_]*(?:,[A-Za-z][A-Za-z0-9_]*)*)\]", spec)
     if not m:
         raise UsageError(f"cannot parse ring {spec!r} (use Z or Z[u,v])")
-    return ZZ, tuple(m.group(1).split(","))
+    return tuple(m.group(1).split(","))
 
 
 def parse_phi_spec(spec: str, gens) -> dict:

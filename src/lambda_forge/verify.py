@@ -181,7 +181,7 @@ def w2_pullback_suite(seed: int = 0) -> dict:
         reports[f"congruence_p{p}"] = wit
         ok = ok and wit["vanishes_mod_p"]
     for p in (2, 3):
-        box = w2_pullback_check(ZZ, p, 10)
+        box = w2_pullback_check(p, 10)
         reports[f"box_p{p}"] = {
             "status": box["status"],
             "points_in_fibered_product": box.get("points_in_fibered_product"),

@@ -47,7 +47,6 @@ from .errors import (
     NonUnitConstantTerm,
     NotASubset,
     NotDivisible,
-    TorsionDetected,
     TruncationMismatch,
     UsageError,
 )
@@ -437,15 +436,11 @@ def _ghost_route(vecs, shape: tuple, combine, degree: int = 1) -> "WittVec":
 # Witt vectors
 
 
-class WittVec:
-    """Witt vector over a truncation set; components indexed by S.
+class _Vec:
+    """Components indexed by a truncation set, all over one coefficient ring;
+    scalars become constant polynomials."""
 
-    Components are polynomials over a shared coefficient ring, or (for
-    the comonad) Witt vectors themselves, all of one ``shape``: the
-    truncation sets from the outside in, (S, T) for W_S(W_T(A)).
-    """
-
-    __slots__ = ("trunc", "ring", "comps", "shape")
+    __slots__ = ("trunc", "ring", "comps")
 
     def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: dict):
         if set(comps) != set(trunc.elems):
@@ -453,22 +448,67 @@ class WittVec:
                 f"components {sorted(comps)} do not match truncation {list(trunc.elems)}"
             )
         fixed = {}
-        nested = 0
         for n in trunc:
             c = comps[n]
             if not isinstance(c, (MultiPoly, WittVec)):
                 c = MultiPoly.const(ring, c)
             ring.require_same(c.ring)
-            nested += isinstance(c, WittVec)
             fixed[n] = c
-        if nested and nested != len(fixed):
-            raise UsageError("components must be all polynomials or all Witt vectors")
-        inner = {c.shape for c in fixed.values()} if nested else {()}
-        if len(inner) > 1:
-            raise TruncationMismatch("components are Witt vectors over different truncations")
         self.trunc = trunc
         self.ring = ring
         self.comps = fixed
+
+    def as_list(self):
+        return [self.comps[n] for n in self.trunc]
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.trunc == other.trunc
+            and self.ring == other.ring
+            and self.comps == other.comps
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        inside = ", ".join(f"{n}: {self.comps[n]}" for n in self.trunc)
+        return f"{type(self).__name__}({inside})"
+
+    def to_json(self) -> dict:
+        return {
+            "trunc": self.trunc.to_json(),
+            "comps": {str(n): self.comps[n].to_json() for n in self.trunc},
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """The vector of a JSON payload, over the ring of its first component
+        (Z when it has none); the constructor refuses any other ring."""
+        trunc = TruncationSet.from_json(obj["trunc"])
+        comps = {int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
+        return cls(trunc, next(iter(comps.values())).ring if comps else ZZ, comps)
+
+
+class WittVec(_Vec):
+    """Witt vector over a truncation set; components indexed by S.
+
+    Components are polynomials over a shared coefficient ring, or (for
+    the comonad) Witt vectors themselves, all of one ``shape``: the
+    truncation sets from the outside in, (S, T) for W_S(W_T(A)).
+    """
+
+    __slots__ = ("shape",)
+
+    def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: dict):
+        super().__init__(trunc, ring, comps)
+        inner = {()}
+        if WittVec in map(type, self.comps.values()):
+            inner = {c.shape if isinstance(c, WittVec) else () for c in self.comps.values()}
+            if () in inner:
+                raise UsageError("components must be all polynomials or all Witt vectors")
+            if len(inner) > 1:
+                raise TruncationMismatch("components are Witt vectors over different truncations")
         self.shape = (trunc,) + inner.pop()
 
     # -- constructors -----------------------------------------------------
@@ -485,25 +525,6 @@ class WittVec:
                 f"{len(values)} components for a truncation set of size {len(trunc)}"
             )
         return WittVec(trunc, ring, dict(zip(trunc.elems, values)))
-
-    def as_list(self):
-        return [self.comps[n] for n in self.trunc]
-
-    # -- equality and display ----------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittVec)
-            and self.trunc == other.trunc
-            and self.ring == other.ring
-            and self.comps == other.comps
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        inside = ", ".join(f"{n}: {self.comps[n]}" for n in self.trunc)
-        return f"WittVec({inside})"
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -542,68 +563,16 @@ class WittVec:
             [self], self.shape, lambda ga: {k: pow(w, n, M if isinstance(w, int) else None) for k, w in ga.items()}, n
         )
 
-    # -- JSON -------------------------------------------------------------------
-
     def to_json(self) -> dict:
         if len(self.shape) > 1:
             raise UsageError("nested Witt vectors have no JSON form")
-        return {
-            "trunc": self.trunc.to_json(),
-            "comps": {str(n): self.comps[n].to_json() for n in self.trunc},
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "WittVec":
-        return WittVec(*_vec_from_json(obj))
+        return super().to_json()
 
 
-class GhostVec:
+class GhostVec(_Vec):
     """Ghost components, same index set as the Witt vector they came from."""
 
-    __slots__ = ("trunc", "ring", "comps")
-
-    def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: dict):
-        if set(comps) != set(trunc.elems):
-            raise TruncationMismatch("ghost components do not match truncation")
-        self.trunc = trunc
-        self.ring = ring
-        self.comps = {n: comps[n] for n in trunc}
-
-    def as_list(self):
-        return [self.comps[n] for n in self.trunc]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GhostVec)
-            and self.trunc == other.trunc
-            and self.comps == other.comps
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        inside = ", ".join(f"{n}: {self.comps[n]}" for n in self.trunc)
-        return f"GhostVec({inside})"
-
-    def to_json(self) -> dict:
-        return {
-            "trunc": self.trunc.to_json(),
-            "comps": {str(n): self.comps[n].to_json() for n in self.trunc},
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GhostVec":
-        return GhostVec(*_vec_from_json(obj))
-
-
-def _vec_from_json(obj: dict):
-    """(truncation, ring, components) of a Witt or ghost vector payload; the components share one ring."""
-    trunc = TruncationSet.from_json(obj["trunc"])
-    comps = {int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
-    rings = {c.ring for c in comps.values()}
-    if len(rings) > 1:
-        raise MixedCoefficientRings("components carry different rings")
-    return trunc, rings.pop() if rings else ZZ, comps
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -742,19 +711,16 @@ def w2_congruence_witness(p: int) -> dict:
     }
 
 
-def w2_pullback_check(ring: CoeffRing, p: int, bound: int, gens=()) -> dict:
+def w2_pullback_check(p: int, bound: int, gens=()) -> dict:
     """Verify W_2(A) -> {(u, v) : v = u^p mod p} is a bijection on a box.
 
-    For p-torsion-free A the derived reduction is A/p and the inverse is
-    (u, v) -> (u, (v - u^p) / p).  Integer boxes are checked exhaustively;
-    a polynomial ring is checked on symbolic generators.
+    A is Z, or Z[gens] when generators are named: p-torsion-free, so the
+    derived reduction is A/p and the inverse is (u, v) -> (u, (v - u^p) / p).
+    Integer boxes are checked exhaustively; a polynomial ring is checked on
+    symbolic generators.
     """
     if bound < 0:
         raise UsageError(f"the box check needs bound >= 0, got {bound}")
-    if ring.kind == MODULAR and ring.modulus % p == 0:
-        raise TorsionDetected(f"Z/{ring.modulus} has {p}-torsion")
-    if ring.kind not in ("Z",) and not gens:
-        raise UsageError("the pullback box check runs over Z or a polynomial ring over Z")
     S = TruncationSet.p_typical(p, 2)
     report = {"p": p, "bound": bound, "congruence": w2_congruence_witness(p)}
     if gens:
@@ -781,7 +747,7 @@ def w2_pullback_check(ring: CoeffRing, p: int, bound: int, gens=()) -> dict:
                 continue
             a1 = u
             ap = (v - u ** p) // p
-            vec = WittVec(S, ring, {1: a1, p: ap})
+            vec = WittVec(S, ZZ, {1: a1, p: ap})
             g = ghost_map(vec)
             got = (g.comps[1].constant_value(), g.comps[p].constant_value())
             if got != (u, v):

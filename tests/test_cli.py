@@ -307,6 +307,14 @@ class TestMalformedArgv:
             ["witt", "w2-check", "--p", "2", "--bound", "-3"],
             ["delta", "extend", "--p", "2", "--expr", "x0/2"],
             ["lambda", "adams", "--m", "2", "--expr", "x3/0"],
+            # a flag the chosen mode would ignore
+            ["witt", "structure", "--op", "add", "--p", "2", "--len", "2", "--trunc", "big:3"],
+            ["witt", "comonad", "--op", "comult", "--outer", "big:2", "--inner", "big:2", "--trunc", "big:9", "--input", "[a,0,0]"],
+            ["witt", "comonad", "--op", "counit", "--trunc", "big:2", "--outer", "big:5", "--input", "[a,b]"],
+            ["witt", "series", "--dir", "from", "--trunc", "big:3", "--coeffs", "[1,a,0,0]", "--input", "[x]"],
+            ["witt", "series", "--dir", "to", "--trunc", "big:2", "--input", "[a,b]", "--coeffs", "[1,2]"],
+            ["delta", "section", "--p", "2", "--eval", "3", "--expr", "x0"],
+            ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "2:u->u^2", "--K", "2", "--eval-gen", "u", "--eval", "3"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):
@@ -353,6 +361,75 @@ def test_grammar_fuzz_gives_a_value_or_a_forge_error(target, text):
         GRAMMAR_TARGETS[target](text)
     except ForgeError:
         pass
+
+
+TRUNCS = ("big:0", "big:2", "big:4", "p:2,3", "p:3,2", "big:x", "p:2")
+ARGV_VALUES = {
+    "--trunc": TRUNCS,
+    "--outer": TRUNCS,
+    "--inner": TRUNCS,
+    "--to": TRUNCS,
+    "--p": ("1", "2", "3", "4"),
+    "--len": ("0", "1", "2"),
+    "--n": ("0", "1", "2", "3"),
+    "--K": ("-1", "0", "2", "5"),
+    "--bound": ("-1", "0", "3"),
+    "--depth": ("-1", "0", "1", "2"),
+    "--primes": ("2", "3", "2,3", "4", "x"),
+    "--N": ("0", "1", "4"),
+    "--m": ("0", "1", "2", "3"),
+    "--seed": ("-1", "0", "7"),
+    "--ring": ("Z", "Z[u]", "Z[u,v]", "Q"),
+    "--phi": ("id", "u->u^2", "2:u->u^2", "u->u^2+u", "3:u->u^3", "2:v->v^2"),
+    "--group": ("Z/4", "Z^2+Z/6", "Z/x"),
+    "--eval": ("-2", "0", "3", "5"),
+}
+# a flag with neither choices nor an entry above takes a vector, an expression or a word
+OTHER_VALUES = ("[a]", "[a,b]", "[1,0,0]", "[a,0,0,0]", "[]", "[1,-a", "x0", "x0^2+x1", "u", "X(2)", "x3/0", "x +", "2")
+
+
+def _commands():
+    """(family, subcommand or suite) -> (flag, its values or None for a bare
+    flag, required) for each flag its parser takes, read off the CLI parser."""
+    families = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    out = {}
+    for family, parser in families.choices.items():
+        modes = next(a for a in parser._actions if a.dest in ("subcommand", "suite"))
+        for mode in modes.choices:
+            sub = modes.choices[mode] if family != "verify" else parser
+            out[family, mode] = [
+                (a.option_strings[0], None if a.nargs == 0 else tuple(a.choices or ARGV_VALUES.get(a.option_strings[0], OTHER_VALUES)), a.required)
+                for a in sub._actions
+                if a.option_strings and a.dest != "help"
+            ]
+    return out
+
+
+COMMANDS = _commands()
+
+
+@st.composite
+def argvs(draw):
+    family, mode = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [family, mode]
+    flags = COMMANDS[family, mode]
+    # mostly with the required flags, so that most lines get past the parser
+    chosen = [f for f in flags if f[2]] if draw(st.integers(0, 3)) else []
+    chosen += draw(st.lists(st.sampled_from(flags), max_size=6 - len(chosen), unique=True))
+    for flag, values, _ in chosen:
+        argv.append(flag)
+        if values is not None:
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+@settings(max_examples=200, deadline=5000)
+@given(argv=argvs())
+def test_argv_fuzz_keeps_the_exit_code_contract(argv):
+    # whole command lines, in process: main returns 0, 1, 2 or 3 and raises nothing
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 class TestDivision:

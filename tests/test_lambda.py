@@ -431,6 +431,13 @@ class TestWilkerson:
             wilkerson_lambda(("u",), {2: {"u": z("u") ** 2 + z("u")}}, 2)
         assert str(exc.value.witness) == "u"
 
+    def test_lift_on_a_name_outside_the_ring_is_refused(self):
+        # an image for w would be applied by psi without a lift certificate
+        family = {2: {"u": z("u") ** 2, "w": z("w") + 1}}
+        with pytest.raises(UsageError) as exc:
+            wilkerson_lambda(("u",), family, 2)
+        assert str(exc.value) == "phi assigned to unknown generator w"
+
     def test_noncommuting_lifts_rejected(self):
         family = {
             2: {"u": z("u") ** 2},

@@ -51,6 +51,15 @@ class TestSpecExamples:
             (x ** 2 + x).div_int(2)
         assert str(exc.value.witness) == "x^2"
 
+    @pytest.mark.parametrize("ring", [ZZ, QQ, CoeffRing.modular(8)])
+    def test_division_by_zero_is_a_usage_error_whatever_the_dividend(self, ring):
+        x = v("x", ring)
+        for p in (MultiPoly.zero(ring), MultiPoly.const(ring, 3), x ** 2 * 2 + 1):
+            with pytest.raises(UsageError, match="division by zero"):
+                p.div_int(0)
+        with pytest.raises(UsageError, match="division by zero"):
+            ring.div_int(4, 0)
+
     def test_exact_div_cube_correction(self):
         x, y = v("x"), v("y")
         assert ((x + y) ** 3 - x ** 3 - y ** 3).div_int(3) == x ** 2 * y + x * y ** 2

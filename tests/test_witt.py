@@ -13,7 +13,6 @@ from lambda_forge.errors import (
     MixedCoefficientRings,
     NotASubset,
     NotDivisible,
-    TorsionDetected,
     TruncationMismatch,
     UsageError,
 )
@@ -226,6 +225,9 @@ class TestGhost:
     def test_ghost_inverse_example(self):
         g = GhostVec(P22, ZZ, {1: MultiPoly.const(ZZ, 2), 2: MultiPoly.const(ZZ, 2)})
         assert ghost_inverse(g) == WittVec.from_list(P22, ZZ, [2, -1])
+
+    def test_ghost_inverse_of_scalar_components(self):
+        assert ghost_inverse(GhostVec(BIG2, ZZ, {1: 3, 2: 5})) == WittVec.from_list(BIG2, ZZ, [3, -2])
 
     def test_ghost_inverse_zero(self):
         S = TruncationSet.big(3)
@@ -498,7 +500,7 @@ class TestW2Pullback:
         assert wit["vanishes_mod_p"]
 
     def test_box_bijection(self):
-        report = w2_pullback_check(ZZ, 2, 5)
+        report = w2_pullback_check(2, 5)
         assert report["status"] == "pass"
         assert report["points_in_fibered_product"] + report["points_rejected"] == 11 * 11
 
@@ -511,19 +513,15 @@ class TestW2Pullback:
         with pytest.raises(NotDivisible):
             ghost_inverse(g)
 
-    def test_torsion_detected(self):
-        with pytest.raises(TorsionDetected):
-            w2_pullback_check(CoeffRing.modular(4), 2, 3)
-
     def test_symbolic_ring_mode(self):
-        report = w2_pullback_check(ZZ, 3, 0, gens=("u",))
+        report = w2_pullback_check(3, 0, gens=("u",))
         assert report["status"] == "pass"
 
     @pytest.mark.parametrize("gens", [(), ("u",)])
     def test_negative_bound_refused(self, gens):
         # range(-bound, bound + 1) would be an empty box that passes
         with pytest.raises(UsageError, match="bound >= 0"):
-            w2_pullback_check(ZZ, 2, -3, gens)
+            w2_pullback_check(2, -3, gens)
 
 
 def test_naturality_under_substitution():
@@ -599,6 +597,24 @@ def test_vector_json_with_mixed_component_rings_is_refused(cls):
     payload = {"trunc": TruncationSet.big(2).to_json(), "comps": comps}
     with pytest.raises(MixedCoefficientRings):
         cls.from_json(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("cls", [WittVec, GhostVec])
+def test_vector_container_checks_its_components(cls):
+    v = cls(BIG2, ZZ, {1: 3, 2: 5})
+    assert [(c.ring, c.constant_value()) for c in v.as_list()] == [(ZZ, 3), (ZZ, 5)]
+    with pytest.raises(MixedCoefficientRings):
+        cls(BIG2, ZZ, {1: MultiPoly.const(QQ, Fraction(1, 2)), 2: MultiPoly.const(QQ, 3)})
+    with pytest.raises(TruncationMismatch) as exc:
+        cls(BIG2, ZZ, {1: 3})
+    assert str(exc.value) == "components [1] do not match truncation [1, 2]"
+    other = GhostVec if cls is WittVec else WittVec
+    assert v == cls(BIG2, ZZ, {1: 3, 2: 5})
+    assert v != cls(BIG2, QQ, {1: 3, 2: 5}) and v != other(BIG2, ZZ, {1: 3, 2: 5})
+    # with no components only the ring tells the two apart
+    assert cls(TruncationSet.big(0), ZZ, {}) != cls(TruncationSet.big(0), QQ, {})
+    for w in (v, cls(BIG2, QQ, {1: Fraction(1, 2), 2: 3}), cls(TruncationSet.big(0), ZZ, {})):
+        assert cls.from_json(json.loads(json.dumps(w.to_json()))) == w
 
 
 def test_ghost_is_ring_map_on_random_integer_vectors():
