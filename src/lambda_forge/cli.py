@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
     trunc_flags(w_com)
     w_w2 = add(wsub, "w2-check")
     w_w2.add_argument("--p", type=int, required=True)
-    w_w2.add_argument("--bound", type=int, default=5)
+    w_w2.add_argument("--bound", type=int)
     w_w2.add_argument("--ring", default="Z")
 
     delta = sub.add_parser("delta", help="delta-ring computations")
@@ -132,7 +132,7 @@ def _build_parser() -> _Parser:
     d_sec.add_argument("--ring", choices=("Z",), default="Z")
     d_sec.add_argument("--eval", dest="eval_at", type=int)
     d_sec.add_argument("--expr")
-    d_sec.add_argument("--depth", type=int, default=3)
+    d_sec.add_argument("--depth", type=int)
 
     lam = sub.add_parser("lambda", help="lambda-ring computations")
     lsub = lam.add_subparsers(dest="subcommand", required=True)
@@ -218,7 +218,10 @@ def _poly_list(values) -> list:
 def _run_witt(args):
     sc = args.subcommand
     if sc == "w2-check":
-        return w2_pullback_check(args.p, args.bound, parse_ring_spec(args.ring))
+        gens = parse_ring_spec(args.ring)
+        if gens:
+            _unused("a ring with generators", bound=args.bound)
+        return w2_pullback_check(args.p, 5 if args.bound is None else args.bound, gens)
     if sc == "structure":
         trunc = _get_trunc(args)
         polys = structure_poly_map(args.op, trunc)
@@ -316,8 +319,9 @@ def _run_delta(args):
         if args.expr is not None:
             _unused("--expr", eval=args.eval_at)
             # expression in the free delta-ring generators x0..x<depth>
-            vec = free_delta_ring(args.p, args.depth).section(parse_poly(args.expr, ZZ))
+            vec = free_delta_ring(args.p, 3 if args.depth is None else args.depth).section(parse_poly(args.expr, ZZ))
         elif args.eval_at is not None:
+            _unused("--eval", depth=args.depth)
             # Z has one delta-structure: its Frobenius lift is the identity
             vec = DeltaPresentation(args.p, (), {}).section(args.eval_at)
         else:

@@ -18,7 +18,10 @@ polynomial products, powers, exact division, ``poly_sum`` and substitution
 pack their operands into one layout, run on raw term maps (``_Packed``) and
 leave through ``_unpacked``: zeros dropped, one int sort, one unpack a key.
 Intermediate terms are never normalized, pruned or sorted; over Z/m the raw
-coefficients are reduced after each product so that they stay bounded.
+coefficients are reduced after each product so that they stay bounded.  A
+power of one term is one term, {k * n: c ** n}.  A longer computation can
+keep a packed map as an accumulator: ``add_power`` adds a multiple of a
+cached power of another map into it in place (the Witt ghost route).
 
 Substitution is Horner over the assigned variables: terms are grouped by
 the exponent of the variable with the largest image, outermost, so that
@@ -448,7 +451,11 @@ def _reduce(ring: CoeffRing, terms: dict) -> dict:
 
 
 def _pow_terms(ring: CoeffRing, terms: dict, n: int) -> dict:
-    """Raw ``terms ** n`` for n >= 1, by square-and-multiply."""
+    """Raw ``terms ** n`` for n >= 1: one term as {k * n: c ** n}, the power
+    taken mod m over Z/m, more by square-and-multiply."""
+    if len(terms) == 1:
+        ((k, c),) = terms.items()
+        return _reduce(ring, {k * n: pow(c, n, ring.modulus) if ring.kind == MODULAR else c ** n})
     result = None
     base = terms
     while True:
@@ -500,11 +507,27 @@ def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powe
     return _reduce(ring, total)
 
 
+def _power(ring: CoeffRing, powers: dict, j: int) -> dict:
+    """Raw x^j for j >= 1 from ``powers``, the raw powers of x formed so far
+    (x itself at 1), each formed once, on first use, and kept: x^(j/2)
+    squared for even j and x^(j-1) * x for odd j, which is x^(j//2) squared,
+    times x when j is odd."""
+    out = powers.get(j)
+    if out is None:
+        if j & 1:
+            out = _mul_terms(_power(ring, powers, j - 1), powers[1], {})
+        else:
+            out = _square_terms(_power(ring, powers, j >> 1))
+        powers[j] = out = _reduce(ring, out)
+    return out
+
+
 class _Packed:
     """A raw term map in one layout, the sorted ``vars`` at ``w`` bytes a field
     as ``_weights`` gives it, under +, - (also unary), * (by a ``_Packed`` or a
-    coefficient), ** and exact division; its owner keeps every total degree in
-    a field.  ``poly`` exits."""
+    coefficient), **, exact division and, in place, a scaled add of one power
+    of another map (``add_power``); its owner keeps every total degree in a
+    field.  ``poly`` exits."""
 
     __slots__ = ("ring", "vars", "w", "terms")
 
@@ -531,23 +554,53 @@ class _Packed:
     def __pow__(self, n: int):
         return _Packed(self.ring, self.vars, self.w, _pow_terms(self.ring, self.terms, n) if n else {0: 1})
 
+    def copy(self) -> "_Packed":
+        return _Packed(self.ring, self.vars, self.w, dict(self.terms))
+
+    def powers(self) -> dict:
+        """A cache of this map's raw powers, for ``add_power``."""
+        return {1: self.terms}
+
+    def add_power(self, c, powers: dict, j: int) -> None:
+        """Add c * x^j into this map in place, x^j read from, or formed into,
+        ``powers``, the cache of x in this layout; the sum stays raw until a
+        division or the exit."""
+        terms = self.terms
+        for k, v in _power(self.ring, powers, j).items():
+            # ``v * c``: int * Fraction is a slow reflected product
+            if k in terms:
+                terms[k] += v * c
+            else:
+                terms[k] = v * c
+
     def div_int(self, d: int) -> "_Packed":
         """Exact division, dropping cancelled terms; fails with the first
         offending term of the canonical form, in grlex order.  A zero divisor
-        is refused whatever the dividend."""
+        is refused whatever the dividend.  Over Z one ``divmod`` a term."""
         if d == 0:
             raise UsageError("division by zero")
-        div = self.ring.div_int
+        ring = self.ring
+        div = ring.div_int
         try:
-            return _Packed(self.ring, self.vars, self.w, {k: div(c, d) for k, c in self.terms.items() if c})
+            if ring.kind == INTEGER:
+                out = {}
+                for k, c in self.terms.items():
+                    if c:
+                        q, r = divmod(c, d)
+                        if r:
+                            raise NotDivisible(c)
+                        out[k] = q
+            else:
+                out = {k: div(c, d) for k, c in _reduce(ring, self.terms).items() if c}
         except NotDivisible:
-            p = self.poly(self.ring)
+            p = self.poly(ring)
             for exps, c in p.terms.items():
                 try:
                     div(c, d)
                 except NotDivisible:
                     raise NotDivisible(p._term_str(exps, c)) from None
             raise
+        return _Packed(ring, self.vars, self.w, out)
 
     def poly(self, ring: CoeffRing) -> MultiPoly:
         return _unpacked(ring, self.ring, self.vars, self.w, self.terms)

@@ -12,6 +12,11 @@ Z/m the work is done on lifts to Z and reduced at the end, which is
 sound because the universal polynomials have integer coefficients.
 Component values are ring scalars when every component is constant, else
 raw term maps in one packed layout, and only the answers are canonicalized.
+On packed values each ghost component, and each step of the inverse, is
+one accumulator of its own that the terms d * x_d^(n/d) are added into in
+place; each power x_d^j is formed once per ghost map or inverse, as
+x_d^(j//2) squared, times x_d when j is odd, and dropped after the last
+index that reads a power of x_d.  Scalars keep the plain sums.
 A vector in W_S(W_T(A)) has ghost coordinates keyed by (s, t): w_s of its
 components' ghost coordinates at t.  Frobenius and comultiplication are
 index maps on these keys, and the inverse runs one level at a time, so
@@ -316,31 +321,22 @@ def comult_poly_map(S: TruncationSet, T: TruncationSet) -> dict:
 
 
 def _ghost_comp(x: dict, divs: tuple):
-    """w_n = sum_{d | n} d * x_d^(n/d) on component values; n = divs[-1]."""
+    """w_n = sum_{d | n} d * x_d^(n/d) on scalar component values; n = divs[-1]."""
     n = divs[-1]
     parts = [x[d] ** (n // d) * d for d in divs]
     return sum(parts[1:], parts[0])
 
 
-def _unghost(w: dict, table: dict, zero, div) -> dict:
-    """Triangular inverse of the ghost map, bottom up: with x_n = 0 the
-    ghost formula gives w_n minus n * x_n, so x_n = (w_n - that) / n.
-
-    Raises ``NotDivisible(n)`` when ``div`` fails at index n.  Consumes ``w``, so each w_n can be freed.
-    """
-    x = {}
-    for n, divs in table.items():
-        x[n] = zero
-        try:
-            x[n] = div(w.pop(n) - _ghost_comp(x, divs), n)
-        except NotDivisible as exc:
-            raise NotDivisible(n, f"component a_{n} is not in the coefficient ring: {exc}") from None
-    return x
+def _scalar_coords(x: dict, table: dict) -> dict:
+    """The ghost components of scalar component values ``x``."""
+    return {n: _ghost_comp(x, divs) for n, divs in table.items()}
 
 
-def _scalar_div(ring: CoeffRing):
-    """Exact division of scalars, failing with the certificate a constant
-    polynomial gives."""
+def _scalar_unghost(ring: CoeffRing):
+    """The triangular inverse of the ghost map on scalars, bottom up: with
+    x_n = 0 the ghost formula gives w_n minus n * x_n, so x_n = (w_n - that) / n.
+    A failed division fails with the certificate a constant polynomial gives."""
+    zero = ring.normalize(0)
 
     def div(c, n):
         c = ring.normalize(c)
@@ -351,24 +347,83 @@ def _scalar_div(ring: CoeffRing):
         except NotDivisible:
             raise NotDivisible(ring.coeff_str(c)) from None
 
-    return div
+    def unghost(w: dict, table: dict) -> dict:
+        x = {}
+        for n, divs in table.items():
+            x[n] = zero
+            try:
+                x[n] = div(w.pop(n) - _ghost_comp(x, divs), n)
+            except NotDivisible as exc:
+                raise _missing(n, exc) from None
+        return x
+
+    return unghost
+
+
+def _missing(n: int, exc: NotDivisible) -> NotDivisible:
+    """The certificate that component n of a ghost inverse is not in the ring."""
+    return NotDivisible(n, f"component a_{n} is not in the coefficient ring: {exc}")
+
+
+def _packed_sums(x: dict, table: dict, start, sign: int):
+    """(n, ``start(n)`` + sign * sum_{d | n, d < n} d * x_d^(n/d)) for each index
+    n in turn, the terms added into the accumulator ``start(n)`` in place,
+    with one power cache for each x_d, freed after the last multiple of d.
+    A generator, so that an inverse sets x_n before the next index reads it."""
+    last = {d: n for n, divs in table.items() for d in divs}
+    powers = {}
+    for n, divs in table.items():
+        acc = start(n)
+        for d in divs[:-1]:
+            cache = powers.get(d)
+            if cache is None:
+                powers[d] = cache = x[d].powers()
+            acc.add_power(sign * d, cache, n // d)
+            if last[d] == n:
+                del powers[d]
+        yield n, acc
+
+
+def _packed_coords(x: dict, table: dict) -> dict:
+    """The ghost components of packed component values ``x``: w_n starts as
+    n * x_n, an accumulator of its own."""
+    return dict(_packed_sums(x, table, lambda n: x[n] * n, 1))
+
+
+def _packed_unghost(w: dict, table: dict) -> dict:
+    """The triangular inverse of the ghost map on packed values, bottom up:
+    x_n = (w_n - sum_{d | n, d < n} d * x_d^(n/d)) / n.  Index n has one
+    accumulator, a copy of w_n (comult hands one ghost coordinate to several
+    keys, so no coordinate is changed), and each term is subtracted from it
+    in place.  Each power x_d^j is formed once, from x_d^(j//2) squared,
+    times x_d when j is odd, and the powers of x_d are freed after the last
+    multiple of d in the table.  Raises ``NotDivisible(n)`` when the
+    division at index n fails; consumes ``w``, so each w_n can be freed."""
+    x = {}
+    for n, acc in _packed_sums(x, table, lambda n: w.pop(n).copy(), -1):
+        try:
+            x[n] = acc.div_int(n)
+        except NotDivisible as exc:
+            raise _missing(n, exc) from None
+    return x
 
 
 def _values(comps, ring: CoeffRing, degree: int, shape: tuple):
-    """How components become values over ``ring``, the zero value and exact
-    division: scalars when every component is constant, else ``_Packed`` maps
-    in one layout with fields for B = c * the product of the largest index of
-    each level of the input ``shape``, c = max(degree, 1) * E, ``degree`` the
-    combine's (2 for mul, n for ** n) and E the largest total degree of a
-    component.  At output index m (s * t nested) every total degree, and so
-    every exponent, is at most c * m <= B: the ghost map gives E * m, a
-    combine multiplies by its degree, F_n reads w_{nm} at m (c = n * E, n * m
-    an input index), and by induction on m each d * x_d^(m/d) and x_m of the
-    inverse, level by level, stays within it."""
+    """What differs by value kind: how components become values over
+    ``ring``, the ghost map of one level and its inverse.  Scalars when every
+    component is constant, else ``_Packed`` maps in one layout with fields for
+    B = c * the product of the largest index of each level of the input
+    ``shape``, c = max(degree, 1) * E, ``degree`` the combine's (2 for mul, n
+    for ** n) and E the largest total degree of a component.  At output index
+    m (s * t nested) every total degree, and so every exponent, is at most
+    c * m <= B: the ghost map gives E * m, a combine multiplies by its degree,
+    F_n reads w_{nm} at m (c = n * E, n * m an input index), and by induction
+    on m each d * x_d^(m/d) and x_m of the inverse, level by level, stays
+    within it."""
     if all(c.is_constant() for c in comps):
-        return operator.methodcaller("constant_value"), ring.normalize(0), _scalar_div(ring)
-    zero, pack = _packer(ring, comps, max(degree, 1) * prod(S.elems[-1] for S in shape))
-    return pack, zero, _Packed.div_int
+        return operator.methodcaller("constant_value"), _scalar_coords, _scalar_unghost(ring)
+    pack = _packer(ring, comps, max(degree, 1) * prod(S.elems[-1] for S in shape))[1]
+    return pack, _packed_coords, _packed_unghost
 
 
 def _polys(x: dict, ring: CoeffRing) -> dict:
@@ -393,30 +448,29 @@ def _leaves(vecs):
     return [c for v in vecs for c in (_leaves(v.comps.values()) if len(v.shape) > 1 else v.comps.values())]
 
 
-def _ghost_coords(v: "WittVec", value) -> dict:
+def _ghost_coords(v: "WittVec", value, coords) -> dict:
     """Ghost coordinates of ``v``: w_n of its component values, or, for
     W_S(W_T(...)), (s, k) -> w_s of the components' coordinates at k.  That
     is ghost_S after W_S(ghost_T), a ring map, injective over torsion-free
     rings, so nested vectors need no other arithmetic."""
     table = v.trunc.divisors()
     if len(v.shape) == 1:
-        x = {n: value(c) for n, c in v.comps.items()}
-        return {n: _ghost_comp(x, divs) for n, divs in table.items()}
-    inner = {s: _ghost_coords(c, value) for s, c in v.comps.items()}
+        return coords({n: value(c) for n, c in v.comps.items()}, table)
+    inner = {s: _ghost_coords(c, value, coords) for s, c in v.comps.items()}
     cols = {k: {d: g[k] for d, g in inner.items()} for k in next(iter(inner.values()))}
-    return {(s, k): _ghost_comp(x, divs) for k, x in cols.items() for s, divs in table.items()}
+    return {(s, k): w for k, x in cols.items() for s, w in coords(x, table).items()}
 
 
-def _solve(w: dict, shape: tuple, ring: CoeffRing, zero, div) -> "WittVec":
+def _solve(w: dict, shape: tuple, ring: CoeffRing, unghost) -> "WittVec":
     """The vector of ``shape`` with ghost coordinates ``w``, inverted one
-    level at a time from the outside in."""
+    level at a time from the outside in; ``unghost`` consumes what it inverts."""
     S, rest = shape[0], shape[1:]
     table = S.divisors()
     if not rest:
-        return WittVec(S, ring, _polys(_unghost(w, table, zero, div), ring))
+        return WittVec(S, ring, _polys(unghost(w, table), ring))
     keys = _keys(rest)
-    cols = {k: _unghost({s: w.pop((s, k)) for s in S}, table, zero, div) for k in keys}
-    comps = {s: _solve({k: cols[k][s] for k in keys}, rest, ring, zero, div) for s in S}
+    cols = {k: unghost({s: w.pop((s, k)) for s in S}, table) for k in keys}
+    comps = {s: _solve({k: cols[k][s] for k in keys}, rest, ring, unghost) for s in S}
     return WittVec(S, ring, comps)
 
 
@@ -424,10 +478,10 @@ def _ghost_route(vecs, shape: tuple, combine, degree: int = 1) -> "WittVec":
     """The vector of ``shape`` with the ghost coordinates ``combine``, of degree
     ``degree``, makes from those of ``vecs``, over Z on lifts if the ring is Z/m."""
     ring = vecs[0].ring
-    value, zero, div = _values(_leaves(vecs), ZZ if ring.kind == MODULAR else ring, degree, vecs[0].shape)
-    w = combine(*(_ghost_coords(v, value) for v in vecs))
+    value, coords, unghost = _values(_leaves(vecs), ZZ if ring.kind == MODULAR else ring, degree, vecs[0].shape)
+    w = combine(*(_ghost_coords(v, value, coords) for v in vecs))
     try:
-        return _solve(w, shape, ring, zero, div)
+        return _solve(w, shape, ring, unghost)
     except NotDivisible as exc:
         raise IntegralityViolation(exc.witness, f"index {exc.witness}: {exc}") from exc
 
@@ -570,9 +624,15 @@ class WittVec(_Vec):
 
 
 class GhostVec(_Vec):
-    """Ghost components, same index set as the Witt vector they came from."""
+    """Ghost components, same index set as the Witt vector they came from;
+    never Witt vectors themselves."""
 
     __slots__ = ()
+
+    def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: dict):
+        super().__init__(trunc, ring, comps)
+        if WittVec in map(type, self.comps.values()):
+            raise UsageError("ghost components are polynomials, not Witt vectors")
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +643,8 @@ def ghost_map(a: WittVec) -> GhostVec:
     """w_n = sum over divisors d of n of d * a_d^(n/d)."""
     if len(a.shape) > 1:
         raise UsageError("the ghost map takes polynomial components")
-    value, _, _ = _values(a.comps.values(), a.ring, 1, a.shape)
-    return GhostVec(a.trunc, a.ring, _polys(_ghost_coords(a, value), a.ring))
+    value, coords, _ = _values(a.comps.values(), a.ring, 1, a.shape)
+    return GhostVec(a.trunc, a.ring, _polys(_ghost_coords(a, value, coords), a.ring))
 
 
 def ghost_inverse(g: GhostVec) -> WittVec:
@@ -593,8 +653,8 @@ def ghost_inverse(g: GhostVec) -> WittVec:
     Raises ``NotDivisible(n)`` when component n fails to exist in the
     coefficient ring: the certificate that g is not in the ghost image.
     """
-    value, zero, div = _values(g.comps.values(), g.ring, 1, (g.trunc,))
-    return _solve({n: value(c) for n, c in g.comps.items()}, (g.trunc,), g.ring, zero, div)
+    value, _, unghost = _values(g.comps.values(), g.ring, 1, (g.trunc,))
+    return _solve({n: value(c) for n, c in g.comps.items()}, (g.trunc,), g.ring, unghost)
 
 
 def teichmuller(r, S: TruncationSet, ring: CoeffRing = ZZ) -> WittVec:
@@ -717,12 +777,13 @@ def w2_pullback_check(p: int, bound: int, gens=()) -> dict:
     A is Z, or Z[gens] when generators are named: p-torsion-free, so the
     derived reduction is A/p and the inverse is (u, v) -> (u, (v - u^p) / p).
     Integer boxes are checked exhaustively; a polynomial ring is checked on
-    symbolic generators.
+    symbolic generators, and its report states no bound.
     """
     if bound < 0:
         raise UsageError(f"the box check needs bound >= 0, got {bound}")
     S = TruncationSet.p_typical(p, 2)
-    report = {"p": p, "bound": bound, "congruence": w2_congruence_witness(p)}
+    report = {"p": p} if gens else {"p": p, "bound": bound}
+    report["congruence"] = w2_congruence_witness(p)
     if gens:
         # symbolic spot check: (u, v) = (g, g^p + p h) round-trips
         u = MultiPoly.var(ZZ, gens[0])

@@ -314,6 +314,8 @@ class TestMalformedArgv:
             ["witt", "series", "--dir", "from", "--trunc", "big:3", "--coeffs", "[1,a,0,0]", "--input", "[x]"],
             ["witt", "series", "--dir", "to", "--trunc", "big:2", "--input", "[a,b]", "--coeffs", "[1,2]"],
             ["delta", "section", "--p", "2", "--eval", "3", "--expr", "x0"],
+            ["delta", "section", "--p", "2", "--eval", "3", "--depth", "9"],
+            ["witt", "w2-check", "--p", "2", "--ring", "Z[u]", "--bound", "7"],
             ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "2:u->u^2", "--K", "2", "--eval-gen", "u", "--eval", "3"],
         ],
     )

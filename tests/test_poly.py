@@ -5,7 +5,7 @@ from math import comb
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_forge import poly
@@ -679,6 +679,29 @@ class TestPackedKernel:
     @given(a=st.sampled_from(PACK_RINGS).flatmap(lambda r: wide_polys(r, max_terms=3)), n=st.integers(0, 4))
     def test_power(self, a, n):
         assert canonical_items(a ** n) == oracle_power(a, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ring=st.sampled_from([ZZ, QQ, Z8]),
+        c=st.sampled_from([-3, -1, 1, 2, 4, 6, Fraction(5, 3), Fraction(-1, 2)]),
+        exps=st.tuples(st.sampled_from(EXPS), st.sampled_from(EXPS)),
+        n=st.integers(1, 9),
+    )
+    @example(ring=Z8, c=2, exps=(1, 0), n=3)
+    def test_one_term_power_is_square_and_multiply(self, ring, c, exps, n):
+        # 2^3, 4^2 and 6^3 are 0 mod 8: the power of one term vanishes there
+        if ring != QQ and isinstance(c, Fraction):
+            c = c.numerator
+        terms = MultiPoly(ring, ("x", "y"), {exps: c})._alone(n).terms
+        want, base, k = None, terms, n
+        while True:
+            if k & 1:
+                want = base if want is None else poly._reduce(ring, poly._mul_terms(want, base, {}))
+            k >>= 1
+            if not k:
+                break
+            base = poly._reduce(ring, poly._square_terms(base))
+        assert poly._pow_terms(ring, terms, n) == want
 
     @settings(max_examples=80, deadline=None)
     @given(data=wide_substitutions())

@@ -516,6 +516,8 @@ class TestW2Pullback:
     def test_symbolic_ring_mode(self):
         report = w2_pullback_check(3, 0, gens=("u",))
         assert report["status"] == "pass"
+        # no integer box is checked, so none is reported
+        assert "bound" not in report
 
     @pytest.mark.parametrize("gens", [(), ("u",)])
     def test_negative_bound_refused(self, gens):
@@ -608,6 +610,13 @@ def test_vector_container_checks_its_components(cls):
     with pytest.raises(TruncationMismatch) as exc:
         cls(BIG2, ZZ, {1: 3})
     assert str(exc.value) == "components [1] do not match truncation [1, 2]"
+    # a Witt vector may have Witt-vector components, a ghost vector may not
+    w = WittVec(BIG2, ZZ, {1: 3, 2: 5})
+    if cls is WittVec:
+        assert cls(BIG2, ZZ, {1: w, 2: w}).shape == (BIG2, BIG2)
+    else:
+        with pytest.raises(UsageError, match="not Witt vectors"):
+            cls(BIG2, ZZ, {1: w, 2: w})
     other = GhostVec if cls is WittVec else WittVec
     assert v == cls(BIG2, ZZ, {1: 3, 2: 5})
     assert v != cls(BIG2, QQ, {1: 3, 2: 5}) and v != other(BIG2, ZZ, {1: 3, 2: 5})
@@ -1155,3 +1164,50 @@ def test_ghost_route_builds_polynomials_only_for_inputs_and_answers(monkeypatch,
         make()
         assert len(built) <= answers + inputs + answers
     clear_memo()
+
+
+def test_ghost_route_forms_each_power_of_a_component_once(monkeypatch):
+    # mul on big:12 runs the ghost map on a and on b, one product a
+    # coordinate and the inverse; in each map the powers x_d^j, 2 <= j <= 12/d,
+    # are formed at most once each, one square or product apiece, so no
+    # product is formed twice
+    from lambda_forge import poly
+
+    formed = []
+    square, mul = poly._square_terms, poly._mul_terms
+
+    def counting_square(terms):
+        formed.append(("square", frozenset(terms.items())))
+        return square(terms)
+
+    def counting_mul(left, right, out):
+        formed.append(("mul", frozenset(left.items()), frozenset(right.items())))
+        return mul(left, right, out)
+
+    monkeypatch.setattr(poly, "_square_terms", counting_square)
+    monkeypatch.setattr(poly, "_mul_terms", counting_mul)
+    monkeypatch.delenv("LAMBDA_FORGE_CACHE_DIR", raising=False)
+    S = TruncationSet.big(12)
+    clear_memo()
+    structure_poly_map("mul", S)
+    clear_memo()
+    powers = sum(12 // d - 1 for d in S)
+    assert len(set(formed)) == len(formed) <= 3 * powers + len(S)
+
+
+def test_comult_leaves_its_input_ghost_coordinates_unchanged(monkeypatch):
+    # comult hands one ghost coordinate of a to several (s, k) keys: the
+    # inverse subtracts in place from a copy, never from a coordinate
+    coords, seen = witt._ghost_coords, []
+
+    def recording(v, value, kind):
+        out = coords(v, value, kind)
+        seen.append((out, {k: dict(w.terms) for k, w in out.items()}))
+        return out
+
+    monkeypatch.setattr(witt, "_ghost_coords", recording)
+    B3 = TruncationSet.big(3)
+    a = sym(B3.product(B3))
+    got = comult(a, B3, B3)
+    assert seen and all({k: w.terms for k, w in out.items()} == before for out, before in seen)
+    assert _layout(got) == _layout(old_op("comult", [a], (B3, B3)))
