@@ -13,6 +13,7 @@ carrying the free part.
 
 from __future__ import annotations
 
+import re
 from itertools import count, product as iter_product
 from math import gcd, prod
 
@@ -157,7 +158,8 @@ class FgAbGroup:
 
 
 def parse_group(spec: str) -> FgAbGroup:
-    """Grammar: summands joined by '+', each 'Z', 'Z^r' or 'Z/n'."""
+    """Grammar: summands joined by '+', each 'Z', 'Z^r' or 'Z/n', r and n
+    written in decimal digits alone (no sign)."""
     rank = 0
     torsion = []
     for raw in spec.replace(" ", "").split("+"):
@@ -166,16 +168,13 @@ def parse_group(spec: str) -> FgAbGroup:
         if raw == "Z":
             rank += 1
             continue
-        try:
-            count = int(raw[2:])
-        except ValueError:
-            count = None
-        if count is None or raw[:2] not in ("Z^", "Z/"):
+        m = re.fullmatch(r"Z([/^])([0-9]+)", raw)
+        if not m:
             raise UsageError(f"cannot parse group summand {raw!r}")
-        if raw[1] == "^":
-            rank += count
+        if m[1] == "^":
+            rank += int(m[2])
         else:
-            torsion.append(count)
+            torsion.append(int(m[2]))
     return FgAbGroup.from_summands(rank, torsion)
 
 

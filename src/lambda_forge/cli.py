@@ -364,6 +364,8 @@ def _run_lambda(args):
             p, colon, body = clause.partition(":")
             if not (colon and p.strip().isdecimal()):
                 raise UsageError("--phi clauses look like '2:u->u^2'")
+            if int(p) in family:
+                raise UsageError(f"--phi is given twice for p = {int(p)}")
             family[int(p)] = parse_phi_spec(body, gens)
         ops = wilkerson_lambda(gens, family or "identity", args.K)
         if args.eval_gen:

@@ -18,15 +18,20 @@ polynomial products, powers, exact division, ``poly_sum`` and substitution
 pack their operands into one layout, run on raw term maps (``_Packed``) and
 leave through ``_unpacked``: zeros dropped, one int sort, one unpack a key.
 Intermediate terms are never normalized, pruned or sorted; over Z/m the raw
-coefficients are reduced after each product so that they stay bounded.  A
-power of one term is one term, {k * n: c ** n}.  A longer computation can
-keep a packed map as an accumulator: ``add_power`` adds a multiple of a
-cached power of another map into it in place (the Witt ghost route).
+coefficients are reduced after each product so that they stay bounded.
+
+Every raw power is formed in one place, ``_power``, from a cache of the
+powers of its base, each once: x^(j//2) squared, times x when j is odd, so
+the exponents asked of one cache share one chain.  A power of one term is
+one term, {k * n: c ** n}.  A longer computation can keep a packed map as
+an accumulator: ``add_power`` adds a multiple of a cached power of another
+map into it in place (the Witt ghost route).
 
 Substitution is Horner over the assigned variables: terms are grouped by
 the exponent of the variable with the largest image, outermost, so that
 each power of an image multiplies the summed image of its group once
-rather than once per term.
+rather than once per term.  Each level keeps one power cache of its
+image, so x^4 comes from x^2 and x^6 from x^3.
 """
 
 from __future__ import annotations
@@ -103,11 +108,7 @@ class MultiPoly:
     def coefficient_of(self, monomial: dict):
         """Coefficient of the monomial given as {var: exponent}."""
         want = {v: e for v, e in monomial.items() if e}
-        for exps, c in self.terms.items():
-            found = {v: e for v, e in zip(self.vars, exps) if e}
-            if found == want:
-                return c
-        return self.ring.normalize(0)
+        return next((c for found, c in self.monomials() if found == want), self.ring.normalize(0))
 
     def monomials(self):
         """Iterate (as {var: exp} dicts, coefficient) in canonical order."""
@@ -126,15 +127,14 @@ class MultiPoly:
 
     def _alone(self, scale: int = 1) -> "_Packed":
         """``self`` in a layout of its own, fields for ``scale`` times its top total degree."""
-        w = _field(scale * _degree(self.terms))
-        return _Packed(self.ring, self.vars, w, _keyed(self.vars, self.terms, _weights(self.vars, w)))
+        return _packer(self.ring, (self,), scale)(self)
 
     def _packed(self, other, op, scale: int = 1):
         """``op`` on ``self`` and ``other`` packed into one layout."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        pack = _packer(self.ring, (self, other), scale)[1]
+        pack = _packer(self.ring, (self, other), scale)
         return op(pack(self), pack(other)).poly(self.ring)
 
     def __add__(self, other):
@@ -450,23 +450,6 @@ def _reduce(ring: CoeffRing, terms: dict) -> dict:
     return {e: r for e, c in terms.items() if (r := c % m)}
 
 
-def _pow_terms(ring: CoeffRing, terms: dict, n: int) -> dict:
-    """Raw ``terms ** n`` for n >= 1: one term as {k * n: c ** n}, the power
-    taken mod m over Z/m, more by square-and-multiply."""
-    if len(terms) == 1:
-        ((k, c),) = terms.items()
-        return _reduce(ring, {k * n: pow(c, n, ring.modulus) if ring.kind == MODULAR else c ** n})
-    result = None
-    base = terms
-    while True:
-        if n & 1:
-            result = base if result is None else _reduce(ring, _mul_terms(result, base, {}))
-        n >>= 1
-        if not n:
-            return result
-        base = _reduce(ring, _square_terms(base))
-
-
 def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powers: list) -> dict:
     """Raw image of packed source terms under a substitution, by Horner.
 
@@ -495,10 +478,7 @@ def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powe
     total: dict = {}
     for e, part in parts:
         if e:
-            power = cache.get(e)
-            if power is None:
-                cache[e] = power = _pow_terms(ring, cache[1], e)
-            _mul_terms(part, power, total)
+            _mul_terms(part, _power(ring, cache, e), total)
         elif not total:
             # a fresh map that nothing else reads
             total = part
@@ -508,14 +488,19 @@ def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powe
 
 
 def _power(ring: CoeffRing, powers: dict, j: int) -> dict:
-    """Raw x^j for j >= 1 from ``powers``, the raw powers of x formed so far
-    (x itself at 1), each formed once, on first use, and kept: x^(j/2)
-    squared for even j and x^(j-1) * x for odd j, which is x^(j//2) squared,
-    times x when j is odd."""
+    """Raw x^j for j >= 1 from ``powers``, the cache of x's raw powers (x
+    itself at 1): the one place a raw power is formed.  Each power is formed
+    once, on first use, and kept, so the exponents asked of one cache share
+    one chain: x^(j//2) squared, times x when j is odd.  A power of one term
+    {k: c} is one term, {k * j: c ** j}, the power taken mod m over Z/m."""
     out = powers.get(j)
     if out is None:
-        if j & 1:
-            out = _mul_terms(_power(ring, powers, j - 1), powers[1], {})
+        x = powers[1]
+        if len(x) == 1:
+            ((k, c),) = x.items()
+            out = {k * j: pow(c, j, ring.modulus) if ring.kind == MODULAR else c ** j}
+        elif j & 1:
+            out = _mul_terms(_power(ring, powers, j - 1), x, {})
         else:
             out = _square_terms(_power(ring, powers, j >> 1))
         powers[j] = out = _reduce(ring, out)
@@ -525,9 +510,9 @@ def _power(ring: CoeffRing, powers: dict, j: int) -> dict:
 class _Packed:
     """A raw term map in one layout, the sorted ``vars`` at ``w`` bytes a field
     as ``_weights`` gives it, under +, - (also unary), * (by a ``_Packed`` or a
-    coefficient), **, exact division and, in place, a scaled add of one power
-    of another map (``add_power``); its owner keeps every total degree in a
-    field.  ``poly`` exits."""
+    coefficient), ** (through ``_power``), exact division and, in place, a
+    scaled add of one power of another map (``add_power``); its owner keeps
+    every total degree in a field.  ``poly`` exits."""
 
     __slots__ = ("ring", "vars", "w", "terms")
 
@@ -552,7 +537,7 @@ class _Packed:
         return _Packed(self.ring, self.vars, self.w, {k: c * other for k, c in self.terms.items()})
 
     def __pow__(self, n: int):
-        return _Packed(self.ring, self.vars, self.w, _pow_terms(self.ring, self.terms, n) if n else {0: 1})
+        return _Packed(self.ring, self.vars, self.w, _power(self.ring, self.powers(), n) if n else {0: 1})
 
     def copy(self) -> "_Packed":
         return _Packed(self.ring, self.vars, self.w, dict(self.terms))
@@ -607,12 +592,12 @@ class _Packed:
 
 
 def _packer(ring: CoeffRing, polys: list, scale: int):
-    """Zero and packer of one layout for ``polys``, fields for ``scale`` times their top total degree."""
+    """The packer of one layout for ``polys``, fields for ``scale`` times their top total degree."""
     names = {p.vars for p in polys}
     vars = names.pop() if len(names) == 1 else tuple(sorted(set().union(*names)))
     w = _field(scale * max(_degree(p.terms) for p in polys))
     weight = _weights(vars, w)
-    return _Packed(ring, vars, w, {}), lambda p: _Packed(ring, vars, w, _keyed(p.vars, p.terms, weight))
+    return lambda p: _Packed(ring, vars, w, _keyed(p.vars, p.terms, weight))
 
 
 def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
@@ -622,11 +607,11 @@ def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
         return MultiPoly.zero(ring)
     for p in parts:
         ring.require_same(p.ring)
-    zero, pack = _packer(ring, parts, 1)
-    terms: dict = {}
-    for p in parts:
-        _add_into(terms, pack(p).terms)
-    return _unpacked(ring, ring, zero.vars, zero.w, terms)
+    pack = _packer(ring, parts, 1)
+    total = pack(parts[0])
+    for p in parts[1:]:
+        _add_into(total.terms, pack(p).terms)
+    return total.poly(ring)
 
 
 def random_poly(rng, ring: CoeffRing, vars, max_terms=4, max_exp=3, coeff_bound=9) -> MultiPoly:

@@ -184,7 +184,10 @@ def parse_ring_spec(spec: str) -> tuple:
     m = re.fullmatch(r"Z\[([A-Za-z][A-Za-z0-9_]*(?:,[A-Za-z][A-Za-z0-9_]*)*)\]", spec)
     if not m:
         raise UsageError(f"cannot parse ring {spec!r} (use Z or Z[u,v])")
-    return tuple(m.group(1).split(","))
+    gens = tuple(m.group(1).split(","))
+    if len(set(gens)) != len(gens):
+        raise UsageError(f"generator {next(g for g in gens if gens.count(g) > 1)!r} is named twice in ring {spec!r}")
+    return gens
 
 
 def parse_phi_spec(spec: str, gens) -> dict:
@@ -200,6 +203,8 @@ def parse_phi_spec(spec: str, gens) -> dict:
         name = name.strip()
         if name not in gens:
             raise UsageError(f"{name!r} is not a generator of the ring")
+        if name in out:
+            raise UsageError(f"phi is given twice on generator {name!r}")
         out[name] = parse_poly(body, ZZ)
     missing = [g for g in gens if g not in out]
     if missing:

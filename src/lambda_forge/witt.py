@@ -422,7 +422,7 @@ def _values(comps, ring: CoeffRing, degree: int, shape: tuple):
     within it."""
     if all(c.is_constant() for c in comps):
         return operator.methodcaller("constant_value"), _scalar_coords, _scalar_unghost(ring)
-    pack = _packer(ring, comps, max(degree, 1) * prod(S.elems[-1] for S in shape))[1]
+    pack = _packer(ring, comps, max(degree, 1) * prod(S.elems[-1] for S in shape))
     return pack, _packed_coords, _packed_unghost
 
 

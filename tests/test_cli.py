@@ -317,6 +317,14 @@ class TestMalformedArgv:
             ["delta", "section", "--p", "2", "--eval", "3", "--depth", "9"],
             ["witt", "w2-check", "--p", "2", "--ring", "Z[u]", "--bound", "7"],
             ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "2:u->u^2", "--K", "2", "--eval-gen", "u", "--eval", "3"],
+            # a name given twice
+            ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "2:u->u^2", "--phi", "2:u->u^2+2*u", "--eval-gen", "u"],
+            ["delta", "from-phi", "--p", "2", "--ring", "Z[u]", "--phi", "u->u^2+2*u;u->u^2"],
+            ["delta", "from-phi", "--p", "2", "--ring", "Z[u,u]", "--phi", "u->u^2"],
+            # a signed count in a group summand
+            ["verify", "fracture", "--group", "Z^-1+Z^2"],
+            ["verify", "fracture", "--group", "Z/-4"],
+            ["verify", "fracture", "--group", "Z^-1"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):

@@ -88,6 +88,12 @@ class TestFgAbGroup:
         assert parse_group("Z/12") == FgAbGroup(0, (12,))
         assert parse_group("Z + Z/2") == FgAbGroup(1, (2,))
         assert parse_group("Z^2+Z/4+Z/6") == FgAbGroup(2, (2, 12))
+        assert parse_group("Z^0") == parse_group("Z/1") == parse_group("Z^0+Z/1") == FgAbGroup(0)
+
+    @pytest.mark.parametrize("spec", ["Z^-1+Z^2", "Z/-4", "Z^-1", "Z/1_0", "Z/\u0664", "Z/4.0"])
+    def test_parse_refuses_counts_that_are_not_decimal_digits(self, spec):
+        with pytest.raises(UsageError, match="cannot parse group summand"):
+            parse_group(spec)
 
     def test_localize(self):
         g = FgAbGroup(1, (12,))

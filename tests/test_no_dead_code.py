@@ -2,7 +2,9 @@
 
 A name defined in ``src/lambda_forge`` must appear as a word somewhere
 other than its own ``def`` line: in the package, the tests, the benchmark
-or the README.  A definition nothing mentions is dead code.  Likewise an
+or the README.  A definition nothing mentions is dead code.  A private
+one (a name starting with ``_``) must be mentioned in the package itself:
+a helper only the tests call belongs in the tests.  Likewise an
 exception class in ``errors.py`` that no other class there derives from
 must be raised somewhere in the package: one only the tests raise is no
 part of the program.  And every ``__slots__`` name of a package class must
@@ -34,18 +36,28 @@ def _files():
     return files + sorted(ROOT.glob("bench/*.py")) + [ROOT / "README.md"]
 
 
-def test_every_function_is_referenced():
+def _unmentioned(files, definitions):
+    """Each of ``definitions`` whose name ``files`` mention only on its own ``def`` line."""
     words = Counter()
     lines = {}
-    for path in _files():
+    for path in files:
         lines[path] = path.read_text().splitlines()
         for line in lines[path]:
             words.update(WORD.findall(line))
-    unreferenced = []
-    for name, path, lineno in _definitions():
-        if words[name] == WORD.findall(lines[path][lineno - 1]).count(name):
-            unreferenced.append(f"{path.name}:{lineno} {name}")
-    assert unreferenced == []
+    return [
+        f"{path.name}:{lineno} {name}"
+        for name, path, lineno in definitions
+        if words[name] == WORD.findall(lines[path][lineno - 1]).count(name)
+    ]
+
+
+def test_every_function_is_referenced():
+    assert _unmentioned(_files(), _definitions()) == []
+
+
+def test_every_private_function_serves_the_package():
+    private = [d for d in _definitions() if d[0].startswith("_")]
+    assert _unmentioned(sorted(PACKAGE.glob("*.py")), private) == []
 
 
 def test_every_exception_is_raised_by_the_package():

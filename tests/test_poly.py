@@ -620,6 +620,19 @@ def wide_substitutions(draw):
     return ring, p, env
 
 
+def square_and_multiply(ring, terms, n):
+    """The power oracle on raw packed maps: ``terms ** n`` for n >= 1 by
+    right-to-left square-and-multiply, reduced over Z/m after each product."""
+    result, base = None, terms
+    while True:
+        if n & 1:
+            result = base if result is None else poly._reduce(ring, poly._mul_terms(result, base, {}))
+        n >>= 1
+        if not n:
+            return result
+        base = poly._reduce(ring, poly._square_terms(base))
+
+
 class TestPackedKernel:
     @settings(max_examples=80, deadline=None)
     @given(data=st.sampled_from(PACK_RINGS).flatmap(lambda r: st.tuples(wide_polys(r), wide_polys(r))))
@@ -693,15 +706,25 @@ class TestPackedKernel:
         if ring != QQ and isinstance(c, Fraction):
             c = c.numerator
         terms = MultiPoly(ring, ("x", "y"), {exps: c})._alone(n).terms
-        want, base, k = None, terms, n
-        while True:
-            if k & 1:
-                want = base if want is None else poly._reduce(ring, poly._mul_terms(want, base, {}))
-            k >>= 1
-            if not k:
-                break
-            base = poly._reduce(ring, poly._square_terms(base))
-        assert poly._pow_terms(ring, terms, n) == want
+        assert poly._power(ring, {1: terms}, n) == square_and_multiply(ring, terms, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.sampled_from([ZZ, QQ, Z8]).flatmap(
+            lambda r: wide_polys(r, exps=[0, 1, 2, 3], min_terms=2, max_terms=3).filter(lambda p: len(p.terms) > 1)
+        ),
+        order=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+    )
+    def test_power_cache_matches_square_and_multiply(self, a, order):
+        # one cache filled in a drawn order: every power it keeps, those the
+        # chain formed on the way included, is the oracle's
+        terms = a._alone(max(order)).terms
+        powers = {1: terms}
+        for j in order:
+            poly._power(a.ring, powers, j)
+        assert set(order) <= set(powers)
+        for j, got in powers.items():
+            assert got == square_and_multiply(a.ring, terms, j)
 
     @settings(max_examples=80, deadline=None)
     @given(data=wide_substitutions())
@@ -937,7 +960,7 @@ def per_term_substitute(p, assignment):
             if e:
                 powers = cache[i]
                 if e not in powers:
-                    powers[e] = poly._pow_terms(ring, powers[1], e)
+                    powers[e] = square_and_multiply(ring, powers[1], e)
                 part = poly._reduce(ring, poly._mul_terms(part, powers[e], {}))
         for key, coef in part.items():
             total[key] = total[key] + coef if key in total else coef
@@ -1004,3 +1027,21 @@ class TestHornerSubstitution:
         wide = s ** (2**64) * t + u ** 2
         for value in ({"s": -t}, {"s": 1, "t": s}, {"t": s + u}):
             assert canonical_items(wide.substitute(value)) == canonical_items(per_term_substitute(wide, value))
+
+    def test_one_level_shares_one_chain_of_powers(self, monkeypatch):
+        # x^2 from x, x^3 from x^2 * x, x^4 from x^2 and x^6 from x^3: three
+        # squares, each of a different map, none formed twice
+        x, y = v("x"), v("y")
+        p = x ** 2 + x ** 3 + x ** 4 + x ** 6
+        squared = []
+        square = poly._square_terms
+
+        def recording(terms):
+            squared.append(frozenset(terms.items()))
+            return square(terms)
+
+        monkeypatch.setattr(poly, "_square_terms", recording)
+        got = p.substitute({"x": y + 1})
+        monkeypatch.undo()
+        assert len(squared) == len(set(squared)) == 3
+        assert got == oracle_substitute(p, {"x": y + 1})
