@@ -1,8 +1,8 @@
 """Finitely generated abelian groups and the arithmetic fracture square.
 
 Groups are held in invariant-factor form Z^r + Z/d_1 + ... + Z/d_k with
-d_1 | d_2 | ... ; presentations by integer relation matrices reduce to
-this form through Smith normal form.  The fracture check verifies that
+d_1 | d_2 | ... ; a direct sum of cyclic groups reaches this form through
+the gcd-lcm chain on its orders.  The fracture check verifies that
 
     A  ->  (prod_p A_(p))  x_{(prod_p A_(p)) tensor Q}  (A tensor Q)
 
@@ -22,70 +22,6 @@ from .rings import _factorize, _is_prime
 
 # largest torsion order whose elements the fracture check enumerates
 TORSION_CAP = 200000
-
-
-def smith_invariant_factors(rows: list) -> list:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns the nonzero diagonal entries d_1 | d_2 | ...; zero columns of
-    the diagonal correspond to free generators and are not returned.
-    """
-    m = [list(map(int, r)) for r in rows]
-    if not m:
-        return []
-    rows_n, cols_n = len(m), len(m[0])
-    if any(len(r) != cols_n for r in m):
-        raise UsageError("relation matrix rows have unequal lengths")
-    diag = []
-    top = 0
-    while top < min(rows_n, cols_n):
-        # find a pivot
-        pivot = None
-        for i in range(top, rows_n):
-            for j in range(top, cols_n):
-                if m[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        m[top], m[i] = m[i], m[top]
-        for r in m:
-            r[top], r[j] = r[j], r[top]
-        # clear row and column, repeating until stable
-        while True:
-            changed = False
-            for i in range(top + 1, rows_n):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    for j in range(top, cols_n):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                    changed = True
-            for j in range(top + 1, cols_n):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for i in range(top, rows_n):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for i in range(top, rows_n):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                    changed = True
-            if not changed:
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    diag = [d for d in diag if d]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            g = gcd(a, b)
-            diag[i], diag[j] = g, a * b // g if g else 0
-    return sorted(d for d in diag if d)
 
 
 class FgAbGroup:
@@ -110,23 +46,17 @@ class FgAbGroup:
     def from_summands(rank: int, torsion) -> "FgAbGroup":
         """Build from arbitrary cyclic summands, e.g. Z/4 + Z/6 -> (2, 12).
 
-        The summands Z/d_i are the cokernel of the diagonal relation matrix
-        diag(d_i) next to ``rank`` free generators; a summand Z/0 is free.
+        A summand Z/0 is free and the other orders count up to sign.  Each
+        pair (d_i, d_j) with i < j is replaced by (gcd, lcm), which leaves
+        d_i the gcd of d_i, d_(i+1), ... and so d_1 | d_2 | ... .
         """
-        torsion = [int(d) for d in torsion]
-        relations = [
-            [0] * rank + [d if j == i else 0 for j in range(len(torsion))]
-            for i, d in enumerate(torsion)
-        ]
-        return FgAbGroup.from_presentation(rank + len(torsion), relations)
-
-    @staticmethod
-    def from_presentation(n_gens: int, relations: list) -> "FgAbGroup":
-        """Cokernel of the relation matrix (rows are relations)."""
-        if not relations:
-            return FgAbGroup(n_gens)
-        diag = smith_invariant_factors(relations)
-        return FgAbGroup(n_gens - len(diag), [d for d in diag if d > 1])
+        orders = [abs(int(d)) for d in torsion]
+        factors = [d for d in orders if d]
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                g = gcd(factors[i], factors[j])
+                factors[i], factors[j] = g, factors[i] * factors[j] // g
+        return FgAbGroup(rank + orders.count(0), factors)
 
     def __eq__(self, other):
         return (

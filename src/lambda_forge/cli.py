@@ -18,6 +18,7 @@ from .poly import MultiPoly
 from .rings import QQ, ZZ
 from .series import TruncSeries
 from .textparse import (
+    ascii_int,
     parse_phi_spec,
     parse_poly,
     parse_primes,
@@ -54,6 +55,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str) -> int:
+    """The type of every integer flag: ASCII decimal digits, with an optional leading '-'."""
+    try:
+        return ascii_int(text, signed=True)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default=None)
@@ -68,8 +77,8 @@ def _build_parser() -> _Parser:
 
     def trunc_flags(p, input_flag=True):
         p.add_argument("--trunc", help="truncation set, big:N or p:P,K")
-        p.add_argument("--p", type=int, help="p-typical prime")
-        p.add_argument("--len", type=int, dest="length", help="p-typical length")
+        p.add_argument("--p", type=_int, help="p-typical prime")
+        p.add_argument("--len", type=_int, dest="length", help="p-typical length")
         if input_flag:
             p.add_argument("--input", help="component list, e.g. '[a,0,0,0]'")
 
@@ -87,10 +96,10 @@ def _build_parser() -> _Parser:
         w_bin.add_argument("--b", required=True)
     w_frob = add(wsub, "frobenius")
     trunc_flags(w_frob)
-    w_frob.add_argument("--n", type=int, required=True)
+    w_frob.add_argument("--n", type=_int, required=True)
     w_ver = add(wsub, "verschiebung")
     trunc_flags(w_ver)
-    w_ver.add_argument("--n", type=int, required=True)
+    w_ver.add_argument("--n", type=_int, required=True)
     w_res = add(wsub, "restrict")
     trunc_flags(w_res)
     w_res.add_argument("--to", required=True, help="target truncation")
@@ -104,71 +113,71 @@ def _build_parser() -> _Parser:
     w_com.add_argument("--inner", help="inner truncation for comult")
     trunc_flags(w_com)
     w_w2 = add(wsub, "w2-check")
-    w_w2.add_argument("--p", type=int, required=True)
-    w_w2.add_argument("--bound", type=int)
+    w_w2.add_argument("--p", type=_int, required=True)
+    w_w2.add_argument("--bound", type=_int)
     w_w2.add_argument("--ring", default="Z")
 
     delta = sub.add_parser("delta", help="delta-ring computations")
     dsub = delta.add_subparsers(dest="subcommand", required=True)
     d_ext = add(dsub, "extend")
-    d_ext.add_argument("--p", type=int, required=True)
-    d_ext.add_argument("--depth", type=int, default=3)
+    d_ext.add_argument("--p", type=_int, required=True)
+    d_ext.add_argument("--depth", type=_int, default=3)
     d_ext.add_argument("--expr", required=True)
     d_phi = add(dsub, "phi")
-    d_phi.add_argument("--p", type=int, required=True)
-    d_phi.add_argument("--depth", type=int, default=3)
+    d_phi.add_argument("--p", type=_int, required=True)
+    d_phi.add_argument("--depth", type=_int, default=3)
     d_phi.add_argument("--expr", required=True)
     d_from = add(dsub, "from-phi")
-    d_from.add_argument("--p", type=int, required=True)
+    d_from.add_argument("--p", type=_int, required=True)
     d_from.add_argument("--ring", required=True)
     d_from.add_argument("--phi", required=True)
-    d_from.add_argument("--eval", dest="eval_at", type=int)
+    d_from.add_argument("--eval", dest="eval_at", type=_int)
     d_free = add(dsub, "free")
-    d_free.add_argument("--p", type=int, required=True)
-    d_free.add_argument("--depth", type=int, required=True)
+    d_free.add_argument("--p", type=_int, required=True)
+    d_free.add_argument("--depth", type=_int, required=True)
     d_free.add_argument("--show", choices=("phi", "delta"), default="phi")
     d_sec = add(dsub, "section")
-    d_sec.add_argument("--p", type=int, required=True)
+    d_sec.add_argument("--p", type=_int, required=True)
     d_sec.add_argument("--ring", choices=("Z",), default="Z")
-    d_sec.add_argument("--eval", dest="eval_at", type=int)
+    d_sec.add_argument("--eval", dest="eval_at", type=_int)
     d_sec.add_argument("--expr")
-    d_sec.add_argument("--depth", type=int)
+    d_sec.add_argument("--depth", type=_int)
 
     lam = sub.add_parser("lambda", help="lambda-ring computations")
     lsub = lam.add_subparsers(dest="subcommand", required=True)
     l_free = add(lsub, "free")
     l_free.add_argument("--primes", required=True)
-    l_free.add_argument("--depth", type=int, required=True)
+    l_free.add_argument("--depth", type=_int, required=True)
     l_free.add_argument("--show", help="basis element, e.g. 'X(2)' (default: all)")
     l_adams = add(lsub, "adams")
-    l_adams.add_argument("--N", type=int, default=12)
-    l_adams.add_argument("--m", type=int, required=True)
+    l_adams.add_argument("--N", type=_int, default=12)
+    l_adams.add_argument("--m", type=_int, required=True)
     l_adams.add_argument("--expr", required=True)
     l_newton = add(lsub, "newton")
     l_newton.add_argument("--psi", choices=("id",), default="id")
-    l_newton.add_argument("--K", type=int, required=True)
-    l_newton.add_argument("--eval", dest="eval_at", type=int, required=True)
+    l_newton.add_argument("--K", type=_int, required=True)
+    l_newton.add_argument("--eval", dest="eval_at", type=_int, required=True)
     l_wilk = add(lsub, "wilkerson")
     l_wilk.add_argument("--ring", required=True)
     l_wilk.add_argument("--phi", action="append", default=[], help="'p:gen->expr;...' per prime")
-    l_wilk.add_argument("--K", type=int, default=2)
+    l_wilk.add_argument("--K", type=_int, default=2)
     l_wilk.add_argument("--eval-gen", help="generator to expand lambda on")
-    l_wilk.add_argument("--eval", dest="eval_at", type=int)
+    l_wilk.add_argument("--eval", dest="eval_at", type=_int)
     l_tox = add(lsub, "to-x-basis")
     l_tox.add_argument("--primes", required=True)
-    l_tox.add_argument("--depth", type=int, required=True)
+    l_tox.add_argument("--depth", type=_int, required=True)
     l_tox.add_argument("--expr", required=True)
     l_coa = add(lsub, "coaction")
     l_coa.add_argument("--ring", choices=("Z",), default="Z")
     l_coa.add_argument("--psi", choices=("id",), default="id")
     l_coa.add_argument("--trunc", required=True)
-    l_coa.add_argument("--eval", dest="eval_at", type=int, required=True)
+    l_coa.add_argument("--eval", dest="eval_at", type=_int, required=True)
 
     ver = sub.add_parser("verify", help="verification suites", parents=[common])
     ver.add_argument("suite", choices=SUITES + ("all",))
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_int, default=0)
     ver.add_argument("--primes")
-    ver.add_argument("--depth", type=int)
+    ver.add_argument("--depth", type=_int)
     ver.add_argument("--group")
     ver.add_argument(
         "--corrupt",
@@ -313,7 +322,7 @@ def _run_delta(args):
     if sc == "free":
         pres = free_delta_ring(args.p, args.depth)
         if args.show == "phi":
-            return {"phi": {g: str(v) for g, v in sorted(pres.phi_on_gens().items())}}
+            return {"phi": {g: str(v) for g, v in sorted(pres.phi_on_gens.items())}}
         return {"delta": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
     if sc == "section":
         if args.expr is not None:
@@ -362,11 +371,13 @@ def _run_lambda(args):
         family = {}
         for clause in args.phi:
             p, colon, body = clause.partition(":")
-            if not (colon and p.strip().isdecimal()):
-                raise UsageError("--phi clauses look like '2:u->u^2'")
-            if int(p) in family:
-                raise UsageError(f"--phi is given twice for p = {int(p)}")
-            family[int(p)] = parse_phi_spec(body, gens)
+            try:
+                p = ascii_int(p if colon else "")
+            except ValueError:
+                raise UsageError("--phi clauses look like '2:u->u^2'") from None
+            if p in family:
+                raise UsageError(f"--phi is given twice for p = {p}")
+            family[p] = parse_phi_spec(body, gens)
         ops = wilkerson_lambda(gens, family or "identity", args.K)
         if args.eval_gen:
             _unused("--eval-gen", eval=args.eval_at)

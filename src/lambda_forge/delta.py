@@ -17,9 +17,13 @@ from .witt import TruncationSet, WittVec
 
 
 class DeltaPresentation:
-    """Prime p, generator names, and delta on each generator."""
+    """Prime p, generator names, and delta on each generator.
 
-    __slots__ = ("p", "gens", "delta_on_gens")
+    ``phi_on_gens`` is the Frobenius lift g -> g^p + p*delta(g), defined
+    where delta is and built once.
+    """
+
+    __slots__ = ("p", "gens", "delta_on_gens", "phi_on_gens")
 
     def __init__(self, p: int, gens, delta_on_gens: dict):
         if not _is_prime(p):
@@ -36,18 +40,11 @@ class DeltaPresentation:
                 raise UsageError(f"delta({g}) leaves the presentation ring")
             fixed[g] = val
         self.delta_on_gens = fixed
+        self.phi_on_gens = {g: MultiPoly.var(ZZ, g) ** p + fixed[g] * p for g in self.gens if g in fixed}
 
     def __repr__(self):
         inner = ", ".join(f"{g}: {v}" for g, v in sorted(self.delta_on_gens.items()))
         return f"DeltaPresentation(p={self.p}, Z[{', '.join(self.gens)}], delta={{{inner}}})"
-
-    def phi_on_gens(self) -> dict:
-        """The substitution g -> g^p + p*delta(g), defined where delta is."""
-        out = {}
-        for g in self.gens:
-            if g in self.delta_on_gens:
-                out[g] = MultiPoly.var(ZZ, g) ** self.p + self.delta_on_gens[g] * self.p
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -70,7 +67,7 @@ class DeltaPresentation:
 
     def phi(self, e: MultiPoly) -> MultiPoly:
         self._check_in_domain(e)
-        return e.substitute(self.phi_on_gens())
+        return e.substitute(self.phi_on_gens)
 
     def delta(self, e: MultiPoly) -> MultiPoly:
         """delta(e) = (phi(e) - e^p) / p, exact on the torsion-free base."""

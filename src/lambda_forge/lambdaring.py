@@ -340,7 +340,7 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     for p, subst in sorted(phi_family.items()):
         if not _is_prime(p):
             raise UsageError(f"{p} is not prime")
-        lifts[p] = delta_from_phi(p, gens, subst).phi_on_gens()
+        lifts[p] = delta_from_phi(p, gens, subst).phi_on_gens
     primes = sorted(lifts)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:

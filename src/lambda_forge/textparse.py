@@ -5,7 +5,7 @@ positive integer literal (exact over the coefficient ring), parentheses,
 variable names matching [A-Za-z][A-Za-z0-9_]*, and `X(2,3)` sugar for
 lambda-basis generators (the empty sequence is `X()` or `X0`).  Witt
 vectors are bracketed, comma-separated component lists.  Truncation sets
-are `big:N` or `p:P,K`.
+are `big:N` or `p:P,K`.  Every integer is written in ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -25,7 +25,15 @@ def _sigma_name(sigma) -> str:
     return "X" + "_".join(str(p) for p in sigma)
 
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9_]*|\*\*|[-+*/^(),])")
+def ascii_int(text: str, signed: bool = False) -> int:
+    """The integer ``text`` writes in ASCII decimal digits, surrounding
+    whitespace aside, after one leading '-' if ``signed``; ValueError otherwise."""
+    if not re.fullmatch(r"-?[0-9]+" if signed else r"[0-9]+", text.strip()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|\*\*|[-+*/^(),])")
 
 
 def _tokenize(text: str):
@@ -162,14 +170,14 @@ def parse_trunc(spec: str) -> TruncationSet:
     spec = spec.strip()
     if spec.startswith("big:"):
         try:
-            n = int(spec[4:])
+            n = ascii_int(spec[4:])
         except ValueError:
             raise UsageError("big truncations are written big:N") from None
         return TruncationSet.big(n)
     if spec.startswith("p:"):
         body = spec[2:]
         try:
-            p, k = (int(x) for x in body.split(","))
+            p, k = (ascii_int(x) for x in body.split(","))
         except ValueError:
             raise UsageError("p-typical truncations are written p:P,K") from None
         return TruncationSet.p_typical(p, k)
@@ -214,6 +222,6 @@ def parse_phi_spec(spec: str, gens) -> dict:
 
 def parse_primes(spec: str):
     try:
-        return tuple(sorted({int(p) for p in spec.split(",")}))
+        return tuple(sorted({ascii_int(p) for p in spec.split(",")}))
     except ValueError:
         raise UsageError(f"cannot parse prime list {spec!r}") from None

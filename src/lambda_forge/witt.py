@@ -800,22 +800,15 @@ def w2_pullback_check(p: int, bound: int, gens=()) -> dict:
         )
     accepted = 0
     rejected = 0
-    seen = {}
     for u in range(-bound, bound + 1):
         for v in range(-bound, bound + 1):
             if (v - u ** p) % p:
                 rejected += 1
                 continue
-            a1 = u
-            ap = (v - u ** p) // p
-            vec = WittVec(S, ZZ, {1: a1, p: ap})
-            g = ghost_map(vec)
+            g = ghost_map(WittVec(S, ZZ, {1: u, p: (v - u ** p) // p}))
             got = (g.comps[1].constant_value(), g.comps[p].constant_value())
             if got != (u, v):
                 return {"status": "fail", "witness": {"u": u, "v": v, "ghost": [str(x) for x in got]}}
-            if got in seen:
-                return {"status": "fail", "witness": {"collision": [u, v]}}
-            seen[got] = (a1, ap)
             accepted += 1
     report.update({
         "status": "pass",

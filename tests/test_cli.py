@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -266,6 +267,19 @@ def test_remaining_subcommands(capsys):
     assert code == 0 and "delta.x0: x1" in out
 
 
+def _typed_flags(parser):
+    """(command and flag, action) for each flag with a type in ``parser`` and the parsers below it."""
+    for action in parser._actions:
+        if isinstance(action.choices, dict):
+            for sub in action.choices.values():
+                yield from _typed_flags(sub)
+        elif action.type is not None:
+            yield f"{parser.prog} {action.option_strings[0]}", action
+
+
+TYPED_FLAGS = list(_typed_flags(cli._build_parser()))
+
+
 class TestMalformedArgv:
     def test_parse_trunc_rejects_non_integer_big(self):
         from lambda_forge.errors import UsageError
@@ -325,6 +339,15 @@ class TestMalformedArgv:
             ["verify", "fracture", "--group", "Z^-1+Z^2"],
             ["verify", "fracture", "--group", "Z/-4"],
             ["verify", "fracture", "--group", "Z^-1"],
+            # an integer that is not ASCII decimal digits
+            ["witt", "ghost", "--trunc", "big:\u0663", "--input", "[1,2,3]"],
+            ["witt", "ghost", "--trunc", "big:+3", "--input", "[1,2,3]"],
+            ["witt", "ghost", "--p", "\u0662", "--len", "2", "--input", "[1,2]"],
+            ["lambda", "newton", "--K", "\u0663", "--eval", "5"],
+            ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "\u0662:u->u^2", "--K", "1", "--eval-gen", "u"],
+            ["verify", "joyal-rezk", "--primes", "2,+3", "--depth", "1", "--seed", "\u0667"],
+            ["verify", "joyal-rezk", "--primes", "2,+3", "--depth", "1"],
+            ["delta", "extend", "--p", "2", "--expr", "x0^\u0662"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):
@@ -332,6 +355,14 @@ class TestMalformedArgv:
         assert code == 1
         assert err.startswith("usage error:")
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("action", [a for _, a in TYPED_FLAGS], ids=[name for name, _ in TYPED_FLAGS])
+    def test_every_integer_flag_takes_ascii_digits_only(self, action):
+        # every flag with a type is an integer flag; a bare type=int takes '+3' and fails here
+        assert [action.type(text) for text in ("7", "-2", " 7 ")] == [7, -2, 7]
+        for text in ("\u0663", "+3", "1_0"):
+            with pytest.raises(argparse.ArgumentTypeError, match="invalid int value"):
+                action.type(text)
 
     def test_joyal_rezk_depth_alone_is_honoured(self, capsys):
         # primes default to 2,3,5; depth 1 has 4 integrality and 6 * 4 commutation cases

@@ -5,15 +5,15 @@ from lambda_forge.abelian import (
     FgAbGroup,
     fracture_check,
     parse_group,
-    smith_invariant_factors,
 )
 from lambda_forge.errors import NotFinitelyGenerated, UsageError
 from lambda_forge.rings import _factorize
 
 
 def primary_decomposition_group(rank, torsion):
-    """Invariant factors through primary decomposition: the oracle for Smith normal form.
+    """Invariant factors through primary decomposition: the oracle for the gcd-lcm chain.
 
+    It checks ``FgAbGroup.from_summands`` with no gcd or lcm of its own.
     Each summand Z/d splits into prime powers; the i-th invariant factor
     from the top multiplies the i-th largest power of every prime.
     """
@@ -38,26 +38,6 @@ def primary_decomposition_group(rank, torsion):
 
 
 PRIME_POWERS = [p ** k for p in (2, 3, 5, 7) for k in (1, 2, 3)]
-
-
-class TestSmithNormalForm:
-    def test_diagonal_matrix(self):
-        assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-
-    def test_single_relation(self):
-        assert smith_invariant_factors([[12]]) == [12]
-
-    def test_classic_example(self):
-        # cokernel of [[2, 4, 4], [-6, 6, 12], [10, -4, -16]] is Z/2 + Z/6 + Z/12
-        assert smith_invariant_factors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
-
-    def test_determinant_preserved(self):
-        # |det| = product of invariant factors for a full-rank square matrix
-        assert smith_invariant_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
-
-    def test_presentation_to_group(self):
-        g = FgAbGroup.from_presentation(3, [[2, 0, 0], [0, 3, 0]])
-        assert g == FgAbGroup(1, (6,))
 
 
 class TestFgAbGroup:
@@ -124,11 +104,6 @@ class TestFractureSquare:
         report = fracture_check(parse_group("Z + Z/2"))
         assert report["status"] == "pass"
         assert report["free_part"]["rank_matches"]
-
-    def test_relation_matrix_input(self):
-        g = FgAbGroup.from_presentation(2, [[12, 0]])
-        assert g == FgAbGroup(1, (12,))
-        assert fracture_check(g)["status"] == "pass"
 
     def test_not_a_group(self):
         with pytest.raises(NotFinitelyGenerated):
