@@ -23,15 +23,20 @@ coefficients are reduced after each product so that they stay bounded.
 Every raw power is formed in one place, ``_power``, from a cache of the
 powers of its base, each once: x^(j//2) squared, times x when j is odd, so
 the exponents asked of one cache share one chain.  A power of one term is
-one term, {k * n: c ** n}.  A longer computation can keep a packed map as
-an accumulator: ``add_power`` adds a multiple of a cached power of another
-map into it in place (the Witt ghost route).
+one term, {k * n: c ** n}, the coefficient power taken mod m over Z/m
+(``_coeff_power``, which evaluation and substitution use too).  A longer
+computation can keep a packed map as an accumulator: ``add_power`` adds a
+multiple of a cached power of another map into it in place (the Witt ghost
+route).
 
-Substitution is Horner over the assigned variables: terms are grouped by
-the exponent of the variable with the largest image, outermost, so that
-each power of an image multiplies the summed image of its group once
-rather than once per term.  Each level keeps one power cache of its
-image, so x^4 comes from x^2 and x^6 from x^3.
+Substitution is Horner over the assigned variables whose images have more
+than one term, the largest image outermost, in one bottom-up pass: the
+source terms are grouped by their exponents of those variables, and each
+power of an image multiplies the summed image of its group once rather than
+once per term.  Each level keeps one power cache of its image, so x^4 comes
+from x^2 and x^6 from x^3.  An image of one term c * m gets no level: its
+variable packs with m's key as its weight, as an unassigned variable packs
+with its own, and each source term picks up c ** e.
 """
 
 from __future__ import annotations
@@ -193,12 +198,15 @@ class MultiPoly:
     def substitute(self, assignment: dict) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables map to themselves.
 
-        Horner over the assigned variables, the one with the largest image
-        outermost: the source terms are grouped by that variable's exponent,
-        and each power of its image multiplies the summed image of its group
-        once.  Unassigned variables never get a level: their exponents, and
-        their share of the degree field, ride along in the low bits of each
-        packed key.
+        Horner over the assigned variables whose images have more than one
+        term, the one with the largest image outermost: the source terms are
+        grouped by that variable's exponent, and each power of its image
+        multiplies the summed image of its group once; ``_horner`` runs the
+        levels in one pass, innermost first.  Unassigned variables and
+        one-term images never get a level: their exponents, and their share
+        of the degree field, ride along in the low bits of each packed key,
+        and a one-term image c * m scales each source term by c ** e.  Two
+        source terms can then land on one key, so they are summed.
         """
         ring = self.ring
         values = []
@@ -222,17 +230,28 @@ class MultiPoly:
                 images[i] = _keyed(val.vars, val.terms, weight)
             elif val is not None:
                 images[i] = {0: val}
-        order = sorted(images, key=lambda i: len(images[i]))
-        bits = 8 * _field(max((exps[i] for exps in self.terms for i in order), default=0))
-        # a source key holds the free variables' exponents in the result's
-        # layout, and above it the assigned exponents, innermost lowest
+        # a one-term image c * m rides in the key: its variable weighs m's
+        # key, and each source term picks up c ** e
+        riding = {i: next(iter(image.items())) for i, image in images.items() if len(image) == 1}
+        order = sorted((i for i in images if i not in riding), key=lambda i: len(images[i]))
+        # a level's field holds any exponent of the source
+        bits = 8 * _field(_degree(self.terms))
+        # a source key holds the free and riding variables' exponents in the
+        # result's layout, and above it the exponents of the levels, innermost lowest
         base = 8 * w * (len(vars) + 1)
         at = {i: 1 << base + bits * level for level, i in enumerate(order)}
-        weights = [at[i] if i in at else weight[v] for i, v in enumerate(self.vars)]
-        items = {sum(map(mul, exps, weights)): c for exps, c in self.terms.items()}
-        powers = [{1: images[i]} for i in order]
-        # with nothing assigned, the keys are already those of the result
-        total = _horner(ring, items, len(order) - 1, base, bits, powers) if order else items
+        weights = [at[i] if i in at else riding[i][0] if i in riding else weight[v] for i, v in enumerate(self.vars)]
+        # a unit coefficient scales nothing
+        scales = [(i, c) for i, (_, c) in riding.items() if c != 1]
+        items: dict = {}
+        for exps, c in self.terms.items():
+            for i, s in scales:
+                c = c * _coeff_power(ring, s, exps[i])
+            key = sum(map(mul, exps, weights))
+            items[key] = items[key] + c if key in items else c
+        items = _reduce(ring, items)
+        # with no level, the keys are already those of the result
+        total = _horner(ring, items, base, bits, [{1: images[i]} for i in order]) if order else items
         return _unpacked(ring, ring, vars, w, total)
 
     def evaluate(self, env: dict):
@@ -251,7 +270,7 @@ class MultiPoly:
                 if e:
                     cache = powers[i]
                     if e not in cache:
-                        cache[e] = values[i] ** e
+                        cache[e] = _coeff_power(ring, values[i], e)
                     acc = acc * cache[e]
             total = total + acc
         return ring.normalize(total)
@@ -450,41 +469,48 @@ def _reduce(ring: CoeffRing, terms: dict) -> dict:
     return {e: r for e, c in terms.items() if (r := c % m)}
 
 
-def _horner(ring: CoeffRing, items: dict, level: int, base: int, bits: int, powers: list) -> dict:
-    """Raw image of packed source terms under a substitution, by Horner.
+def _horner(ring: CoeffRing, items: dict, base: int, bits: int, powers: list) -> dict:
+    """Raw image of packed source terms under a substitution, by Horner in
+    one bottom-up pass over the levels.
 
-    A key of ``items`` holds the free variables' exponents in its lowest
-    ``base`` bits, already in the result's layout, and above them one
-    ``bits``-wide field for each assigned variable of levels 0..``level``;
-    ``powers[j]`` caches the packed powers of the image at level j.  A
-    module-level function, so that no closure keeps a call's power caches
-    alive.
+    A key of ``items`` holds the free and riding variables' exponents in its
+    lowest ``base`` bits, already in the result's layout, and above them one
+    ``bits``-wide field for each level, the innermost lowest; ``powers[j]``
+    caches the packed powers of the image at level j.  One map takes each
+    upper key to the raw part below it; a level multiplies each part by the
+    power of its image that the key's lowest field names, into the part of
+    the key shifted down one field.  A module-level function, so that no
+    closure keeps a call's power caches alive.
     """
-    shift = base + bits * level
-    mask = (1 << shift) - 1
-    groups: dict = {}
+    low = (1 << base) - 1
+    parts: dict = {}
     for key, c in items.items():
-        e = key >> shift
-        group = groups.get(e)
-        if group is None:
-            groups[e] = group = {}
-        group[key & mask] = c
-    if level:
-        # each exponent of this level's image with the summed image of its group
-        parts = ((e, _horner(ring, group, level - 1, base, bits, powers)) for e, group in groups.items())
-    else:
-        parts = groups.items()
-    cache = powers[level]
-    total: dict = {}
-    for e, part in parts:
-        if e:
-            _mul_terms(part, _power(ring, cache, e), total)
-        elif not total:
-            # a fresh map that nothing else reads
-            total = part
-        else:
-            _add_into(total, part)
-    return _reduce(ring, total)
+        part = parts.get(key >> base)
+        if part is None:
+            parts[key >> base] = part = {}
+        part[key & low] = c
+    mask = (1 << bits) - 1
+    for cache in powers:
+        new: dict = {}
+        for u, part in parts.items():
+            e, u = u & mask, u >> bits
+            out = new.get(u)
+            if e:
+                if out is None:
+                    new[u] = out = {}
+                _mul_terms(part, _power(ring, cache, e), out)
+            elif out is None:
+                # a fresh map that nothing else reads
+                new[u] = part
+            else:
+                _add_into(out, part)
+        parts = {u: _reduce(ring, part) for u, part in new.items()}
+    return parts.get(0, {})
+
+
+def _coeff_power(ring: CoeffRing, c, j: int):
+    """The raw coefficient c ** j, taken mod m over Z/m so that it stays small."""
+    return pow(c, j, ring.modulus) if ring.kind == MODULAR else c ** j
 
 
 def _power(ring: CoeffRing, powers: dict, j: int) -> dict:
@@ -498,7 +524,7 @@ def _power(ring: CoeffRing, powers: dict, j: int) -> dict:
         x = powers[1]
         if len(x) == 1:
             ((k, c),) = x.items()
-            out = {k * j: pow(c, j, ring.modulus) if ring.kind == MODULAR else c ** j}
+            out = {k * j: _coeff_power(ring, c, j)}
         elif j & 1:
             out = _mul_terms(_power(ring, powers, j - 1), x, {})
         else:

@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 from fractions import Fraction
 from math import comb
 from operator import add
@@ -220,6 +221,25 @@ class TestConstantValue:
         assert MultiPoly.const(QQ, Fraction(3, 2)).constant_value() == Fraction(3, 2)
         with pytest.raises(UsageError):
             v("x").constant_value()
+
+
+class TestEvaluate:
+    def test_a_large_power_over_z_mod_m_is_taken_mod_m(self):
+        # 3 ** 2**24 in full has 26 million bits; mod 8 it is 1
+        x = v("x", CoeffRing.modular(8))
+        p = x ** 2**24
+
+        def expire(signum, frame):
+            raise TimeoutError("evaluate took longer than 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            got = p.evaluate({"x": 3})
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert got == 1
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +623,9 @@ def scalars(ring):
 
 @st.composite
 def wide_substitutions(draw):
-    """Large exponents meet only monomial values with unit coefficients, or
-    constants whose powers stay small, so that every answer stays small."""
+    """Large exponents meet only monomial values and constants whose powers
+    stay small, so that every answer stays small: over Z/8 any coefficient,
+    whose power is taken mod 8, elsewhere unit coefficients and -1, 0, 1."""
     ring = draw(st.sampled_from(PACK_RINGS))
     wide = draw(st.booleans())
     p = draw(wide_polys(ring, min_terms=1) if wide else wide_polys(ring, exps=[0, 1, 2, 3]))
@@ -614,7 +635,7 @@ def wide_substitutions(draw):
         if kind == "int":
             env[name] = draw(st.sampled_from([-1, 0, 1] if wide and ring != Z8 else range(-5, 6)))
         elif wide:
-            env[name] = draw(wide_polys(ring, min_terms=1, max_terms=1, units=True))
+            env[name] = draw(wide_polys(ring, min_terms=1, max_terms=1, units=ring != Z8))
         else:
             env[name] = draw(wide_polys(ring, exps=[0, 1, 2], max_terms=3))
     return ring, p, env
@@ -975,8 +996,9 @@ def horner_substitutions(draw):
     """A source polynomial and an assignment that mixes polynomial, scalar
     and missing values; the values draw on the source's own variables and on
     fresh ones.  The source may be zero or constant, and may carry one
-    exponent of 2**64, which its variable then maps to a unit monomial or to
-    a scalar in {-1, 0, 1} so that the answer stays small."""
+    exponent of 2**64, which its variable then maps to a monomial or to a
+    scalar whose powers stay small: over Z/8 any coefficient, whose power is
+    taken mod 8, elsewhere a unit monomial or a scalar in {-1, 0, 1}."""
     ring = draw(st.sampled_from(PACK_RINGS))
     names = tuple(sorted(draw(st.sets(st.sampled_from(HORNER_NAMES[:3])))))
     terms = {}
@@ -993,10 +1015,11 @@ def horner_substitutions(draw):
     for name in HORNER_NAMES[:3]:
         kind = draw(st.sampled_from(["poly", "int", "fraction", "missing"]))
         if wide and name == names[0]:
+            small = range(-5, 6) if ring == Z8 else [-1, 0, 1]
             if kind == "poly":
-                env[name] = MultiPoly.var(ring, draw(st.sampled_from(HORNER_NAMES))) * draw(st.sampled_from([-1, 1]))
+                env[name] = MultiPoly.var(ring, draw(st.sampled_from(HORNER_NAMES))) * draw(st.sampled_from(small))
             elif kind != "missing":
-                env[name] = draw(st.sampled_from([-1, 0, 1]))
+                env[name] = draw(st.sampled_from(small))
         elif kind == "poly":
             value = {}
             for _ in range(draw(st.integers(0, 3))):
@@ -1025,8 +1048,29 @@ class TestHornerSubstitution:
         for p in (MultiPoly.zero(ring), MultiPoly.const(ring, 5), s ** 3 * t - t ** 2 * u + s * u + 4):
             assert canonical_items(p.substitute(env)) == canonical_items(per_term_substitute(p, env))
         wide = s ** (2**64) * t + u ** 2
-        for value in ({"s": -t}, {"s": 1, "t": s}, {"t": s + u}):
+        # {"s": t, "t": t} sends two source terms to one key
+        for value in ({"s": -t}, {"s": 1, "t": s}, {"t": s + u}, {"s": t, "t": t}, {"s": 0}):
             assert canonical_items(wide.substitute(value)) == canonical_items(per_term_substitute(wide, value))
+        if ring == Z8:
+            # 3 ** 2**64 is 1 mod 8, and only its power mod 8 is ever formed
+            odd, value = s ** (2**64) * t, {"s": t * 3}
+            assert canonical_items(odd.substitute(value)) == canonical_items(per_term_substitute(odd, value))
+
+    def test_monomial_and_scalar_images_form_no_product(self, monkeypatch):
+        x, y, z = v("x"), v("y"), v("z")
+        p, env = x ** 5 * z + x ** 2 * y, {"x": y * 2, "z": 3}
+        calls = []
+        for name in ("_mul_terms", "_square_terms", "_horner"):
+
+            def recording(*args, name=name, fn=getattr(poly, name)):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(poly, name, recording)
+        got = p.substitute(env)
+        monkeypatch.undo()
+        assert calls == []
+        assert str(got) == "96*y^5 + 4*y^3"
 
     def test_one_level_shares_one_chain_of_powers(self, monkeypatch):
         # x^2 from x, x^3 from x^2 * x, x^4 from x^2 and x^6 from x^3: three
