@@ -6,9 +6,10 @@ the integral basis {X_sigma}, indexed by non-decreasing prime sequences,
 embeds triangularly and integrality becomes a checked assertion instead
 of an input.  Inverting the triangle once gives each x_n as an integer
 polynomial in the X_sigma (its ghost row), so re-expressing an element
-over the X basis is a single substitution over Z.  Newton's identities
-solve for the lambda-operations from the Adams operations, with exact
-division failures doubling as "no integral lambda-structure" certificates.
+over the X basis is a single substitution over Z, prepared once a basis.
+Newton's identities solve for the lambda-operations from the Adams
+operations, with exact division failures doubling as "no integral
+lambda-structure" certificates.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ from .delta import delta_from_phi
 from .errors import (
     CostLimitExceeded,
     IndexOutOfRange,
+    MixedCoefficientRings,
     NonCommutingLifts,
     NotDivisible,
     NotInSpan,
     NotPIntegral,
     UsageError,
 )
-from .poly import MultiPoly, poly_sum
-from .rings import QQ, ZZ, CoeffRing, _factorize, _is_prime
+from .poly import MultiPoly, _Substitution, poly_sum
+from .rings import MODULAR, QQ, ZZ, CoeffRing, _factorize, _is_prime
 from .textparse import _sigma_name
 from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map
 
@@ -143,16 +145,21 @@ class FreeLambdaBasis:
     unit coefficient 1/prod(sigma), which is verified at construction.
     Inverting the triangle gives the ghost rows: ghost["x<n>"] is x_n in
     the X variables alone, over Z, so re-expression over the X basis is one
-    integer substitution.  In the Adams model every row is an integer
-    polynomial (Joyal) and ``scale`` is empty.  A corrupted model can give
-    a row with denominators; the row is then kept times the lcm D of its
-    denominators, and ``scale`` maps x_n to x_n / D ahead of the rows.
+    integer substitution.  ``rows`` is that substitution, prepared once and
+    given each row as the row is made, so that each row is packed, and each
+    of its powers formed, once a basis and layout rather than once a
+    re-expression.  In the Adams model every row is an integer polynomial
+    (Joyal) and ``scale`` is empty.  A corrupted model can give a row with
+    denominators; the row is then kept times the lcm D of its denominators,
+    and ``scale`` maps x_n to x_n / D ahead of the rows.
     """
 
-    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "scale")
+    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "rows", "scale")
 
     def __init__(self, P, depth: int, N: int | None = None):
         P = tuple(sorted(set(P)))
+        if not P:
+            raise UsageError("the basis needs at least one prime")
         for p in P:
             if not _is_prime(p):
                 raise UsageError(f"{p} is not prime")
@@ -168,6 +175,7 @@ class FreeLambdaBasis:
         self.embed = {}
         self.span = {}
         self.ghost = {}
+        self.rows = _Substitution(ZZ)
         self.scale = {}
         for sigma in self.sigmas:
             if not sigma:
@@ -182,6 +190,7 @@ class FreeLambdaBasis:
             # x_n / n = X_sigma - rest, and rest only touches lower indices
             rest, _ = self.to_x_basis(value - MultiPoly.var(QQ, name) * Fraction(1, n))
             self.ghost[name], D = _cleared((MultiPoly.var(QQ, self.names[sigma]) - rest) * n)
+            self.rows.add(name, self.ghost[name])
             if D != 1:
                 self.scale[name] = MultiPoly.var(QQ, name) * Fraction(1, D)
 
@@ -207,11 +216,19 @@ class FreeLambdaBasis:
         """Rewrite a model element over the X basis through the ghost rows.
 
         Returns (polynomial in the X variables, integrality flag).  Raises
-        ``NotInSpan`` with the largest x-index of e that has no ghost row.
-        The element is cleared of denominators d, so that the substitution
-        runs over Z, and the answer is scaled back; it is integral when d
-        divides every coefficient of the integer image.
+        ``NotInSpan`` with the largest x-index of e that has no ghost row,
+        ``MixedCoefficientRings`` for an element over Z/m, which has no
+        image over Q, and ``UsageError`` for a free variable named like a
+        basis element, which would merge with it.  Other free variables pass
+        through.  The element is cleared of denominators d, so that the
+        substitution runs over Z, and the answer is scaled back; it is
+        integral when d divides every coefficient of the integer image.
         """
+        if e.ring.kind == MODULAR:
+            raise MixedCoefficientRings(f"{e.ring} vs Q: the X basis re-expresses elements over Z, Q or Z_(p)")
+        taken = set(e.vars).intersection(self.names.values())
+        if taken:
+            raise UsageError(f"free variable {min(taken)} is named like a basis element")
         missing = [n for n in map(_xindex, e.vars) if n is not None and n not in self.span]
         if missing:
             raise NotInSpan(max(missing))
@@ -219,7 +236,7 @@ class FreeLambdaBasis:
         if self.scale:
             work = work.substitute(self.scale)
         scaled, d = _cleared(work)
-        image = scaled.substitute(self.ghost)
+        image = self.rows(scaled)
         xp = MultiPoly._trusted(QQ, image.vars, {k: Fraction(c, d) for k, c in image.terms.items()})
         return xp, all(c % d == 0 for c in image.terms.values())
 

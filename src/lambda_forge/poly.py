@@ -29,11 +29,17 @@ computation can keep a packed map as an accumulator: ``add_power`` adds a
 multiple of a cached power of another map into it in place (the Witt ghost
 route).
 
-Substitution is Horner over the assigned variables whose images have more
-than one term, the largest image outermost, in one bottom-up pass: the
+Substitution is prepared once and applied to any number of sources
+(``_Substitution``): it keeps, for each layout of a result, every image
+packed and one power cache an image, so a caller that substitutes into many
+sources, as the X basis of the free lambda-ring does with its ghost rows,
+packs each image once a layout and forms each power of it once.
+``MultiPoly.substitute`` prepares one for its own variables and applies it
+once.  Applying it is Horner over the assigned variables whose images have
+more than one term, the largest image outermost, in one bottom-up pass: the
 source terms are grouped by their exponents of those variables, and each
 power of an image multiplies the summed image of its group once rather than
-once per term.  Each level keeps one power cache of its image, so x^4 comes
+once per term.  Each level reads the power cache of its image, so x^4 comes
 from x^2 and x^6 from x^3.  An image of one term c * m gets no level: its
 variable packs with m's key as its weight, as an unassigned variable packs
 with its own, and each source term picks up c ** e.
@@ -198,61 +204,16 @@ class MultiPoly:
     def substitute(self, assignment: dict) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables map to themselves.
 
-        Horner over the assigned variables whose images have more than one
-        term, the one with the largest image outermost: the source terms are
-        grouped by that variable's exponent, and each power of its image
-        multiplies the summed image of its group once; ``_horner`` runs the
-        levels in one pass, innermost first.  Unassigned variables and
-        one-term images never get a level: their exponents, and their share
-        of the degree field, ride along in the low bits of each packed key,
-        and a one-term image c * m scales each source term by c ** e.  Two
-        source terms can then land on one key, so they are summed.
+        A ``_Substitution`` prepared for the variables of ``self`` alone and
+        applied once: its result's layout holds the unassigned variables and
+        the variables of the values, and every power cache dies with it.
         """
-        ring = self.ring
-        values = []
+        prepared = _Substitution(self.ring)
         for v in self.vars:
             val = assignment.get(v)
-            if isinstance(val, (int, Fraction)):
-                val = ring.normalize(val)
-            elif val is not None:
-                ring.require_same(val.ring)
-            values.append(val)
-        free = {v for v, val in zip(self.vars, values) if val is None}
-        vars = tuple(sorted(free.union(*(val.vars for val in values if isinstance(val, MultiPoly)))))
-        # the total degree of each value: 1 for an unassigned variable, 0 for a scalar
-        degrees = [_degree(val.terms) if isinstance(val, MultiPoly) else int(val is None) for val in values]
-        w = _field(max((sum(map(mul, exps, degrees)) for exps in self.terms), default=0))
-        weight = _weights(vars, w)
-        # each assigned value, packed straight into the result's layout
-        images = {}
-        for i, val in enumerate(values):
-            if isinstance(val, MultiPoly):
-                images[i] = _keyed(val.vars, val.terms, weight)
-            elif val is not None:
-                images[i] = {0: val}
-        # a one-term image c * m rides in the key: its variable weighs m's
-        # key, and each source term picks up c ** e
-        riding = {i: next(iter(image.items())) for i, image in images.items() if len(image) == 1}
-        order = sorted((i for i in images if i not in riding), key=lambda i: len(images[i]))
-        # a level's field holds any exponent of the source
-        bits = 8 * _field(_degree(self.terms))
-        # a source key holds the free and riding variables' exponents in the
-        # result's layout, and above it the exponents of the levels, innermost lowest
-        base = 8 * w * (len(vars) + 1)
-        at = {i: 1 << base + bits * level for level, i in enumerate(order)}
-        weights = [at[i] if i in at else riding[i][0] if i in riding else weight[v] for i, v in enumerate(self.vars)]
-        # a unit coefficient scales nothing
-        scales = [(i, c) for i, (_, c) in riding.items() if c != 1]
-        items: dict = {}
-        for exps, c in self.terms.items():
-            for i, s in scales:
-                c = c * _coeff_power(ring, s, exps[i])
-            key = sum(map(mul, exps, weights))
-            items[key] = items[key] + c if key in items else c
-        items = _reduce(ring, items)
-        # with no level, the keys are already those of the result
-        total = _horner(ring, items, base, bits, [{1: images[i]} for i in order]) if order else items
-        return _unpacked(ring, ring, vars, w, total)
+            if val is not None:
+                prepared.add(v, val)
+        return prepared(self)
 
     def evaluate(self, env: dict):
         """Evaluate at coefficient values; returns a ring coefficient."""
@@ -479,8 +440,9 @@ def _horner(ring: CoeffRing, items: dict, base: int, bits: int, powers: list) ->
     caches the packed powers of the image at level j.  One map takes each
     upper key to the raw part below it; a level multiplies each part by the
     power of its image that the key's lowest field names, into the part of
-    the key shifted down one field.  A module-level function, so that no
-    closure keeps a call's power caches alive.
+    the key shifted down one field.  The caches belong to the caller, a
+    ``_Substitution``, and keep every power formed here; no map of theirs is
+    written to.
     """
     low = (1 << base) - 1
     parts: dict = {}
@@ -531,6 +493,100 @@ def _power(ring: CoeffRing, powers: dict, j: int) -> dict:
             out = _square_terms(_power(ring, powers, j >> 1))
         powers[j] = out = _reduce(ring, out)
     return out
+
+
+class _Substitution:
+    """A simultaneous substitution, prepared once and applied to any number
+    of sources over ``ring``; unassigned variables map to themselves.
+
+    It holds each variable's image with the image's total degree, and for
+    each layout of a result (the sorted unassigned variables of a source
+    and the variables of its images, and the field width) each image packed
+    into that layout as the first entry of the image's power cache.  An
+    image is so packed once a layout, and each of its powers formed once a
+    layout, not once a call; both live as long as the prepared
+    substitution.  Two threads that fill one power cache at once form the
+    same power twice and keep one of them: wasted work, not a wrong answer.
+
+    Applying it is Horner over the source's variables whose images have
+    more than one term, the one with the largest image outermost: the
+    source terms are grouped by that variable's exponent, and each power of
+    its image multiplies the summed image of its group once; ``_horner``
+    runs the levels in one pass, innermost first.  Unassigned variables and
+    one-term images never get a level: their exponents, and their share of
+    the degree field, ride along in the low bits of each packed key, and a
+    one-term image c * m scales each source term by c ** e.  Two source
+    terms can then land on one key, so they are summed.
+    """
+
+    __slots__ = ("ring", "images", "layouts")
+
+    def __init__(self, ring: CoeffRing):
+        self.ring = ring
+        # variable -> (variables, terms, total degree) of its image; a coefficient c is ((), {(): c}, 0)
+        self.images: dict = {}
+        # (sorted variables, w) -> (their weights, {variable: power cache of its image})
+        self.layouts: dict = {}
+
+    def add(self, v: str, val) -> None:
+        """Assign ``val``, a polynomial over ``ring`` or a coefficient, to ``v``."""
+        if isinstance(val, (int, Fraction)):
+            self.images[v] = ((), {(): self.ring.normalize(val)}, 0)
+        else:
+            self.ring.require_same(val.ring)
+            self.images[v] = (val.vars, val.terms, _degree(val.terms))
+
+    def __call__(self, source: MultiPoly) -> MultiPoly:
+        ring, images = self.ring, self.images
+        ring.require_same(source.ring)
+        # the result's variables, and the total degree of each image: 1 for an unassigned variable
+        names, degrees = set(), []
+        for v in source.vars:
+            image = images.get(v)
+            if image is None:
+                names.add(v)
+                degrees.append(1)
+            else:
+                names.update(image[0])
+                degrees.append(image[2])
+        vars = tuple(sorted(names))
+        w = _field(max((sum(map(mul, exps, degrees)) for exps in source.terms), default=0))
+        layout = self.layouts.get((vars, w))
+        if layout is None:
+            self.layouts[vars, w] = layout = (_weights(vars, w), {})
+        weight, caches = layout
+        # the power cache of each assigned variable's image in this layout, packed on first use
+        found = {}
+        for i, v in enumerate(source.vars):
+            if v in images:
+                cache = caches.get(v)
+                if cache is None:
+                    image_vars, terms, _ = images[v]
+                    caches[v] = cache = {1: _keyed(image_vars, terms, weight)}
+                found[i] = cache
+        # a one-term image c * m rides in the key: its variable weighs m's
+        # key, and each source term picks up c ** e
+        riding = {i: next(iter(cache[1].items())) for i, cache in found.items() if len(cache[1]) == 1}
+        order = sorted((i for i in found if i not in riding), key=lambda i: len(found[i][1]))
+        # a level's field holds any exponent of the source
+        bits = 8 * _field(_degree(source.terms))
+        # a source key holds the free and riding variables' exponents in the
+        # result's layout, and above it the exponents of the levels, innermost lowest
+        base = 8 * w * (len(vars) + 1)
+        at = {i: 1 << base + bits * level for level, i in enumerate(order)}
+        weights = [at[i] if i in at else riding[i][0] if i in riding else weight[v] for i, v in enumerate(source.vars)]
+        # a unit coefficient scales nothing
+        scales = [(i, c) for i, (_, c) in riding.items() if c != 1]
+        items: dict = {}
+        for exps, c in source.terms.items():
+            for i, s in scales:
+                c = c * _coeff_power(ring, s, exps[i])
+            key = sum(map(mul, exps, weights))
+            items[key] = items[key] + c if key in items else c
+        items = _reduce(ring, items)
+        # with no level, the keys are already those of the result
+        total = _horner(ring, items, base, bits, [found[i] for i in order]) if order else items
+        return _unpacked(ring, ring, vars, w, total)
 
 
 class _Packed:

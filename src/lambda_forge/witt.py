@@ -26,9 +26,13 @@ The universal polynomials are the same arithmetic on generic vectors
 (components a_n, b_n).  Their integrality is a theorem, so a failed
 division is a bug and raises ``IntegralityViolation``.  They are
 generated only for ``*_poly_map`` callers; arithmetic never reads them.
-Their memo, filled by ``_generated``, is the single shared cache in the
-system: lookups and inserts hold a lock, generation does not, and
-duplicate computation of the same entry is harmless.  Setting
+Their memo, filled by ``_generated``, is the one cache that every caller
+in a process shares: lookups and inserts hold a lock, generation does not,
+and duplicate computation of the same entry is harmless.  The only other
+kept caches are those of a prepared substitution (``poly._Substitution``,
+one a free lambda-ring basis), which belong to their owner and are freed
+with it; two threads that fill one of its power caches at once only form
+the same power twice.  Setting
 LAMBDA_FORGE_CACHE_DIR persists the memo as JSON files keyed by
 (operation, truncation); a file that disagrees with the ghost route at a
 fixed integer point is regenerated.

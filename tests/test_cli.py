@@ -348,6 +348,7 @@ class TestMalformedArgv:
             ["verify", "joyal-rezk", "--primes", "2,+3", "--depth", "1", "--seed", "\u0667"],
             ["verify", "joyal-rezk", "--primes", "2,+3", "--depth", "1"],
             ["delta", "extend", "--p", "2", "--expr", "x0^\u0662"],
+            ["lambda", "to-x-basis", "--primes", "2,3", "--depth", "2", "--expr", "x2 - X2"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambda_forge import poly
 from lambda_forge.errors import (
     IndexOutOfRange,
+    MixedCoefficientRings,
     NonCommutingLifts,
     NotAFrobeniusLift,
     NotDivisible,
@@ -26,7 +28,7 @@ from lambda_forge.lambdaring import (
     wilkerson_lambda,
 )
 from lambda_forge.poly import MultiPoly
-from lambda_forge.rings import QQ, ZZ
+from lambda_forge.rings import QQ, ZZ, CoeffRing
 from lambda_forge.textparse import parse_poly
 from lambda_forge.witt import GhostVec, TruncationSet, WittVec, ghost_map
 
@@ -171,6 +173,27 @@ class TestFreeLambdaRing:
         with pytest.raises(NotInSpan):
             basis.to_x_basis(q("x4"))
 
+    def test_an_empty_prime_set_is_refused(self):
+        with pytest.raises(UsageError, match="at least one prime"):
+            FreeLambdaBasis((), 1)
+
+    def test_a_free_variable_named_like_a_basis_element_is_refused(self):
+        basis = FreeLambdaBasis((2, 3), 2)
+        for name in ("X0", "X2", "X2_3"):
+            with pytest.raises(UsageError, match=f"free variable {name} "):
+                basis.to_x_basis(q("x2") - q(name))
+        # a name no basis element has passes through, X4 as y does
+        xp, _ = basis.to_x_basis(q("x2") - q("X4") + q("y"))
+        assert xp == q("X0") ** 2 + q("X2") * 2 - q("X4") + q("y")
+
+    def test_elements_over_z_mod_m_are_refused(self):
+        basis = FreeLambdaBasis((2, 3), 2)
+        want = (q("X0") ** 2 * 3 + q("X2") * 6, True)
+        for ring in (ZZ, QQ, CoeffRing.localized(5)):
+            assert basis.to_x_basis(MultiPoly.var(ring, "x2") * 3) == want
+        with pytest.raises(MixedCoefficientRings):
+            basis.to_x_basis(MultiPoly.var(CoeffRing.modular(4), "x2") * 3)
+
     def test_triangular_leading_data(self):
         basis = FreeLambdaBasis((2, 3), 2)
         for sigma in basis.sigmas:
@@ -226,21 +249,35 @@ def eliminating_to_x_basis(basis, e):
     return work, all(c.denominator == 1 for c in work.terms.values())
 
 
+def one_shot_to_x_basis(basis, e):
+    """``to_x_basis`` through a fresh ``substitute`` of the ghost rows, with
+    nothing kept from one element to the next."""
+    work = e.convert_ring(QQ)
+    d = lcm(*(c.denominator for c in work.terms.values()))
+    image = MultiPoly(ZZ, work.vars, {k: int(c * d) for k, c in work.terms.items()}).substitute(basis.ghost)
+    xp = MultiPoly(QQ, image.vars, {k: Fraction(c, d) for k, c in image.terms.items()})
+    return xp, all(c % d == 0 for c in image.terms.values())
+
+
+def canonical_answer(answer):
+    xp, integral = answer
+    return xp.ring, xp.vars, list(xp.terms.items()), integral
+
+
 ORACLE_BASES = {(P, depth): FreeLambdaBasis(P, depth) for P in ((2,), (2, 3), (3, 5)) for depth in (1, 2)}
 
 
-@st.composite
-def model_combinations(draw):
-    """A basis and a Q-combination of monomials in its model's x_n: mostly
-    indices in the span, sometimes one outside it or a free variable y."""
-    basis = ORACLE_BASES[draw(st.sampled_from(sorted(ORACLE_BASES)))]
+def draw_model_element(draw, basis, factors=2):
+    """A Q-combination of monomials of up to ``factors`` factors in the
+    model's x_n: mostly indices in the span, sometimes one outside it or a
+    free variable y."""
     inside = sorted(basis.span)
     outside = [n for n in range(1, basis.model.N + 1) if n not in basis.span]
     element = MultiPoly.zero(QQ)
     for _ in range(draw(st.integers(1, 3))):
         c = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
         mono = MultiPoly.const(QQ, c)
-        for _ in range(draw(st.integers(0, 2))):
+        for _ in range(draw(st.integers(0, factors))):
             kind = draw(st.sampled_from(["inside"] * 6 + ["outside", "y"]))
             if kind == "inside":
                 mono = mono * basis.model.gen(draw(st.sampled_from(inside)))
@@ -249,7 +286,24 @@ def model_combinations(draw):
             else:
                 mono = mono * q("y")
         element = element + mono
-    return basis, element
+    return element
+
+
+@st.composite
+def model_combinations(draw):
+    """A basis and one element of its model."""
+    basis = ORACLE_BASES[draw(st.sampled_from(sorted(ORACLE_BASES)))]
+    return basis, draw_model_element(draw, basis)
+
+
+@st.composite
+def model_sequences(draw):
+    """A fresh basis and elements of its model in drawn order, with repeats:
+    a pool of elements of up to four factors, and picks from it."""
+    basis = FreeLambdaBasis(*draw(st.sampled_from(sorted(ORACLE_BASES))))
+    pool = [draw_model_element(draw, basis, 4) for _ in range(draw(st.integers(1, 4)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return basis, [pool[i] for i in picks]
 
 
 class TestGhostRows:
@@ -264,10 +318,58 @@ class TestGhostRows:
                 basis.to_x_basis(e)
             assert got.value.index == exc.index
             return
-        xp, integral = basis.to_x_basis(e)
-        assert (xp.ring, xp.vars, list(xp.terms.items()), integral) == (
-            QQ, want[0].vars, list(want[0].terms.items()), want[1]
-        )
+        assert canonical_answer(basis.to_x_basis(e)) == canonical_answer(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=model_sequences())
+    def test_one_basis_answers_a_sequence_as_fresh_substitutions_do(self, data):
+        # the rows' packed layouts and power chains outlive each call
+        basis, elements = data
+        for e in elements:
+            try:
+                want = eliminating_to_x_basis(basis, e)
+            except NotInSpan as exc:
+                with pytest.raises(NotInSpan) as got:
+                    basis.to_x_basis(e)
+                assert got.value.index == exc.index
+                continue
+            got = canonical_answer(basis.to_x_basis(e))
+            assert got == canonical_answer(want) == canonical_answer(one_shot_to_x_basis(basis, e))
+
+    def test_kept_powers_are_never_written_to(self):
+        basis = FreeLambdaBasis((2, 3), 2)
+        x2, x3, x6 = (basis.model.gen(n) for n in (2, 3, 6))
+        for e in (x2 ** 3 + x3, x2 ** 2 * x6 ** 2 - x3 ** 5, x2 * x3 + q("y")):
+            basis.to_x_basis(e)
+        snapshot = {
+            layout: {v: {j: dict(power) for j, power in cache.items()} for v, cache in caches.items()}
+            for layout, (_, caches) in basis.rows.layouts.items()
+        }
+        later = [x2 ** 7 + x6 ** 3, (x2 + x3) ** 4 - x6, x2 ** 3 + x3, x3 ** 2 * q("y") ** 3]
+        answers = [basis.to_x_basis(e) for e in later]
+        grown = 0
+        for layout, caches in snapshot.items():
+            for v, cache in caches.items():
+                kept = basis.rows.layouts[layout][1][v]
+                assert {j: kept[j] for j in cache} == cache
+                grown += len(kept) - len(cache)
+        assert grown > 0
+        assert answers == [one_shot_to_x_basis(basis, e) for e in later]
+
+    def test_a_repeated_re_expression_forms_no_power(self, monkeypatch):
+        basis = FreeLambdaBasis((2, 3), 2)
+        e = basis.model.gen(2) ** 3
+        first = basis.to_x_basis(e)
+        squares = []
+        square = poly._square_terms
+
+        def recording(terms):
+            squares.append(len(terms))
+            return square(terms)
+
+        monkeypatch.setattr(poly, "_square_terms", recording)
+        assert basis.to_x_basis(e) == first
+        assert squares == []
 
     @pytest.mark.parametrize("key", sorted(ORACLE_BASES), ids=str)
     def test_rows_are_integral_and_embed_back(self, key):
