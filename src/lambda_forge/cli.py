@@ -347,7 +347,8 @@ def _run_lambda(args):
         basis = FreeLambdaBasis(parse_primes(args.primes), args.depth)
         if args.show:
             e = parse_poly(args.show, QQ)
-            if not (len(e.vars) == 1 and len(e.terms) == 1):
+            # one variable to the first power, coefficient 1
+            if e.terms != {(1,): 1}:
                 raise UsageError("--show takes a single basis element like 'X(2)'")
             name = e.vars[0]
             match = [s for s, nm in basis.names.items() if nm == name]
@@ -368,6 +369,8 @@ def _run_lambda(args):
         return {"lambda": [str(v.constant_value()) for v in values]}
     if sc == "wilkerson":
         gens = parse_ring_spec(args.ring)
+        if args.eval_gen is not None and args.eval_gen not in gens:
+            raise UsageError(f"--eval-gen {args.eval_gen!r} is not a generator of --ring {args.ring!r}")
         family = {}
         for clause in args.phi:
             p, colon, body = clause.partition(":")
@@ -379,7 +382,7 @@ def _run_lambda(args):
                 raise UsageError(f"--phi is given twice for p = {p}")
             family[p] = parse_phi_spec(body, gens)
         ops = wilkerson_lambda(gens, family or "identity", args.K)
-        if args.eval_gen:
+        if args.eval_gen is not None:
             _unused("--eval-gen", eval=args.eval_at)
             values = ops.lambda_values(MultiPoly.var(ZZ, args.eval_gen))
             return {"lambda": _poly_list(values)}

@@ -59,6 +59,9 @@ class DeltaPresentation:
         return DeltaPresentation(int(obj["p"]), obj["gens"], delta)
 
     def _check_in_domain(self, e: MultiPoly):
+        outside = sorted(set(e.vars) - set(self.gens))
+        if outside:
+            raise UsageError(f"{outside[0]} is not a generator of Z[{', '.join(self.gens)}]")
         missing = sorted(set(e.vars) - set(self.delta_on_gens))
         if missing:
             raise DepthExceeded(

@@ -72,15 +72,16 @@ class AdamsModel:
         """The Adams operation: the ring map sending x_n to x_{mn}."""
         if m < 1:
             raise UsageError("Adams operations are indexed by positive integers")
-        mapping = {}
+        names = []
         for v in e.vars:
             n = _xindex(v)
             if n is None:
                 raise UsageError(f"{v} is not an Adams model variable")
-            if m * n > self.N:
+            if not 1 <= m * n <= self.N:
                 raise IndexOutOfRange(f"x_{m * n} outside Q[x_1..x_{self.N}]")
-            mapping[v] = _xname(m * n)
-        return e.rename_vars(mapping)
+            names.append(_xname(m * n))
+        # n -> m * n is injective, so the renamed terms stay distinct
+        return MultiPoly(e.ring, names, e.terms)
 
     def delta(self, p: int, e: MultiPoly) -> MultiPoly:
         """delta_p(e) = (psi^p(e) - e^p) / p in the rational model."""

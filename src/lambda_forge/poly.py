@@ -172,8 +172,6 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise UsageError("polynomial powers take nonnegative integer exponents")
-        if n == 0:
-            return MultiPoly.one(self.ring)
         return (self._alone(n) ** n).poly(self.ring)
 
     def __eq__(self, other):
@@ -242,12 +240,6 @@ class MultiPoly:
             return self
         return MultiPoly(ring, self.vars, self.terms)
 
-    def rename_vars(self, mapping: dict) -> "MultiPoly":
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_vars)) != len(new_vars):
-            return self.substitute({v: MultiPoly.var(self.ring, mapping[v]) for v in self.vars if v in mapping})
-        return MultiPoly(self.ring, new_vars, self.terms)
-
     # -- formatting ---------------------------------------------------------
 
     def _term_str(self, exps, c) -> str:
@@ -262,18 +254,7 @@ class MultiPoly:
         return coeff + "*" + "*".join(factors)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        out = []
-        for exps, c in self.terms.items():
-            t = self._term_str(exps, c)
-            if not out:
-                out.append(t)
-            elif t.startswith("-"):
-                out.append(" - " + t[1:])
-            else:
-                out.append(" + " + t)
-        return "".join(out)
+        return _signed_sum(self._term_str(exps, c) for exps, c in self.terms.items())
 
     def __repr__(self):
         return f"MultiPoly({self.ring!r}: {self})"
@@ -299,6 +280,20 @@ class MultiPoly:
             exps = tuple(int(e) for e in t["exps"])
             terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(t["coef"])
         return MultiPoly(ring, vars, terms)
+
+
+def _signed_sum(terms) -> str:
+    """Rendered terms joined into one sum, a later term's leading '-' as
+    ' - ', and '0' for no terms."""
+    out = []
+    for t in terms:
+        if not out:
+            out.append(t)
+        elif t.startswith("-"):
+            out.append(" - " + t[1:])
+        else:
+            out.append(" + " + t)
+    return "".join(out) or "0"
 
 
 def _degree(terms: dict) -> int:
@@ -350,8 +345,6 @@ def _unpacked(ring: CoeffRing, kernel: CoeffRing | None, vars: tuple, w: int, te
     if not clean:
         return MultiPoly._trusted(ring, (), {})
     used = reduce(or_, clean)
-    if not used:
-        return MultiPoly._trusted(ring, (), {(): clean[0]})
     n = len(vars)
     mask = (1 << 8 * w) - 1
     keep = [i for i in range(n) if used >> 8 * w * (n - 1 - i) & mask]

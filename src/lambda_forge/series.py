@@ -9,7 +9,7 @@ precision min(N1, N2).
 from __future__ import annotations
 
 from .errors import MixedCoefficientRings, UsageError
-from .poly import MultiPoly
+from .poly import MultiPoly, _signed_sum
 from .rings import CoeffRing
 
 
@@ -61,15 +61,7 @@ class TruncSeries:
                     parts.append(f"({body})*{tn}")
                 else:
                     parts.append(f"{body}*{tn}")
-        joined = ""
-        for part in parts:
-            if not joined:
-                joined = part
-            elif part.startswith("-"):
-                joined += " - " + part[1:]
-            else:
-                joined += " + " + part
-        return f"{joined or '0'} + O(t^{self.precision + 1})"
+        return f"{_signed_sum(parts)} + O(t^{self.precision + 1})"
 
     __repr__ = __str__
 

@@ -4,8 +4,9 @@ Polynomials: integer coefficients, `^` powers, `*` products, `/` by a
 positive integer literal (exact over the coefficient ring), parentheses,
 variable names matching [A-Za-z][A-Za-z0-9_]*, and `X(2,3)` sugar for
 lambda-basis generators (the empty sequence is `X()` or `X0`).  Witt
-vectors are bracketed, comma-separated component lists.  Truncation sets
-are `big:N` or `p:P,K`.  Every integer is written in ASCII decimal digits.
+vectors are bracketed, comma-separated component lists.  Both kinds of list
+are read by one rule, ``_Parser.items``.  Truncation sets are `big:N` or
+`p:P,K`.  Every integer is written in ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def ascii_int(text: str, signed: bool = False) -> int:
     return int(text)
 
 
-_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|\*\*|[-+*/^(),])")
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|\*\*|[-+*/^(),\[\]])")
 
 
 def _tokenize(text: str):
@@ -67,11 +68,31 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> MultiPoly:
-        value = self.expr()
+    def parse(self, rule=None):
+        """What ``rule`` (default: ``expr``) reads, which must be the whole input."""
+        value = (rule or self.expr)()
         if self.peek() is not None:
             raise UsageError(f"trailing input at {self.peek()!r}")
         return value
+
+    def items(self, opening: str, item, closing: str) -> list:
+        """The values of ``item`` in a comma-separated list between the
+        tokens ``opening`` and ``closing``; an empty list has no comma."""
+        self.take(opening)
+        out = []
+        if self.peek() != closing:
+            out.append(item())
+            while self.peek() == ",":
+                self.take()
+                out.append(item())
+        self.take(closing)
+        return out
+
+    def prime(self) -> int:
+        num = self.take()
+        if not num.isdigit():
+            raise UsageError(f"X(...) takes primes, found {num!r}")
+        return int(num)
 
     def expr(self) -> MultiPoly:
         value = self.term()
@@ -121,17 +142,7 @@ class _Parser:
             return MultiPoly.const(self.ring, int(tok))
         if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
             if tok == "X" and self.peek() == "(":
-                self.take()
-                parts = []
-                while self.peek() != ")":
-                    num = self.take()
-                    if not num.isdigit():
-                        raise UsageError(f"X(...) takes primes, found {num!r}")
-                    parts.append(int(num))
-                    if self.peek() == ",":
-                        self.take()
-                self.take(")")
-                return MultiPoly.var(self.ring, _sigma_name(parts))
+                return MultiPoly.var(self.ring, _sigma_name(self.items("(", self.prime, ")")))
             return MultiPoly.var(self.ring, tok)
         raise UsageError(f"unexpected token {tok!r}")
 
@@ -142,27 +153,10 @@ def parse_poly(text: str, ring: CoeffRing = ZZ) -> MultiPoly:
 
 def parse_vector(text: str, ring: CoeffRing = ZZ) -> list:
     """A bracketed, comma-separated list of polynomial expressions."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
+    parser = _Parser(_tokenize(text.strip()), ring)
+    if parser.tokens[:1] != ["["] or parser.tokens[-1:] != ["]"]:
         raise UsageError("vectors are written [c1, c2, ...]")
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    depth = 0
-    parts = []
-    current = []
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [parse_poly(p, ring) for p in parts]
+    return parser.parse(lambda: parser.items("[", parser.expr, "]"))
 
 
 def parse_trunc(spec: str) -> TruncationSet:

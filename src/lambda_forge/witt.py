@@ -28,11 +28,7 @@ division is a bug and raises ``IntegralityViolation``.  They are
 generated only for ``*_poly_map`` callers; arithmetic never reads them.
 Their memo, filled by ``_generated``, is the one cache that every caller
 in a process shares: lookups and inserts hold a lock, generation does not,
-and duplicate computation of the same entry is harmless.  The only other
-kept caches are those of a prepared substitution (``poly._Substitution``,
-one a free lambda-ring basis), which belong to their owner and are freed
-with it; two threads that fill one of its power caches at once only form
-the same power twice.  Setting
+and duplicate computation of the same entry is harmless.  Setting
 LAMBDA_FORGE_CACHE_DIR persists the memo as JSON files keyed by
 (operation, truncation); a file that disagrees with the ghost route at a
 fixed integer point is regenerated.
@@ -167,12 +163,9 @@ class TruncationSet:
         return n if self.elems == tuple(range(1, n + 1)) else None
 
     def _p_typical(self):
-        if not self.elems or self.elems[0] != 1 or len(self.elems) < 2:
-            return None
-        p = self.elems[1]
-        if p < 2:
-            return None
-        k = len(self.elems)
+        """(p, k) for {1, p, ..., p^(k-1)}, else None; asked only once ``_big_n``
+        has said no, so the set holds 1 and a second element, at least 2."""
+        p, k = self.elems[1], len(self.elems)
         return (p, k) if self.elems == tuple(p ** i for i in range(k)) else None
 
     def label(self) -> str:

@@ -99,6 +99,15 @@ class TestExitCodeContract:
         assert code == 1
         code, _, _ = run(capsys, "witt", "ghost", "--trunc", "big:2", "--input", "[1,1,1]")
         assert code == 1
+        # the message names what is refused
+        for argv, named in (
+            (["witt", "ghost", "--trunc", "big:1", "--input", "[a"], "vectors are written [c1, c2, ...]"),
+            (["witt", "ghost", "--trunc", "big:1", "--input", "a]"], "vectors are written [c1, c2, ...]"),
+            (["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "2:u->u^2", "--K", "2", "--eval-gen", "v"], "'v'"),
+            (["delta", "extend", "--p", "2", "--depth", "2", "--expr", "y"], "y is not a generator"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1 and named in err
 
     def test_domain_error_is_two(self, capsys):
         code, out, _ = run(capsys, "delta", "from-phi", "--p", "2", "--ring", "Z[u]", "--phi", "u->u^2+u")
@@ -236,6 +245,12 @@ def test_remaining_subcommands(capsys):
     code, out, _ = run(capsys, "witt", "series", "--trunc", "big:3", "--input", "[a,0,0]")
     assert code == 0 and "1 - a*t" in out
 
+    code, out, _ = run(capsys, "witt", "ghost", "--trunc", "big:2", "--input", "[X(2,3), (a+b)*c]")
+    assert code == 0 and out.strip() == "ghost: [X2_3, X2_3^2 + 2*a*c + 2*b*c]"
+    for empty in ("[]", "[ ]"):
+        code, out, _ = run(capsys, "witt", "ghost", "--trunc", "big:0", "--input", empty)
+        assert code == 0 and out.strip() == "ghost: []"
+
     code, out, _ = run(capsys, "delta", "extend", "--p", "2", "--depth", "3", "--expr", "2*x0")
     assert code == 0 and out.strip() == "delta: -x0^2 + 2*x1"
 
@@ -349,6 +364,23 @@ class TestMalformedArgv:
             ["verify", "joyal-rezk", "--primes", "2,+3", "--depth", "1"],
             ["delta", "extend", "--p", "2", "--expr", "x0^\u0662"],
             ["lambda", "to-x-basis", "--primes", "2,3", "--depth", "2", "--expr", "x2 - X2"],
+            # a malformed list; the component count matches what a lax reading would give
+            ["witt", "ghost", "--trunc", "big:1", "--input", "[a,]"],
+            ["witt", "ghost", "--trunc", "big:1", "--input", "[,a]"],
+            ["witt", "ghost", "--trunc", "big:2", "--input", "[a,,b]"],
+            ["witt", "ghost", "--trunc", "big:1", "--input", "[a"],
+            ["witt", "ghost", "--trunc", "big:1", "--input", "a]"],
+            ["witt", "ghost", "--trunc", "big:1", "--input", "[(a,b)]"],
+            # --show names one basis element, to the first power with coefficient 1
+            ["lambda", "free", "--primes", "2,3", "--depth", "2", "--show", "2*X0"],
+            ["lambda", "free", "--primes", "2,3", "--depth", "2", "--show", "X0^2"],
+            # --eval-gen names a generator of --ring
+            ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "2:u->u^2", "--K", "2", "--eval-gen", "v"],
+            ["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "2:u->u^2", "--K", "2", "--eval-gen", "3"],
+            # a name outside the delta presentation's generators
+            ["delta", "extend", "--p", "2", "--depth", "2", "--expr", "y"],
+            ["delta", "phi", "--p", "2", "--depth", "2", "--expr", "x1*y"],
+            ["delta", "section", "--p", "2", "--expr", "x0*y"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):
@@ -396,9 +428,19 @@ GRAMMAR_TOKENS = "u v a x0 X Z id big p".split() + list("0123456789") + "+ - * ^
 @example(text="Z / u")
 @example(text="Z ^ + 2")
 @example(text="u : u -> u ^ 2")
+@example(text="[X(2,3), (a+b)*c]")
+@example(text="[]")
+@example(text="[ ]")
+@example(text="[a,]")
+@example(text="[,a]")
+@example(text="[a,,b]")
+@example(text="[a")
+@example(text="a]")
+@example(text="[(a,b)]")
 def test_grammar_fuzz_gives_a_value_or_a_forge_error(target, text):
     # in process: a parser returns or raises a ForgeError, the CLI exits 0, 1 or 2;
-    # the explicit examples once raised ValueError, which random draws reach rarely
+    # the first three examples once raised ValueError, which random draws reach
+    # rarely, and the bracketed ones are lists, well formed or not
     try:
         GRAMMAR_TARGETS[target](text)
     except ForgeError:

@@ -95,6 +95,9 @@ class TestAdamsModel:
         m = AdamsModel(5)
         with pytest.raises(IndexOutOfRange):
             m.psi(2, m.gen(3))
+        # x_0 is no model variable, as gen(0) says
+        with pytest.raises(IndexOutOfRange, match=r"^x_0 outside Q\[x_1\.\.x_5\]$"):
+            m.psi(2, q("x0"))
 
     def test_psi_is_ring_map(self):
         m = AdamsModel(12)
