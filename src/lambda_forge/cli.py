@@ -65,7 +65,8 @@ def _int(text: str) -> int:
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default=None)
+    # SUPPRESS: a leaf parser that is not given --format leaves the top-level value alone
+    common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     top = _Parser(prog="lambda-forge", description=__doc__, parents=[common])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -345,7 +346,7 @@ def _run_lambda(args):
     sc = args.subcommand
     if sc == "free":
         basis = FreeLambdaBasis(parse_primes(args.primes), args.depth)
-        if args.show:
+        if args.show is not None:
             e = parse_poly(args.show, QQ)
             # one variable to the first power, coefficient 1
             if e.terms != {(1,): 1}:
@@ -365,7 +366,7 @@ def _run_lambda(args):
         return {"result": str(model.psi(args.m, parse_poly(args.expr, QQ)))}
     if sc == "newton":
         # the Wilkerson family of Z: every Frobenius lift is the identity
-        values = wilkerson_lambda((), "identity", args.K).lambda_values(MultiPoly.const(ZZ, args.eval_at))
+        values = wilkerson_lambda((), {}, args.K).lambda_values(MultiPoly.const(ZZ, args.eval_at))
         return {"lambda": [str(v.constant_value()) for v in values]}
     if sc == "wilkerson":
         gens = parse_ring_spec(args.ring)
@@ -381,7 +382,7 @@ def _run_lambda(args):
             if p in family:
                 raise UsageError(f"--phi is given twice for p = {p}")
             family[p] = parse_phi_spec(body, gens)
-        ops = wilkerson_lambda(gens, family or "identity", args.K)
+        ops = wilkerson_lambda(gens, family, args.K)
         if args.eval_gen is not None:
             _unused("--eval-gen", eval=args.eval_at)
             values = ops.lambda_values(MultiPoly.var(ZZ, args.eval_gen))
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     code = 0
     try:
         args = parser.parse_args(argv)
-        fmt = args.format or "text"
+        fmt = getattr(args, "format", "text")
         if args.command == "witt":
             payload = _run_witt(args)
         elif args.command == "delta":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import lcm, prod
 
 from .delta import delta_from_phi
@@ -342,8 +342,9 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     Every lift is certified through ``delta_from_phi`` (raising
     ``NotAFrobeniusLift`` with the witness term), which gives the
     substitution kept for it, and pairwise commutation is checked on the
-    generators; psi^n composes the lifts of the prime factors of n.  ``phi_family`` may be the string "identity" for the
-    unique structure with all lifts trivial.
+    generators; psi^n composes the lifts of the prime factors of n.  Over
+    Z (no generators) a prime with no lift given takes the identity, Z's
+    only Frobenius lift; over a ring with generators psi^n refuses it.
     """
     if K < 0:
         raise UsageError(f"lambda-operations need K >= 0, got {K}")
@@ -352,8 +353,6 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
             f"K = {K} takes {K * (K + 1) // 2} Newton products an element, over the limit of 5050 (K <= 100)"
         )
     gens = tuple(gens)
-    if phi_family == "identity":
-        return LambdaOps(gens, lambda n, e: e, K)
     lifts = {}
     for p, subst in sorted(phi_family.items()):
         if not _is_prime(p):
@@ -372,7 +371,9 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
         for p, mult in sorted(_factorize(n).items()):
             subst = lifts.get(p)
             if subst is None:
-                raise UsageError(f"no Frobenius lift given for prime {p}")
+                if gens:
+                    raise UsageError(f"no Frobenius lift given for prime {p}")
+                continue
             for _ in range(mult):
                 e = e.substitute(subst)
         return e
@@ -406,11 +407,12 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
         # index = p^n * m with m coprime to p
         n = _factorize(index).get(p, 0)
         m = index // p ** n
+        # delta_p^n(x) is X_(p,...,p) itself; only the theta iterates are formed
+        theta = model.x
+        for _ in range(n):
+            theta = model.frobenius_deviation(p, theta)
         expansions = {}
-        for family, step in (("delta", model.delta), ("theta", model.frobenius_deviation)):
-            e = model.x
-            for _ in range(n):
-                e = step(p, e)
+        for family, e in (("delta", basis.embed[(p,) * n]), ("theta", theta)):
             xp, _ = basis.to_x_basis(model.psi(m, e))
             try:
                 xp.convert_ring(CoeffRing.localized(p))
@@ -520,8 +522,9 @@ def coalgebra_check(psi, elements, S: TruncationSet, T: TruncationSet, ring: Coe
     def sigma(e, trunc):
         return coaction(psi, e, trunc, ring)
 
-    for label, e in elements:
-        vec = sigma(e, S)
+    # each element's coaction over S, formed once and reused by the pair laws
+    vecs = [sigma(e, S) for _, e in elements]
+    for (label, e), vec in zip(elements, vecs):
         if ghost_map(vec) != GhostVec(S, ring, {n: psi(n, e) for n in S}):
             witnesses.append({"kind": "ghost", "element": label})
         if counit(vec) != e:
@@ -535,12 +538,11 @@ def coalgebra_check(psi, elements, S: TruncationSet, T: TruncationSet, ring: Coe
         outer = comult(sigma(e, U), S, T)
         if inner != outer:
             witnesses.append({"kind": "coassociativity", "element": label})
-    for i, (la, a) in enumerate(elements):
-        for lb, b in elements[i + 1 :]:
-            if sigma(a + b, S) != sigma(a, S) + sigma(b, S):
-                witnesses.append({"kind": "additive", "elements": [la, lb]})
-            if sigma(a * b, S) != sigma(a, S) * sigma(b, S):
-                witnesses.append({"kind": "multiplicative", "elements": [la, lb]})
+    for ((la, a), va), ((lb, b), vb) in combinations(zip(elements, vecs), 2):
+        if sigma(a + b, S) != va + vb:
+            witnesses.append({"kind": "additive", "elements": [la, lb]})
+        if sigma(a * b, S) != va * vb:
+            witnesses.append({"kind": "multiplicative", "elements": [la, lb]})
     return {
         "check": "coalgebra",
         "status": "pass" if not witnesses else "fail",

@@ -65,11 +65,6 @@ class TruncSeries:
 
     __repr__ = __str__
 
-    def truncate(self, precision: int) -> "TruncSeries":
-        if precision >= self.precision:
-            return self
-        return TruncSeries(self.ring, self.coeffs[: precision + 1])
-
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             raise UsageError("expected a TruncSeries")
@@ -87,16 +82,3 @@ class TruncSeries:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return TruncSeries(self.ring, out)
-
-
-def geometric(ring: CoeffRing, a: MultiPoly, n: int, precision: int) -> TruncSeries:
-    """1 / (1 - a t^n) as a truncated series."""
-    zero = MultiPoly.zero(ring)
-    coeffs = [zero] * (precision + 1)
-    power = MultiPoly.one(ring)
-    k = 0
-    while n * k <= precision:
-        coeffs[n * k] = power
-        power = power * a
-        k += 1
-    return TruncSeries(ring, coeffs)

@@ -40,7 +40,8 @@ _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|\*\*|[-+*/^(),\[\]])")
 def _tokenize(text: str):
     out = []
     pos = 0
-    while pos < len(text):
+    end = len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise UsageError(f"cannot tokenize {text[pos:]!r}")
@@ -153,7 +154,7 @@ def parse_poly(text: str, ring: CoeffRing = ZZ) -> MultiPoly:
 
 def parse_vector(text: str, ring: CoeffRing = ZZ) -> list:
     """A bracketed, comma-separated list of polynomial expressions."""
-    parser = _Parser(_tokenize(text.strip()), ring)
+    parser = _Parser(_tokenize(text), ring)
     if parser.tokens[:1] != ["["] or parser.tokens[-1:] != ["]"]:
         raise UsageError("vectors are written [c1, c2, ...]")
     return parser.parse(lambda: parser.items("[", parser.expr, "]"))

@@ -142,7 +142,7 @@ def corrupted_joyal_rezk() -> dict:
 def wilkerson_suite(seed: int = 0) -> dict:
     """Binomial lambda-structure on Z, a line element, and lift rejection."""
     witnesses = []
-    ops = wilkerson_lambda((), "identity", 5)
+    ops = wilkerson_lambda((), {}, 5)
     for m in range(-5, 6):
         lams = ops.lambda_values(MultiPoly.const(ZZ, m))
         expect = [comb(m, n) if m >= 0 else (-1) ** n * comb(-m + n - 1, n) for n in range(1, 6)]

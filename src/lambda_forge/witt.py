@@ -57,7 +57,7 @@ from .errors import (
 )
 from .poly import MultiPoly, _Packed, _packer
 from .rings import MODULAR, CoeffRing, ZZ, _is_prime
-from .series import TruncSeries, geometric
+from .series import TruncSeries
 
 
 class TruncationSet:
@@ -695,34 +695,42 @@ def restrict(a: WittVec, T: TruncationSet) -> WittVec:
 
 
 def to_series(a: WittVec) -> TruncSeries:
-    """prod over n in S of (1 - a_n t^n), truncated at t^N for S = Big(N)."""
+    """prod over n in S of (1 - a_n t^n), truncated at t^N for S = Big(N).
+
+    Each factor multiplies one coefficient list in place, c_k -= a_n c_(k-n)
+    from the top down, so that c_(k-n) is read before the factor reaches it."""
     N = a.trunc._big_n()
     if N is None:
         raise UsageError("the power series model needs a big truncation set")
-    out = TruncSeries.one(a.ring, N)
+    c = [MultiPoly.one(a.ring)] + [MultiPoly.zero(a.ring)] * N
     for n in a.trunc:
-        coeffs = [MultiPoly.zero(a.ring)] * (N + 1)
-        coeffs[0] = MultiPoly.one(a.ring)
-        if n <= N:
-            coeffs[n] = -a.comps[n]
-        out = out * TruncSeries(a.ring, coeffs)
-    return out
+        a_n = a.comps[n]
+        if not a_n.is_zero():
+            for k in range(N, n - 1, -1):
+                if not c[k - n].is_zero():
+                    c[k] = c[k] - a_n * c[k - n]
+    return TruncSeries(a.ring, c)
 
 
 def from_series(f: TruncSeries, N: int) -> WittVec:
-    """Read Witt coordinates off a series with constant term 1."""
+    """Read Witt coordinates off a series with constant term 1.
+
+    a_n is minus the t^n coefficient once the factors below n are divided
+    out; each is divided out of one coefficient list in place, g_k += a_n
+    g_(k-n) from the bottom up, so that g_(k-n) is read already divided."""
     if f.coeffs[0] != MultiPoly.one(f.ring):
         raise NonUnitConstantTerm(f"constant term is {f.coeffs[0]}")
     if f.precision < N:
         raise UsageError(f"series precision {f.precision} below requested length {N}")
-    S = TruncationSet.big(N)
-    g = f.truncate(N)
+    g = list(f.coeffs[: N + 1])
     comps = {}
     for n in range(1, N + 1):
-        comps[n] = -g.coeffs[n]
-        # strip the factor (1 - a_n t^n) by multiplying with its inverse
-        g = g * geometric(f.ring, comps[n], n, N)
-    return WittVec(S, f.ring, comps)
+        a_n = comps[n] = -g[n]
+        if not a_n.is_zero():
+            for k in range(n, N + 1):
+                if not g[k - n].is_zero():
+                    g[k] = g[k] + a_n * g[k - n]
+    return WittVec(TruncationSet.big(N), f.ring, comps)
 
 
 def counit(a: WittVec):

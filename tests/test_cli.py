@@ -264,8 +264,14 @@ def test_remaining_subcommands(capsys):
     code, out, _ = run(capsys, "delta", "from-phi", "--p", "3", "--ring", "Z[u]", "--phi", "u->u^3+3*u", "--eval", "4")
     assert code == 0 and out.strip() == "delta_on_gens.u: u\nvalue: -20"
 
-    code, out, _ = run(capsys, "lambda", "adams", "--N", "12", "--m", "2", "--expr", "x3")
-    assert code == 0 and out.strip() == "result: x6"
+    # whitespace around an expression is skipped at either end
+    for phi in ("u->u^2;v->v^2", "u->u^2 ; v->v^2"):
+        code, out, _ = run(capsys, "delta", "from-phi", "--p", "2", "--ring", "Z[u,v]", "--phi", phi)
+        assert code == 0 and out.strip() == "delta_on_gens.u: 0\ndelta_on_gens.v: 0"
+
+    for expr in ("x3", "x3 ", " x3"):
+        code, out, _ = run(capsys, "lambda", "adams", "--N", "12", "--m", "2", "--expr", expr)
+        assert code == 0 and out.strip() == "result: x6"
 
     code, out, _ = run(capsys, "lambda", "to-x-basis", "--primes", "2,3", "--depth", "2", "--expr", "x2")
     assert code == 0 and "x_basis: X0^2 + 2*X2" in out
@@ -381,6 +387,12 @@ class TestMalformedArgv:
             ["delta", "extend", "--p", "2", "--depth", "2", "--expr", "y"],
             ["delta", "phi", "--p", "2", "--depth", "2", "--expr", "x1*y"],
             ["delta", "section", "--p", "2", "--expr", "x0*y"],
+            # a ring with generators has no default Frobenius lift
+            ["lambda", "wilkerson", "--ring", "Z[u]", "--K", "2"],
+            # --show '' names no basis element
+            ["lambda", "free", "--primes", "2,3", "--depth", "2", "--show", ""],
+            # trailing whitespace ends an expression, not a missing operand
+            ["lambda", "adams", "--m", "2", "--expr", "x3 +"],
         ],
     )
     def test_usage_error_without_traceback(self, capsys, argv):

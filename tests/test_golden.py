@@ -43,6 +43,10 @@ Adams operations; psi^3 does not commute with psi^2, so the reports carry
 is a label line and one output line, compared as ``json.dumps`` text, key
 order included.
 
+Each ``manifest.json`` command is also run with ``--format json`` placed
+before its family and after its subcommand: both must print the same
+bytes, since the top-level flag and the leaf parser's flag are one option.
+
 ``parser.json`` pins what ``manifest.json`` cannot, since that records
 stdout only: the ``--help`` text of the top-level parser and of each of
 the four command families (on stdout, exit 0) and one argparse usage
@@ -87,6 +91,19 @@ def test_cli_output_matches_golden(entry, capsys):
     out = capsys.readouterr().out
     assert code == entry["exit"]
     assert out.encode() == (GOLDEN / entry["file"]).read_bytes()
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[e["file"] for e in MANIFEST])
+def test_format_flag_works_before_the_family_and_after_the_subcommand(entry, capsys):
+    argv = list(entry["argv"])
+    if "--format" in argv:
+        i = argv.index("--format")
+        del argv[i : i + 2]
+    outputs = []
+    for placed in (["--format", "json", *argv], [*argv[:2], "--format", "json", *argv[2:]]):
+        assert main(placed) == entry["exit"]
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("entry", PARSER, ids=[e["file"] for e in PARSER])
@@ -150,7 +167,7 @@ LAMBDA_CHECKS = {
     "plocal_basis_check(2, FreeLambdaBasis((2,), 3), 3)": lambda: plocal_basis_check(2, FreeLambdaBasis((2,), 3), 3),
 }
 WILKERSON_FAMILIES = {
-    "wilkerson identity on Z, K = 4": lambda: _wilkerson((), "identity", 4, [MultiPoly.const(ZZ, 7), MultiPoly.const(ZZ, -3)]),
+    "wilkerson identity on Z, K = 4": lambda: _wilkerson((), {}, 4, [MultiPoly.const(ZZ, 7), MultiPoly.const(ZZ, -3)]),
     "wilkerson 2: u -> u^2, K = 2": lambda: _wilkerson(("u",), {2: {"u": U ** 2}}, 2, [U ** 3 + U]),
     "wilkerson 2: u -> u^2 + 2u, K = 2": lambda: _wilkerson(("u",), {2: {"u": U ** 2 + U * 2}}, 2, [U ** 2 - 3]),
     "wilkerson 2: x -> x^2, 3: x -> x^3 on u, v, K = 4": lambda: _wilkerson(

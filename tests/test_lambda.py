@@ -514,7 +514,7 @@ class TestJoyalRezk:
 
 class TestWilkerson:
     def test_binomial_coefficients_on_integers(self):
-        ops = wilkerson_lambda((), "identity", 5)
+        ops = wilkerson_lambda((), {}, 5)
         for m in range(-5, 6):
             got = [l.constant_value() for l in ops.lambda_values(MultiPoly.const(ZZ, m))]
             want = [
@@ -564,17 +564,24 @@ class TestWilkerson:
 
     @pytest.mark.parametrize(
         "family",
-        ["identity", {2: {"u": z("u") ** 2}}, {2: {"u": z("u") ** 2 + z("u") * 2}}, {3: {"u": z("u") ** 3}}],
+        [{}, {2: {"u": z("u") ** 2}}, {2: {"u": z("u") ** 2 + z("u") * 2}}, {3: {"u": z("u") ** 3}}],
     )
     def test_psi_one_is_the_identity(self, family):
         ops = wilkerson_lambda(("u",), family, 2)
         for e in (z("u"), z("u") ** 3 - z("u") * 4 + 7, MultiPoly.const(ZZ, -2)):
             assert ops.psi(1, e) == e
 
-    def test_identity_family_fixes_every_adams_operation(self):
-        ops = wilkerson_lambda(("u", "v"), "identity", 12)
-        e = z("u") ** 2 * z("v") - z("v") * 3 + 1
+    def test_integers_take_the_identity_lift_for_every_prime(self):
+        ops = wilkerson_lambda((), {}, 12)
+        e = MultiPoly.const(ZZ, -7)
         assert all(ops.psi(n, e) == e for n in range(1, 13))
+
+    def test_ring_with_generators_has_no_default_lift(self):
+        ops = wilkerson_lambda(("u",), {}, 2)
+        assert ops.psi(1, z("u")) == z("u")
+        with pytest.raises(UsageError) as exc:
+            ops.lambda_values(z("u"))
+        assert str(exc.value) == "no Frobenius lift given for prime 2"
 
     def test_missing_prime_is_a_usage_error(self):
         ops = wilkerson_lambda(("u",), {2: {"u": z("u") ** 2}}, 3)

@@ -669,9 +669,9 @@ def _scalars(ring):
 
 
 @st.composite
-def witt_inputs(draw, truncs, count):
+def witt_inputs(draw, truncs, count, rings=RINGS):
     """(ring, S, vectors): components all constant, or all linear in s."""
-    ring = draw(st.sampled_from(RINGS))
+    ring = draw(st.sampled_from(rings))
     S = draw(st.sampled_from(truncs))
     linear = draw(st.booleans())
     s = MultiPoly.var(ring, "s")
@@ -712,6 +712,21 @@ def test_comult_matches_universal_polynomials(inputs):
     d = comult(a, BIG2, BIG2)
     got = {(s, t): d.comps[s].comps[t] for s in BIG2 for t in BIG2}
     assert got == _substituted(comult_poly_map(BIG2, BIG2), ring, [a])
+
+
+@DIFF_SETTINGS
+@given(witt_inputs([TruncationSet.big(N) for N in range(9)], 1, rings=[ZZ, CoeffRing.modular(4), QQ]))
+def test_series_model_matches_the_product_of_one_factor_series(inputs):
+    ring, S, (a,) = inputs
+    N = len(S)
+    one, zero = MultiPoly.one(ring), MultiPoly.zero(ring)
+    product = TruncSeries.one(ring, N)
+    for n in S:
+        factor = [one] + [zero] * N
+        factor[n] = -a.comps[n]
+        product = product * TruncSeries(ring, factor)
+    assert to_series(a) == product
+    assert from_series(to_series(a), N) == a
 
 
 def test_numeric_arithmetic_generates_no_polynomials():
