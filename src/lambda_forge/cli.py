@@ -293,12 +293,8 @@ def _run_witt(args):
         _unused("--dir from", input=args.input)
         if not args.coeffs:
             raise UsageError("--dir from needs --coeffs '[1, c1, ...]'")
-        coeffs = parse_vector(args.coeffs, ZZ)
-        n = trunc._big_n()
-        if n is None:
-            raise UsageError("the series model needs a big truncation")
-        f = TruncSeries(ZZ, coeffs)
-        return {"witt": _poly_list(from_series(f, n).as_list())}
+        n = trunc.series_length()
+        return {"witt": _poly_list(from_series(TruncSeries(ZZ, parse_vector(args.coeffs, ZZ)), n).as_list())}
     raise UsageError(f"unknown witt subcommand {sc!r}")
 
 

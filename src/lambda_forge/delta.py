@@ -95,6 +95,8 @@ def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
     Raises ``NotAFrobeniusLift`` with the first witness term when some
     phi(g) - g^p is not divisible by p.
     """
+    if not _is_prime(p):
+        raise UsageError("delta-rings need a prime p")
     for g in phi_on_gens:
         if g not in gens:
             raise UsageError(f"phi assigned to unknown generator {g}")

@@ -6,7 +6,7 @@ the integral basis {X_sigma}, indexed by non-decreasing prime sequences,
 embeds triangularly and integrality becomes a checked assertion instead
 of an input.  Inverting the triangle once gives each x_n as an integer
 polynomial in the X_sigma (its ghost row), so re-expressing an element
-over the X basis is a single substitution over Z, prepared once a basis.
+over the X basis is a single substitution, prepared once a basis.
 Newton's identities solve for the lambda-operations from the Adams
 operations, with exact division failures doubling as "no integral
 lambda-structure" certificates.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm, prod
+from math import prod
 
 from .delta import delta_from_phi
 from .errors import (
@@ -132,12 +132,6 @@ def _sigmas_upto(P, depth):
     return sorted(sigmas, key=lambda s: (prod(s), s))
 
 
-def _cleared(e: MultiPoly):
-    """(e * d over Z, d) for the least d >= 1 that clears the denominators of e over Q."""
-    d = lcm(*(c.denominator for c in e.terms.values()))
-    return MultiPoly._trusted(ZZ, e.vars, {k: c.numerator * (d // c.denominator) for k, c in e.terms.items()}), d
-
-
 class FreeLambdaBasis:
     """The X_sigma basis of the free lambda-ring over a finite prime set.
 
@@ -145,17 +139,16 @@ class FreeLambdaBasis:
     embed(X_sigma) is triangular with leading term x_{prod(sigma)} and
     unit coefficient 1/prod(sigma), which is verified at construction.
     Inverting the triangle gives the ghost rows: ghost["x<n>"] is x_n in
-    the X variables alone, over Z, so re-expression over the X basis is one
-    integer substitution.  ``rows`` is that substitution, prepared once and
-    given each row as the row is made, so that each row is packed, and each
-    of its powers formed, once a basis and layout rather than once a
-    re-expression.  In the Adams model every row is an integer polynomial
-    (Joyal) and ``scale`` is empty.  A corrupted model can give a row with
-    denominators; the row is then kept times the lcm D of its denominators,
-    and ``scale`` maps x_n to x_n / D ahead of the rows.
+    the X variables alone, so re-expression over the X basis is one
+    substitution.  ``rows`` is that substitution, prepared once and given
+    each row as the row is made, so that each row is packed, and each of
+    its powers formed, once a basis and layout rather than once a
+    re-expression.  In the Adams model every row has integer coefficients
+    (Joyal); a corrupted model can give a row with denominators, which the
+    substitution takes as it is.
     """
 
-    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "rows", "scale")
+    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "rows")
 
     def __init__(self, P, depth: int, N: int | None = None):
         P = tuple(sorted(set(P)))
@@ -176,8 +169,7 @@ class FreeLambdaBasis:
         self.embed = {}
         self.span = {}
         self.ghost = {}
-        self.rows = _Substitution(ZZ)
-        self.scale = {}
+        self.rows = _Substitution(QQ)
         for sigma in self.sigmas:
             if not sigma:
                 value = self.model.x
@@ -190,10 +182,8 @@ class FreeLambdaBasis:
             name = _xname(n)
             # x_n / n = X_sigma - rest, and rest only touches lower indices
             rest, _ = self.to_x_basis(value - MultiPoly.var(QQ, name) * Fraction(1, n))
-            self.ghost[name], D = _cleared((MultiPoly.var(QQ, self.names[sigma]) - rest) * n)
+            self.ghost[name] = (MultiPoly.var(QQ, self.names[sigma]) - rest) * n
             self.rows.add(name, self.ghost[name])
-            if D != 1:
-                self.scale[name] = MultiPoly.var(QQ, name) * Fraction(1, D)
 
     def _check_triangular(self, sigma, value, n):
         lead = value.coefficient_of({_xname(n): 1})
@@ -221,9 +211,7 @@ class FreeLambdaBasis:
         ``MixedCoefficientRings`` for an element over Z/m, which has no
         image over Q, and ``UsageError`` for a free variable named like a
         basis element, which would merge with it.  Other free variables pass
-        through.  The element is cleared of denominators d, so that the
-        substitution runs over Z, and the answer is scaled back; it is
-        integral when d divides every coefficient of the integer image.
+        through.  The answer is integral when no coefficient has a denominator.
         """
         if e.ring.kind == MODULAR:
             raise MixedCoefficientRings(f"{e.ring} vs Q: the X basis re-expresses elements over Z, Q or Z_(p)")
@@ -233,13 +221,8 @@ class FreeLambdaBasis:
         missing = [n for n in map(_xindex, e.vars) if n is not None and n not in self.span]
         if missing:
             raise NotInSpan(max(missing))
-        work = e.convert_ring(QQ)
-        if self.scale:
-            work = work.substitute(self.scale)
-        scaled, d = _cleared(work)
-        image = self.rows(scaled)
-        xp = MultiPoly._trusted(QQ, image.vars, {k: Fraction(c, d) for k, c in image.terms.items()})
-        return xp, all(c % d == 0 for c in image.terms.values())
+        xp = self.rows(e.convert_ring(QQ))
+        return xp, all(c.denominator == 1 for c in xp.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +381,8 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
     """
     if p not in basis.P:
         raise UsageError(f"{p} is not in the basis prime set {basis.P}")
+    if bound < 0:
+        raise UsageError(f"the p-local check needs bound >= 0, got {bound}")
     model = basis.model
     index_of = {name: prod(s) for s, name in basis.names.items()}
     rows = []

@@ -19,6 +19,9 @@ pack their operands into one layout, run on raw term maps (``_Packed``) and
 leave through ``_unpacked``: zeros dropped, one int sort, one unpack a key.
 Intermediate terms are never normalized, pruned or sorted; over Z/m the raw
 coefficients are reduced after each product so that they stay bounded.
+Every raw coefficient is an int: a packed map holds integer numerators over
+one positive denominator, 1 over Z and Z/m, prime to p over Z_(p), and
+``_unpacked`` forms each Fraction of Q and Z_(p) once.
 
 Every raw power is formed in one place, ``_power``, from a cache of the
 powers of its base, each once: x^(j//2) squared, times x when j is odd, so
@@ -50,11 +53,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
+from math import gcd, lcm
 from operator import add, mul, or_, sub
 from struct import Struct
 
 from .errors import NotDivisible, UsageError
-from .rings import INTEGER, MODULAR, CoeffRing
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing
 
 
 class MultiPoly:
@@ -331,14 +335,26 @@ def _keyed(vars: tuple, terms: dict, weight: dict) -> dict:
     return {sum(map(mul, exps, weights)): c for exps, c in terms.items()}
 
 
-def _unpacked(ring: CoeffRing, kernel: CoeffRing | None, vars: tuple, w: int, terms: dict) -> MultiPoly:
+def _numerators(ring: CoeffRing, terms: dict):
+    """(numerators, denominator) of a term map of canonical coefficients: over
+    Q and Z_(p) integers over the lcm of their denominators, else the map over 1."""
+    if ring.kind in (INTEGER, MODULAR):
+        return terms, 1
+    ratios = {k: c.as_integer_ratio() for k, c in terms.items()}
+    den = lcm(*(d for _, d in ratios.values()))
+    return {k: n * (den // d) for k, (n, d) in ratios.items()}, den
+
+
+def _unpacked(ring: CoeffRing, kernel: CoeffRing | None, vars: tuple, w: int, terms: dict, den: int = 1) -> MultiPoly:
     """The polynomial over ``ring`` of raw ``terms`` computed over ``kernel``
     (None for outside input) in the layout of ``_weights`` for ``vars``: zeros
-    dropped (normalizing unless Z goes to Z), one sort of the int keys, and
-    each key unpacked once, skipping the degree field and the variables that
-    no key uses."""
+    dropped, each coefficient formed once (numerator / ``den`` over Q and
+    Z_(p), else normalized unless Z goes to Z), one sort of the int keys,
+    and each key unpacked once, skipping the degree field and unused variables."""
     if kernel is not None and ring.kind == kernel.kind == INTEGER:
         clean = {k: c for k, c in terms.items() if c}
+    elif kernel is not None and ring.kind in (RATIONAL, LOCALIZED):
+        clean = {k: Fraction(c, den) for k, c in terms.items() if c}
     else:
         normalize = ring.normalize
         clean = {k: c for k, c in zip(terms, map(normalize, terms.values())) if c}
@@ -374,7 +390,6 @@ def _mul_terms(left: dict, right: dict, out: dict) -> dict:
     for e1, c1 in left.items():
         for e2, c2 in right.items():
             key = e1 + e2
-            # no ``out.get(key, 0) +``: int + Fraction is a slow reflected add
             if key in out:
                 out[key] += c1 * c2
             else:
@@ -492,7 +507,8 @@ class _Substitution:
     """A simultaneous substitution, prepared once and applied to any number
     of sources over ``ring``; unassigned variables map to themselves.
 
-    It holds each variable's image with the image's total degree, and for
+    It holds each variable's image as numerators over a denominator D_v,
+    cleared once when it is added, with the image's total degree, and for
     each layout of a result (the sorted unassigned variables of a source
     and the variables of its images, and the field width) each image packed
     into that layout as the first entry of the image's power cache.  An
@@ -509,25 +525,27 @@ class _Substitution:
     one-term images never get a level: their exponents, and their share of
     the degree field, ride along in the low bits of each packed key, and a
     one-term image c * m scales each source term by c ** e.  Two source
-    terms can then land on one key, so they are summed.
+    terms can then land on one key, so they are summed.  The same pass
+    scales each exponent e of v by D_v ** (E - e), E the top one in the
+    source, so that the result lies over the source's denominator * D_v ** E.
     """
 
     __slots__ = ("ring", "images", "layouts")
 
     def __init__(self, ring: CoeffRing):
         self.ring = ring
-        # variable -> (variables, terms, total degree) of its image; a coefficient c is ((), {(): c}, 0)
+        # variable -> (variables, numerators, total degree, denominator) of its image
         self.images: dict = {}
         # (sorted variables, w) -> (their weights, {variable: power cache of its image})
         self.layouts: dict = {}
 
     def add(self, v: str, val) -> None:
         """Assign ``val``, a polynomial over ``ring`` or a coefficient, to ``v``."""
-        if isinstance(val, (int, Fraction)):
-            self.images[v] = ((), {(): self.ring.normalize(val)}, 0)
-        else:
-            self.ring.require_same(val.ring)
-            self.images[v] = (val.vars, val.terms, _degree(val.terms))
+        if not isinstance(val, MultiPoly):
+            val = MultiPoly.const(self.ring, val)
+        self.ring.require_same(val.ring)
+        terms, d = _numerators(self.ring, val.terms)
+        self.images[v] = (val.vars, terms, _degree(terms), d)
 
     def __call__(self, source: MultiPoly) -> MultiPoly:
         ring, images = self.ring, self.images
@@ -554,7 +572,7 @@ class _Substitution:
             if v in images:
                 cache = caches.get(v)
                 if cache is None:
-                    image_vars, terms, _ = images[v]
+                    image_vars, terms, _, _ = images[v]
                     caches[v] = cache = {1: _keyed(image_vars, terms, weight)}
                 found[i] = cache
         # a one-term image c * m rides in the key: its variable weighs m's
@@ -568,90 +586,117 @@ class _Substitution:
         base = 8 * w * (len(vars) + 1)
         at = {i: 1 << base + bits * level for level, i in enumerate(order)}
         weights = [at[i] if i in at else riding[i][0] if i in riding else weight[v] for i, v in enumerate(source.vars)]
-        # a unit coefficient scales nothing
-        scales = [(i, c) for i, (_, c) in riding.items() if c != 1]
+        terms, den = _numerators(ring, source.terms)
+        # an exponent e of a variable scales by c ** e * D ** (E - e): a unit
+        # coefficient over 1 scales nothing
+        scales = []
+        for i in found:
+            c, d = riding[i][1] if i in riding else 1, images[source.vars[i]][3]
+            if c != 1 or d != 1:
+                top = max(exps[i] for exps in terms)
+                scales.append((i, c, d, top))
+                den *= d ** top
         items: dict = {}
-        for exps, c in source.terms.items():
-            for i, s in scales:
-                c = c * _coeff_power(ring, s, exps[i])
+        for exps, c in terms.items():
+            for i, s, d, top in scales:
+                c = c * _coeff_power(ring, s, exps[i]) * d ** (top - exps[i])
             key = sum(map(mul, exps, weights))
             items[key] = items[key] + c if key in items else c
         items = _reduce(ring, items)
         # with no level, the keys are already those of the result
         total = _horner(ring, items, base, bits, [found[i] for i in order]) if order else items
-        return _unpacked(ring, ring, vars, w, total)
+        return _unpacked(ring, ring, vars, w, total, den)
 
 
 class _Packed:
-    """A raw term map in one layout, the sorted ``vars`` at ``w`` bytes a field
-    as ``_weights`` gives it, under +, - (also unary), * (by a ``_Packed`` or a
+    """A raw term map of numerators over ``den`` in one layout, the sorted
+    ``vars`` at ``w`` bytes a field as ``_weights`` gives it, under +, - (at
+    the lcm of the denominators; also unary), * (by a ``_Packed`` or a
     coefficient), ** (through ``_power``), exact division and, in place, a
     scaled add of one power of another map (``add_power``); its owner keeps
     every total degree in a field.  ``poly`` exits."""
 
-    __slots__ = ("ring", "vars", "w", "terms")
+    __slots__ = ("ring", "vars", "w", "terms", "den")
 
-    def __init__(self, ring: CoeffRing, vars: tuple, w: int, terms: dict):
-        self.ring, self.vars, self.w, self.terms = ring, vars, w, _reduce(ring, terms)
+    def __init__(self, ring: CoeffRing, vars: tuple, w: int, terms: dict, den: int = 1):
+        self.ring, self.vars, self.w, self.terms, self.den = ring, vars, w, _reduce(ring, terms), den
+
+    def _over(self, den: int) -> dict:
+        """The numerators over ``den``, a multiple of ``self.den``: the map itself for ``self.den``."""
+        f = den // self.den
+        return self.terms if f == 1 else {k: c * f for k, c in self.terms.items()}
 
     def __add__(self, other):
-        return _Packed(self.ring, self.vars, self.w, _add_into(dict(self.terms), other.terms))
+        den = lcm(self.den, other.den)
+        return _Packed(self.ring, self.vars, self.w, _add_into(dict(self._over(den)), other._over(den)), den)
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        terms = dict(self._over(den))
+        for k, c in other._over(den).items():
             terms[k] = terms[k] - c if k in terms else -c
-        return _Packed(self.ring, self.vars, self.w, terms)
+        return _Packed(self.ring, self.vars, self.w, terms, den)
 
     def __neg__(self):
-        return _Packed(self.ring, self.vars, self.w, {k: -c for k, c in self.terms.items()})
+        return _Packed(self.ring, self.vars, self.w, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, _Packed):
-            return _Packed(self.ring, self.vars, self.w, _mul_terms(self.terms, other.terms, {}))
-        return _Packed(self.ring, self.vars, self.w, {k: c * other for k, c in self.terms.items()})
+            return _Packed(self.ring, self.vars, self.w, _mul_terms(self.terms, other.terms, {}), self.den * other.den)
+        n, d = other.as_integer_ratio()
+        return _Packed(self.ring, self.vars, self.w, {k: c * n for k, c in self.terms.items()}, self.den * d)
 
     def __pow__(self, n: int):
-        return _Packed(self.ring, self.vars, self.w, _power(self.ring, self.powers(), n) if n else {0: 1})
+        return _Packed(self.ring, self.vars, self.w, _power(self.ring, self.powers(), n) if n else {0: 1}, self.den ** n)
 
     def copy(self) -> "_Packed":
-        return _Packed(self.ring, self.vars, self.w, dict(self.terms))
+        return _Packed(self.ring, self.vars, self.w, dict(self.terms), self.den)
 
     def powers(self) -> dict:
         """A cache of this map's raw powers, for ``add_power``."""
         return {1: self.terms}
 
-    def add_power(self, c, powers: dict, j: int) -> None:
-        """Add c * x^j into this map in place, x^j read from, or formed into,
-        ``powers``, the cache of x in this layout; the sum stays raw until a
-        division or the exit."""
+    def add_power(self, c: int, x: "_Packed", powers: dict, j: int) -> None:
+        """Add c * x^j into this map in place, over the lcm of the two
+        denominators, x^j read from, or formed into, ``powers``, the cache of
+        x in this layout; the sum stays raw until a division or the exit."""
+        if self.den != 1 or x.den != 1:
+            den = lcm(self.den, x.den ** j)
+            self.terms, self.den, c = self._over(den), den, c * den // x.den ** j
         terms = self.terms
         for k, v in _power(self.ring, powers, j).items():
-            # ``v * c``: int * Fraction is a slow reflected product
             if k in terms:
-                terms[k] += v * c
+                terms[k] += c * v
             else:
-                terms[k] = v * c
+                terms[k] = c * v
 
     def div_int(self, d: int) -> "_Packed":
         """Exact division, dropping cancelled terms; fails with the first
         offending term of the canonical form, in grlex order.  A zero divisor
-        is refused whatever the dividend.  Over Z one ``divmod`` a term."""
+        is refused whatever the dividend.  Outside Z/m, d = q * u: u > 0 joins
+        the denominator, and q must divide every numerator, one ``divmod`` a
+        term; q is d over Z, the p-part of d with d's sign over Z_(p), d's sign over Q."""
         if d == 0:
             raise UsageError("division by zero")
         ring = self.ring
         div = ring.div_int
+        u = 1
         try:
-            if ring.kind == INTEGER:
+            if ring.kind == MODULAR:
+                out = {k: div(c, d) for k, c in _reduce(ring, self.terms).items() if c}
+            else:
+                if ring.kind == RATIONAL:
+                    u = abs(d)
+                elif ring.kind == LOCALIZED:
+                    u = abs(d) // gcd(d, ring.prime ** abs(d).bit_length())
+                q = d // u
                 out = {}
                 for k, c in self.terms.items():
                     if c:
-                        q, r = divmod(c, d)
+                        n, r = divmod(c, q)
                         if r:
                             raise NotDivisible(c)
-                        out[k] = q
-            else:
-                out = {k: div(c, d) for k, c in _reduce(ring, self.terms).items() if c}
+                        out[k] = n
         except NotDivisible:
             p = self.poly(ring)
             for exps, c in p.terms.items():
@@ -660,10 +705,10 @@ class _Packed:
                 except NotDivisible:
                     raise NotDivisible(p._term_str(exps, c)) from None
             raise
-        return _Packed(ring, self.vars, self.w, out)
+        return _Packed(ring, self.vars, self.w, out, self.den * u)
 
     def poly(self, ring: CoeffRing) -> MultiPoly:
-        return _unpacked(ring, self.ring, self.vars, self.w, self.terms)
+        return _unpacked(ring, self.ring, self.vars, self.w, self.terms, self.den)
 
 
 def _packer(ring: CoeffRing, polys: list, scale: int):
@@ -672,7 +717,9 @@ def _packer(ring: CoeffRing, polys: list, scale: int):
     vars = names.pop() if len(names) == 1 else tuple(sorted(set().union(*names)))
     w = _field(scale * max(_degree(p.terms) for p in polys))
     weight = _weights(vars, w)
-    return lambda p: _Packed(ring, vars, w, _keyed(p.vars, p.terms, weight))
+    if ring.kind in (INTEGER, MODULAR):
+        return lambda p: _Packed(ring, vars, w, _keyed(p.vars, p.terms, weight))
+    return lambda p: _Packed(ring, vars, w, *_numerators(ring, _keyed(p.vars, p.terms, weight)))
 
 
 def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
@@ -684,8 +731,8 @@ def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
         ring.require_same(p.ring)
     pack = _packer(ring, parts, 1)
     total = pack(parts[0])
-    for p in parts[1:]:
-        _add_into(total.terms, pack(p).terms)
+    for x in map(pack, parts[1:]):
+        total.add_power(1, x, x.powers(), 1)
     return total.poly(ring)
 
 

@@ -1,10 +1,10 @@
 """Coefficient rings: Z, Q, Z/m and the p-local integers Z_(p).
 
 A ``CoeffRing`` is a small value object that knows how to normalize,
-combine and serialize coefficients.  Integer-like rings use Python ints,
-rational-like rings use ``fractions.Fraction``; Z_(p) is represented as
-rationals together with a p-integrality predicate rather than a distinct
-numeric type, which keeps a single rational kernel.
+combine and serialize coefficients.  Z and Z/m use Python ints, Q and
+Z_(p) ``fractions.Fraction``, Z_(p) as the rationals with denominators
+prime to p rather than a numeric type of its own.  The polynomial kernel
+computes over both on integer numerators over one denominator (``poly``).
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _as_int(c) -> int:
+    """An int or an integral Fraction as an int; anything else is a ``UsageError``."""
+    if isinstance(c, int) or isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    raise UsageError(f"{c!r} is not an integer")
 
 
 class CoeffRing:
@@ -133,18 +140,15 @@ class CoeffRing:
         if self.kind == INTEGER:
             if type(c) is int:
                 return c
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise NotDivisible(c, f"{c} is not an integer")
-                return int(c)
-            return int(c)
+            if isinstance(c, Fraction) and c.denominator != 1:
+                raise NotDivisible(c, f"{c} is not an integer")
+            return _as_int(c)
         if self.kind == MODULAR:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    c = self._mod_div(int(c.numerator), int(c.denominator))
-                else:
-                    c = int(c)
-            return int(c) % self.modulus
+            if type(c) is not int:
+                if isinstance(c, Fraction) and c.denominator != 1:
+                    return self._mod_div(c.numerator, c.denominator)
+                c = _as_int(c)
+            return c % self.modulus
         c = Fraction(c)
         if self.kind == LOCALIZED and c.denominator % self.prime == 0:
             raise NotDivisible(c, f"{c} has denominator divisible by {self.prime}")

@@ -56,7 +56,7 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, _Packed, _packer
-from .rings import MODULAR, CoeffRing, ZZ, _is_prime
+from .rings import MODULAR, CoeffRing, ZZ, _as_int, _is_prime
 from .series import TruncSeries
 
 
@@ -66,7 +66,7 @@ class TruncationSet:
     __slots__ = ("elems", "_divisors")
 
     def __init__(self, elems):
-        members = set(int(n) for n in elems)
+        members = {n if type(n) is int else _as_int(n) for n in elems}
         elems = tuple(sorted(members))
         if elems and elems[0] < 1:
             raise UsageError("truncation sets contain positive integers")
@@ -161,6 +161,13 @@ class TruncationSet:
     def _big_n(self):
         n = len(self.elems)
         return n if self.elems == tuple(range(1, n + 1)) else None
+
+    def series_length(self) -> int:
+        """N for big:N, the one truncation the power series model takes."""
+        n = self._big_n()
+        if n is None:
+            raise UsageError("the power series model needs a big truncation big:N")
+        return n
 
     def _p_typical(self):
         """(p, k) for {1, p, ..., p^(k-1)}, else None; asked only once ``_big_n``
@@ -375,7 +382,7 @@ def _packed_sums(x: dict, table: dict, start, sign: int):
             cache = powers.get(d)
             if cache is None:
                 powers[d] = cache = x[d].powers()
-            acc.add_power(sign * d, cache, n // d)
+            acc.add_power(sign * d, x[d], cache, n // d)
             if last[d] == n:
                 del powers[d]
         yield n, acc
@@ -699,9 +706,7 @@ def to_series(a: WittVec) -> TruncSeries:
 
     Each factor multiplies one coefficient list in place, c_k -= a_n c_(k-n)
     from the top down, so that c_(k-n) is read before the factor reaches it."""
-    N = a.trunc._big_n()
-    if N is None:
-        raise UsageError("the power series model needs a big truncation set")
+    N = a.trunc.series_length()
     c = [MultiPoly.one(a.ring)] + [MultiPoly.zero(a.ring)] * N
     for n in a.trunc:
         a_n = a.comps[n]

@@ -105,6 +105,16 @@ class TestExitCodeContract:
             (["witt", "ghost", "--trunc", "big:1", "--input", "a]"], "vectors are written [c1, c2, ...]"),
             (["lambda", "wilkerson", "--ring", "Z[u]", "--phi", "2:u->u^2", "--K", "2", "--eval-gen", "v"], "'v'"),
             (["delta", "extend", "--p", "2", "--depth", "2", "--expr", "y"], "y is not a generator"),
+            (["delta", "from-phi", "--p", "4", "--ring", "Z[u]", "--phi", "u->u^2+u"], "delta-rings need a prime p"),
+            (["delta", "from-phi", "--p", "0", "--ring", "Z[u]", "--phi", "u->u^2+u"], "delta-rings need a prime p"),
+            (
+                ["witt", "series", "--dir", "from", "--trunc", "p:2,3", "--coeffs", "[1,a,0,0]"],
+                "the power series model needs a big truncation big:N",
+            ),
+            (
+                ["witt", "series", "--dir", "to", "--trunc", "p:2,3", "--input", "[a,0,0]"],
+                "the power series model needs a big truncation big:N",
+            ),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1 and named in err

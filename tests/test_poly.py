@@ -3,7 +3,7 @@ import random
 import signal
 from fractions import Fraction
 from math import comb
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +13,7 @@ from lambda_forge import poly
 from lambda_forge.errors import MixedCoefficientRings, NotDivisible, UsageError
 from lambda_forge.poly import MultiPoly, poly_sum, random_poly
 from lambda_forge.rings import QQ, ZZ, CoeffRing
+from lambda_forge.witt import TruncationSet, WittVec
 
 MOD2 = CoeffRing.modular(2)
 RINGS = [ZZ, QQ, CoeffRing.modular(4), CoeffRing.localized(3)]
@@ -1081,3 +1082,184 @@ class TestHornerSubstitution:
         monkeypatch.undo()
         assert len(squared) == len(set(squared)) == 3
         assert got == oracle_substitute(p, {"x": y + 1})
+
+
+# ---------------------------------------------------------------------------
+# Differential tests for numerators over one denominator: over Q and Z_(p)
+# the packed kernel runs on integer numerators over one denominator and
+# forms each Fraction once, at the exit.  The oracle is the Fraction route it
+# replaced: the same layouts, keys and helpers with a Fraction coefficient
+# through every loop, and every coefficient normalized at the exit (the
+# substitution oracle is ``per_term_substitute`` above, which also carries
+# Fractions through).  The Witt check runs the ``add_power`` route on
+# symbolic vectors over Q against the scalar route at a rational point.
+
+FRACTION_RINGS = [QQ, Z3]
+# denominators whose lcm grows, all prime to 3 over Z_(3)
+FRACTION_DENOMINATORS = {QQ: [1, 2, 3, 4, 6, 9, 10], Z3: [1, 2, 4, 5, 7, 10]}
+
+
+class FractionRoute:
+    """One packed layout for ``polys`` in which coefficients stay Fractions."""
+
+    def __init__(self, ring, polys, scale=1):
+        self.ring = ring
+        self.vars = tuple(sorted(set().union(*(p.vars for p in polys))))
+        self.w = poly._field(scale * max((poly._degree(p.terms) for p in polys), default=0))
+        self.weight = poly._weights(self.vars, self.w)
+
+    def pack(self, p):
+        return poly._keyed(p.vars, p.terms, self.weight)
+
+    def exit(self, terms):
+        return poly._unpacked(self.ring, None, self.vars, self.w, terms)
+
+
+def fraction_add(a, b):
+    route = FractionRoute(a.ring, [a, b])
+    return route.exit(poly._add_into(route.pack(a), route.pack(b)))
+
+
+def fraction_sub(a, b):
+    route = FractionRoute(a.ring, [a, b])
+    terms = route.pack(a)
+    for k, c in route.pack(b).items():
+        terms[k] = terms[k] - c if k in terms else -c
+    return route.exit(terms)
+
+
+def fraction_mul(a, b):
+    route = FractionRoute(a.ring, [a, b], 2)
+    return route.exit(poly._mul_terms(route.pack(a), route.pack(b), {}))
+
+
+def fraction_pow(a, n):
+    route = FractionRoute(a.ring, [a], n)
+    return route.exit(poly._power(a.ring, {1: route.pack(a)}, n) if n else {0: 1})
+
+
+def fraction_div_int(a, d):
+    """Each coefficient divided in the ring; the first offending term of the
+    canonical form is the certificate."""
+    route = FractionRoute(a.ring, [a])
+    out = {}
+    for exps, c in a.terms.items():
+        try:
+            out[exps] = a.ring.div_int(c, d)
+        except NotDivisible:
+            raise NotDivisible(a._term_str(exps, c)) from None
+    return route.exit(route.pack(MultiPoly._trusted(a.ring, a.vars, out)))
+
+
+def fraction_sum(ring, parts):
+    route = FractionRoute(ring, parts)
+    total = {}
+    for p in parts:
+        poly._add_into(total, route.pack(p))
+    return route.exit(total)
+
+
+def fraction_coefficients(ring):
+    return st.builds(Fraction, st.integers(-30, 30), st.sampled_from(FRACTION_DENOMINATORS[ring]))
+
+
+@st.composite
+def fraction_polys(draw, ring, exps=(0, 1, 2, 3, 255, 256, 2**64), max_terms=4, names=NAMES):
+    vars = tuple(sorted(draw(st.sets(st.sampled_from(names)))))
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        key = tuple(draw(st.sampled_from(exps)) for _ in vars)
+        terms[key] = terms.get(key, 0) + draw(fraction_coefficients(ring))
+    return MultiPoly(ring, vars, terms)
+
+
+@st.composite
+def fraction_substitutions(draw):
+    """A source over NAMES with small exponents and rational images: many
+    terms, one term (riding in the key), or a scalar."""
+    ring = draw(st.sampled_from(FRACTION_RINGS))
+    p = draw(fraction_polys(ring, exps=range(5), max_terms=6))
+    env = {}
+    for name in draw(st.sets(st.sampled_from(NAMES), min_size=1)):
+        kind = draw(st.sampled_from(["poly", "term", "scalar"]))
+        if kind == "scalar":
+            env[name] = draw(fraction_coefficients(ring))
+        else:
+            max_terms = 1 if kind == "term" else 3
+            env[name] = draw(fraction_polys(ring, exps=range(3), max_terms=max_terms, names=NAMES + ("w",)))
+    return p, env
+
+
+class TestNumeratorsOverOneDenominator:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.sampled_from(FRACTION_RINGS).flatmap(lambda r: st.tuples(fraction_polys(r), fraction_polys(r))))
+    def test_sum_difference_product(self, data):
+        a, b = data
+        assert canonical_items(a + b) == canonical_items(fraction_add(a, b))
+        assert canonical_items(a - b) == canonical_items(fraction_sub(a, b))
+        assert canonical_items(a * b) == canonical_items(fraction_mul(a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.sampled_from(FRACTION_RINGS).flatmap(fraction_polys), n=st.integers(0, 5))
+    def test_power(self, data, n):
+        assert canonical_items(data ** n) == canonical_items(fraction_pow(data, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.sampled_from(FRACTION_RINGS).flatmap(fraction_polys),
+        m=st.sampled_from([1, 3, 9, -27]),
+        d=st.sampled_from([1, -1, 2, 3, -3, 6, 9, -12, 27, 5]),
+    )
+    def test_div_int_and_its_certificate(self, a, m, d):
+        # multiples of 3 and 9 divide over Z_(3); the rest fail with a certificate
+        p = a * m
+        try:
+            want = fraction_div_int(p, d)
+        except NotDivisible as exc:
+            with pytest.raises(NotDivisible) as got:
+                p.div_int(d)
+            assert (got.value.witness, str(got.value)) == (exc.witness, str(exc))
+            return
+        assert canonical_items(p.div_int(d)) == canonical_items(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.sampled_from(FRACTION_RINGS).flatmap(lambda r: st.lists(fraction_polys(r), max_size=5)))
+    def test_poly_sum(self, data):
+        ring = data[0].ring if data else QQ
+        nonzero = [p for p in data if not p.is_zero()]
+        want = fraction_sum(ring, nonzero) if nonzero else MultiPoly.zero(ring)
+        assert canonical_items(poly_sum(ring, data)) == canonical_items(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=fraction_substitutions())
+    def test_substitute_with_rational_images(self, data):
+        p, env = data
+        assert canonical_items(p.substitute(env)) == canonical_items(per_term_substitute(p, env))
+
+    def test_denominators_meet_at_their_lcm_and_multiply_under_products(self):
+        x, y = v("x", QQ), v("y", QQ)
+        a, b = x * Fraction(1, 6) + 1, y * Fraction(1, 4)
+        assert a._alone().den == 6 and (a + b)._alone().den == 12
+        assert (a._alone() + b._alone()).den == 12
+        assert (a._alone() * b._alone()).den == 24 and (a._alone() ** 3).den == 216
+        assert (b._alone().div_int(-3)).den == 12
+        # over Z_(3) only the part of d prime to 3 joins the denominator
+        z = v("z", Z3) * Fraction(9, 2)
+        assert z._alone().div_int(-6).den == 4 and z.div_int(-6) == v("z", Z3) * Fraction(-3, 4)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        trunc=st.sampled_from([TruncationSet.p_typical(2, 3), TruncationSet.big(4)]),
+        data=st.data(),
+    )
+    def test_witt_sum_and_product_over_q_at_a_point(self, trunc, data):
+        point = {"a": Fraction(-3, 2), "b": Fraction(5, 3)}
+        comp = fraction_polys(QQ, exps=range(3), max_terms=2, names=tuple(point))
+        x, y = (WittVec(trunc, QQ, {n: data.draw(comp) for n in trunc}) for _ in range(2))
+
+        def at_point(vec):
+            return WittVec(trunc, QQ, {n: c.evaluate(point) for n, c in vec.comps.items()})
+
+        for op in (add, mul):
+            got = op(x, y)
+            assert at_point(got) == op(at_point(x), at_point(y))

@@ -1,12 +1,15 @@
-"""Primality: the deterministic Miller-Rabin test against trial division."""
+"""Primality: the deterministic Miller-Rabin test against trial division;
+what Z and Z/m take as a coefficient."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
 from lambda_forge.cli import main
-from lambda_forge.errors import UsageError
-from lambda_forge.rings import _MR_LIMIT, CoeffRing, _is_prime
+from lambda_forge.errors import NotDivisible, UsageError
+from lambda_forge.poly import MultiPoly
+from lambda_forge.rings import _MR_LIMIT, ZZ, CoeffRing, _is_prime
 
 
 def trial_division_is_prime(n):
@@ -72,3 +75,19 @@ def test_large_composite_prime_argument_is_a_usage_error(capsys):
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert code == 1 and "not prime" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ring", [ZZ, CoeffRing.modular(6)], ids=repr)
+@pytest.mark.parametrize("c", [2.5, 2.0, "7", None, 1j])
+def test_integer_rings_take_only_ints_and_fractions(ring, c):
+    with pytest.raises(UsageError, match="is not an integer"):
+        MultiPoly.const(ring, c)
+
+
+def test_integer_rings_take_ints_and_integral_fractions():
+    assert ZZ.normalize(True) == 1 and type(ZZ.normalize(True)) is int
+    assert ZZ.normalize(Fraction(6, 3)) == 2 and type(ZZ.normalize(Fraction(6, 3))) is int
+    with pytest.raises(NotDivisible):
+        ZZ.normalize(Fraction(1, 2))
+    z6 = CoeffRing.modular(6)
+    assert z6.normalize(-1) == 5 and z6.normalize(Fraction(14, 2)) == 1 and z6.normalize(Fraction(1, 5)) == 5

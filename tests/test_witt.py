@@ -89,6 +89,18 @@ class TestTruncationSet:
         with pytest.raises(UsageError):
             TruncationSet.p_typical(2, -1)
 
+    @pytest.mark.parametrize("elems", [[1, 2.5], [1, 2.0], ["a"], [1, "2"], [1, Fraction(5, 2)]])
+    def test_only_integers_are_members(self, elems):
+        with pytest.raises(UsageError, match="is not an integer"):
+            TruncationSet(elems)
+
+    def test_integral_fractions_are_members(self):
+        assert TruncationSet([1, Fraction(4, 2)]).elems == (1, 2)
+
+    def test_teichmuller_of_a_non_integer_is_refused(self):
+        with pytest.raises(UsageError, match="is not an integer"):
+            teichmuller("a", TruncationSet.big(2))
+
     def test_divide(self):
         assert TruncationSet.big(6).divide(2).elems == (1, 2, 3)
         assert TruncationSet.big(2).divide(3).elems == ()
