@@ -67,13 +67,17 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS: a leaf parser that is not given --format leaves the top-level value alone
     common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
+    # a family takes the flag too, between the family and its subcommand, but
+    # does not list it: it is listed by the top level and by each subcommand
+    hidden = argparse.ArgumentParser(add_help=False)
+    hidden.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     top = _Parser(prog="lambda-forge", description=__doc__, parents=[common])
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(parent, name):
         return parent.add_parser(name, parents=[common])
 
-    witt = sub.add_parser("witt", help="Witt vector computations")
+    witt = sub.add_parser("witt", help="Witt vector computations", parents=[hidden])
     wsub = witt.add_subparsers(dest="subcommand", required=True)
 
     def trunc_flags(p, input_flag=True):
@@ -118,7 +122,7 @@ def _build_parser() -> _Parser:
     w_w2.add_argument("--bound", type=_int)
     w_w2.add_argument("--ring", default="Z")
 
-    delta = sub.add_parser("delta", help="delta-ring computations")
+    delta = sub.add_parser("delta", help="delta-ring computations", parents=[hidden])
     dsub = delta.add_subparsers(dest="subcommand", required=True)
     d_ext = add(dsub, "extend")
     d_ext.add_argument("--p", type=_int, required=True)
@@ -144,7 +148,7 @@ def _build_parser() -> _Parser:
     d_sec.add_argument("--expr")
     d_sec.add_argument("--depth", type=_int)
 
-    lam = sub.add_parser("lambda", help="lambda-ring computations")
+    lam = sub.add_parser("lambda", help="lambda-ring computations", parents=[hidden])
     lsub = lam.add_subparsers(dest="subcommand", required=True)
     l_free = add(lsub, "free")
     l_free.add_argument("--primes", required=True)

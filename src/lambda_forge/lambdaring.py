@@ -80,8 +80,14 @@ class AdamsModel:
             if not 1 <= m * n <= self.N:
                 raise IndexOutOfRange(f"x_{m * n} outside Q[x_1..x_{self.N}]")
             names.append(_xname(m * n))
-        # n -> m * n is injective, so the renamed terms stay distinct
-        return MultiPoly(e.ring, names, e.terms)
+        # n -> m * n is injective, so the renamed terms stay distinct; only
+        # where it changes the order of the names do exponents and terms move
+        order = sorted(range(len(names)), key=names.__getitem__)
+        if order == list(range(len(names))):
+            return MultiPoly._trusted(e.ring, tuple(names), e.terms)
+        terms = {tuple(exps[i] for i in order): c for exps, c in e.terms.items()}
+        keys = sorted(terms, key=lambda k: (sum(k), k), reverse=True)
+        return MultiPoly._trusted(e.ring, tuple(names[i] for i in order), {k: terms[k] for k in keys})
 
     def delta(self, p: int, e: MultiPoly) -> MultiPoly:
         """delta_p(e) = (psi^p(e) - e^p) / p in the rational model."""

@@ -3,8 +3,11 @@
 A ``CoeffRing`` is a small value object that knows how to normalize,
 combine and serialize coefficients.  Z and Z/m use Python ints, Q and
 Z_(p) ``fractions.Fraction``, Z_(p) as the rationals with denominators
-prime to p rather than a numeric type of its own.  The polynomial kernel
-computes over both on integer numerators over one denominator (``poly``).
+prime to p rather than a numeric type of its own.  Every ring takes a
+coefficient as an ``int`` or a ``Fraction`` and refuses anything else with
+a ``UsageError``.  The polynomial kernel, and scalar Witt arithmetic,
+compute over Q and Z_(p) on integer numerators over one denominator
+(``poly``, ``witt``).
 """
 
 from __future__ import annotations
@@ -80,13 +83,13 @@ class CoeffRing:
 
     def __init__(self, kind: str, modulus: int | None = None, prime: int | None = None):
         self.kind = kind
-        self.modulus = modulus
-        self.prime = prime
+        self.modulus = modulus if modulus is None else _as_int(modulus)
+        self.prime = prime if prime is None else _as_int(prime)
         if kind == MODULAR:
-            if modulus is None or modulus < 2:
+            if modulus is None or self.modulus < 2:
                 raise UsageError("modular ring needs modulus >= 2")
         elif kind == LOCALIZED:
-            if prime is None or not _is_prime(prime):
+            if prime is None or not _is_prime(self.prime):
                 raise UsageError("localized integers need a prime")
         elif kind not in (INTEGER, RATIONAL):
             raise UsageError(f"unknown coefficient ring kind: {kind!r}")
@@ -149,7 +152,10 @@ class CoeffRing:
                     return self._mod_div(c.numerator, c.denominator)
                 c = _as_int(c)
             return c % self.modulus
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            if not isinstance(c, (int, Fraction)):
+                raise UsageError(f"{c!r} is not an int or a Fraction")
+            c = Fraction(c)
         if self.kind == LOCALIZED and c.denominator % self.prime == 0:
             raise NotDivisible(c, f"{c} has denominator divisible by {self.prime}")
         return c

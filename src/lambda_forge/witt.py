@@ -10,8 +10,13 @@ components, combine them, invert triangularly by exact division.  The
 ghost map is injective over the torsion-free rings Z, Q and Z_(p); over
 Z/m the work is done on lifts to Z and reduced at the end, which is
 sound because the universal polynomials have integer coefficients.
-Component values are ring scalars when every component is constant, else
-raw term maps in one packed layout, and only the answers are canonicalized.
+Component values are integers when every component is constant, else raw
+term maps in one packed layout, and only the answers are canonicalized.
+Over Q and Z_(p) the integers are numerators: with D the lcm of every
+denominator, a_n becomes D^n * a_n.  The universal polynomials are
+isobaric (a_n has weight n), so the route computes exactly over Z, and an
+answer of weight k (2 for mul, k for ** k and F_k, else 1) is read back as
+one Fraction X_n / D^(kn) a component.
 On packed values each ghost component, and each step of the inverse, is
 one accumulator of its own that the terms d * x_d^(n/d) are added into in
 place; each power x_d^j is formed once per ghost map or inverse, as
@@ -41,6 +46,7 @@ import operator
 import os
 import tempfile
 import threading
+from fractions import Fraction
 from math import isqrt, lcm, prod
 from types import MappingProxyType
 
@@ -56,7 +62,7 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, _Packed, _packer
-from .rings import MODULAR, CoeffRing, ZZ, _as_int, _is_prime
+from .rings import LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime
 from .series import TruncSeries
 
 
@@ -100,12 +106,14 @@ class TruncationSet:
 
     @staticmethod
     def big(n: int) -> "TruncationSet":
+        n = _as_int(n)
         if n < 0:
             raise UsageError(f"big truncation sets need n >= 0, got {n}")
         return TruncationSet(range(1, n + 1))
 
     @staticmethod
     def p_typical(p: int, k: int) -> "TruncationSet":
+        p, k = _as_int(p), _as_int(k)
         if p < 2:
             raise UsageError(f"p-typical truncation sets need a prime p, got {p}")
         if k < 0:
@@ -412,27 +420,58 @@ def _packed_unghost(w: dict, table: dict) -> dict:
     return x
 
 
-def _values(comps, ring: CoeffRing, degree: int, shape: tuple):
-    """What differs by value kind: how components become values over
-    ``ring``, the ghost map of one level and its inverse.  Scalars when every
-    component is constant, else ``_Packed`` maps in one layout with fields for
-    B = c * the product of the largest index of each level of the input
-    ``shape``, c = max(degree, 1) * E, ``degree`` the combine's (2 for mul, n
-    for ** n) and E the largest total degree of a component.  At output index
-    m (s * t nested) every total degree, and so every exponent, is at most
-    c * m <= B: the ghost map gives E * m, a combine multiplies by its degree,
-    F_n reads w_{nm} at m (c = n * E, n * m an input index), and by induction
-    on m each d * x_d^(m/d) and x_m of the inverse, level by level, stays
-    within it."""
+def _values(comps, ring: CoeffRing, degree: int, shape: tuple, unit: int = 1):
+    """What differs by value kind: how a component at index product m (s * t
+    nested) becomes a value, the ghost map of one level, its inverse, and the
+    scale C of the values.  Scalars when every component is constant: ints
+    over Z and Z/m (Z for the lifts of Z/m arithmetic), and over Q and Z_(p)
+    the integer C^m * a for a component a, C = ``unit`` * the lcm D of the
+    denominators of ``comps``, run over Z.  The ghost map and the universal
+    polynomials are isobaric (a_m has weight m), so these are the values of
+    an integral point and the ghost coordinate at m is C^m times a's; an
+    answer of weight k (2 for mul) is read back as X / (C^k)^m at m
+    (``_polys``).  Else ``_Packed`` maps in one layout with fields for B = c *
+    the product of the largest index of each level of the input ``shape``,
+    c = max(degree, 1) * E, ``degree`` the combine's (2 for mul, n for ** n)
+    and E the largest total degree of a component.  At output index m every
+    total degree, and so every exponent, is at most c * m <= B: the ghost map
+    gives E * m, a combine multiplies by its degree, F_n reads w_{nm} at m
+    (c = n * E, n * m an input index), and by induction on m each
+    d * x_d^(m/d) and x_m of the inverse, level by level, stays within it."""
     if all(c.is_constant() for c in comps):
-        return operator.methodcaller("constant_value"), _scalar_coords, _scalar_unghost(ring)
+        if ring.kind not in (RATIONAL, LOCALIZED):
+            return (lambda c, m: c.constant_value()), _scalar_coords, _scalar_unghost(ring), 1
+        C = 1
+        for c in comps:
+            C = lcm(C, c.constant_value().denominator)
+        C *= unit
+
+        def value(c, m):
+            a = c.constant_value()
+            return a.numerator * C ** m // a.denominator
+
+        return value, _scalar_coords, _scalar_unghost(ZZ), C
     pack = _packer(ring, comps, max(degree, 1) * prod(S.elems[-1] for S in shape))
-    return pack, _packed_coords, _packed_unghost
+    return (lambda c, m: pack(c)), _packed_coords, _packed_unghost, 1
 
 
-def _polys(x: dict, ring: CoeffRing) -> dict:
-    """Component values as polynomials over ``ring`` (reducing lifts mod m)."""
-    return {n: v.poly(ring) if isinstance(v, _Packed) else MultiPoly.const(ring, v) for n, v in x.items()}
+def _polys(x: dict, ring: CoeffRing, scale: int = 1, m: int = 1) -> dict:
+    """Component values at index n (at product m * n nested) as polynomials
+    over ``ring``: packed maps, lifts to Z reduced into Z/m, or integers X
+    read as X / scale^(m * n).  Over Z_(p) the first of these with p in its
+    denominator is the certificate that a ghost inverse leaves the ring."""
+    out = {}
+    for n, v in x.items():
+        if isinstance(v, _Packed):
+            out[n] = v.poly(ring)
+            continue
+        if scale != 1:
+            v = Fraction(v, scale ** (m * n))
+        try:
+            out[n] = MultiPoly.const(ring, v)
+        except NotDivisible:
+            raise _missing(n, NotDivisible(ring.coeff_str(v * n))) from None
+    return out
 
 
 def _keys(shape: tuple) -> list:
@@ -452,40 +491,45 @@ def _leaves(vecs):
     return [c for v in vecs for c in (_leaves(v.comps.values()) if len(v.shape) > 1 else v.comps.values())]
 
 
-def _ghost_coords(v: "WittVec", value, coords) -> dict:
-    """Ghost coordinates of ``v``: w_n of its component values, or, for
-    W_S(W_T(...)), (s, k) -> w_s of the components' coordinates at k.  That
-    is ghost_S after W_S(ghost_T), a ring map, injective over torsion-free
-    rings, so nested vectors need no other arithmetic."""
+def _ghost_coords(v: "WittVec", value, coords, m: int = 1) -> dict:
+    """Ghost coordinates of ``v``, a component at index product ``m``: w_n of
+    its component values, or, for W_S(W_T(...)), (s, k) -> w_s of the
+    components' coordinates at k.  That is ghost_S after W_S(ghost_T), a ring
+    map, injective over torsion-free rings, so nested vectors need no other
+    arithmetic."""
     table = v.trunc.divisors()
     if len(v.shape) == 1:
-        return coords({n: value(c) for n, c in v.comps.items()}, table)
-    inner = {s: _ghost_coords(c, value, coords) for s, c in v.comps.items()}
+        return coords({n: value(c, m * n) for n, c in v.comps.items()}, table)
+    inner = {s: _ghost_coords(c, value, coords, m * s) for s, c in v.comps.items()}
     cols = {k: {d: g[k] for d, g in inner.items()} for k in next(iter(inner.values()))}
     return {(s, k): w for k, x in cols.items() for s, w in coords(x, table).items()}
 
 
-def _solve(w: dict, shape: tuple, ring: CoeffRing, unghost) -> "WittVec":
+def _solve(w: dict, shape: tuple, ring: CoeffRing, unghost, scale: int = 1, m: int = 1) -> "WittVec":
     """The vector of ``shape`` with ghost coordinates ``w``, inverted one
-    level at a time from the outside in; ``unghost`` consumes what it inverts."""
+    level at a time from the outside in; ``unghost`` consumes what it
+    inverts, and ``_polys`` reads the answers at index product ``m`` on."""
     S, rest = shape[0], shape[1:]
     table = S.divisors()
     if not rest:
-        return WittVec(S, ring, _polys(unghost(w, table), ring))
+        return WittVec(S, ring, _polys(unghost(w, table), ring, scale, m))
     keys = _keys(rest)
     cols = {k: unghost({s: w.pop((s, k)) for s in S}, table) for k in keys}
-    comps = {s: _solve({k: cols[k][s] for k in keys}, rest, ring, unghost) for s in S}
+    comps = {s: _solve({k: cols[k][s] for k in keys}, rest, ring, unghost, scale, m * s) for s in S}
     return WittVec(S, ring, comps)
 
 
-def _ghost_route(vecs, shape: tuple, combine, degree: int = 1) -> "WittVec":
+def _ghost_route(vecs, shape: tuple, combine, degree: int = 1, weight: int = 1) -> "WittVec":
     """The vector of ``shape`` with the ghost coordinates ``combine``, of degree
-    ``degree``, makes from those of ``vecs``, over Z on lifts if the ring is Z/m."""
+    ``degree`` in the ghost coordinates and of weight ``weight`` in their
+    scale (F_n has degree 1 and weight n), makes from those of ``vecs``:
+    scalars over Z, on lifts if the ring is Z/m and on integer numerators
+    over Q and Z_(p) (``_values``)."""
     ring = vecs[0].ring
-    value, coords, unghost = _values(_leaves(vecs), ZZ if ring.kind == MODULAR else ring, degree, vecs[0].shape)
+    value, coords, unghost, C = _values(_leaves(vecs), ZZ if ring.kind == MODULAR else ring, degree, vecs[0].shape)
     w = combine(*(_ghost_coords(v, value, coords) for v in vecs))
     try:
-        return _solve(w, shape, ring, unghost)
+        return _solve(w, shape, ring, unghost, C ** weight)
     except NotDivisible as exc:
         raise IntegralityViolation(exc.witness, f"index {exc.witness}: {exc}") from exc
 
@@ -595,7 +639,9 @@ class WittVec(_Vec):
             raise MixedCoefficientRings(f"{self.ring} vs {other.ring}")
         combine = getattr(operator, op)
         degree = 2 if op == "mul" else 1
-        return _ghost_route([self, other], self.shape, lambda ga, gb: {k: combine(ga[k], gb[k]) for k in ga}, degree)
+        return _ghost_route(
+            [self, other], self.shape, lambda ga, gb: {k: combine(ga[k], gb[k]) for k in ga}, degree, degree
+        )
 
     def __add__(self, other):
         return self._binary("add", other)
@@ -617,9 +663,10 @@ class WittVec(_Vec):
         # mod m: x_s is then known mod M/s, so each term d * x_d^(s/d) is known
         # mod M.  Scalar lifts are raised modulo M, so they never grow.
         M = self.ring.modulus * prod(lcm(*S) for S in self.shape) if self.ring.kind == MODULAR else None
-        return _ghost_route(
-            [self], self.shape, lambda ga: {k: pow(w, n, M if isinstance(w, int) else None) for k, w in ga.items()}, n
-        )
+        def combine(ga):
+            return {k: pow(w, n, M if isinstance(w, int) else None) for k, w in ga.items()}
+
+        return _ghost_route([self], self.shape, combine, n, n)
 
     def to_json(self) -> dict:
         if len(self.shape) > 1:
@@ -647,8 +694,8 @@ def ghost_map(a: WittVec) -> GhostVec:
     """w_n = sum over divisors d of n of d * a_d^(n/d)."""
     if len(a.shape) > 1:
         raise UsageError("the ghost map takes polynomial components")
-    value, coords, _ = _values(a.comps.values(), a.ring, 1, a.shape)
-    return GhostVec(a.trunc, a.ring, _polys(_ghost_coords(a, value, coords), a.ring))
+    value, coords, _, C = _values(a.comps.values(), a.ring, 1, a.shape)
+    return GhostVec(a.trunc, a.ring, _polys(_ghost_coords(a, value, coords), a.ring, C))
 
 
 def ghost_inverse(g: GhostVec) -> WittVec:
@@ -656,9 +703,15 @@ def ghost_inverse(g: GhostVec) -> WittVec:
 
     Raises ``NotDivisible(n)`` when component n fails to exist in the
     coefficient ring: the certificate that g is not in the ghost image.
+    Scalars over Q and Z_(p) are lifted by C = D * K, D the lcm of their
+    denominators and K the product of the primes in S.  The inverse's
+    component a_n has v_q(a_n) > -n * (v_q(D) + 1) for each prime q of K, by
+    induction on n as in Dwork's lemma, so C^n * a_n is an integer and the
+    integer inverse never fails.
     """
-    value, _, unghost = _values(g.comps.values(), g.ring, 1, (g.trunc,))
-    return _solve({n: value(c) for n, c in g.comps.items()}, (g.trunc,), g.ring, unghost)
+    K = prod(n for n, divs in g.trunc.divisors().items() if len(divs) == 2)
+    value, _, unghost, C = _values(g.comps.values(), g.ring, 1, (g.trunc,), K)
+    return _solve({n: value(c, n) for n, c in g.comps.items()}, (g.trunc,), g.ring, unghost, C)
 
 
 def teichmuller(r, S: TruncationSet, ring: CoeffRing = ZZ) -> WittVec:
@@ -677,7 +730,7 @@ def frobenius(n: int, a: WittVec) -> WittVec:
     if n < 1:
         raise UsageError("Frobenius index must be positive")
     shape = (a.trunc.divide(n),) + a.shape[1:]
-    return _ghost_route([a], shape, lambda ga: {k: ga[_scaled(k, n)] for k in _keys(shape)})
+    return _ghost_route([a], shape, lambda ga: {k: ga[_scaled(k, n)] for k in _keys(shape)}, 1, n)
 
 
 def verschiebung(n: int, a: WittVec, S: TruncationSet) -> WittVec:

@@ -44,8 +44,9 @@ is a label line and one output line, compared as ``json.dumps`` text, key
 order included.
 
 Each ``manifest.json`` command is also run with ``--format json`` placed
-before its family and after its subcommand: both must print the same
-bytes, since the top-level flag and the leaf parser's flag are one option.
+before its family, between the family and its subcommand, and after its
+subcommand: all three must print the same bytes, since the flags of the
+top level, the family and the leaf parser are one option.
 
 ``parser.json`` pins what ``manifest.json`` cannot, since that records
 stdout only: the ``--help`` text of the top-level parser and of each of
@@ -100,10 +101,11 @@ def test_format_flag_works_before_the_family_and_after_the_subcommand(entry, cap
         i = argv.index("--format")
         del argv[i : i + 2]
     outputs = []
-    for placed in (["--format", "json", *argv], [*argv[:2], "--format", "json", *argv[2:]]):
+    for i in (0, 1, 2):
+        placed = [*argv[:i], "--format", "json", *argv[i:]]
         assert main(placed) == entry["exit"]
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("entry", PARSER, ids=[e["file"] for e in PARSER])

@@ -105,6 +105,25 @@ class TestAdamsModel:
         b = m.gen(3) - 1
         assert m.psi(2, a * b) == m.psi(2, a) * m.psi(2, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ring=st.sampled_from([QQ, ZZ]),
+        k=st.integers(1, 9),
+        terms=st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * 4), st.integers(-5, 5).filter(bool), min_size=1, max_size=6
+        ),
+        indices=st.lists(st.integers(1, 12), min_size=4, max_size=4, unique=True),
+    )
+    def test_psi_renames_as_the_constructor_does(self, ring, k, terms, indices):
+        # the oracle is the public constructor on the renamed variables: the
+        # same vars and the same terms in the same order, whether the renaming
+        # keeps the name order (x1, x2 -> x2, x4) or changes it (x1, x5 -> x2, x10)
+        m = AdamsModel(108)
+        e = MultiPoly(ring, [f"x{n}" for n in indices], terms)
+        got = m.psi(k, e)
+        want = MultiPoly(ring, [f"x{k * int(v[1:])}" for v in e.vars], e.terms)
+        assert (got.ring, got.vars, list(got.terms.items())) == (want.ring, want.vars, list(want.terms.items()))
+
 
 class TestNewton:
     def test_psi_squared_from_lambda(self):

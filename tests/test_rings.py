@@ -1,7 +1,8 @@
 """Primality: the deterministic Miller-Rabin test against trial division;
-what Z and Z/m take as a coefficient."""
+what each ring takes as a coefficient, and as its modulus or prime."""
 
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from lambda_forge.cli import main
 from lambda_forge.errors import NotDivisible, UsageError
 from lambda_forge.poly import MultiPoly
-from lambda_forge.rings import _MR_LIMIT, ZZ, CoeffRing, _is_prime
+from lambda_forge.rings import _MR_LIMIT, QQ, ZZ, CoeffRing, _is_prime
 
 
 def trial_division_is_prime(n):
@@ -91,3 +92,32 @@ def test_integer_rings_take_ints_and_integral_fractions():
         ZZ.normalize(Fraction(1, 2))
     z6 = CoeffRing.modular(6)
     assert z6.normalize(-1) == 5 and z6.normalize(Fraction(14, 2)) == 1 and z6.normalize(Fraction(1, 5)) == 5
+
+
+@pytest.mark.parametrize("ring", [QQ, CoeffRing.localized(3)], ids=repr)
+@pytest.mark.parametrize("c", [2.5, 2.0, "1/3", "7", None, 1j, Decimal("0.5")])
+def test_rational_rings_take_only_ints_and_fractions(ring, c):
+    with pytest.raises(UsageError, match="is not an int or a Fraction"):
+        MultiPoly.const(ring, c)
+
+
+def test_rational_rings_take_ints_and_fractions():
+    z3 = CoeffRing.localized(3)
+    for ring in (QQ, z3):
+        assert type(ring.normalize(2)) is Fraction and ring.normalize(True) == 1
+        assert ring.normalize(Fraction(6, 4)) == Fraction(3, 2)
+    with pytest.raises(NotDivisible):
+        z3.normalize(Fraction(1, 6))
+
+
+@pytest.mark.parametrize("make", [lambda: CoeffRing.modular(2.5), lambda: CoeffRing.modular("4"),
+                                  lambda: CoeffRing.localized(2.5), lambda: CoeffRing.localized("3")])
+def test_ring_parameters_are_integers(make):
+    with pytest.raises(UsageError, match="is not an integer"):
+        make()
+
+
+def test_integral_fraction_parameters_are_integers():
+    assert CoeffRing.modular(Fraction(8, 2)) == CoeffRing.modular(4)
+    assert repr(CoeffRing.modular(Fraction(8, 2))) == "Z/4"
+    assert CoeffRing.localized(Fraction(6, 2)) == CoeffRing.localized(3)

@@ -89,6 +89,22 @@ class TestTruncationSet:
         with pytest.raises(UsageError):
             TruncationSet.p_typical(2, -1)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TruncationSet.big(2.5),
+            lambda: TruncationSet.p_typical(2, 2.5),
+            lambda: TruncationSet.p_typical(2.5, 2),
+        ],
+    )
+    def test_constructor_parameters_are_integers(self, make):
+        with pytest.raises(UsageError, match="is not an integer"):
+            make()
+
+    def test_integral_fraction_parameters_are_integers(self):
+        assert TruncationSet.big(Fraction(6, 2)) == TruncationSet.big(3)
+        assert TruncationSet.p_typical(Fraction(4, 2), Fraction(3)) == TruncationSet.p_typical(2, 3)
+
     @pytest.mark.parametrize("elems", [[1, 2.5], [1, 2.0], ["a"], [1, "2"], [1, Fraction(5, 2)]])
     def test_only_integers_are_members(self, elems):
         with pytest.raises(UsageError, match="is not an integer"):
@@ -1001,21 +1017,21 @@ def old_ghost_route(vecs, shape, combine):
         raise IntegralityViolation(exc.witness, f"index {exc.witness}: {exc}") from exc
 
 
-def old_op(op, vecs, n=None):
-    """``op`` on ``vecs`` through the oracle route: add, sub, mul, neg, pow
+def old_op(op, vecs, n=None, route=old_ghost_route):
+    """``op`` on ``vecs`` through an oracle ``route``: add, sub, mul, neg, pow
     (``n``-th power), frobenius (F_n) or comult (W_{S*T} -> W_S(W_T), n = (S, T))."""
     a = vecs[0]
     if op in ("add", "sub", "mul"):
         f = getattr(operator, op)
-        return old_ghost_route(vecs, a.shape, lambda ga, gb: {k: f(ga[k], gb[k]) for k in ga})
+        return route(vecs, a.shape, lambda ga, gb: {k: f(ga[k], gb[k]) for k in ga})
     if op in ("neg", "pow"):
         f = operator.neg if op == "neg" else lambda w: w ** n
-        return old_ghost_route([a], a.shape, lambda ga: {k: f(w) for k, w in ga.items()})
+        return route([a], a.shape, lambda ga: {k: f(w) for k, w in ga.items()})
     if op == "frobenius":
         shape = (a.trunc.divide(n),) + a.shape[1:]
-        return old_ghost_route([a], shape, lambda ga: {k: ga[_old_scaled(k, n)] for k in _old_keys(shape)})
+        return route([a], shape, lambda ga: {k: ga[_old_scaled(k, n)] for k in _old_keys(shape)})
     shape = n + a.shape[1:]
-    return old_ghost_route([a], shape, lambda ga: {(s, k): ga[_old_scaled(k, s)] for s, k in _old_keys(shape)})
+    return route([a], shape, lambda ga: {(s, k): ga[_old_scaled(k, s)] for s, k in _old_keys(shape)})
 
 
 def new_op(op, vecs, n=None):
@@ -1238,3 +1254,186 @@ def test_comult_leaves_its_input_ghost_coordinates_unchanged(monkeypatch):
     got = comult(a, B3, B3)
     assert seen and all({k: w.terms for k, w in out.items()} == before for out, before in seen)
     assert _layout(got) == _layout(old_op("comult", [a], (B3, B3)))
+
+
+# ---------------------------------------------------------------------------
+# scalar arithmetic over Q and Z_(p) on integer numerators against the route
+# it replaced: the ghost map, the combine and the triangular inverse on
+# Fractions, a gcd after every operation
+
+
+def _fraction_comp(x, divs):
+    n = divs[-1]
+    parts = [x[d] ** (n // d) * d for d in divs]
+    return sum(parts[1:], parts[0])
+
+
+def _fraction_coords(v):
+    """Ghost coordinates of a vector of constants, as Fractions keyed as the route keys them."""
+    table = v.trunc.divisors()
+    if len(v.shape) == 1:
+        x = {n: c.constant_value() for n, c in v.comps.items()}
+        return {n: _fraction_comp(x, divs) for n, divs in table.items()}
+    inner = {s: _fraction_coords(c) for s, c in v.comps.items()}
+    cols = {k: {d: g[k] for d, g in inner.items()} for k in next(iter(inner.values()))}
+    return {(s, k): _fraction_comp(x, divs) for k, x in cols.items() for s, divs in table.items()}
+
+
+def _fraction_unghost(w, S, ring):
+    x = {}
+    for n, divs in S.divisors().items():
+        x[n] = ring.normalize(0)
+        c = ring.normalize(w[n] - _fraction_comp(x, divs))
+        try:
+            x[n] = ring.div_int(c, n) if c else c
+        except NotDivisible:
+            witness = NotDivisible(ring.coeff_str(c))
+            raise NotDivisible(n, f"component a_{n} is not in the coefficient ring: {witness}") from None
+    return x
+
+
+def _fraction_solve(w, shape, ring):
+    S, rest = shape[0], shape[1:]
+    if not rest:
+        return WittVec(S, ring, _fraction_unghost(w, S, ring))
+    keys = _old_keys(rest)
+    cols = {k: _fraction_unghost({s: w[(s, k)] for s in S}, S, ring) for k in keys}
+    return WittVec(S, ring, {s: _fraction_solve({k: cols[k][s] for k in keys}, rest, ring) for s in S})
+
+
+def fraction_route(vecs, shape, combine):
+    """The oracle: the scalar route on Fractions over Q and Z_(p)."""
+    return _fraction_solve(combine(*(_fraction_coords(v) for v in vecs)), shape, vecs[0].ring)
+
+
+SCALAR_RINGS = [QQ, CoeffRing.localized(2), CoeffRing.localized(3)]
+SCALAR_SHAPES = [
+    (P22,),
+    (TruncationSet.p_typical(2, 4),),
+    (TruncationSet.p_typical(3, 3),),
+    (TruncationSet.big(6),),
+    (TruncationSet((1, 2, 3, 6)),),
+    (BIG2, BIG2),
+    (P22, TruncationSet.big(3)),
+]
+SCALAR_SETTINGS = settings(max_examples=80, deadline=None)
+
+
+def _rationals(ring):
+    """Fractions over denominators 1, 2, 3, 4, 5 and 7, the units of Z_(p) among them."""
+    units = [d for d in (1, 2, 3, 4, 5, 7) if ring.prime is None or d % ring.prime]
+    return st.builds(Fraction, st.integers(-30, 30), st.sampled_from(units))
+
+
+@st.composite
+def rational_vectors(draw, shape, count):
+    """(ring, vectors of ``shape`` with constant leaves) over Q, Z_(2) or Z_(3)."""
+    ring = draw(st.sampled_from(SCALAR_RINGS))
+
+    def vec(shape):
+        comps = {n: vec(shape[1:]) if len(shape) > 1 else draw(_rationals(ring)) for n in shape[0]}
+        return WittVec(shape[0], ring, comps)
+
+    return ring, [vec(shape) for _ in range(count)]
+
+
+def _fractions(vec):
+    """Every leaf coefficient of ``vec`` is a Fraction, as the ring's canonical form has it."""
+    return all(type(c) is Fraction for p in witt._leaves([vec]) for c in p.terms.values())
+
+
+@SCALAR_SETTINGS
+@given(st.sampled_from(SCALAR_SHAPES).flatmap(lambda shape: rational_vectors(shape, 2)), st.data())
+def test_scalar_route_over_q_and_z_p_matches_the_fraction_route(inputs, data):
+    # the answers have different weights: 1 for add, sub and neg, 2 for mul,
+    # k for ** k and n for F_n
+    _, vecs = inputs
+    op = data.draw(st.sampled_from(["add", "sub", "mul", "neg", "pow", "frobenius"]))
+    n = data.draw(st.sampled_from([0, 1, 2, 3, 4] if op == "pow" else [2, 3]))
+    got, want = new_op(op, vecs, n), old_op(op, vecs, n, fraction_route)
+    assert got.shape == want.shape and got.ring == want.ring
+    assert _layout(got) == _layout(want) and _fractions(got)
+
+
+@SCALAR_SETTINGS
+@given(st.sampled_from([(BIG2, BIG2, ()), (P22, TruncationSet.big(3), ()), (BIG2, P22, (BIG2,))]), st.data())
+def test_scalar_comult_over_q_and_z_p_matches_the_fraction_route(outer, data):
+    S, T, rest = outer
+    _, (a,) = data.draw(rational_vectors((S.product(T),) + rest, 1))
+    got, want = comult(a, S, T), old_op("comult", [a], (S, T), fraction_route)
+    assert got.shape == want.shape == (S, T) + rest
+    assert _layout(got) == _layout(want) and _fractions(got)
+
+
+GHOST_TRUNCS = [
+    TruncationSet.big(12),
+    TruncationSet.big(20),
+    TruncationSet.p_typical(2, 6),
+    TruncationSet.p_typical(3, 4),
+    TruncationSet.p_typical(5, 3),
+    TruncationSet((1, 2, 3, 4, 6, 12)),
+]
+
+
+@SCALAR_SETTINGS
+@given(st.sampled_from(GHOST_TRUNCS).flatmap(lambda S: rational_vectors((S,), 1)))
+def test_scalar_ghost_map_and_inverse_over_q_and_z_p_match_the_fraction_route(inputs):
+    # a's ghost coordinates invert to a.  Its components, read as ghost
+    # coordinates, invert over Q, where the integer inverse is exact by
+    # Dwork's lemma once the primes of S join the common denominator; over
+    # Z_(p) they are refused at the first component with p in its denominator
+    ring, (a,) = inputs
+    g = ghost_map(a)
+    assert list(g.comps.items()) == [(n, MultiPoly.const(ring, w)) for n, w in _fraction_coords(a).items()]
+    assert _layout(ghost_inverse(g)) == _layout(a)
+    h = GhostVec(a.trunc, ring, a.comps)
+    want = _outcome(lambda: _fraction_solve({n: c.constant_value() for n, c in a.comps.items()}, (a.trunc,), ring))
+    assert _outcome(lambda: ghost_inverse(h)) == want
+    assert ring.kind == "Z_(" or not isinstance(want, tuple)
+
+
+def test_ghost_inverse_over_z_p_refuses_the_first_component_outside_the_ring():
+    # (1/3, 1, 0, 1/6) over Q; over Z_(2) a_4 = 1/6 is refused, with 4 * a_4 = 2/3 as witness
+    S = TruncationSet.big(4)
+    g = dict(zip(S, [Fraction(1, 3), Fraction(19, 9), Fraction(1, 27), Fraction(217, 81)]))
+    want = WittVec.from_list(S, QQ, [Fraction(1, 3), 1, 0, Fraction(1, 6)])
+    assert ghost_inverse(GhostVec(S, QQ, g)) == want
+    Z2 = CoeffRing.localized(2)
+    with pytest.raises(NotDivisible) as exc:
+        ghost_inverse(GhostVec(S, Z2, g))
+    assert exc.value.witness == 4
+    assert str(exc.value) == "component a_4 is not in the coefficient ring: not divisible, witness: 2/3"
+    assert exc.value.__cause__ is None and exc.value.__suppress_context__
+    assert _outcome(lambda: _fraction_solve(dict(g), (S,), Z2)) == (4, str(exc.value))
+
+
+def test_scalar_arithmetic_over_q_builds_one_fraction_per_answer_component(monkeypatch):
+    # the route runs on ints: a Fraction is formed for each component of the
+    # answer and for none of the ghost coordinates or steps of the inverse
+    S = TruncationSet.p_typical(2, 4)
+    values = [Fraction(21, 2), Fraction(-17, 3), Fraction(13, 5), Fraction(29, 7)]
+    a = WittVec.from_list(S, QQ, values)
+    b = WittVec.from_list(S, QQ, values[::-1])
+    U = BIG2.product(BIG2)
+    c = WittVec(U, QQ, {n: WittVec.from_list(BIG2, QQ, [Fraction(n, 3), Fraction(1, 2)]) for n in U})
+    g = ghost_map(a)
+    cases = [
+        (lambda: a + b, 4), (lambda: a - b, 4), (lambda: a * b, 4), (lambda: -a, 4), (lambda: a ** 3, 4),
+        (lambda: frobenius(2, a), 3), (lambda: comult(c, BIG2, BIG2), 8), (lambda: ghost_map(a), 4),
+        (lambda: ghost_inverse(g), 4),
+    ]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    clear_memo()
+    for run, answers in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counting_new)
+            run()
+        assert len(built) == answers
+        built.clear()
+    assert witt._MEMO == {}
