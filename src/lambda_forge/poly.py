@@ -50,6 +50,7 @@ with its own, and each source term picks up c ** e.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -60,6 +61,16 @@ from struct import Struct
 from .errors import NotDivisible, UsageError
 from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing
 
+# the one rule for variable names, the grammar's (``textparse``): checked
+# where a name enters, by ``var`` and the constructor (so ``from_json``)
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def _check_names(vars: tuple):
+    for v in vars:
+        if not (isinstance(v, str) and _NAME.fullmatch(v)):
+            raise UsageError(f"variable names match {_NAME.pattern}, got {v!r}")
+
 
 class MultiPoly:
     __slots__ = ("ring", "vars", "terms")
@@ -68,6 +79,7 @@ class MultiPoly:
         """A polynomial from outside input: distinct variable names in any
         order, and coefficients that are not yet normalized."""
         vars = tuple(vars)
+        _check_names(vars)
         n = len(vars)
         if len(set(vars)) != n:
             raise UsageError(f"repeated variable name: {next(v for v in vars if vars.count(v) > 1)}")
@@ -104,15 +116,13 @@ class MultiPoly:
 
     @staticmethod
     def var(ring: CoeffRing, name: str) -> "MultiPoly":
+        _check_names((name,))
         return MultiPoly._trusted(ring, (name,), {(1,): ring.normalize(1)})
 
     # -- predicates and accessors ----------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.vars
 
     def constant_value(self):
         if self.vars:

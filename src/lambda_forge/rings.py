@@ -93,6 +93,11 @@ class CoeffRing:
                 raise UsageError("localized integers need a prime")
         elif kind not in (INTEGER, RATIONAL):
             raise UsageError(f"unknown coefficient ring kind: {kind!r}")
+        # each kind takes only its own parameter, so rings that print alike are equal
+        if modulus is not None and kind != MODULAR:
+            raise UsageError(f"{self} takes no modulus")
+        if prime is not None and kind != LOCALIZED:
+            raise UsageError(f"{self} takes no prime")
 
     # -- constructors ---------------------------------------------------
 
@@ -133,7 +138,9 @@ class CoeffRing:
         return self.kind
 
     def require_same(self, other: "CoeffRing"):
-        if self != other:
+        """Refuse a ring unequal to this one; the same object passes without
+        ``__eq__``, as the rings of one computation all are."""
+        if self is not other and self != other:
             raise MixedCoefficientRings(f"{self} vs {other}")
 
     # -- coefficient arithmetic ------------------------------------------

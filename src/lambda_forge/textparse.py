@@ -1,8 +1,10 @@
 """Textual input grammar for the CLI.
 
-Polynomials: integer coefficients, `^` powers, `*` products, `/` by a
+Polynomials: integer coefficients, `^` powers (a unary minus negates the
+whole power: `-x^2` is `-(x^2)`, as printed), `*` products, `/` by a
 positive integer literal (exact over the coefficient ring), parentheses,
-variable names matching [A-Za-z][A-Za-z0-9_]*, and `X(2,3)` sugar for
+variable names matching [A-Za-z][A-Za-z0-9_]* (the one name rule,
+``poly._NAME``), and `X(2,3)` sugar for
 lambda-basis generators (the empty sequence is `X()` or `X0`).  Witt
 vectors are bracketed, comma-separated component lists.  Both kinds of list
 are read by one rule, ``_Parser.items``.  Truncation sets are `big:N` or
@@ -14,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .errors import NotDivisible, UsageError
-from .poly import MultiPoly
+from .poly import _NAME, MultiPoly
 from .rings import CoeffRing, ZZ
 from .witt import TruncationSet
 
@@ -34,7 +36,7 @@ def ascii_int(text: str, signed: bool = False) -> int:
     return int(text)
 
 
-_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|\*\*|[-+*/^(),\[\]])")
+_TOKEN = re.compile(rf"\s*([0-9]+|{_NAME.pattern}|\*\*|[-+*/^(),\[\]])")
 
 
 def _tokenize(text: str):
@@ -119,6 +121,10 @@ class _Parser:
         return value
 
     def factor(self) -> MultiPoly:
+        # a unary minus negates the whole power: -x^2 is -(x^2), as printed
+        if self.peek() == "-":
+            self.take()
+            return -self.factor()
         value = self.atom()
         while self.peek() == "^":
             self.take()
@@ -130,9 +136,6 @@ class _Parser:
 
     def atom(self) -> MultiPoly:
         tok = self.peek()
-        if tok == "-":
-            self.take()
-            return -self.atom()
         if tok == "(":
             self.take()
             value = self.expr()
@@ -141,7 +144,7 @@ class _Parser:
         tok = self.take()
         if tok.isdigit():
             return MultiPoly.const(self.ring, int(tok))
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+        if _NAME.fullmatch(tok):
             if tok == "X" and self.peek() == "(":
                 return MultiPoly.var(self.ring, _sigma_name(self.items("(", self.prime, ")")))
             return MultiPoly.var(self.ring, tok)
@@ -184,7 +187,7 @@ def parse_ring_spec(spec: str) -> tuple:
     spec = spec.replace(" ", "")
     if spec == "Z":
         return ()
-    m = re.fullmatch(r"Z\[([A-Za-z][A-Za-z0-9_]*(?:,[A-Za-z][A-Za-z0-9_]*)*)\]", spec)
+    m = re.fullmatch(rf"Z\[({_NAME.pattern}(?:,{_NAME.pattern})*)\]", spec)
     if not m:
         raise UsageError(f"cannot parse ring {spec!r} (use Z or Z[u,v])")
     gens = tuple(m.group(1).split(","))

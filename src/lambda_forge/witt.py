@@ -21,7 +21,11 @@ On packed values each ghost component, and each step of the inverse, is
 one accumulator of its own that the terms d * x_d^(n/d) are added into in
 place; each power x_d^j is formed once per ghost map or inverse, as
 x_d^(j//2) squared, times x_d when j is odd, and dropped after the last
-index that reads a power of x_d.  Scalars keep the plain sums.
+index that reads a power of x_d.  Scalars run on flat integer loops: each
+ghost component, and each step of the inverse, is one int that the terms
+are added into, and a division over Z is one ``divmod``.  Every answer
+leaves through a trusted constructor (``_Vec._trusted``), since the route
+yields canonical components over the one ring object in truncation order.
 A vector in W_S(W_T(A)) has ghost coordinates keyed by (s, t): w_s of its
 components' ghost coordinates at t.  Frobenius and comultiplication are
 index maps on these keys, and the inverse runs one level at a time, so
@@ -54,22 +58,21 @@ from .errors import (
     CostLimitExceeded,
     ForgeError,
     IntegralityViolation,
-    MixedCoefficientRings,
     NonUnitConstantTerm,
     NotASubset,
     NotDivisible,
     TruncationMismatch,
     UsageError,
 )
-from .poly import MultiPoly, _Packed, _packer
-from .rings import LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime
+from .poly import MultiPoly, _packer
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime
 from .series import TruncSeries
 
 
 class TruncationSet:
     """Finite division-stable set of positive integers."""
 
-    __slots__ = ("elems", "_divisors")
+    __slots__ = ("elems", "_divisors", "_last", "_quotients")
 
     def __init__(self, elems):
         members = {n if type(n) is int else _as_int(n) for n in elems}
@@ -102,7 +105,8 @@ class TruncationSet:
                 if n // q not in members:
                     raise UsageError(f"not division-stable: {n} in set but divisor {n // q} missing")
         self.elems = elems
-        self._divisors = None
+        self._divisors = self._last = None
+        self._quotients = {}
 
     @staticmethod
     def big(n: int) -> "TruncationSet":
@@ -154,14 +158,27 @@ class TruncationSet:
             self._divisors = MappingProxyType({n: tuple(divs) for n, divs in table.items()})
         return self._divisors
 
+    def last_multiples(self):
+        """d -> the largest multiple of d in S, the last index whose divisors
+        hold d; built on first use and shared, read-only, as ``divisors`` is."""
+        if self._last is None:
+            self._last = MappingProxyType({d: n for n, divs in self.divisors().items() for d in divs})
+        return self._last
+
     def issubset(self, other: "TruncationSet") -> bool:
         return set(self.elems) <= set(other.elems)
 
     def divide(self, n: int) -> "TruncationSet":
-        """S/n = {d : n*d in S}."""
+        """S/n = {d : n*d in S}, built once for each n and kept with its
+        divisor table (as S never changes, every F_n on W_S shares them)."""
+        if type(n) is not int:
+            n = _as_int(n)
         if n < 1:
             raise UsageError(f"truncation sets are divided by positive integers, got {n}")
-        return TruncationSet(s // n for s in self.elems if s % n == 0)
+        quotient = self._quotients.get(n)
+        if quotient is None:
+            quotient = self._quotients[n] = TruncationSet(s // n for s in self.elems if s % n == 0)
+        return quotient
 
     def product(self, other: "TruncationSet") -> "TruncationSet":
         return TruncationSet(s * t for s in self.elems for t in other.elems)
@@ -332,41 +349,43 @@ def comult_poly_map(S: TruncationSet, T: TruncationSet) -> dict:
 # the ghost route
 
 
-def _ghost_comp(x: dict, divs: tuple):
-    """w_n = sum_{d | n} d * x_d^(n/d) on scalar component values; n = divs[-1]."""
-    n = divs[-1]
-    parts = [x[d] ** (n // d) * d for d in divs]
-    return sum(parts[1:], parts[0])
-
-
-def _scalar_coords(x: dict, table: dict) -> dict:
-    """The ghost components of scalar component values ``x``."""
-    return {n: _ghost_comp(x, divs) for n, divs in table.items()}
+def _scalar_coords(x: dict, S: TruncationSet) -> dict:
+    """The ghost components of scalar component values ``x``: w_n is one int
+    that each term d * x_d^(n/d) is added into."""
+    w = {}
+    for n, divs in S.divisors().items():
+        acc = 0
+        for d in divs:
+            acc += d * x[d] ** (n // d)
+        w[n] = acc
+    return w
 
 
 def _scalar_unghost(ring: CoeffRing):
-    """The triangular inverse of the ghost map on scalars, bottom up: with
-    x_n = 0 the ghost formula gives w_n minus n * x_n, so x_n = (w_n - that) / n.
-    A failed division fails with the certificate a constant polynomial gives."""
-    zero = ring.normalize(0)
+    """The triangular inverse of the ghost map on scalars, bottom up: x_n is
+    w_n with each d * x_d^(n/d), d < n, subtracted from one int, divided by
+    n.  Over Z the division is one ``divmod``.  Over Z/m (a ghost inverse of
+    residues; arithmetic runs on lifts over Z) it is ``ring.div_int`` on the
+    residue, which fails unless the residue is 0 or n a unit.  A failed
+    division fails with the certificate a constant polynomial gives."""
+    modular = ring.kind == MODULAR
 
-    def div(c, n):
-        c = ring.normalize(c)
-        if c == 0:
-            return c
-        try:
-            return ring.div_int(c, n)
-        except NotDivisible:
-            raise NotDivisible(ring.coeff_str(c)) from None
-
-    def unghost(w: dict, table: dict) -> dict:
+    def unghost(w: dict, S: TruncationSet) -> dict:
         x = {}
-        for n, divs in table.items():
-            x[n] = zero
-            try:
-                x[n] = div(w.pop(n) - _ghost_comp(x, divs), n)
-            except NotDivisible as exc:
-                raise _missing(n, exc) from None
+        for n, divs in S.divisors().items():
+            c = w.pop(n)
+            for d in divs[:-1]:
+                c -= d * x[d] ** (n // d)
+            if modular:
+                c = ring.normalize(c)
+                try:
+                    x[n] = ring.div_int(c, n) if c else c
+                except NotDivisible:
+                    raise _missing(n, NotDivisible(ring.coeff_str(c))) from None
+            else:
+                x[n], r = divmod(c, n)
+                if r:
+                    raise _missing(n, NotDivisible(ring.coeff_str(c))) from None
         return x
 
     return unghost
@@ -377,14 +396,15 @@ def _missing(n: int, exc: NotDivisible) -> NotDivisible:
     return NotDivisible(n, f"component a_{n} is not in the coefficient ring: {exc}")
 
 
-def _packed_sums(x: dict, table: dict, start, sign: int):
+def _packed_sums(x: dict, S: TruncationSet, start, sign: int):
     """(n, ``start(n)`` + sign * sum_{d | n, d < n} d * x_d^(n/d)) for each index
-    n in turn, the terms added into the accumulator ``start(n)`` in place,
-    with one power cache for each x_d, freed after the last multiple of d.
-    A generator, so that an inverse sets x_n before the next index reads it."""
-    last = {d: n for n, divs in table.items() for d in divs}
+    n of S in turn, the terms added into the accumulator ``start(n)`` in
+    place, with one power cache for each x_d, freed after the last multiple
+    of d.  A generator, so that an inverse sets x_n before the next index
+    reads it."""
+    last = S.last_multiples()
     powers = {}
-    for n, divs in table.items():
+    for n, divs in S.divisors().items():
         acc = start(n)
         for d in divs[:-1]:
             cache = powers.get(d)
@@ -396,23 +416,23 @@ def _packed_sums(x: dict, table: dict, start, sign: int):
         yield n, acc
 
 
-def _packed_coords(x: dict, table: dict) -> dict:
+def _packed_coords(x: dict, S: TruncationSet) -> dict:
     """The ghost components of packed component values ``x``: w_n starts as
     n * x_n, an accumulator of its own."""
-    return dict(_packed_sums(x, table, lambda n: x[n] * n, 1))
+    return dict(_packed_sums(x, S, lambda n: x[n] * n, 1))
 
 
-def _packed_unghost(w: dict, table: dict) -> dict:
+def _packed_unghost(w: dict, S: TruncationSet) -> dict:
     """The triangular inverse of the ghost map on packed values, bottom up:
     x_n = (w_n - sum_{d | n, d < n} d * x_d^(n/d)) / n.  Index n has one
     accumulator, a copy of w_n (comult hands one ghost coordinate to several
     keys, so no coordinate is changed), and each term is subtracted from it
     in place.  Each power x_d^j is formed once, from x_d^(j//2) squared,
     times x_d when j is odd, and the powers of x_d are freed after the last
-    multiple of d in the table.  Raises ``NotDivisible(n)`` when the
+    multiple of d in S.  Raises ``NotDivisible(n)`` when the
     division at index n fails; consumes ``w``, so each w_n can be freed."""
     x = {}
-    for n, acc in _packed_sums(x, table, lambda n: w.pop(n).copy(), -1):
+    for n, acc in _packed_sums(x, S, lambda n: w.pop(n).copy(), -1):
         try:
             x[n] = acc.div_int(n)
         except NotDivisible as exc:
@@ -423,31 +443,33 @@ def _packed_unghost(w: dict, table: dict) -> dict:
 def _values(comps, ring: CoeffRing, degree: int, shape: tuple, unit: int = 1):
     """What differs by value kind: how a component at index product m (s * t
     nested) becomes a value, the ghost map of one level, its inverse, and the
-    scale C of the values.  Scalars when every component is constant: ints
-    over Z and Z/m (Z for the lifts of Z/m arithmetic), and over Q and Z_(p)
-    the integer C^m * a for a component a, C = ``unit`` * the lcm D of the
-    denominators of ``comps``, run over Z.  The ghost map and the universal
-    polynomials are isobaric (a_m has weight m), so these are the values of
-    an integral point and the ghost coordinate at m is C^m times a's; an
-    answer of weight k (2 for mul) is read back as X / (C^k)^m at m
-    (``_polys``).  Else ``_Packed`` maps in one layout with fields for B = c *
-    the product of the largest index of each level of the input ``shape``,
-    c = max(degree, 1) * E, ``degree`` the combine's (2 for mul, n for ** n)
-    and E the largest total degree of a component.  At output index m every
-    total degree, and so every exponent, is at most c * m <= B: the ghost map
-    gives E * m, a combine multiplies by its degree, F_n reads w_{nm} at m
-    (c = n * E, n * m an input index), and by induction on m each
-    d * x_d^(m/d) and x_m of the inverse, level by level, stays within it."""
-    if all(c.is_constant() for c in comps):
+    scale C of the values.  Scalars when every component is constant, read
+    straight off its canonical term map: ints over Z and Z/m (Z for the
+    lifts of Z/m arithmetic), and over Q and Z_(p) the integer C^m * a for a
+    component a, C = ``unit`` * the lcm D of the denominators of ``comps``,
+    run over Z by flat loops (``_scalar_coords``, ``_scalar_unghost``).  The
+    ghost map and the universal polynomials are isobaric (a_m has weight m),
+    so these are the values of an integral point and the ghost coordinate
+    at m is C^m times a's; an answer of weight k (2 for mul) is read back as
+    X / (C^k)^m at m (``_polys``).  Else ``_Packed`` maps in one layout with
+    fields for B = c * the product of the largest index of each level of the
+    input ``shape``, c = max(degree, 1) * E, ``degree`` the combine's (2 for
+    mul, n for ** n) and E the largest total degree of a component.  At
+    output index m every total degree, and so every exponent, is at most
+    c * m <= B: the ghost map gives E * m, a combine multiplies by its
+    degree, F_n reads w_{nm} at m (c = n * E, n * m an input index), and by
+    induction on m each d * x_d^(m/d) and x_m of the inverse, level by
+    level, stays within it."""
+    if not any(c.vars for c in comps):
         if ring.kind not in (RATIONAL, LOCALIZED):
-            return (lambda c, m: c.constant_value()), _scalar_coords, _scalar_unghost(ring), 1
+            return (lambda c, m: c.terms.get((), 0)), _scalar_coords, _scalar_unghost(ring), 1
         C = 1
         for c in comps:
-            C = lcm(C, c.constant_value().denominator)
+            C = lcm(C, c.terms.get((), 0).denominator)
         C *= unit
 
         def value(c, m):
-            a = c.constant_value()
+            a = c.terms.get((), 0)
             return a.numerator * C ** m // a.denominator
 
         return value, _scalar_coords, _scalar_unghost(ZZ), C
@@ -457,20 +479,26 @@ def _values(comps, ring: CoeffRing, degree: int, shape: tuple, unit: int = 1):
 
 def _polys(x: dict, ring: CoeffRing, scale: int = 1, m: int = 1) -> dict:
     """Component values at index n (at product m * n nested) as polynomials
-    over ``ring``: packed maps, lifts to Z reduced into Z/m, or integers X
-    read as X / scale^(m * n).  Over Z_(p) the first of these with p in its
-    denominator is the certificate that a ghost inverse leaves the ring."""
+    over ``ring``: packed maps through their one exit, and ints as constants
+    built trusted in the ring's canonical form: as they are over Z, reduced
+    over Z/m, and over Q and Z_(p) an integer X read as one Fraction X /
+    scale^(m * n).  Over Z_(p) the first of these with p in its denominator
+    is the certificate that a ghost inverse leaves the ring."""
     out = {}
+    kind = ring.kind
     for n, v in x.items():
-        if isinstance(v, _Packed):
+        if type(v) is not int:
             out[n] = v.poly(ring)
             continue
-        if scale != 1:
+        if kind == MODULAR:
+            v %= ring.modulus
+        elif kind != INTEGER:
             v = Fraction(v, scale ** (m * n))
-        try:
-            out[n] = MultiPoly.const(ring, v)
-        except NotDivisible:
-            raise _missing(n, NotDivisible(ring.coeff_str(v * n))) from None
+            try:
+                ring.normalize(v)  # over Z_(p), refuses p in the denominator
+            except NotDivisible:
+                raise _missing(n, NotDivisible(ring.coeff_str(v * n))) from None
+        out[n] = MultiPoly._trusted(ring, (), {(): v} if v else {})
     return out
 
 
@@ -497,26 +525,27 @@ def _ghost_coords(v: "WittVec", value, coords, m: int = 1) -> dict:
     components' coordinates at k.  That is ghost_S after W_S(ghost_T), a ring
     map, injective over torsion-free rings, so nested vectors need no other
     arithmetic."""
-    table = v.trunc.divisors()
     if len(v.shape) == 1:
-        return coords({n: value(c, m * n) for n, c in v.comps.items()}, table)
+        return coords({n: value(c, m * n) for n, c in v.comps.items()}, v.trunc)
     inner = {s: _ghost_coords(c, value, coords, m * s) for s, c in v.comps.items()}
     cols = {k: {d: g[k] for d, g in inner.items()} for k in next(iter(inner.values()))}
-    return {(s, k): w for k, x in cols.items() for s, w in coords(x, table).items()}
+    return {(s, k): w for k, x in cols.items() for s, w in coords(x, v.trunc).items()}
 
 
 def _solve(w: dict, shape: tuple, ring: CoeffRing, unghost, scale: int = 1, m: int = 1) -> "WittVec":
     """The vector of ``shape`` with ghost coordinates ``w``, inverted one
     level at a time from the outside in; ``unghost`` consumes what it
-    inverts, and ``_polys`` reads the answers at index product ``m`` on."""
+    inverts, and ``_polys`` reads the answers at index product ``m`` on.
+    Each level leaves through ``WittVec._trusted``: its components come in
+    truncation order, canonical over ``ring`` itself, and of one shape."""
     S, rest = shape[0], shape[1:]
-    table = S.divisors()
     if not rest:
-        return WittVec(S, ring, _polys(unghost(w, table), ring, scale, m))
+        return WittVec._trusted(S, ring, _polys(unghost(w, S), ring, scale, m), shape)
     keys = _keys(rest)
-    cols = {k: unghost({s: w.pop((s, k)) for s in S}, table) for k in keys}
+    cols = {k: unghost({s: w.pop((s, k)) for s in S}, S) for k in keys}
     comps = {s: _solve({k: cols[k][s] for k in keys}, rest, ring, unghost, scale, m * s) for s in S}
-    return WittVec(S, ring, comps)
+    # as the constructor has it, a vector with no components has no inner levels
+    return WittVec._trusted(S, ring, comps, shape if comps else (S,))
 
 
 def _ghost_route(vecs, shape: tuple, combine, degree: int = 1, weight: int = 1) -> "WittVec":
@@ -559,6 +588,14 @@ class _Vec:
         self.trunc = trunc
         self.ring = ring
         self.comps = fixed
+
+    @classmethod
+    def _trusted(cls, trunc: TruncationSet, ring: CoeffRing, comps: dict):
+        """A vector from components already canonical over ``ring`` itself,
+        keyed in truncation order, taken as they are."""
+        v = object.__new__(cls)
+        v.trunc, v.ring, v.comps = trunc, ring, comps
+        return v
 
     def as_list(self):
         return [self.comps[n] for n in self.trunc]
@@ -613,6 +650,13 @@ class WittVec(_Vec):
                 raise TruncationMismatch("components are Witt vectors over different truncations")
         self.shape = (trunc,) + inner.pop()
 
+    @classmethod
+    def _trusted(cls, trunc: TruncationSet, ring: CoeffRing, comps: dict, shape: tuple) -> "WittVec":
+        """As ``_Vec._trusted``, the components all of the one ``shape[1:]``."""
+        v = super()._trusted(trunc, ring, comps)
+        v.shape = shape
+        return v
+
     # -- constructors -----------------------------------------------------
 
     @staticmethod
@@ -635,8 +679,7 @@ class WittVec(_Vec):
             raise UsageError("Witt arithmetic needs two Witt vectors")
         if self.shape != other.shape:
             raise TruncationMismatch(f"{self.shape} vs {other.shape}")
-        if self.ring != other.ring:
-            raise MixedCoefficientRings(f"{self.ring} vs {other.ring}")
+        self.ring.require_same(other.ring)
         combine = getattr(operator, op)
         degree = 2 if op == "mul" else 1
         return _ghost_route(
@@ -695,7 +738,7 @@ def ghost_map(a: WittVec) -> GhostVec:
     if len(a.shape) > 1:
         raise UsageError("the ghost map takes polynomial components")
     value, coords, _, C = _values(a.comps.values(), a.ring, 1, a.shape)
-    return GhostVec(a.trunc, a.ring, _polys(_ghost_coords(a, value, coords), a.ring, C))
+    return GhostVec._trusted(a.trunc, a.ring, _polys(_ghost_coords(a, value, coords), a.ring, C))
 
 
 def ghost_inverse(g: GhostVec) -> WittVec:

@@ -553,6 +553,13 @@ class TestDivision:
         assert parse("-x/2 + 1") == parse("(-x)/2 + 1")
         assert textparse.parse_poly("(6*u + 4)/2") == textparse.parse_poly("3*u + 2")
 
+    def test_unary_minus_negates_the_whole_power(self):
+        # the printer writes -(x^2) as -x^2, so that is how it parses back
+        parse = textparse.parse_poly
+        assert parse("-x^2") == -parse("x^2") == parse("0 - x^2") != parse("(-x)^2")
+        assert parse("2*-x^3") == parse("-2*x^3") and parse("--x^2") == parse("x^2")
+        assert parse("-3^2") == parse("-9") and str(parse("-x^2 - y")) == "-x^2 - y"
+
     @pytest.mark.parametrize(
         "text, ring, message",
         [

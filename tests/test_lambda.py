@@ -88,8 +88,16 @@ class TestAdamsModel:
     @pytest.mark.parametrize("name", ["x01", "x00", "x\u00b2", "x\u0663", "x", "y1"])
     def test_only_canonical_x_names_are_model_variables(self, name):
         m = AdamsModel(6)
+        if name.isascii():
+            x = q(name)
+        else:
+            # the public constructors refuse a name outside the grammar; one
+            # built trusted still is no model variable
+            with pytest.raises(UsageError, match="variable names match"):
+                q(name)
+            x = MultiPoly._trusted(QQ, (name,), {(1,): Fraction(1)})
         with pytest.raises(UsageError, match="is not an Adams model variable"):
-            m.psi(2, q(name) + m.gen(1))
+            m.psi(2, x + m.gen(1))
 
     def test_out_of_range(self):
         m = AdamsModel(5)

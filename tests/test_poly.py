@@ -112,6 +112,16 @@ class TestCanonicalForm:
         with pytest.raises(UsageError, match="nonnegative"):
             MultiPoly(ZZ, ("a", "b"), {(2, -1): 1})
 
+    @pytest.mark.parametrize("name", ["", "1x", "a b", "_x", "x-1", "x.y", "\u00e9", "x\n", 3, None])
+    def test_names_outside_the_grammar_are_refused(self, name):
+        # a name the grammar cannot read would print a polynomial that does not
+        # parse back, or two unequal polynomials alike ("var('')" printed 0)
+        obj = {"vars": [name], "ring": {"kind": "Z"}, "terms": [{"coef": "1", "exps": [1]}]}
+        for make in (lambda: MultiPoly.var(ZZ, name), lambda: MultiPoly(ZZ, (name,), {(1,): 1}),
+                     lambda: MultiPoly.from_json(obj)):
+            with pytest.raises(UsageError, match="variable names match"):
+                make()
+
     def test_localized_denominator_guard(self):
         ring = CoeffRing.localized(3)
         MultiPoly.const(ring, Fraction(1, 2))  # fine: 2 is a unit in Z_(3)
@@ -1263,3 +1273,30 @@ class TestNumeratorsOverOneDenominator:
         for op in (add, mul):
             got = op(x, y)
             assert at_point(got) == op(at_point(x), at_point(y))
+
+
+GRAMMAR_NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True)
+
+
+@st.composite
+def named_polys(draw):
+    """(ring, a polynomial built through the API from drawn valid names)."""
+    ring = draw(st.sampled_from(RINGS))
+    names = draw(st.lists(GRAMMAR_NAMES, min_size=1, max_size=4, unique=True))
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 5] if ring.kind in ("Q", "Z_(") else [1]))
+    f = MultiPoly.const(ring, draw(coeffs))
+    for _ in range(draw(st.integers(0, 4))):
+        term = MultiPoly.const(ring, draw(coeffs))
+        for name in draw(st.lists(st.sampled_from(names), max_size=3)):
+            term = term * MultiPoly.var(ring, name) ** draw(st.integers(1, 3))
+        f = f + term
+    return ring, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_polys())
+def test_printed_polynomials_parse_back(inputs):
+    from lambda_forge.textparse import parse_poly
+
+    ring, f = inputs
+    assert parse_poly(str(f), ring) == f

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from lambda_forge.cli import main
-from lambda_forge.errors import NotDivisible, UsageError
+from lambda_forge.errors import MixedCoefficientRings, NotDivisible, UsageError
 from lambda_forge.poly import MultiPoly
-from lambda_forge.rings import _MR_LIMIT, QQ, ZZ, CoeffRing, _is_prime
+from lambda_forge.rings import _MR_LIMIT, INTEGER, LOCALIZED, MODULAR, QQ, RATIONAL, ZZ, CoeffRing, _is_prime
 
 
 def trial_division_is_prime(n):
@@ -121,3 +121,43 @@ def test_integral_fraction_parameters_are_integers():
     assert CoeffRing.modular(Fraction(8, 2)) == CoeffRing.modular(4)
     assert repr(CoeffRing.modular(Fraction(8, 2))) == "Z/4"
     assert CoeffRing.localized(Fraction(6, 2)) == CoeffRing.localized(3)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        (RATIONAL, {"modulus": 5}),
+        (RATIONAL, {"prime": 5}),
+        (INTEGER, {"modulus": 5}),
+        (INTEGER, {"prime": 3}),
+        (MODULAR, {"modulus": 4, "prime": 2}),
+        (LOCALIZED, {"modulus": 4, "prime": 3}),
+    ],
+)
+def test_each_ring_takes_only_its_own_parameter(kind, params):
+    # a Q that kept a modulus printed as Q but was unequal to QQ
+    with pytest.raises(UsageError, match="takes no"):
+        CoeffRing(kind, **params)
+
+
+def test_rings_that_print_alike_are_equal():
+    made = [CoeffRing.integers(), CoeffRing.rationals(), CoeffRing.modular(6), CoeffRing.localized(3)]
+    assert made == [ZZ, QQ, CoeffRing(MODULAR, modulus=6), CoeffRing(LOCALIZED, prime=3)]
+    assert [repr(r) for r in made] == ["Z", "Q", "Z/6", "Z_(3)"]
+    total = MultiPoly.const(CoeffRing.rationals(), 1) + MultiPoly.const(QQ, 1)
+    assert total == MultiPoly.const(QQ, 2)
+
+
+def test_require_same_passes_the_same_ring_without_comparing(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("compared")
+
+    monkeypatch.setattr(CoeffRing, "__eq__", refuse)
+    for ring in (ZZ, QQ, CoeffRing.modular(4)):
+        ring.require_same(ring)
+    with pytest.raises(AssertionError, match="compared"):
+        ZZ.require_same(CoeffRing.integers())
+    monkeypatch.undo()
+    ZZ.require_same(CoeffRing.integers())
+    with pytest.raises(MixedCoefficientRings, match="Z vs Q"):
+        ZZ.require_same(QQ)

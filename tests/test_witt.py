@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lambda_forge import witt
 from lambda_forge.errors import (
+    ForgeError,
     IntegralityViolation,
     MixedCoefficientRings,
     NotASubset,
@@ -1437,3 +1438,122 @@ def test_scalar_arithmetic_over_q_builds_one_fraction_per_answer_component(monke
         assert len(built) == answers
         built.clear()
     assert witt._MEMO == {}
+
+
+# ---------------------------------------------------------------------------
+# scalar arithmetic over Z and Z/m, on flat integer loops, against the
+# MultiPoly-valued route; the answers leave through the trusted constructor
+
+INT_RINGS = [ZZ, CoeffRing.modular(4), CoeffRing.modular(8), CoeffRing.modular(9)]
+INT_SHAPES = [(S,) for S in DIFF_TRUNCS] + [(BIG2, BIG2), (P22, BIG2)]
+
+
+@st.composite
+def integer_vectors(draw, shape, count, rings=INT_RINGS):
+    """(ring, vectors of ``shape`` with constant leaves, drawn as ints in -30..30)."""
+    ring = draw(st.sampled_from(rings))
+
+    def vec(shape):
+        comps = {n: vec(shape[1:]) if len(shape) > 1 else draw(st.integers(-30, 30)) for n in shape[0]}
+        return WittVec(shape[0], ring, comps)
+
+    return ring, [vec(shape) for _ in range(count)]
+
+
+def _ghost_layout(comps):
+    return [(n, p.vars, list(p.terms.items())) for n, p in comps.items()]
+
+
+def _result(f):
+    """The layout of the vector ``f()`` gives, or the type, witness and message
+    of the error it raises."""
+    try:
+        return _layout(f())
+    except ForgeError as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+
+
+@SCALAR_SETTINGS
+@given(st.sampled_from(INT_SHAPES).flatmap(lambda shape: integer_vectors(shape, 2)), st.data())
+def test_scalar_route_over_z_and_z_mod_m_matches_the_polynomial_route(inputs, data):
+    _, vecs = inputs
+    op = data.draw(st.sampled_from(["add", "sub", "mul", "neg", "pow", "frobenius"]))
+    n = data.draw(st.sampled_from([0, 1, 2, 3, 4] if op == "pow" else [2, 3]))
+    got, want = new_op(op, vecs, n), old_op(op, vecs, n, route=old_ghost_route)
+    assert got.shape == want.shape and got.ring == want.ring
+    assert _layout(got) == _layout(want)
+
+
+@SCALAR_SETTINGS
+@given(st.sampled_from([(BIG2, BIG2, ()), (P22, BIG2, ()), (BIG2, BIG2, (BIG2,))]), st.data())
+def test_scalar_comult_over_z_and_z_mod_m_matches_the_polynomial_route(outer, data):
+    S, T, rest = outer
+    _, (a,) = data.draw(integer_vectors((S.product(T),) + rest, 1))
+    got, want = comult(a, S, T), old_op("comult", [a], (S, T), route=old_ghost_route)
+    assert got.shape == want.shape == (S, T) + rest
+    assert _layout(got) == _layout(want)
+
+
+@SCALAR_SETTINGS
+@given(st.sampled_from(DIFF_TRUNCS + GHOST_TRUNCS).flatmap(lambda S: integer_vectors((S,), 1)))
+def test_scalar_ghost_map_and_inverse_over_z_and_z_mod_m_match_the_polynomial_route(inputs):
+    # a's ghost coordinates, and its components read as ghost coordinates,
+    # which are mostly refused: over Z where a division leaves a remainder,
+    # over Z/m where a nonzero residue meets an index that is not a unit
+    ring, (a,) = inputs
+    g = ghost_map(a)
+    assert _ghost_layout(g.comps) == _ghost_layout(_old_coords(a, ring))
+    if ring == ZZ:
+        assert ghost_inverse(g) == a
+    for comps in (g.comps, a.comps):
+        h = GhostVec(a.trunc, ring, comps)
+        assert _result(lambda: ghost_inverse(h)) == _result(lambda: _old_solve(dict(comps), (a.trunc,), ring, ring))
+
+
+@pytest.mark.parametrize(
+    "ring, ghosts, want",
+    [
+        (ZZ, [1, 2], "witness: 1"),
+        (CoeffRing.modular(4), [1, 2], "witness: 1"),
+        (ZZ, [1, 7], [1, 3]),
+        (CoeffRing.modular(4), [1, 7], "witness: 2"),
+        (CoeffRing.modular(9), [1, 7], [1, 3]),
+    ],
+)
+def test_ghost_inverse_refuses_a_vector_outside_the_ghost_image(ring, ghosts, want):
+    # a_2 = (w_2 - a_1) / 2: over Z/4 the residue 6 = 2 meets the non-unit 2
+    g = GhostVec(BIG2, ring, dict(zip(BIG2, ghosts)))
+    got = _result(lambda: ghost_inverse(g))
+    assert got == _result(lambda: _old_solve(dict(g.comps), (BIG2,), ring, ring))
+    if isinstance(want, list):
+        assert got == _layout(WittVec.from_list(BIG2, ring, want))
+    else:
+        assert got == (NotDivisible, 2, f"component a_2 is not in the coefficient ring: not divisible, {want}")
+
+
+def _assert_built_as_the_constructor_builds(v):
+    """``v`` equals what the public constructor makes of its parts, in the same
+    shape, keyed in truncation order, every component over ``v.ring`` itself."""
+    again = type(v)(v.trunc, v.ring, dict(v.comps))
+    assert v == again and list(v.comps) == list(v.trunc)
+    if isinstance(v, WittVec):
+        assert v.shape == again.shape
+    for c in v.comps.values():
+        assert c.ring is v.ring
+        if isinstance(c, WittVec):
+            _assert_built_as_the_constructor_builds(c)
+
+
+@SCALAR_SETTINGS
+@given(st.sampled_from(INT_SHAPES + SCALAR_SHAPES).flatmap(
+    lambda shape: integer_vectors(shape, 2, INT_RINGS + SCALAR_RINGS)), st.data())
+def test_scalar_answers_are_built_as_the_constructor_builds_them(inputs, data):
+    ring, (a, b) = inputs
+    _, (c,) = data.draw(integer_vectors((BIG2.product(BIG2),) + a.shape[1:], 1, [ring]))
+    answers = [a + b, a - b, a * b, -a, a ** 3, frobenius(2, a), frobenius(3, a), comult(c, BIG2, BIG2)]
+    if len(a.shape) == 1:
+        # over Z/m a ghost inverse mostly fails; that of 0 never does
+        g = ghost_map(a)
+        answers += [g, ghost_inverse(g if ring.kind != "Z/" else GhostVec(a.trunc, ring, dict.fromkeys(a.trunc, 0)))]
+    for v in answers:
+        _assert_built_as_the_constructor_builds(v)
