@@ -30,7 +30,7 @@ from .errors import (
     NotPIntegral,
     UsageError,
 )
-from .poly import MultiPoly, _Substitution, poly_sum
+from .poly import MultiPoly, _packer, _Substitution, poly_sum
 from .rings import MODULAR, QQ, ZZ, CoeffRing, _factorize, _is_prime
 from .textparse import _sigma_name
 from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map
@@ -96,8 +96,18 @@ class AdamsModel:
         return self.frobenius_deviation(p, e).div_int(p)
 
     def frobenius_deviation(self, p: int, e: MultiPoly) -> MultiPoly:
-        """psi^p(e) - e^p, i.e. p * delta_p(e)."""
-        return self.psi(p, e) - e ** p
+        """psi^p(e) - e^p, i.e. p * delta_p(e), through ``_deviation``."""
+        return _deviation(p, self.psi(p, e), e)
+
+
+def _deviation(p: int, a: MultiPoly, e: MultiPoly) -> MultiPoly:
+    """a - e^p for a = psi^p(e), under the Adams operations or a Frobenius
+    family under test: both packed into one layout, with fields for p times
+    the top total degree of a and e, and one exit."""
+    ring = a.ring
+    ring.require_same(e.ring)
+    pack = _packer(ring, (a, e), p)
+    return (pack(a) - pack(e) ** p).poly(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +164,7 @@ class FreeLambdaBasis:
     substitution takes as it is.
     """
 
-    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "rows")
+    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "rows", "checked")
 
     def __init__(self, P, depth: int, N: int | None = None):
         P = tuple(sorted(set(P)))
@@ -176,6 +186,8 @@ class FreeLambdaBasis:
         self.span = {}
         self.ghost = {}
         self.rows = _Substitution(QQ)
+        # the variable tuples to_x_basis has let through
+        self.checked = set()
         for sigma in self.sigmas:
             if not sigma:
                 value = self.model.x
@@ -218,15 +230,19 @@ class FreeLambdaBasis:
         image over Q, and ``UsageError`` for a free variable named like a
         basis element, which would merge with it.  Other free variables pass
         through.  The answer is integral when no coefficient has a denominator.
+        Each variable tuple is checked once: the names never change and the
+        span only grows, so a tuple that passed passes again.
         """
         if e.ring.kind == MODULAR:
             raise MixedCoefficientRings(f"{e.ring} vs Q: the X basis re-expresses elements over Z, Q or Z_(p)")
-        taken = set(e.vars).intersection(self.names.values())
-        if taken:
-            raise UsageError(f"free variable {min(taken)} is named like a basis element")
-        missing = [n for n in map(_xindex, e.vars) if n is not None and n not in self.span]
-        if missing:
-            raise NotInSpan(max(missing))
+        if e.vars not in self.checked:
+            taken = set(e.vars).intersection(self.names.values())
+            if taken:
+                raise UsageError(f"free variable {min(taken)} is named like a basis element")
+            missing = [n for n in map(_xindex, e.vars) if n is not None and n not in self.span]
+            if missing:
+                raise NotInSpan(max(missing))
+            self.checked.add(e.vars)
         xp = self.rows(e.convert_ring(QQ))
         return xp, all(c.denominator == 1 for c in xp.terms.values())
 
@@ -263,7 +279,7 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
             cases += 1
             e = basis.embed[sigma]
             try:
-                xp, integral = basis.to_x_basis((psi(p, e) - e ** p).div_int(p))
+                xp, integral = basis.to_x_basis(_deviation(p, psi(p, e), e).div_int(p))
             except NotInSpan:
                 continue
             if not integral:

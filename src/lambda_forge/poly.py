@@ -36,7 +36,9 @@ Substitution is prepared once and applied to any number of sources
 (``_Substitution``): it keeps, for each layout of a result, every image
 packed and one power cache an image, so a caller that substitutes into many
 sources, as the X basis of the free lambda-ring does with its ghost rows,
-packs each image once a layout and forms each power of it once.
+packs each image once a layout and forms each power of it once.  It also
+keeps the rest of a call's set-up, the result's layout and each variable's
+role in it, as one plan a source variable tuple and field widths.
 ``MultiPoly.substitute`` prepares one for its own variables and applies it
 once.  Applying it is Horner over the assigned variables whose images have
 more than one term, the largest image outermost, in one bottom-up pass: the
@@ -395,9 +397,14 @@ def _mul_terms(left: dict, right: dict, out: dict) -> dict:
     layout into ``out``, and return it.
 
     Nothing is normalized, pruned or sorted: the result is only ever an
-    intermediate value or the input of one ``MultiPoly`` constructor.
+    intermediate value or the input of one ``MultiPoly`` constructor.  A
+    left term whose coefficient is 0, a cancellation that a raw sum such as
+    a Horner part keeps, is skipped rather than multiplied by every right
+    term: its products are all 0, and every exit drops zeros.
     """
     for e1, c1 in left.items():
+        if not c1:
+            continue
         for e2, c2 in right.items():
             key = e1 + e2
             if key in out:
@@ -524,8 +531,20 @@ class _Substitution:
     into that layout as the first entry of the image's power cache.  An
     image is so packed once a layout, and each of its powers formed once a
     layout, not once a call; both live as long as the prepared
-    substitution.  Two threads that fill one power cache at once form the
-    same power twice and keep one of them: wasted work, not a wrong answer.
+    substitution.  An image, once added, is fixed: ``add`` refuses a
+    variable that has one, so no kept power is ever stale.
+
+    What a call does besides the arithmetic depends only on the source's
+    variable tuple and two field widths, and is worked out once, on first
+    use, as a plan (``_plan``): the result's variables, each source
+    variable's key weight, the riding images with their scales, and the
+    level power caches in order.  A plan points at the caches of its layout
+    and copies none of them; ``add`` drops every plan, as a new image
+    changes the plan of any source over its variable.  Two threads that
+    fill one power cache or plan at once form the same power or plan twice
+    and keep one of them: wasted work, not a wrong answer.  Every image is
+    added before the substitution is shared: a call that runs while ``add``
+    drops the plans can keep a plan formed without the new image.
 
     Applying it is Horner over the source's variables whose images have
     more than one term, the one with the largest image outermost: the
@@ -540,7 +559,7 @@ class _Substitution:
     source, so that the result lies over the source's denominator * D_v ** E.
     """
 
-    __slots__ = ("ring", "images", "layouts")
+    __slots__ = ("ring", "images", "layouts", "plans")
 
     def __init__(self, ring: CoeffRing):
         self.ring = ring
@@ -548,37 +567,50 @@ class _Substitution:
         self.images: dict = {}
         # (sorted variables, w) -> (their weights, {variable: power cache of its image})
         self.layouts: dict = {}
+        # source variables -> (result variables, total degree of each one's image, {(w, bits): plan})
+        self.plans: dict = {}
 
     def add(self, v: str, val) -> None:
-        """Assign ``val``, a polynomial over ``ring`` or a coefficient, to ``v``."""
+        """Assign ``val``, a polynomial over ``ring`` or a coefficient, to
+        ``v``, which must have no image yet."""
+        if v in self.images:
+            raise UsageError(f"{v} already has an image in this substitution")
         if not isinstance(val, MultiPoly):
             val = MultiPoly.const(self.ring, val)
         self.ring.require_same(val.ring)
         terms, d = _numerators(self.ring, val.terms)
         self.images[v] = (val.vars, terms, _degree(terms), d)
+        self.plans.clear()
 
-    def __call__(self, source: MultiPoly) -> MultiPoly:
-        ring, images = self.ring, self.images
-        ring.require_same(source.ring)
-        # the result's variables, and the total degree of each image: 1 for an unassigned variable
-        names, degrees = set(), []
-        for v in source.vars:
+    def _shape(self, names: tuple) -> tuple:
+        """(result variables, total degree of each image: 1 for an unassigned
+        variable, and no plans yet) for a source over ``names``."""
+        images = self.images
+        vars, degrees = set(), []
+        for v in names:
             image = images.get(v)
             if image is None:
-                names.add(v)
+                vars.add(v)
                 degrees.append(1)
             else:
-                names.update(image[0])
+                vars.update(image[0])
                 degrees.append(image[2])
-        vars = tuple(sorted(names))
-        w = _field(max((sum(map(mul, exps, degrees)) for exps in source.terms), default=0))
+        return tuple(sorted(vars)), degrees, {}
+
+    def _plan(self, names: tuple, vars: tuple, w: int, bits: int) -> tuple:
+        """The plan for a source over ``names`` whose result lies over
+        ``vars`` at ``w`` bytes a field, with ``bits``-wide level fields:
+        (each source variable's key weight, (i, c, D) of each variable i
+        whose exponent scales, the level power caches innermost first, the
+        bits below the levels)."""
+        images = self.images
         layout = self.layouts.get((vars, w))
         if layout is None:
             self.layouts[vars, w] = layout = (_weights(vars, w), {})
         weight, caches = layout
         # the power cache of each assigned variable's image in this layout, packed on first use
         found = {}
-        for i, v in enumerate(source.vars):
+        for i, v in enumerate(names):
             if v in images:
                 cache = caches.get(v)
                 if cache is None:
@@ -589,23 +621,40 @@ class _Substitution:
         # key, and each source term picks up c ** e
         riding = {i: next(iter(cache[1].items())) for i, cache in found.items() if len(cache[1]) == 1}
         order = sorted((i for i in found if i not in riding), key=lambda i: len(found[i][1]))
-        # a level's field holds any exponent of the source
-        bits = 8 * _field(_degree(source.terms))
         # a source key holds the free and riding variables' exponents in the
         # result's layout, and above it the exponents of the levels, innermost lowest
         base = 8 * w * (len(vars) + 1)
         at = {i: 1 << base + bits * level for level, i in enumerate(order)}
-        weights = [at[i] if i in at else riding[i][0] if i in riding else weight[v] for i, v in enumerate(source.vars)]
-        terms, den = _numerators(ring, source.terms)
+        weights = [at[i] if i in at else riding[i][0] if i in riding else weight[v] for i, v in enumerate(names)]
         # an exponent e of a variable scales by c ** e * D ** (E - e): a unit
         # coefficient over 1 scales nothing
-        scales = []
+        scaled = []
         for i in found:
-            c, d = riding[i][1] if i in riding else 1, images[source.vars[i]][3]
+            c, d = riding[i][1] if i in riding else 1, images[names[i]][3]
             if c != 1 or d != 1:
-                top = max(exps[i] for exps in terms)
-                scales.append((i, c, d, top))
-                den *= d ** top
+                scaled.append((i, c, d))
+        return weights, scaled, [found[i] for i in order], base
+
+    def __call__(self, source: MultiPoly) -> MultiPoly:
+        ring = self.ring
+        ring.require_same(source.ring)
+        shape = self.plans.get(source.vars)
+        if shape is None:
+            self.plans[source.vars] = shape = self._shape(source.vars)
+        vars, degrees, plans = shape
+        w = _field(max((sum(map(mul, exps, degrees)) for exps in source.terms), default=0))
+        # a level's field holds any exponent of the source
+        bits = 8 * _field(_degree(source.terms))
+        plan = plans.get((w, bits))
+        if plan is None:
+            plans[w, bits] = plan = self._plan(source.vars, vars, w, bits)
+        weights, scaled, levels, base = plan
+        terms, den = _numerators(ring, source.terms)
+        scales = []
+        for i, c, d in scaled:
+            top = max(exps[i] for exps in terms)
+            scales.append((i, c, d, top))
+            den *= d ** top
         items: dict = {}
         for exps, c in terms.items():
             for i, s, d, top in scales:
@@ -614,7 +663,7 @@ class _Substitution:
             items[key] = items[key] + c if key in items else c
         items = _reduce(ring, items)
         # with no level, the keys are already those of the result
-        total = _horner(ring, items, base, bits, [found[i] for i in order]) if order else items
+        total = _horner(ring, items, base, bits, levels) if levels else items
         return _unpacked(ring, ring, vars, w, total, den)
 
 

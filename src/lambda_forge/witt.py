@@ -72,7 +72,7 @@ from .series import TruncSeries
 class TruncationSet:
     """Finite division-stable set of positive integers."""
 
-    __slots__ = ("elems", "_divisors", "_last", "_quotients")
+    __slots__ = ("elems", "_divisors", "_last", "_quotients", "_products")
 
     def __init__(self, elems):
         members = {n if type(n) is int else _as_int(n) for n in elems}
@@ -107,6 +107,7 @@ class TruncationSet:
         self.elems = elems
         self._divisors = self._last = None
         self._quotients = {}
+        self._products = {}
 
     @staticmethod
     def big(n: int) -> "TruncationSet":
@@ -181,7 +182,12 @@ class TruncationSet:
         return quotient
 
     def product(self, other: "TruncationSet") -> "TruncationSet":
-        return TruncationSet(s * t for s in self.elems for t in other.elems)
+        """S.T = {s * t}, built once for each T and kept, as ``divide`` keeps
+        its quotients (every comultiplication W_S.T -> W_S(W_T) shares it)."""
+        product = self._products.get(other)
+        if product is None:
+            product = self._products[other] = TruncationSet(s * t for s in self.elems for t in other.elems)
+        return product
 
     def _big_n(self):
         n = len(self.elems)

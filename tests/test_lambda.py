@@ -113,6 +113,36 @@ class TestAdamsModel:
         b = m.gen(3) - 1
         assert m.psi(2, a * b) == m.psi(2, a) * m.psi(2, b)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ring=st.sampled_from([QQ, ZZ]),
+        p=st.sampled_from([2, 3, 5]),
+        terms=st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5).filter(bool), max_size=5
+        ),
+        den=st.sampled_from([1, 2, 3, 6]),
+        indices=st.lists(st.integers(1, 8), min_size=3, max_size=3, unique=True),
+    )
+    def test_deviation_and_delta_match_the_multipoly_route(self, ring, p, terms, den, indices):
+        # the oracle computes psi^p(e) - e^p through MultiPoly's own - and **
+        m = AdamsModel(40)
+        if ring == ZZ:
+            den = 1
+        e = MultiPoly(ring, [f"x{n}" for n in indices], {k: Fraction(c, den) for k, c in terms.items()})
+        want = m.psi(p, e) - e ** p
+        got = m.frobenius_deviation(p, e)
+        assert (got.ring, got.vars, list(got.terms.items())) == (want.ring, want.vars, list(want.terms.items()))
+        try:
+            want = want.div_int(p)
+        except NotDivisible as exc:
+            # over Z a deviation that p does not divide names its first offending term
+            with pytest.raises(NotDivisible) as failed:
+                m.delta(p, e)
+            assert failed.value.witness == exc.witness
+            return
+        got = m.delta(p, e)
+        assert (got.ring, got.vars, list(got.terms.items())) == (want.ring, want.vars, list(want.terms.items()))
+
     @settings(max_examples=150, deadline=None)
     @given(
         ring=st.sampled_from([QQ, ZZ]),
@@ -397,6 +427,50 @@ class TestGhostRows:
         monkeypatch.setattr(poly, "_square_terms", recording)
         assert basis.to_x_basis(e) == first
         assert squares == []
+
+    def test_a_repeated_re_expression_forms_no_plan(self, monkeypatch):
+        basis = FreeLambdaBasis((2, 3), 2)
+        x2, x3, x6 = (basis.model.gen(n) for n in (2, 3, 6))
+        e = (x2 + x3) ** 3 - x6 * x2
+        formed = []
+        plan = poly._Substitution._plan
+
+        def recording(self, *args):
+            formed.append(args)
+            return plan(self, *args)
+
+        monkeypatch.setattr(poly._Substitution, "_plan", recording)
+        first = basis.to_x_basis(e)
+        assert len(formed) == 1
+        assert basis.to_x_basis(e) == first and basis.to_x_basis(e * 5) == (first[0] * 5, True)
+        # a new variable tuple forms a plan of its own
+        basis.to_x_basis(x2 * x3)
+        assert len(formed) == 2
+
+    def test_a_congruence_element_multiplies_no_zero_left_term(self, monkeypatch):
+        # psi^3(e) - e^3 for e = X(2,3) * X(3,3): Horner's parts cancel to
+        # many zeros on the way up, and no level multiplies them
+        wide = FreeLambdaBasis((2, 3), 3)
+        e = wide.embed[(2, 3)] * wide.embed[(3, 3)]
+        element = wide.model.frobenius_deviation(3, e)
+        want = one_shot_to_x_basis(wide, element)
+        products = {"zero": 0, "all": 0}
+        mul_terms = poly._mul_terms
+
+        class Watched(int):
+            def __mul__(self, other):
+                products["all"] += 1
+                products["zero"] += not self
+                return int(self) * other
+
+        def watching(left, right, out):
+            return mul_terms({k: Watched(c) for k, c in left.items()}, right, out)
+
+        monkeypatch.setattr(poly, "_mul_terms", watching)
+        got = wide.to_x_basis(element)
+        monkeypatch.undo()
+        assert got == want
+        assert products["all"] > 0 and products["zero"] == 0
 
     @pytest.mark.parametrize("key", sorted(ORACLE_BASES), ids=str)
     def test_rows_are_integral_and_embed_back(self, key):

@@ -1094,6 +1094,114 @@ class TestHornerSubstitution:
         assert got == oracle_substitute(p, {"x": y + 1})
 
 
+@st.composite
+def substitution_sessions(draw):
+    """A ring and a run of steps on one prepared substitution: ("add", name,
+    image) for a name of a source that has no image yet, and ("apply",
+    source), the source sometimes one applied before.  An image has many
+    terms, one term (riding in the key) or is a scalar."""
+    ring = draw(st.sampled_from(PACK_RINGS))
+    denominators = st.sampled_from(PACK_DENOMINATORS[ring])
+
+    def drawn_poly(names, max_terms, max_exp):
+        terms = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            key = tuple(draw(st.integers(0, max_exp)) for _ in names)
+            c = Fraction(draw(st.integers(-6, 6)), draw(denominators))
+            terms[key] = terms.get(key, 0) + c
+        return MultiPoly(ring, names, terms)
+
+    free = list(HORNER_NAMES[:3])
+    sources, steps = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        action = draw(st.sampled_from(["add", "apply", "again"]))
+        if action == "add" and free:
+            name = draw(st.sampled_from(free))
+            free.remove(name)
+            kind = draw(st.sampled_from(["poly", "term", "scalar"]))
+            if kind == "scalar":
+                image = Fraction(draw(st.integers(-5, 5)), draw(denominators))
+            else:
+                image = drawn_poly(HORNER_NAMES, 1 if kind == "term" else 3, 2)
+            steps.append(("add", name, image))
+        elif action == "again" and sources:
+            steps.append(("apply", draw(st.sampled_from(sources))))
+        else:
+            names = tuple(sorted(draw(st.sets(st.sampled_from(HORNER_NAMES[:3])))))
+            sources.append(drawn_poly(names, 6, 4))
+            steps.append(("apply", sources[-1]))
+    return ring, steps
+
+
+class TestPreparedSubstitution:
+    """One ``_Substitution`` applied many times: its plans are formed once
+    for each source variable tuple and field widths, and dropped by ``add``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=substitution_sessions())
+    def test_matches_the_per_term_route_across_adds(self, data):
+        ring, steps = data
+        prepared, env = poly._Substitution(ring), {}
+        for step in steps:
+            if step[0] == "add":
+                _, name, image = step
+                prepared.add(name, image)
+                env[name] = image
+            else:
+                source = step[1]
+                assert canonical_items(prepared(source)) == canonical_items(per_term_substitute(source, env))
+
+    def test_a_variable_with_an_image_is_refused(self):
+        x, y, z = v("x"), v("y"), v("z")
+        prepared = poly._Substitution(ZZ)
+        prepared.add("x", y + z)
+        assert str(prepared(x * x)) == "y^2 + 2*y*z + z^2"
+        with pytest.raises(UsageError, match="x already has an image"):
+            prepared.add("x", y - z)
+        assert str(prepared(x * x)) == "y^2 + 2*y*z + z^2"
+
+    def test_add_drops_every_plan_and_keeps_every_power(self):
+        x, y, z = v("x"), v("y"), v("z")
+        prepared = poly._Substitution(ZZ)
+        prepared.add("x", y + z)
+        assert str(prepared(x ** 2 * y)) == "y^3 + 2*y^2*z + y*z^2"
+        powers = {layout: dict(caches) for layout, (_, caches) in prepared.layouts.items()}
+        assert prepared.plans
+        # y, unassigned when the plan was formed, now has an image
+        prepared.add("y", z * 2 - 1)
+        assert prepared.plans == {}
+        assert str(prepared(x ** 2 * y)) == str((x ** 2 * y).substitute({"x": y + z, "y": z * 2 - 1}))
+        for layout, caches in powers.items():
+            assert all(prepared.layouts[layout][1][name] is cache for name, cache in caches.items())
+
+    def test_plans_point_at_the_kept_powers(self):
+        x, y, z = v("x"), v("y"), v("z")
+        prepared = poly._Substitution(ZZ)
+        prepared.add("x", y + z)
+        prepared.add("y", z ** 2 - z)
+        for source in (x ** 3 * y ** 2, x * y + x ** 2, x ** 300 * y):
+            prepared(source)
+        kept = [cache for _, caches in prepared.layouts.values() for cache in caches.values()]
+        levels = [cache for _, _, plans in prepared.plans.values() for plan in plans.values() for cache in plan[2]]
+        assert levels and all(any(cache is k for k in kept) for cache in levels)
+
+
+class TestDeadTerms:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        left=st.dictionaries(st.integers(0, 40), st.integers(-9, 9).filter(bool), max_size=6),
+        zeros=st.sets(st.integers(0, 60), min_size=1, max_size=4),
+        right=st.dictionaries(st.integers(0, 40), st.integers(-9, 9), min_size=1, max_size=6),
+    )
+    def test_a_zero_left_coefficient_is_skipped(self, left, zeros, right):
+        # a raw Horner part keeps its cancelled terms as zeros; the product is
+        # the one of the pruned map, raw map for raw map
+        injected = {**{k: 0 for k in zeros}, **left}
+        assert poly._mul_terms(injected, right, {}) == poly._mul_terms(left, right, {})
+        out = {5: 1}
+        assert poly._mul_terms(injected, right, dict(out)) == poly._mul_terms(left, right, dict(out))
+
+
 # ---------------------------------------------------------------------------
 # Differential tests for numerators over one denominator: over Q and Z_(p)
 # the packed kernel runs on integer numerators over one denominator and

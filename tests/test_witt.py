@@ -124,6 +124,14 @@ class TestTruncationSet:
         with pytest.raises(UsageError):
             TruncationSet.big(6).divide(0)
 
+    def test_product_is_built_once_and_kept(self):
+        S, T = TruncationSet.big(3), TruncationSet.p_typical(2, 3)
+        U = S.product(T)
+        # an equal T finds the same product
+        assert S.product(T) is U and S.product(TruncationSet.p_typical(2, 3)) is U
+        assert U == TruncationSet(s * t for s in S for t in T)
+        assert U.elems == (1, 2, 3, 4, 6, 8, 12)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 8))
     def test_division_stability_and_divide_against_every_divisor(self, data, n):
