@@ -18,7 +18,7 @@ from itertools import count, product as iter_product
 from math import gcd, prod
 
 from .errors import NotFinitelyGenerated, UsageError
-from .rings import _factorize, _is_prime
+from .rings import _as_int, _factorize, _is_prime, _prime
 
 # largest torsion order whose elements the fracture check enumerates
 TORSION_CAP = 200000
@@ -30,12 +30,11 @@ class FgAbGroup:
     __slots__ = ("rank", "factors")
 
     def __init__(self, rank: int, factors=()):
-        factors = tuple(int(d) for d in factors if int(d) != 1)
+        factors = [_as_int(d, 1, "invariant factors are positive") for d in factors]
+        factors = tuple(d for d in factors if d != 1)
+        rank = _as_int(rank)
         if rank < 0:
             raise NotFinitelyGenerated("negative rank")
-        for d in factors:
-            if d < 2:
-                raise UsageError(f"invariant factor {d} < 2")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise UsageError(f"invariant factors must divide: {a} does not divide {b}")
@@ -50,13 +49,13 @@ class FgAbGroup:
         pair (d_i, d_j) with i < j is replaced by (gcd, lcm), which leaves
         d_i the gcd of d_i, d_(i+1), ... and so d_1 | d_2 | ... .
         """
-        orders = [abs(int(d)) for d in torsion]
+        orders = [abs(_as_int(d)) for d in torsion]
         factors = [d for d in orders if d]
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
                 g = gcd(factors[i], factors[j])
                 factors[i], factors[j] = g, factors[i] * factors[j] // g
-        return FgAbGroup(rank + orders.count(0), factors)
+        return FgAbGroup(_as_int(rank) + orders.count(0), factors)
 
     def __eq__(self, other):
         return (
@@ -80,7 +79,8 @@ class FgAbGroup:
 
     def localize(self, p: int) -> "FgAbGroup":
         """A_(p): the free part survives, torsion keeps only its p-part."""
-        return FgAbGroup(self.rank, [p ** _factorize(d).get(p, 0) for d in self.factors])
+        p = _prime(p)
+        return FgAbGroup(self.rank, [gcd(d, p ** d.bit_length()) for d in self.factors])
 
     def torsion_elements(self):
         """All torsion elements as tuples, one coordinate per factor."""
@@ -138,7 +138,7 @@ def fracture_check(A: FgAbGroup) -> dict:
         witnesses.append({"kind": "torsion_order", "witness": [A.torsion_order, local_order]})
     if A.torsion_order <= TORSION_CAP:
         # the p-part of each invariant factor; 1 where p does not divide it
-        p_parts = {p: [p ** _factorize(d).get(p, 0) for d in A.factors] for p in explicit}
+        p_parts = {p: [gcd(d, p ** d.bit_length()) for d in A.factors] for p in explicit}
         images = set()
         for elem in A.torsion_elements():
             image = []

@@ -11,8 +11,8 @@ oracle for this route and lives in the tests.
 from __future__ import annotations
 
 from .errors import DepthExceeded, NotAFrobeniusLift, NotDivisible, UsageError
-from .poly import MultiPoly
-from .rings import ZZ, _is_prime
+from .poly import MultiPoly, deviation
+from .rings import ZZ, _as_int, _prime
 from .witt import TruncationSet, WittVec
 
 
@@ -26,9 +26,7 @@ class DeltaPresentation:
     __slots__ = ("p", "gens", "delta_on_gens", "phi_on_gens")
 
     def __init__(self, p: int, gens, delta_on_gens: dict):
-        if not _is_prime(p):
-            raise UsageError("delta-rings need a prime p")
-        self.p = p
+        self.p = p = _prime(p, "delta-rings need a prime p")
         self.gens = tuple(gens)
         fixed = {}
         for g, val in delta_on_gens.items():
@@ -56,7 +54,7 @@ class DeltaPresentation:
     @staticmethod
     def from_json(obj: dict) -> "DeltaPresentation":
         delta = {g: MultiPoly.from_json(v) for g, v in obj["delta"].items()}
-        return DeltaPresentation(int(obj["p"]), obj["gens"], delta)
+        return DeltaPresentation(obj["p"], obj["gens"], delta)
 
     def _check_in_domain(self, e: MultiPoly):
         outside = sorted(set(e.vars) - set(self.gens))
@@ -77,9 +75,8 @@ class DeltaPresentation:
         if not isinstance(e, MultiPoly):
             e = MultiPoly.const(ZZ, e)
         self._check_in_domain(e)
-        diff = self.phi(e) - e ** self.p
         try:
-            return diff.div_int(self.p)
+            return deviation(self.phi(e), e, self.p, self.p)
         except NotDivisible as exc:
             # impossible for torsion-free presentations; surfaced as a bug
             raise NotDivisible(exc.witness, f"internal consistency failure: {exc}") from None
@@ -95,8 +92,7 @@ def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
     Raises ``NotAFrobeniusLift`` with the first witness term when some
     phi(g) - g^p is not divisible by p.
     """
-    if not _is_prime(p):
-        raise UsageError("delta-rings need a prime p")
+    p = _prime(p, "delta-rings need a prime p")
     for g in phi_on_gens:
         if g not in gens:
             raise UsageError(f"phi assigned to unknown generator {g}")
@@ -107,9 +103,8 @@ def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
             raise UsageError(f"phi not given on generator {g}")
         if not isinstance(image, MultiPoly):
             image = MultiPoly.const(ZZ, image)
-        diff = image - MultiPoly.var(ZZ, g) ** p
         try:
-            delta[g] = diff.div_int(p)
+            delta[g] = deviation(image, MultiPoly.var(ZZ, g), p, p)
         except NotDivisible as exc:
             raise NotAFrobeniusLift(g, exc.witness) from None
     return DeltaPresentation(p, gens, delta)
@@ -121,8 +116,7 @@ def free_delta_ring(p: int, depth: int) -> DeltaPresentation:
     delta of the last generator leaves the truncation and raises
     ``DepthExceeded``.
     """
-    if depth < 1:
-        raise UsageError("free delta-rings need depth >= 1")
+    depth = _as_int(depth, 1, "free delta-rings need depth >= 1")
     gens = [f"x{i}" for i in range(depth + 1)]
     delta = {f"x{i}": MultiPoly.var(ZZ, f"x{i + 1}") for i in range(depth)}
     return DeltaPresentation(p, gens, delta)

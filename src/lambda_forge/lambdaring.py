@@ -30,8 +30,8 @@ from .errors import (
     NotPIntegral,
     UsageError,
 )
-from .poly import MultiPoly, _packer, _Substitution, poly_sum
-from .rings import MODULAR, QQ, ZZ, CoeffRing, _factorize, _is_prime
+from .poly import MultiPoly, _Substitution, deviation, poly_sum
+from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _factorize, _prime
 from .textparse import _sigma_name
 from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map
 
@@ -55,11 +55,10 @@ class AdamsModel:
     __slots__ = ("N",)
 
     def __init__(self, N: int):
-        if N < 1:
-            raise UsageError("the Adams model needs N >= 1")
-        self.N = N
+        self.N = _as_int(N, 1, "the Adams model needs N >= 1")
 
     def gen(self, n: int) -> MultiPoly:
+        n = _as_int(n)
         if not 1 <= n <= self.N:
             raise IndexOutOfRange(f"x_{n} outside Q[x_1..x_{self.N}]")
         return MultiPoly.var(QQ, _xname(n))
@@ -70,8 +69,8 @@ class AdamsModel:
 
     def psi(self, m: int, e: MultiPoly) -> MultiPoly:
         """The Adams operation: the ring map sending x_n to x_{mn}."""
-        if m < 1:
-            raise UsageError("Adams operations are indexed by positive integers")
+        if type(m) is not int or m < 1:
+            m = _as_int(m, 1, "Adams operations are indexed by positive integers")
         names = []
         for v in e.vars:
             n = _xindex(v)
@@ -91,23 +90,12 @@ class AdamsModel:
 
     def delta(self, p: int, e: MultiPoly) -> MultiPoly:
         """delta_p(e) = (psi^p(e) - e^p) / p in the rational model."""
-        if not _is_prime(p):
-            raise UsageError(f"{p} is not prime")
+        p = _prime(p)
         return self.frobenius_deviation(p, e).div_int(p)
 
     def frobenius_deviation(self, p: int, e: MultiPoly) -> MultiPoly:
-        """psi^p(e) - e^p, i.e. p * delta_p(e), through ``_deviation``."""
-        return _deviation(p, self.psi(p, e), e)
-
-
-def _deviation(p: int, a: MultiPoly, e: MultiPoly) -> MultiPoly:
-    """a - e^p for a = psi^p(e), under the Adams operations or a Frobenius
-    family under test: both packed into one layout, with fields for p times
-    the top total degree of a and e, and one exit."""
-    ring = a.ring
-    ring.require_same(e.ring)
-    pack = _packer(ring, (a, e), p)
-    return (pack(a) - pack(e) ** p).poly(ring)
+        """psi^p(e) - e^p, i.e. p * delta_p(e), through ``poly.deviation``."""
+        return deviation(self.psi(p, e), e, p)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +155,11 @@ class FreeLambdaBasis:
     __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "rows", "checked")
 
     def __init__(self, P, depth: int, N: int | None = None):
-        P = tuple(sorted(set(P)))
+        P = tuple(sorted({_prime(p) for p in P}))
         if not P:
             raise UsageError("the basis needs at least one prime")
-        for p in P:
-            if not _is_prime(p):
-                raise UsageError(f"{p} is not prime")
-        if depth < 1:
-            raise UsageError("the basis needs depth >= 1")
         self.P = P
-        self.depth = depth
+        self.depth = depth = _as_int(depth, 1, "the basis needs depth >= 1")
         self.sigmas = _sigmas_upto(P, depth)
         if N is None:
             N = max(P) * max(prod(s) for s in self.sigmas)
@@ -266,8 +249,7 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
     all``, 18 of 48 at depth 3 over {2, 3, 5}).
     """
     psi = psi or basis.model.psi
-    if bound is None:
-        bound = basis.depth
+    bound = basis.depth if bound is None else _as_int(bound, 0, "the Joyal-Rezk check needs bound >= 0")
     elements = [s for s in basis.sigmas if len(s) <= bound]
     witnesses = []
     cases = 0
@@ -279,7 +261,7 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
             cases += 1
             e = basis.embed[sigma]
             try:
-                xp, integral = basis.to_x_basis(_deviation(p, psi(p, e), e).div_int(p))
+                xp, integral = basis.to_x_basis(deviation(psi(p, e), e, p, p))
             except NotInSpan:
                 continue
             if not integral:
@@ -298,7 +280,7 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
             for sigma in elements:
                 cases += 1
                 e = basis.embed[sigma]
-                diff = (psi(q, psi(p, e)) - psi(p, psi(q, e))).div_int(p)
+                diff = deviation(psi(q, psi(p, e)), psi(p, psi(q, e)), 1, p)
                 if not diff.is_zero():
                     witnesses.append(
                         {
@@ -351,18 +333,14 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     Z (no generators) a prime with no lift given takes the identity, Z's
     only Frobenius lift; over a ring with generators psi^n refuses it.
     """
-    if K < 0:
-        raise UsageError(f"lambda-operations need K >= 0, got {K}")
+    K = _as_int(K, 0, "lambda-operations need K >= 0")
     if K > 100:
         raise CostLimitExceeded(
             f"K = {K} takes {K * (K + 1) // 2} Newton products an element, over the limit of 5050 (K <= 100)"
         )
     gens = tuple(gens)
-    lifts = {}
-    for p, subst in sorted(phi_family.items()):
-        if not _is_prime(p):
-            raise UsageError(f"{p} is not prime")
-        lifts[p] = delta_from_phi(p, gens, subst).phi_on_gens
+    family = {_prime(p): subst for p, subst in phi_family.items()}
+    lifts = {p: delta_from_phi(p, gens, family[p]).phi_on_gens for p in sorted(family)}
     primes = sorted(lifts)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
@@ -401,10 +379,10 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
     the leading term p^n * m on X_{sigma(n, m)}.  All expansions must be
     p-integral; a violation raises ``NotPIntegral``.
     """
+    p = _as_int(p)
     if p not in basis.P:
         raise UsageError(f"{p} is not in the basis prime set {basis.P}")
-    if bound < 0:
-        raise UsageError(f"the p-local check needs bound >= 0, got {bound}")
+    bound = _as_int(bound, 0, "the p-local check needs bound >= 0")
     model = basis.model
     index_of = {name: prod(s) for s, name in basis.names.items()}
     rows = []
@@ -472,6 +450,7 @@ def integrality_report(P, depth: int) -> dict:
     1 for products and delta-iterates and p for the congruence
     psi^p(e) = e^p mod p on the X-monomials e of degree <= 2.
     """
+    depth = _as_int(depth, 0, "the integrality report needs depth >= 0")
     wide = FreeLambdaBasis(P, depth + 1)
     model = wide.model
     elements = [(_sigma_display(s), wide.embed[s]) for s in wide.sigmas if len(s) <= depth]

@@ -61,7 +61,7 @@ from operator import add, mul, or_, sub
 from struct import Struct
 
 from .errors import NotDivisible, UsageError
-from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, _as_int
 
 # the one rule for variable names, the grammar's (``textparse``): checked
 # where a name enters, by ``var`` and the constructor (so ``from_json``)
@@ -186,8 +186,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise UsageError("polynomial powers take nonnegative integer exponents")
+        n = _as_int(n, 0, "polynomial powers take nonnegative integer exponents")
         return (self._alone(n) ** n).poly(self.ring)
 
     def __eq__(self, other):
@@ -213,7 +212,7 @@ class MultiPoly:
         Raises ``NotDivisible`` with the first offending term: this is the
         failure certificate behind every "is phi a Frobenius lift" check.
         """
-        return self._alone().div_int(d).poly(self.ring)
+        return self._alone().div_int(_as_int(d)).poly(self.ring)
 
     def substitute(self, assignment: dict) -> "MultiPoly":
         """Simultaneous substitution; unassigned variables map to themselves.
@@ -779,6 +778,19 @@ def _packer(ring: CoeffRing, polys: list, scale: int):
     if ring.kind in (INTEGER, MODULAR):
         return lambda p: _Packed(ring, vars, w, _keyed(p.vars, p.terms, weight))
     return lambda p: _Packed(ring, vars, w, *_numerators(ring, _keyed(p.vars, p.terms, weight)))
+
+
+def deviation(a: MultiPoly, e: MultiPoly, k: int, d: int = 1) -> MultiPoly:
+    """(a - e^k) / d in one layout, fields for k times the top total degree of a
+    and e, and one exit: psi^p(e) - e^p at k = p, delta_p(e) at k = d = p.  A
+    failed division fails as ``div_int`` does, with the first offending term."""
+    k = _as_int(k, 1, "deviations take positive integer exponents")
+    d = _as_int(d)
+    ring = a.ring
+    ring.require_same(e.ring)
+    pack = _packer(ring, (a, e), k)
+    diff = pack(a) - pack(e) ** k
+    return (diff if d == 1 else diff.div_int(d)).poly(ring)
 
 
 def poly_sum(ring: CoeffRing, parts) -> MultiPoly:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import MixedCoefficientRings, NotDivisible, UsageError
+from .errors import CostLimitExceeded, MixedCoefficientRings, NotDivisible, UsageError
 
 INTEGER = "Z"
 RATIONAL = "Q"
@@ -23,11 +23,23 @@ MODULAR = "Z/"
 LOCALIZED = "Z_("
 
 
+# the largest trial divisor: a cofactor left above its square must be prime
+_TRIAL_BOUND = 10**6
+
+
 def _factorize(n: int) -> dict:
-    """{prime: exponent} for n >= 1 by trial division; empty for n < 2."""
+    """{prime: exponent} for n >= 1 by trial division up to ``_TRIAL_BOUND``,
+    empty for n < 2; a cofactor left that is not prime is ``CostLimitExceeded``."""
     out = {}
     d = 2
     while d * d <= n:
+        if d > _TRIAL_BOUND:
+            if n >= _MR_LIMIT or not _is_prime(n):
+                raise CostLimitExceeded(
+                    f"{n} has no prime factor up to {_TRIAL_BOUND} and is not known to be prime: "
+                    f"factoring it is over the limit of trial division (divisors <= {_TRIAL_BOUND})"
+                )
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -69,11 +81,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _as_int(c) -> int:
-    """An int or an integral Fraction as an int; anything else is a ``UsageError``."""
+def _as_int(c, low: int | None = None, need: str = "") -> int:
+    """The one rule for integer parameters: ``c`` as an int when it is an int or
+    an integral Fraction, at least ``low`` if given.  Else a ``UsageError``:
+    "c is not an integer", or for a value n below ``low`` "{need}, got {n}"."""
     if isinstance(c, int) or isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+        n = int(c)
+        if low is None or n >= low:
+            return n
+        raise UsageError(f"{need}, got {n}")
     raise UsageError(f"{c!r} is not an integer")
+
+
+def _prime(p, need: str = "") -> int:
+    """The one rule for prime parameters: ``_as_int``, then ``_is_prime``.  A
+    non-prime p is a ``UsageError``, "{need}, got {p}" or with no ``need`` "p is not prime"."""
+    p = _as_int(p)
+    if not _is_prime(p):
+        raise UsageError(f"{need}, got {p}" if need else f"{p} is not prime")
+    return p
 
 
 class CoeffRing:
@@ -83,16 +109,10 @@ class CoeffRing:
 
     def __init__(self, kind: str, modulus: int | None = None, prime: int | None = None):
         self.kind = kind
-        self.modulus = modulus if modulus is None else _as_int(modulus)
-        self.prime = prime if prime is None else _as_int(prime)
-        if kind == MODULAR:
-            if modulus is None or self.modulus < 2:
-                raise UsageError("modular ring needs modulus >= 2")
-        elif kind == LOCALIZED:
-            if prime is None or not _is_prime(self.prime):
-                raise UsageError("localized integers need a prime")
-        elif kind not in (INTEGER, RATIONAL):
+        if kind not in (INTEGER, RATIONAL, MODULAR, LOCALIZED):
             raise UsageError(f"unknown coefficient ring kind: {kind!r}")
+        self.modulus = _as_int(modulus, 2, "modular ring needs modulus >= 2") if kind == MODULAR else None
+        self.prime = _prime(prime, "localized integers need a prime") if kind == LOCALIZED else None
         # each kind takes only its own parameter, so rings that print alike are equal
         if modulus is not None and kind != MODULAR:
             raise UsageError(f"{self} takes no modulus")
@@ -221,9 +241,9 @@ class CoeffRing:
         if kind == "Q":
             return CoeffRing.rationals()
         if kind == "Z/n":
-            return CoeffRing.modular(int(obj["n"]))
+            return CoeffRing.modular(obj["n"])
         if kind == "Z_(p)":
-            return CoeffRing.localized(int(obj["p"]))
+            return CoeffRing.localized(obj["p"])
         raise UsageError(f"unknown ring kind in JSON: {kind!r}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import MixedCoefficientRings, UsageError
 from .poly import MultiPoly, _signed_sum
-from .rings import CoeffRing
+from .rings import CoeffRing, _as_int
 
 
 class TruncSeries:
@@ -31,7 +31,7 @@ class TruncSeries:
 
     @staticmethod
     def one(ring: CoeffRing, precision: int) -> "TruncSeries":
-        coeffs = [MultiPoly.one(ring)] + [MultiPoly.zero(ring)] * precision
+        coeffs = [MultiPoly.one(ring)] + [MultiPoly.zero(ring)] * _as_int(precision, 0, "series need precision >= 0")
         return TruncSeries(ring, coeffs)
 
     def __eq__(self, other):

@@ -176,12 +176,12 @@ def w2_pullback_suite(seed: int = 0) -> dict:
     """Symbolic congruence w_1 = w_0^p mod p and exhaustive integer boxes."""
     reports = {}
     ok = True
+    boxes = {p: w2_pullback_check(p, 10) for p in (2, 3)}
     for p in (2, 3, 5):
-        wit = w2_congruence_witness(p)
+        wit = boxes[p]["congruence"] if p in boxes else w2_congruence_witness(p)
         reports[f"congruence_p{p}"] = wit
         ok = ok and wit["vanishes_mod_p"]
-    for p in (2, 3):
-        box = w2_pullback_check(p, 10)
+    for p, box in boxes.items():
         reports[f"box_p{p}"] = {
             "status": box["status"],
             "points_in_fibered_product": box.get("points_in_fibered_product"),
@@ -284,7 +284,8 @@ def naturality_spotcheck(seed: int) -> dict:
         }
         mapped = WittVec(S, ZZ, {n: comps[n].substitute(image) for n in S})
         lhs = ghost_map(mapped)
-        rhs = GhostVec(S, ZZ, {n: ghost_map(vec).comps[n].substitute(image) for n in S})
+        ghosts = ghost_map(vec).comps
+        rhs = GhostVec(S, ZZ, {n: ghosts[n].substitute(image) for n in S})
         if lhs != rhs:
             witnesses.append({"case": case})
     return {

@@ -64,8 +64,8 @@ from .errors import (
     TruncationMismatch,
     UsageError,
 )
-from .poly import MultiPoly, _packer
-from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime
+from .poly import MultiPoly, _packer, deviation
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime
 from .series import TruncSeries
 
 
@@ -75,10 +75,9 @@ class TruncationSet:
     __slots__ = ("elems", "_divisors", "_last", "_quotients", "_products")
 
     def __init__(self, elems):
-        members = {n if type(n) is int else _as_int(n) for n in elems}
+        members = {n if type(n) is int and n > 0 else _as_int(n, 1, "truncation sets contain positive integers")
+                   for n in elems}
         elems = tuple(sorted(members))
-        if elems and elems[0] < 1:
-            raise UsageError("truncation sets contain positive integers")
         # every divisor of n is reached from n by dividing out one prime at a
         # time, and every prime factor of n is itself in a division-stable
         # set: so n is factored over the primes of the set met so far; once
@@ -111,18 +110,13 @@ class TruncationSet:
 
     @staticmethod
     def big(n: int) -> "TruncationSet":
-        n = _as_int(n)
-        if n < 0:
-            raise UsageError(f"big truncation sets need n >= 0, got {n}")
+        n = _as_int(n, 0, "big truncation sets need n >= 0")
         return TruncationSet(range(1, n + 1))
 
     @staticmethod
     def p_typical(p: int, k: int) -> "TruncationSet":
-        p, k = _as_int(p), _as_int(k)
-        if p < 2:
-            raise UsageError(f"p-typical truncation sets need a prime p, got {p}")
-        if k < 0:
-            raise UsageError(f"p-typical truncation sets need a length >= 0, got {k}")
+        p = _prime(p, "p-typical truncation sets need a prime p")
+        k = _as_int(k, 0, "p-typical truncation sets need a length >= 0")
         return TruncationSet(p ** i for i in range(k))
 
     def __iter__(self):
@@ -172,10 +166,8 @@ class TruncationSet:
     def divide(self, n: int) -> "TruncationSet":
         """S/n = {d : n*d in S}, built once for each n and kept with its
         divisor table (as S never changes, every F_n on W_S shares them)."""
-        if type(n) is not int:
-            n = _as_int(n)
-        if n < 1:
-            raise UsageError(f"truncation sets are divided by positive integers, got {n}")
+        if type(n) is not int or n < 1:
+            n = _as_int(n, 1, "truncation sets are divided by positive integers")
         quotient = self._quotients.get(n)
         if quotient is None:
             quotient = self._quotients[n] = TruncationSet(s // n for s in self.elems if s % n == 0)
@@ -230,9 +222,9 @@ class TruncationSet:
     def from_json(obj: dict) -> "TruncationSet":
         kind = obj.get("kind")
         if kind == "big":
-            return TruncationSet.big(int(obj["n"]))
+            return TruncationSet.big(obj["n"])
         if kind == "p":
-            return TruncationSet.p_typical(int(obj["p"]), int(obj["len"]))
+            return TruncationSet.p_typical(obj["p"], obj["len"])
         if kind == "set":
             return TruncationSet(obj["elems"])
         raise UsageError(f"unknown truncation kind {kind!r}")
@@ -338,6 +330,7 @@ def structure_poly_map(op: str, S: TruncationSet) -> dict:
 
 def frobenius_poly_map(n: int, S: TruncationSet) -> dict:
     """Universal polynomials for F_n: W_S -> W_{S/n}, memoized."""
+    n = _as_int(n, 1, "Frobenius index must be positive")
     return _generated(("frobenius", n, S.label()), [("a", S)], lambda a: frobenius(n, a), _comps)
 
 
@@ -705,8 +698,8 @@ class WittVec(_Vec):
         return self._binary("sub", other)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise UsageError("Witt powers take nonnegative integer exponents")
+        if type(n) is not int or n < 0:
+            n = _as_int(n, 0, "Witt powers take nonnegative integer exponents")
         # Over Z/m the route works on integer lifts.  Ghost coordinates known
         # modulo M = m * (lcm of the indices of each level) fix every component
         # mod m: x_s is then known mod M/s, so each term d * x_d^(s/d) is known
@@ -776,16 +769,15 @@ def teichmuller(r, S: TruncationSet, ring: CoeffRing = ZZ) -> WittVec:
 
 def frobenius(n: int, a: WittVec) -> WittVec:
     """F_n: W_S -> W_{S/n}, characterized by w_d(F_n a) = w_{nd}(a)."""
-    if n < 1:
-        raise UsageError("Frobenius index must be positive")
+    if type(n) is not int or n < 1:
+        n = _as_int(n, 1, "Frobenius index must be positive")
     shape = (a.trunc.divide(n),) + a.shape[1:]
     return _ghost_route([a], shape, lambda ga: {k: ga[_scaled(k, n)] for k in _keys(shape)}, 1, n)
 
 
 def verschiebung(n: int, a: WittVec, S: TruncationSet) -> WittVec:
     """V_n: W_{S/n} -> W_S, (V_n a)_m = a_{m/n} when n | m, else 0."""
-    if n < 1:
-        raise UsageError("Verschiebung index must be positive")
+    n = _as_int(n, 1, "Verschiebung index must be positive")
     if a.trunc != S.divide(n):
         raise TruncationMismatch(f"source truncation {a.trunc} is not {S}/{n}")
     comps = {}
@@ -825,6 +817,7 @@ def from_series(f: TruncSeries, N: int) -> WittVec:
     a_n is minus the t^n coefficient once the factors below n are divided
     out; each is divided out of one coefficient list in place, g_k += a_n
     g_(k-n) from the bottom up, so that g_(k-n) is read already divided."""
+    N = _as_int(N, 0, "the series model needs a length N >= 0")
     if f.coeffs[0] != MultiPoly.one(f.ring):
         raise NonUnitConstantTerm(f"constant term is {f.coeffs[0]}")
     if f.precision < N:
@@ -872,7 +865,7 @@ def w2_congruence_witness(p: int) -> dict:
     S = TruncationSet.p_typical(p, 2)
     a = _sym_vec("a", S)
     g = ghost_map(a)
-    diff = g.comps[p] - g.comps[1] ** p
+    diff = deviation(g.comps[p], g.comps[1], p)
     quotient = diff.div_int(p)  # exact by construction: w_1 - w_0^p = p * a_p
     modp = diff.convert_ring(CoeffRing.modular(p))
     return {
@@ -891,8 +884,7 @@ def w2_pullback_check(p: int, bound: int, gens=()) -> dict:
     Integer boxes are checked exhaustively; a polynomial ring is checked on
     symbolic generators, and its report states no bound.
     """
-    if bound < 0:
-        raise UsageError(f"the box check needs bound >= 0, got {bound}")
+    bound = _as_int(bound, 0, "the box check needs bound >= 0")
     S = TruncationSet.p_typical(p, 2)
     report = {"p": p} if gens else {"p": p, "bound": bound}
     report["congruence"] = w2_congruence_witness(p)
@@ -901,7 +893,7 @@ def w2_pullback_check(p: int, bound: int, gens=()) -> dict:
         u = MultiPoly.var(ZZ, gens[0])
         h = MultiPoly.var(ZZ, gens[-1] + "_h")
         v = u ** p + h * p
-        vec = WittVec(S, ZZ, {1: u, p: (v - u ** p).div_int(p)})
+        vec = WittVec(S, ZZ, {1: u, p: deviation(v, u, p, p)})
         g = ghost_map(vec)
         report["symbolic_roundtrip"] = g.comps[1] == u and g.comps[p] == v
         report["status"] = "pass" if report["symbolic_roundtrip"] else "fail"
@@ -920,7 +912,8 @@ def w2_pullback_check(p: int, bound: int, gens=()) -> dict:
             g = ghost_map(WittVec(S, ZZ, {1: u, p: (v - u ** p) // p}))
             got = (g.comps[1].constant_value(), g.comps[p].constant_value())
             if got != (u, v):
-                return {"status": "fail", "witness": {"u": u, "v": v, "ghost": [str(x) for x in got]}}
+                report.update({"status": "fail", "witness": {"u": u, "v": v, "ghost": [str(x) for x in got]}})
+                return report
             accepted += 1
     report.update({
         "status": "pass",

@@ -319,6 +319,12 @@ class TestMalformedArgv:
         with pytest.raises(UsageError):
             parse_trunc("big:x")
 
+    def test_w2_check_refuses_a_composite_p_as_not_prime(self, capsys):
+        # p:4,2 would read as {1, 4}, which is no division-stable set
+        code, out, err = run(capsys, "witt", "w2-check", "--p", "4", "--bound", "1")
+        assert (code, out) == (1, "")
+        assert err == "usage error: p-typical truncation sets need a prime p, got 4\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -688,6 +694,18 @@ class TestRefusedWork:
         assert error == "error: CostLimitExceeded"
         assert message.startswith("message: ") and "100000" in message
         assert message.endswith(("(bound <= 100)", "(K <= 100)"))
+
+    def test_fracture_of_a_large_prime_order_runs(self, capsys):
+        code, out, err = run_within(2, capsys, "verify", "fracture", "--group", "Z/1000000000000000003")
+        assert (code, err) == (0, "") and out.endswith("status: pass\n")
+
+    def test_fracture_of_an_order_past_trial_division_is_refused(self, capsys):
+        # 1000000007 * 1000000009: no factor up to the trial bound, and not prime
+        code, out, err = run_within(2, capsys, "verify", "fracture", "--group", "Z/1000000016000000063")
+        assert (code, err) == (2, "")
+        error, message = out.splitlines()
+        assert error == "error: CostLimitExceeded"
+        assert message.startswith("message: 1000000016000000063 ") and message.endswith("(divisors <= 1000000)")
 
     def test_work_at_the_cost_limits_runs(self, capsys):
         code, out, _ = run_within(5, capsys, "witt", "w2-check", "--p", "2", "--bound", "100")

@@ -1,0 +1,186 @@
+"""Every public integer or prime parameter refuses junk with a ``ForgeError``.
+
+``CALLS`` lists public callables of ``rings``, ``poly``, ``series``,
+``witt``, ``delta``, ``lambdaring`` and ``abelian`` with valid keyword
+arguments and which of them are integers or primes.  One of those is
+replaced by a drawn value: a string, a float, a non-integral ``Fraction``,
+``None``, a bool, 0, a negative or a composite.  A value that is not an
+integer must be refused with a ``ForgeError``; an integer may also be
+taken.  A ``TypeError``, or an answer built from a value that is no
+integer (a variable named ``x2.5``, a float coefficient), fails.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lambda_forge.abelian import FgAbGroup
+from lambda_forge.delta import DeltaPresentation, delta_from_phi, free_delta_ring
+from lambda_forge.errors import ForgeError
+from lambda_forge.lambdaring import (
+    AdamsModel,
+    FreeLambdaBasis,
+    integrality_report,
+    plocal_basis_check,
+    verify_joyal_rezk,
+    wilkerson_lambda,
+)
+from lambda_forge.poly import MultiPoly, deviation
+from lambda_forge.rings import ZZ, CoeffRing
+from lambda_forge.series import TruncSeries
+from lambda_forge.witt import (
+    TruncationSet,
+    WittVec,
+    frobenius,
+    frobenius_poly_map,
+    from_series,
+    to_series,
+    verschiebung,
+    w2_congruence_witness,
+    w2_pullback_check,
+)
+
+INT, OPTIONAL_INT, PRIME = "int", "optional int", "prime"
+
+x = MultiPoly.var(ZZ, "x")
+u = MultiPoly.var(ZZ, "u")
+S4 = TruncationSet.big(4)
+A4 = WittVec.from_list(S4, ZZ, [1, 2, 3, 4])
+A2 = WittVec.from_list(S4.divide(2), ZZ, [5, 6])
+F3 = to_series(WittVec.from_list(TruncationSet.big(3), ZZ, [1, 2, 3]))
+MODEL = AdamsModel(6)
+BASIS = FreeLambdaBasis((2, 3), 2, N=40)
+GROUP = FgAbGroup(0, (12,))
+
+# (label, call taking keyword arguments, valid keyword arguments, {argument: kind})
+CALLS = [
+    ("CoeffRing.modular", lambda m: CoeffRing.modular(m), {"m": 6}, {"m": INT}),
+    ("CoeffRing.localized", lambda p: CoeffRing.localized(p), {"p": 3}, {"p": PRIME}),
+    ("MultiPoly.__pow__", lambda n: x ** n, {"n": 2}, {"n": INT}),
+    ("MultiPoly.div_int", lambda d: (x * 4).div_int(d), {"d": 2}, {"d": INT}),
+    ("deviation", lambda k, d: deviation(x ** 2 + x * 4, x, k, d), {"k": 2, "d": 2}, {"k": INT, "d": INT}),
+    ("TruncSeries.one", lambda n: TruncSeries.one(ZZ, n), {"n": 2}, {"n": INT}),
+    ("TruncationSet.big", lambda n: TruncationSet.big(n), {"n": 3}, {"n": INT}),
+    ("TruncationSet.p_typical", lambda p, k: TruncationSet.p_typical(p, k), {"p": 2, "k": 3}, {"p": PRIME, "k": INT}),
+    ("TruncationSet.divide", lambda n: S4.divide(n), {"n": 2}, {"n": INT}),
+    ("WittVec.__pow__", lambda n: A4 ** n, {"n": 2}, {"n": INT}),
+    ("frobenius", lambda n: frobenius(n, A4), {"n": 2}, {"n": INT}),
+    ("frobenius_poly_map", lambda n: frobenius_poly_map(n, TruncationSet.big(2)), {"n": 2}, {"n": INT}),
+    ("verschiebung", lambda n: verschiebung(n, A2, S4), {"n": 2}, {"n": INT}),
+    ("from_series", lambda N: from_series(F3, N), {"N": 3}, {"N": INT}),
+    ("w2_congruence_witness", lambda p: w2_congruence_witness(p), {"p": 2}, {"p": PRIME}),
+    ("w2_pullback_check", lambda p, bound: w2_pullback_check(p, bound), {"p": 2, "bound": 1}, {"p": PRIME, "bound": INT}),
+    ("DeltaPresentation", lambda p: DeltaPresentation(p, ("u",), {"u": u}), {"p": 2}, {"p": PRIME}),
+    ("delta_from_phi", lambda p: delta_from_phi(p, ("u",), {"u": u ** 2}), {"p": 2}, {"p": PRIME}),
+    ("free_delta_ring", lambda p, depth: free_delta_ring(p, depth), {"p": 2, "depth": 2}, {"p": PRIME, "depth": INT}),
+    ("AdamsModel", lambda N: AdamsModel(N), {"N": 6}, {"N": INT}),
+    ("AdamsModel.gen", lambda n: MODEL.gen(n), {"n": 2}, {"n": INT}),
+    ("AdamsModel.psi", lambda m: MODEL.psi(m, MODEL.x), {"m": 2}, {"m": INT}),
+    ("AdamsModel.delta", lambda p: MODEL.delta(p, MODEL.x), {"p": 2}, {"p": PRIME}),
+    (
+        "FreeLambdaBasis",
+        lambda p, depth, N: FreeLambdaBasis((p,), depth, N),
+        {"p": 2, "depth": 1, "N": None},
+        {"p": PRIME, "depth": INT, "N": OPTIONAL_INT},
+    ),
+    (
+        "wilkerson_lambda",
+        lambda p, K: wilkerson_lambda((), {p: {}}, K).lambda_values(MultiPoly.const(ZZ, 3)),
+        {"p": 2, "K": 2},
+        {"p": PRIME, "K": INT},
+    ),
+    ("verify_joyal_rezk", lambda bound: verify_joyal_rezk(BASIS, bound), {"bound": 1}, {"bound": OPTIONAL_INT}),
+    (
+        "plocal_basis_check",
+        lambda p, bound: plocal_basis_check(p, BASIS, bound),
+        {"p": 2, "bound": 1},
+        {"p": PRIME, "bound": INT},
+    ),
+    (
+        "integrality_report",
+        lambda p, depth: integrality_report((p,), depth),
+        {"p": 2, "depth": 1},
+        {"p": PRIME, "depth": INT},
+    ),
+    ("FgAbGroup", lambda rank, d: repr(FgAbGroup(rank, (d,))), {"rank": 1, "d": 2}, {"rank": INT, "d": INT}),
+    (
+        "FgAbGroup.from_summands",
+        lambda rank, d: repr(FgAbGroup.from_summands(rank, (d,))),
+        {"rank": 1, "d": 6},
+        {"rank": INT, "d": INT},
+    ),
+    ("FgAbGroup.localize", lambda p: GROUP.localize(p), {"p": 2}, {"p": PRIME}),
+]
+
+NOT_INTEGERS = st.one_of(
+    st.text(max_size=3),
+    st.floats(),
+    st.fractions(max_denominator=10).filter(lambda f: f.denominator != 1),
+    st.none(),
+)
+# a composite kept small: a depth or a bound of 4 is cheap, of 9 is not
+INTEGERS = st.one_of(st.booleans(), st.just(0), st.integers(-10**6, -1), st.just(4))
+COMPOSITES = st.sampled_from([4, 6, 9, 1000000000000000001])
+JUNK = {
+    INT: st.one_of(NOT_INTEGERS, INTEGERS),
+    OPTIONAL_INT: st.one_of(NOT_INTEGERS.filter(lambda v: v is not None), INTEGERS),
+    PRIME: st.one_of(NOT_INTEGERS, INTEGERS, COMPOSITES),
+}
+
+
+@pytest.mark.parametrize("call, valid", [(c[1], c[2]) for c in CALLS], ids=[c[0] for c in CALLS])
+def test_valid_arguments_are_taken(call, valid):
+    call(**valid)
+
+
+@pytest.mark.parametrize("call, valid, kinds", [c[1:] for c in CALLS], ids=[c[0] for c in CALLS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_junk_integer_or_prime_is_refused(call, valid, kinds, data):
+    name = data.draw(st.sampled_from(sorted(kinds)), label="argument")
+    junk = data.draw(JUNK[kinds[name]], label="value")
+    try:
+        call(**{**valid, name: junk})
+    except ForgeError:
+        return
+    assert isinstance(junk, int), f"{name}={junk!r} was taken"
+
+
+def test_integral_fractions_are_integers():
+    assert x ** Fraction(4, 2) == x ** 2
+    assert MODEL.psi(Fraction(6, 3), MODEL.x) == MODEL.gen(2)
+    assert FgAbGroup(0, (Fraction(12, 1),)) == GROUP
+
+
+# calls seen to raise a TypeError, or to return an answer built from junk
+# (a variable x2.5, a float coefficient 2.0, Z/12 from '12', Z/2 from 2.5)
+SEEN = [
+    ("AdamsModel", {"N": "a"}),
+    ("AdamsModel.gen", {"n": "a"}),
+    ("AdamsModel.psi", {"m": 2.5}),
+    ("FreeLambdaBasis", {"depth": 2.5}),
+    ("FreeLambdaBasis", {"p": "2"}),
+    ("wilkerson_lambda", {"K": 2.5}),
+    ("DeltaPresentation", {"p": 2.5}),
+    ("free_delta_ring", {"depth": 2.5}),
+    ("w2_pullback_check", {"bound": 2.5}),
+    ("frobenius", {"n": "2"}),
+    ("FgAbGroup", {"rank": 1.5}),
+    ("FgAbGroup", {"d": "12"}),
+    ("FgAbGroup", {"d": 2.5}),
+    ("integrality_report", {"depth": "a"}),
+    ("verify_joyal_rezk", {"bound": "a"}),
+    ("from_series", {"N": "a"}),
+    ("MultiPoly.div_int", {"d": "a"}),
+    ("MultiPoly.div_int", {"d": 2.0}),
+]
+BY_LABEL = {label: (call, valid) for label, call, valid, _ in CALLS}
+
+
+@pytest.mark.parametrize("label, junk", SEEN, ids=[f"{label}{junk}" for label, junk in SEEN])
+def test_seen_junk_is_refused(label, junk):
+    call, valid = BY_LABEL[label]
+    with pytest.raises(ForgeError):
+        call(**{**valid, **junk})
