@@ -153,20 +153,13 @@ def fracture_check(A: FgAbGroup) -> dict:
     # free part through the rational corner: an element of the truncated
     # pullback is a rational vector that is p-integral at every explicit
     # prime and integral at the symbolic generic prime, hence integral.
-    for p in explicit:
-        if locals_[p].rank != A.rank:
-            witnesses.append({"kind": "rank", "prime": p})
-    denominator_witnesses = []
-    for q in range(2, 30):
-        if any(q % p == 0 for p in explicit):
-            blocker = next(p for p in explicit if q % p == 0)
-            denominator_witnesses.append({"denominator": q, "rejected_by": f"Z_({blocker})"})
-        else:
-            denominator_witnesses.append({"denominator": q, "rejected_by": "generic summand"})
-    report["free_part"] = {
-        "rank_matches": all(locals_[p].rank == A.rank for p in explicit),
-        "denominators_rejected": denominator_witnesses[:5],
-    }
+    rank_off = [p for p in explicit if locals_[p].rank != A.rank]
+    witnesses.extend({"kind": "rank", "prime": p} for p in rank_off)
+    denominators = []
+    for q in range(2, 7):
+        blocker = next((p for p in explicit if q % p == 0), None)
+        denominators.append({"denominator": q, "rejected_by": f"Z_({blocker})" if blocker else "generic summand"})
+    report["free_part"] = {"rank_matches": not rank_off, "denominators_rejected": denominators}
 
     report["status"] = "pass" if not witnesses else "fail"
     report["witnesses"] = witnesses

@@ -58,9 +58,9 @@ class _Parser(argparse.ArgumentParser):
 def _int(text: str) -> int:
     """The type of every integer flag: ASCII decimal digits, with an optional leading '-'."""
     try:
-        return ascii_int(text, signed=True)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        return ascii_int(text.strip(), signed=True)
+    except UsageError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -376,8 +376,8 @@ def _run_lambda(args):
         for clause in args.phi:
             p, colon, body = clause.partition(":")
             try:
-                p = ascii_int(p if colon else "")
-            except ValueError:
+                p = ascii_int(p.strip() if colon else "")
+            except UsageError:
                 raise UsageError("--phi clauses look like '2:u->u^2'") from None
             if p in family:
                 raise UsageError(f"--phi is given twice for p = {p}")

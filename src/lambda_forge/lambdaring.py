@@ -7,9 +7,9 @@ embeds triangularly and integrality becomes a checked assertion instead
 of an input.  Inverting the triangle once gives each x_n as an integer
 polynomial in the X_sigma (its ghost row), so re-expressing an element
 over the X basis is a single substitution, prepared once a basis.
-Newton's identities solve for the lambda-operations from the Adams
-operations, with exact division failures doubling as "no integral
-lambda-structure" certificates.
+The lambda-operations of a Frobenius family are read off its coaction
+into the big Witt vectors, with exact division failures doubling as "no
+integral lambda-structure" certificates.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .errors import (
     NotPIntegral,
     UsageError,
 )
-from .poly import MultiPoly, _Substitution, deviation, poly_sum
+from .poly import MultiPoly, _Substitution, deviation
 from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _factorize, _prime
 from .textparse import _sigma_name
-from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map
+from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map, to_series
 
 
 def _xname(n: int) -> str:
@@ -99,30 +99,6 @@ class AdamsModel:
 
 
 # ---------------------------------------------------------------------------
-# Newton's identities
-
-
-def newton_psi_to_lambda(psis):
-    """Solve the Newton chain for lambda^1..lambda^K given psi^1..psi^K.
-
-    psi^n - lambda^1 psi^(n-1) + ... + (-1)^(n-1) lambda^(n-1) psi^1
-          + (-1)^n n lambda^n = 0.
-    Raises ``NotDivisible(n)`` when stage n has no solution in the ring.
-    """
-    lams = [MultiPoly.one(psis[0].ring)] if psis else []
-    for n in range(1, len(psis) + 1):
-        acc = poly_sum(
-            lams[0].ring,
-            [lams[n - k] * psis[k - 1] * (-1) ** (k - 1) for k in range(1, n + 1)],
-        )
-        try:
-            lams.append(acc.div_int(n))
-        except NotDivisible as exc:
-            raise NotDivisible(n, f"no integral lambda^{n}: {exc}") from None
-    return lams[1:]
-
-
-# ---------------------------------------------------------------------------
 # the free lambda-ring: integral basis inside the Adams model
 
 
@@ -162,7 +138,8 @@ class FreeLambdaBasis:
         self.depth = depth = _as_int(depth, 1, "the basis needs depth >= 1")
         self.sigmas = _sigmas_upto(P, depth)
         if N is None:
-            N = max(P) * max(prod(s) for s in self.sigmas)
+            # room for psi^q psi^p of every basis element
+            N = max(P) ** 2 * max(prod(s) for s in self.sigmas)
         self.model = AdamsModel(N)
         self.names = {s: _sigma_name(s) for s in self.sigmas}
         self.embed = {}
@@ -311,12 +288,14 @@ class LambdaOps:
     def __init__(self, gens, psi, K: int):
         self.gens = tuple(gens)
         self.psi = psi
-        self.K = K
+        self.K = _as_int(K, 0, "lambda-operations need K >= 0")
 
     def lambda_values(self, e: MultiPoly):
-        """lambda^1(e)..lambda^K(e) via the Newton chain, exactly."""
-        psis = [self.psi(n, e) for n in range(1, self.K + 1)]
-        return newton_psi_to_lambda(psis)
+        """lambda^1(e)..lambda^K(e), exactly: the coaction of e over big:K in
+        the series model, prod (1 - a_n t^n), is lambda_{-t}(e).  Raises
+        ``NotDivisible(n)`` when the coaction has no component a_n."""
+        c = to_series(coaction(self.psi, e, TruncationSet.big(self.K), e.ring)).coeffs
+        return [c[k] if k % 2 == 0 else -c[k] for k in range(1, self.K + 1)]
 
     @property
     def lambda_on_gens(self) -> dict:
@@ -336,7 +315,7 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     K = _as_int(K, 0, "lambda-operations need K >= 0")
     if K > 100:
         raise CostLimitExceeded(
-            f"K = {K} takes {K * (K + 1) // 2} Newton products an element, over the limit of 5050 (K <= 100)"
+            f"K = {K} takes {K * (K + 1) // 2} series products an element, over the limit of 5050 (K <= 100)"
         )
     gens = tuple(gens)
     family = {_prime(p): subst for p, subst in phi_family.items()}

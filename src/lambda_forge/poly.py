@@ -14,9 +14,9 @@ highest, all as wide as a bound on the result's total degree needs.  An
 exponent e of a variable packs as e times that variable's weight
 (``_weights``), so a monomial product is one int addition, and int order on
 keys is grlex order.  The constructor, +, -, negation, scalar and
-polynomial products, powers, exact division, ``poly_sum`` and substitution
-pack their operands into one layout, run on raw term maps (``_Packed``) and
-leave through ``_unpacked``: zeros dropped, one int sort, one unpack a key.
+polynomial products, powers, exact division and substitution pack their
+operands into one layout, run on raw term maps (``_Packed``) and leave
+through ``_unpacked``: zeros dropped, one int sort, one unpack a key.
 Intermediate terms are never normalized, pruned or sorted; over Z/m the raw
 coefficients are reduced after each product so that they stay bounded.
 Every raw coefficient is an int: a packed map holds integer numerators over
@@ -292,7 +292,9 @@ class MultiPoly:
         vars = tuple(obj["vars"])
         terms = {}
         for t in obj["terms"]:
-            exps = tuple(int(e) for e in t["exps"])
+            exps = tuple(t["exps"])
+            if not (set(map(type, exps)) <= {int} and min(exps, default=0) >= 0):
+                exps = tuple(_as_int(e, 0, "exponents must be nonnegative") for e in exps)
             terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(t["coef"])
         return MultiPoly(ring, vars, terms)
 
@@ -791,20 +793,6 @@ def deviation(a: MultiPoly, e: MultiPoly, k: int, d: int = 1) -> MultiPoly:
     pack = _packer(ring, (a, e), k)
     diff = pack(a) - pack(e) ** k
     return (diff if d == 1 else diff.div_int(d)).poly(ring)
-
-
-def poly_sum(ring: CoeffRing, parts) -> MultiPoly:
-    """Sum a list of polynomials in one layout, in one pass."""
-    parts = [p for p in parts if not p.is_zero()]
-    if not parts:
-        return MultiPoly.zero(ring)
-    for p in parts:
-        ring.require_same(p.ring)
-    pack = _packer(ring, parts, 1)
-    total = pack(parts[0])
-    for x in map(pack, parts[1:]):
-        total.add_power(1, x, x.powers(), 1)
-    return total.poly(ring)
 
 
 def random_poly(rng, ring: CoeffRing, vars, max_terms=4, max_exp=3, coeff_bound=9) -> MultiPoly:

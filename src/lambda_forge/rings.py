@@ -12,6 +12,7 @@ compute over Q and Z_(p) on integer numerators over one denominator
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -91,6 +92,17 @@ def _as_int(c, low: int | None = None, need: str = "") -> int:
             return n
         raise UsageError(f"{need}, got {n}")
     raise UsageError(f"{c!r} is not an integer")
+
+
+_DIGITS = (re.compile(r"[0-9]+"), re.compile(r"-?[0-9]+"))
+
+
+def ascii_int(text: str, signed: bool = False) -> int:
+    """The integer ``text`` writes in ASCII decimal digits and nothing else,
+    after one leading '-' if ``signed``; a ``UsageError`` otherwise."""
+    if not isinstance(text, str) or not _DIGITS[signed].fullmatch(text):
+        raise UsageError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _prime(p, need: str = "") -> int:
@@ -218,11 +230,13 @@ class CoeffRing:
         return str(int(c))
 
     def coeff_from_str(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.normalize(Fraction(int(num), int(den)))
-        return self.normalize(int(s))
+        """The coefficient ``coeff_str`` writes: ASCII decimal digits after an
+        optional '-', then '/' and a positive denominator if it has one."""
+        num, slash, den = s.partition("/") if isinstance(s, str) else (s, "", "")
+        c = ascii_int(num, signed=True)
+        if slash:
+            c = Fraction(c, _as_int(ascii_int(den), 1, "coefficient denominators must be positive"))
+        return self.normalize(c)
 
     def to_json(self) -> dict:
         if self.kind == INTEGER:

@@ -17,7 +17,7 @@ import re
 
 from .errors import NotDivisible, UsageError
 from .poly import _NAME, MultiPoly
-from .rings import CoeffRing, ZZ
+from .rings import CoeffRing, ZZ, ascii_int
 from .witt import TruncationSet
 
 
@@ -26,14 +26,6 @@ def _sigma_name(sigma) -> str:
     if not sigma:
         return "X0"
     return "X" + "_".join(str(p) for p in sigma)
-
-
-def ascii_int(text: str, signed: bool = False) -> int:
-    """The integer ``text`` writes in ASCII decimal digits, surrounding
-    whitespace aside, after one leading '-' if ``signed``; ValueError otherwise."""
-    if not re.fullmatch(r"-?[0-9]+" if signed else r"[0-9]+", text.strip()):
-        raise ValueError(f"invalid int value: {text!r}")
-    return int(text)
 
 
 _TOKEN = re.compile(rf"\s*([0-9]+|{_NAME.pattern}|\*\*|[-+*/^(),\[\]])")
@@ -168,15 +160,15 @@ def parse_trunc(spec: str) -> TruncationSet:
     spec = spec.strip()
     if spec.startswith("big:"):
         try:
-            n = ascii_int(spec[4:])
-        except ValueError:
+            n = ascii_int(spec[4:].strip())
+        except UsageError:
             raise UsageError("big truncations are written big:N") from None
         return TruncationSet.big(n)
     if spec.startswith("p:"):
         body = spec[2:]
         try:
-            p, k = (ascii_int(x) for x in body.split(","))
-        except ValueError:
+            p, k = (ascii_int(x.strip()) for x in body.split(","))
+        except (UsageError, ValueError):
             raise UsageError("p-typical truncations are written p:P,K") from None
         return TruncationSet.p_typical(p, k)
     raise UsageError(f"cannot parse truncation {spec!r} (use big:N or p:P,K)")
@@ -220,6 +212,6 @@ def parse_phi_spec(spec: str, gens) -> dict:
 
 def parse_primes(spec: str):
     try:
-        return tuple(sorted({ascii_int(p) for p in spec.split(",")}))
-    except ValueError:
+        return tuple(sorted({ascii_int(p.strip()) for p in spec.split(",")}))
+    except UsageError:
         raise UsageError(f"cannot parse prime list {spec!r}") from None

@@ -117,8 +117,7 @@ def ghost_compat_suite(seed: int = 0) -> dict:
 
 def joyal_rezk_suite(seed: int = 0, primes=(2, 3, 5), depth: int = 2) -> dict:
     """Exact commutation identities plus detection of a corrupted family."""
-    # the largest basis index is max(primes)^depth; two more Adams steps fit
-    basis = FreeLambdaBasis(primes, depth, N=max(primes) ** (depth + 2))
+    basis = FreeLambdaBasis(primes, depth)
     report = verify_joyal_rezk(basis, depth)
     detection = corrupted_joyal_rezk()
     ok = report["status"] == "pass" and detection["status"] == "fail"
@@ -134,7 +133,7 @@ def joyal_rezk_suite(seed: int = 0, primes=(2, 3, 5), depth: int = 2) -> dict:
 
 def corrupted_joyal_rezk() -> dict:
     """The Joyal-Rezk check fed phi^3(x_n) = x_{3n} + x_n, which must fail."""
-    basis = FreeLambdaBasis((2, 3), 1, N=30)
+    basis = FreeLambdaBasis((2, 3), 1)
     lift = {f"x{n}": MultiPoly.var(QQ, f"x{3 * n}") + MultiPoly.var(QQ, f"x{n}") for n in range(1, 11)}
     return verify_joyal_rezk(basis, 1, lambda m, e: e.substitute(lift) if m == 3 else basis.model.psi(m, e))
 
@@ -205,7 +204,7 @@ def coalgebra_suite(seed: int = 0) -> dict:
     if integers["status"] != "pass":
         witnesses.extend(integers["witnesses"])
 
-    basis = FreeLambdaBasis((2, 3), 2, N=40)
+    basis = FreeLambdaBasis((2, 3), 2)
     model = basis.model
 
     def check_integral(comp):

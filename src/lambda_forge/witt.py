@@ -65,7 +65,7 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, _packer, deviation
-from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime, ascii_int
 from .series import TruncSeries
 
 
@@ -253,7 +253,7 @@ def _poly_map_from_json(obj: dict) -> dict:
     """Inverse of ``_poly_map_to_json``: a key with a comma is an index tuple."""
     out = {}
     for k, v in obj.items():
-        parts = tuple(int(x) for x in k.split(","))
+        parts = tuple(ascii_int(x) for x in k.split(","))
         out[parts if len(parts) > 1 else parts[0]] = MultiPoly.from_json(v)
     return out
 
@@ -624,7 +624,7 @@ class _Vec:
         """The vector of a JSON payload, over the ring of its first component
         (Z when it has none); the constructor refuses any other ring."""
         trunc = TruncationSet.from_json(obj["trunc"])
-        comps = {int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
+        comps = {ascii_int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
         return cls(trunc, next(iter(comps.values())).ring if comps else ZZ, comps)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from lambda_forge.delta import DeltaPresentation, delta_from_phi, free_delta_ring
 from lambda_forge.errors import DepthExceeded, DomainError, NotAFrobeniusLift, UsageError
-from lambda_forge.poly import MultiPoly, poly_sum, random_poly
+from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import ZZ, CoeffRing
 from lambda_forge.witt import TruncationSet, WittVec
 
@@ -51,13 +51,7 @@ def delta_extend_recursive(pres: DeltaPresentation, e: MultiPoly) -> MultiPoly:
         return value, dvalue
 
     def of_sum(a, da, b, db):
-        cross = poly_sum(
-            ZZ,
-            [
-                a ** i * b ** (p - i) * (comb(p, i) // p)
-                for i in range(1, p)
-            ],
-        )
+        cross = sum((a ** i * b ** (p - i) * (comb(p, i) // p) for i in range(1, p)), MultiPoly.zero(ZZ))
         return da + db - cross
 
     total = None

@@ -7,7 +7,9 @@ replaced by a drawn value: a string, a float, a non-integral ``Fraction``,
 ``None``, a bool, 0, a negative or a composite.  A value that is not an
 integer must be refused with a ``ForgeError``; an integer may also be
 taken.  A ``TypeError``, or an answer built from a value that is no
-integer (a variable named ``x2.5``, a float coefficient), fails.
+integer (a variable named ``x2.5``, a float coefficient), fails.  The JSON
+readers take exponents by the same rule, and component keys and
+coefficient strings only in ASCII decimal digits.
 """
 
 from fractions import Fraction
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 
 from lambda_forge.abelian import FgAbGroup
 from lambda_forge.delta import DeltaPresentation, delta_from_phi, free_delta_ring
-from lambda_forge.errors import ForgeError
+from lambda_forge.errors import ForgeError, UsageError
 from lambda_forge.lambdaring import (
     AdamsModel,
     FreeLambdaBasis,
+    LambdaOps,
     integrality_report,
     plocal_basis_check,
     verify_joyal_rezk,
@@ -84,6 +87,12 @@ CALLS = [
         lambda p, depth, N: FreeLambdaBasis((p,), depth, N),
         {"p": 2, "depth": 1, "N": None},
         {"p": PRIME, "depth": INT, "N": OPTIONAL_INT},
+    ),
+    (
+        "LambdaOps",
+        lambda K: LambdaOps((), lambda n, e: e, K).lambda_values(MultiPoly.const(ZZ, 3)),
+        {"K": 2},
+        {"K": INT},
     ),
     (
         "wilkerson_lambda",
@@ -175,6 +184,10 @@ SEEN = [
     ("from_series", {"N": "a"}),
     ("MultiPoly.div_int", {"d": "a"}),
     ("MultiPoly.div_int", {"d": 2.0}),
+    ("LambdaOps", {"K": 2.5}),
+    ("LambdaOps", {"K": "3"}),
+    ("LambdaOps", {"K": None}),
+    ("LambdaOps", {"K": -1}),
 ]
 BY_LABEL = {label: (call, valid) for label, call, valid, _ in CALLS}
 
@@ -184,3 +197,42 @@ def test_seen_junk_is_refused(label, junk):
     call, valid = BY_LABEL[label]
     with pytest.raises(ForgeError):
         call(**{**valid, **junk})
+
+
+def _poly_payload(coef="1", exps=(2,)):
+    return {"vars": ["x"][: len(exps)], "ring": {"kind": "Q"}, "terms": [{"coef": coef, "exps": list(exps)}]}
+
+
+def _witt_payload(key):
+    return {"trunc": {"kind": "big", "n": 1}, "comps": {key: _poly_payload(exps=())}}
+
+
+# JSON payloads whose integers are not ASCII decimal digits: each loaded as a
+# polynomial or vector (x^2 from an exponent 2.7 or "2", the component 1 from
+# " 1"), or failed with a ValueError or ZeroDivisionError
+JSON_JUNK = [
+    ("exponent 2.7", MultiPoly.from_json, _poly_payload(exps=(2.7,))),
+    ("exponent '2'", MultiPoly.from_json, _poly_payload(exps=("2",))),
+    ("coefficient '1.5'", MultiPoly.from_json, _poly_payload("1.5")),
+    ("coefficient '1/0'", MultiPoly.from_json, _poly_payload("1/0")),
+    ("coefficient ' 1'", MultiPoly.from_json, _poly_payload(" 1")),
+    ("coefficient '+1'", MultiPoly.from_json, _poly_payload("+1")),
+    ("coefficient '\u0661'", MultiPoly.from_json, _poly_payload("\u0661")),
+    ("key '1.0'", WittVec.from_json, _witt_payload("1.0")),
+    ("key ' 1'", WittVec.from_json, _witt_payload(" 1")),
+    ("key '+1'", WittVec.from_json, _witt_payload("+1")),
+    ("key '\u0661'", WittVec.from_json, _witt_payload("\u0661")),
+]
+
+
+@pytest.mark.parametrize("reader, payload", [c[1:] for c in JSON_JUNK], ids=[c[0] for c in JSON_JUNK])
+def test_json_integers_are_ascii_digits(reader, payload):
+    with pytest.raises(UsageError):
+        reader(payload)
+
+
+def test_json_readers_take_what_the_writers_write():
+    p = MultiPoly.from_json(_poly_payload("-7/3", (2,)))
+    assert MultiPoly.from_json(p.to_json()) == p
+    v = WittVec.from_json(_witt_payload("1"))
+    assert WittVec.from_json(v.to_json()) == v

@@ -19,15 +19,15 @@ from lambda_forge.errors import (
 from lambda_forge.lambdaring import (
     AdamsModel,
     FreeLambdaBasis,
+    LambdaOps,
     coaction,
     coalgebra_check,
     integrality_report,
-    newton_psi_to_lambda,
     plocal_basis_check,
     verify_joyal_rezk,
     wilkerson_lambda,
 )
-from lambda_forge.poly import MultiPoly
+from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import QQ, ZZ, CoeffRing
 from lambda_forge.textparse import parse_poly
 from lambda_forge.witt import GhostVec, TruncationSet, WittVec, ghost_map
@@ -55,6 +55,31 @@ def newton_lambda_to_psi(lams, ring=ZZ):
             acc = acc + full[k] * psis[n - k] * (-1) ** (k - 1)
         psis.append(acc)
     return psis[1:]
+
+
+def newton_psi_to_lambda(psis):
+    """The Newton chain solved for lambda^1..lambda^K given psi^1..psi^K,
+    the oracle for ``LambdaOps.lambda_values``:
+    psi^n - lambda^1 psi^(n-1) + ... + (-1)^(n-1) lambda^(n-1) psi^1
+          + (-1)^n n lambda^n = 0.
+    Raises ``NotDivisible(n)`` when stage n has no solution in the ring."""
+    lams = [MultiPoly.one(psis[0].ring)] if psis else []
+    for n in range(1, len(psis) + 1):
+        acc = MultiPoly.zero(lams[0].ring)
+        for k in range(1, n + 1):
+            acc = acc + lams[n - k] * psis[k - 1] * (-1) ** (k - 1)
+        try:
+            lams.append(acc.div_int(n))
+        except NotDivisible as exc:
+            raise NotDivisible(n, f"no integral lambda^{n}: {exc}") from None
+    return lams[1:]
+
+
+def lambda_of(psis):
+    """lambda^1..lambda^K of the element psi^1 whose Adams operations are
+    ``psis``, through ``LambdaOps``."""
+    ops = LambdaOps((), lambda n, e: psis[n - 1], len(psis))
+    return ops.lambda_values(psis[0]) if psis else []
 
 
 def phi_in_x_basis(basis, p, sigma):
@@ -163,25 +188,75 @@ class TestAdamsModel:
         assert (got.ring, got.vars, list(got.terms.items())) == (want.ring, want.vars, list(want.terms.items()))
 
 
+def newton_outcome(route, psis):
+    """The values ``route`` gives, or the witness index of its ``NotDivisible``."""
+    try:
+        return route(psis)
+    except NotDivisible as exc:
+        return ("NotDivisible", exc.witness)
+
+
+@st.composite
+def adams_lists(draw):
+    """psi^1..psi^K over Z, Q, Z_(p) or Z/q for a prime q > K: arbitrary
+    polynomials, or the Adams operations of integral lambda-values."""
+    K = draw(st.integers(0, 5))
+    ring = draw(
+        st.sampled_from(
+            [ZZ, QQ, CoeffRing.localized(2), CoeffRing.localized(3), CoeffRing.modular(7), CoeffRing.modular(11)]
+        ).filter(lambda r: r.modulus is None or r.modulus > K)
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    polys = [random_poly(rng, ring, ("a", "b"), max_terms=3, max_exp=2, coeff_bound=4) for _ in range(K)]
+    return newton_lambda_to_psi(polys, ring) if draw(st.booleans()) else polys
+
+
+@st.composite
+def wilkerson_families(draw):
+    """A Wilkerson family with a lift for every prime up to K, and an element."""
+    K = draw(st.integers(0, 5))
+    u = z("u")
+    kind = draw(st.sampled_from(["Z", "power", "shifted power"]))
+    if kind == "Z":
+        return wilkerson_lambda((), {}, K), MultiPoly.const(ZZ, draw(st.integers(-9, 9)))
+    primes = [p for p in (2, 3, 5) if p <= K]
+    lift = {"power": lambda p: u ** p, "shifted power": lambda p: (u + 1) ** p - 1}[kind]
+    ops = wilkerson_lambda(("u",), {p: {"u": lift(p)} for p in primes}, K)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return ops, random_poly(rng, ZZ, ("u",), max_terms=3, max_exp=2, coeff_bound=4)
+
+
 class TestNewton:
+    @settings(max_examples=80, deadline=None)
+    @given(psis=adams_lists())
+    def test_lambda_values_match_the_newton_chain(self, psis):
+        assert newton_outcome(lambda_of, psis) == newton_outcome(newton_psi_to_lambda, psis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=wilkerson_families())
+    def test_wilkerson_lambda_values_match_the_newton_chain(self, case):
+        ops, e = case
+        psis = [ops.psi(n, e) for n in range(1, ops.K + 1)]
+        assert newton_outcome(ops.lambda_values, e) == newton_outcome(newton_psi_to_lambda, psis)
+
     def test_psi_squared_from_lambda(self):
         a = z("a")
         psis = newton_lambda_to_psi([a, MultiPoly.zero(ZZ)])
         assert psis[1] == a ** 2
 
     def test_binomial_values_on_integers(self):
-        lams = newton_psi_to_lambda([MultiPoly.const(ZZ, 5)] * 5)
+        lams = lambda_of([MultiPoly.const(ZZ, 5)] * 5)
         assert [l.constant_value() for l in lams] == [comb(5, n) for n in range(1, 6)]
 
     def test_lambda_cubed_formula(self):
         m = q("m")
-        lams = newton_psi_to_lambda([m] * 3)
+        lams = lambda_of([m] * 3)
         assert lams[2] == m * (m - 1) * (m - 2) * Fraction(1, 6)
 
     def test_k_equals_one(self):
         a = z("a")
         assert newton_lambda_to_psi([a]) == [a]
-        assert newton_psi_to_lambda([a]) == [a]
+        assert lambda_of([a]) == [a]
 
     def test_roundtrip_fifty_integral_sequences(self):
         rng = random.Random(1234)
@@ -189,14 +264,14 @@ class TestNewton:
         while done < 50:
             lams = [MultiPoly.const(ZZ, rng.randint(-6, 6)) for _ in range(6)]
             psis = newton_lambda_to_psi(lams)
-            back = newton_psi_to_lambda(psis)
+            back = lambda_of(psis)
             assert back == lams
             done += 1
 
     def test_no_integral_structure_certificate(self):
         # psi^2 = 1 with psi^1 = 0 forces lambda^2 = -1/2
         with pytest.raises(NotDivisible) as exc:
-            newton_psi_to_lambda([MultiPoly.zero(ZZ), MultiPoly.one(ZZ)])
+            lambda_of([MultiPoly.zero(ZZ), MultiPoly.one(ZZ)])
         assert exc.value.witness == 2
 
 
@@ -584,6 +659,13 @@ class TestJoyalRezk:
         report = verify_joyal_rezk(basis, 2)
         assert report["status"] == "pass"
         assert report["witnesses"] == []
+
+    def test_default_model_size_fits_the_check(self):
+        # psi^q psi^p X_sigma reaches x_(p q prod(sigma)); the default N has room for it
+        basis = FreeLambdaBasis((2, 3), 2)
+        assert basis.model.N == 81
+        report = verify_joyal_rezk(basis)
+        assert (report["status"], report["cases"]) == ("pass", 19)
 
     def test_example_identity_value(self):
         basis = FreeLambdaBasis((2, 3), 2)

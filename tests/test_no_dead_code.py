@@ -9,12 +9,16 @@ exception class in ``errors.py`` that no other class there derives from
 must be raised somewhere in the package: one only the tests raise is no
 part of the program.  And every ``__slots__`` name of a package class must
 be read as an attribute somewhere: a field nothing reads is dead state.
+A public top-level function must be called in the package or exported by
+``lambda_forge.__all__``, unless ``NOT_YET_WIRED`` gives the reason it stays.
 """
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+import lambda_forge
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lambda_forge"
@@ -90,3 +94,29 @@ def test_every_slot_is_read():
                 read.add(node.attr)
     assert slots
     assert [f"{f}: {cls}.{name}" for f, cls, name in slots if name not in read] == []
+
+
+# public top-level functions that neither the package calls nor
+# ``lambda_forge.__all__`` exports, each with the reason it stays
+NOT_YET_WIRED = {
+    "integrality_report": "the integrality check of the free lambda-ring; no verify suite runs it yet",
+    "plocal_basis_check": "the p-local description of the free lambda-ring; no verify suite runs it yet",
+    "frobenius_poly_map": "memoized Frobenius polynomials (README, Caching); no witt structure op serves them yet",
+    "comult_poly_map": "memoized comultiplication polynomials (README, Caching); no witt structure op serves them yet",
+    "clear_memo": "empties the memo of universal polynomials; the bench and the tests time generation after it",
+}
+
+
+def test_every_public_function_serves_the_package():
+    """A public top-level function is called in the package or exported by
+    ``__all__``: a helper only the tests call belongs in the tests."""
+    public = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if node.name not in lambda_forge.__all__:
+                    public.append((node.name, path, node.lineno))
+    unused = {d.split()[-1]: d for d in _unmentioned(sorted(PACKAGE.glob("*.py")), public)}
+    assert [d for name, d in unused.items() if name not in NOT_YET_WIRED] == []
+    # an allowlisted name that gains a caller, an export or a removal leaves the list
+    assert sorted(unused) == sorted(NOT_YET_WIRED)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lambda_forge import poly
 from lambda_forge.errors import MixedCoefficientRings, NotDivisible, UsageError
-from lambda_forge.poly import MultiPoly, poly_sum, random_poly
+from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import QQ, ZZ, CoeffRing
 from lambda_forge.witt import TruncationSet, WittVec
 
@@ -213,15 +213,6 @@ class TestJsonSchema:
         assert MultiPoly.from_json(p.to_json()) == p
 
 
-def test_poly_sum_matches_fold():
-    rng = random.Random(11)
-    parts = [random_poly(rng, ZZ, ("x", "y"), 3, 2, 4) for _ in range(6)]
-    folded = MultiPoly.zero(ZZ)
-    for part in parts:
-        folded = folded + part
-    assert poly_sum(ZZ, parts) == folded
-
-
 class TestConstantValue:
     @pytest.mark.parametrize("ring", [ZZ, QQ, CoeffRing.modular(4)], ids=repr)
     def test_zero_polynomial_gives_the_ring_zero(self, ring):
@@ -257,7 +248,7 @@ class TestEvaluate:
 # Differential tests: products, powers and substitution against the
 # term-by-term route.  The oracle multiplies monomials given as
 # {variable: exponent} maps, normalizes every coefficient it makes and sums
-# the terms of a substitution with ``poly_sum``; it shares no code with the
+# the terms of a substitution with ``+``; it shares no code with the
 # kernel's raw term maps.
 
 Z4, Z9, Z3 = CoeffRing.modular(4), CoeffRing.modular(9), CoeffRing.localized(3)
@@ -317,7 +308,7 @@ def oracle_substitute(p, env):
         for name, e in zip(p.vars, exps):
             part = oracle_mul(part, oracle_pow(values[name], e))
         parts.append(part)
-    return poly_sum(ring, parts)
+    return sum(parts, MultiPoly.zero(ring))
 
 
 @st.composite
@@ -418,7 +409,7 @@ class TestDifferentialKernel:
 def test_substitution_canonicalizes_per_variable_not_per_term(monkeypatch):
     """Intermediate products stay raw term maps: one packed exit a result."""
     x, y, z = v("x"), v("y"), v("z")
-    p = poly_sum(ZZ, [x ** i * y ** (i % 3) * z ** (i % 4) * (i + 1) for i in range(20)])
+    p = sum((x ** i * y ** (i % 3) * z ** (i % 4) * (i + 1) for i in range(20)), MultiPoly.zero(ZZ))
     env = {"x": y + z * 2 + 1, "y": x - z, "z": x * y + 3}
     base = x + y + z
     assert len(p.terms) == 20
@@ -682,16 +673,6 @@ class TestPackedKernel:
         s = a.ring.normalize(c)
         want = oracle_canonical(a.ring, a.vars, {e: x * s for e, x in a.terms.items()})
         assert canonical_items(a * c) == canonical_items(c * a) == want
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.sampled_from(PACK_RINGS).flatmap(lambda r: st.tuples(st.just(r), st.lists(wide_polys(r), max_size=4))))
-    def test_poly_sum(self, data):
-        ring, parts = data
-        vars = tuple(sorted(set().union(*(p.vars for p in parts))))
-        total = {}
-        for p in parts:
-            total = tuple_add_terms(total, tuple_terms(p, vars), 1)
-        assert canonical_items(poly_sum(ring, parts)) == oracle_canonical(ring, vars, total)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1269,14 +1250,6 @@ def fraction_div_int(a, d):
     return route.exit(route.pack(MultiPoly._trusted(a.ring, a.vars, out)))
 
 
-def fraction_sum(ring, parts):
-    route = FractionRoute(ring, parts)
-    total = {}
-    for p in parts:
-        poly._add_into(total, route.pack(p))
-    return route.exit(total)
-
-
 def fraction_coefficients(ring):
     return st.builds(Fraction, st.integers(-30, 30), st.sampled_from(FRACTION_DENOMINATORS[ring]))
 
@@ -1339,14 +1312,6 @@ class TestNumeratorsOverOneDenominator:
             assert (got.value.witness, str(got.value)) == (exc.witness, str(exc))
             return
         assert canonical_items(p.div_int(d)) == canonical_items(want)
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.sampled_from(FRACTION_RINGS).flatmap(lambda r: st.lists(fraction_polys(r), max_size=5)))
-    def test_poly_sum(self, data):
-        ring = data[0].ring if data else QQ
-        nonzero = [p for p in data if not p.is_zero()]
-        want = fraction_sum(ring, nonzero) if nonzero else MultiPoly.zero(ring)
-        assert canonical_items(poly_sum(ring, data)) == canonical_items(want)
 
     @settings(max_examples=150, deadline=None)
     @given(data=fraction_substitutions())
