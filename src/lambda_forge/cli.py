@@ -290,16 +290,15 @@ def _run_witt(args):
     if sc == "restrict":
         target = parse_trunc(args.to)
         return {"restrict": _poly_list(restrict(_vec(args.input, trunc), target).as_list())}
-    if sc == "series":
-        if args.dir == "to":
-            _unused("--dir to", coeffs=args.coeffs)
-            return {"series": str(to_series(_vec(args.input, trunc)))}
-        _unused("--dir from", input=args.input)
-        if not args.coeffs:
-            raise UsageError("--dir from needs --coeffs '[1, c1, ...]'")
-        n = trunc.series_length()
-        return {"witt": _poly_list(from_series(TruncSeries(ZZ, parse_vector(args.coeffs, ZZ)), n).as_list())}
-    raise UsageError(f"unknown witt subcommand {sc!r}")
+    # the last subcommand: series
+    if args.dir == "to":
+        _unused("--dir to", coeffs=args.coeffs)
+        return {"series": str(to_series(_vec(args.input, trunc)))}
+    _unused("--dir from", input=args.input)
+    if not args.coeffs:
+        raise UsageError("--dir from needs --coeffs '[1, c1, ...]'")
+    n = trunc.series_length()
+    return {"witt": _poly_list(from_series(TruncSeries(ZZ, parse_vector(args.coeffs, ZZ)), n).as_list())}
 
 
 def _run_delta(args):
@@ -325,19 +324,18 @@ def _run_delta(args):
         if args.show == "phi":
             return {"phi": {g: str(v) for g, v in sorted(pres.phi_on_gens.items())}}
         return {"delta": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
-    if sc == "section":
-        if args.expr is not None:
-            _unused("--expr", eval=args.eval_at)
-            # expression in the free delta-ring generators x0..x<depth>
-            vec = free_delta_ring(args.p, 3 if args.depth is None else args.depth).section(parse_poly(args.expr, ZZ))
-        elif args.eval_at is not None:
-            _unused("--eval", depth=args.depth)
-            # Z has one delta-structure: its Frobenius lift is the identity
-            vec = DeltaPresentation(args.p, (), {}).section(args.eval_at)
-        else:
-            raise UsageError("section needs --eval N (over Z) or --expr (free delta-ring)")
-        return {"section": _poly_list(vec.as_list())}
-    raise UsageError(f"unknown delta subcommand {sc!r}")
+    # the last subcommand: section
+    if args.expr is not None:
+        _unused("--expr", eval=args.eval_at)
+        # expression in the free delta-ring generators x0..x<depth>
+        vec = free_delta_ring(args.p, 3 if args.depth is None else args.depth).section(parse_poly(args.expr, ZZ))
+    elif args.eval_at is not None:
+        _unused("--eval", depth=args.depth)
+        # Z has one delta-structure: its Frobenius lift is the identity
+        vec = DeltaPresentation(args.p, (), {}).section(args.eval_at)
+    else:
+        raise UsageError("section needs --eval N (over Z) or --expr (free delta-ring)")
+    return {"section": _poly_list(vec.as_list())}
 
 
 def _run_lambda(args):
@@ -395,10 +393,9 @@ def _run_lambda(args):
         basis = FreeLambdaBasis(parse_primes(args.primes), args.depth)
         xp, integral = basis.to_x_basis(parse_poly(args.expr, QQ))
         return {"x_basis": str(xp), "integral": integral}
-    if sc == "coaction":
-        vec = coaction(lambda n, x: x, MultiPoly.const(ZZ, args.eval_at), parse_trunc(args.trunc), ZZ)
-        return {"coaction": _poly_list(vec.as_list()), "witt_json": vec.to_json()}
-    raise UsageError(f"unknown lambda subcommand {sc!r}")
+    # the last subcommand: coaction
+    vec = coaction(lambda n, x: x, MultiPoly.const(ZZ, args.eval_at), parse_trunc(args.trunc), ZZ)
+    return {"coaction": _poly_list(vec.as_list()), "witt_json": vec.to_json()}
 
 
 def _run_verify(args):
@@ -468,11 +465,9 @@ def main(argv=None) -> int:
             payload = _run_delta(args)
         elif args.command == "lambda":
             payload = _run_lambda(args)
-        elif args.command == "verify":
+        else:
             payload, ok = _run_verify(args)
             code = 0 if ok else 3
-        else:
-            raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -91,11 +91,12 @@ class AdamsModel:
     def delta(self, p: int, e: MultiPoly) -> MultiPoly:
         """delta_p(e) = (psi^p(e) - e^p) / p in the rational model."""
         p = _prime(p)
-        return self.frobenius_deviation(p, e).div_int(p)
+        return self.frobenius_deviation(p, e, p)
 
-    def frobenius_deviation(self, p: int, e: MultiPoly) -> MultiPoly:
-        """psi^p(e) - e^p, i.e. p * delta_p(e), through ``poly.deviation``."""
-        return deviation(self.psi(p, e), e, p)
+    def frobenius_deviation(self, p: int, e: MultiPoly, d: int = 1) -> MultiPoly:
+        """(psi^p(e) - e^p) / d through ``poly.deviation``: p * delta_p(e) at
+        d = 1 and delta_p(e) at d = p, in one packed layout either way."""
+        return deviation(self.psi(p, e), e, p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +119,18 @@ class FreeLambdaBasis:
     X_() is the generator x itself and X_(p, rest) = delta_p(X_rest); each
     embed(X_sigma) is triangular with leading term x_{prod(sigma)} and
     unit coefficient 1/prod(sigma), which is verified at construction.
-    Inverting the triangle gives the ghost rows: ghost["x<n>"] is x_n in
+    Inverting the triangle gives the ghost rows: the row of x_n is x_n in
     the X variables alone, so re-expression over the X basis is one
     substitution.  ``rows`` is that substitution, prepared once and given
-    each row as the row is made, so that each row is packed, and each of
-    its powers formed, once a basis and layout rather than once a
-    re-expression.  In the Adams model every row has integer coefficients
-    (Joyal); a corrupted model can give a row with denominators, which the
+    each row as the row is made, so that each row is stored, packed, and
+    each of its powers formed, once a basis and layout rather than once a
+    re-expression; ``to_x_basis(model.gen(n))`` reads the row of x_n back.
+    In the Adams model every row has integer coefficients (Joyal); a
+    corrupted model can give a row with denominators, which the
     substitution takes as it is.
     """
 
-    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "ghost", "rows", "checked")
+    __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "rows", "checked")
 
     def __init__(self, P, depth: int, N: int | None = None):
         P = tuple(sorted({_prime(p) for p in P}))
@@ -144,7 +146,6 @@ class FreeLambdaBasis:
         self.names = {s: _sigma_name(s) for s in self.sigmas}
         self.embed = {}
         self.span = {}
-        self.ghost = {}
         self.rows = _Substitution(QQ)
         # the variable tuples to_x_basis has let through
         self.checked = set()
@@ -160,8 +161,7 @@ class FreeLambdaBasis:
             name = _xname(n)
             # x_n / n = X_sigma - rest, and rest only touches lower indices
             rest, _ = self.to_x_basis(value - MultiPoly.var(QQ, name) * Fraction(1, n))
-            self.ghost[name] = (MultiPoly.var(QQ, self.names[sigma]) - rest) * n
-            self.rows.add(name, self.ghost[name])
+            self.rows.add(name, (MultiPoly.var(QQ, self.names[sigma]) - rest) * n)
 
     def _check_triangular(self, sigma, value, n):
         lead = value.coefficient_of({_xname(n): 1})
@@ -293,7 +293,15 @@ class LambdaOps:
     def lambda_values(self, e: MultiPoly):
         """lambda^1(e)..lambda^K(e), exactly: the coaction of e over big:K in
         the series model, prod (1 - a_n t^n), is lambda_{-t}(e).  Raises
-        ``NotDivisible(n)`` when the coaction has no component a_n."""
+        ``NotDivisible(n)`` when the coaction has no component a_n.  Over Z/m
+        a prime factor q <= K of m is a zero divisor, so the Adams operations
+        leave lambda^q open and ``UsageError`` refuses it."""
+        if e.ring.kind == MODULAR:
+            q = min(_factorize(e.ring.modulus))
+            if q <= self.K:
+                raise UsageError(
+                    f"over {e.ring} the Adams operations leave lambda^{q} open: {q} divides {e.ring.modulus}"
+                )
         c = to_series(coaction(self.psi, e, TruncationSet.big(self.K), e.ring)).coeffs
         return [c[k] if k % 2 == 0 else -c[k] for k in range(1, self.K + 1)]
 

@@ -181,41 +181,33 @@ class TruncationSet:
             product = self._products[other] = TruncationSet(s * t for s in self.elems for t in other.elems)
         return product
 
-    def _big_n(self):
-        n = len(self.elems)
-        return n if self.elems == tuple(range(1, n + 1)) else None
-
     def series_length(self) -> int:
         """N for big:N, the one truncation the power series model takes."""
-        n = self._big_n()
-        if n is None:
+        form = self.to_json()
+        if form["kind"] != "big":
             raise UsageError("the power series model needs a big truncation big:N")
-        return n
-
-    def _p_typical(self):
-        """(p, k) for {1, p, ..., p^(k-1)}, else None; asked only once ``_big_n``
-        has said no, so the set holds 1 and a second element, at least 2."""
-        p, k = self.elems[1], len(self.elems)
-        return (p, k) if self.elems == tuple(p ** i for i in range(k)) else None
+        return form["n"]
 
     def label(self) -> str:
         if not self.elems:
             return "empty"
-        n = self._big_n()
-        if n is not None:
-            return f"big{n}"
-        pt = self._p_typical()
-        if pt is not None:
-            return f"p{pt[0]}l{pt[1]}"
+        form = self.to_json()
+        if form["kind"] == "big":
+            return f"big{form['n']}"
+        if form["kind"] == "p":
+            return f"p{form['p']}l{form['len']}"
         return "s" + "-".join(str(n) for n in self.elems)
 
     def to_json(self) -> dict:
-        n = self._big_n()
-        if n is not None:
+        """The one classifier: big {1..n} (the empty set at n = 0), else
+        p-typical {1, p, ..., p^(k-1)}, else the elements themselves."""
+        n = len(self.elems)
+        if self.elems == tuple(range(1, n + 1)):
             return {"kind": "big", "n": n}
-        pt = self._p_typical()
-        if pt is not None:
-            return {"kind": "p", "p": pt[0], "len": pt[1]}
+        # a set that is not big holds 1 and a second element, its least prime
+        p = self.elems[1]
+        if self.elems == tuple(p ** i for i in range(n)):
+            return {"kind": "p", "p": p, "len": n}
         return {"kind": "set", "elems": list(self.elems)}
 
     @staticmethod

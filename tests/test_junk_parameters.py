@@ -83,6 +83,12 @@ CALLS = [
     ("AdamsModel.psi", lambda m: MODEL.psi(m, MODEL.x), {"m": 2}, {"m": INT}),
     ("AdamsModel.delta", lambda p: MODEL.delta(p, MODEL.x), {"p": 2}, {"p": PRIME}),
     (
+        "AdamsModel.frobenius_deviation",
+        lambda p, d: MODEL.frobenius_deviation(p, MODEL.x, d),
+        {"p": 2, "d": 2},
+        {"p": INT, "d": INT},
+    ),
+    (
         "FreeLambdaBasis",
         lambda p, depth, N: FreeLambdaBasis((p,), depth, N),
         {"p": 2, "depth": 1, "N": None},
@@ -188,6 +194,8 @@ SEEN = [
     ("LambdaOps", {"K": "3"}),
     ("LambdaOps", {"K": None}),
     ("LambdaOps", {"K": -1}),
+    ("AdamsModel.frobenius_deviation", {"d": 2.5}),
+    ("AdamsModel.frobenius_deviation", {"d": 0}),
 ]
 BY_LABEL = {label: (call, valid) for label, call, valid, _ in CALLS}
 

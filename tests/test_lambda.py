@@ -168,6 +168,25 @@ class TestAdamsModel:
         got = m.delta(p, e)
         assert (got.ring, got.vars, list(got.terms.items())) == (want.ring, want.vars, list(want.terms.items()))
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_delta_leaves_the_packed_layout_once(self, monkeypatch, p):
+        # the division by p happens in the layout the deviation was formed in
+        basis = FreeLambdaBasis((2, 3), 2)
+        e = basis.embed[(3,)] * basis.model.gen(2) + basis.embed[(2,)]
+        want = (basis.model.psi(p, e) - e ** p).div_int(p)
+        calls = []
+        original = poly._unpacked
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(poly, "_unpacked", counting)
+        got = basis.model.delta(p, e)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert (got.vars, list(got.terms.items())) == (want.vars, list(want.terms.items()))
+
     @settings(max_examples=150, deadline=None)
     @given(
         ring=st.sampled_from([QQ, ZZ]),
@@ -268,6 +287,27 @@ class TestNewton:
             assert back == lams
             done += 1
 
+    def test_modulus_with_a_prime_factor_up_to_k_is_refused(self):
+        # over Z/4 the family psi = (3, 1, 1, 1) has two lambda-structures
+        # that agree on psi, since 2 is a zero divisor: no answer is the answer
+        R = CoeffRing.modular(4)
+        values = (3, 1, 1, 1)
+        ops = LambdaOps((), lambda n, e: MultiPoly.const(R, values[n - 1]), 4)
+        with pytest.raises(UsageError) as exc:
+            ops.lambda_values(MultiPoly.const(R, 3))
+        assert str(exc.value) == "over Z/4 the Adams operations leave lambda^2 open: 2 divides 4"
+
+    @pytest.mark.parametrize("m, K, refused", [(7, 4, False), (7, 7, True), (35, 4, False), (35, 5, True), (6, 1, False)])
+    def test_modulus_is_refused_exactly_when_its_least_prime_is_at_most_k(self, m, K, refused):
+        R = CoeffRing.modular(m)
+        ops = LambdaOps((), lambda n, e: e, K)
+        e = MultiPoly.const(R, 3)
+        if refused:
+            with pytest.raises(UsageError):
+                ops.lambda_values(e)
+        else:
+            assert [c.constant_value() for c in ops.lambda_values(e)] == [comb(3, n) % m for n in range(1, K + 1)]
+
     def test_no_integral_structure_certificate(self):
         # psi^2 = 1 with psi^1 = 0 forces lambda^2 = -1/2
         with pytest.raises(NotDivisible) as exc:
@@ -276,6 +316,29 @@ class TestNewton:
 
 
 class TestFreeLambdaRing:
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            # psi^p(e) added once more doubles the leading coefficient of delta_2(x)
+            (lambda model, p, e: model.psi(p, e), "leading coefficient 1"),
+            # a term on x_N, above the leading index 2 of delta_2(x)
+            (lambda model, p, e: model.gen(model.N), "term {'x27': 1}"),
+            # a term on the leading index, at a power above the first
+            (lambda model, p, e: model.psi(p, e) ** 2, "term {'x2': 2}"),
+        ],
+        ids=["lead", "above", "lead-squared"],
+    )
+    def test_a_model_that_breaks_the_triangle_is_refused(self, monkeypatch, shift, message):
+        deviation = AdamsModel.frobenius_deviation
+        monkeypatch.setattr(
+            AdamsModel,
+            "frobenius_deviation",
+            lambda self, p, e, d=1: (deviation(self, p, e) + shift(self, p, e)).div_int(d),
+        )
+        with pytest.raises(UsageError) as exc:
+            FreeLambdaBasis((2, 3), 1)
+        assert str(exc.value) == f"triangularity broken for (2,): {message}"
+
     def test_first_basis_elements(self):
         basis = FreeLambdaBasis((2, 3), 2)
         assert basis.embed[(2,)] == (q("x2") - q("x1") ** 2) * Fraction(1, 2)
@@ -384,10 +447,16 @@ def eliminating_to_x_basis(basis, e):
     return work, all(c.denominator == 1 for c in work.terms.values())
 
 
+def ghost_rows(basis):
+    """x<n> -> its ghost row, x_n over the X variables, read back through
+    the public route: the rows are stored once, inside ``basis.rows``."""
+    return {f"x{n}": basis.to_x_basis(basis.model.gen(n))[0] for n in basis.span}
+
+
 def one_shot_to_x_basis(basis, e):
     """``to_x_basis`` through a fresh ``substitute`` of the ghost rows, with
     nothing kept from one element to the next."""
-    xp = e.convert_ring(QQ).substitute(basis.ghost)
+    xp = e.convert_ring(QQ).substitute(ghost_rows(basis))
     return xp, all(c.denominator == 1 for c in xp.terms.values())
 
 
@@ -550,23 +619,26 @@ class TestGhostRows:
     @pytest.mark.parametrize("key", sorted(ORACLE_BASES), ids=str)
     def test_rows_are_integral_and_embed_back(self, key):
         basis = ORACLE_BASES[key]
-        assert sorted(basis.ghost) == sorted(f"x{n}" for n in basis.span)
+        rows = ghost_rows(basis)
+        assert sorted(basis.rows.images) == sorted(rows)
         for n in basis.span:
-            row = basis.ghost[f"x{n}"]
+            row = rows[f"x{n}"]
             assert row.ring == QQ and all(c.denominator == 1 for c in row.terms.values())
             assert basis.from_x_basis(row) == basis.model.gen(n)
         for p in basis.P:
-            assert basis.ghost[f"x{p}"] == q("X0") ** p + q(f"X{p}") * p
+            assert rows[f"x{p}"] == q("X0") ** p + q(f"X{p}") * p
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rows_with_denominators_match_the_elimination_route(self, monkeypatch, k):
         # frobenius_deviation shifted by x/k: a corrupted model whose rows leave Z
         deviation = AdamsModel.frobenius_deviation
         monkeypatch.setattr(
-            AdamsModel, "frobenius_deviation", lambda self, p, e: deviation(self, p, e) + self.x * Fraction(1, k)
+            AdamsModel,
+            "frobenius_deviation",
+            lambda self, p, e, d=1: (deviation(self, p, e) + self.x * Fraction(1, k)).div_int(d),
         )
         basis = FreeLambdaBasis((2, 3), 2)
-        assert any(c.denominator != 1 for row in basis.ghost.values() for c in row.terms.values())
+        assert any(c.denominator != 1 for row in ghost_rows(basis).values() for c in row.terms.values())
         rng = random.Random(k)
         for _ in range(12):
             e = MultiPoly.zero(QQ)
@@ -825,6 +897,53 @@ class TestIntegrality:
         assert all(int(c) % 2 == 0 for c in xp.terms.values())
 
 
+def second_answer_differs():
+    """A family that is not a function: asked (n, e) again, it answers e + 1.
+    The ghost check is the second question about an element's coaction."""
+    asked = set()
+
+    def psi(n, e):
+        key = (n, str(e))
+        if key in asked:
+            return e + 1
+        asked.add(key)
+        return e
+
+    return psi
+
+
+def with_denominators(comp):
+    return None if all(c.denominator == 1 for c in comp.terms.values()) else str(comp)
+
+
+COALGEBRA_LAWS = ("additive", "coassociativity", "counit", "ghost", "integrality", "multiplicative")
+
+
+def broken_coalgebra(kind):
+    """(psi, elements, S, T, check_integral): a family over Q that breaks the
+    law ``kind`` of coalgebra_check and keeps every other one.  With T = big:1
+    and psi^1 the identity, coassociativity holds whatever psi^2 is."""
+    x, y = q("x"), q("y")
+    big1, big2 = TruncationSet.big(1), TruncationSet.big(2)
+    return {
+        "ghost": (second_answer_differs(), [("x", x)], big1, big1, None),
+        # ring maps x -> x^n, y -> 0: they compose, but psi^1 is not the identity
+        "counit": (lambda n, e: e.substitute({"x": x ** n, "y": 0}), [("y", y)], big2, big2, None),
+        # the Frobenius lifts x -> x^n are a lambda-structure on Q[x], not on x/2
+        "integrality": (
+            lambda n, e: e.substitute({"x": x ** n}),
+            [("x/2", x * Fraction(1, 2))],
+            big2,
+            big2,
+            with_denominators,
+        ),
+        # ring maps x -> x + n - 1: psi^2 psi^2 is x + 2, psi^4 is x + 3
+        "coassociativity": (lambda n, e: e.substitute({"x": x + (n - 1)}), [("x", x)], big2, big2, None),
+        "additive": (lambda n, e: e ** n, [("x", x), ("1", MultiPoly.one(QQ))], big2, big1, None),
+        "multiplicative": (lambda n, e: e * n, [("x", x), ("2", MultiPoly.const(QQ, 2))], big2, big1, None),
+    }[kind]
+
+
 class TestCoalgebra:
     def test_integer_coaction_values(self):
         S = TruncationSet.big(2)
@@ -854,6 +973,13 @@ class TestCoalgebra:
         vec = coaction(basis.model.psi, basis.model.x, S, QQ)
         ghosts = ghost_map(vec)
         assert ghosts == GhostVec(S, QQ, {n: basis.model.psi(n, basis.model.x) for n in S})
+
+    @pytest.mark.parametrize("kind", COALGEBRA_LAWS)
+    def test_a_family_that_breaks_one_law_has_one_witness_kind(self, kind):
+        psi, elements, S, T, check_integral = broken_coalgebra(kind)
+        report = coalgebra_check(psi, elements, S, T, QQ, check_integral)
+        assert report["status"] == "fail"
+        assert {w["kind"] for w in report["witnesses"]} == {kind}
 
     def test_free_ring_components_are_integral(self):
         basis = FreeLambdaBasis((2, 3), 2, N=16)

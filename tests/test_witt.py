@@ -212,6 +212,27 @@ class TestTruncationSet:
         empty = TruncationSet(())
         assert WittVec.zero(empty, ZZ).as_list() == []
 
+    @pytest.mark.parametrize(
+        "elems, form, label",
+        [
+            ((), {"kind": "big", "n": 0}, "empty"),
+            ((1,), {"kind": "big", "n": 1}, "big1"),
+            # {1, 2} is also 2-typical: big comes first
+            ((1, 2), {"kind": "big", "n": 2}, "big2"),
+            ((1, 3), {"kind": "p", "p": 3, "len": 2}, "p3l2"),
+            ((1, 3, 9), {"kind": "p", "p": 3, "len": 3}, "p3l3"),
+            ((1, 2, 3, 6), {"kind": "set", "elems": [1, 2, 3, 6]}, "s1-2-3-6"),
+        ],
+    )
+    def test_one_classifier_names_each_kind(self, elems, form, label):
+        trunc = TruncationSet(elems)
+        assert (trunc.to_json(), trunc.label()) == (form, label)
+        if form["kind"] == "big":
+            assert trunc.series_length() == form["n"]
+        else:
+            with pytest.raises(UsageError, match="needs a big truncation"):
+                trunc.series_length()
+
     def test_json_roundtrip(self):
         for trunc in (TruncationSet.big(4), TruncationSet.p_typical(2, 3), TruncationSet((1, 2, 3, 6))):
             assert TruncationSet.from_json(trunc.to_json()) == trunc
