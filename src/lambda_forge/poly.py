@@ -52,6 +52,7 @@ with its own, and each source term picks up c ** e.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from functools import reduce
@@ -297,6 +298,16 @@ class MultiPoly:
                 exps = tuple(_as_int(e, 0, "exponents must be nonnegative") for e in exps)
             terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(t["coef"])
         return MultiPoly(ring, vars, terms)
+
+
+def _json_text(p: MultiPoly) -> str:
+    """``json.dumps(p.to_json(), sort_keys=True)``, formed from the terms
+    with one f-string each and no dict a term: its keys are written in
+    sorted order, and coefficients and exponents need no escaping."""
+    coeff_str = p.ring.coeff_str
+    terms = ", ".join([f'{{"coef": "{coeff_str(c)}", "exps": {list(e)}}}' for e, c in p.terms.items()])
+    ring, names = json.dumps(p.ring.to_json(), sort_keys=True), json.dumps(list(p.vars))
+    return f'{{"ring": {ring}, "terms": [{terms}], "vars": {names}}}'
 
 
 def _signed_sum(terms) -> str:

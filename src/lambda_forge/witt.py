@@ -40,11 +40,16 @@ in a process shares: lookups and inserts hold a lock, generation does not,
 and duplicate computation of the same entry is harmless.  Setting
 LAMBDA_FORGE_CACHE_DIR persists the memo as JSON files keyed by
 (operation, truncation); a file that disagrees with the ghost route at a
-fixed integer point is regenerated.
+fixed integer point is regenerated.  A file is written in one streamed
+pass, one polynomial's text at a time and no dict a term, byte for byte
+what ``json.dumps`` of the ``MultiPoly`` JSON schema gives under
+``sort_keys=True``.  A cache directory that cannot be written is skipped,
+and the answer is unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import operator
 import os
@@ -64,7 +69,7 @@ from .errors import (
     TruncationMismatch,
     UsageError,
 )
-from .poly import MultiPoly, _packer, deviation
+from .poly import MultiPoly, _json_text, _packer, deviation
 from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime, ascii_int
 from .series import TruncSeries
 
@@ -237,12 +242,33 @@ def _cache_path(key) -> str | None:
     return os.path.join(root, "_".join(str(part) for part in key) + ".json")
 
 
-def _poly_map_to_json(polys: dict) -> dict:
-    return {",".join(str(i) for i in (k if isinstance(k, tuple) else (k,))): p.to_json() for k, p in polys.items()}
+def _store(path: str, polys: dict):
+    """Write ``polys`` to ``path`` as ``json.dumps({"polys": ...}, sort_keys=True)``
+    would, an index tuple keyed by its indices joined with commas, one
+    polynomial's text at a time in key order.  The file is written to a
+    unique temporary file and renamed into place; a cache that cannot be
+    written is skipped, and no temporary file is left behind."""
+    folder = os.path.dirname(path) or "."
+    keyed = sorted((",".join(map(str, k)) if isinstance(k, tuple) else str(k), k) for k in polys)
+    tmp = None
+    try:
+        os.makedirs(folder, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o644)  # mkstemp makes the file private; the cache is meant to be shared
+            fh.write('{"polys": {')
+            for i, (name, k) in enumerate(keyed):
+                fh.write(f'{", " if i else ""}"{name}": {_json_text(polys[k])}')
+            fh.write("}}")
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _poly_map_from_json(obj: dict) -> dict:
-    """Inverse of ``_poly_map_to_json``: a key with a comma is an index tuple."""
+    """The polynomials ``_store`` writes: a key with a comma is an index tuple."""
     out = {}
     for k, v in obj.items():
         parts = tuple(ascii_int(x) for x in k.split(","))
@@ -278,7 +304,7 @@ def _generated(key, inputs, apply, flatten) -> dict:
     The memo is looked up and filled under ``_LOCK``; generation runs
     outside it, and the first entry stored for a key wins.  A cache file
     is used only if it gives what ``apply`` gives on a fixed integer point;
-    a new one is written to a unique temporary file and renamed into place.
+    a new one is written by ``_store``.
     """
     with _LOCK:
         if key in _MEMO:
@@ -300,12 +326,7 @@ def _generated(key, inputs, apply, flatten) -> dict:
     with _LOCK:
         polys = _MEMO.setdefault(key, polys)
     if fresh and path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        os.chmod(tmp, 0o644)  # mkstemp makes the file private; the cache is meant to be shared
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"polys": _poly_map_to_json(polys)}, fh, sort_keys=True)
-        os.replace(tmp, path)
+        _store(path, polys)
     return polys
 
 

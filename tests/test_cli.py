@@ -233,6 +233,23 @@ def test_cache_dir_env(tmp_path, capsys, monkeypatch):
     clear_memo()
 
 
+def test_cache_dir_under_a_regular_file_is_skipped(tmp_path, capsys, monkeypatch):
+    from lambda_forge.witt import clear_memo
+
+    argv = ("witt", "structure", "--op", "add", "--p", "2", "--len", "2")
+    monkeypatch.delenv("LAMBDA_FORGE_CACHE_DIR", raising=False)
+    clear_memo()
+    want = run(capsys, *argv)
+    assert want[0] == 0 and "-a1*b1 + a2 + b2" in want[1]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("LAMBDA_FORGE_CACHE_DIR", str(blocker / "cache"))
+    clear_memo()
+    assert run(capsys, *argv) == want
+    assert [f.name for f in tmp_path.iterdir()] == ["file"]
+    clear_memo()
+
+
 def test_frobenius_and_verschiebung_cli(capsys):
     code, out, _ = run(capsys, "witt", "frobenius", "--n", "2", "--p", "2", "--len", "2", "--input", "[a,b]")
     assert code == 0

@@ -188,6 +188,25 @@ class TestHypothesisProperties:
         assert (a * b).evaluate(env) == a.evaluate(env) * b.evaluate(env)
 
 
+# rings whose units include 7 and 11, so every drawn coefficient lies in them
+JSON_RINGS = [ZZ, QQ, CoeffRing.modular(9), CoeffRing.modular(1000), CoeffRing.localized(3), CoeffRing.localized(5)]
+
+
+@st.composite
+def json_polys(draw):
+    """Polynomials over Z, Q, Z/m and Z_(p) in any subset of three names,
+    the empty one too, with exponents and coefficients of many digits."""
+    ring = draw(st.sampled_from(JSON_RINGS))
+    names = tuple(draw(st.sets(st.sampled_from(("a1", "b12", "x")))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = tuple(draw(st.integers(0, 120)) for _ in names)
+        num = draw(st.integers(-(10**25), 10**25) | st.integers(-9, 9))
+        den = 1 if ring == ZZ else draw(st.sampled_from([1, 7, 11]))
+        terms[exps] = terms.get(exps, 0) + Fraction(num, den)
+    return MultiPoly(ring, names, terms)
+
+
 class TestJsonSchema:
     def test_documented_example(self):
         obj = {
@@ -211,6 +230,17 @@ class TestJsonSchema:
     def test_rational_coefficients_roundtrip(self):
         p = v("x", QQ) * Fraction(-7, 3) + Fraction(1, 2)
         assert MultiPoly.from_json(p.to_json()) == p
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=json_polys())
+    @example(p=MultiPoly.zero(ZZ))
+    @example(p=MultiPoly.zero(CoeffRing.localized(3)))
+    @example(p=MultiPoly.const(QQ, Fraction(-7, 11)))
+    @example(p=MultiPoly(CoeffRing.modular(9), (), {(): 4}))
+    @example(p=v("a12", QQ) * Fraction(10**30, 7) - 1)
+    def test_text_is_the_json_of_the_dict(self, p):
+        # the disk cache writes this text for each polynomial
+        assert poly._json_text(p) == json.dumps(p.to_json(), sort_keys=True)
 
 
 class TestConstantValue:

@@ -617,6 +617,86 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     clear_memo()
 
 
+def _poly_map_to_json(polys: dict) -> dict:
+    """The oracle of the cache file layout: a dict tree, one dict a term,
+    each key its indices joined with commas."""
+    return {",".join(str(i) for i in (k if isinstance(k, tuple) else (k,))): p.to_json() for k, p in polys.items()}
+
+
+CACHE_FILES = [
+    ("structure_add_big4.json", lambda: structure_poly_map("add", TruncationSet.big(4))),
+    ("structure_mul_big4.json", lambda: structure_poly_map("mul", TruncationSet.big(4))),
+    ("structure_neg_big4.json", lambda: structure_poly_map("neg", TruncationSet.big(4))),
+    ("structure_add_p2l3.json", lambda: structure_poly_map("add", TruncationSet.p_typical(2, 3))),
+    ("structure_mul_p2l3.json", lambda: structure_poly_map("mul", TruncationSet.p_typical(2, 3))),
+    ("structure_neg_p2l3.json", lambda: structure_poly_map("neg", TruncationSet.p_typical(2, 3))),
+    ("frobenius_2_p2l4.json", lambda: frobenius_poly_map(2, TruncationSet.p_typical(2, 4))),
+    ("comult_big2_big3.json", lambda: comult_poly_map(TruncationSet.big(2), TruncationSet.big(3))),
+]
+
+
+@pytest.mark.parametrize("name, make", CACHE_FILES, ids=[name for name, _ in CACHE_FILES])
+def test_cache_file_is_the_json_of_the_dict_tree(tmp_path, monkeypatch, name, make):
+    monkeypatch.setenv("LAMBDA_FORGE_CACHE_DIR", str(tmp_path))
+    clear_memo()
+    polys = make()
+    assert [f.name for f in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_text() == json.dumps({"polys": _poly_map_to_json(polys)}, sort_keys=True)
+    clear_memo()
+
+
+def test_a_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
+    # the second polynomial's text fails as a full disk would: the first is
+    # already in the temporary file, which is removed with nothing renamed
+    text = witt._json_text
+    written = []
+
+    def failing(p):
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(p)
+        return text(p)
+
+    monkeypatch.setattr(witt, "_json_text", failing)
+    monkeypatch.setenv("LAMBDA_FORGE_CACHE_DIR", str(tmp_path))
+    clear_memo()
+    polys = structure_poly_map("mul", TruncationSet.big(3))
+    assert len(written) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert structure_poly_map("mul", TruncationSet.big(3)) is polys
+    monkeypatch.setattr(witt, "_json_text", text)
+    clear_memo()
+    assert structure_poly_map("mul", TruncationSet.big(3)) == polys
+    assert [f.name for f in tmp_path.iterdir()] == ["structure_mul_big3.json"]
+    clear_memo()
+
+
+def test_cache_write_adds_little_to_the_peak(tmp_path, monkeypatch):
+    # the file is written one polynomial at a time, so the write's working
+    # set stays small next to the generation's: a dict tree of the whole
+    # map, or one string of the whole file, would peak at 1.6-2.5 times
+    import tracemalloc
+
+    S = TruncationSet.p_typical(2, 6)
+
+    def peak():
+        clear_memo()
+        tracemalloc.start()
+        try:
+            structure_poly_map("add", S)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            clear_memo()
+
+    monkeypatch.delenv("LAMBDA_FORGE_CACHE_DIR", raising=False)
+    without = peak()
+    monkeypatch.setenv("LAMBDA_FORGE_CACHE_DIR", str(tmp_path))
+    with_cache = peak()
+    assert (tmp_path / "structure_add_p2l6.json").exists()
+    assert with_cache <= 1.25 * without
+
+
 def test_memo_used_without_cache_dir(monkeypatch):
     monkeypatch.delenv("LAMBDA_FORGE_CACHE_DIR", raising=False)
     clear_memo()
