@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import DepthExceeded, NotAFrobeniusLift, NotDivisible, UsageError
 from .poly import MultiPoly, deviation
-from .rings import ZZ, _as_int, _prime
+from .rings import ZZ, _as_int, _prime, json_field
 from .witt import TruncationSet, WittVec
 
 
@@ -53,8 +53,8 @@ class DeltaPresentation:
 
     @staticmethod
     def from_json(obj: dict) -> "DeltaPresentation":
-        delta = {g: MultiPoly.from_json(v) for g, v in obj["delta"].items()}
-        return DeltaPresentation(obj["p"], obj["gens"], delta)
+        delta = {g: MultiPoly.from_json(v) for g, v in json_field(obj, "delta", dict).items()}
+        return DeltaPresentation(json_field(obj, "p"), json_field(obj, "gens", list), delta)
 
     def _check_in_domain(self, e: MultiPoly):
         outside = sorted(set(e.vars) - set(self.gens))

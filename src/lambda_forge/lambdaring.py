@@ -69,8 +69,7 @@ class AdamsModel:
 
     def psi(self, m: int, e: MultiPoly) -> MultiPoly:
         """The Adams operation: the ring map sending x_n to x_{mn}."""
-        if type(m) is not int or m < 1:
-            m = _as_int(m, 1, "Adams operations are indexed by positive integers")
+        m = _as_int(m, 1, "Adams operations are indexed by positive integers")
         names = []
         for v in e.vars:
             n = _xindex(v)

@@ -62,7 +62,7 @@ from operator import add, mul, or_, sub
 from struct import Struct
 
 from .errors import NotDivisible, UsageError
-from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, _as_int
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, _as_int, json_field
 
 # the one rule for variable names, the grammar's (``textparse``): checked
 # where a name enters, by ``var`` and the constructor (so ``from_json``)
@@ -289,14 +289,17 @@ class MultiPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "MultiPoly":
-        ring = CoeffRing.from_json(obj["ring"])
-        vars = tuple(obj["vars"])
+        ring = CoeffRing.from_json(json_field(obj, "ring"))
+        vars = tuple(json_field(obj, "vars", list))
         terms = {}
-        for t in obj["terms"]:
-            exps = tuple(t["exps"])
+        for t in json_field(obj, "terms", list):
+            try:
+                exps, coef = tuple(t["exps"]), t["coef"]
+            except (LookupError, TypeError):
+                exps, coef = tuple(json_field(t, "exps", list)), json_field(t, "coef")
             if not (set(map(type, exps)) <= {int} and min(exps, default=0) >= 0):
                 exps = tuple(_as_int(e, 0, "exponents must be nonnegative") for e in exps)
-            terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(t["coef"])
+            terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(coef)
         return MultiPoly(ring, vars, terms)
 
 
@@ -742,40 +745,40 @@ class _Packed:
                 terms[k] = c * v
 
     def div_int(self, d: int) -> "_Packed":
-        """Exact division, dropping cancelled terms; fails with the first
-        offending term of the canonical form, in grlex order.  A zero divisor
-        is refused whatever the dividend.  Outside Z/m, d = q * u: u > 0 joins
-        the denominator, and q must divide every numerator, one ``divmod`` a
-        term; q is d over Z, the p-part of d with d's sign over Z_(p), d's sign over Q."""
+        """Exact division in one pass, dropping cancelled terms.  A failure
+        names the largest failing key: the first offending term of the
+        canonical form, in grlex order.  A zero divisor is refused whatever the
+        dividend.  Over Z/m each residue is multiplied by ``ring.div_int(1, d)``;
+        a non-unit d fails unless the map is zero.  Elsewhere d = q * u: u > 0
+        joins the denominator, and q must divide every numerator, one ``divmod``
+        a term; q is d over Z, the p-part of d with d's sign over Z_(p), d's sign over Q."""
         if d == 0:
             raise UsageError("division by zero")
         ring = self.ring
-        div = ring.div_int
-        u = 1
-        try:
-            if ring.kind == MODULAR:
-                out = {k: div(c, d) for k, c in _reduce(ring, self.terms).items() if c}
-            else:
-                if ring.kind == RATIONAL:
-                    u = abs(d)
-                elif ring.kind == LOCALIZED:
-                    u = abs(d) // gcd(d, ring.prime ** abs(d).bit_length())
-                q = d // u
-                out = {}
-                for k, c in self.terms.items():
-                    if c:
-                        n, r = divmod(c, q)
-                        if r:
-                            raise NotDivisible(c)
-                        out[k] = n
-        except NotDivisible:
-            p = self.poly(ring)
-            for exps, c in p.terms.items():
-                try:
-                    div(c, d)
-                except NotDivisible:
-                    raise NotDivisible(p._term_str(exps, c)) from None
-            raise
+        u, bad = 1, -1
+        if ring.kind == MODULAR:
+            terms = _reduce(ring, self.terms)
+            try:
+                inv = ring.div_int(1, d)
+            except NotDivisible:
+                # no residue divides by a non-unit; the zero map still does
+                inv, bad = 0, max(terms, default=-1)
+            out = {k: c * inv for k, c in terms.items()}
+        else:
+            if ring.kind == RATIONAL:
+                u = abs(d)
+            elif ring.kind == LOCALIZED:
+                u = abs(d) // gcd(d, ring.prime ** abs(d).bit_length())
+            q = d // u
+            out = {}
+            for k, c in self.terms.items():
+                if c:
+                    n, r = divmod(c, q)
+                    if r and k > bad:
+                        bad = k
+                    out[k] = n
+        if bad >= 0:
+            raise NotDivisible(str(_Packed(ring, self.vars, self.w, {bad: self.terms[bad]}, self.den).poly(ring)))
         return _Packed(ring, self.vars, self.w, out, self.den * u)
 
     def poly(self, ring: CoeffRing) -> MultiPoly:

@@ -86,12 +86,13 @@ def _as_int(c, low: int | None = None, need: str = "") -> int:
     """The one rule for integer parameters: ``c`` as an int when it is an int or
     an integral Fraction, at least ``low`` if given.  Else a ``UsageError``:
     "c is not an integer", or for a value n below ``low`` "{need}, got {n}"."""
-    if isinstance(c, int) or isinstance(c, Fraction) and c.denominator == 1:
-        n = int(c)
-        if low is None or n >= low:
-            return n
-        raise UsageError(f"{need}, got {n}")
-    raise UsageError(f"{c!r} is not an integer")
+    if type(c) is not int:
+        if not (isinstance(c, int) or isinstance(c, Fraction) and c.denominator == 1):
+            raise UsageError(f"{c!r} is not an integer")
+        c = int(c)
+    if low is None or c >= low:
+        return c
+    raise UsageError(f"{need}, got {c}")
 
 
 _DIGITS = (re.compile(r"[0-9]+"), re.compile(r"-?[0-9]+"))
@@ -103,6 +104,27 @@ def ascii_int(text: str, signed: bool = False) -> int:
     if not isinstance(text, str) or not _DIGITS[signed].fullmatch(text):
         raise UsageError(f"invalid int value: {text!r}")
     return int(text)
+
+
+# the JSON name of each type that ``json.load`` gives
+_JSON_TYPES = {
+    dict: "object", list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"
+}
+
+
+def json_field(obj, key: str, kind: type = object):
+    """``obj[key]`` when ``obj`` is a JSON object with a field ``key`` whose
+    value is a ``kind`` (dict or list, if given); else a ``UsageError`` that
+    names the field."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"JSON field {key!r} needs an object, got {_JSON_TYPES.get(type(obj), type(obj).__name__)}")
+    if key not in obj:
+        raise UsageError(f"JSON field {key!r} is missing")
+    value = obj[key]
+    if not isinstance(value, kind):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise UsageError(f"JSON field {key!r} must be an {_JSON_TYPES[kind]}, got {got}")
+    return value
 
 
 def _prime(p, need: str = "") -> int:
@@ -249,15 +271,15 @@ class CoeffRing:
 
     @staticmethod
     def from_json(obj: dict) -> "CoeffRing":
-        kind = obj.get("kind")
+        kind = json_field(obj, "kind")
         if kind == "Z":
             return CoeffRing.integers()
         if kind == "Q":
             return CoeffRing.rationals()
         if kind == "Z/n":
-            return CoeffRing.modular(obj["n"])
+            return CoeffRing.modular(json_field(obj, "n"))
         if kind == "Z_(p)":
-            return CoeffRing.localized(obj["p"])
+            return CoeffRing.localized(json_field(obj, "p"))
         raise UsageError(f"unknown ring kind in JSON: {kind!r}")
 
 

@@ -70,18 +70,27 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, _json_text, _packer, deviation
-from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime, ascii_int
+from .rings import (
+    INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime, ascii_int, json_field
+)
 from .series import TruncSeries
+
+
+def _take(value, kind: type, op: str):
+    """``value`` if it is a ``kind``, else a ``UsageError`` that names ``op``:
+    every public operation takes its vectors and truncation sets through it."""
+    if not isinstance(value, kind):
+        raise UsageError(f"{op} takes a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 class TruncationSet:
     """Finite division-stable set of positive integers."""
 
-    __slots__ = ("elems", "_divisors", "_last", "_quotients", "_products")
+    __slots__ = ("elems", "_divisors", "_last", "_quotients")
 
     def __init__(self, elems):
-        members = {n if type(n) is int and n > 0 else _as_int(n, 1, "truncation sets contain positive integers")
-                   for n in elems}
+        members = {_as_int(n, 1, "truncation sets contain positive integers") for n in elems}
         elems = tuple(sorted(members))
         # every divisor of n is reached from n by dividing out one prime at a
         # time, and every prime factor of n is itself in a division-stable
@@ -111,7 +120,6 @@ class TruncationSet:
         self.elems = elems
         self._divisors = self._last = None
         self._quotients = {}
-        self._products = {}
 
     @staticmethod
     def big(n: int) -> "TruncationSet":
@@ -171,20 +179,15 @@ class TruncationSet:
     def divide(self, n: int) -> "TruncationSet":
         """S/n = {d : n*d in S}, built once for each n and kept with its
         divisor table (as S never changes, every F_n on W_S shares them)."""
-        if type(n) is not int or n < 1:
-            n = _as_int(n, 1, "truncation sets are divided by positive integers")
+        n = _as_int(n, 1, "truncation sets are divided by positive integers")
         quotient = self._quotients.get(n)
         if quotient is None:
             quotient = self._quotients[n] = TruncationSet(s // n for s in self.elems if s % n == 0)
         return quotient
 
     def product(self, other: "TruncationSet") -> "TruncationSet":
-        """S.T = {s * t}, built once for each T and kept, as ``divide`` keeps
-        its quotients (every comultiplication W_S.T -> W_S(W_T) shares it)."""
-        product = self._products.get(other)
-        if product is None:
-            product = self._products[other] = TruncationSet(s * t for s in self.elems for t in other.elems)
-        return product
+        """S.T = {s * t}, built anew on each call."""
+        return TruncationSet(s * t for s in self.elems for t in other.elems)
 
     def series_length(self) -> int:
         """N for big:N, the one truncation the power series model takes."""
@@ -217,13 +220,13 @@ class TruncationSet:
 
     @staticmethod
     def from_json(obj: dict) -> "TruncationSet":
-        kind = obj.get("kind")
+        kind = json_field(obj, "kind")
         if kind == "big":
-            return TruncationSet.big(obj["n"])
+            return TruncationSet.big(json_field(obj, "n"))
         if kind == "p":
-            return TruncationSet.p_typical(obj["p"], obj["len"])
+            return TruncationSet.p_typical(json_field(obj, "p"), json_field(obj, "len"))
         if kind == "set":
-            return TruncationSet(obj["elems"])
+            return TruncationSet(json_field(obj, "elems", list))
         raise UsageError(f"unknown truncation kind {kind!r}")
 
 
@@ -296,11 +299,12 @@ def _sym_vec(prefix: str, S: TruncationSet) -> "WittVec":
     return WittVec(S, ZZ, comps)
 
 
-def _generated(key, inputs, apply, flatten) -> dict:
+def _generated(key, inputs, apply) -> dict:
     """Universal polynomials of ``apply``, memoized and disk-cached.
 
-    ``inputs`` lists (variable prefix, truncation set) per argument and
-    ``flatten`` maps the resulting Witt vector to the stored polynomials.
+    ``inputs`` lists (variable prefix, truncation set) per argument; the
+    stored polynomials are the innermost components of the resulting Witt
+    vector, keyed as its ghost coordinates are (``_by_key``).
     The memo is looked up and filled under ``_LOCK``; generation runs
     outside it, and the first entry stored for a key wins.  A cache file
     is used only if it gives what ``apply`` gives on a fixed integer point;
@@ -313,7 +317,7 @@ def _generated(key, inputs, apply, flatten) -> dict:
     def check(polys):
         # nonzero values, so a wrong coefficient of any term changes the value
         point = {f"{prefix}{n}": n + 1 if prefix == "a" else 2 - 3 * n for prefix, S in inputs for n in S}
-        want = flatten(apply(*(WittVec(S, ZZ, {n: point[f"{prefix}{n}"] for n in S}) for prefix, S in inputs)))
+        want = _by_key(apply(*(WittVec(S, ZZ, {n: point[f"{prefix}{n}"] for n in S}) for prefix, S in inputs)))
         return polys.keys() == want.keys() and all(
             p.ring == ZZ and p.evaluate(point) == want[k].constant_value() for k, p in polys.items()
         )
@@ -322,7 +326,7 @@ def _generated(key, inputs, apply, flatten) -> dict:
     polys = _load_cached(path, check) if path and os.path.exists(path) else None
     fresh = polys is None
     if fresh:
-        polys = flatten(apply(*(_sym_vec(prefix, S) for prefix, S in inputs)))
+        polys = _by_key(apply(*(_sym_vec(prefix, S) for prefix, S in inputs)))
     with _LOCK:
         polys = _MEMO.setdefault(key, polys)
     if fresh and path:
@@ -330,31 +334,27 @@ def _generated(key, inputs, apply, flatten) -> dict:
     return polys
 
 
-_comps = operator.attrgetter("comps")
-
-
 def structure_poly_map(op: str, S: TruncationSet) -> dict:
     """Universal polynomials for add, mul or neg over S, memoized."""
     if op not in ("add", "mul", "neg"):
         raise UsageError(f"no structure polynomials for op {op!r}")
+    _take(S, TruncationSet, "structure polynomials")
     inputs = [("a", S)] if op == "neg" else [("a", S), ("b", S)]
-    return _generated(("structure", op, S.label()), inputs, getattr(operator, op), _comps)
+    return _generated(("structure", op, S.label()), inputs, getattr(operator, op))
 
 
 def frobenius_poly_map(n: int, S: TruncationSet) -> dict:
     """Universal polynomials for F_n: W_S -> W_{S/n}, memoized."""
     n = _as_int(n, 1, "Frobenius index must be positive")
-    return _generated(("frobenius", n, S.label()), [("a", S)], lambda a: frobenius(n, a), _comps)
+    _take(S, TruncationSet, "Frobenius polynomials")
+    return _generated(("frobenius", n, S.label()), [("a", S)], lambda a: frobenius(n, a))
 
 
 def comult_poly_map(S: TruncationSet, T: TruncationSet) -> dict:
     """Universal comultiplication polynomials, keyed by (s, t)."""
-
-    def flatten(d):
-        return {(s, t): d.comps[s].comps[t] for s in S for t in T}
-
-    key = ("comult", S.label(), T.label())
-    return _generated(key, [("a", S.product(T))], lambda a: comult(a, S, T), flatten)
+    _take(S, TruncationSet, "comultiplication polynomials")
+    key = ("comult", S.label(), _take(T, TruncationSet, "comultiplication polynomials").label())
+    return _generated(key, [("a", S.product(T))], lambda a: comult(a, S, T))
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +526,12 @@ def _scaled(k, n: int):
     return k * n if isinstance(k, int) else (k[0] * n, k[1])
 
 
-def _leaves(vecs):
-    """The polynomial components of ``vecs`` at their innermost level."""
-    return [c for v in vecs for c in (_leaves(v.comps.values()) if len(v.shape) > 1 else v.comps.values())]
+def _by_key(v: "WittVec") -> dict:
+    """The polynomial components of ``v`` at its innermost level, keyed as its
+    ghost coordinates are (``_keys``): n, or (s, k) one level up."""
+    if len(v.shape) == 1:
+        return v.comps
+    return {(s, k): c for s, u in v.comps.items() for k, c in _by_key(u).items()}
 
 
 def _ghost_coords(v: "WittVec", value, coords, m: int = 1) -> dict:
@@ -567,7 +570,8 @@ def _ghost_route(vecs, shape: tuple, combine, degree: int = 1, weight: int = 1) 
     scalars over Z, on lifts if the ring is Z/m and on integer numerators
     over Q and Z_(p) (``_values``)."""
     ring = vecs[0].ring
-    value, coords, unghost, C = _values(_leaves(vecs), ZZ if ring.kind == MODULAR else ring, degree, vecs[0].shape)
+    leaves = [c for v in vecs for c in _by_key(v).values()]
+    value, coords, unghost, C = _values(leaves, ZZ if ring.kind == MODULAR else ring, degree, vecs[0].shape)
     w = combine(*(_ghost_coords(v, value, coords) for v in vecs))
     try:
         return _solve(w, shape, ring, unghost, C ** weight)
@@ -586,7 +590,7 @@ class _Vec:
     __slots__ = ("trunc", "ring", "comps")
 
     def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: dict):
-        if set(comps) != set(trunc.elems):
+        if set(comps) != set(_take(trunc, TruncationSet, type(self).__name__).elems):
             raise TruncationMismatch(
                 f"components {sorted(comps)} do not match truncation {list(trunc.elems)}"
             )
@@ -636,8 +640,8 @@ class _Vec:
     def from_json(cls, obj: dict):
         """The vector of a JSON payload, over the ring of its first component
         (Z when it has none); the constructor refuses any other ring."""
-        trunc = TruncationSet.from_json(obj["trunc"])
-        comps = {ascii_int(k): MultiPoly.from_json(v) for k, v in obj["comps"].items()}
+        trunc = TruncationSet.from_json(json_field(obj, "trunc"))
+        comps = {ascii_int(k): MultiPoly.from_json(v) for k, v in json_field(obj, "comps", dict).items()}
         return cls(trunc, next(iter(comps.values())).ring if comps else ZZ, comps)
 
 
@@ -673,7 +677,7 @@ class WittVec(_Vec):
 
     @staticmethod
     def zero(trunc: TruncationSet, ring: CoeffRing) -> "WittVec":
-        return WittVec(trunc, ring, {n: MultiPoly.zero(ring) for n in trunc})
+        return _zero((trunc,), ring)
 
     @staticmethod
     def from_list(trunc: TruncationSet, ring: CoeffRing, values) -> "WittVec":
@@ -711,8 +715,7 @@ class WittVec(_Vec):
         return self._binary("sub", other)
 
     def __pow__(self, n: int):
-        if type(n) is not int or n < 0:
-            n = _as_int(n, 0, "Witt powers take nonnegative integer exponents")
+        n = _as_int(n, 0, "Witt powers take nonnegative integer exponents")
         # Over Z/m the route works on integer lifts.  Ghost coordinates known
         # modulo M = m * (lcm of the indices of each level) fix every component
         # mod m: x_s is then known mod M/s, so each term d * x_d^(s/d) is known
@@ -745,10 +748,24 @@ class GhostVec(_Vec):
 # operations
 
 
+def _flat(a, op: str) -> WittVec:
+    """``a`` if it is a Witt vector with polynomial components, else a ``UsageError``."""
+    if len(_take(a, WittVec, op).shape) > 1:
+        raise UsageError(f"{op} takes polynomial components")
+    return a
+
+
+def _zero(shape: tuple, ring: CoeffRing):
+    """The zero component of a vector whose components have ``shape``: a
+    polynomial, or one level up a Witt vector of zeros."""
+    if not shape:
+        return MultiPoly.zero(ring)
+    return WittVec(shape[0], ring, {n: _zero(shape[1:], ring) for n in shape[0]})
+
+
 def ghost_map(a: WittVec) -> GhostVec:
     """w_n = sum over divisors d of n of d * a_d^(n/d)."""
-    if len(a.shape) > 1:
-        raise UsageError("the ghost map takes polynomial components")
+    _flat(a, "the ghost map")
     value, coords, _, C = _values(a.comps.values(), a.ring, 1, a.shape)
     return GhostVec._trusted(a.trunc, a.ring, _polys(_ghost_coords(a, value, coords), a.ring, C))
 
@@ -764,6 +781,7 @@ def ghost_inverse(g: GhostVec) -> WittVec:
     induction on n as in Dwork's lemma, so C^n * a_n is an integer and the
     integer inverse never fails.
     """
+    _take(g, GhostVec, "the ghost inverse")
     K = prod(n for n, divs in g.trunc.divisors().items() if len(divs) == 2)
     value, _, unghost, C = _values(g.comps.values(), g.ring, 1, (g.trunc,), K)
     return _solve({n: value(c, n) for n, c in g.comps.items()}, (g.trunc,), g.ring, unghost, C)
@@ -771,6 +789,7 @@ def ghost_inverse(g: GhostVec) -> WittVec:
 
 def teichmuller(r, S: TruncationSet, ring: CoeffRing = ZZ) -> WittVec:
     """Multiplicative lift r -> (r, 0, 0, ...)."""
+    _take(S, TruncationSet, "teichmuller")
     if not isinstance(r, MultiPoly):
         r = MultiPoly.const(ring, r)
     ring = r.ring
@@ -782,28 +801,26 @@ def teichmuller(r, S: TruncationSet, ring: CoeffRing = ZZ) -> WittVec:
 
 def frobenius(n: int, a: WittVec) -> WittVec:
     """F_n: W_S -> W_{S/n}, characterized by w_d(F_n a) = w_{nd}(a)."""
-    if type(n) is not int or n < 1:
-        n = _as_int(n, 1, "Frobenius index must be positive")
+    _take(a, WittVec, "frobenius")
+    n = _as_int(n, 1, "Frobenius index must be positive")
     shape = (a.trunc.divide(n),) + a.shape[1:]
     return _ghost_route([a], shape, lambda ga: {k: ga[_scaled(k, n)] for k in _keys(shape)}, 1, n)
 
 
 def verschiebung(n: int, a: WittVec, S: TruncationSet) -> WittVec:
-    """V_n: W_{S/n} -> W_S, (V_n a)_m = a_{m/n} when n | m, else 0."""
+    """V_n: W_{S/n} -> W_S, (V_n a)_m = a_{m/n} when n | m, else the zero of
+    a's components (a Witt vector of zeros for a nested a)."""
     n = _as_int(n, 1, "Verschiebung index must be positive")
-    if a.trunc != S.divide(n):
+    _take(a, WittVec, "verschiebung")
+    if a.trunc != _take(S, TruncationSet, "verschiebung").divide(n):
         raise TruncationMismatch(f"source truncation {a.trunc} is not {S}/{n}")
-    comps = {}
-    for m in S:
-        if m % n == 0 and m // n in a.trunc:
-            comps[m] = a.comps[m // n]
-        else:
-            comps[m] = MultiPoly.zero(a.ring)
-    return WittVec(S, a.ring, comps)
+    zero = _zero(a.shape[1:], a.ring)
+    return WittVec(S, a.ring, {m: a.comps[m // n] if m % n == 0 else zero for m in S})
 
 
 def restrict(a: WittVec, T: TruncationSet) -> WittVec:
-    if not T.issubset(a.trunc):
+    _take(a, WittVec, "restrict")
+    if not _take(T, TruncationSet, "restrict").issubset(a.trunc):
         raise NotASubset(f"{T} is not contained in {a.trunc}")
     return WittVec(T, a.ring, {n: a.comps[n] for n in T})
 
@@ -813,7 +830,7 @@ def to_series(a: WittVec) -> TruncSeries:
 
     Each factor multiplies one coefficient list in place, c_k -= a_n c_(k-n)
     from the top down, so that c_(k-n) is read before the factor reaches it."""
-    N = a.trunc.series_length()
+    N = _flat(a, "the power series model").trunc.series_length()
     c = [MultiPoly.one(a.ring)] + [MultiPoly.zero(a.ring)] * N
     for n in a.trunc:
         a_n = a.comps[n]
@@ -830,6 +847,7 @@ def from_series(f: TruncSeries, N: int) -> WittVec:
     a_n is minus the t^n coefficient once the factors below n are divided
     out; each is divided out of one coefficient list in place, g_k += a_n
     g_(k-n) from the bottom up, so that g_(k-n) is read already divided."""
+    _take(f, TruncSeries, "from_series")
     N = _as_int(N, 0, "the series model needs a length N >= 0")
     if f.coeffs[0] != MultiPoly.one(f.ring):
         raise NonUnitConstantTerm(f"constant term is {f.coeffs[0]}")
@@ -848,7 +866,7 @@ def from_series(f: TruncSeries, N: int) -> WittVec:
 
 def counit(a: WittVec):
     """The coalgebra counit: the first component (= first ghost)."""
-    if 1 not in a.trunc:
+    if 1 not in _take(a, WittVec, "counit").trunc:
         raise TruncationMismatch("counit needs 1 in the truncation set")
     return a.comps[1]
 
@@ -858,7 +876,8 @@ def comult(a: WittVec, S: TruncationSet, T: TruncationSet) -> WittVec:
 
     The outer ghost components satisfy w_s(comult(a)) = F_s(a)|_T.
     """
-    U = S.product(T)
+    _take(a, WittVec, "comult")
+    U = _take(S, TruncationSet, "comult").product(_take(T, TruncationSet, "comult"))
     if a.trunc != U:
         raise TruncationMismatch(
             f"comultiplication needs the product truncation {U}, got {a.trunc}"

@@ -9,7 +9,10 @@ integer must be refused with a ``ForgeError``; an integer may also be
 taken.  A ``TypeError``, or an answer built from a value that is no
 integer (a variable named ``x2.5``, a float coefficient), fails.  The JSON
 readers take exponents by the same rule, and component keys and
-coefficient strings only in ASCII decimal digits.
+coefficient strings only in ASCII decimal digits; a payload that is not
+the shape the writers give is refused with a ``UsageError`` that names the
+field.  The Witt operations take only Witt vectors, ghost vectors and
+truncation sets where they expect them.
 """
 
 from fractions import Fraction
@@ -36,9 +39,17 @@ from lambda_forge.series import TruncSeries
 from lambda_forge.witt import (
     TruncationSet,
     WittVec,
+    comult,
+    comult_poly_map,
+    counit,
     frobenius,
     frobenius_poly_map,
     from_series,
+    ghost_inverse,
+    ghost_map,
+    restrict,
+    structure_poly_map,
+    teichmuller,
     to_series,
     verschiebung,
     w2_congruence_witness,
@@ -244,3 +255,73 @@ def test_json_readers_take_what_the_writers_write():
     assert MultiPoly.from_json(p.to_json()) == p
     v = WittVec.from_json(_witt_payload("1"))
     assert WittVec.from_json(v.to_json()) == v
+
+
+B2 = TruncationSet.big(2)
+NESTED = comult(WittVec.from_list(B2.product(B2), ZZ, [1, 2, 3]), B2, B2)
+GHOST = ghost_map(WittVec.from_list(B2, ZZ, [1, 2]))
+FLAT = WittVec.from_list(B2, ZZ, [1, 2])
+
+# calls seen to raise an AttributeError, or to read ghost components as Witt
+# components (restrict(GHOST, big:1) gave WittVec(1: 1), to_series(GHOST)
+# gave 1 - t - 5*t^2 + O(t^3))
+WITT_JUNK = [
+    ("to_series(nested)", lambda: to_series(NESTED)),
+    ("to_series(ghost)", lambda: to_series(GHOST)),
+    ("frobenius(ghost)", lambda: frobenius(2, GHOST)),
+    ("ghost_map(ghost)", lambda: ghost_map(GHOST)),
+    ("restrict(ghost)", lambda: restrict(GHOST, TruncationSet.big(1))),
+    ("counit(ghost)", lambda: counit(GHOST)),
+    ("ghost_inverse(witt)", lambda: ghost_inverse(FLAT)),
+    ("restrict(list)", lambda: restrict(FLAT, [1, 2])),
+    ("verschiebung(list)", lambda: verschiebung(2, FLAT, [1, 2, 3, 4])),
+    ("comult(list)", lambda: comult(FLAT, [1], [1])),
+    ("teichmuller(list)", lambda: teichmuller(1, [1, 2])),
+    ("from_series(None)", lambda: from_series(None, 2)),
+    ("WittVec.zero(list)", lambda: WittVec.zero([1, 2], ZZ)),
+    ("structure_poly_map(list)", lambda: structure_poly_map("add", [1])),
+    ("frobenius_poly_map(None)", lambda: frobenius_poly_map(2, None)),
+    ("comult_poly_map(list)", lambda: comult_poly_map(B2, [1])),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in WITT_JUNK], ids=[c[0] for c in WITT_JUNK])
+def test_witt_operations_refuse_wrong_kinds(call):
+    with pytest.raises(UsageError):
+        call()
+
+
+def _ring_payload():
+    return {"kind": "Z"}
+
+
+# payloads seen to raise a KeyError, a TypeError or an AttributeError: each
+# must be a UsageError that names the field
+JSON_MALFORMED = [
+    ("poly {}", MultiPoly.from_json, {}, "'ring'"),
+    ("poly []", MultiPoly.from_json, [], "'ring'"),
+    ("poly vars 'x'", MultiPoly.from_json, {"ring": _ring_payload(), "vars": "x", "terms": []}, "'vars'"),
+    ("poly no terms", MultiPoly.from_json, {"ring": _ring_payload(), "vars": []}, "'terms'"),
+    ("term no coef", MultiPoly.from_json, {"ring": _ring_payload(), "vars": ["x"], "terms": [{"exps": [1]}]}, "'coef'"),
+    ("term no exps", MultiPoly.from_json, {"ring": _ring_payload(), "vars": ["x"], "terms": [{"coef": "1"}]}, "'exps'"),
+    ("term []", MultiPoly.from_json, {"ring": _ring_payload(), "vars": ["x"], "terms": [[1]]}, "'exps'"),
+    ("term exps 1", MultiPoly.from_json, {"ring": _ring_payload(), "vars": ["x"], "terms": [{"coef": "1", "exps": 1}]}, "'exps'"),
+    ("witt comps []", WittVec.from_json, {"trunc": {"kind": "big", "n": 1}, "comps": []}, "'comps'"),
+    ("witt no trunc", WittVec.from_json, {"comps": {}}, "'trunc'"),
+    ("trunc big no n", TruncationSet.from_json, {"kind": "big"}, "'n'"),
+    ("trunc p no len", TruncationSet.from_json, {"kind": "p", "p": 2}, "'len'"),
+    ("trunc set elems 3", TruncationSet.from_json, {"kind": "set", "elems": 3}, "'elems'"),
+    ("trunc 'big'", TruncationSet.from_json, "big", "'kind'"),
+    ("ring 'Z'", CoeffRing.from_json, "Z", "'kind'"),
+    ("ring Z/n no n", CoeffRing.from_json, {"kind": "Z/n"}, "'n'"),
+    ("ring Z_(p) no p", CoeffRing.from_json, {"kind": "Z_(p)"}, "'p'"),
+    ("delta {}", DeltaPresentation.from_json, {}, "'delta'"),
+    ("delta no p", DeltaPresentation.from_json, {"gens": ["u"], "delta": {}}, "'p'"),
+    ("delta no gens", DeltaPresentation.from_json, {"p": 2, "delta": {}}, "'gens'"),
+]
+
+
+@pytest.mark.parametrize("reader, payload, field", [c[1:] for c in JSON_MALFORMED], ids=[c[0] for c in JSON_MALFORMED])
+def test_malformed_json_is_a_usage_error_naming_the_field(reader, payload, field):
+    with pytest.raises(UsageError, match=field):
+        reader(payload)

@@ -1267,19 +1267,6 @@ def fraction_pow(a, n):
     return route.exit(poly._power(a.ring, {1: route.pack(a)}, n) if n else {0: 1})
 
 
-def fraction_div_int(a, d):
-    """Each coefficient divided in the ring; the first offending term of the
-    canonical form is the certificate."""
-    route = FractionRoute(a.ring, [a])
-    out = {}
-    for exps, c in a.terms.items():
-        try:
-            out[exps] = a.ring.div_int(c, d)
-        except NotDivisible:
-            raise NotDivisible(a._term_str(exps, c)) from None
-    return route.exit(route.pack(MultiPoly._trusted(a.ring, a.vars, out)))
-
-
 def fraction_coefficients(ring):
     return st.builds(Fraction, st.integers(-30, 30), st.sampled_from(FRACTION_DENOMINATORS[ring]))
 
@@ -1335,7 +1322,7 @@ class TestNumeratorsOverOneDenominator:
         # multiples of 3 and 9 divide over Z_(3); the rest fail with a certificate
         p = a * m
         try:
-            want = fraction_div_int(p, d)
+            want = canonical_div_int(p, d)
         except NotDivisible as exc:
             with pytest.raises(NotDivisible) as got:
                 p.div_int(d)
@@ -1403,3 +1390,88 @@ def test_printed_polynomials_parse_back(inputs):
 
     ring, f = inputs
     assert parse_poly(str(f), ring) == f
+
+
+# The division route the one packed pass replaced: the canonical form,
+# divided coefficient by coefficient through ``CoeffRing.div_int``, the first
+# term that does not divide (grlex order, largest first) named as the
+# certificate.  The packed pass names the largest failing key instead.
+
+
+def canonical_div_int(p, d):
+    """``p`` divided term by term in its ring; the first offending term of the
+    canonical form is the certificate."""
+    out = {}
+    for exps, c in p.terms.items():
+        try:
+            out[exps] = p.ring.div_int(c, d)
+        except NotDivisible:
+            raise NotDivisible(p._term_str(exps, c)) from None
+    return MultiPoly(p.ring, p.vars, out)
+
+
+Z12 = CoeffRing.modular(12)
+# denominators that are units in each ring; Z/12 has units 1, 5, 7, 11 and non-units 2, 3, 4, 6, 8, 9, 10
+DIVISION_DENOMINATORS = {ZZ: [1], QQ: [1, 2, 3, 7], Z12: [1, 5, 7], Z3: [1, 2, 5]}
+DIVISORS = [1, -1, 2, -2, 3, -3, 4, 5, -6, 7, 9, -9, 12, -12, 18]
+
+
+@st.composite
+def division_cases(draw):
+    """(a polynomial, a divisor): coefficients carry small factors so that some
+    terms divide and several may not; up to six terms, the zero polynomial among them."""
+    ring = draw(st.sampled_from(list(DIVISION_DENOMINATORS)))
+    names = tuple(sorted(draw(st.sets(st.sampled_from(NAMES)))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = tuple(draw(st.integers(0, 3)) for _ in names)
+        n = draw(st.integers(-5, 5)) * draw(st.sampled_from([1, 2, 3, 4, 6, 9, 12]))
+        terms[key] = terms.get(key, 0) + Fraction(n, draw(st.sampled_from(DIVISION_DENOMINATORS[ring])))
+    return MultiPoly(ring, names, terms), draw(st.sampled_from(DIVISORS))
+
+
+class TestDivisionCertificate:
+    @settings(max_examples=400, deadline=None)
+    @given(division_cases())
+    def test_one_pass_matches_the_per_term_route(self, case):
+        p, d = case
+        try:
+            want = canonical_div_int(p, d)
+        except NotDivisible as exc:
+            with pytest.raises(NotDivisible) as got:
+                p.div_int(d)
+            assert (got.value.witness, str(got.value)) == (exc.witness, str(exc))
+            return
+        assert canonical_items(p.div_int(d)) == canonical_items(want)
+
+    @pytest.mark.parametrize("ring", list(DIVISION_DENOMINATORS), ids=str)
+    @pytest.mark.parametrize("d", [2, -3, 12])
+    def test_the_zero_polynomial_divides(self, ring, d):
+        assert MultiPoly.zero(ring).div_int(d) == MultiPoly.zero(ring)
+        # terms that cancel leave the zero polynomial too
+        x = v("x", ring)
+        assert (x - x).div_int(d) == MultiPoly.zero(ring)
+
+    @pytest.mark.parametrize(
+        "ring, terms, d, witness",
+        [
+            # every term but the leading one fails
+            (ZZ, {(2, 0): 4, (1, 1): 3, (0, 1): 5, (0, 0): 7}, 2, "3*x*y"),
+            (ZZ, {(2, 0): 3, (1, 1): 2, (0, 1): 5}, -2, "3*x^2"),
+            (QQ, {(2, 0): Fraction(1, 3), (0, 0): 5}, -7, None),
+            (Z3, {(2, 0): 9, (1, 1): Fraction(1, 2), (0, 0): 2}, 9, "1/2*x*y"),
+            (Z3, {(2, 0): 9, (1, 1): Fraction(3, 2), (0, 0): 2}, -3, "2"),
+            # a non-unit names the leading term, a unit divides everything
+            (Z12, {(2, 0): 6, (1, 1): 4, (0, 0): 1}, 3, "6*x^2"),
+            (Z12, {(2, 0): 0, (1, 1): 4, (0, 0): 1}, -4, "4*x*y"),
+            (Z12, {(2, 0): 6, (1, 1): 4, (0, 0): 1}, -5, None),
+        ],
+    )
+    def test_the_certificate_is_the_first_failing_term(self, ring, terms, d, witness):
+        p = MultiPoly(ring, ("x", "y"), terms)
+        if witness is None:
+            assert p.div_int(d) == canonical_div_int(p, d)
+            return
+        with pytest.raises(NotDivisible) as got:
+            p.div_int(d)
+        assert got.value.witness == witness

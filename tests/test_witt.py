@@ -124,11 +124,11 @@ class TestTruncationSet:
         with pytest.raises(UsageError):
             TruncationSet.big(6).divide(0)
 
-    def test_product_is_built_once_and_kept(self):
+    def test_product_is_every_pairwise_product(self):
         S, T = TruncationSet.big(3), TruncationSet.p_typical(2, 3)
         U = S.product(T)
-        # an equal T finds the same product
-        assert S.product(T) is U and S.product(TruncationSet.p_typical(2, 3)) is U
+        # an equal T gives an equal product
+        assert S.product(T) == U and S.product(TruncationSet.p_typical(2, 3)) == U
         assert U == TruncationSet(s * t for s in S for t in T)
         assert U.elems == (1, 2, 3, 4, 6, 8, 12)
 
@@ -984,6 +984,19 @@ def test_nested_comult_matches_universal_polynomials(outer, data):
     assert got == _evaluated(comult_poly_map(S, T), [a])
 
 
+@NESTED_SETTINGS
+@given(st.sampled_from([TruncationSet.big(4), TruncationSet.p_typical(2, 3)]), st.sampled_from([2, 3]), st.data())
+def test_nested_verschiebung_laws(S, n, data):
+    # V_n fills the indices it skips with zero vectors of the inner shape:
+    # F_n V_n is multiplication by n, and V_n is additive
+    _, _, (a, b) = data.draw(nested_inputs([S.divide(n)], 2))
+    n_fold = a
+    for _ in range(n - 1):
+        n_fold = n_fold + a
+    assert frobenius(n, verschiebung(n, a, S)) == n_fold
+    assert verschiebung(n, a + b, S) == verschiebung(n, a, S) + verschiebung(n, b, S)
+
+
 def test_nested_arithmetic_generates_no_polynomials():
     ring = CoeffRing.modular(4)
     U = BIG2.product(BIG2)
@@ -1449,7 +1462,7 @@ def rational_vectors(draw, shape, count):
 
 def _fractions(vec):
     """Every leaf coefficient of ``vec`` is a Fraction, as the ring's canonical form has it."""
-    return all(type(c) is Fraction for p in witt._leaves([vec]) for c in p.terms.values())
+    return all(type(c) is Fraction for p in witt._by_key(vec).values() for c in p.terms.values())
 
 
 @SCALAR_SETTINGS
