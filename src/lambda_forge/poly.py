@@ -293,10 +293,7 @@ class MultiPoly:
         vars = tuple(json_field(obj, "vars", list))
         terms = {}
         for t in json_field(obj, "terms", list):
-            try:
-                exps, coef = tuple(t["exps"]), t["coef"]
-            except (LookupError, TypeError):
-                exps, coef = tuple(json_field(t, "exps", list)), json_field(t, "coef")
+            exps, coef = tuple(json_field(t, "exps", list)), json_field(t, "coef")
             if not (set(map(type, exps)) <= {int} and min(exps, default=0) >= 0):
                 exps = tuple(_as_int(e, 0, "exponents must be nonnegative") for e in exps)
             terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(coef)

@@ -106,24 +106,17 @@ def ascii_int(text: str, signed: bool = False) -> int:
     return int(text)
 
 
-# the JSON name of each type that ``json.load`` gives
-_JSON_TYPES = {
-    dict: "object", list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"
-}
-
-
 def json_field(obj, key: str, kind: type = object):
     """``obj[key]`` when ``obj`` is a JSON object with a field ``key`` whose
     value is a ``kind`` (dict or list, if given); else a ``UsageError`` that
     names the field."""
     if not isinstance(obj, dict):
-        raise UsageError(f"JSON field {key!r} needs an object, got {_JSON_TYPES.get(type(obj), type(obj).__name__)}")
+        raise UsageError(f"JSON field {key!r} needs an object")
     if key not in obj:
         raise UsageError(f"JSON field {key!r} is missing")
     value = obj[key]
     if not isinstance(value, kind):
-        got = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise UsageError(f"JSON field {key!r} must be an {_JSON_TYPES[kind]}, got {got}")
+        raise UsageError(f"JSON field {key!r} must be a {kind.__name__}")
     return value
 
 

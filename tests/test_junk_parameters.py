@@ -306,6 +306,8 @@ JSON_MALFORMED = [
     ("term no exps", MultiPoly.from_json, {"ring": _ring_payload(), "vars": ["x"], "terms": [{"coef": "1"}]}, "'exps'"),
     ("term []", MultiPoly.from_json, {"ring": _ring_payload(), "vars": ["x"], "terms": [[1]]}, "'exps'"),
     ("term exps 1", MultiPoly.from_json, {"ring": _ring_payload(), "vars": ["x"], "terms": [{"coef": "1", "exps": 1}]}, "'exps'"),
+    ("term exps {}", MultiPoly.from_json, {"ring": _ring_payload(), "vars": [], "terms": [{"coef": "1", "exps": {}}]}, "'exps'"),
+    ("term exps '12'", MultiPoly.from_json, {"ring": _ring_payload(), "vars": ["x", "y"], "terms": [{"coef": "1", "exps": "12"}]}, "'exps'"),
     ("witt comps []", WittVec.from_json, {"trunc": {"kind": "big", "n": 1}, "comps": []}, "'comps'"),
     ("witt no trunc", WittVec.from_json, {"comps": {}}, "'trunc'"),
     ("trunc big no n", TruncationSet.from_json, {"kind": "big"}, "'n'"),
