@@ -9,7 +9,6 @@ renderings iterate canonical orders only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -63,6 +62,112 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+# The flags of each parser below the top level, as (name, add_argument keywords).
+_REQUIRED, _INT, _REQUIRED_INT = {"required": True}, {"type": _int}, {"type": _int, "required": True}
+_EVAL, _REQUIRED_EVAL = {"dest": "eval_at", "type": _int}, {"dest": "eval_at", "type": _int, "required": True}
+_Z, _ID = {"choices": ("Z",), "default": "Z"}, {"choices": ("id",), "default": "id"}
+_TRUNC = (
+    ("--trunc", {"help": "truncation set, big:N or p:P,K"}),
+    ("--p", {"type": _int, "help": "p-typical prime"}),
+    ("--len", {"type": _int, "dest": "length", "help": "p-typical length"}),
+)
+_INPUT = _TRUNC + (("--input", {"help": "component list, e.g. '[a,0,0,0]'"}),)
+_BINARY = _TRUNC + (("--a", _REQUIRED), ("--b", _REQUIRED))
+_EXPR = (("--p", _REQUIRED_INT), ("--depth", {"type": _int, "default": 3}), ("--expr", _REQUIRED))
+_X_BASIS = (("--primes", _REQUIRED), ("--depth", _REQUIRED_INT))
+
+# family -> (its help, {subcommand: the flags of its leaf parser})
+_LEAVES = {
+    "witt": ("Witt vector computations", {
+        "ghost": _INPUT,
+        "ghost-inv": _INPUT,
+        "structure": _TRUNC + (("--op", {"choices": ("add", "mul", "neg"), "required": True}),),
+        "add": _BINARY,
+        "mul": _BINARY,
+        "frobenius": _INPUT + (("--n", _REQUIRED_INT),),
+        "verschiebung": _INPUT + (("--n", _REQUIRED_INT),),
+        "restrict": _INPUT + (("--to", {"required": True, "help": "target truncation"}),),
+        "series": _INPUT + (
+            ("--dir", {"choices": ("to", "from"), "default": "to"}),
+            ("--coeffs", {"help": "series coefficients for --dir from, e.g. '[1,-a,0]'"}),
+        ),
+        "comonad": (
+            ("--op", {"choices": ("counit", "comult"), "required": True}),
+            ("--outer", {"help": "outer truncation for comult"}),
+            ("--inner", {"help": "inner truncation for comult"}),
+        ) + _INPUT,
+        "w2-check": (("--p", _REQUIRED_INT), ("--bound", _INT), ("--ring", {"default": "Z"})),
+    }),
+    "delta": ("delta-ring computations", {
+        "extend": _EXPR,
+        "phi": _EXPR,
+        "from-phi": (("--p", _REQUIRED_INT), ("--ring", _REQUIRED), ("--phi", _REQUIRED), ("--eval", _EVAL)),
+        "free": (
+            ("--p", _REQUIRED_INT),
+            ("--depth", _REQUIRED_INT),
+            ("--show", {"choices": ("phi", "delta"), "default": "phi"}),
+        ),
+        "section": (("--p", _REQUIRED_INT), ("--ring", _Z), ("--eval", _EVAL), ("--expr", {}), ("--depth", _INT)),
+    }),
+    "lambda": ("lambda-ring computations", {
+        "free": _X_BASIS + (("--show", {"help": "basis element, e.g. 'X(2)' (default: all)"}),),
+        "adams": (("--N", {"type": _int, "default": 12}), ("--m", _REQUIRED_INT), ("--expr", _REQUIRED)),
+        "newton": (("--psi", _ID), ("--K", _REQUIRED_INT), ("--eval", _REQUIRED_EVAL)),
+        "wilkerson": (
+            ("--ring", _REQUIRED),
+            ("--phi", {"action": "append", "default": [], "help": "'p:gen->expr;...' per prime"}),
+            ("--K", {"type": _int, "default": 2}),
+            ("--eval-gen", {"help": "generator to expand lambda on"}),
+            ("--eval", _EVAL),
+        ),
+        "to-x-basis": _X_BASIS + (("--expr", _REQUIRED),),
+        "coaction": (("--ring", _Z), ("--psi", _ID), ("--trunc", _REQUIRED), ("--eval", _REQUIRED_EVAL)),
+    }),
+}
+_VERIFY = (
+    ("suite", {"choices": SUITES + ("all",)}),
+    ("--seed", {"type": _int, "default": 0}),
+    ("--primes", {}),
+    ("--depth", _INT),
+    ("--group", {}),
+    ("--corrupt", {"action": "store_true", "help": "feed joyal-rezk a corrupted Adams family (expected to fail)"}),
+)
+
+
+def _add_flags(parser, flags):
+    for name, keywords in flags:
+        parser.add_argument(name, **keywords)
+    return parser
+
+
+class _Leaves(dict):
+    """A family's subcommand map, installed as its subparsers action's
+    ``_name_parser_map`` and ``choices``.  Every subcommand is registered up
+    front, in table order, so help and invalid-choice errors list them all;
+    its parser is built from its flags the first time it is looked up, as
+    ``add_parser`` builds one.  argparse looks up only the leaf it runs."""
+
+    def __init__(self, action, common, leaves):
+        super().__init__(leaves)
+        self._action, self._common = action, common
+
+    def __getitem__(self, name):
+        leaf = super().__getitem__(name)
+        if not isinstance(leaf, argparse.ArgumentParser):
+            parser = self._action._parser_class(prog=f"{self._action._prog_prefix} {name}", parents=[self._common])
+            leaf = self[name] = _add_flags(parser, leaf)
+        return leaf
+
+    def get(self, name, default=None):
+        return self[name] if name in self else default
+
+    def items(self):
+        return [(name, self[name]) for name in self]
+
+    def values(self):
+        return [self[name] for name in self]
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     # SUPPRESS: a leaf parser that is not given --format leaves the top-level value alone
@@ -73,122 +178,10 @@ def _build_parser() -> _Parser:
     hidden.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     top = _Parser(prog="lambda-forge", description=__doc__, parents=[common])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(parent, name):
-        return parent.add_parser(name, parents=[common])
-
-    witt = sub.add_parser("witt", help="Witt vector computations", parents=[hidden])
-    wsub = witt.add_subparsers(dest="subcommand", required=True)
-
-    def trunc_flags(p, input_flag=True):
-        p.add_argument("--trunc", help="truncation set, big:N or p:P,K")
-        p.add_argument("--p", type=_int, help="p-typical prime")
-        p.add_argument("--len", type=_int, dest="length", help="p-typical length")
-        if input_flag:
-            p.add_argument("--input", help="component list, e.g. '[a,0,0,0]'")
-
-    w_ghost = add(wsub, "ghost")
-    trunc_flags(w_ghost)
-    w_ginv = add(wsub, "ghost-inv")
-    trunc_flags(w_ginv)
-    w_struct = add(wsub, "structure")
-    trunc_flags(w_struct, input_flag=False)
-    w_struct.add_argument("--op", choices=("add", "mul", "neg"), required=True)
-    for name in ("add", "mul"):
-        w_bin = add(wsub, name)
-        trunc_flags(w_bin, input_flag=False)
-        w_bin.add_argument("--a", required=True)
-        w_bin.add_argument("--b", required=True)
-    w_frob = add(wsub, "frobenius")
-    trunc_flags(w_frob)
-    w_frob.add_argument("--n", type=_int, required=True)
-    w_ver = add(wsub, "verschiebung")
-    trunc_flags(w_ver)
-    w_ver.add_argument("--n", type=_int, required=True)
-    w_res = add(wsub, "restrict")
-    trunc_flags(w_res)
-    w_res.add_argument("--to", required=True, help="target truncation")
-    w_ser = add(wsub, "series")
-    trunc_flags(w_ser)
-    w_ser.add_argument("--dir", choices=("to", "from"), default="to")
-    w_ser.add_argument("--coeffs", help="series coefficients for --dir from, e.g. '[1,-a,0]'")
-    w_com = add(wsub, "comonad")
-    w_com.add_argument("--op", choices=("counit", "comult"), required=True)
-    w_com.add_argument("--outer", help="outer truncation for comult")
-    w_com.add_argument("--inner", help="inner truncation for comult")
-    trunc_flags(w_com)
-    w_w2 = add(wsub, "w2-check")
-    w_w2.add_argument("--p", type=_int, required=True)
-    w_w2.add_argument("--bound", type=_int)
-    w_w2.add_argument("--ring", default="Z")
-
-    delta = sub.add_parser("delta", help="delta-ring computations", parents=[hidden])
-    dsub = delta.add_subparsers(dest="subcommand", required=True)
-    d_ext = add(dsub, "extend")
-    d_ext.add_argument("--p", type=_int, required=True)
-    d_ext.add_argument("--depth", type=_int, default=3)
-    d_ext.add_argument("--expr", required=True)
-    d_phi = add(dsub, "phi")
-    d_phi.add_argument("--p", type=_int, required=True)
-    d_phi.add_argument("--depth", type=_int, default=3)
-    d_phi.add_argument("--expr", required=True)
-    d_from = add(dsub, "from-phi")
-    d_from.add_argument("--p", type=_int, required=True)
-    d_from.add_argument("--ring", required=True)
-    d_from.add_argument("--phi", required=True)
-    d_from.add_argument("--eval", dest="eval_at", type=_int)
-    d_free = add(dsub, "free")
-    d_free.add_argument("--p", type=_int, required=True)
-    d_free.add_argument("--depth", type=_int, required=True)
-    d_free.add_argument("--show", choices=("phi", "delta"), default="phi")
-    d_sec = add(dsub, "section")
-    d_sec.add_argument("--p", type=_int, required=True)
-    d_sec.add_argument("--ring", choices=("Z",), default="Z")
-    d_sec.add_argument("--eval", dest="eval_at", type=_int)
-    d_sec.add_argument("--expr")
-    d_sec.add_argument("--depth", type=_int)
-
-    lam = sub.add_parser("lambda", help="lambda-ring computations", parents=[hidden])
-    lsub = lam.add_subparsers(dest="subcommand", required=True)
-    l_free = add(lsub, "free")
-    l_free.add_argument("--primes", required=True)
-    l_free.add_argument("--depth", type=_int, required=True)
-    l_free.add_argument("--show", help="basis element, e.g. 'X(2)' (default: all)")
-    l_adams = add(lsub, "adams")
-    l_adams.add_argument("--N", type=_int, default=12)
-    l_adams.add_argument("--m", type=_int, required=True)
-    l_adams.add_argument("--expr", required=True)
-    l_newton = add(lsub, "newton")
-    l_newton.add_argument("--psi", choices=("id",), default="id")
-    l_newton.add_argument("--K", type=_int, required=True)
-    l_newton.add_argument("--eval", dest="eval_at", type=_int, required=True)
-    l_wilk = add(lsub, "wilkerson")
-    l_wilk.add_argument("--ring", required=True)
-    l_wilk.add_argument("--phi", action="append", default=[], help="'p:gen->expr;...' per prime")
-    l_wilk.add_argument("--K", type=_int, default=2)
-    l_wilk.add_argument("--eval-gen", help="generator to expand lambda on")
-    l_wilk.add_argument("--eval", dest="eval_at", type=_int)
-    l_tox = add(lsub, "to-x-basis")
-    l_tox.add_argument("--primes", required=True)
-    l_tox.add_argument("--depth", type=_int, required=True)
-    l_tox.add_argument("--expr", required=True)
-    l_coa = add(lsub, "coaction")
-    l_coa.add_argument("--ring", choices=("Z",), default="Z")
-    l_coa.add_argument("--psi", choices=("id",), default="id")
-    l_coa.add_argument("--trunc", required=True)
-    l_coa.add_argument("--eval", dest="eval_at", type=_int, required=True)
-
-    ver = sub.add_parser("verify", help="verification suites", parents=[common])
-    ver.add_argument("suite", choices=SUITES + ("all",))
-    ver.add_argument("--seed", type=_int, default=0)
-    ver.add_argument("--primes")
-    ver.add_argument("--depth", type=_int)
-    ver.add_argument("--group")
-    ver.add_argument(
-        "--corrupt",
-        action="store_true",
-        help="feed joyal-rezk a corrupted Adams family (expected to fail)",
-    )
+    for family, (text, leaves) in _LEAVES.items():
+        modes = sub.add_parser(family, help=text, parents=[hidden]).add_subparsers(dest="subcommand", required=True)
+        modes._name_parser_map = modes.choices = _Leaves(modes, common, leaves)
+    _add_flags(sub.add_parser("verify", help="verification suites", parents=[common]), _VERIFY)
     return top
 
 
@@ -426,6 +419,8 @@ def _run_verify(args):
 
 def _render(payload, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(payload, sort_keys=True, indent=1)
     lines = []
 

@@ -52,7 +52,6 @@ with its own, and each source term picks up c ** e.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from functools import reduce
@@ -304,6 +303,8 @@ def _json_text(p: MultiPoly) -> str:
     """``json.dumps(p.to_json(), sort_keys=True)``, formed from the terms
     with one f-string each and no dict a term: its keys are written in
     sorted order, and coefficients and exponents need no escaping."""
+    import json
+
     coeff_str = p.ring.coeff_str
     terms = ", ".join([f'{{"coef": "{coeff_str(c)}", "exps": {list(e)}}}' for e, c in p.terms.items()])
     ring, names = json.dumps(p.ring.to_json(), sort_keys=True), json.dumps(list(p.vars))

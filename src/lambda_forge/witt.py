@@ -50,7 +50,6 @@ and the answer is unchanged.
 from __future__ import annotations
 
 import contextlib
-import json
 import operator
 import os
 import tempfile
@@ -281,6 +280,8 @@ def _poly_map_from_json(obj: dict) -> dict:
 
 def _load_cached(path: str, check) -> dict | None:
     """The polynomials in a cache file, or None if it is unreadable or fails ``check``."""
+    import json
+
     try:
         with open(path) as fh:
             polys = _poly_map_from_json(json.load(fh)["polys"])
