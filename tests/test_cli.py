@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -602,39 +603,61 @@ class TestDivision:
         assert str(exc.value) == message
 
 
+# the probe imports no json itself, so that it can tell whether the command did
 IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from lambda_forge.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lambda_forge."))]))
+print(repr([code, sorted(m for m in sys.modules if m.startswith("lambda_forge.")), "json" in sys.modules]))
 """
 WITT_MODULES = {"cli", "errors", "poly", "rings", "series", "textparse", "witt"}
 SRC = Path(__file__).resolve().parent.parent / "src"
 EVERY_MODULE = {path.stem for path in (SRC / "lambda_forge").glob("*.py")} - {"__init__"}
+GHOST = ["witt", "ghost", "--trunc", "big:2", "--input", "[1,1]"]
+
+
+def _probe(argv):
+    """(exit code, the package modules loaded, whether json was loaded) of a process running ``argv``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.decode())
 
 
 class TestImportContract:
-    """A process imports only the modules its command family runs."""
+    """A process imports only the modules its command runs, and builds only its own leaf parser."""
 
     @pytest.mark.parametrize(
-        "argv, modules",
+        "argv, code, modules",
         [
-            (["witt", "ghost", "--trunc", "big:2", "--input", "[1,1]"], WITT_MODULES),
-            (["delta", "free", "--p", "2", "--depth", "1"], WITT_MODULES | {"delta"}),
-            (["lambda", "newton", "--K", "2", "--eval", "3"], WITT_MODULES | {"delta", "lambdaring"}),
-            (["verify", "wilkerson"], EVERY_MODULE),
+            (GHOST, 0, WITT_MODULES),
+            (["delta", "free", "--p", "2", "--depth", "1"], 0, WITT_MODULES | {"delta"}),
+            (["lambda", "newton", "--K", "2", "--eval", "3"], 0, WITT_MODULES | {"delta", "lambdaring"}),
+            (["verify", "wilkerson"], 0, EVERY_MODULE),
+            # a given group runs the fracture check alone, and no suite
+            (["verify", "fracture", "--group", "Z/12"], 0, WITT_MODULES | {"abelian"}),
+            # the flags are checked before any suite is imported
+            (["verify", "all", "--seed", "-1"], 1, WITT_MODULES),
         ],
-        ids=["witt", "delta", "lambda", "verify"],
+        ids=["witt", "delta", "lambda", "verify", "verify-group", "verify-refused"],
     )
-    def test_family_loads_its_modules(self, argv, modules):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, env=env)
-        assert result.returncode == 0, result.stderr
-        code, loaded = json.loads(result.stdout)
-        assert code == 0
-        assert loaded == sorted(f"lambda_forge.{m}" for m in modules)
+    def test_family_loads_its_modules(self, argv, code, modules):
+        assert _probe(argv)[:2] == [code, sorted(f"lambda_forge.{m}" for m in modules)]
+
+    def test_json_is_loaded_for_json_output_only(self):
+        assert _probe(GHOST)[2] is False
+        assert _probe(["--format", "json", *GHOST])[2] is True
+
+    def test_a_command_builds_one_leaf_parser(self, monkeypatch, capsys):
+        built, build = [], cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(build()) or built[-1])
+        assert main(["witt", "add", "--p", "2", "--len", "2", "--a", "[1,2]", "--b", "[3,4]"]) == 0
+        families = next(a for a in built[0]._actions if a.dest == "command")
+        modes = next(a for a in families.choices["witt"]._actions if a.dest == "subcommand")
+        # dict.values reads the map as it stands, building nothing
+        assert [isinstance(v, argparse.ArgumentParser) for v in dict.values(modes.choices)].count(True) == 1
 
     def test_verify_choices_are_the_suites(self):
         from lambda_forge import verify
