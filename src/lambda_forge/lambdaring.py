@@ -15,6 +15,7 @@ integral lambda-structure" certificates.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import prod
@@ -31,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, _Substitution, deviation
-from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _factorize, _prime
+from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _factorize, _prime, _take
 from .textparse import _sigma_name
 from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map, to_series
 
@@ -71,7 +72,7 @@ class AdamsModel:
         """The Adams operation: the ring map sending x_n to x_{mn}."""
         m = _as_int(m, 1, "Adams operations are indexed by positive integers")
         names = []
-        for v in e.vars:
+        for v in _take(e, MultiPoly, "AdamsModel.psi").vars:
             n = _xindex(v)
             if n is None:
                 raise UsageError(f"{v} is not an Adams model variable")
@@ -132,6 +133,8 @@ class FreeLambdaBasis:
     __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "rows", "checked")
 
     def __init__(self, P, depth: int, N: int | None = None):
+        if not isinstance(P, Iterable):
+            raise UsageError(f"the primes P of a basis: expected a collection, got {type(P).__name__}")
         P = tuple(sorted({_prime(p) for p in P}))
         if not P:
             raise UsageError("the basis needs at least one prime")
@@ -192,7 +195,7 @@ class FreeLambdaBasis:
         Each variable tuple is checked once: the names never change and the
         span only grows, so a tuple that passed passes again.
         """
-        if e.ring.kind == MODULAR:
+        if _take(e, MultiPoly, "to_x_basis").ring.kind == MODULAR:
             raise MixedCoefficientRings(f"{e.ring} vs Q: the X basis re-expresses elements over Z, Q or Z_(p)")
         if e.vars not in self.checked:
             taken = set(e.vars).intersection(self.names.values())
@@ -224,6 +227,7 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
     leaves the basis span and so is never re-expressed (7 of 19 in ``verify
     all``, 18 of 48 at depth 3 over {2, 3, 5}).
     """
+    _take(basis, FreeLambdaBasis, "the basis of the Joyal-Rezk check")
     psi = psi or basis.model.psi
     bound = basis.depth if bound is None else _as_int(bound, 0, "the Joyal-Rezk check needs bound >= 0")
     elements = [s for s in basis.sigmas if len(s) <= bound]
@@ -295,7 +299,7 @@ class LambdaOps:
         ``NotDivisible(n)`` when the coaction has no component a_n.  Over Z/m
         a prime factor q <= K of m is a zero divisor, so the Adams operations
         leave lambda^q open and ``UsageError`` refuses it."""
-        if e.ring.kind == MODULAR:
+        if _take(e, MultiPoly, "lambda_values").ring.kind == MODULAR:
             q = min(_factorize(e.ring.modulus))
             if q <= self.K:
                 raise UsageError(
@@ -366,7 +370,7 @@ def plocal_basis_check(p: int, basis: FreeLambdaBasis, bound: int) -> dict:
     p-integral; a violation raises ``NotPIntegral``.
     """
     p = _as_int(p)
-    if p not in basis.P:
+    if p not in _take(basis, FreeLambdaBasis, "the basis of the p-local check").P:
         raise UsageError(f"{p} is not in the basis prime set {basis.P}")
     bound = _as_int(bound, 0, "the p-local check needs bound >= 0")
     model = basis.model

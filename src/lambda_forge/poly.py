@@ -61,7 +61,7 @@ from operator import add, mul, or_, sub
 from struct import Struct
 
 from .errors import NotDivisible, UsageError
-from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, _as_int, json_field
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, _as_int, _take, json_field
 
 # the one rule for variable names, the grammar's (``textparse``): checked
 # where a name enters, by ``var`` and the constructor (so ``from_json``)
@@ -251,7 +251,7 @@ class MultiPoly:
 
     def convert_ring(self, ring: CoeffRing) -> "MultiPoly":
         """Push coefficients through ``ring.normalize`` (e.g. Z -> Z/m)."""
-        if ring == self.ring:
+        if _take(ring, CoeffRing, "convert_ring") == self.ring:
             return self
         return MultiPoly(ring, self.vars, self.terms)
 
@@ -800,8 +800,8 @@ def deviation(a: MultiPoly, e: MultiPoly, k: int, d: int = 1) -> MultiPoly:
     failed division fails as ``div_int`` does, with the first offending term."""
     k = _as_int(k, 1, "deviations take positive integer exponents")
     d = _as_int(d)
-    ring = a.ring
-    ring.require_same(e.ring)
+    ring = _take(a, MultiPoly, "deviation").ring
+    ring.require_same(_take(e, MultiPoly, "deviation").ring)
     pack = _packer(ring, (a, e), k)
     diff = pack(a) - pack(e) ** k
     return (diff if d == 1 else diff.div_int(d)).poly(ring)

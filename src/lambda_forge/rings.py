@@ -82,6 +82,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _take(value, kind: type, op: str):
+    """``value`` if it is a ``kind``, else a ``UsageError`` that names ``op``:
+    every public operation takes its vectors, truncation sets, polynomials
+    and rings through it."""
+    if not isinstance(value, kind):
+        raise UsageError(f"{op}: expected a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _as_int(c, low: int | None = None, need: str = "") -> int:
     """The one rule for integer parameters: ``c`` as an int when it is an int or
     an integral Fraction, at least ``low`` if given.  Else a ``UsageError``:

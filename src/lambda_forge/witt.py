@@ -70,17 +70,9 @@ from .errors import (
 )
 from .poly import MultiPoly, _json_text, _packer, deviation
 from .rings import (
-    INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime, ascii_int, json_field
+    INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime, _take, ascii_int, json_field
 )
 from .series import TruncSeries
-
-
-def _take(value, kind: type, op: str):
-    """``value`` if it is a ``kind``, else a ``UsageError`` that names ``op``:
-    every public operation takes its vectors and truncation sets through it."""
-    if not isinstance(value, kind):
-        raise UsageError(f"{op} takes a {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 class TruncationSet:
@@ -591,6 +583,7 @@ class _Vec:
     __slots__ = ("trunc", "ring", "comps")
 
     def __init__(self, trunc: TruncationSet, ring: CoeffRing, comps: dict):
+        _take(ring, CoeffRing, type(self).__name__)
         if set(comps) != set(_take(trunc, TruncationSet, type(self).__name__).elems):
             raise TruncationMismatch(
                 f"components {sorted(comps)} do not match truncation {list(trunc.elems)}"
@@ -791,6 +784,7 @@ def ghost_inverse(g: GhostVec) -> WittVec:
 def teichmuller(r, S: TruncationSet, ring: CoeffRing = ZZ) -> WittVec:
     """Multiplicative lift r -> (r, 0, 0, ...)."""
     _take(S, TruncationSet, "teichmuller")
+    _take(ring, CoeffRing, "teichmuller")
     if not isinstance(r, MultiPoly):
         r = MultiPoly.const(ring, r)
     ring = r.ring

@@ -12,7 +12,9 @@ readers take exponents by the same rule, and component keys and
 coefficient strings only in ASCII decimal digits; a payload that is not
 the shape the writers give is refused with a ``UsageError`` that names the
 field.  The Witt operations take only Witt vectors, ghost vectors and
-truncation sets where they expect them.
+truncation sets where they expect them, the polynomial and lambda-ring
+calls only polynomials and coefficient rings, and the reports only a
+basis and a collection of primes, each refusal naming what it refused.
 """
 
 from fractions import Fraction
@@ -264,8 +266,9 @@ FLAT = WittVec.from_list(B2, ZZ, [1, 2])
 
 # calls seen to raise an AttributeError, or to read ghost components as Witt
 # components (restrict(GHOST, big:1) gave WittVec(1: 1), to_series(GHOST)
-# gave 1 - t - 5*t^2 + O(t^3))
-WITT_JUNK = [
+# gave 1 - t - 5*t^2 + O(t^3)); the polynomial and ring arguments of the
+# lambda-ring and polynomial calls below raised an AttributeError
+WRONG_KINDS = [
     ("to_series(nested)", lambda: to_series(NESTED)),
     ("to_series(ghost)", lambda: to_series(GHOST)),
     ("frobenius(ghost)", lambda: frobenius(2, GHOST)),
@@ -282,12 +285,37 @@ WITT_JUNK = [
     ("structure_poly_map(list)", lambda: structure_poly_map("add", [1])),
     ("frobenius_poly_map(None)", lambda: frobenius_poly_map(2, None)),
     ("comult_poly_map(list)", lambda: comult_poly_map(B2, [1])),
+    ("teichmuller(ring 'Z')", lambda: teichmuller(1, B2, "Z")),
+    ("WittVec.from_list(ring 'Z')", lambda: WittVec.from_list(B2, "Z", [1, 2])),
+    ("WittVec.zero(ring None)", lambda: WittVec.zero(B2, None)),
+    ("convert_ring(None)", lambda: x.convert_ring(None)),
+    ("deviation(x, 2)", lambda: deviation(x, 2, 2)),
+    ("deviation(2, x)", lambda: deviation(2, x, 2)),
+    ("to_x_basis(3)", lambda: BASIS.to_x_basis(3)),
+    ("AdamsModel.psi(2, 3)", lambda: MODEL.psi(2, 3)),
+    ("lambda_values(3)", lambda: LambdaOps((), lambda n, e: e, 2).lambda_values(3)),
 ]
 
 
-@pytest.mark.parametrize("call", [c[1] for c in WITT_JUNK], ids=[c[0] for c in WITT_JUNK])
+@pytest.mark.parametrize("call", [c[1] for c in WRONG_KINDS], ids=[c[0] for c in WRONG_KINDS])
 def test_witt_operations_refuse_wrong_kinds(call):
     with pytest.raises(UsageError):
+        call()
+
+
+# report calls seen to raise a TypeError or an AttributeError: each must be
+# a UsageError that names the argument
+REPORT_JUNK = [
+    ("integrality_report(2, 1)", lambda: integrality_report(2, 1), "P"),
+    ("verify_joyal_rezk(None)", lambda: verify_joyal_rezk(None), "basis"),
+    ("verify_joyal_rezk(None, psi)", lambda: verify_joyal_rezk(None, psi=MODEL.psi), "basis"),
+    ("plocal_basis_check(2, None, 1)", lambda: plocal_basis_check(2, None, 1), "basis"),
+]
+
+
+@pytest.mark.parametrize("call, argument", [c[1:] for c in REPORT_JUNK], ids=[c[0] for c in REPORT_JUNK])
+def test_report_refuses_a_wrong_kind_naming_it(call, argument):
+    with pytest.raises(UsageError, match=rf"\b{argument}\b"):
         call()
 
 
