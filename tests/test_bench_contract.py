@@ -11,26 +11,20 @@ than first in a benchmark run.  The CLI tour starts processes and stays
 with ``bench/test_bench.py``.
 """
 
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+import reference
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    # workloads.py imports its sibling ``oracles`` by name
-    sys.path.insert(0, str(BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(BENCH))
+    module = reference.bench_module("workloads")
+    # workloads.py imports ``oracles`` by name: that is bench/oracles.py,
+    # which the tests load under the same name, and never a test module
+    assert Path(module.O.__file__) == reference.BENCH / "oracles.py"
     return module
 
 

@@ -11,12 +11,16 @@ part of the program.  And every ``__slots__`` name of a package class must
 be read as an attribute somewhere: a field nothing reads is dead state.
 A public top-level function must be called in the package or exported by
 ``lambda_forge.__all__``, unless ``NOT_YET_WIRED`` gives the reason it stays.
+The oracles the differential tests compare against import nothing from
+``lambda_forge``, so that none can share a bug with the kernel it checks.
 """
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import lambda_forge
 
@@ -120,3 +124,18 @@ def test_every_public_function_serves_the_package():
     assert [d for name, d in unused.items() if name not in NOT_YET_WIRED] == []
     # an allowlisted name that gains a caller, an export or a removal leaves the list
     assert sorted(unused) == sorted(NOT_YET_WIRED)
+
+
+# the oracles of the differential tests, each checked for independence
+ORACLES = [ROOT / "tests" / "reference.py", ROOT / "bench" / "oracles.py"]
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda path: path.name)
+def test_oracles_import_nothing_from_the_package(path):
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported and [name for name in imported if name.split(".")[0] == "lambda_forge"] == []
