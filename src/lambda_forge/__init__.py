@@ -1,45 +1,37 @@
-"""Exact computer algebra for Witt vectors, delta-rings and lambda-rings."""
+"""Exact computer algebra for Witt vectors, delta-rings and lambda-rings.
 
-from .rings import CoeffRing, QQ, ZZ
-from .poly import MultiPoly
-from .series import TruncSeries
-from .witt import (
-    GhostVec,
-    TruncationSet,
-    WittVec,
-    comult,
-    counit,
-    frobenius,
-    from_series,
-    ghost_inverse,
-    ghost_map,
-    restrict,
-    structure_poly_map,
-    teichmuller,
-    to_series,
-    verschiebung,
-    w2_pullback_check,
-)
+The public names below are resolved on first access (PEP 562), each from
+its home module, so ``import lambda_forge`` loads no other module of the
+package and a process compiles only the modules whose names it reads.
+"""
 
-__all__ = [
-    "CoeffRing",
-    "GhostVec",
-    "MultiPoly",
-    "QQ",
-    "TruncSeries",
-    "TruncationSet",
-    "WittVec",
-    "ZZ",
-    "comult",
-    "counit",
-    "frobenius",
-    "from_series",
-    "ghost_inverse",
-    "ghost_map",
-    "restrict",
-    "structure_poly_map",
-    "teichmuller",
-    "to_series",
-    "verschiebung",
-    "w2_pullback_check",
-]
+import importlib
+
+# each public name -> the module that defines it
+_HOMES = {
+    name: module
+    for module, names in {
+        "rings": ("CoeffRing", "QQ", "ZZ"),
+        "poly": ("MultiPoly",),
+        "series": ("TruncSeries",),
+        "truncation": ("TruncationSet",),
+        "witt": (
+            "GhostVec", "WittVec", "comult", "counit", "frobenius", "from_series", "ghost_inverse", "ghost_map",
+            "restrict", "structure_poly_map", "teichmuller", "to_series", "verschiebung", "w2_pullback_check",
+        ),
+    }.items()
+    for name in names
+}
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

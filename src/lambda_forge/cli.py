@@ -15,7 +15,6 @@ import sys
 from .errors import DomainError, UsageError
 from .poly import MultiPoly
 from .rings import QQ, ZZ
-from .series import TruncSeries
 from .textparse import (
     ascii_int,
     parse_phi_spec,
@@ -25,27 +24,15 @@ from .textparse import (
     parse_trunc,
     parse_vector,
 )
-from .witt import (
-    TruncationSet,
-    WittVec,
-    comult,
-    counit,
-    frobenius,
-    from_series,
-    ghost_inverse,
-    ghost_map,
-    GhostVec,
-    restrict,
-    structure_poly_map,
-    to_series,
-    verschiebung,
-    w2_pullback_check,
-)
+from .truncation import TruncationSet
 
-# Every command loads the modules above.  The delta, lambda and verify
-# families import their own modules when they run, so a witt command never
-# compiles them.  These are the names of verify.SUITES, kept here so that
-# building the parser imports no suite (a test pins the two lists).
+# Every command loads the modules above (with ``errors``, ``poly`` and
+# ``rings``, the grammar's).  Each family imports what it runs when it runs:
+# Witt arithmetic (``witt``) where a Witt vector is built, the series model
+# (``series``) for it alone, and the delta, lambda and verify modules for
+# their own commands, so no command compiles a module it never calls.
+# These are the names of verify.SUITES, kept here so that building the
+# parser imports no suite (a test pins the two lists).
 SUITES = ("witt-axioms", "ghost-compat", "joyal-rezk", "wilkerson", "w2-pullback", "coalgebra", "fracture")
 
 
@@ -215,6 +202,8 @@ def _components(text, trunc: TruncationSet, flag: str = "--input") -> dict:
 
 def _vec(text, trunc: TruncationSet, flag: str = "--input") -> WittVec:
     """The Witt vector given by ``flag``."""
+    from .witt import WittVec
+
     return WittVec(trunc, ZZ, _components(text, trunc, flag))
 
 
@@ -222,7 +211,21 @@ def _poly_list(values) -> list:
     return [str(v) for v in values]
 
 
+def _payload(args, fields: dict, json_fields) -> dict:
+    """``fields``, and for ``--format json`` also the fields ``json_fields()``
+    gives: the ``*_json`` fields, which text output never prints, so it never
+    forms them."""
+    if getattr(args, "format", "text") == "json":
+        fields.update(json_fields())
+    return fields
+
+
 def _run_witt(args):
+    from .witt import (
+        GhostVec, comult, counit, frobenius, from_series, ghost_inverse, ghost_map, restrict, structure_poly_map,
+        to_series, verschiebung, w2_pullback_check,
+    )
+
     sc = args.subcommand
     if sc == "w2-check":
         gens = parse_ring_spec(args.ring)
@@ -232,12 +235,8 @@ def _run_witt(args):
     if sc == "structure":
         trunc = _get_trunc(args)
         polys = structure_poly_map(args.op, trunc)
-        return {
-            "op": args.op,
-            "trunc": trunc.to_json(),
-            "polys": {str(n): str(polys[n]) for n in trunc},
-            "polys_json": {str(n): polys[n].to_json() for n in trunc},
-        }
+        fields = {"op": args.op, "trunc": trunc.to_json(), "polys": {str(n): str(polys[n]) for n in trunc}}
+        return _payload(args, fields, lambda: {"polys_json": {str(n): polys[n].to_json() for n in trunc}})
     if sc == "comonad":
         if args.op == "counit":
             _unused("counit", outer=args.outer, inner=args.inner)
@@ -261,22 +260,19 @@ def _run_witt(args):
     trunc = _get_trunc(args)
     if sc == "ghost":
         g = ghost_map(_vec(args.input, trunc))
-        return {"ghost": _poly_list(g.as_list()), "ghost_json": g.to_json()}
+        return _payload(args, {"ghost": _poly_list(g.as_list())}, lambda: {"ghost_json": g.to_json()})
     if sc == "ghost-inv":
         vec = ghost_inverse(GhostVec(trunc, ZZ, _components(args.input, trunc)))
-        return {"witt": _poly_list(vec.as_list()), "witt_json": vec.to_json()}
+        return _payload(args, {"witt": _poly_list(vec.as_list())}, lambda: {"witt_json": vec.to_json()})
     if sc in ("add", "mul"):
         a = _vec(args.a, trunc, "--a")
         b = _vec(args.b, trunc, "--b")
         vec = a + b if sc == "add" else a * b
-        return {sc: _poly_list(vec.as_list()), "witt_json": vec.to_json()}
+        return _payload(args, {sc: _poly_list(vec.as_list())}, lambda: {"witt_json": vec.to_json()})
     if sc == "frobenius":
         result = frobenius(args.n, _vec(args.input, trunc))
-        return {
-            "trunc": result.trunc.to_json(),
-            "frobenius": _poly_list(result.as_list()),
-            "witt_json": result.to_json(),
-        }
+        fields = {"trunc": result.trunc.to_json(), "frobenius": _poly_list(result.as_list())}
+        return _payload(args, fields, lambda: {"witt_json": result.to_json()})
     if sc == "verschiebung":
         vec = _vec(args.input, trunc.divide(args.n))
         return {"verschiebung": _poly_list(verschiebung(args.n, vec, trunc).as_list())}
@@ -290,6 +286,8 @@ def _run_witt(args):
     _unused("--dir from", input=args.input)
     if not args.coeffs:
         raise UsageError("--dir from needs --coeffs '[1, c1, ...]'")
+    from .series import TruncSeries
+
     n = trunc.series_length()
     return {"witt": _poly_list(from_series(TruncSeries(ZZ, parse_vector(args.coeffs, ZZ)), n).as_list())}
 
@@ -388,7 +386,7 @@ def _run_lambda(args):
         return {"x_basis": str(xp), "integral": integral}
     # the last subcommand: coaction
     vec = coaction(lambda n, x: x, MultiPoly.const(ZZ, args.eval_at), parse_trunc(args.trunc), ZZ)
-    return {"coaction": _poly_list(vec.as_list()), "witt_json": vec.to_json()}
+    return _payload(args, {"coaction": _poly_list(vec.as_list())}, lambda: {"witt_json": vec.to_json()})
 
 
 def _run_verify(args):
@@ -429,8 +427,6 @@ def _render(payload, fmt: str) -> str:
     def walk(prefix, value):
         if isinstance(value, dict):
             for k in value:
-                if k.endswith("_json"):
-                    continue
                 walk(f"{prefix}{k}.", value[k])
         elif isinstance(value, list):
             rendered = ", ".join(str(v) for v in value) if all(

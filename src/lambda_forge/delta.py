@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import DepthExceeded, NotAFrobeniusLift, NotDivisible, UsageError
 from .poly import MultiPoly, deviation
 from .rings import ZZ, _as_int, _prime, json_field
-from .witt import TruncationSet, WittVec
+from .truncation import TruncationSet
 
 
 class DeltaPresentation:
@@ -83,6 +83,8 @@ class DeltaPresentation:
 
     def section(self, e: MultiPoly) -> WittVec:
         """The ring section s(e) = (e, delta(e)) of w_0: W_2(A) -> A."""
+        from .witt import WittVec
+
         return WittVec(TruncationSet.p_typical(self.p, 2), ZZ, {1: e, self.p: self.delta(e)})
 
 

@@ -9,7 +9,10 @@ polynomial in the X_sigma (its ghost row), so re-expressing an element
 over the X basis is a single substitution, prepared once a basis.
 The lambda-operations of a Frobenius family are read off its coaction
 into the big Witt vectors, with exact division failures doubling as "no
-integral lambda-structure" certificates.
+integral lambda-structure" certificates.  The functions that build Witt
+vectors import ``witt`` when they run, as ``wilkerson_lambda`` imports
+``delta`` and the basis ``substitution``, so the Adams model and the X
+basis load no Witt arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import prod
 
-from .delta import delta_from_phi
 from .errors import (
     CostLimitExceeded,
     IndexOutOfRange,
@@ -31,10 +33,10 @@ from .errors import (
     NotPIntegral,
     UsageError,
 )
-from .poly import MultiPoly, _Substitution, deviation
+from .poly import MultiPoly, deviation
 from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _factorize, _prime, _take
 from .textparse import _sigma_name
-from .witt import GhostVec, TruncationSet, WittVec, comult, counit, ghost_inverse, ghost_map, to_series
+from .truncation import TruncationSet
 
 
 def _xname(n: int) -> str:
@@ -133,6 +135,8 @@ class FreeLambdaBasis:
     __slots__ = ("P", "depth", "model", "sigmas", "names", "embed", "span", "rows", "checked")
 
     def __init__(self, P, depth: int, N: int | None = None):
+        from .substitution import _Substitution
+
         if not isinstance(P, Iterable):
             raise UsageError(f"the primes P of a basis: expected a collection, got {type(P).__name__}")
         P = tuple(sorted({_prime(p) for p in P}))
@@ -299,6 +303,8 @@ class LambdaOps:
         ``NotDivisible(n)`` when the coaction has no component a_n.  Over Z/m
         a prime factor q <= K of m is a zero divisor, so the Adams operations
         leave lambda^q open and ``UsageError`` refuses it."""
+        from .witt import to_series
+
         if _take(e, MultiPoly, "lambda_values").ring.kind == MODULAR:
             q = min(_factorize(e.ring.modulus))
             if q <= self.K:
@@ -323,6 +329,8 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     Z (no generators) a prime with no lift given takes the identity, Z's
     only Frobenius lift; over a ring with generators psi^n refuses it.
     """
+    from .delta import delta_from_phi
+
     K = _as_int(K, 0, "lambda-operations need K >= 0")
     if K > 100:
         raise CostLimitExceeded(
@@ -478,6 +486,8 @@ def integrality_report(P, depth: int) -> dict:
 
 def coaction(psi, e: MultiPoly, S: TruncationSet, ring: CoeffRing) -> WittVec:
     """ghost_inverse of (psi^n(e))_{n in S}; integrality is the lambda test."""
+    from .witt import GhostVec, ghost_inverse
+
     ghosts = {n: psi(n, e) for n in S}
     return ghost_inverse(GhostVec(S, ring, ghosts))
 
@@ -492,6 +502,8 @@ def coalgebra_check(psi, elements, S: TruncationSet, T: TruncationSet, ring: Coe
     - coassociativity on S x T: W_S(coaction) after coaction equals
       comultiplication after the coaction over the product truncation.
     """
+    from .witt import GhostVec, WittVec, comult, counit, ghost_map
+
     witnesses = []
     U = S.product(T)
 

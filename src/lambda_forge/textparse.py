@@ -18,7 +18,7 @@ import re
 from .errors import NotDivisible, UsageError
 from .poly import _NAME, MultiPoly
 from .rings import CoeffRing, ZZ, ascii_int
-from .witt import TruncationSet
+from .truncation import TruncationSet
 
 
 def _sigma_name(sigma) -> str:

@@ -2,7 +2,10 @@
 
 Each suite returns a JSON-ready report {"check", "status", ...} with
 stable field order and deterministic content for a fixed seed, so two
-runs with identical argv produce byte-identical output.
+runs with identical argv produce byte-identical output.  Every suite takes
+a seed by one rule, ``_seed``, as ``--seed`` does, and imports the modules
+it runs when it runs: a process that runs one suite compiles no other
+suite's modules.
 """
 
 from __future__ import annotations
@@ -11,30 +14,22 @@ import random
 from itertools import product as iter_product
 from math import comb
 
-from .abelian import FgAbGroup, fracture_check
 from .errors import NotAFrobeniusLift, UsageError
-from .lambdaring import (
-    FreeLambdaBasis,
-    coaction,
-    coalgebra_check,
-    verify_joyal_rezk,
-    wilkerson_lambda,
-)
 from .poly import MultiPoly, random_poly
-from .rings import QQ, ZZ, CoeffRing
-from .witt import (
-    GhostVec,
-    TruncationSet,
-    WittVec,
-    _sym_vec,
-    ghost_map,
-    w2_congruence_witness,
-    w2_pullback_check,
-)
+from .rings import QQ, ZZ, CoeffRing, _as_int
+from .truncation import TruncationSet
+
+
+def _seed(seed) -> int:
+    """The one rule for a suite's seed, the rule of ``--seed``: a nonnegative integer."""
+    return _as_int(seed, 0, "the seed must be nonnegative")
 
 
 def witt_axioms_suite(seed: int = 0) -> dict:
     """Exhaustive ring axioms of W_{p-typical(2,2)} over Z/4: 16^3 triples."""
+    from .witt import WittVec
+
+    _seed(seed)
     ring = CoeffRing.modular(4)
     S = TruncationSet.p_typical(2, 2)
     elements = [
@@ -80,6 +75,9 @@ def witt_axioms_suite(seed: int = 0) -> dict:
 
 def ghost_compat_suite(seed: int = 0) -> dict:
     """Ghost additivity/multiplicativity as exact polynomial identities."""
+    from .witt import GhostVec, _sym_vec, ghost_map
+
+    seed = _seed(seed)
     truncs = [TruncationSet.p_typical(p, 3) for p in (2, 3, 5)]
     truncs += [TruncationSet.big(n) for n in range(1, 7)]
     witnesses = []
@@ -117,6 +115,9 @@ def ghost_compat_suite(seed: int = 0) -> dict:
 
 def joyal_rezk_suite(seed: int = 0, primes=(2, 3, 5), depth: int = 2) -> dict:
     """Exact commutation identities plus detection of a corrupted family."""
+    from .lambdaring import FreeLambdaBasis, verify_joyal_rezk
+
+    _seed(seed)
     basis = FreeLambdaBasis(primes, depth)
     report = verify_joyal_rezk(basis, depth)
     detection = corrupted_joyal_rezk()
@@ -133,6 +134,8 @@ def joyal_rezk_suite(seed: int = 0, primes=(2, 3, 5), depth: int = 2) -> dict:
 
 def corrupted_joyal_rezk() -> dict:
     """The Joyal-Rezk check fed phi^3(x_n) = x_{3n} + x_n, which must fail."""
+    from .lambdaring import FreeLambdaBasis, verify_joyal_rezk
+
     basis = FreeLambdaBasis((2, 3), 1)
     lift = {f"x{n}": MultiPoly.var(QQ, f"x{3 * n}") + MultiPoly.var(QQ, f"x{n}") for n in range(1, 11)}
     return verify_joyal_rezk(basis, 1, lambda m, e: e.substitute(lift) if m == 3 else basis.model.psi(m, e))
@@ -140,6 +143,9 @@ def corrupted_joyal_rezk() -> dict:
 
 def wilkerson_suite(seed: int = 0) -> dict:
     """Binomial lambda-structure on Z, a line element, and lift rejection."""
+    from .lambdaring import wilkerson_lambda
+
+    _seed(seed)
     witnesses = []
     ops = wilkerson_lambda((), {}, 5)
     for m in range(-5, 6):
@@ -173,6 +179,9 @@ def wilkerson_suite(seed: int = 0) -> dict:
 
 def w2_pullback_suite(seed: int = 0) -> dict:
     """Symbolic congruence w_1 = w_0^p mod p and exhaustive integer boxes."""
+    from .witt import w2_congruence_witness, w2_pullback_check
+
+    _seed(seed)
     reports = {}
     ok = True
     boxes = {p: w2_pullback_check(p, 10) for p in (2, 3)}
@@ -192,6 +201,10 @@ def w2_pullback_suite(seed: int = 0) -> dict:
 
 def coalgebra_suite(seed: int = 0) -> dict:
     """Coaction laws on Z with psi = id and on the free lambda-ring."""
+    from .lambdaring import FreeLambdaBasis, coaction, coalgebra_check
+    from .witt import GhostVec, ghost_map
+
+    _seed(seed)
     S = TruncationSet.big(2)
     T = TruncationSet.big(2)
     witnesses = []
@@ -234,6 +247,9 @@ def coalgebra_suite(seed: int = 0) -> dict:
 
 def fracture_suite(seed: int = 0) -> dict:
     """Fracture pullback for Z/12, Z/p^k and Z + Z/2."""
+    from .abelian import FgAbGroup, fracture_check
+
+    _seed(seed)
     groups = [FgAbGroup(0, (12,))]
     for p in (2, 3, 5):
         for k in (1, 2, 3):
@@ -262,16 +278,16 @@ SUITES = tuple(_DISPATCH)
 
 def run_suite(name: str, seed: int = 0):
     """Run one named suite (or all of them) and return the reports."""
-    if name == "all":
-        return [_DISPATCH[s](seed) for s in SUITES]
-    if name not in _DISPATCH:
+    if name != "all" and not (isinstance(name, str) and name in _DISPATCH):
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    return [_DISPATCH[name](seed)]
+    return [_DISPATCH[s](seed) for s in (SUITES if name == "all" else (name,))]
 
 
 def naturality_spotcheck(seed: int) -> dict:
     """ghost_map commutes with base change along random substitutions."""
-    rng = random.Random(seed)
+    from .witt import GhostVec, WittVec, ghost_map
+
+    rng = random.Random(_seed(seed))
     S = TruncationSet.big(4)
     witnesses = []
     for case in range(10):

@@ -1,8 +1,9 @@
 """Truncated big and p-typical Witt vectors.
 
-Everything is indexed by a finite division-stable truncation set S; the
-p-typical theory is the special case S = {1, p, ..., p^(k-1)} and shares
-one code path with big Witt vectors.
+Everything is indexed by a finite division-stable truncation set S
+(``truncation.TruncationSet``, re-exported here); the p-typical theory is
+the special case S = {1, p, ..., p^(k-1)} and shares one code path with
+big Witt vectors.  The series model loads ``series`` when it runs.
 
 Arithmetic (add, mul, neg, powers, Frobenius, comultiplication) runs
 through the ghost map w_n = sum_{d | n} d * a_d^(n/d): take the ghost
@@ -55,8 +56,7 @@ import os
 import tempfile
 import threading
 from fractions import Fraction
-from math import isqrt, lcm, prod
-from types import MappingProxyType
+from math import lcm, prod
 
 from .errors import (
     CostLimitExceeded,
@@ -69,156 +69,8 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, _json_text, _packer, deviation
-from .rings import (
-    INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _is_prime, _prime, _take, ascii_int, json_field
-)
-from .series import TruncSeries
-
-
-class TruncationSet:
-    """Finite division-stable set of positive integers."""
-
-    __slots__ = ("elems", "_divisors", "_last", "_quotients")
-
-    def __init__(self, elems):
-        members = {_as_int(n, 1, "truncation sets contain positive integers") for n in elems}
-        elems = tuple(sorted(members))
-        # every divisor of n is reached from n by dividing out one prime at a
-        # time, and every prime factor of n is itself in a division-stable
-        # set: so n is factored over the primes of the set met so far; once
-        # the smaller elements pass, a leftover factor above 1 is prime.  With
-        # 1..run in the set, n with no such factor and isqrt(n) <= run is prime
-        run = next((i for i, n in enumerate(elems) if n != i + 1), len(elems))
-        primes = []
-        for n in elems:
-            r, factors = n, []
-            for q in primes:
-                if q * q > r:
-                    break
-                if r % q == 0:
-                    factors.append(q)
-                    while r % q == 0:
-                        r //= q
-            if r == n > 1:
-                if isqrt(n) > run and not _is_prime(n):
-                    raise UsageError(f"not division-stable: {n} in set but none of its prime factors")
-                primes.append(n)
-            if r > 1:
-                factors.append(r)
-            for q in factors:
-                if n // q not in members:
-                    raise UsageError(f"not division-stable: {n} in set but divisor {n // q} missing")
-        self.elems = elems
-        self._divisors = self._last = None
-        self._quotients = {}
-
-    @staticmethod
-    def big(n: int) -> "TruncationSet":
-        n = _as_int(n, 0, "big truncation sets need n >= 0")
-        return TruncationSet(range(1, n + 1))
-
-    @staticmethod
-    def p_typical(p: int, k: int) -> "TruncationSet":
-        p = _prime(p, "p-typical truncation sets need a prime p")
-        k = _as_int(k, 0, "p-typical truncation sets need a length >= 0")
-        return TruncationSet(p ** i for i in range(k))
-
-    def __iter__(self):
-        return iter(self.elems)
-
-    def __len__(self):
-        return len(self.elems)
-
-    def __contains__(self, n):
-        return n in self.elems
-
-    def __eq__(self, other):
-        return isinstance(other, TruncationSet) and self.elems == other.elems
-
-    def __hash__(self):
-        return hash(self.elems)
-
-    def __repr__(self):
-        return f"TruncationSet{self.elems}"
-
-    def divisors(self):
-        """n -> its divisors in S, increasing, from the pairs d * q <= max(S);
-        built on first use and shared, read-only, by every later call (threads
-        that race to build it build equal tables, so either may stay)."""
-        if self._divisors is None:
-            table = {n: [] for n in self.elems}
-            for d in self.elems:
-                top = self.elems[-1] // d
-                for q in self.elems:
-                    if q > top:
-                        break
-                    if d * q in table:
-                        table[d * q].append(d)
-            self._divisors = MappingProxyType({n: tuple(divs) for n, divs in table.items()})
-        return self._divisors
-
-    def last_multiples(self):
-        """d -> the largest multiple of d in S, the last index whose divisors
-        hold d; built on first use and shared, read-only, as ``divisors`` is."""
-        if self._last is None:
-            self._last = MappingProxyType({d: n for n, divs in self.divisors().items() for d in divs})
-        return self._last
-
-    def issubset(self, other: "TruncationSet") -> bool:
-        return set(self.elems) <= set(other.elems)
-
-    def divide(self, n: int) -> "TruncationSet":
-        """S/n = {d : n*d in S}, built once for each n and kept with its
-        divisor table (as S never changes, every F_n on W_S shares them)."""
-        n = _as_int(n, 1, "truncation sets are divided by positive integers")
-        quotient = self._quotients.get(n)
-        if quotient is None:
-            quotient = self._quotients[n] = TruncationSet(s // n for s in self.elems if s % n == 0)
-        return quotient
-
-    def product(self, other: "TruncationSet") -> "TruncationSet":
-        """S.T = {s * t}, built anew on each call."""
-        return TruncationSet(s * t for s in self.elems for t in other.elems)
-
-    def series_length(self) -> int:
-        """N for big:N, the one truncation the power series model takes."""
-        form = self.to_json()
-        if form["kind"] != "big":
-            raise UsageError("the power series model needs a big truncation big:N")
-        return form["n"]
-
-    def label(self) -> str:
-        if not self.elems:
-            return "empty"
-        form = self.to_json()
-        if form["kind"] == "big":
-            return f"big{form['n']}"
-        if form["kind"] == "p":
-            return f"p{form['p']}l{form['len']}"
-        return "s" + "-".join(str(n) for n in self.elems)
-
-    def to_json(self) -> dict:
-        """The one classifier: big {1..n} (the empty set at n = 0), else
-        p-typical {1, p, ..., p^(k-1)}, else the elements themselves."""
-        n = len(self.elems)
-        if self.elems == tuple(range(1, n + 1)):
-            return {"kind": "big", "n": n}
-        # a set that is not big holds 1 and a second element, its least prime
-        p = self.elems[1]
-        if self.elems == tuple(p ** i for i in range(n)):
-            return {"kind": "p", "p": p, "len": n}
-        return {"kind": "set", "elems": list(self.elems)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "TruncationSet":
-        kind = json_field(obj, "kind")
-        if kind == "big":
-            return TruncationSet.big(json_field(obj, "n"))
-        if kind == "p":
-            return TruncationSet.p_typical(json_field(obj, "p"), json_field(obj, "len"))
-        if kind == "set":
-            return TruncationSet(json_field(obj, "elems", list))
-        raise UsageError(f"unknown truncation kind {kind!r}")
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _take, ascii_int, json_field
+from .truncation import TruncationSet
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +677,8 @@ def to_series(a: WittVec) -> TruncSeries:
 
     Each factor multiplies one coefficient list in place, c_k -= a_n c_(k-n)
     from the top down, so that c_(k-n) is read before the factor reaches it."""
+    from .series import TruncSeries
+
     N = _flat(a, "the power series model").trunc.series_length()
     c = [MultiPoly.one(a.ring)] + [MultiPoly.zero(a.ring)] * N
     for n in a.trunc:
@@ -842,6 +696,8 @@ def from_series(f: TruncSeries, N: int) -> WittVec:
     a_n is minus the t^n coefficient once the factors below n are divided
     out; each is divided out of one coefficient list in place, g_k += a_n
     g_(k-n) from the bottom up, so that g_(k-n) is read already divided."""
+    from .series import TruncSeries
+
     _take(f, TruncSeries, "from_series")
     N = _as_int(N, 0, "the series model needs a length N >= 0")
     if f.coeffs[0] != MultiPoly.one(f.ring):

@@ -611,17 +611,20 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(repr([code, sorted(m for m in sys.modules if m.startswith("lambda_forge.")), "json" in sys.modules]))
 """
-WITT_MODULES = {"cli", "errors", "poly", "rings", "series", "textparse", "witt"}
+# what every command loads: the CLI, the grammar and what the grammar reads
+BASE_MODULES = {"cli", "errors", "poly", "rings", "textparse", "truncation"}
 SRC = Path(__file__).resolve().parent.parent / "src"
 EVERY_MODULE = {path.stem for path in (SRC / "lambda_forge").glob("*.py")} - {"__init__"}
 GHOST = ["witt", "ghost", "--trunc", "big:2", "--input", "[1,1]"]
 
 
-def _probe(argv):
-    """(exit code, the package modules loaded, whether json was loaded) of a process running ``argv``."""
+def _probe(argv, script=IMPORT_PROBE):
+    """What a fresh process running ``script`` with ``argv`` prints, as a
+    Python literal: for the import probe, (exit code, the package modules
+    loaded, whether json was loaded) of the command ``argv``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, env=env)
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
     return ast.literal_eval(result.stdout.decode())
 
@@ -632,16 +635,28 @@ class TestImportContract:
     @pytest.mark.parametrize(
         "argv, code, modules",
         [
-            (GHOST, 0, WITT_MODULES),
-            (["delta", "free", "--p", "2", "--depth", "1"], 0, WITT_MODULES | {"delta"}),
-            (["lambda", "newton", "--K", "2", "--eval", "3"], 0, WITT_MODULES | {"delta", "lambdaring"}),
-            (["verify", "wilkerson"], 0, EVERY_MODULE),
+            (GHOST, 0, BASE_MODULES | {"witt"}),
+            # Witt arithmetic substitutes nothing, and only the series model loads series
+            (["witt", "add", "--p", "2", "--len", "2", "--a", "[1,0]", "--b", "[1,0]"], 0, BASE_MODULES | {"witt"}),
+            (["witt", "series", "--trunc", "big:2", "--input", "[a,0]"], 0, BASE_MODULES | {"series", "witt"}),
+            # no Witt vector is built, and phi on the generators substitutes nothing
+            (["delta", "free", "--p", "2", "--depth", "1"], 0, BASE_MODULES | {"delta"}),
+            (["lambda", "to-x-basis", "--primes", "2", "--depth", "1", "--expr", "x2"], 0,
+             BASE_MODULES | {"lambdaring", "substitution"}),
+            (["lambda", "newton", "--K", "2", "--eval", "3"], 0, BASE_MODULES | {"delta", "lambdaring", "series", "witt"}),
+            (["lambda", "coaction", "--trunc", "big:2", "--eval", "2"], 0, BASE_MODULES | {"lambdaring", "witt"}),
+            (["verify", "joyal-rezk"], 0, BASE_MODULES | {"lambdaring", "substitution", "verify"}),
+            (["verify", "wilkerson"], 0, EVERY_MODULE - {"abelian"}),
+            (["verify", "fracture"], 0, BASE_MODULES | {"abelian", "verify"}),
             # a given group runs the fracture check alone, and no suite
-            (["verify", "fracture", "--group", "Z/12"], 0, WITT_MODULES | {"abelian"}),
+            (["verify", "fracture", "--group", "Z/12"], 0, BASE_MODULES | {"abelian"}),
             # the flags are checked before any suite is imported
-            (["verify", "all", "--seed", "-1"], 1, WITT_MODULES),
+            (["verify", "all", "--seed", "-1"], 1, BASE_MODULES),
         ],
-        ids=["witt", "delta", "lambda", "verify", "verify-group", "verify-refused"],
+        ids=[
+            "witt", "witt-add", "witt-series", "delta", "lambda-x-basis", "lambda-newton", "lambda-coaction",
+            "verify-joyal-rezk", "verify", "verify-fracture", "verify-group", "verify-refused",
+        ],
     )
     def test_family_loads_its_modules(self, argv, code, modules):
         assert _probe(argv)[:2] == [code, sorted(f"lambda_forge.{m}" for m in modules)]
@@ -666,6 +681,43 @@ class TestImportContract:
         families = next(a for a in top._actions if a.dest == "command")
         suite = next(a for a in families.choices["verify"]._actions if a.dest == "suite")
         assert tuple(suite.choices) == verify.SUITES + ("all",)
+
+
+class TestLazyRoot:
+    """``lambda_forge`` resolves its public names on first access."""
+
+    def test_importing_the_package_loads_no_module_of_it(self):
+        script = "import sys, lambda_forge; print(sorted(m for m in sys.modules if m.startswith('lambda_forge')))"
+        assert _probe([], script) == ["lambda_forge"]
+
+    def test_a_name_loads_its_home_module_alone(self):
+        script = (
+            "import sys, lambda_forge; lambda_forge.TruncationSet; "
+            "print(sorted(m for m in sys.modules if m.startswith('lambda_forge.')))"
+        )
+        assert _probe([], script) == ["lambda_forge.errors", "lambda_forge.rings", "lambda_forge.truncation"]
+
+    def test_each_public_name_is_its_home_modules_object(self):
+        import importlib
+
+        import lambda_forge
+
+        for name in lambda_forge.__all__:
+            value = getattr(lambda_forge, name)
+            # a class or function names its module; ZZ and QQ are CoeffRings of rings
+            assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_dir_lists_every_public_name(self):
+        import lambda_forge
+
+        assert set(lambda_forge.__all__) <= set(dir(lambda_forge))
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import lambda_forge
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lambda_forge.no_such_name
+        assert not hasattr(lambda_forge, "ghost_route")
 
 
 def run_within(seconds, capsys, *argv):

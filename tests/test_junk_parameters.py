@@ -15,6 +15,9 @@ field.  The Witt operations take only Witt vectors, ghost vectors and
 truncation sets where they expect them, the polynomial and lambda-ring
 calls only polynomials and coefficient rings, and the reports only a
 basis and a collection of primes, each refusal naming what it refused.
+The public functions of ``verify`` take a suite name and a seed as
+``lambda-forge verify`` does: a name that is no suite, or a seed that is
+not a nonnegative integer, is a ``UsageError``.
 """
 
 from fractions import Fraction
@@ -38,6 +41,17 @@ from lambda_forge.lambdaring import (
 from lambda_forge.poly import MultiPoly, deviation
 from lambda_forge.rings import ZZ, CoeffRing
 from lambda_forge.series import TruncSeries
+from lambda_forge.verify import (
+    coalgebra_suite,
+    fracture_suite,
+    ghost_compat_suite,
+    joyal_rezk_suite,
+    naturality_spotcheck,
+    run_suite,
+    w2_pullback_suite,
+    wilkerson_suite,
+    witt_axioms_suite,
+)
 from lambda_forge.witt import (
     TruncationSet,
     WittVec,
@@ -355,3 +369,39 @@ JSON_MALFORMED = [
 def test_malformed_json_is_a_usage_error_naming_the_field(reader, payload, field):
     with pytest.raises(UsageError, match=field):
         reader(payload)
+
+
+SUITES = [
+    witt_axioms_suite,
+    ghost_compat_suite,
+    joyal_rezk_suite,
+    wilkerson_suite,
+    w2_pullback_suite,
+    coalgebra_suite,
+    fracture_suite,
+    naturality_spotcheck,
+]
+# verify calls seen to raise a TypeError (run_suite([]), and a list seed
+# given to random.Random), or to run a suite on a seed that --seed refuses
+VERIFY_JUNK = [
+    ("run_suite([])", lambda: run_suite([])),
+    ("run_suite(None)", lambda: run_suite(None)),
+    ("run_suite('nope')", lambda: run_suite("nope")),
+    ("run_suite('fracture', -1)", lambda: run_suite("fracture", -1)),
+    ("run_suite('all', [])", lambda: run_suite("all", [])),
+] + [
+    (f"{suite.__name__}({seed!r})", lambda suite=suite, seed=seed: suite(seed))
+    for suite in SUITES
+    for seed in (-1, [], "1", 2.5, None)
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in VERIFY_JUNK], ids=[c[0] for c in VERIFY_JUNK])
+def test_verify_refuses_junk_suite_names_and_seeds(call):
+    with pytest.raises(UsageError):
+        call()
+
+
+def test_an_integral_seed_is_the_integer():
+    assert run_suite("fracture", Fraction(4, 2)) == run_suite("fracture", 2)
+

@@ -13,7 +13,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lambda_forge"
-COMPUTING_SITES = {("witt.py", "TruncationSet.__init__"), ("abelian.py", "fracture_check")}
+COMPUTING_SITES = {("truncation.py", "TruncationSet.__init__"), ("abelian.py", "fracture_check")}
 
 
 def _uses(tree: ast.Module, name: str):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_forge import poly
+from lambda_forge import poly, substitution
 from lambda_forge.errors import MixedCoefficientRings, NotDivisible, UsageError
 from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import QQ, ZZ, CoeffRing
@@ -402,7 +402,9 @@ def test_substitution_canonicalizes_per_variable_not_per_term(monkeypatch):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(poly, "_unpacked", counting)
+    # substitution leaves through the same exit, imported by name
+    for module in (poly, substitution):
+        monkeypatch.setattr(module, "_unpacked", counting)
     got = p.substitute(env)
     substitute_calls = len(calls)
     power = base ** 13
@@ -430,7 +432,8 @@ def test_packed_routes_never_canonicalize(monkeypatch):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(poly, "_unpacked", counting)
+    for module in (poly, substitution):
+        monkeypatch.setattr(module, "_unpacked", counting)
     product = witt.structure_poly_map("mul", witt.TruncationSet.big(8))
     product_calls = len(calls)
     xp, _ = basis.to_x_basis(element)
@@ -906,13 +909,14 @@ class TestHornerSubstitution:
         x, y, z = v("x"), v("y"), v("z")
         p, env = x ** 5 * z + x ** 2 * y, {"x": y * 2, "z": 3}
         calls = []
-        for name in ("_mul_terms", "_square_terms", "_horner"):
+        for module, name in ((poly, "_mul_terms"), (poly, "_square_terms"), (substitution, "_mul_terms"),
+                             (substitution, "_horner")):
 
-            def recording(*args, name=name, fn=getattr(poly, name)):
+            def recording(*args, name=name, fn=getattr(module, name)):
                 calls.append(name)
                 return fn(*args)
 
-            monkeypatch.setattr(poly, name, recording)
+            monkeypatch.setattr(module, name, recording)
         got = p.substitute(env)
         monkeypatch.undo()
         assert calls == []
@@ -984,7 +988,7 @@ class TestPreparedSubstitution:
     @given(data=substitution_sessions())
     def test_matches_the_per_term_route_across_adds(self, data):
         ring, steps = data
-        prepared, env = poly._Substitution(ring), {}
+        prepared, env = substitution._Substitution(ring), {}
         for step in steps:
             if step[0] == "add":
                 _, name, image = step
@@ -996,7 +1000,7 @@ class TestPreparedSubstitution:
 
     def test_a_variable_with_an_image_is_refused(self):
         x, y, z = v("x"), v("y"), v("z")
-        prepared = poly._Substitution(ZZ)
+        prepared = substitution._Substitution(ZZ)
         prepared.add("x", y + z)
         assert str(prepared(x * x)) == "y^2 + 2*y*z + z^2"
         with pytest.raises(UsageError, match="x already has an image"):
@@ -1005,7 +1009,7 @@ class TestPreparedSubstitution:
 
     def test_add_drops_every_plan_and_keeps_every_power(self):
         x, y, z = v("x"), v("y"), v("z")
-        prepared = poly._Substitution(ZZ)
+        prepared = substitution._Substitution(ZZ)
         prepared.add("x", y + z)
         assert str(prepared(x ** 2 * y)) == "y^3 + 2*y^2*z + y*z^2"
         powers = {layout: dict(caches) for layout, (_, caches) in prepared.layouts.items()}
@@ -1019,7 +1023,7 @@ class TestPreparedSubstitution:
 
     def test_plans_point_at_the_kept_powers(self):
         x, y, z = v("x"), v("y"), v("z")
-        prepared = poly._Substitution(ZZ)
+        prepared = substitution._Substitution(ZZ)
         prepared.add("x", y + z)
         prepared.add("y", z ** 2 - z)
         for source in (x ** 3 * y ** 2, x * y + x ** 2, x ** 300 * y):
