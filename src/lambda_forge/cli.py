@@ -315,24 +315,30 @@ def _run_delta(args):
         if args.show == "phi":
             return {"phi": {g: str(v) for g, v in sorted(pres.phi_on_gens.items())}}
         return {"delta": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
-    # the last subcommand: section
+    # the last subcommand: section, read off the coaction e -> (e, delta(e)) over p:P,2 with psi^p = phi
     if args.expr is not None:
         _unused("--expr", eval=args.eval_at)
         # expression in the free delta-ring generators x0..x<depth>
-        vec = free_delta_ring(args.p, 3 if args.depth is None else args.depth).section(parse_poly(args.expr, ZZ))
+        pres, e = free_delta_ring(args.p, 3 if args.depth is None else args.depth), parse_poly(args.expr, ZZ)
     elif args.eval_at is not None:
         _unused("--eval", depth=args.depth)
         # Z has one delta-structure: its Frobenius lift is the identity
-        vec = DeltaPresentation(args.p, (), {}).section(args.eval_at)
+        pres, e = DeltaPresentation(args.p, (), {}), MultiPoly.const(ZZ, args.eval_at)
     else:
         raise UsageError("section needs --eval N (over Z) or --expr (free delta-ring)")
+    from .witt import coaction
+
+    vec = coaction(lambda n, x: x if n == 1 else pres.phi(x), e, TruncationSet.p_typical(pres.p, 2), ZZ)
     return {"section": _poly_list(vec.as_list())}
 
 
 def _run_lambda(args):
-    from .lambdaring import AdamsModel, FreeLambdaBasis, coaction, wilkerson_lambda
+    from .lambdaring import AdamsModel, FreeLambdaBasis, wilkerson_lambda
 
     sc = args.subcommand
+    if sc == "newton":
+        # the Wilkerson family of Z: every Frobenius lift is the identity
+        args.ring, args.phi, args.eval_gen, sc = "Z", [], None, "wilkerson"
     if sc == "free":
         basis = FreeLambdaBasis(parse_primes(args.primes), args.depth)
         if args.show is not None:
@@ -353,10 +359,6 @@ def _run_lambda(args):
     if sc == "adams":
         model = AdamsModel(args.N)
         return {"result": str(model.psi(args.m, parse_poly(args.expr, QQ)))}
-    if sc == "newton":
-        # the Wilkerson family of Z: every Frobenius lift is the identity
-        values = wilkerson_lambda((), {}, args.K).lambda_values(MultiPoly.const(ZZ, args.eval_at))
-        return {"lambda": [str(v.constant_value()) for v in values]}
     if sc == "wilkerson":
         gens = parse_ring_spec(args.ring)
         if args.eval_gen is not None and args.eval_gen not in gens:
@@ -385,6 +387,8 @@ def _run_lambda(args):
         xp, integral = basis.to_x_basis(parse_poly(args.expr, QQ))
         return {"x_basis": str(xp), "integral": integral}
     # the last subcommand: coaction
+    from .witt import coaction
+
     vec = coaction(lambda n, x: x, MultiPoly.const(ZZ, args.eval_at), parse_trunc(args.trunc), ZZ)
     return _payload(args, {"coaction": _poly_list(vec.as_list())}, lambda: {"witt_json": vec.to_json()})
 

@@ -11,9 +11,8 @@ oracle for this route and lives in the tests.
 from __future__ import annotations
 
 from .errors import DepthExceeded, NotAFrobeniusLift, NotDivisible, UsageError
-from .poly import MultiPoly, deviation
-from .rings import ZZ, _as_int, _prime, json_field
-from .truncation import TruncationSet
+from .poly import MultiPoly, _check_gens, deviation
+from .rings import ZZ, _as_int, _collection, _prime, _take, json_field
 
 
 class DeltaPresentation:
@@ -27,9 +26,9 @@ class DeltaPresentation:
 
     def __init__(self, p: int, gens, delta_on_gens: dict):
         self.p = p = _prime(p, "delta-rings need a prime p")
-        self.gens = tuple(gens)
+        self.gens = _collection(gens, "the generators gens of a delta presentation")
         fixed = {}
-        for g, val in delta_on_gens.items():
+        for g, val in _take(delta_on_gens, dict, "the delta_on_gens of a presentation").items():
             if g not in self.gens:
                 raise UsageError(f"delta assigned to unknown generator {g}")
             if not isinstance(val, MultiPoly):
@@ -57,9 +56,7 @@ class DeltaPresentation:
         return DeltaPresentation(json_field(obj, "p"), json_field(obj, "gens", list), delta)
 
     def _check_in_domain(self, e: MultiPoly):
-        outside = sorted(set(e.vars) - set(self.gens))
-        if outside:
-            raise UsageError(f"{outside[0]} is not a generator of Z[{', '.join(self.gens)}]")
+        _check_gens(e, self.gens)
         missing = sorted(set(e.vars) - set(self.delta_on_gens))
         if missing:
             raise DepthExceeded(
@@ -81,12 +78,6 @@ class DeltaPresentation:
             # impossible for torsion-free presentations; surfaced as a bug
             raise NotDivisible(exc.witness, f"internal consistency failure: {exc}") from None
 
-    def section(self, e: MultiPoly) -> WittVec:
-        """The ring section s(e) = (e, delta(e)) of w_0: W_2(A) -> A."""
-        from .witt import WittVec
-
-        return WittVec(TruncationSet.p_typical(self.p, 2), ZZ, {1: e, self.p: self.delta(e)})
-
 
 def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
     """Recover delta from a Frobenius lift; the inverse of ``phi_on_gens``.
@@ -95,7 +86,8 @@ def delta_from_phi(p: int, gens, phi_on_gens: dict) -> DeltaPresentation:
     phi(g) - g^p is not divisible by p.
     """
     p = _prime(p, "delta-rings need a prime p")
-    for g in phi_on_gens:
+    gens = _collection(gens, "the generators gens of a delta presentation")
+    for g in _take(phi_on_gens, dict, "the lift phi_on_gens of a presentation"):
         if g not in gens:
             raise UsageError(f"phi assigned to unknown generator {g}")
     delta = {}

@@ -8,17 +8,17 @@ of an input.  Inverting the triangle once gives each x_n as an integer
 polynomial in the X_sigma (its ghost row), so re-expressing an element
 over the X basis is a single substitution, prepared once a basis.
 The lambda-operations of a Frobenius family are read off its coaction
-into the big Witt vectors, with exact division failures doubling as "no
-integral lambda-structure" certificates.  The functions that build Witt
-vectors import ``witt`` when they run, as ``wilkerson_lambda`` imports
-``delta`` and the basis ``substitution``, so the Adams model and the X
-basis load no Witt arithmetic.
+into the big Witt vectors (``witt.coaction``), with exact division
+failures doubling as "no integral lambda-structure" certificates.  The
+functions that build Witt vectors import ``witt`` when they run, as
+``wilkerson_lambda`` imports ``delta``, whose presentations apply its
+lifts, and the basis ``substitution``, so the Adams model and the X basis
+load no Witt arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import prod
@@ -33,8 +33,8 @@ from .errors import (
     NotPIntegral,
     UsageError,
 )
-from .poly import MultiPoly, deviation
-from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _factorize, _prime, _take
+from .poly import MultiPoly, _check_gens, deviation
+from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _collection, _factorize, _prime, _take
 from .textparse import _sigma_name
 from .truncation import TruncationSet
 
@@ -137,9 +137,7 @@ class FreeLambdaBasis:
     def __init__(self, P, depth: int, N: int | None = None):
         from .substitution import _Substitution
 
-        if not isinstance(P, Iterable):
-            raise UsageError(f"the primes P of a basis: expected a collection, got {type(P).__name__}")
-        P = tuple(sorted({_prime(p) for p in P}))
+        P = tuple(sorted({_prime(p) for p in _collection(P, "the primes P of a basis")}))
         if not P:
             raise UsageError("the basis needs at least one prime")
         self.P = P
@@ -293,7 +291,7 @@ class LambdaOps:
     __slots__ = ("gens", "psi", "K")
 
     def __init__(self, gens, psi, K: int):
-        self.gens = tuple(gens)
+        self.gens = _collection(gens, "the generators gens of a lambda-ring")
         self.psi = psi
         self.K = _as_int(K, 0, "lambda-operations need K >= 0")
 
@@ -302,8 +300,9 @@ class LambdaOps:
         the series model, prod (1 - a_n t^n), is lambda_{-t}(e).  Raises
         ``NotDivisible(n)`` when the coaction has no component a_n.  Over Z/m
         a prime factor q <= K of m is a zero divisor, so the Adams operations
-        leave lambda^q open and ``UsageError`` refuses it."""
-        from .witt import to_series
+        leave lambda^q open and ``UsageError`` refuses it, as it refuses an
+        element with a variable that is no generator."""
+        from .witt import coaction, to_series
 
         if _take(e, MultiPoly, "lambda_values").ring.kind == MODULAR:
             q = min(_factorize(e.ring.modulus))
@@ -311,6 +310,7 @@ class LambdaOps:
                 raise UsageError(
                     f"over {e.ring} the Adams operations leave lambda^{q} open: {q} divides {e.ring.modulus}"
                 )
+        _check_gens(e, self.gens)
         c = to_series(coaction(self.psi, e, TruncationSet.big(self.K), e.ring)).coeffs
         return [c[k] if k % 2 == 0 else -c[k] for k in range(1, self.K + 1)]
 
@@ -323,11 +323,12 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
     """Build lambda-operations from pairwise commuting Frobenius lifts.
 
     Every lift is certified through ``delta_from_phi`` (raising
-    ``NotAFrobeniusLift`` with the witness term), which gives the
-    substitution kept for it, and pairwise commutation is checked on the
-    generators; psi^n composes the lifts of the prime factors of n.  Over
-    Z (no generators) a prime with no lift given takes the identity, Z's
-    only Frobenius lift; over a ring with generators psi^n refuses it.
+    ``NotAFrobeniusLift`` with the witness term), and psi^p is the ``phi``
+    of the presentation it gives, in the commutation check on the
+    generators as in psi^n, which composes the lifts of the prime factors
+    of n.  Over Z (no generators) a prime with no lift given takes the
+    identity, Z's only Frobenius lift; over a ring with generators psi^n
+    refuses it.
     """
     from .delta import delta_from_phi
 
@@ -336,27 +337,25 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
         raise CostLimitExceeded(
             f"K = {K} takes {K * (K + 1) // 2} series products an element, over the limit of 5050 (K <= 100)"
         )
-    gens = tuple(gens)
-    family = {_prime(p): subst for p, subst in phi_family.items()}
-    lifts = {p: delta_from_phi(p, gens, family[p]).phi_on_gens for p in sorted(family)}
-    primes = sorted(lifts)
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            for g in gens:
-                pq = lifts[p][g].substitute(lifts[q])
-                qp = lifts[q][g].substitute(lifts[p])
-                if pq != qp:
-                    raise NonCommutingLifts(p, q, f"{g}: {pq} vs {qp}")
+    gens = _collection(gens, "the generators gens of a Wilkerson family")
+    family = {_prime(p): lift for p, lift in _take(phi_family, dict, "the Frobenius lifts phi_family").items()}
+    lifts = {p: delta_from_phi(p, gens, _take(family[p], dict, "a lift of phi_family")) for p in sorted(family)}
+    for p, q in combinations(lifts, 2):
+        for g in gens:
+            pq = lifts[q].phi(lifts[p].phi(MultiPoly.var(ZZ, g)))
+            qp = lifts[p].phi(lifts[q].phi(MultiPoly.var(ZZ, g)))
+            if pq != qp:
+                raise NonCommutingLifts(p, q, f"{g}: {pq} vs {qp}")
 
     def psi(n, e):
         for p, mult in sorted(_factorize(n).items()):
-            subst = lifts.get(p)
-            if subst is None:
+            lift = lifts.get(p)
+            if lift is None:
                 if gens:
                     raise UsageError(f"no Frobenius lift given for prime {p}")
                 continue
             for _ in range(mult):
-                e = e.substitute(subst)
+                e = lift.phi(e)
         return e
 
     return LambdaOps(gens, psi, K)
@@ -484,14 +483,6 @@ def integrality_report(P, depth: int) -> dict:
 # the coaction A -> W_S(A) attached to Adams data
 
 
-def coaction(psi, e: MultiPoly, S: TruncationSet, ring: CoeffRing) -> WittVec:
-    """ghost_inverse of (psi^n(e))_{n in S}; integrality is the lambda test."""
-    from .witt import GhostVec, ghost_inverse
-
-    ghosts = {n: psi(n, e) for n in S}
-    return ghost_inverse(GhostVec(S, ring, ghosts))
-
-
 def coalgebra_check(psi, elements, S: TruncationSet, T: TruncationSet, ring: CoeffRing,
                     check_integral=None) -> dict:
     """Verify the W-coalgebra laws for the coaction defined by ``psi``.
@@ -502,7 +493,7 @@ def coalgebra_check(psi, elements, S: TruncationSet, T: TruncationSet, ring: Coe
     - coassociativity on S x T: W_S(coaction) after coaction equals
       comultiplication after the coaction over the product truncation.
     """
-    from .witt import GhostVec, WittVec, comult, counit, ghost_map
+    from .witt import GhostVec, WittVec, coaction, comult, counit, ghost_map
 
     witnesses = []
     U = S.product(T)

@@ -61,6 +61,13 @@ def _check_names(vars: tuple):
             raise UsageError(f"variable names match {_NAME.pattern}, got {v!r}")
 
 
+def _check_gens(e: "MultiPoly", gens: tuple):
+    """Refuse ``e`` when a variable of it is no generator of Z[gens], naming the first."""
+    outside = sorted(set(e.vars) - set(gens))
+    if outside:
+        raise UsageError(f"{outside[0]} is not a generator of Z[{', '.join(gens)}]")
+
+
 class MultiPoly:
     __slots__ = ("ring", "vars", "terms")
 

@@ -13,6 +13,7 @@ compute over Q and Z_(p) on integer numerators over one denominator
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 
@@ -89,6 +90,13 @@ def _take(value, kind: type, op: str):
     if not isinstance(value, kind):
         raise UsageError(f"{op}: expected a {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _collection(value, op: str) -> tuple:
+    """``value`` as a tuple if it is a collection but no string, else a ``UsageError`` that names ``op``."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise UsageError(f"{op}: expected a collection, got {type(value).__name__}")
+    return tuple(value)
 
 
 def _as_int(c, low: int | None = None, need: str = "") -> int:

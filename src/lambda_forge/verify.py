@@ -201,8 +201,8 @@ def w2_pullback_suite(seed: int = 0) -> dict:
 
 def coalgebra_suite(seed: int = 0) -> dict:
     """Coaction laws on Z with psi = id and on the free lambda-ring."""
-    from .lambdaring import FreeLambdaBasis, coaction, coalgebra_check
-    from .witt import GhostVec, ghost_map
+    from .lambdaring import FreeLambdaBasis, coalgebra_check
+    from .witt import GhostVec, coaction, ghost_map
 
     _seed(seed)
     S = TruncationSet.big(2)

@@ -633,6 +633,12 @@ def ghost_inverse(g: GhostVec) -> WittVec:
     return _solve({n: value(c, n) for n, c in g.comps.items()}, (g.trunc,), g.ring, unghost, C)
 
 
+def coaction(psi, e: MultiPoly, S: TruncationSet, ring: CoeffRing) -> WittVec:
+    """ghost_inverse of (psi^n(e))_{n in S}; integrality is the lambda test."""
+    ghosts = {n: psi(n, e) for n in S}
+    return ghost_inverse(GhostVec(S, ring, ghosts))
+
+
 def teichmuller(r, S: TruncationSet, ring: CoeffRing = ZZ) -> WittVec:
     """Multiplicative lift r -> (r, 0, 0, ...)."""
     _take(S, TruncationSet, "teichmuller")

@@ -641,6 +641,10 @@ class TestImportContract:
             (["witt", "series", "--trunc", "big:2", "--input", "[a,0]"], 0, BASE_MODULES | {"series", "witt"}),
             # no Witt vector is built, and phi on the generators substitutes nothing
             (["delta", "free", "--p", "2", "--depth", "1"], 0, BASE_MODULES | {"delta"}),
+            # the section is the coaction over p:P,2, read off in Witt arithmetic with no lambda-ring
+            (["delta", "section", "--p", "2", "--ring", "Z", "--eval", "3"], 0,
+             BASE_MODULES | {"delta", "substitution", "witt"}),
+            (["delta", "section", "--p", "2", "--expr", "x0"], 0, BASE_MODULES | {"delta", "substitution", "witt"}),
             (["lambda", "to-x-basis", "--primes", "2", "--depth", "1", "--expr", "x2"], 0,
              BASE_MODULES | {"lambdaring", "substitution"}),
             (["lambda", "newton", "--K", "2", "--eval", "3"], 0, BASE_MODULES | {"delta", "lambdaring", "series", "witt"}),
@@ -654,8 +658,8 @@ class TestImportContract:
             (["verify", "all", "--seed", "-1"], 1, BASE_MODULES),
         ],
         ids=[
-            "witt", "witt-add", "witt-series", "delta", "lambda-x-basis", "lambda-newton", "lambda-coaction",
-            "verify-joyal-rezk", "verify", "verify-fracture", "verify-group", "verify-refused",
+            "witt", "witt-add", "witt-series", "delta", "delta-section-eval", "delta-section-expr", "lambda-x-basis",
+            "lambda-newton", "lambda-coaction", "verify-joyal-rezk", "verify", "verify-fracture", "verify-group", "verify-refused",
         ],
     )
     def test_family_loads_its_modules(self, argv, code, modules):

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lambda_forge.cli import main
 from lambda_forge.delta import DeltaPresentation, delta_from_phi, free_delta_ring
 from lambda_forge.errors import DepthExceeded, DomainError, NotAFrobeniusLift, UsageError
 from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import ZZ, CoeffRing
-from lambda_forge.witt import TruncationSet, WittVec
+from lambda_forge.witt import TruncationSet, WittVec, coaction
 
 
 def v(name):
@@ -225,42 +230,62 @@ class TestFreeDeltaRing:
                     assert pres.delta(e2) == delta_extend_recursive(pres, e2)
 
 
-class TestWitt2Section:
-    def test_integer_example(self):
-        section = DeltaPresentation(2, (), {}).section
-        vec = section(MultiPoly.const(ZZ, 3))
-        assert vec.as_list() == [MultiPoly.const(ZZ, 3), MultiPoly.const(ZZ, -3)]
+def section(pres: DeltaPresentation, e: MultiPoly) -> WittVec:
+    """The route of ``delta section``: the coaction over p:P,2 with psi^p the presentation's phi."""
+    return coaction(lambda n, x: x if n == 1 else pres.phi(x), e, TruncationSet.p_typical(pres.p, 2), ZZ)
 
-    def test_integer_section_is_the_closed_form(self):
-        for p in (2, 3, 5):
-            for n in range(-6, 7):
-                vec = DeltaPresentation(p, (), {}).section(n)
-                assert vec.as_list() == [MultiPoly.const(ZZ, n), MultiPoly.const(ZZ, delta_on_integers(p, n))]
+
+def cli_section(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["delta", "section", *argv]) == 0
+    return out.getvalue()
+
+
+PRIMES = st.sampled_from([2, 3, 5])
+# the elements of the free delta-ring of depth 2 that delta is defined on: Z[x0, x1]
+DEPTH_2 = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9), max_size=4).map(
+    lambda terms: sum((v("x0") ** i * v("x1") ** j * c for (i, j), c in terms.items()), MultiPoly.zero(ZZ))
+)
+
+
+class TestWitt2Section:
+    """``delta section`` against the closed forms: (e, delta(e)) by the sum and
+    product rules on the free delta-ring, (n, (n - n^p)/p) over Z."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=PRIMES, e=DEPTH_2)
+    def test_free_delta_ring_section_is_the_closed_form(self, p, e):
+        pres = free_delta_ring(p, 2)
+        want = delta_extend_recursive(pres, e)
+        assert section(pres, e).as_list() == [e, want]
+        assert cli_section("--p", str(p), f"--expr={e}", "--depth", "2") == f"section: [{e}, {want}]\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=PRIMES, n=st.integers(-50, 50))
+    def test_integer_section_is_the_closed_form(self, p, n):
+        vec = section(DeltaPresentation(p, (), {}), MultiPoly.const(ZZ, n))
+        assert vec.as_list() == [MultiPoly.const(ZZ, n), MultiPoly.const(ZZ, delta_on_integers(p, n))]
+        assert cli_section("--p", str(p), f"--eval={n}") == f"section: [{n}, {delta_on_integers(p, n)}]\n"
 
     def test_unit(self):
-        section = free_delta_ring(2, 2).section
-        assert section(MultiPoly.one(ZZ)).as_list() == [MultiPoly.one(ZZ), MultiPoly.zero(ZZ)]
+        one = section(free_delta_ring(2, 2), MultiPoly.one(ZZ))
+        assert one.as_list() == [MultiPoly.one(ZZ), MultiPoly.zero(ZZ)]
 
     def test_ring_map_symbolically(self):
         for p in (2, 3):
-            section = free_delta_ring(p, 2).section
+            pres = free_delta_ring(p, 2)
             a = v("x0")
             b = v("x1")
-            report = check_ring_map(section, a, b)
-            assert report == {"add": True, "mul": True}
-            assert section(a + b) == section(a) + section(b)
+            assert check_ring_map(lambda e: section(pres, e), a, b) == {"add": True, "mul": True}
 
     def test_w0_after_section_is_identity(self):
-        section = free_delta_ring(2, 2).section
         e = v("x0") ** 2 + v("x1")
-        assert section(e).comps[1] == e
+        assert section(free_delta_ring(2, 2), e).comps[1] == e
 
     def test_section_to_delta_roundtrip(self):
         pres = free_delta_ring(2, 2)
-        section = pres.section
-        rebuilt = DeltaPresentation(
-            2, pres.gens, {g: section(v(g)).comps[2] for g in ("x0", "x1")}
-        )
+        rebuilt = DeltaPresentation(2, pres.gens, {g: section(pres, v(g)).comps[2] for g in ("x0", "x1")})
         assert rebuilt.delta_on_gens == pres.delta_on_gens
 
     def test_integer_section_validation(self):

@@ -317,13 +317,25 @@ def test_witt_operations_refuse_wrong_kinds(call):
         call()
 
 
-# report calls seen to raise a TypeError or an AttributeError: each must be
-# a UsageError that names the argument
+# report, presentation and Wilkerson calls seen to raise a TypeError or an
+# AttributeError, to split a string of generators into its letters, or (a
+# list of lifts) to build no family: each must be a UsageError that names
+# the argument
 REPORT_JUNK = [
     ("integrality_report(2, 1)", lambda: integrality_report(2, 1), "P"),
     ("verify_joyal_rezk(None)", lambda: verify_joyal_rezk(None), "basis"),
     ("verify_joyal_rezk(None, psi)", lambda: verify_joyal_rezk(None, psi=MODEL.psi), "basis"),
     ("plocal_basis_check(2, None, 1)", lambda: plocal_basis_check(2, None, 1), "basis"),
+    ("delta_from_phi(2, gens, [])", lambda: delta_from_phi(2, ("u",), []), "phi_on_gens"),
+    ("delta_from_phi(2, None, {})", lambda: delta_from_phi(2, None, {}), "gens"),
+    ("DeltaPresentation(2, gens, [])", lambda: DeltaPresentation(2, ("u",), []), "delta_on_gens"),
+    ("DeltaPresentation(2, 'uv', {})", lambda: DeltaPresentation(2, "uv", {}), "gens"),
+    ("wilkerson_lambda((), [], 2)", lambda: wilkerson_lambda((), [], 2), "phi_family"),
+    ("wilkerson_lambda(gens, {2: []}, 2)", lambda: wilkerson_lambda(("u",), {2: []}, 2), "phi_family"),
+    ("wilkerson_lambda(gens, {2: None}, 2)", lambda: wilkerson_lambda(("u",), {2: None}, 2), "phi_family"),
+    ("wilkerson_lambda(None, {}, 2)", lambda: wilkerson_lambda(None, {}, 2), "gens"),
+    ("wilkerson_lambda('u', {}, 2)", lambda: wilkerson_lambda("u", {}, 2), "gens"),
+    ("LambdaOps(None, psi, 2)", lambda: LambdaOps(None, lambda n, e: e, 2), "gens"),
 ]
 
 

@@ -21,7 +21,6 @@ from lambda_forge.lambdaring import (
     AdamsModel,
     FreeLambdaBasis,
     LambdaOps,
-    coaction,
     coalgebra_check,
     integrality_report,
     plocal_basis_check,
@@ -31,7 +30,7 @@ from lambda_forge.lambdaring import (
 from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import QQ, ZZ, CoeffRing
 from lambda_forge.textparse import parse_poly
-from lambda_forge.witt import GhostVec, TruncationSet, WittVec, ghost_map
+from lambda_forge.witt import GhostVec, TruncationSet, WittVec, coaction, ghost_map
 
 import reference as R
 
@@ -80,8 +79,8 @@ def newton_psi_to_lambda(psis):
 
 def lambda_of(psis):
     """lambda^1..lambda^K of the element psi^1 whose Adams operations are
-    ``psis``, through ``LambdaOps``."""
-    ops = LambdaOps((), lambda n, e: psis[n - 1], len(psis))
+    ``psis``, through ``LambdaOps`` on the ring generated by its variables."""
+    ops = LambdaOps(psis[0].vars if psis else (), lambda n, e: psis[n - 1], len(psis))
     return ops.lambda_values(psis[0]) if psis else []
 
 
@@ -769,6 +768,30 @@ class TestWilkerson:
         with pytest.raises(UsageError) as exc:
             wilkerson_lambda(("u",), family, 2)
         assert str(exc.value) == "phi assigned to unknown generator w"
+
+    @pytest.mark.parametrize(
+        "gens, family, K, e, message",
+        [
+            (("u",), {2: {"u": z("u") ** 2}}, 2, z("v"), "v is not a generator of Z[u]"),
+            (("u",), {2: {"u": z("u") ** 2}}, 2, z("u") * z("v"), "v is not a generator of Z[u]"),
+            (("u",), {2: {"u": z("u") ** 2}}, 1, z("v") + 1, "v is not a generator of Z[u]"),
+            ((), {}, 3, z("v"), "v is not a generator of Z[]"),
+            ((), {}, 1, z("v"), "v is not a generator of Z[]"),
+        ],
+    )
+    def test_an_element_outside_the_ring_is_refused(self, gens, family, K, e, message):
+        # no lift is certified on a name that is no generator: taken as fixed by
+        # every lift, lambda(u*v) fails to divide and at K = 1 lambda(v) is [v]
+        ops = wilkerson_lambda(gens, family, K)
+        with pytest.raises(UsageError) as exc:
+            ops.lambda_values(e)
+        assert str(exc.value) == message
+
+    def test_a_lift_is_applied_to_the_ring_alone(self):
+        ops = wilkerson_lambda(("u",), {2: {"u": z("u") ** 2}}, 2)
+        with pytest.raises(UsageError) as exc:
+            ops.psi(2, z("v"))
+        assert str(exc.value) == "v is not a generator of Z[u]"
 
     def test_noncommuting_lifts_rejected(self):
         family = {
