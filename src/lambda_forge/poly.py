@@ -61,7 +61,7 @@ def _check_names(vars: tuple):
             raise UsageError(f"variable names match {_NAME.pattern}, got {v!r}")
 
 
-def _check_gens(e: "MultiPoly", gens: tuple):
+def _check_gens(e: MultiPoly, gens: tuple):
     """Refuse ``e`` when a variable of it is no generator of Z[gens], naming the first."""
     outside = sorted(set(e.vars) - set(gens))
     if outside:
