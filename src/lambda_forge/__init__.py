@@ -13,11 +13,12 @@ _HOMES = {
     for module, names in {
         "rings": ("CoeffRing", "QQ", "ZZ"),
         "poly": ("MultiPoly",),
-        "series": ("TruncSeries",),
+        "series": ("TruncSeries", "from_series", "to_series"),
         "truncation": ("TruncationSet",),
+        "delta": ("w2_pullback_check",),
         "witt": (
-            "GhostVec", "WittVec", "comult", "counit", "frobenius", "from_series", "ghost_inverse", "ghost_map",
-            "restrict", "structure_poly_map", "teichmuller", "to_series", "verschiebung", "w2_pullback_check",
+            "GhostVec", "WittVec", "comult", "counit", "frobenius", "ghost_inverse", "ghost_map", "restrict",
+            "structure_poly_map", "teichmuller", "verschiebung",
         ),
     }.items()
     for name in names

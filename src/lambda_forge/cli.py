@@ -13,24 +13,15 @@ import os
 import sys
 
 from .errors import DomainError, UsageError
-from .poly import MultiPoly
-from .rings import QQ, ZZ
-from .textparse import (
-    ascii_int,
-    parse_phi_spec,
-    parse_poly,
-    parse_primes,
-    parse_ring_spec,
-    parse_trunc,
-    parse_vector,
-)
-from .truncation import TruncationSet
+from .rings import ascii_int
 
-# Every command loads the modules above (with ``errors``, ``poly`` and
-# ``rings``, the grammar's).  Each family imports what it runs when it runs:
-# Witt arithmetic (``witt``) where a Witt vector is built, the series model
-# (``series``) for it alone, and the delta, lambda and verify modules for
-# their own commands, so no command compiles a module it never calls.
+# At module level the CLI imports only what parsing needs.  Each family's
+# runner lives in a module of its own (``cli_witt``, ``cli_delta``,
+# ``cli_lambda``, ``cli_verify``), which ``main`` imports after parsing, and
+# each runner imports what its commands run: Witt arithmetic (``witt``)
+# where a Witt vector is built, the series model (``series``) for it alone,
+# and the delta, lambda and verify modules for their own commands, so no
+# command compiles a runner or a module it never calls.
 # These are the names of verify.SUITES, kept here so that building the
 # parser imports no suite (a test pins the two lists).
 SUITES = ("witt-axioms", "ghost-compat", "joyal-rezk", "wilkerson", "w2-pullback", "coalgebra", "fracture")
@@ -179,34 +170,6 @@ def _unused(mode: str, **flags):
             raise UsageError(f"--{flag} does not apply to {mode}")
 
 
-def _get_trunc(args) -> TruncationSet:
-    if args.trunc:
-        _unused("a truncation given by --trunc", p=args.p, len=args.length)
-        return parse_trunc(args.trunc)
-    if args.p is not None and args.length is not None:
-        return TruncationSet.p_typical(args.p, args.length)
-    raise UsageError("give --trunc big:N|p:P,K or --p P --len K")
-
-
-def _components(text, trunc: TruncationSet, flag: str = "--input") -> dict:
-    """The vector given by ``flag``, as {n: value}, one component per element of ``trunc``."""
-    if not text:
-        raise UsageError(f"{flag} is required")
-    comps = parse_vector(text, ZZ)
-    if len(comps) != len(trunc):
-        raise UsageError(
-            f"{flag} has {len(comps)} components, the truncation set has {len(trunc)}"
-        )
-    return dict(zip(trunc.elems, comps))
-
-
-def _vec(text, trunc: TruncationSet, flag: str = "--input") -> WittVec:
-    """The Witt vector given by ``flag``."""
-    from .witt import WittVec
-
-    return WittVec(trunc, ZZ, _components(text, trunc, flag))
-
-
 def _poly_list(values) -> list:
     return [str(v) for v in values]
 
@@ -218,207 +181,6 @@ def _payload(args, fields: dict, json_fields) -> dict:
     if getattr(args, "format", "text") == "json":
         fields.update(json_fields())
     return fields
-
-
-def _run_witt(args):
-    from .witt import (
-        GhostVec, comult, counit, frobenius, from_series, ghost_inverse, ghost_map, restrict, structure_poly_map,
-        to_series, verschiebung, w2_pullback_check,
-    )
-
-    sc = args.subcommand
-    if sc == "w2-check":
-        gens = parse_ring_spec(args.ring)
-        if gens:
-            _unused("a ring with generators", bound=args.bound)
-        return w2_pullback_check(args.p, 5 if args.bound is None else args.bound, gens)
-    if sc == "structure":
-        trunc = _get_trunc(args)
-        polys = structure_poly_map(args.op, trunc)
-        fields = {"op": args.op, "trunc": trunc.to_json(), "polys": {str(n): str(polys[n]) for n in trunc}}
-        return _payload(args, fields, lambda: {"polys_json": {str(n): polys[n].to_json() for n in trunc}})
-    if sc == "comonad":
-        if args.op == "counit":
-            _unused("counit", outer=args.outer, inner=args.inner)
-            trunc = _get_trunc(args)
-            return {"counit": str(counit(_vec(args.input, trunc)))}
-        if not args.outer or not args.inner:
-            raise UsageError("comult needs --outer and --inner truncations")
-        _unused("comult", trunc=args.trunc, p=args.p, len=args.length)
-        S = parse_trunc(args.outer)
-        T = parse_trunc(args.inner)
-        U = S.product(T)
-        vec = _vec(args.input, U)
-        result = comult(vec, S, T)
-        return {
-            "outer": S.to_json(),
-            "inner": T.to_json(),
-            "components": {
-                str(s): _poly_list(result.comps[s].as_list()) for s in S
-            },
-        }
-    trunc = _get_trunc(args)
-    if sc == "ghost":
-        g = ghost_map(_vec(args.input, trunc))
-        return _payload(args, {"ghost": _poly_list(g.as_list())}, lambda: {"ghost_json": g.to_json()})
-    if sc == "ghost-inv":
-        vec = ghost_inverse(GhostVec(trunc, ZZ, _components(args.input, trunc)))
-        return _payload(args, {"witt": _poly_list(vec.as_list())}, lambda: {"witt_json": vec.to_json()})
-    if sc in ("add", "mul"):
-        a = _vec(args.a, trunc, "--a")
-        b = _vec(args.b, trunc, "--b")
-        vec = a + b if sc == "add" else a * b
-        return _payload(args, {sc: _poly_list(vec.as_list())}, lambda: {"witt_json": vec.to_json()})
-    if sc == "frobenius":
-        result = frobenius(args.n, _vec(args.input, trunc))
-        fields = {"trunc": result.trunc.to_json(), "frobenius": _poly_list(result.as_list())}
-        return _payload(args, fields, lambda: {"witt_json": result.to_json()})
-    if sc == "verschiebung":
-        vec = _vec(args.input, trunc.divide(args.n))
-        return {"verschiebung": _poly_list(verschiebung(args.n, vec, trunc).as_list())}
-    if sc == "restrict":
-        target = parse_trunc(args.to)
-        return {"restrict": _poly_list(restrict(_vec(args.input, trunc), target).as_list())}
-    # the last subcommand: series
-    if args.dir == "to":
-        _unused("--dir to", coeffs=args.coeffs)
-        return {"series": str(to_series(_vec(args.input, trunc)))}
-    _unused("--dir from", input=args.input)
-    if not args.coeffs:
-        raise UsageError("--dir from needs --coeffs '[1, c1, ...]'")
-    from .series import TruncSeries
-
-    n = trunc.series_length()
-    return {"witt": _poly_list(from_series(TruncSeries(ZZ, parse_vector(args.coeffs, ZZ)), n).as_list())}
-
-
-def _run_delta(args):
-    from .delta import DeltaPresentation, delta_from_phi, free_delta_ring
-
-    sc = args.subcommand
-    if sc in ("extend", "phi"):
-        pres = free_delta_ring(args.p, args.depth)
-        e = parse_poly(args.expr, ZZ)
-        if sc == "extend":
-            return {"delta": str(pres.delta(e))}
-        return {"phi": str(pres.phi(e))}
-    if sc == "from-phi":
-        gens = parse_ring_spec(args.ring)
-        phi = parse_phi_spec(args.phi, gens)
-        pres = delta_from_phi(args.p, gens, phi)
-        out = {"delta_on_gens": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
-        if args.eval_at is not None:
-            out["value"] = str(pres.delta(args.eval_at))
-        return out
-    if sc == "free":
-        pres = free_delta_ring(args.p, args.depth)
-        if args.show == "phi":
-            return {"phi": {g: str(v) for g, v in sorted(pres.phi_on_gens.items())}}
-        return {"delta": {g: str(v) for g, v in sorted(pres.delta_on_gens.items())}}
-    # the last subcommand: section, read off the coaction e -> (e, delta(e)) over p:P,2 with psi^p = phi
-    if args.expr is not None:
-        _unused("--expr", eval=args.eval_at)
-        # expression in the free delta-ring generators x0..x<depth>
-        pres, e = free_delta_ring(args.p, 3 if args.depth is None else args.depth), parse_poly(args.expr, ZZ)
-    elif args.eval_at is not None:
-        _unused("--eval", depth=args.depth)
-        # Z has one delta-structure: its Frobenius lift is the identity
-        pres, e = DeltaPresentation(args.p, (), {}), MultiPoly.const(ZZ, args.eval_at)
-    else:
-        raise UsageError("section needs --eval N (over Z) or --expr (free delta-ring)")
-    from .witt import coaction
-
-    vec = coaction(lambda n, x: x if n == 1 else pres.phi(x), e, TruncationSet.p_typical(pres.p, 2), ZZ)
-    return {"section": _poly_list(vec.as_list())}
-
-
-def _run_lambda(args):
-    from .lambdaring import AdamsModel, FreeLambdaBasis, wilkerson_lambda
-
-    sc = args.subcommand
-    if sc == "newton":
-        # the Wilkerson family of Z: every Frobenius lift is the identity
-        args.ring, args.phi, args.eval_gen, sc = "Z", [], None, "wilkerson"
-    if sc == "free":
-        basis = FreeLambdaBasis(parse_primes(args.primes), args.depth)
-        if args.show is not None:
-            e = parse_poly(args.show, QQ)
-            # one variable to the first power, coefficient 1
-            if e.terms != {(1,): 1}:
-                raise UsageError("--show takes a single basis element like 'X(2)'")
-            name = e.vars[0]
-            match = [s for s, nm in basis.names.items() if nm == name]
-            if not match:
-                raise UsageError(f"{args.show!r} is not in the basis")
-            return {"element": name, "embedding": str(basis.embed[match[0]])}
-        return {
-            "basis": {
-                basis.names[s]: str(basis.embed[s]) for s in basis.sigmas
-            }
-        }
-    if sc == "adams":
-        model = AdamsModel(args.N)
-        return {"result": str(model.psi(args.m, parse_poly(args.expr, QQ)))}
-    if sc == "wilkerson":
-        gens = parse_ring_spec(args.ring)
-        if args.eval_gen is not None and args.eval_gen not in gens:
-            raise UsageError(f"--eval-gen {args.eval_gen!r} is not a generator of --ring {args.ring!r}")
-        family = {}
-        for clause in args.phi:
-            p, colon, body = clause.partition(":")
-            try:
-                p = ascii_int(p.strip() if colon else "")
-            except UsageError:
-                raise UsageError("--phi clauses look like '2:u->u^2'") from None
-            if p in family:
-                raise UsageError(f"--phi is given twice for p = {p}")
-            family[p] = parse_phi_spec(body, gens)
-        ops = wilkerson_lambda(gens, family, args.K)
-        if args.eval_gen is not None:
-            _unused("--eval-gen", eval=args.eval_at)
-            values = ops.lambda_values(MultiPoly.var(ZZ, args.eval_gen))
-            return {"lambda": _poly_list(values)}
-        if args.eval_at is not None:
-            values = ops.lambda_values(MultiPoly.const(ZZ, args.eval_at))
-            return {"lambda": [str(v.constant_value()) for v in values]}
-        return {"lambda_on_gens": {g: _poly_list(v) for g, v in ops.lambda_on_gens.items()}}
-    if sc == "to-x-basis":
-        basis = FreeLambdaBasis(parse_primes(args.primes), args.depth)
-        xp, integral = basis.to_x_basis(parse_poly(args.expr, QQ))
-        return {"x_basis": str(xp), "integral": integral}
-    # the last subcommand: coaction
-    from .witt import coaction
-
-    vec = coaction(lambda n, x: x, MultiPoly.const(ZZ, args.eval_at), parse_trunc(args.trunc), ZZ)
-    return _payload(args, {"coaction": _poly_list(vec.as_list())}, lambda: {"witt_json": vec.to_json()})
-
-
-def _run_verify(args):
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
-    custom = args.primes is not None or args.depth is not None
-    if (args.corrupt or custom) and args.suite != "joyal-rezk":
-        raise UsageError("--corrupt, --primes and --depth apply to joyal-rezk only")
-    if args.group is not None and args.suite != "fracture":
-        raise UsageError("--group applies to fracture only")
-    if args.corrupt and custom:
-        raise UsageError("--corrupt runs a fixed family and takes no --primes or --depth")
-    if args.group is not None:
-        from .abelian import fracture_check, parse_group
-
-        reports = [fracture_check(parse_group(args.group))]
-    else:
-        from .verify import corrupted_joyal_rezk, joyal_rezk_suite, run_suite
-
-        if args.corrupt:
-            reports = [corrupted_joyal_rezk()]
-        elif custom:
-            primes = parse_primes(args.primes) if args.primes is not None else (2, 3, 5)
-            reports = [joyal_rezk_suite(args.seed, primes, 2 if args.depth is None else args.depth)]
-        else:
-            reports = run_suite(args.suite, args.seed)
-    status = all(r.get("status") == "pass" for r in reports)
-    return {"seed": args.seed, "reports": reports, "status": "pass" if status else "fail"}, status
 
 
 def _render(payload, fmt: str) -> str:
@@ -457,12 +219,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         fmt = getattr(args, "format", "text")
         if args.command == "witt":
+            from .cli_witt import _run_witt
+
             payload = _run_witt(args)
         elif args.command == "delta":
+            from .cli_delta import _run_delta
+
             payload = _run_delta(args)
         elif args.command == "lambda":
+            from .cli_lambda import _run_lambda
+
             payload = _run_lambda(args)
         else:
+            from .cli_verify import _run_verify
+
             payload, ok = _run_verify(args)
             code = 0 if ok else 3
     except UsageError as exc:

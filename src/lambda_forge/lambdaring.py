@@ -33,7 +33,7 @@ from .errors import (
     NotPIntegral,
     UsageError,
 )
-from .poly import MultiPoly, _check_gens, deviation
+from .poly import MultiPoly, _check_gens, _gen_names, deviation
 from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _collection, _factorize, _prime, _take
 from .textparse import _sigma_name
 from .truncation import TruncationSet
@@ -291,7 +291,7 @@ class LambdaOps:
     __slots__ = ("gens", "psi", "K")
 
     def __init__(self, gens, psi, K: int):
-        self.gens = _collection(gens, "the generators gens of a lambda-ring")
+        self.gens = _gen_names(gens, "the generators gens of a lambda-ring")
         self.psi = psi
         self.K = _as_int(K, 0, "lambda-operations need K >= 0")
 
@@ -302,7 +302,8 @@ class LambdaOps:
         a prime factor q <= K of m is a zero divisor, so the Adams operations
         leave lambda^q open and ``UsageError`` refuses it, as it refuses an
         element with a variable that is no generator."""
-        from .witt import coaction, to_series
+        from .series import to_series
+        from .witt import coaction
 
         if _take(e, MultiPoly, "lambda_values").ring.kind == MODULAR:
             q = min(_factorize(e.ring.modulus))
@@ -337,7 +338,7 @@ def wilkerson_lambda(gens, phi_family: dict, K: int) -> LambdaOps:
         raise CostLimitExceeded(
             f"K = {K} takes {K * (K + 1) // 2} series products an element, over the limit of 5050 (K <= 100)"
         )
-    gens = _collection(gens, "the generators gens of a Wilkerson family")
+    gens = _gen_names(gens, "the generators gens of a Wilkerson family")
     family = {_prime(p): lift for p, lift in _take(phi_family, dict, "the Frobenius lifts phi_family").items()}
     lifts = {p: delta_from_phi(p, gens, _take(family[p], dict, "a lift of phi_family")) for p in sorted(family)}
     for p, q in combinations(lifts, 2):

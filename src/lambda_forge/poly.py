@@ -48,7 +48,7 @@ from operator import add, mul, or_, sub
 from struct import Struct
 
 from .errors import NotDivisible, UsageError
-from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, _as_int, _take, json_field
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, _as_int, _collection, _take, json_field
 
 # the one rule for variable names, the grammar's (``textparse``): checked
 # where a name enters, by ``var`` and the constructor (so ``from_json``)
@@ -59,6 +59,17 @@ def _check_names(vars: tuple):
     for v in vars:
         if not (isinstance(v, str) and _NAME.fullmatch(v)):
             raise UsageError(f"variable names match {_NAME.pattern}, got {v!r}")
+
+
+def _gen_names(gens, op: str) -> tuple:
+    """``gens`` as a tuple of distinct names by the one name rule, else a
+    ``UsageError`` that names the generator refused (or ``op``, for no collection)."""
+    gens = _collection(gens, op)
+    _check_names(gens)
+    twice = [g for i, g in enumerate(gens) if g in gens[:i]]
+    if twice:
+        raise UsageError(f"generator {twice[0]!r} is named twice in {op}")
+    return gens
 
 
 def _check_gens(e: MultiPoly, gens: tuple):
@@ -293,18 +304,6 @@ class MultiPoly:
                 exps = tuple(_as_int(e, 0, "exponents must be nonnegative") for e in exps)
             terms[exps] = terms.get(exps, 0) + ring.coeff_from_str(coef)
         return MultiPoly(ring, vars, terms)
-
-
-def _json_text(p: MultiPoly) -> str:
-    """``json.dumps(p.to_json(), sort_keys=True)``, formed from the terms
-    with one f-string each and no dict a term: its keys are written in
-    sorted order, and coefficients and exponents need no escaping."""
-    import json
-
-    coeff_str = p.ring.coeff_str
-    terms = ", ".join([f'{{"coef": "{coeff_str(c)}", "exps": {list(e)}}}' for e, c in p.terms.items()])
-    ring, names = json.dumps(p.ring.to_json(), sort_keys=True), json.dumps(list(p.vars))
-    return f'{{"ring": {ring}, "terms": [{terms}], "vars": {names}}}'
 
 
 def _signed_sum(terms) -> str:

@@ -3,14 +3,16 @@
 Coefficients are ``MultiPoly`` values over a shared ring, so the same type
 covers numeric series and the symbolic series used to model Witt vectors
 inside 1 + tA[[t]].  Arithmetic on two series of precisions N1, N2 yields
-precision min(N1, N2).
+precision min(N1, N2).  The series model itself, ``to_series`` and
+``from_series``, lives here too and loads ``witt`` when it runs.
 """
 
 from __future__ import annotations
 
-from .errors import MixedCoefficientRings, UsageError
+from .errors import MixedCoefficientRings, NonUnitConstantTerm, UsageError
 from .poly import MultiPoly, _signed_sum
-from .rings import CoeffRing, _as_int
+from .rings import CoeffRing, _as_int, _take
+from .truncation import TruncationSet
 
 
 class TruncSeries:
@@ -82,3 +84,46 @@ class TruncSeries:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return TruncSeries(self.ring, out)
+
+
+def to_series(a: WittVec) -> TruncSeries:
+    """prod over n in S of (1 - a_n t^n), truncated at t^N for S = Big(N).
+
+    Each factor multiplies one coefficient list in place, c_k -= a_n c_(k-n)
+    from the top down, so that c_(k-n) is read before the factor reaches it."""
+    from .witt import _flat
+
+    N = _flat(a, "the power series model").trunc.series_length()
+    c = [MultiPoly.one(a.ring)] + [MultiPoly.zero(a.ring)] * N
+    for n in a.trunc:
+        a_n = a.comps[n]
+        if not a_n.is_zero():
+            for k in range(N, n - 1, -1):
+                if not c[k - n].is_zero():
+                    c[k] = c[k] - a_n * c[k - n]
+    return TruncSeries(a.ring, c)
+
+
+def from_series(f: TruncSeries, N: int) -> WittVec:
+    """Read Witt coordinates off a series with constant term 1.
+
+    a_n is minus the t^n coefficient once the factors below n are divided
+    out; each is divided out of one coefficient list in place, g_k += a_n
+    g_(k-n) from the bottom up, so that g_(k-n) is read already divided."""
+    from .witt import WittVec
+
+    _take(f, TruncSeries, "from_series")
+    N = _as_int(N, 0, "the series model needs a length N >= 0")
+    if f.coeffs[0] != MultiPoly.one(f.ring):
+        raise NonUnitConstantTerm(f"constant term is {f.coeffs[0]}")
+    if f.precision < N:
+        raise UsageError(f"series precision {f.precision} below requested length {N}")
+    g = list(f.coeffs[: N + 1])
+    comps = {}
+    for n in range(1, N + 1):
+        a_n = comps[n] = -g[n]
+        if not a_n.is_zero():
+            for k in range(n, N + 1):
+                if not g[k - n].is_zero():
+                    g[k] = g[k] + a_n * g[k - n]
+    return WittVec(TruncationSet.big(N), f.ring, comps)

@@ -179,7 +179,7 @@ def wilkerson_suite(seed: int = 0) -> dict:
 
 def w2_pullback_suite(seed: int = 0) -> dict:
     """Symbolic congruence w_1 = w_0^p mod p and exhaustive integer boxes."""
-    from .witt import w2_congruence_witness, w2_pullback_check
+    from .delta import w2_congruence_witness, w2_pullback_check
 
     _seed(seed)
     reports = {}

@@ -3,7 +3,8 @@
 Everything is indexed by a finite division-stable truncation set S
 (``truncation.TruncationSet``, re-exported here); the p-typical theory is
 the special case S = {1, p, ..., p^(k-1)} and shares one code path with
-big Witt vectors.  The series model loads ``series`` when it runs.
+big Witt vectors.  The series model (``series.to_series``, ``from_series``)
+and the W_2 pullback checks (``delta``) live with the modules they serve.
 
 Arithmetic (add, mul, neg, powers, Frobenius, comultiplication) runs
 through the ghost map w_n = sum_{d | n} d * a_d^(n/d): take the ghost
@@ -39,36 +40,21 @@ generated only for ``*_poly_map`` callers; arithmetic never reads them.
 Their memo, filled by ``_generated``, is the one cache that every caller
 in a process shares: lookups and inserts hold a lock, generation does not,
 and duplicate computation of the same entry is harmless.  Setting
-LAMBDA_FORGE_CACHE_DIR persists the memo as JSON files keyed by
-(operation, truncation); a file that disagrees with the ghost route at a
-fixed integer point is regenerated.  A file is written in one streamed
-pass, one polynomial's text at a time and no dict a term, byte for byte
-what ``json.dumps`` of the ``MultiPoly`` JSON schema gives under
-``sort_keys=True``.  A cache directory that cannot be written is skipped,
-and the answer is unchanged.
+LAMBDA_FORGE_CACHE_DIR persists the memo on disk in the format of
+``cache``, which loads only then; a file that disagrees with the ghost
+route at a fixed integer point is regenerated.
 """
 
 from __future__ import annotations
 
-import contextlib
 import operator
 import os
-import tempfile
 import threading
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import (
-    CostLimitExceeded,
-    ForgeError,
-    IntegralityViolation,
-    NonUnitConstantTerm,
-    NotASubset,
-    NotDivisible,
-    TruncationMismatch,
-    UsageError,
-)
-from .poly import MultiPoly, _json_text, _packer, deviation
+from .errors import IntegralityViolation, NotASubset, NotDivisible, TruncationMismatch, UsageError
+from .poly import MultiPoly, _packer
 from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _take, ascii_int, json_field
 from .truncation import TruncationSet
 
@@ -79,59 +65,6 @@ from .truncation import TruncationSet
 
 _MEMO: dict = {}
 _LOCK = threading.Lock()
-
-
-def _cache_path(key) -> str | None:
-    root = os.environ.get("LAMBDA_FORGE_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, "_".join(str(part) for part in key) + ".json")
-
-
-def _store(path: str, polys: dict):
-    """Write ``polys`` to ``path`` as ``json.dumps({"polys": ...}, sort_keys=True)``
-    would, an index tuple keyed by its indices joined with commas, one
-    polynomial's text at a time in key order.  The file is written to a
-    unique temporary file and renamed into place; a cache that cannot be
-    written is skipped, and no temporary file is left behind."""
-    folder = os.path.dirname(path) or "."
-    keyed = sorted((",".join(map(str, k)) if isinstance(k, tuple) else str(k), k) for k in polys)
-    tmp = None
-    try:
-        os.makedirs(folder, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            os.chmod(tmp, 0o644)  # mkstemp makes the file private; the cache is meant to be shared
-            fh.write('{"polys": {')
-            for i, (name, k) in enumerate(keyed):
-                fh.write(f'{", " if i else ""}"{name}": {_json_text(polys[k])}')
-            fh.write("}}")
-        os.replace(tmp, path)
-    except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-
-
-def _poly_map_from_json(obj: dict) -> dict:
-    """The polynomials ``_store`` writes: a key with a comma is an index tuple."""
-    out = {}
-    for k, v in obj.items():
-        parts = tuple(ascii_int(x) for x in k.split(","))
-        out[parts if len(parts) > 1 else parts[0]] = MultiPoly.from_json(v)
-    return out
-
-
-def _load_cached(path: str, check) -> dict | None:
-    """The polynomials in a cache file, or None if it is unreadable or fails ``check``."""
-    import json
-
-    try:
-        with open(path) as fh:
-            polys = _poly_map_from_json(json.load(fh)["polys"])
-        return polys if check(polys) else None
-    except (OSError, ValueError, LookupError, TypeError, AttributeError, ForgeError):
-        return None
 
 
 def clear_memo():
@@ -153,7 +86,7 @@ def _generated(key, inputs, apply) -> dict:
     The memo is looked up and filled under ``_LOCK``; generation runs
     outside it, and the first entry stored for a key wins.  A cache file
     is used only if it gives what ``apply`` gives on a fixed integer point;
-    a new one is written by ``_store``.
+    a new one is written by ``cache._store``.
     """
     with _LOCK:
         if key in _MEMO:
@@ -167,15 +100,18 @@ def _generated(key, inputs, apply) -> dict:
             p.ring == ZZ and p.evaluate(point) == want[k].constant_value() for k, p in polys.items()
         )
 
-    path = _cache_path(key)
-    polys = _load_cached(path, check) if path and os.path.exists(path) else None
+    cache = None
+    if os.environ.get("LAMBDA_FORGE_CACHE_DIR"):
+        from . import cache
+    path = cache._cache_path(key) if cache else None
+    polys = cache._load_cached(path, check) if path and os.path.exists(path) else None
     fresh = polys is None
     if fresh:
         polys = _by_key(apply(*(_sym_vec(prefix, S) for prefix, S in inputs)))
     with _LOCK:
         polys = _MEMO.setdefault(key, polys)
     if fresh and path:
-        _store(path, polys)
+        cache._store(path, polys)
     return polys
 
 
@@ -388,7 +324,7 @@ def _ghost_coords(v: "WittVec", value, coords, m: int = 1) -> dict:
     if len(v.shape) == 1:
         return coords({n: value(c, m * n) for n, c in v.comps.items()}, v.trunc)
     inner = {s: _ghost_coords(c, value, coords, m * s) for s, c in v.comps.items()}
-    cols = {k: {d: g[k] for d, g in inner.items()} for k in next(iter(inner.values()))}
+    cols = {k: {d: g[k] for d, g in inner.items()} for k in next(iter(inner.values()), ())}
     return {(s, k): w for k, x in cols.items() for s, w in coords(x, v.trunc).items()}
 
 
@@ -404,8 +340,7 @@ def _solve(w: dict, shape: tuple, ring: CoeffRing, unghost, scale: int = 1, m: i
     keys = _keys(rest)
     cols = {k: unghost({s: w.pop((s, k)) for s in S}, S) for k in keys}
     comps = {s: _solve({k: cols[k][s] for k in keys}, rest, ring, unghost, scale, m * s) for s in S}
-    # as the constructor has it, a vector with no components has no inner levels
-    return WittVec._trusted(S, ring, comps, shape if comps else (S,))
+    return WittVec._trusted(S, ring, comps, shape)
 
 
 def _ghost_route(vecs, shape: tuple, combine, degree: int = 1, weight: int = 1) -> "WittVec":
@@ -678,49 +613,6 @@ def restrict(a: WittVec, T: TruncationSet) -> WittVec:
     return WittVec(T, a.ring, {n: a.comps[n] for n in T})
 
 
-def to_series(a: WittVec) -> TruncSeries:
-    """prod over n in S of (1 - a_n t^n), truncated at t^N for S = Big(N).
-
-    Each factor multiplies one coefficient list in place, c_k -= a_n c_(k-n)
-    from the top down, so that c_(k-n) is read before the factor reaches it."""
-    from .series import TruncSeries
-
-    N = _flat(a, "the power series model").trunc.series_length()
-    c = [MultiPoly.one(a.ring)] + [MultiPoly.zero(a.ring)] * N
-    for n in a.trunc:
-        a_n = a.comps[n]
-        if not a_n.is_zero():
-            for k in range(N, n - 1, -1):
-                if not c[k - n].is_zero():
-                    c[k] = c[k] - a_n * c[k - n]
-    return TruncSeries(a.ring, c)
-
-
-def from_series(f: TruncSeries, N: int) -> WittVec:
-    """Read Witt coordinates off a series with constant term 1.
-
-    a_n is minus the t^n coefficient once the factors below n are divided
-    out; each is divided out of one coefficient list in place, g_k += a_n
-    g_(k-n) from the bottom up, so that g_(k-n) is read already divided."""
-    from .series import TruncSeries
-
-    _take(f, TruncSeries, "from_series")
-    N = _as_int(N, 0, "the series model needs a length N >= 0")
-    if f.coeffs[0] != MultiPoly.one(f.ring):
-        raise NonUnitConstantTerm(f"constant term is {f.coeffs[0]}")
-    if f.precision < N:
-        raise UsageError(f"series precision {f.precision} below requested length {N}")
-    g = list(f.coeffs[: N + 1])
-    comps = {}
-    for n in range(1, N + 1):
-        a_n = comps[n] = -g[n]
-        if not a_n.is_zero():
-            for k in range(n, N + 1):
-                if not g[k - n].is_zero():
-                    g[k] = g[k] + a_n * g[k - n]
-    return WittVec(TruncationSet.big(N), f.ring, comps)
-
-
 def counit(a: WittVec):
     """The coalgebra counit: the first component (= first ghost)."""
     if 1 not in _take(a, WittVec, "counit").trunc:
@@ -743,70 +635,3 @@ def comult(a: WittVec, S: TruncationSet, T: TruncationSet) -> WittVec:
     # outermost index t replaced by s*t
     shape = (S, T) + a.shape[1:]
     return _ghost_route([a], shape, lambda ga: {(s, k): ga[_scaled(k, s)] for s, k in _keys(shape)})
-
-
-# ---------------------------------------------------------------------------
-# the W2 pullback of length-2 p-typical Witt vectors
-
-
-def w2_congruence_witness(p: int) -> dict:
-    """Symbolic check that w_1 = w_0^p holds mod p on W_2."""
-    S = TruncationSet.p_typical(p, 2)
-    a = _sym_vec("a", S)
-    g = ghost_map(a)
-    diff = deviation(g.comps[p], g.comps[1], p)
-    quotient = diff.div_int(p)  # exact by construction: w_1 - w_0^p = p * a_p
-    modp = diff.convert_ring(CoeffRing.modular(p))
-    return {
-        "p": p,
-        "difference": str(diff),
-        "quotient_by_p": str(quotient),
-        "vanishes_mod_p": modp.is_zero(),
-    }
-
-
-def w2_pullback_check(p: int, bound: int, gens=()) -> dict:
-    """Verify W_2(A) -> {(u, v) : v = u^p mod p} is a bijection on a box.
-
-    A is Z, or Z[gens] when generators are named: p-torsion-free, so the
-    derived reduction is A/p and the inverse is (u, v) -> (u, (v - u^p) / p).
-    Integer boxes are checked exhaustively; a polynomial ring is checked on
-    symbolic generators, and its report states no bound.
-    """
-    bound = _as_int(bound, 0, "the box check needs bound >= 0")
-    S = TruncationSet.p_typical(p, 2)
-    report = {"p": p} if gens else {"p": p, "bound": bound}
-    report["congruence"] = w2_congruence_witness(p)
-    if gens:
-        # symbolic spot check: (u, v) = (g, g^p + p h) round-trips
-        u = MultiPoly.var(ZZ, gens[0])
-        h = MultiPoly.var(ZZ, gens[-1] + "_h")
-        v = u ** p + h * p
-        vec = WittVec(S, ZZ, {1: u, p: deviation(v, u, p, p)})
-        g = ghost_map(vec)
-        report["symbolic_roundtrip"] = g.comps[1] == u and g.comps[p] == v
-        report["status"] = "pass" if report["symbolic_roundtrip"] else "fail"
-        return report
-    if bound > 100:
-        raise CostLimitExceeded(
-            f"a box of bound {bound} has {(2 * bound + 1) ** 2} points, over the limit of {201 ** 2} (bound <= 100)"
-        )
-    accepted = 0
-    rejected = 0
-    for u in range(-bound, bound + 1):
-        for v in range(-bound, bound + 1):
-            if (v - u ** p) % p:
-                rejected += 1
-                continue
-            g = ghost_map(WittVec(S, ZZ, {1: u, p: (v - u ** p) // p}))
-            got = (g.comps[1].constant_value(), g.comps[p].constant_value())
-            if got != (u, v):
-                report.update({"status": "fail", "witness": {"u": u, "v": v, "ghost": [str(x) for x in got]}})
-                return report
-            accepted += 1
-    report.update({
-        "status": "pass",
-        "points_in_fibered_product": accepted,
-        "points_rejected": rejected,
-    })
-    return report

@@ -611,18 +611,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(repr([code, sorted(m for m in sys.modules if m.startswith("lambda_forge.")), "json" in sys.modules]))
 """
-# what every command loads: the CLI, the grammar and what the grammar reads
-BASE_MODULES = {"cli", "errors", "poly", "rings", "textparse", "truncation"}
+# what every command loads: the CLI and what parsing needs
+BASE_MODULES = {"cli", "errors", "rings"}
+# each family's runner, with the grammar and what the grammar reads
+WITT_RUN = BASE_MODULES | {"cli_witt", "poly", "textparse", "truncation"}
+DELTA_RUN = BASE_MODULES | {"cli_delta", "poly", "textparse", "truncation"}
+LAMBDA_RUN = BASE_MODULES | {"cli_lambda", "poly", "textparse", "truncation"}
+VERIFY_RUN = BASE_MODULES | {"cli_verify"}
+RUNNERS = {"cli_witt", "cli_delta", "cli_lambda", "cli_verify"}
 SRC = Path(__file__).resolve().parent.parent / "src"
 EVERY_MODULE = {path.stem for path in (SRC / "lambda_forge").glob("*.py")} - {"__init__"}
 GHOST = ["witt", "ghost", "--trunc", "big:2", "--input", "[1,1]"]
 
 
-def _probe(argv, script=IMPORT_PROBE):
-    """What a fresh process running ``script`` with ``argv`` prints, as a
-    Python literal: for the import probe, (exit code, the package modules
-    loaded, whether json was loaded) of the command ``argv``."""
-    env = dict(os.environ)
+def _probe(argv, script=IMPORT_PROBE, **environ):
+    """What a fresh process running ``script`` with ``argv``, and ``environ``
+    added to its environment, prints, as a Python literal: for the import
+    probe, (exit code, the package modules loaded, whether json was loaded)
+    of the command ``argv``."""
+    env = {k: v for k, v in os.environ.items() if k != "LAMBDA_FORGE_CACHE_DIR"} | environ
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env)
     assert result.returncode == 0, result.stderr
@@ -635,35 +642,61 @@ class TestImportContract:
     @pytest.mark.parametrize(
         "argv, code, modules",
         [
-            (GHOST, 0, BASE_MODULES | {"witt"}),
+            (GHOST, 0, WITT_RUN | {"witt"}),
             # Witt arithmetic substitutes nothing, and only the series model loads series
-            (["witt", "add", "--p", "2", "--len", "2", "--a", "[1,0]", "--b", "[1,0]"], 0, BASE_MODULES | {"witt"}),
-            (["witt", "series", "--trunc", "big:2", "--input", "[a,0]"], 0, BASE_MODULES | {"series", "witt"}),
+            (["witt", "add", "--p", "2", "--len", "2", "--a", "[1,0]", "--b", "[1,0]"], 0, WITT_RUN | {"witt"}),
+            (["witt", "series", "--trunc", "big:2", "--input", "[a,0]"], 0, WITT_RUN | {"series", "witt"}),
+            # the disk-cache format loads only with a cache directory (the row below)
+            (["witt", "structure", "--op", "add", "--p", "2", "--len", "2"], 0, WITT_RUN | {"witt"}),
+            # the W_2 checks live with delta-structures, the sections of W_2(A) -> A
+            (["witt", "w2-check", "--p", "2", "--bound", "2"], 0, WITT_RUN | {"delta", "witt"}),
+            # an argparse error is reported before any runner is imported
+            (["witt", "frobenius", "--p", "2", "--len", "2", "--input", "[a,b]"], 1, BASE_MODULES),
             # no Witt vector is built, and phi on the generators substitutes nothing
-            (["delta", "free", "--p", "2", "--depth", "1"], 0, BASE_MODULES | {"delta"}),
+            (["delta", "free", "--p", "2", "--depth", "1"], 0, DELTA_RUN | {"delta"}),
             # the section is the coaction over p:P,2, read off in Witt arithmetic with no lambda-ring
             (["delta", "section", "--p", "2", "--ring", "Z", "--eval", "3"], 0,
-             BASE_MODULES | {"delta", "substitution", "witt"}),
-            (["delta", "section", "--p", "2", "--expr", "x0"], 0, BASE_MODULES | {"delta", "substitution", "witt"}),
+             DELTA_RUN | {"delta", "substitution", "witt"}),
+            (["delta", "section", "--p", "2", "--expr", "x0"], 0, DELTA_RUN | {"delta", "substitution", "witt"}),
             (["lambda", "to-x-basis", "--primes", "2", "--depth", "1", "--expr", "x2"], 0,
-             BASE_MODULES | {"lambdaring", "substitution"}),
-            (["lambda", "newton", "--K", "2", "--eval", "3"], 0, BASE_MODULES | {"delta", "lambdaring", "series", "witt"}),
-            (["lambda", "coaction", "--trunc", "big:2", "--eval", "2"], 0, BASE_MODULES | {"lambdaring", "witt"}),
-            (["verify", "joyal-rezk"], 0, BASE_MODULES | {"lambdaring", "substitution", "verify"}),
-            (["verify", "wilkerson"], 0, EVERY_MODULE - {"abelian"}),
-            (["verify", "fracture"], 0, BASE_MODULES | {"abelian", "verify"}),
+             LAMBDA_RUN | {"lambdaring", "substitution"}),
+            (["lambda", "newton", "--K", "2", "--eval", "3"], 0, LAMBDA_RUN | {"delta", "lambdaring", "series", "witt"}),
+            (["lambda", "coaction", "--trunc", "big:2", "--eval", "2"], 0, LAMBDA_RUN | {"lambdaring", "witt"}),
+            (["verify", "joyal-rezk"], 0, VERIFY_RUN | {"lambdaring", "poly", "substitution", "textparse", "truncation", "verify"}),
+            (["verify", "wilkerson"], 0, EVERY_MODULE - {"abelian", "cache"} - (RUNNERS - {"cli_verify"})),
+            (["verify", "fracture"], 0, VERIFY_RUN | {"abelian", "poly", "truncation", "verify"}),
             # a given group runs the fracture check alone, and no suite
-            (["verify", "fracture", "--group", "Z/12"], 0, BASE_MODULES | {"abelian"}),
+            (["verify", "fracture", "--group", "Z/12"], 0, VERIFY_RUN | {"abelian"}),
             # the flags are checked before any suite is imported
-            (["verify", "all", "--seed", "-1"], 1, BASE_MODULES),
+            (["verify", "all", "--seed", "-1"], 1, VERIFY_RUN),
         ],
         ids=[
-            "witt", "witt-add", "witt-series", "delta", "delta-section-eval", "delta-section-expr", "lambda-x-basis",
-            "lambda-newton", "lambda-coaction", "verify-joyal-rezk", "verify", "verify-fracture", "verify-group", "verify-refused",
+            "witt", "witt-add", "witt-series", "witt-structure", "witt-w2-check", "witt-refused", "delta",
+            "delta-section-eval", "delta-section-expr", "lambda-x-basis", "lambda-newton", "lambda-coaction",
+            "verify-joyal-rezk", "verify", "verify-fracture", "verify-group", "verify-refused",
         ],
     )
     def test_family_loads_its_modules(self, argv, code, modules):
         assert _probe(argv)[:2] == [code, sorted(f"lambda_forge.{m}" for m in modules)]
+
+    def test_the_cache_format_loads_with_a_cache_directory(self, tmp_path):
+        argv = ["witt", "structure", "--op", "add", "--p", "2", "--len", "2"]
+        modules = WITT_RUN | {"cache", "witt"}
+        assert _probe(argv, LAMBDA_FORGE_CACHE_DIR=str(tmp_path))[:2] == [0, sorted(f"lambda_forge.{m}" for m in modules)]
+        assert [f.name for f in tmp_path.iterdir()] == ["structure_add_big2.json"]
+
+    @pytest.mark.parametrize(
+        "argv, runner",
+        [
+            (GHOST, "cli_witt"),
+            (["delta", "free", "--p", "2", "--depth", "1"], "cli_delta"),
+            (["lambda", "free", "--primes", "2", "--depth", "1"], "cli_lambda"),
+            (["verify", "fracture", "--group", "Z/12"], "cli_verify"),
+        ],
+        ids=["witt", "delta", "lambda", "verify"],
+    )
+    def test_a_command_loads_its_own_runner_alone(self, argv, runner):
+        assert {m.removeprefix("lambda_forge.") for m in _probe(argv)[1]} & RUNNERS == {runner}
 
     def test_json_is_loaded_for_json_output_only(self):
         assert _probe(GHOST)[2] is False

@@ -27,7 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_forge.abelian import FgAbGroup
-from lambda_forge.delta import DeltaPresentation, delta_from_phi, free_delta_ring
+from lambda_forge.delta import (
+    DeltaPresentation,
+    delta_from_phi,
+    free_delta_ring,
+    w2_congruence_witness,
+    w2_pullback_check,
+)
 from lambda_forge.errors import ForgeError, UsageError
 from lambda_forge.lambdaring import (
     AdamsModel,
@@ -40,7 +46,7 @@ from lambda_forge.lambdaring import (
 )
 from lambda_forge.poly import MultiPoly, deviation
 from lambda_forge.rings import ZZ, CoeffRing
-from lambda_forge.series import TruncSeries
+from lambda_forge.series import TruncSeries, from_series, to_series
 from lambda_forge.verify import (
     coalgebra_suite,
     fracture_suite,
@@ -60,16 +66,12 @@ from lambda_forge.witt import (
     counit,
     frobenius,
     frobenius_poly_map,
-    from_series,
     ghost_inverse,
     ghost_map,
     restrict,
     structure_poly_map,
     teichmuller,
-    to_series,
     verschiebung,
-    w2_congruence_witness,
-    w2_pullback_check,
 )
 
 INT, OPTIONAL_INT, PRIME = "int", "optional int", "prime"
@@ -336,6 +338,16 @@ REPORT_JUNK = [
     ("wilkerson_lambda(None, {}, 2)", lambda: wilkerson_lambda(None, {}, 2), "gens"),
     ("wilkerson_lambda('u', {}, 2)", lambda: wilkerson_lambda("u", {}, 2), "gens"),
     ("LambdaOps(None, psi, 2)", lambda: LambdaOps(None, lambda n, e: e, 2), "gens"),
+    # a generator is a name by the one name rule, and no name is given twice
+    ("DeltaPresentation(2, (1,), {})", lambda: DeltaPresentation(2, (1,), {}), "1"),
+    ("DeltaPresentation(2, ('u', 'u'), {})", lambda: DeltaPresentation(2, ("u", "u"), {}), "u"),
+    ("DeltaPresentation(2, ('u v',), {})", lambda: DeltaPresentation(2, ("u v",), {}), "u v"),
+    ("delta_from_phi(2, (1,), {})", lambda: delta_from_phi(2, (1,), {}), "1"),
+    ("delta_from_phi(2, ('u', 'u'), phi)", lambda: delta_from_phi(2, ("u", "u"), {"u": u ** 2}), "u"),
+    ("wilkerson_lambda((1,), {}, 2)", lambda: wilkerson_lambda((1,), {}, 2), "1"),
+    ("wilkerson_lambda(('u', 'u'), {}, 2)", lambda: wilkerson_lambda(("u", "u"), {}, 2), "u"),
+    ("LambdaOps(('u v',), psi, 2)", lambda: LambdaOps(("u v",), lambda n, e: e, 2), "u v"),
+    ("LambdaOps(('u', 'u'), psi, 2)", lambda: LambdaOps(("u", "u"), lambda n, e: e, 2), "u"),
 ]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_forge import poly, substitution
+from lambda_forge import cache, poly, substitution
 from lambda_forge.errors import MixedCoefficientRings, NotDivisible, UsageError
 from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import QQ, ZZ, CoeffRing
@@ -242,7 +242,7 @@ class TestJsonSchema:
     @example(p=v("a12", QQ) * Fraction(10**30, 7) - 1)
     def test_text_is_the_json_of_the_dict(self, p):
         # the disk cache writes this text for each polynomial
-        assert poly._json_text(p) == json.dumps(p.to_json(), sort_keys=True)
+        assert cache._json_text(p) == json.dumps(p.to_json(), sort_keys=True)
 
 
 class TestConstantValue:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_forge import witt
+from lambda_forge import cache, witt
+from lambda_forge.delta import w2_congruence_witness, w2_pullback_check
 from lambda_forge.errors import (
     ForgeError,
     IntegralityViolation,
@@ -19,7 +20,7 @@ from lambda_forge.errors import (
 )
 from lambda_forge.poly import MultiPoly, random_poly
 from lambda_forge.rings import QQ, ZZ, CoeffRing, _factorize
-from lambda_forge.series import TruncSeries
+from lambda_forge.series import TruncSeries, from_series, to_series
 from lambda_forge.witt import (
     GhostVec,
     TruncationSet,
@@ -30,16 +31,12 @@ from lambda_forge.witt import (
     counit,
     frobenius,
     frobenius_poly_map,
-    from_series,
     ghost_inverse,
     ghost_map,
     restrict,
     structure_poly_map,
     teichmuller,
-    to_series,
     verschiebung,
-    w2_congruence_witness,
-    w2_pullback_check,
 )
 from test_series import log_derivative
 
@@ -652,7 +649,7 @@ def test_cache_file_is_the_json_of_the_dict_tree(tmp_path, monkeypatch, name, ma
 def test_a_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
     # the second polynomial's text fails as a full disk would: the first is
     # already in the temporary file, which is removed with nothing renamed
-    text = witt._json_text
+    text = cache._json_text
     written = []
 
     def failing(p):
@@ -661,14 +658,14 @@ def test_a_write_that_fails_partway_leaves_no_file(tmp_path, monkeypatch):
         written.append(p)
         return text(p)
 
-    monkeypatch.setattr(witt, "_json_text", failing)
+    monkeypatch.setattr(cache, "_json_text", failing)
     monkeypatch.setenv("LAMBDA_FORGE_CACHE_DIR", str(tmp_path))
     clear_memo()
     polys = structure_poly_map("mul", TruncationSet.big(3))
     assert len(written) == 1
     assert list(tmp_path.iterdir()) == []
     assert structure_poly_map("mul", TruncationSet.big(3)) is polys
-    monkeypatch.setattr(witt, "_json_text", text)
+    monkeypatch.setattr(cache, "_json_text", text)
     clear_memo()
     assert structure_poly_map("mul", TruncationSet.big(3)) == polys
     assert [f.name for f in tmp_path.iterdir()] == ["structure_mul_big3.json"]
@@ -1147,7 +1144,7 @@ def reference_op(op, vecs, n=None):
     else:
         shape = tuple(map(list, n)) + shape[1:]
         w = {(s, k): g[0][_scaled(k, s)] for s, k in _keys(shape)}
-    return (shape[0], inner if shape[0] else None), reference_solve(w, shape, ring)
+    return (shape[0], inner), reference_solve(w, shape, ring)
 
 
 def reference_unghost(comps, S, ring):
@@ -1171,9 +1168,9 @@ def _result(f):
 
 
 def shape_and_layout(v):
-    """((outer truncation set, inner shape), ``_layout``); the inner shape of a vector with
-    no components is None (``test_an_empty_nested_vector_keeps_its_inner_shape``)."""
-    return (list(v.trunc), v.shape[1:] if v.comps else None), _layout(v)
+    """((outer truncation set, inner shape), ``_layout``); a vector with no
+    components keeps its inner shape too."""
+    return (list(v.trunc), v.shape[1:]), _layout(v)
 
 
 def _ghost_layout(comps):
@@ -1270,10 +1267,16 @@ def test_packed_comult_matches_the_polynomial_route(outer, data):
     assert shape_and_layout(got) == reference_op("comult", [a], (S, T))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: WittVec gives a vector with no components the shape (S,)")
 def test_an_empty_nested_vector_keeps_its_inner_shape():
     a = WittVec(BIG2, ZZ, {n: WittVec.zero(BIG2, ZZ) for n in BIG2})
-    assert frobenius(3, a).shape[1:] == (BIG2,)
+    empty = frobenius(3, a)
+    assert empty.shape == (TruncationSet(()), BIG2)
+    # as every nested vector, it adds to its own shape alone and has no JSON form
+    assert (empty + empty).shape == empty.shape
+    with pytest.raises(TruncationMismatch):
+        empty + WittVec(TruncationSet(()), ZZ, {})
+    with pytest.raises(UsageError, match="no JSON form"):
+        empty.to_json()
 
 
 @ORACLE_SETTINGS
@@ -1626,11 +1629,12 @@ def test_ghost_inverse_refuses_a_vector_outside_the_ghost_image(ring, ghosts, wa
 
 def _assert_built_as_the_constructor_builds(v):
     """``v`` equals what the public constructor makes of its parts, in the same
-    shape, keyed in truncation order, every component over ``v.ring`` itself."""
+    shape, keyed in truncation order, every component over ``v.ring`` itself.
+    Given no components, the constructor sees no inner shape to keep."""
     again = type(v)(v.trunc, v.ring, dict(v.comps))
     assert v == again and list(v.comps) == list(v.trunc)
     if isinstance(v, WittVec):
-        assert v.shape == again.shape
+        assert again.shape == (v.shape if v.comps else v.shape[:1])
     for c in v.comps.values():
         assert c.ring is v.ring
         if isinstance(c, WittVec):
