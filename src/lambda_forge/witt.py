@@ -3,8 +3,7 @@
 Everything is indexed by a finite division-stable truncation set S
 (``truncation.TruncationSet``, re-exported here); the p-typical theory is
 the special case S = {1, p, ..., p^(k-1)} and shares one code path with
-big Witt vectors.  The series model (``series.to_series``, ``from_series``)
-and the W_2 pullback checks (``delta``) live with the modules they serve.
+big Witt vectors.
 
 Arithmetic (add, mul, neg, powers, Frobenius, comultiplication) runs
 through the ghost map w_n = sum_{d | n} d * a_d^(n/d): take the ghost
@@ -100,10 +99,11 @@ def _generated(key, inputs, apply) -> dict:
             p.ring == ZZ and p.evaluate(point) == want[k].constant_value() for k, p in polys.items()
         )
 
-    cache = None
+    path = None
     if os.environ.get("LAMBDA_FORGE_CACHE_DIR"):
         from . import cache
-    path = cache._cache_path(key) if cache else None
+
+        path = cache._cache_path(key)
     polys = cache._load_cached(path, check) if path and os.path.exists(path) else None
     fresh = polys is None
     if fresh:
