@@ -251,4 +251,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under ``python -m`` this module is __main__: the runners' ``from .cli
+    # import`` must find it, not load and run a second copy of this file
+    if vars(sys.modules["__main__"]) is globals():
+        sys.modules.setdefault("lambda_forge.cli", sys.modules["__main__"])
     sys.exit(main())

@@ -16,7 +16,8 @@ exponent e of a variable packs as e times that variable's weight
 keys is grlex order.  The constructor, +, -, negation, scalar and
 polynomial products, powers, exact division and substitution pack their
 operands into one layout, run on raw term maps (``_Packed``) and leave
-through ``_unpacked``: zeros dropped, one int sort, one unpack a key.
+through ``_unpacked``: zeros dropped, one int sort, one unpack a key by the
+one unpacker kept per layout (``_unpacker``).
 Intermediate terms are never normalized, pruned or sorted; over Z/m the raw
 coefficients are reduced after each product so that they stay bounded.
 Every raw coefficient is an int: a packed map holds integer numerators over
@@ -27,10 +28,11 @@ Every raw power is formed in one place, ``_power``, from a cache of the
 powers of its base, each once: x^(j//2) squared, times x when j is odd, so
 the exponents asked of one cache share one chain.  A power of one term is
 one term, {k * n: c ** n}, the coefficient power taken mod m over Z/m
-(``_coeff_power``, which evaluation and substitution use too).  A longer
-computation can keep a packed map as an accumulator: ``add_power`` adds a
-multiple of a cached power of another map into it in place (the Witt ghost
-route).
+(``_term_power``; ``_coeff_power``, which evaluation and substitution use
+too).  A longer computation can keep a packed map as an accumulator:
+``add_power`` adds a multiple of a cached power of another map into it in
+place (the Witt ghost route); the power of a one-term map is added as its
+one term, and no power of it is kept.
 
 Substitution (``MultiPoly.substitute``) runs on the same layout; its
 prepared form and the Horner pass live in ``substitution``, which a process
@@ -41,8 +43,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
-from itertools import repeat
+from functools import lru_cache, reduce
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul, or_, sub
 from struct import Struct
@@ -370,9 +372,10 @@ def _unpacked(ring: CoeffRing, kernel: CoeffRing | None, vars: tuple, w: int, te
     (None for outside input) in the layout of ``_weights`` for ``vars``: zeros
     dropped, each coefficient formed once (numerator / ``den`` over Q and
     Z_(p), else normalized unless Z goes to Z), one sort of the int keys,
-    and each key unpacked once, skipping the degree field and unused variables."""
+    and each key unpacked once by the unpacker of its layout (``_unpacker``),
+    skipping the degree field and unused variables."""
     if kernel is not None and ring.kind == kernel.kind == INTEGER:
-        clean = {k: c for k, c in terms.items() if c}
+        clean = terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
     elif kernel is not None and ring.kind in (RATIONAL, LOCALIZED):
         clean = {k: Fraction(c, den) for k, c in terms.items() if c}
     else:
@@ -380,24 +383,31 @@ def _unpacked(ring: CoeffRing, kernel: CoeffRing | None, vars: tuple, w: int, te
         clean = {k: c for k, c in zip(terms, map(normalize, terms.values())) if c}
     if not clean:
         return MultiPoly._trusted(ring, (), {})
-    used = reduce(or_, clean)
     n = len(vars)
-    mask = (1 << 8 * w) - 1
-    keep = [i for i in range(n) if used >> 8 * w * (n - 1 - i) & mask]
     size = (n + 1) * w
+    # the fields of the OR of the keys: a variable is kept where its field is nonzero
+    used = reduce(or_, clean).to_bytes(size, "big")
+    keep = tuple(compress(range(n), _unpacker(w, n, tuple(range(n)))(used)))
+    keys = sorted(clean, reverse=True)
+    exps = map(_unpacker(w, n, keep), map(int.to_bytes, keys, repeat(size), repeat("big")))
+    return MultiPoly._trusted(ring, tuple(vars[i] for i in keep), dict(zip(exps, map(clean.__getitem__, keys))))
+
+
+@lru_cache(maxsize=256)
+def _unpacker(w: int, n: int, keep: tuple):
+    """The function that reads the exponents of the ``keep`` fields of a key's
+    bytes in the layout of ``n`` variables at ``w`` bytes a field: one ``Struct``
+    for the sizes of ``_CODES``, else byte slices.  Each layout's is built once."""
     code = _CODES.get(w)
     if code:
         skip = f"{w}x"
-        unpack = Struct(">" + skip + "".join(code if i in keep else skip for i in range(n))).unpack
-    else:
-        offsets = [w * (i + 1) for i in keep]
+        return Struct(">" + skip + "".join(code if i in keep else skip for i in range(n))).unpack
+    offsets = [w * (i + 1) for i in keep]
 
-        def unpack(b):
-            return tuple(int.from_bytes(b[o : o + w], "big") for o in offsets)
+    def unpack(b):
+        return tuple(int.from_bytes(b[o : o + w], "big") for o in offsets)
 
-    keys = sorted(clean, reverse=True)
-    exps = map(unpack, map(int.to_bytes, keys, repeat(size), repeat("big")))
-    return MultiPoly._trusted(ring, tuple(vars[i] for i in keep), dict(zip(exps, map(clean.__getitem__, keys))))
+    return unpack
 
 
 def _mul_terms(left: dict, right: dict, out: dict) -> dict:
@@ -468,18 +478,24 @@ def _coeff_power(ring: CoeffRing, c, j: int):
     return pow(c, j, ring.modulus) if ring.kind == MODULAR else c ** j
 
 
+def _term_power(ring: CoeffRing, x: dict, j: int) -> tuple:
+    """The one term (k * j, c ** j) of x^j for a one-term raw map x = {k: c},
+    the power taken mod m over Z/m."""
+    ((k, c),) = x.items()
+    return k * j, _coeff_power(ring, c, j)
+
+
 def _power(ring: CoeffRing, powers: dict, j: int) -> dict:
     """Raw x^j for j >= 1 from ``powers``, the cache of x's raw powers (x
     itself at 1): the one place a raw power is formed.  Each power is formed
     once, on first use, and kept, so the exponents asked of one cache share
     one chain: x^(j//2) squared, times x when j is odd.  A power of one term
-    {k: c} is one term, {k * j: c ** j}, the power taken mod m over Z/m."""
+    is one term (``_term_power``)."""
     out = powers.get(j)
     if out is None:
         x = powers[1]
         if len(x) == 1:
-            ((k, c),) = x.items()
-            out = {k * j: _coeff_power(ring, c, j)}
+            out = dict((_term_power(ring, x, j),))
         elif j & 1:
             out = _mul_terms(_power(ring, powers, j - 1), x, {})
         else:
@@ -544,6 +560,11 @@ class _Packed:
             den = lcm(self.den, x.den ** j)
             self.terms, self.den, c = self._over(den), den, c * den // x.den ** j
         terms = self.terms
+        if len(x.terms) == 1:
+            # one term, added as it is: no power of it is kept
+            k, v = _term_power(self.ring, x.terms, j)
+            terms[k] = terms.get(k, 0) + c * v
+            return
         for k, v in _power(self.ring, powers, j).items():
             if k in terms:
                 terms[k] += c * v

@@ -22,7 +22,8 @@ On packed values each ghost component, and each step of the inverse, is
 one accumulator of its own that the terms d * x_d^(n/d) are added into in
 place; each power x_d^j is formed once per ghost map or inverse, as
 x_d^(j//2) squared, times x_d when j is odd, and dropped after the last
-index that reads a power of x_d.  Scalars run on flat integer loops: each
+index that reads a power of x_d; a one-term x_d (each generic a_d) adds
+its one term and keeps no power.  Scalars run on flat integer loops: each
 ghost component, and each step of the inverse, is one int that the terms
 are added into, and a division over Z is one ``divmod``.  Every answer
 leaves through a trusted constructor (``_Vec._trusted``), since the route
@@ -33,8 +34,9 @@ index maps on these keys, and the inverse runs one level at a time, so
 every nesting depth shares the one route.
 
 The universal polynomials are the same arithmetic on generic vectors
-(components a_n, b_n).  Their integrality is a theorem, so a failed
-division is a bug and raises ``IntegralityViolation``.  They are
+(components a_n, b_n), built trusted, since the program names them
+(``_sym_vec``).  Their integrality is a theorem, so a failed division is
+a bug and raises ``IntegralityViolation``.  They are
 generated only for ``*_poly_map`` callers; arithmetic never reads them.
 Their memo, filled by ``_generated``, is the one cache that every caller
 in a process shares: lookups and inserts hold a lock, generation does not,
@@ -72,8 +74,9 @@ def clear_memo():
 
 
 def _sym_vec(prefix: str, S: TruncationSet) -> "WittVec":
-    comps = {n: MultiPoly.var(ZZ, f"{prefix}{n}") for n in S}
-    return WittVec(S, ZZ, comps)
+    """The generic vector of the variables ``prefix``<n> over Z, built trusted: the names are ours."""
+    comps = {n: MultiPoly._trusted(ZZ, (f"{prefix}{n}",), {(1,): 1}) for n in S}
+    return WittVec._trusted(S, ZZ, comps, (S,))
 
 
 def _generated(key, inputs, apply) -> dict:
@@ -458,7 +461,7 @@ class WittVec(_Vec):
 
     @staticmethod
     def zero(trunc: TruncationSet, ring: CoeffRing) -> "WittVec":
-        return _zero((trunc,), ring)
+        return _zero((_take(trunc, TruncationSet, "WittVec.zero"),), _take(ring, CoeffRing, "WittVec.zero"))
 
     @staticmethod
     def from_list(trunc: TruncationSet, ring: CoeffRing, values) -> "WittVec":
@@ -541,7 +544,7 @@ def _zero(shape: tuple, ring: CoeffRing):
     polynomial, or one level up a Witt vector of zeros."""
     if not shape:
         return MultiPoly.zero(ring)
-    return WittVec(shape[0], ring, {n: _zero(shape[1:], ring) for n in shape[0]})
+    return WittVec._trusted(shape[0], ring, {n: _zero(shape[1:], ring) for n in shape[0]}, shape)
 
 
 def ghost_map(a: WittVec) -> GhostVec:
@@ -603,14 +606,14 @@ def verschiebung(n: int, a: WittVec, S: TruncationSet) -> WittVec:
     if a.trunc != _take(S, TruncationSet, "verschiebung").divide(n):
         raise TruncationMismatch(f"source truncation {a.trunc} is not {S}/{n}")
     zero = _zero(a.shape[1:], a.ring)
-    return WittVec(S, a.ring, {m: a.comps[m // n] if m % n == 0 else zero for m in S})
+    return WittVec._trusted(S, a.ring, {m: a.comps[m // n] if m % n == 0 else zero for m in S}, (S,) + a.shape[1:])
 
 
 def restrict(a: WittVec, T: TruncationSet) -> WittVec:
     _take(a, WittVec, "restrict")
     if not _take(T, TruncationSet, "restrict").issubset(a.trunc):
         raise NotASubset(f"{T} is not contained in {a.trunc}")
-    return WittVec(T, a.ring, {n: a.comps[n] for n in T})
+    return WittVec._trusted(T, a.ring, {n: a.comps[n] for n in T}, (T,) + a.shape[1:])
 
 
 def counit(a: WittVec):

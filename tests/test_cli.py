@@ -698,6 +698,27 @@ class TestImportContract:
     def test_a_command_loads_its_own_runner_alone(self, argv, runner):
         assert {m.removeprefix("lambda_forge.") for m in _probe(argv)[1]} & RUNNERS == {runner}
 
+    @pytest.mark.parametrize(
+        "argv, runner",
+        [
+            (["witt", "add", "--p", "2", "--len", "2", "--a", "[1,2]", "--b", "[3,4]"], "cli_witt"),
+            (["witt", "ghost", "--trunc", "big:2", "--p", "2", "--input", "[1,1]"], "cli_witt"),
+            (["delta", "section", "--p", "2", "--expr", "x0", "--eval", "3"], "cli_delta"),
+        ],
+        ids=["witt-add", "witt-refused", "delta-refused"],
+    )
+    def test_python_m_loads_the_cli_once(self, argv, runner, capsys):
+        # under ``python -m`` the CLI module runs as __main__; its runner's
+        # helpers come from that module, with no second copy of it loaded
+        env = {k: v for k, v in os.environ.items() if k != "LAMBDA_FORGE_CACHE_DIR"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        command = [sys.executable, "-m", "lambda_forge.cli", *argv]
+        timed = subprocess.run([sys.executable, "-X", "importtime", *command[1:]], capture_output=True, env=env)
+        loaded = [line.split("|")[-1].strip() for line in timed.stderr.decode().splitlines() if line.startswith("import time:")]
+        assert f"lambda_forge.{runner}" in loaded and "lambda_forge.cli" not in loaded
+        result = subprocess.run(command, capture_output=True, env=env)
+        assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == run(capsys, *argv)
+
     def test_json_is_loaded_for_json_output_only(self):
         assert _probe(GHOST)[2] is False
         assert _probe(["--format", "json", *GHOST])[2] is True

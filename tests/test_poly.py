@@ -444,6 +444,39 @@ def test_packed_routes_never_canonicalize(monkeypatch):
     assert basis.from_x_basis(xp) == element
 
 
+def test_universal_generation_pays_no_fixed_cost_twice(monkeypatch):
+    """Generating the same universal polynomials again from a cleared memo
+    leaves through the exit once a component, builds no new unpacker, and
+    keeps no power of a one-term component (every generic input a_n)."""
+    from lambda_forge import witt
+
+    monkeypatch.delenv("LAMBDA_FORGE_CACHE_DIR", raising=False)
+    exits, structs, caches = [], [], []
+    unpacked, struct, powers = poly._unpacked, poly.Struct, poly._Packed.powers
+
+    def recording(self):
+        cache = powers(self)
+        caches.append((len(self.terms), cache))
+        return cache
+
+    monkeypatch.setattr(poly, "_unpacked", lambda *args: exits.append(1) or unpacked(*args))
+    monkeypatch.setattr(poly, "Struct", lambda fmt: structs.append(fmt) or struct(fmt))
+    monkeypatch.setattr(poly._Packed, "powers", recording)
+    poly._unpacker.cache_clear()
+    runs = []
+    for _ in range(2):
+        witt.clear_memo()
+        exits.clear()
+        structs.clear()
+        polys = witt.structure_poly_map("add", witt.TruncationSet.big(6))
+        runs.append((len(polys), len(exits), len(structs)))
+    one_term = [sorted(cache) for size, cache in caches if size == 1]
+    monkeypatch.undo()
+    witt.clear_memo()
+    assert runs[0][:2] == runs[1][:2] == (6, 6) and runs[0][2] > 0 and runs[1][2] == 0
+    assert one_term and all(keys == [1] for keys in one_term)
+
+
 # ---------------------------------------------------------------------------
 # Differential tests for the packed kernel; oracle: ``reference.Poly``.
 # Exponents are drawn on both sides of each packed field size (1, 2, 4 and
@@ -769,6 +802,24 @@ class TestPackedExit:
         got = p.substitute(env)
         assert got.ring == ring
         assert canonical_items(got) == reference_substitute(p, env)
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 3, 9])
+    @pytest.mark.parametrize("kernel, ring", [(ZZ, ZZ), (ZZ, Z8), (QQ, QQ)])
+    def test_each_layout_unpacks_its_own_kept_fields(self, w, kernel, ring):
+        # struct widths (1, 2, 4, 8) and byte slices (3, 9); at one (w, n)
+        # the kept fields change from map to map and back, so an unpacker
+        # kept under too coarse a key reads a map with another's fields;
+        # each map once with every coefficient nonzero and once with zeros
+        top = 256**w - 1
+        for live in [(0, 2), (1,), (0, 1, 2), (0, 2), (2,)]:
+            for zeros in (False, True):
+                terms = {(0, 0, 0): 7}
+                for j, e in enumerate((1, 2, 5, top // 4)):
+                    terms[tuple(e + j * (i == live[0]) if i in live else 0 for i in range(3))] = j if zeros else j + 1
+                den = 3 if kernel == QQ else 1
+                got = poly._unpacked(ring, kernel, NAMES, w, pack(terms, 3, w), den)
+                want = {e: Fraction(c, den) for e, c in terms.items()}
+                assert canonical_items(got) == reference_canonical(ring, NAMES, want)
 
     def test_empty_and_constant_answers(self):
         for kernel, ring in EXIT_RINGS:

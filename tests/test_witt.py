@@ -255,6 +255,13 @@ class TestStructurePolys:
         expected = var("a3") + var("b3") - var("a1") ** 2 * var("b1") - var("a1") * var("b1") ** 2
         assert polys[3] == expected
 
+    @pytest.mark.parametrize("S", [TruncationSet.big(6), TruncationSet.p_typical(3, 3), TruncationSet((1, 2, 3, 6))])
+    def test_generic_vector_is_the_one_the_constructor_builds(self, S):
+        for prefix in ("a", "b"):
+            got, want = witt._sym_vec(prefix, S), sym(S, prefix)
+            assert got == want and got.shape == want.shape == (S,)
+            assert list(got.comps) == list(S) and all(type(c.terms[(1,)]) is int for c in got.as_list())
+
     def test_ghost_compatibility_invariant(self):
         S = TruncationSet.big(4)
         a, b = sym(S, "a"), sym(S, "b")
@@ -463,6 +470,16 @@ class TestRestrict:
     def test_not_a_subset(self):
         with pytest.raises(NotASubset):
             restrict(sym(BIG2), TruncationSet.big(3))
+
+
+def test_onto_the_empty_set_a_nested_vector_keeps_its_inner_shape():
+    # built by the public constructor, these lost the inner truncation: (E,)
+    E = TruncationSet(())
+    a = WittVec(BIG2, ZZ, {1: sym(BIG2, "a"), 2: sym(BIG2, "b")})
+    assert restrict(a, E).shape == (E, BIG2)
+    assert verschiebung(2, frobenius(3, a), E).shape == (E, BIG2)
+    shifted = verschiebung(2, frobenius(2, a), BIG2)
+    assert shifted.shape == (BIG2, BIG2) and shifted.comps[1] == WittVec.zero(BIG2, ZZ)
 
 
 class TestSeriesModel:
