@@ -34,7 +34,7 @@ from .errors import (
     UsageError,
 )
 from .poly import MultiPoly, _check_gens, _gen_names, deviation
-from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _collection, _factorize, _prime, _take
+from .rings import MODULAR, QQ, ZZ, CoeffRing, _as_int, _callable, _collection, _factorize, _prime, _take
 from .textparse import _sigma_name
 from .truncation import TruncationSet
 
@@ -122,10 +122,10 @@ class FreeLambdaBasis:
     embed(X_sigma) is triangular with leading term x_{prod(sigma)} and
     unit coefficient 1/prod(sigma), which is verified at construction.
     Inverting the triangle gives the ghost rows: the row of x_n is x_n in
-    the X variables alone, so re-expression over the X basis is one
-    substitution.  ``rows`` is that substitution, prepared once and given
-    each row as the row is made, so that each row is stored, packed, and
-    each of its powers formed, once a basis and layout rather than once a
+    the X variables alone, each formed by one substitution of the rows
+    before it.  ``rows`` is the substitution of all of them, prepared once
+    when the last row is made, so that each row is stored, packed, and each
+    of its powers formed, once a basis and layout rather than once a
     re-expression; ``to_x_basis(model.gen(n))`` reads the row of x_n back.
     In the Adams model every row has integer coefficients (Joyal); a
     corrupted model can give a row with denominators, which the
@@ -150,22 +150,20 @@ class FreeLambdaBasis:
         self.names = {s: _sigma_name(s) for s in self.sigmas}
         self.embed = {}
         self.span = {}
-        self.rows = _Substitution(QQ)
-        # the variable tuples to_x_basis has let through
+        # the variable tuples _check_vars has let through
         self.checked = set()
+        rows = {}
         for sigma in self.sigmas:
-            if not sigma:
-                value = self.model.x
-            else:
-                value = self.model.delta(sigma[0], self.embed[sigma[1:]])
+            value = self.model.delta(sigma[0], self.embed[sigma[1:]]) if sigma else self.model.x
             n = prod(sigma)
             self._check_triangular(sigma, value, n)
             self.embed[sigma] = value
             self.span[n] = sigma
             name = _xname(n)
             # x_n / n = X_sigma - rest, and rest only touches lower indices
-            rest, _ = self.to_x_basis(value - MultiPoly.var(QQ, name) * Fraction(1, n))
-            self.rows.add(name, (MultiPoly.var(QQ, self.names[sigma]) - rest) * n)
+            rest = self._check_vars(value - MultiPoly.var(QQ, name) * Fraction(1, n)).substitute(rows)
+            rows[name] = (MultiPoly.var(QQ, self.names[sigma]) - rest) * n
+        self.rows = _Substitution(QQ, rows)
 
     def _check_triangular(self, sigma, value, n):
         lead = value.coefficient_of({_xname(n): 1})
@@ -182,23 +180,12 @@ class FreeLambdaBasis:
 
     def from_x_basis(self, xpoly: MultiPoly) -> MultiPoly:
         """Substitute every X variable by its Adams-model image."""
-        env = {self.names[s]: self.embed[s] for s in self.sigmas}
-        return xpoly.substitute(env)
+        return xpoly.substitute({self.names[s]: self.embed[s] for s in self.sigmas})
 
-    def to_x_basis(self, e: MultiPoly):
-        """Rewrite a model element over the X basis through the ghost rows.
-
-        Returns (polynomial in the X variables, integrality flag).  Raises
-        ``NotInSpan`` with the largest x-index of e that has no ghost row,
-        ``MixedCoefficientRings`` for an element over Z/m, which has no
-        image over Q, and ``UsageError`` for a free variable named like a
-        basis element, which would merge with it.  Other free variables pass
-        through.  The answer is integral when no coefficient has a denominator.
-        Each variable tuple is checked once: the names never change and the
-        span only grows, so a tuple that passed passes again.
-        """
-        if _take(e, MultiPoly, "to_x_basis").ring.kind == MODULAR:
-            raise MixedCoefficientRings(f"{e.ring} vs Q: the X basis re-expresses elements over Z, Q or Z_(p)")
+    def _check_vars(self, e: MultiPoly) -> MultiPoly:
+        """``e``, unless a free variable of it is named like a basis element
+        (``UsageError``) or an x-index has no ghost row (``NotInSpan``, the
+        largest); each variable tuple is checked once, as the span only grows."""
         if e.vars not in self.checked:
             taken = set(e.vars).intersection(self.names.values())
             if taken:
@@ -207,7 +194,17 @@ class FreeLambdaBasis:
             if missing:
                 raise NotInSpan(max(missing))
             self.checked.add(e.vars)
-        xp = self.rows(e.convert_ring(QQ))
+        return e
+
+    def to_x_basis(self, e: MultiPoly):
+        """Rewrite a model element over the X basis through the ghost rows:
+        (polynomial in the X variables, integral when no coefficient has a
+        denominator).  Refuses an element over Z/m, which has no image over Q
+        (``MixedCoefficientRings``), and what ``_check_vars`` refuses; other
+        free variables pass through."""
+        if _take(e, MultiPoly, "to_x_basis").ring.kind == MODULAR:
+            raise MixedCoefficientRings(f"{e.ring} vs Q: the X basis re-expresses elements over Z, Q or Z_(p)")
+        xp = self.rows(self._check_vars(e).convert_ring(QQ))
         return xp, all(c.denominator == 1 for c in xp.terms.values())
 
 
@@ -230,7 +227,7 @@ def verify_joyal_rezk(basis: FreeLambdaBasis, bound: int | None = None, psi=None
     all``, 18 of 48 at depth 3 over {2, 3, 5}).
     """
     _take(basis, FreeLambdaBasis, "the basis of the Joyal-Rezk check")
-    psi = psi or basis.model.psi
+    psi = basis.model.psi if psi is None else _callable(psi, "the Frobenius family psi")
     bound = basis.depth if bound is None else _as_int(bound, 0, "the Joyal-Rezk check needs bound >= 0")
     elements = [s for s in basis.sigmas if len(s) <= bound]
     witnesses = []
@@ -292,7 +289,7 @@ class LambdaOps:
 
     def __init__(self, gens, psi, K: int):
         self.gens = _gen_names(gens, "the generators gens of a lambda-ring")
-        self.psi = psi
+        self.psi = _callable(psi, "the Frobenius family psi")
         self.K = _as_int(K, 0, "lambda-operations need K >= 0")
 
     def lambda_values(self, e: MultiPoly):
@@ -496,6 +493,12 @@ def coalgebra_check(psi, elements, S: TruncationSet, T: TruncationSet, ring: Coe
     """
     from .witt import GhostVec, WittVec, coaction, comult, counit, ghost_map
 
+    _callable(psi, "the Frobenius family psi")
+    if check_integral is not None:
+        _callable(check_integral, "check_integral")
+    elements = _collection(elements, "the elements")
+    if any(len(_collection(pair, "a pair of elements")) != 2 for pair in elements):
+        raise UsageError("each pair of elements is (label, element)")
     witnesses = []
     U = S.product(T)
 

@@ -222,20 +222,12 @@ class MultiPoly:
         return self._alone().div_int(_as_int(d)).poly(self.ring)
 
     def substitute(self, assignment: dict) -> "MultiPoly":
-        """Simultaneous substitution; unassigned variables map to themselves.
-
-        A ``_Substitution`` prepared for the variables of ``self`` alone and
-        applied once: its result's layout holds the unassigned variables and
-        the variables of the values, and every power cache dies with it.
-        """
+        """Simultaneous substitution, unassigned variables mapping to
+        themselves: a ``_Substitution`` of the assignment restricted to the
+        variables of ``self``, applied once, every power cache dying with it."""
         from .substitution import _Substitution
 
-        prepared = _Substitution(self.ring)
-        for v in self.vars:
-            val = assignment.get(v)
-            if val is not None:
-                prepared.add(v, val)
-        return prepared(self)
+        return _Substitution(self.ring, {v: assignment[v] for v in self.vars if v in assignment})(self)
 
     def evaluate(self, env: dict):
         """Evaluate at coefficient values; returns a ring coefficient."""
@@ -515,7 +507,7 @@ class _Packed:
     __slots__ = ("ring", "vars", "w", "terms", "den")
 
     def __init__(self, ring: CoeffRing, vars: tuple, w: int, terms: dict, den: int = 1):
-        self.ring, self.vars, self.w, self.terms, self.den = ring, vars, w, _reduce(ring, terms), den
+        self.ring, self.vars, self.w, self.terms, self.den = ring, vars, w, terms, den
 
     def _over(self, den: int) -> dict:
         """The numerators over ``den``, a multiple of ``self.den``: the map itself for ``self.den``."""
@@ -538,9 +530,11 @@ class _Packed:
 
     def __mul__(self, other):
         if isinstance(other, _Packed):
-            return _Packed(self.ring, self.vars, self.w, _mul_terms(self.terms, other.terms, {}), self.den * other.den)
-        n, d = other.as_integer_ratio()
-        return _Packed(self.ring, self.vars, self.w, {k: c * n for k, c in self.terms.items()}, self.den * d)
+            terms, den = _mul_terms(self.terms, other.terms, {}), self.den * other.den
+        else:
+            n, d = other.as_integer_ratio()
+            terms, den = {k: c * n for k, c in self.terms.items()}, self.den * d
+        return _Packed(self.ring, self.vars, self.w, _reduce(self.ring, terms), den)
 
     def __pow__(self, n: int):
         return _Packed(self.ring, self.vars, self.w, _power(self.ring, self.powers(), n) if n else {0: 1}, self.den ** n)

@@ -92,6 +92,13 @@ def _take(value, kind: type, op: str):
     return value
 
 
+def _callable(value, op: str):
+    """``value`` if it is callable, else a ``UsageError`` that names ``op``."""
+    if not callable(value):
+        raise UsageError(f"{op}: expected a callable, got {type(value).__name__}")
+    return value
+
+
 def _collection(value, op: str) -> tuple:
     """``value`` as a tuple if it is a collection but no string, else a ``UsageError`` that names ``op``."""
     if isinstance(value, str) or not isinstance(value, Iterable):

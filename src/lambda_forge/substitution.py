@@ -1,28 +1,28 @@
 """Simultaneous substitution into sparse polynomials, prepared once.
 
-Substitution is prepared once and applied to any number of sources
-(``_Substitution``): it keeps, for each layout of a result, every image
-packed and one power cache an image, so a caller that substitutes into many
-sources, as the X basis of the free lambda-ring does with its ghost rows,
-packs each image once a layout and forms each power of it once.  It also
-keeps the rest of a call's set-up, the result's layout and each variable's
-role in it, as one plan a source variable tuple and field widths.
-``MultiPoly.substitute`` prepares one for its own variables and applies it
-once.  Applying it is Horner over the assigned variables whose images have
-more than one term, the largest image outermost, in one bottom-up pass: the
-source terms are grouped by their exponents of those variables, and each
-power of an image multiplies the summed image of its group once rather than
-once per term.  Each level reads the power cache of its image, so x^4 comes
-from x^2 and x^6 from x^3.  An image of one term c * m gets no level: its
-variable packs with m's key as its weight, as an unassigned variable packs
-with its own, and each source term picks up c ** e.
+Substitution is prepared once, from its whole assignment, and applied to
+any number of sources (``_Substitution``): it keeps, for each layout of a
+result, every image packed and one power cache an image, so a caller that
+substitutes into many sources, as the X basis of the free lambda-ring does
+with its ghost rows, packs each image once a layout and forms each power of
+it once.  It also keeps the rest of a call's set-up, the result's layout and
+each variable's role in it, as one plan a source variable tuple and field
+widths.  ``MultiPoly.substitute`` prepares one from the assignment
+restricted to its own variables and applies it once.  Applying it is Horner
+over the assigned variables whose images have more than one term, the
+largest image outermost, in one bottom-up pass: the source terms are grouped
+by their exponents of those variables, and each power of an image
+multiplies the summed image of its group once rather than once per term.
+Each level reads the power cache of its image, so x^4 comes from x^2 and
+x^6 from x^3.  An image of one term c * m gets no level: its variable packs
+with m's key as its weight, as an unassigned variable packs with its own,
+and each source term picks up c ** e.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .errors import UsageError
 from .poly import (
     MultiPoly, _add_into, _coeff_power, _degree, _field, _keyed, _mul_terms, _numerators, _power, _reduce, _unpacked,
     _weights,
@@ -71,30 +71,27 @@ def _horner(ring: CoeffRing, items: dict, base: int, bits: int, powers: list) ->
 
 
 class _Substitution:
-    """A simultaneous substitution, prepared once and applied to any number
-    of sources over ``ring``; unassigned variables map to themselves.
+    """A simultaneous substitution over ``ring``, given its whole
+    ``assignment`` (each value a polynomial over ``ring`` or a coefficient)
+    when it is built and never changed; it is applied to any number of
+    sources, and unassigned variables map to themselves.
 
     It holds each variable's image as numerators over a denominator D_v,
-    cleared once when it is added, with the image's total degree, and for
-    each layout of a result (the sorted unassigned variables of a source
-    and the variables of its images, and the field width) each image packed
-    into that layout as the first entry of the image's power cache.  An
-    image is so packed once a layout, and each of its powers formed once a
-    layout, not once a call; both live as long as the prepared
-    substitution.  An image, once added, is fixed: ``add`` refuses a
-    variable that has one, so no kept power is ever stale.
+    cleared once, with the image's total degree, and for each layout of a
+    result (the sorted unassigned variables of a source and the variables
+    of its images, and the field width) each image packed into that layout
+    as the first entry of the image's power cache.  An image is so packed
+    once a layout, and each of its powers formed once a layout, not once a
+    call; both live as long as the prepared substitution.
 
     What a call does besides the arithmetic depends only on the source's
     variable tuple and two field widths, and is worked out once, on first
     use, as a plan (``_plan``): the result's variables, each source
     variable's key weight, the riding images with their scales, and the
     level power caches in order.  A plan points at the caches of its layout
-    and copies none of them; ``add`` drops every plan, as a new image
-    changes the plan of any source over its variable.  Two threads that
-    fill one power cache or plan at once form the same power or plan twice
-    and keep one of them: wasted work, not a wrong answer.  Every image is
-    added before the substitution is shared: a call that runs while ``add``
-    drops the plans can keep a plan formed without the new image.
+    and copies none of them.  Two threads that fill one power cache or plan
+    at once form the same power or plan twice and keep one of them: wasted
+    work, not a wrong answer.
 
     Applying it is Horner over the source's variables whose images have
     more than one term, the one with the largest image outermost: the
@@ -111,26 +108,20 @@ class _Substitution:
 
     __slots__ = ("ring", "images", "layouts", "plans")
 
-    def __init__(self, ring: CoeffRing):
+    def __init__(self, ring: CoeffRing, assignment: dict):
         self.ring = ring
         # variable -> (variables, numerators, total degree, denominator) of its image
         self.images: dict = {}
+        for v, val in assignment.items():
+            if not isinstance(val, MultiPoly):
+                val = MultiPoly.const(ring, val)
+            ring.require_same(val.ring)
+            terms, d = _numerators(ring, val.terms)
+            self.images[v] = (val.vars, terms, _degree(terms), d)
         # (sorted variables, w) -> (their weights, {variable: power cache of its image})
         self.layouts: dict = {}
         # source variables -> (result variables, total degree of each one's image, {(w, bits): plan})
         self.plans: dict = {}
-
-    def add(self, v: str, val) -> None:
-        """Assign ``val``, a polynomial over ``ring`` or a coefficient, to
-        ``v``, which must have no image yet."""
-        if v in self.images:
-            raise UsageError(f"{v} already has an image in this substitution")
-        if not isinstance(val, MultiPoly):
-            val = MultiPoly.const(self.ring, val)
-        self.ring.require_same(val.ring)
-        terms, d = _numerators(self.ring, val.terms)
-        self.images[v] = (val.vars, terms, _degree(terms), d)
-        self.plans.clear()
 
     def _shape(self, names: tuple) -> tuple:
         """(result variables, total degree of each image: 1 for an unassigned

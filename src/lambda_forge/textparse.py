@@ -4,8 +4,8 @@ Polynomials: integer coefficients, `^` powers (a unary minus negates the
 whole power: `-x^2` is `-(x^2)`, as printed), `*` products, `/` by a
 positive integer literal (exact over the coefficient ring), parentheses,
 variable names matching [A-Za-z][A-Za-z0-9_]* (the one name rule,
-``poly._NAME``), and `X(2,3)` sugar for
-lambda-basis generators (the empty sequence is `X()` or `X0`).  Witt
+``poly._NAME``), and `X(2,3)` sugar for lambda-basis generators, primes in
+non-decreasing order (the empty sequence is `X()` or `X0`).  Witt
 vectors are bracketed, comma-separated component lists.  Both kinds of list
 are read by one rule, ``_Parser.items``.  Truncation sets are `big:N` or
 `p:P,K`.  Every integer is written in ASCII decimal digits.
@@ -17,7 +17,7 @@ import re
 
 from .errors import NotDivisible, UsageError
 from .poly import _NAME, MultiPoly
-from .rings import CoeffRing, ZZ, ascii_int
+from .rings import CoeffRing, ZZ, _prime, ascii_int
 from .truncation import TruncationSet
 
 
@@ -87,7 +87,7 @@ class _Parser:
         num = self.take()
         if not num.isdigit():
             raise UsageError(f"X(...) takes primes, found {num!r}")
-        return int(num)
+        return _prime(int(num), "X(...) takes primes")
 
     def expr(self) -> MultiPoly:
         value = self.term()
@@ -138,7 +138,10 @@ class _Parser:
             return MultiPoly.const(self.ring, int(tok))
         if _NAME.fullmatch(tok):
             if tok == "X" and self.peek() == "(":
-                return MultiPoly.var(self.ring, _sigma_name(self.items("(", self.prime, ")")))
+                sigma = self.items("(", self.prime, ")")
+                if sigma != sorted(sigma):
+                    raise UsageError(f"X(...) takes primes in non-decreasing order, found X({','.join(map(str, sigma))})")
+                return MultiPoly.var(self.ring, _sigma_name(sigma))
             return MultiPoly.var(self.ring, tok)
         raise UsageError(f"unexpected token {tok!r}")
 

@@ -56,7 +56,7 @@ from math import lcm, prod
 
 from .errors import IntegralityViolation, NotASubset, NotDivisible, TruncationMismatch, UsageError
 from .poly import MultiPoly, _packer
-from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _take, ascii_int, json_field
+from .rings import INTEGER, LOCALIZED, MODULAR, RATIONAL, CoeffRing, ZZ, _as_int, _callable, _take, ascii_int, json_field
 from .truncation import TruncationSet
 
 
@@ -573,6 +573,7 @@ def ghost_inverse(g: GhostVec) -> WittVec:
 
 def coaction(psi, e: MultiPoly, S: TruncationSet, ring: CoeffRing) -> WittVec:
     """ghost_inverse of (psi^n(e))_{n in S}; integrality is the lambda test."""
+    _callable(psi, "the Frobenius family psi")
     ghosts = {n: psi(n, e) for n in S}
     return ghost_inverse(GhostVec(S, ring, ghosts))
 

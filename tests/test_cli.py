@@ -116,6 +116,14 @@ class TestExitCodeContract:
                 ["witt", "series", "--dir", "to", "--trunc", "p:2,3", "--input", "[a,0,0]"],
                 "the power series model needs a big truncation big:N",
             ),
+            (["witt", "series", "--dir", "from", "--trunc", "big:2"], "--dir from needs --coeffs"),
+            (["lambda", "free", "--primes", "2,3", "--depth", "2", "--show", "X(5)"], "'X(5)' is not in the basis"),
+            # X(...) takes primes in non-decreasing order: X(0) named X0, the
+            # generator; X(1) and X(4) were free variables, X(3,2) was X3_2
+            (["lambda", "free", "--primes", "2,3", "--depth", "2", "--show", "X(0)"], "X(...) takes primes, got 0"),
+            (["lambda", "free", "--primes", "2,3", "--depth", "2", "--show", "X(1)"], "X(...) takes primes, got 1"),
+            (["lambda", "to-x-basis", "--primes", "2", "--depth", "1", "--expr", "X(4) + x2"], "X(...) takes primes, got 4"),
+            (["lambda", "free", "--primes", "2,3", "--depth", "2", "--show", "X(3,2)"], "non-decreasing order, found X(3,2)"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1 and named in err

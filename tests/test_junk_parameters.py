@@ -13,8 +13,11 @@ coefficient strings only in ASCII decimal digits; a payload that is not
 the shape the writers give is refused with a ``UsageError`` that names the
 field.  The Witt operations take only Witt vectors, ghost vectors and
 truncation sets where they expect them, the polynomial and lambda-ring
-calls only polynomials and coefficient rings, and the reports only a
-basis and a collection of primes, each refusal naming what it refused.
+calls only polynomials and coefficient rings, the reports only a basis
+and a collection of primes, a Frobenius family or a check only a callable,
+and ``coalgebra_check`` only (label, element) pairs, each refusal naming
+what it refused.  Each refusal no other test reaches is pinned to its
+``ForgeError`` class and what its message names.
 The public functions of ``verify`` take a suite name and a seed as
 ``lambda-forge verify`` does: a name that is no suite, or a seed that is
 not a nonnegative integer, is a ``UsageError``.
@@ -34,18 +37,25 @@ from lambda_forge.delta import (
     w2_congruence_witness,
     w2_pullback_check,
 )
-from lambda_forge.errors import ForgeError, UsageError
+from lambda_forge.errors import (
+    ForgeError,
+    MixedCoefficientRings,
+    NonUnitConstantTerm,
+    TruncationMismatch,
+    UsageError,
+)
 from lambda_forge.lambdaring import (
     AdamsModel,
     FreeLambdaBasis,
     LambdaOps,
+    coalgebra_check,
     integrality_report,
     plocal_basis_check,
     verify_joyal_rezk,
     wilkerson_lambda,
 )
 from lambda_forge.poly import MultiPoly, deviation
-from lambda_forge.rings import ZZ, CoeffRing
+from lambda_forge.rings import QQ, ZZ, CoeffRing
 from lambda_forge.series import TruncSeries, from_series, to_series
 from lambda_forge.verify import (
     coalgebra_suite,
@@ -61,6 +71,7 @@ from lambda_forge.verify import (
 from lambda_forge.witt import (
     TruncationSet,
     WittVec,
+    coaction,
     comult,
     comult_poly_map,
     counit,
@@ -348,6 +359,22 @@ REPORT_JUNK = [
     ("wilkerson_lambda(('u', 'u'), {}, 2)", lambda: wilkerson_lambda(("u", "u"), {}, 2), "u"),
     ("LambdaOps(('u v',), psi, 2)", lambda: LambdaOps(("u v",), lambda n, e: e, 2), "u v"),
     ("LambdaOps(('u', 'u'), psi, 2)", lambda: LambdaOps(("u", "u"), lambda n, e: e, 2), "u"),
+    # delta or phi on a name that is no generator, delta leaving the ring, phi missing on a generator
+    ("DeltaPresentation(2, gens, {'v': u})", lambda: DeltaPresentation(2, ("u",), {"v": u}), "v"),
+    ("DeltaPresentation(2, gens, {'u': x})", lambda: DeltaPresentation(2, ("u",), {"u": x}), "u"),
+    ("delta_from_phi(2, ('u', 'v'), {'u': u^2})", lambda: delta_from_phi(2, ("u", "v"), {"u": u ** 2}), "v"),
+    # a Frobenius family or a check that is no callable (psi={} and psi=0
+    # checked the Adams operations, psi=5 raised a TypeError), and an
+    # element that is no (label, element) pair
+    ("verify_joyal_rezk(psi={})", lambda: verify_joyal_rezk(BASIS, 1, {}), "psi"),
+    ("verify_joyal_rezk(psi=0)", lambda: verify_joyal_rezk(BASIS, 1, 0), "psi"),
+    ("verify_joyal_rezk(psi=5)", lambda: verify_joyal_rezk(BASIS, 1, 5), "psi"),
+    ("coaction(5, ...)", lambda: coaction(5, x, B2, ZZ), "psi"),
+    ("coalgebra_check(5, ...)", lambda: coalgebra_check(5, [("x", x)], B2, B2, ZZ), "psi"),
+    ("LambdaOps((), 5, 2)", lambda: LambdaOps((), 5, 2).lambda_values(MultiPoly.const(ZZ, 3)), "psi"),
+    ("coalgebra_check(psi, [x])", lambda: coalgebra_check(lambda n, e: e, [x], B2, B2, ZZ), "elements"),
+    ("coalgebra_check(psi, [(label, x, 1)])", lambda: coalgebra_check(lambda n, e: e, [("x", x, 1)], B2, B2, ZZ), "elements"),
+    ("coalgebra_check(check_integral=5)", lambda: coalgebra_check(lambda n, e: e, [("x", x)], B2, B2, ZZ, 5), "check_integral"),
 ]
 
 
@@ -386,6 +413,8 @@ JSON_MALFORMED = [
     ("delta {}", DeltaPresentation.from_json, {}, "'delta'"),
     ("delta no p", DeltaPresentation.from_json, {"gens": ["u"], "delta": {}}, "'p'"),
     ("delta no gens", DeltaPresentation.from_json, {"p": 2, "delta": {}}, "'gens'"),
+    ("ring kind 'R'", CoeffRing.from_json, {"kind": "R"}, "'R'"),
+    ("trunc kind 'all'", TruncationSet.from_json, {"kind": "all"}, "'all'"),
 ]
 
 
@@ -393,6 +422,33 @@ JSON_MALFORMED = [
 def test_malformed_json_is_a_usage_error_naming_the_field(reader, payload, field):
     with pytest.raises(UsageError, match=field):
         reader(payload)
+
+
+EMPTY = WittVec.from_list(TruncationSet.big(0), ZZ, [])
+
+# refusals no other test reached: (label, call, the ForgeError it raises,
+# what its message names)
+UNREACHED = [
+    ("MultiPoly(exponent vector too long)", lambda: MultiPoly(ZZ, ("x",), {(1, 2): 1}), UsageError, "vars"),
+    ("MultiPoly.evaluate(no value for x)", lambda: (x + u).evaluate({"u": 1}), UsageError, "x"),
+    ("TruncSeries(no coefficient)", lambda: TruncSeries(ZZ, []), UsageError, r"t\^0"),
+    ("TruncSeries * 3", lambda: F3 * 3, UsageError, "TruncSeries"),
+    ("TruncSeries over Z * over Q", lambda: F3 * TruncSeries(QQ, [1, 2]), MixedCoefficientRings, "Q"),
+    ("from_series(constant 2)", lambda: from_series(TruncSeries(ZZ, [2, 1]), 1), NonUnitConstantTerm, "2"),
+    ("structure_poly_map('div')", lambda: structure_poly_map("div", B2), UsageError, "'div'"),
+    ("WittVec(a polynomial and a vector)", lambda: WittVec(B2, ZZ, {1: x, 2: FLAT}), UsageError, "components"),
+    ("WittVec.from_list(3 values, big:2)", lambda: WittVec.from_list(B2, ZZ, [1, 2, 3]), TruncationMismatch, "components"),
+    ("WittVec + 3", lambda: FLAT + 3, UsageError, "Witt vectors"),
+    ("counit(big:0)", lambda: counit(EMPTY), TruncationMismatch, "1"),
+    ("CoeffRing('R')", lambda: CoeffRing("R"), UsageError, "'R'"),
+]
+
+
+@pytest.mark.parametrize("call, error, named", [c[1:] for c in UNREACHED], ids=[c[0] for c in UNREACHED])
+def test_unreached_refusals_raise_their_error_naming_the_argument(call, error, named):
+    with pytest.raises(ForgeError, match=rf"(?<!\w){named}(?!\w)") as exc:
+        call()
+    assert type(exc.value) is error
 
 
 SUITES = [

@@ -511,6 +511,14 @@ class TestGhostRows:
         for e in elements:
             assert x_answer(basis, e) == reference_answer(basis, e)
 
+    @pytest.mark.parametrize("P, depth", [((2, 3), 3), ((2, 3, 5), 2)], ids=str)
+    def test_a_built_basis_holds_no_layout_or_plan(self, P, depth):
+        # each row is formed by a substitution of its own; ``rows`` is
+        # prepared from all of them once and has not been applied yet
+        basis = FreeLambdaBasis(P, depth)
+        assert basis.rows.layouts == {} and basis.rows.plans == {}
+        assert sorted(basis.rows.images) == sorted(f"x{n}" for n in basis.span)
+
     def test_kept_powers_are_never_written_to(self):
         basis = FreeLambdaBasis((2, 3), 2)
         x2, x3, x6 = (basis.model.gen(n) for n in (2, 3, 6))

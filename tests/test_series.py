@@ -86,3 +86,19 @@ def test_reciprocal_roundtrip_fifty_random_unit_series():
         f = s(coeffs)
         product = f * reciprocal(f)
         assert product == TruncSeries.one(ZZ, 4)
+
+
+A, B = MultiPoly.var(ZZ, "a"), MultiPoly.var(ZZ, "b")
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ([1, 1], "1 + t + O(t^2)"),
+        ([1, -1, 0], "1 - t + O(t^3)"),
+        ([0, A + 1], "(a + 1)*t + O(t^2)"),
+        ([1, A - B, -A, A * 2, -1], "1 + (a - b)*t - a*t^2 + 2*a*t^3 - t^4 + O(t^5)"),
+    ],
+)
+def test_rendering_of_unit_signed_and_parenthesized_coefficients(coeffs, text):
+    assert str(s(coeffs)) == text
